@@ -1,8 +1,15 @@
-# Reproduces the CI gate (.github/workflows/ci.yml) locally:
+# The CI gate. Every job in .github/workflows/ci.yml is a list of
+# `make <target>` calls and nothing else, so this file is the single
+# definition of what CI runs:
 #   make ci        — everything CI runs, in the same order
 #   make golden    — re-record golden_metrics.json after an intentional
 #                    metric change (commit the diff)
 GO ?= go
+
+# Recipes that pipe into tee (bench, results) must fail when the producer
+# fails, as they did when CI ran them directly under bash -eo pipefail.
+SHELL := /bin/bash
+.SHELLFLAGS := -eo pipefail -c
 
 .PHONY: ci build vet fmt-check test race bench check audit golden chaos trace place fuzz serve-smoke shard results
 
@@ -21,19 +28,27 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# The bench/ harness is its own module importing this one: vetting and
+# testing it here makes a changed exported signature fail the unit-test
+# gate instead of silently breaking the benchmark.
 test:
 	$(GO) test -shuffle=on ./...
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
+# The race-detector row: telemetry registry, the placement control plane
+# (ledger property + concurrency tests), the control-plane service (store
+# recovery, reconciler), parallel-runner determinism. The sharded-core
+# packages race under `make shard`, the fuzzer under `make fuzz`.
 race:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/placement
 	$(GO) test -race ./internal/ctlplane
-	$(GO) test -race ./internal/experiments -run 'TestParallelRunnerDeterminism|TestTelemetryParallelDeterminism|TestAuditParallelDeterminism|TestShardIdentity|TestShardedSubscribe'
+	$(GO) test -race ./internal/experiments -run 'TestParallelRunnerDeterminism|TestTelemetryParallelDeterminism|TestAuditParallelDeterminism'
 
-# One pass over every benchmark in the tree. This is the single emitter of
-# the BENCH_*.json trajectory files (BENCH_audit, BENCH_ctlplane,
-# BENCH_obs, BENCH_placement, BENCH_shardsim) that CI uploads as one
-# artifact; the per-figure benchmarks land in bench.txt.
+# One pass over every testing.B benchmark in the tree (the per-figure
+# evaluation + scheduler hot paths) into bench.txt. Measured performance
+# with repetitions lives in bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./... | tee bench.txt
 
@@ -49,22 +64,20 @@ check:
 
 # The audit gate: every fault-free run must audit clean, chaos scenarios
 # must produce their declared excused findings, and auditing must not
-# change a single golden metric. Findings land in findings.jsonl; the
-# auditor's overhead trajectory in BENCH_audit.json.
+# change a single golden metric. Findings land in findings.jsonl.
 audit:
 	$(GO) run ./cmd/ufabsim -quick -findings findings.jsonl audit all
 	$(GO) run ./cmd/ufabsim check -audit
-	$(GO) test -run '^$$' -bench BenchmarkAuditOverhead -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 100x .
 
 # The sharded-core gate: the whole evaluation replayed on the parallel
-# engine must reproduce the sequential golden numbers exactly, and the
-# sequential-vs-sharded wall-clock benchmark lands in BENCH_shardsim.json
-# (set UFAB_BENCH_FULL=1 on a multicore box for the 8192-host fabric).
+# engine must reproduce the sequential golden numbers exactly; shard
+# identity, live shard-ring subscribers, the pod partitioner and the
+# conservative-lookahead core run under the race detector.
 shard:
 	$(GO) run ./cmd/ufabsim check -shards 4
 	$(GO) run ./cmd/ufabsim check -telemetry -shards 4
-	$(GO) test -run '^$$' -bench BenchmarkShardedEngine -benchtime 1x .
+	$(GO) test -race ./internal/experiments -run 'TestShardIdentity|TestShardedSubscribe'
+	$(GO) test -race ./internal/sim ./internal/topo ./internal/dataplane
 
 golden:
 	$(GO) run ./cmd/ufabsim check -update
@@ -73,29 +86,24 @@ golden:
 chaos:
 	$(GO) run ./cmd/ufabsim run flap gray restart churn chaoslab
 
-# The control-plane suite (internal/placement) at full scale, plus the
-# admission-ledger benchmark (incremental update vs full recompute;
-# trajectory lands in BENCH_placement.json).
+# The control-plane suite (internal/placement) at full scale.
 place:
 	$(GO) run ./cmd/ufabsim run placecmp placechurn placesweep
-	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 100x .
 
 # The control-plane service smoke gate, exactly as the CI ctlplane job
 # runs it: start the daemon with a persistent store and background churn,
 # drive admit/evaluate/release/findings over HTTP, SIGKILL it mid-churn,
-# restart from the store and assert recovery. The sharded-ledger
-# throughput trajectory lands in BENCH_ctlplane.json.
+# restart from the store and assert recovery.
 serve-smoke:
 	./scripts/serve_smoke.sh
-	$(GO) test -run '^$$' -bench BenchmarkCtlplaneAdmission -benchtime 100000x .
 
 # The scenario-fuzzer smoke gate, exactly as the CI fuzz-smoke job runs
-# it: package tests (oracle, shrinker, regression corpus), then a
-# fixed-seed sweep that also replays the committed corpus. For a long
-# randomized hunt use the nightly knobs, e.g.:
+# it: package tests under the race detector (oracle, shrinker, regression
+# corpus), then a fixed-seed sweep that also replays the committed corpus.
+# For a long randomized hunt use the nightly knobs, e.g.:
 #   go run ./cmd/ufabsim fuzz -seeds 1000 -seed0 $$RANDOM -budget 20m -shrink -out fuzz-failures
 fuzz:
-	$(GO) test ./internal/fuzz
+	$(GO) test -race ./internal/fuzz
 	$(GO) run ./cmd/ufabsim fuzz -seeds 50 -corpus internal/fuzz/testdata/regressions
 
 # Flight-recorder sample: the chaoslab run's event stream as JSONL, and

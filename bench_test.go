@@ -6,24 +6,14 @@
 //	go test -bench=. -benchmem
 //
 // regenerates the whole evaluation in one pass. For full-scale runs use
-// cmd/ufabsim.
+// cmd/ufabsim; for measured performance (end-to-end workloads and
+// per-layer costs, with repetitions and a host descriptor) use bench/.
 package ufab
 
 import (
-	"fmt"
-	mrand "math/rand"
-	"os"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"ufab/internal/ctlplane"
 	"ufab/internal/experiments"
-	"ufab/internal/placement"
-	"ufab/internal/sim"
-	"ufab/internal/topo"
-	"ufab/internal/vfabric"
 )
 
 // runExperiment executes the experiment once per benchmark iteration and
@@ -110,289 +100,3 @@ func BenchmarkTable4CoreResources(b *testing.B) { runExperiment(b, "tab4") }
 // BenchmarkAblations — design-choice ablations (two-stage admission, GP,
 // migration, L_w) from DESIGN.md.
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "abl") }
-
-// BenchmarkAuditOverhead pins the online predictability auditor's
-// marginal cost: the flap fault experiment (chaos events, excuse windows,
-// context capture — the auditor's worst case) is timed telemetry-only and
-// audited, and the delta is reported as overhead. The result is also
-// emitted as BENCH_audit.json so CI can track the trajectory across
-// commits.
-func BenchmarkAuditOverhead(b *testing.B) {
-	e := experiments.Find("flap")
-	if e == nil {
-		b.Fatal("unknown experiment flap")
-	}
-	var telem, audited time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		e.Run(experiments.Options{Quick: true, Seed: 1, Telemetry: true})
-		telem += time.Since(t0)
-		t1 := time.Now()
-		e.Run(experiments.Options{Quick: true, Seed: 1, Audit: true})
-		audited += time.Since(t1)
-	}
-	nsTelem := float64(telem.Nanoseconds()) / float64(b.N)
-	nsAudited := float64(audited.Nanoseconds()) / float64(b.N)
-	overheadPct := (nsAudited - nsTelem) / nsTelem * 100
-	b.ReportMetric(nsTelem, "telemetry_ns/op")
-	b.ReportMetric(nsAudited, "audited_ns/op")
-	b.ReportMetric(overheadPct, "audit_overhead_pct")
-	out := fmt.Sprintf(`{"benchmark":"audit_overhead","experiment":"flap","iterations":%d,"telemetry_ns_per_op":%.0f,"audited_ns_per_op":%.0f,"overhead_pct":%.2f}`+"\n",
-		b.N, nsTelem, nsAudited, overheadPct)
-	if err := os.WriteFile("BENCH_audit.json", []byte(out), 0o644); err != nil {
-		b.Fatalf("write BENCH_audit.json: %v", err)
-	}
-}
-
-// BenchmarkObservability pins the metrics plane's marginal cost: the flap
-// fault experiment (chaos events, probe churn, migrations — the heaviest
-// producer of histogram observations and span-tagged trace events) is
-// timed bare and with the full telemetry plane attached, and the delta is
-// reported as overhead. The trace/histogram volume the instrumented run
-// produced is reported alongside, so a cost regression can be attributed
-// to volume vs per-record cost. The result is also emitted as
-// BENCH_obs.json so CI can track the trajectory across commits.
-func BenchmarkObservability(b *testing.B) {
-	e := experiments.Find("flap")
-	if e == nil {
-		b.Fatal("unknown experiment flap")
-	}
-	var bare, instrumented time.Duration
-	var traceEvents uint64
-	var histograms, histObservations int
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		e.Run(experiments.Options{Quick: true, Seed: 1})
-		bare += time.Since(t0)
-		t1 := time.Now()
-		rep := e.Run(experiments.Options{Quick: true, Seed: 1, Telemetry: true})
-		instrumented += time.Since(t1)
-		traceEvents, _ = rep.Reg.TraceTotals()
-		histograms = 0
-		histObservations = 0
-		for _, h := range rep.Reg.Snapshot().Histograms {
-			histograms++
-			histObservations += int(h.Count)
-		}
-	}
-	nsBare := float64(bare.Nanoseconds()) / float64(b.N)
-	nsInstr := float64(instrumented.Nanoseconds()) / float64(b.N)
-	overheadPct := (nsInstr - nsBare) / nsBare * 100
-	b.ReportMetric(nsBare, "bare_ns/op")
-	b.ReportMetric(nsInstr, "instrumented_ns/op")
-	b.ReportMetric(overheadPct, "telemetry_overhead_pct")
-	b.ReportMetric(float64(traceEvents), "trace_events")
-	b.ReportMetric(float64(histObservations), "hist_observations")
-	out := fmt.Sprintf(`{"benchmark":"observability_overhead","experiment":"flap","iterations":%d,"bare_ns_per_op":%.0f,"instrumented_ns_per_op":%.0f,"overhead_pct":%.2f,"trace_events":%d,"histograms":%d,"hist_observations":%d}`+"\n",
-		b.N, nsBare, nsInstr, overheadPct, traceEvents, histograms, histObservations)
-	if err := os.WriteFile("BENCH_obs.json", []byte(out), 0o644); err != nil {
-		b.Fatalf("write BENCH_obs.json: %v", err)
-	}
-}
-
-// BenchmarkCtlplaneAdmission pins the sharded ledger's throughput claim:
-// open-loop admission churn (two-phase commit across range-partitioned
-// link shards, each goroutine holding a ring of standing tenants) must
-// sustain >= 1e5 decisions/sec. After the drain the ledger must verify
-// with zero residue — the benchmark fails otherwise. The result is also
-// emitted as BENCH_ctlplane.json so CI can track the trajectory across
-// commits.
-func BenchmarkCtlplaneAdmission(b *testing.B) {
-	cl := topo.NewClos(topo.ClosConfig{
-		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4, HostsPerToR: 4,
-		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
-	})
-	sh := ctlplane.NewShardedLedger(cl.Graph, 4, 0, 1.0)
-	// Pre-generated host pairs: the benchmark times the ledger, not the
-	// RNG. Guarantees are small so headroom rejections stay rare.
-	rng := mrand.New(mrand.NewSource(1))
-	pairSets := make([][]placement.Pair, 1024)
-	for i := range pairSets {
-		for {
-			s := cl.Hosts[rng.Intn(len(cl.Hosts))]
-			d := cl.Hosts[rng.Intn(len(cl.Hosts))]
-			if s != d {
-				pairSets[i] = []placement.Pair{{Src: s, Dst: d}}
-				break
-			}
-		}
-	}
-	var next int32
-	var decisions int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var held []int32
-		for pb.Next() {
-			id := atomic.AddInt32(&next, 1)
-			err := sh.Admit(id, 1e8, pairSets[int(id)%len(pairSets)])
-			atomic.AddInt64(&decisions, 1)
-			if err == nil {
-				held = append(held, id)
-			}
-			if len(held) > 64 {
-				sh.Release(held[0])
-				atomic.AddInt64(&decisions, 1)
-				held = held[1:]
-			}
-		}
-		for _, id := range held {
-			sh.Release(id)
-			atomic.AddInt64(&decisions, 1)
-		}
-	})
-	b.StopTimer()
-	verifyOK := true
-	if err := sh.Verify(); err != nil {
-		verifyOK = false
-		b.Errorf("post-drain verify: %v", err)
-	}
-	if n := sh.Tenants(); n != 0 {
-		b.Errorf("%d tenants left after drain", n)
-	}
-	perSec := float64(decisions) / b.Elapsed().Seconds()
-	nsPer := float64(b.Elapsed().Nanoseconds()) / float64(decisions)
-	b.ReportMetric(perSec, "decisions/sec")
-	b.ReportMetric(nsPer, "ns/decision")
-	out := fmt.Sprintf(`{"benchmark":"ctlplane_admission","topology":"clos-32-host","shards":%d,"procs":%d,"decisions":%d,"decisions_per_sec":%.0f,"ns_per_decision":%.1f,"verify_ok":%v}`+"\n",
-		sh.Shards(), runtime.GOMAXPROCS(0), decisions, perSec, nsPer, verifyOK)
-	if err := os.WriteFile("BENCH_ctlplane.json", []byte(out), 0o644); err != nil {
-		b.Fatalf("write BENCH_ctlplane.json: %v", err)
-	}
-}
-
-// BenchmarkShardedEngine pins the sharded parallel-in-time core's
-// speedup claim: an 8k-host FatTree carrying a cross-pod permutation of
-// backlogged guaranteed flows is run once on the sequential engine and
-// once on the sharded core with one worker per available CPU, and the
-// wall-clock ratio is reported. The two runs produce bit-identical
-// simulations (TestShardIdentity holds that gate), so the ratio is a
-// pure scheduling-overhead/parallelism measurement. The result is also
-// emitted as BENCH_shardsim.json — with the honest core count, since
-// the >=3x target only applies at >=8 cores — so CI can track the
-// trajectory across commits.
-func BenchmarkShardedEngine(b *testing.B) {
-	// Default scale finishes in CI minutes on a single core; set
-	// UFAB_BENCH_FULL=1 on a real multicore box for the paper's 8192-host
-	// fabric. The emitted JSON records whichever scale actually ran.
-	clcfg := topo.ClosConfig{
-		Pods: 8, ToRsPerPod: 8, AggsPerPod: 4, Cores: 16, HostsPerToR: 16,
-		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
-	}
-	horizon := 500 * sim.Microsecond
-	if os.Getenv("UFAB_BENCH_FULL") != "" {
-		clcfg = topo.ClosConfig{
-			Pods: 16, ToRsPerPod: 16, AggsPerPod: 8, Cores: 64, HostsPerToR: 32,
-			LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
-		}
-		horizon = sim.Millisecond
-	}
-	var hosts int
-	run := func(shards int) (time.Duration, uint64) {
-		cl := topo.NewClos(clcfg)
-		hosts = len(cl.Hosts)
-		f, err := vfabric.Build(vfabric.BuildOptions{
-			Graph: cl.Graph, Cfg: vfabric.Config{Seed: 1}, Shards: shards,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Cross-pod permutation: every flow leaves its pod, so all traffic
-		// crosses shard boundaries through the lookahead window.
-		stride := hosts / 2
-		for i, src := range cl.Hosts {
-			vf := f.AddVF(int32(i+1), 1e9, 0)
-			fl := f.AddFlow(vf, src, cl.Hosts[(i+stride)%hosts], 0)
-			fl.Buffer.Add(1 << 40)
-		}
-		t0 := time.Now()
-		f.Eng.RunUntil(horizon)
-		elapsed := time.Since(t0)
-		var events uint64
-		if src, ok := f.Eng.(sim.StatsSource); ok {
-			events = src.Stats().Processed
-		}
-		return elapsed, events
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var seq, par time.Duration
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		s, ev := run(0)
-		p, _ := run(workers)
-		seq += s
-		par += p
-		events = ev
-	}
-	seqNs := float64(seq.Nanoseconds()) / float64(b.N)
-	parNs := float64(par.Nanoseconds()) / float64(b.N)
-	speedup := seqNs / parNs
-	b.ReportMetric(seqNs, "sequential_ns/op")
-	b.ReportMetric(parNs, "sharded_ns/op")
-	b.ReportMetric(speedup, "speedup_x")
-	b.ReportMetric(float64(events)/(seqNs/1e9), "events/sec_seq")
-	out := fmt.Sprintf(`{"benchmark":"sharded_engine","topology":"fattree-%d-host","hosts":%d,"logical_shards":%d,"workers":%d,"cores":%d,"events":%d,"sequential_ns_per_op":%.0f,"sharded_ns_per_op":%.0f,"speedup_x":%.2f}`+"\n",
-		hosts, hosts, clcfg.Pods, workers, runtime.NumCPU(), events, seqNs, parNs, speedup)
-	if err := os.WriteFile("BENCH_shardsim.json", []byte(out), 0o644); err != nil {
-		b.Fatalf("write BENCH_shardsim.json: %v", err)
-	}
-}
-
-// BenchmarkAdmission pins the subscription ledger's incremental-update
-// claim: with a few hundred tenants standing on a 3-tier Clos, one
-// admit+release round (O(affected links)) is timed against a
-// from-scratch recomputation of the whole ledger (Verify — O(tenants ×
-// paths)), and the speedup is reported. The result is also emitted as
-// BENCH_placement.json so CI can track the trajectory across commits.
-func BenchmarkAdmission(b *testing.B) {
-	cl := topo.NewClos(topo.ClosConfig{
-		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4, HostsPerToR: 4,
-		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
-	})
-	rng := mrand.New(mrand.NewSource(1))
-	pairsFor := func() []placement.Pair {
-		n := 1 + rng.Intn(3)
-		pairs := make([]placement.Pair, 0, n)
-		for len(pairs) < n {
-			s := cl.Hosts[rng.Intn(len(cl.Hosts))]
-			d := cl.Hosts[rng.Intn(len(cl.Hosts))]
-			if s != d {
-				pairs = append(pairs, placement.Pair{Src: s, Dst: d})
-			}
-		}
-		return pairs
-	}
-	const standing = 200
-	l := placement.NewLedger(cl.Graph, 0)
-	for id := int32(1); id <= standing; id++ {
-		if err := l.Commit(id, 1e9, pairsFor()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	churnPairs := pairsFor()
-
-	var incr, full time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := l.Commit(standing+1, 1e9, churnPairs); err != nil {
-			b.Fatal(err)
-		}
-		l.Release(standing + 1)
-		incr += time.Since(t0)
-		t1 := time.Now()
-		if err := l.Verify(); err != nil {
-			b.Fatal(err)
-		}
-		full += time.Since(t1)
-	}
-	nsIncr := float64(incr.Nanoseconds()) / float64(b.N)
-	nsFull := float64(full.Nanoseconds()) / float64(b.N)
-	speedup := nsFull / nsIncr
-	b.ReportMetric(nsIncr, "incremental_ns/op")
-	b.ReportMetric(nsFull, "recompute_ns/op")
-	b.ReportMetric(speedup, "speedup_x")
-	out := fmt.Sprintf(`{"benchmark":"admission_ledger","topology":"clos-32-host","standing_tenants":%d,"iterations":%d,"incremental_ns_per_op":%.0f,"recompute_ns_per_op":%.0f,"speedup_x":%.1f}`+"\n",
-		standing, b.N, nsIncr, nsFull, speedup)
-	if err := os.WriteFile("BENCH_placement.json", []byte(out), 0o644); err != nil {
-		b.Fatalf("write BENCH_placement.json: %v", err)
-	}
-}

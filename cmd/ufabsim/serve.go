@@ -30,7 +30,6 @@ func serveCmd(args []string) {
 	seed := fs.Int64("seed", 1, "deterministic seed for the fabric and churn workload")
 	churn := fs.Bool("churn", false, "run an open-loop background tenant workload")
 	policy := fs.String("policy", "spread", "placement policy (firstfit | spread | subaware)")
-	shards := fs.Int("shards", 0, "ledger shard count (0 = default)")
 	oversub := fs.Float64("oversub", 1.0, "admission oversubscription factor")
 	slots := fs.Int("slots", 4, "VM slots per host")
 	fs.Parse(args)
@@ -41,7 +40,6 @@ func serveCmd(args []string) {
 		Seed:             *seed,
 		Churn:            *churn,
 		Policy:           *policy,
-		Shards:           *shards,
 		Oversubscription: *oversub,
 		SlotsPerHost:     *slots,
 	})
@@ -86,7 +84,7 @@ verbs:
   tenants                         list desired tenant records
   tenant <id>                     one tenant record
   fleet                           per-host slot usage and cordons
-  ledger                          shard/subscription summary + Verify()
+  ledger                          subscription summary + Verify()
   drain <host>                    cordon a host and evacuate its tenants
   uncordon <host>                 reopen a drained host
   findings [-follow]              audit findings as JSONL (streamed with -follow)

@@ -36,8 +36,6 @@ type DaemonConfig struct {
 	Churn bool
 	// Policy names the placement policy (default "spread").
 	Policy string
-	// Shards is the ledger partition count (0 = 8).
-	Shards int
 	// Oversubscription scales the admission budget (0 = 1.0).
 	Oversubscription float64
 	// SlotsPerHost caps VMs per host (0 = 4).
@@ -143,7 +141,6 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d.Svc = NewService(d.Clos.Graph, store, d.UF, Config{
 		Oversubscription: cfg.Oversubscription,
 		SlotsPerHost:     cfg.SlotsPerHost,
-		Shards:           cfg.Shards,
 		Policy:           pol,
 		Telemetry:        d.Reg,
 	})

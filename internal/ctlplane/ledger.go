@@ -1,452 +1,21 @@
 package ctlplane
 
 import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-
 	"ufab/internal/placement"
 	"ufab/internal/topo"
 )
 
-// Sentinel errors Admit wraps so callers can map a failure to an API
-// rejection reason without string matching.
-var (
-	// ErrHeadroom: a link would exceed the oversubscribed admission budget.
-	ErrHeadroom = errors.New("headroom")
-	// ErrDuplicate: the tenant id already holds (or is acquiring) a
-	// commitment.
-	ErrDuplicate = errors.New("duplicate tenant")
-	// ErrInvalid: malformed request (non-positive guarantee, no pairs).
-	ErrInvalid = errors.New("invalid request")
-)
-
-// ShardedLedger is the concurrent counterpart of placement.Ledger: the
-// same per-link Σ-guarantee subscription account, with the link space
-// partitioned into contiguous ranges, one lock per range, and admissions
-// committed by a two-phase protocol — prepare reserves headroom on every
-// affected shard in ascending shard order (so concurrent admissions never
-// deadlock), then commit converts the reservations to commitments, or
-// abort returns them. Unlike placement.Ledger it also owns the headroom
-// check: prepare fails atomically when any link would exceed
-// oversubscription·capacity, so two racing admissions can never jointly
-// overshoot a link the way check-then-commit ledgers can.
+// ShardedLedger is the old name of the single subscription ledger.
 //
-// It implements both placement.LedgerView (policies score candidate hosts
-// against it) and vfabric.SubscriptionLedger (the auditor's ledger_bound
-// invariant reads it).
-type ShardedLedger struct {
-	g        *topo.Graph
-	maxPaths int
-	oversub  float64
-	width    int // links per shard
-	shards   []ledgerShard
+// Deprecated: use placement.Ledger. This shim exists only because the
+// frozen benchmark harness (bench/layers.go, ctlLedgerLayer) still calls
+// NewShardedLedger; delete the file once a benchmark PR retargets it.
+type ShardedLedger = placement.Ledger
 
-	mu       sync.Mutex // guards tenants + inflight
-	tenants  map[int32]*sledgerEntry
-	inflight map[int32]bool
-
-	scratch sync.Pool // *deltaScratch
-}
-
-// ledgerShard owns the contiguous link range [base, base+len(committed)).
-type ledgerShard struct {
-	mu        sync.Mutex
-	base      int
-	committed []float64
-	reserved  []float64
-}
-
-type sledgerEntry struct {
-	guaranteeBps float64
-	pairs        []placement.Pair
-	links        []topo.LinkID
-	amounts      []float64
-}
-
-// deltaScratch is the per-call working set of the ECMP path-union delta
-// computation, pooled so concurrent Evaluate/Admit calls don't allocate
-// two O(links) slices each.
-type deltaScratch struct {
-	stamp   []int64
-	seq     int64
-	scratch []float64
-	touched []topo.LinkID
-}
-
-// NewShardedLedger builds the account over the graph. maxPaths bounds the
-// per-pair ECMP enumeration (0 = all equal-cost paths); shards is the
-// lock-partition count (0 = 8); oversub scales every link's admission
-// budget (0 = 1.0, the paper's predictability precondition). All host-pair
-// ECMP path sets are enumerated eagerly so the graph's memoization cache
-// is read-only afterwards — the concurrency precondition for Evaluate.
-func NewShardedLedger(g *topo.Graph, maxPaths, shards int, oversub float64) *ShardedLedger {
-	if shards <= 0 {
-		shards = 8
-	}
-	if oversub == 0 {
-		oversub = 1.0
-	}
-	n := len(g.Links)
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	width := (n + shards - 1) / shards
-	s := &ShardedLedger{
-		g:        g,
-		maxPaths: maxPaths,
-		oversub:  oversub,
-		width:    width,
-		tenants:  make(map[int32]*sledgerEntry),
-		inflight: make(map[int32]bool),
-	}
-	for base := 0; base < n; base += width {
-		end := base + width
-		if end > n {
-			end = n
-		}
-		s.shards = append(s.shards, ledgerShard{
-			base:      base,
-			committed: make([]float64, end-base),
-			reserved:  make([]float64, end-base),
-		})
-	}
-	s.scratch.New = func() any {
-		return &deltaScratch{
-			stamp:   make([]int64, n),
-			scratch: make([]float64, n),
-		}
-	}
-	// Warm the path cache: enumerate every ordered host pair once, on
-	// this goroutine, so concurrent admissions only ever hit the
-	// read-only memoized entries.
-	var hosts []topo.NodeID
-	for _, nd := range g.Nodes {
-		if nd.Kind == topo.Host {
-			hosts = append(hosts, nd.ID)
-		}
-	}
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a != b {
-				g.Paths(a, b, maxPaths)
-			}
-		}
-	}
-	return s
-}
-
-// Graph returns the topology the ledger accounts over.
-func (s *ShardedLedger) Graph() *topo.Graph { return s.g }
-
-// Shards returns the lock-partition count.
-func (s *ShardedLedger) Shards() int { return len(s.shards) }
-
-// shardOf maps a link id to its owning shard index.
-func (s *ShardedLedger) shardOf(lid topo.LinkID) int { return int(lid) / s.width }
-
-// delta computes the per-link commitment of (guaranteeBps, pairs) — the
-// same path-union dedup as placement.Ledger.delta, against pooled
-// scratch. The returned links are sorted ascending (prepare's lock
-// order).
-func (s *ShardedLedger) delta(guaranteeBps float64, pairs []placement.Pair) ([]topo.LinkID, []float64, error) {
-	ds := s.scratch.Get().(*deltaScratch)
-	defer s.scratch.Put(ds)
-	ds.touched = ds.touched[:0]
-	for _, pr := range pairs {
-		paths := s.g.Paths(pr.Src, pr.Dst, s.maxPaths)
-		if len(paths) == 0 {
-			// Reset scratch contributions before bailing.
-			for _, lid := range ds.touched {
-				ds.scratch[lid] = 0
-			}
-			return nil, nil, fmt.Errorf("ctlplane: no path %d→%d: %w", pr.Src, pr.Dst, ErrInvalid)
-		}
-		ds.seq++
-		for _, p := range paths {
-			for _, lid := range p {
-				if ds.stamp[lid] != ds.seq {
-					ds.stamp[lid] = ds.seq
-					if ds.scratch[lid] == 0 {
-						ds.touched = append(ds.touched, lid)
-					}
-					ds.scratch[lid] += guaranteeBps
-				}
-			}
-		}
-	}
-	sort.Slice(ds.touched, func(i, j int) bool { return ds.touched[i] < ds.touched[j] })
-	links := make([]topo.LinkID, len(ds.touched))
-	amounts := make([]float64, len(ds.touched))
-	for i, lid := range ds.touched {
-		links[i] = lid
-		amounts[i] = ds.scratch[lid]
-		ds.scratch[lid] = 0
-	}
-	return links, amounts, nil
-}
-
-// Evaluate returns, without committing anything, the links a placement
-// would touch and the bps it would add to each. Safe for concurrent use.
-// It implements placement.LedgerView.
-func (s *ShardedLedger) Evaluate(guaranteeBps float64, pairs []placement.Pair) ([]topo.LinkID, []float64, error) {
-	return s.delta(guaranteeBps, pairs)
-}
-
-// Admit commits a tenant through the two-phase protocol. On success the
-// guarantee is added to every link of each pair's ECMP union; on any
-// failure (duplicate id, unroutable pair, headroom exhausted) the ledger
-// is untouched. The error wraps ErrDuplicate, ErrInvalid or ErrHeadroom.
-func (s *ShardedLedger) Admit(id int32, guaranteeBps float64, pairs []placement.Pair) error {
-	if guaranteeBps <= 0 {
-		return fmt.Errorf("ctlplane: tenant %d guarantee %v: %w", id, guaranteeBps, ErrInvalid)
-	}
-	links, amounts, err := s.delta(guaranteeBps, pairs)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.tenants[id] != nil || s.inflight[id] {
-		s.mu.Unlock()
-		return fmt.Errorf("ctlplane: tenant %d: %w", id, ErrDuplicate)
-	}
-	s.inflight[id] = true
-	s.mu.Unlock()
-
-	// Phase 1 — prepare: walk the sorted link list as contiguous
-	// per-shard runs, reserving under each shard's lock. Ascending shard
-	// order makes concurrent prepares deadlock-free.
-	if hot, ok := s.prepare(links, amounts); !ok {
-		s.mu.Lock()
-		delete(s.inflight, id)
-		s.mu.Unlock()
-		return fmt.Errorf("ctlplane: tenant %d link %d over budget: %w", id, hot, ErrHeadroom)
-	}
-	// Phase 2 — commit: reservations become commitments.
-	s.forRuns(links, func(sh *ledgerShard, i, j int) {
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			off := int(links[k]) - sh.base
-			sh.committed[off] += amounts[k]
-			sh.reserved[off] -= amounts[k]
-		}
-		sh.mu.Unlock()
-	})
-
-	e := &sledgerEntry{guaranteeBps: guaranteeBps, links: links, amounts: amounts}
-	e.pairs = append(e.pairs, pairs...)
-	s.mu.Lock()
-	delete(s.inflight, id)
-	s.tenants[id] = e
-	s.mu.Unlock()
-	return nil
-}
-
-// prepare reserves headroom for every link; on failure it unreserves
-// everything reserved so far and returns the offending link.
-func (s *ShardedLedger) prepare(links []topo.LinkID, amounts []float64) (topo.LinkID, bool) {
-	prepared := 0 // links successfully reserved
-	ok := true
-	var hot topo.LinkID
-	s.forRuns(links, func(sh *ledgerShard, i, j int) {
-		if !ok {
-			return
-		}
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			off := int(links[k]) - sh.base
-			budget := s.oversub * s.g.Links[links[k]].Capacity
-			if sh.committed[off]+sh.reserved[off]+amounts[k] > budget+1e-9 {
-				// Undo this shard's partial reservations before unlocking.
-				for u := i; u < k; u++ {
-					sh.reserved[int(links[u])-sh.base] -= amounts[u]
-				}
-				sh.mu.Unlock()
-				ok = false
-				hot = links[k]
-				return
-			}
-			sh.reserved[off] += amounts[k]
-		}
-		sh.mu.Unlock()
-		prepared = j
-	})
-	if ok {
-		return 0, true
-	}
-	// Abort: unreserve the fully-prepared prefix.
-	s.forRuns(links[:prepared], func(sh *ledgerShard, i, j int) {
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			sh.reserved[int(links[k])-sh.base] -= amounts[k]
-		}
-		sh.mu.Unlock()
-	})
-	return hot, false
-}
-
-// forRuns calls fn once per maximal run links[i:j] owned by a single
-// shard. links must be sorted ascending, so shards are visited in
-// ascending order.
-func (s *ShardedLedger) forRuns(links []topo.LinkID, fn func(sh *ledgerShard, i, j int)) {
-	for i := 0; i < len(links); {
-		si := s.shardOf(links[i])
-		j := i + 1
-		for j < len(links) && s.shardOf(links[j]) == si {
-			j++
-		}
-		fn(&s.shards[si], i, j)
-		i = j
-	}
-}
-
-// Release withdraws a tenant's commitment, subtracting exactly the
-// amounts Admit added. Returns false for an unknown id.
-func (s *ShardedLedger) Release(id int32) bool {
-	s.mu.Lock()
-	e := s.tenants[id]
-	if e == nil {
-		s.mu.Unlock()
-		return false
-	}
-	delete(s.tenants, id)
-	s.mu.Unlock()
-	s.forRuns(e.links, func(sh *ledgerShard, i, j int) {
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			off := int(e.links[k]) - sh.base
-			sh.committed[off] -= e.amounts[k]
-			// Clamp float residue so long churn runs can't drift negative.
-			if sh.committed[off] < 0 && sh.committed[off] > -1e-6 {
-				sh.committed[off] = 0
-			}
-		}
-		sh.mu.Unlock()
-	})
-	return true
-}
-
-// Has reports whether the tenant currently holds a commitment.
-func (s *ShardedLedger) Has(id int32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenants[id] != nil
-}
-
-// Tenants returns the number of tenants currently committed.
-func (s *ShardedLedger) Tenants() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tenants)
-}
-
-// CommittedBps returns the Σ-guarantee currently committed on the link.
-// It implements vfabric.SubscriptionLedger and placement.LedgerView.
-func (s *ShardedLedger) CommittedBps(lid topo.LinkID) float64 {
-	sh := &s.shards[s.shardOf(lid)]
-	sh.mu.Lock()
-	v := sh.committed[int(lid)-sh.base]
-	sh.mu.Unlock()
-	return v
-}
-
-// Subscription returns the link's committed subscription as a fraction of
-// its physical capacity.
-func (s *ShardedLedger) Subscription(lid topo.LinkID) float64 {
-	return s.CommittedBps(lid) / s.g.Link(lid).Capacity
-}
-
-// MaxSubscription returns the highest committed/capacity ratio across all
-// links, the fleet's bottleneck subscription.
-func (s *ShardedLedger) MaxSubscription() float64 {
-	max := 0.0
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for off, c := range sh.committed {
-			if r := c / s.g.Links[sh.base+off].Capacity; r > max {
-				max = r
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return max
-}
-
-// MeanSubscription returns the mean committed/capacity ratio across all
-// links — the fleet's committed utilization.
-func (s *ShardedLedger) MeanSubscription() float64 {
-	if len(s.g.Links) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for off, c := range sh.committed {
-			sum += c / s.g.Links[sh.base+off].Capacity
-		}
-		sh.mu.Unlock()
-	}
-	return sum / float64(len(s.g.Links))
-}
-
-// Verify recomputes every link's commitment from scratch from the stored
-// tenant inputs and compares it with the sharded state; it also checks
-// that no reservation leaked (all reserved ≈ 0). Call it quiescent — no
-// concurrent Admit/Release — e.g. after a churn drain. Returns the first
-// discrepancy (nil when consistent).
-func (s *ShardedLedger) Verify() error {
-	s.mu.Lock()
-	entries := make([]*sledgerEntry, 0, len(s.tenants))
-	ids := make([]int32, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		entries = append(entries, s.tenants[id])
-	}
-	inflight := len(s.inflight)
-	s.mu.Unlock()
-	if inflight > 0 {
-		return fmt.Errorf("ctlplane: verify: %d admission(s) still in flight", inflight)
-	}
-
-	full := make([]float64, len(s.g.Links))
-	for i, e := range entries {
-		links, amounts, err := s.delta(e.guaranteeBps, e.pairs)
-		if err != nil {
-			return fmt.Errorf("ctlplane: verify: tenant %d: %v", ids[i], err)
-		}
-		for k, lid := range links {
-			full[lid] += amounts[k]
-		}
-	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for off := range sh.committed {
-			lid := sh.base + off
-			diff := sh.committed[off] - full[lid]
-			if diff < 0 {
-				diff = -diff
-			}
-			if tol := 1e-6 * (1 + full[lid]); diff > tol {
-				sh.mu.Unlock()
-				return fmt.Errorf("ctlplane: verify: link %d sharded %v != recomputed %v",
-					lid, sh.committed[off], full[lid])
-			}
-			if r := sh.reserved[off]; r > 1e-6 || r < -1e-6 {
-				sh.mu.Unlock()
-				return fmt.Errorf("ctlplane: verify: link %d leaked reservation %v", lid, r)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
+// NewShardedLedger forwards to placement.NewLedger; the shard count is
+// ignored.
+func NewShardedLedger(g *topo.Graph, maxPaths, _ int, oversub float64) *ShardedLedger {
+	l := placement.NewLedger(g, maxPaths)
+	l.Oversubscription = oversub
+	return l
 }

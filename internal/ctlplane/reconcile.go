@@ -48,7 +48,7 @@ func (s *Service) Reconcile(nowPS int64) int {
 		t.NotBeforePS = nowPS
 		t.UpdatedPS = nowPS
 		s.displaced++
-		s.persistPutLocked(t)
+		_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 		changed++
 	}
 
@@ -63,7 +63,7 @@ func (s *Service) Reconcile(nowPS int64) int {
 		}
 		if d := s.placeLocked(t, nowPS); d.Accepted {
 			s.replacements++
-			s.persistPutLocked(t)
+			_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 			changed++
 			continue
 		}
@@ -78,7 +78,7 @@ func (s *Service) Reconcile(nowPS int64) int {
 			t.NotBeforePS = nowPS + int64(s.cfg.RetryBackoff)<<uint(t.Retries-1)
 			t.UpdatedPS = nowPS
 		}
-		s.persistPutLocked(t)
+		_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 		changed++
 	}
 	s.flushLocked()
@@ -146,7 +146,7 @@ func (s *Service) Recover(nowPS int64) error {
 			t.Retries = 0
 			t.NotBeforePS = nowPS
 			t.UpdatedPS = nowPS
-			s.persistPutLocked(t)
+			_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 			continue
 		}
 		s.fleet.Place(hosts)

@@ -70,7 +70,6 @@ type fleetHostInfo struct {
 
 type ledgerReply struct {
 	Tenants  int     `json:"tenants"`
-	Shards   int     `json:"shards"`
 	MaxSub   float64 `json:"max_subscription"`
 	MeanSub  float64 `json:"mean_subscription"`
 	VerifyOK bool    `json:"verify_ok"`
@@ -181,7 +180,6 @@ func (d *Daemon) Handler() http.Handler {
 			l := d.Svc.Ledger()
 			rep = ledgerReply{
 				Tenants: l.Tenants(),
-				Shards:  l.Shards(),
 				MaxSub:  l.MaxSubscription(),
 				MeanSub: l.MeanSubscription(),
 			}

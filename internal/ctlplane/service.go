@@ -7,9 +7,13 @@
 // toward it by a reconciler that re-places tenants displaced by node
 // failures, evacuates drained hosts, and rolls back partial
 // materializations — with per-tenant status and bounded retry/backoff.
-// Concurrent admissions scale through a sharded two-phase-commit
-// subscription ledger, and the whole thing is served northbound over
-// HTTP/JSON by the daemon in daemon.go (`ufabsim serve`).
+// Admissions commit through the one per-link subscription ledger,
+// placement.Ledger — the same account the in-simulation Controller uses.
+// It is a single mutex, not a striped or two-phase structure, because
+// nothing reaches it concurrently: Service holds its own lock across
+// every Admit/Evaluate/Release/Reconcile/Recover, and the daemon in
+// daemon.go (`ufabsim serve`) funnels every HTTP operation onto the one
+// engine goroutine. The whole thing is served northbound over HTTP/JSON.
 package ctlplane
 
 import (
@@ -33,8 +37,6 @@ type Config struct {
 	SlotsPerHost int
 	// MaxPaths bounds the ledger's per-pair ECMP enumeration (0 = all).
 	MaxPaths int
-	// Shards is the ledger's lock-partition count (0 = 8).
-	Shards int
 	// Policy picks VM hosts (default Spread — the service exists to
 	// survive failure domains).
 	Policy placement.Policy
@@ -51,7 +53,8 @@ type Config struct {
 type Decision struct {
 	Accepted bool `json:"accepted"`
 	// Reason explains a rejection: "placement", "headroom",
-	// "materialize", "invalid", "duplicate".
+	// "materialize", "invalid", "duplicate", "store" (the desired record
+	// could not be made durable).
 	Reason string `json:"reason,omitempty"`
 	// Hosts are the (would-be) VM locations.
 	Hosts []topo.NodeID `json:"hosts,omitempty"`
@@ -70,9 +73,8 @@ type Stats struct {
 // callers (experiments) drive it from one goroutine, where iteration
 // order is fixed by sorted tenant ids.
 type Service struct {
-	g      *topo.Graph
 	cfg    Config
-	ledger *ShardedLedger
+	ledger *placement.Ledger
 	fleet  *placement.Fleet
 	store  *Store
 	mat    placement.Materializer
@@ -108,10 +110,11 @@ func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Con
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 250 * sim.Microsecond
 	}
+	ledger := placement.NewLedger(g, cfg.MaxPaths)
+	ledger.Oversubscription = cfg.Oversubscription
 	return &Service{
-		g:        g,
 		cfg:      cfg,
-		ledger:   NewShardedLedger(g, cfg.MaxPaths, cfg.Shards, cfg.Oversubscription),
+		ledger:   ledger,
 		fleet:    placement.NewFleet(g, cfg.SlotsPerHost),
 		store:    store,
 		mat:      mat,
@@ -145,9 +148,9 @@ func (s *Service) WatchRecorder(rec *telemetry.Recorder) {
 	})
 }
 
-// Ledger exposes the sharded subscription account (read side for the
-// auditor's ledger_bound invariant and for experiments).
-func (s *Service) Ledger() *ShardedLedger { return s.ledger }
+// Ledger exposes the subscription account (read side for the auditor's
+// ledger_bound invariant and for experiments).
+func (s *Service) Ledger() *placement.Ledger { return s.ledger }
 
 // Fleet exposes the slot-occupancy view.
 func (s *Service) Fleet() *placement.Fleet { return s.fleet }
@@ -181,8 +184,16 @@ func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 	if !d.Accepted {
 		return s.rejectLocked(d.Reason)
 	}
+	if err := s.persistPutLocked(t); err != nil {
+		// An admission that is not durable would vanish on restart: tear
+		// the realized state back down and withdraw whatever part of the
+		// record the store did keep (a put that landed before a failed
+		// checkpoint).
+		s.teardownLocked(t)
+		s.persistDeleteLocked(t.ID)
+		return s.rejectLocked("store")
+	}
 	s.tenants[t.ID] = t
-	s.persistPutLocked(t)
 	s.admitted++
 	s.flushLocked()
 	return d
@@ -203,16 +214,11 @@ func (s *Service) Evaluate(req placement.Request) Decision {
 	if len(hosts) != req.VMs {
 		return Decision{Reason: "placement"}
 	}
-	pairs := placement.ChainPairs(hosts)
-	links, amounts, err := s.ledger.Evaluate(req.GuaranteeBps, pairs)
-	if err != nil {
-		return Decision{Reason: "placement"}
-	}
-	for i, lid := range links {
-		budget := s.cfg.Oversubscription * s.g.Link(lid).Capacity
-		if s.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
+	if err := s.ledger.Fits(req.GuaranteeBps, placement.ChainPairs(hosts)); err != nil {
+		if errors.Is(err, placement.ErrHeadroom) {
 			return Decision{Reason: "headroom"}
 		}
+		return Decision{Reason: "placement"}
 	}
 	return Decision{Accepted: true, Hosts: hosts}
 }
@@ -264,8 +270,8 @@ func (s *Service) Uncordon(h topo.NodeID) bool {
 	return true
 }
 
-// placeLocked attempts to realize t: policy placement, two-phase ledger
-// commit, fabric materialization with rollback. On success t becomes
+// placeLocked attempts to realize t: policy placement, budgeted ledger
+// admission, fabric materialization with rollback. On success t becomes
 // Placed. mu must be held.
 func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
 	req := placement.Request{
@@ -282,9 +288,9 @@ func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
 	pairs := placement.ChainPairs(hosts)
 	if err := s.ledger.Admit(t.ID, t.GuaranteeBps, pairs); err != nil {
 		switch {
-		case errors.Is(err, ErrHeadroom):
+		case errors.Is(err, placement.ErrHeadroom):
 			return Decision{Reason: "headroom"}
-		case errors.Is(err, ErrDuplicate):
+		case errors.Is(err, placement.ErrDuplicate):
 			return Decision{Reason: "duplicate"}
 		default:
 			return Decision{Reason: "invalid"}
@@ -397,8 +403,7 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Verify recomputes the sharded ledger from the admitted set (quiescent
-// callers only).
+// Verify recomputes the ledger from the admitted set.
 func (s *Service) Verify() error { return s.ledger.Verify() }
 
 func (s *Service) sortedIDsLocked() []int32 {
@@ -410,10 +415,14 @@ func (s *Service) sortedIDsLocked() []int32 {
 	return ids
 }
 
-func (s *Service) persistPutLocked(t *Tenant) {
-	if s.store != nil {
-		_ = s.store.Put(*t)
+// persistPutLocked appends t's record. Admit fails the request on an
+// error; the reconciler's callers drop it — realized state is already
+// changed, and the record is rewritten at the tenant's next transition.
+func (s *Service) persistPutLocked(t *Tenant) error {
+	if s.store == nil {
+		return nil
 	}
+	return s.store.Put(*t)
 }
 
 func (s *Service) persistDeleteLocked(id int32) {

@@ -112,6 +112,46 @@ func TestServiceMaterializeRollback(t *testing.T) {
 	}
 }
 
+// TestServiceAdmitStoreFailure: an admission whose WAL append fails must
+// not be answered "accepted" — it would vanish on restart. The realized
+// state is torn back down and the request rejected with reason "store".
+func TestServiceAdmitStoreFailure(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat := newFakeMat()
+	s := testService(t, st, mat)
+	if d := s.Admit(placement.Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, 0); !d.Accepted {
+		t.Fatalf("admit with a healthy store: %+v", d)
+	}
+	s.Release(1, 1)
+	st.Close() // every later append fails
+
+	d := s.Admit(placement.Request{ID: 2, GuaranteeBps: 1e9, VMs: 2}, 2)
+	if d.Accepted || d.Reason != "store" {
+		t.Fatalf("decision %+v, want rejected with reason store", d)
+	}
+	if got := s.Ledger().Tenants(); got != 0 {
+		t.Fatalf("ledger holds %d tenants after the rollback", got)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Fleet().FreeSlots(); got != 8*4 {
+		t.Fatalf("fleet slots leaked: %d free", got)
+	}
+	if len(mat.live) != 0 {
+		t.Fatalf("fabric still holds %d tenants", len(mat.live))
+	}
+	if st := s.Stats(); st.Desired != 0 || st.Admitted != 1 || st.Rejected != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if _, ok := s.Get(2); ok {
+		t.Fatal("rejected tenant left a desired record")
+	}
+}
+
 // TestServiceRecover: a fresh service over a reopened store reproduces
 // the exact pre-crash desired set, ledger commitments and fleet slots.
 func TestServiceRecover(t *testing.T) {
@@ -130,7 +170,7 @@ func TestServiceRecover(t *testing.T) {
 	s.Release(2, 100)
 	before := s.TenantList()
 	links := map[topo.LinkID]float64{}
-	for lid := range s.g.Links {
+	for lid := range s.ledger.Graph().Links {
 		links[topo.LinkID(lid)] = s.Ledger().CommittedBps(topo.LinkID(lid))
 	}
 	usedBefore := append([]int(nil), s.Fleet().Used...)

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"fmt"
 
 	"ufab/internal/chaos"
@@ -77,7 +78,6 @@ type Config struct {
 // Materializer. It must run on the simulation engine's goroutine.
 type Controller struct {
 	eng    sim.Scheduler
-	g      *topo.Graph
 	cfg    Config
 	ledger *Ledger
 	fleet  *Fleet
@@ -120,13 +120,13 @@ func NewController(eng sim.Scheduler, g *topo.Graph, mat Materializer, cfg Confi
 	}
 	c := &Controller{
 		eng:     eng,
-		g:       g,
 		cfg:     cfg,
 		ledger:  NewLedger(g, cfg.MaxPaths),
 		fleet:   NewFleet(g, cfg.SlotsPerHost),
 		mat:     mat,
 		hostsOf: make(map[int32][]topo.NodeID),
 	}
+	c.ledger.Oversubscription = cfg.Oversubscription
 	if cfg.Telemetry != nil {
 		c.rec = cfg.Telemetry.Recorder()
 		c.hAdmit = cfg.Telemetry.Histogram("placement.ctl.admit_latency_us")
@@ -187,18 +187,15 @@ func (c *Controller) decide(req Request) Decision {
 	}
 	c.stage(req.ID, "place", 2)
 	pairs := ChainPairs(hosts)
-	links, amounts, err := c.ledger.Evaluate(req.GuaranteeBps, pairs)
-	if err != nil {
-		return c.reject(req, "placement")
-	}
-	for i, lid := range links {
-		budget := c.cfg.Oversubscription * c.g.Link(lid).Capacity
-		if c.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
+	if err := c.ledger.Admit(req.ID, req.GuaranteeBps, pairs); err != nil {
+		switch {
+		case errors.Is(err, ErrHeadroom):
 			return c.reject(req, "headroom")
+		case errors.Is(err, ErrDuplicate):
+			return c.reject(req, "invalid")
+		default: // unroutable pair
+			return c.reject(req, "placement")
 		}
-	}
-	if err := c.ledger.Commit(req.ID, req.GuaranteeBps, pairs); err != nil {
-		return c.reject(req, "invalid")
 	}
 	c.stage(req.ID, "commit", 3)
 	if c.mat != nil {
@@ -269,35 +266,19 @@ func (c *Controller) Release(id int32) bool {
 // charged — scenario specs place VMs explicitly, outside the policy's
 // slot accounting.
 func (c *Controller) AdmitSpec(spec chaos.TenantSpec) bool {
-	if spec.GuaranteeBps <= 0 || c.ledger.Has(spec.VF) {
-		c.rejected++
-		c.event(Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps}, "reject")
-		c.flush()
-		return false
+	req := Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps}
+	ok := spec.GuaranteeBps > 0 && !c.ledger.Has(spec.VF)
+	if ok {
+		pairs := make([]Pair, 0, len(spec.Pairs))
+		for _, p := range spec.Pairs {
+			pairs = append(pairs, Pair{Src: p.Src, Dst: p.Dst})
+		}
+		req.VMs = len(spec.Pairs) + 1
+		ok = c.ledger.Admit(spec.VF, spec.GuaranteeBps, pairs) == nil
 	}
-	pairs := make([]Pair, 0, len(spec.Pairs))
-	for _, p := range spec.Pairs {
-		pairs = append(pairs, Pair{Src: p.Src, Dst: p.Dst})
-	}
-	req := Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps, VMs: len(spec.Pairs) + 1}
-	links, amounts, err := c.ledger.Evaluate(spec.GuaranteeBps, pairs)
-	if err != nil {
+	if !ok {
 		c.rejected++
 		c.event(req, "reject")
-		c.flush()
-		return false
-	}
-	for i, lid := range links {
-		budget := c.cfg.Oversubscription * c.g.Link(lid).Capacity
-		if c.ledger.CommittedBps(lid)+amounts[i] > budget+1e-9 {
-			c.rejected++
-			c.event(req, "reject")
-			c.flush()
-			return false
-		}
-	}
-	if c.ledger.Commit(spec.VF, spec.GuaranteeBps, pairs) != nil {
-		c.rejected++
 		c.flush()
 		return false
 	}

@@ -7,6 +7,12 @@
 // μFAB-C Φ_l registers meter at run time); this package is the layer that
 // establishes it before the data plane ever sees a packet.
 //
+// Ledger is the one account of that precondition in the tree: the
+// in-simulation Controller here and the always-on ctlplane.Service both
+// admit through Ledger.Admit, so the budget comparison exists once. It is
+// a single mutex rather than a striped structure because every caller is
+// already serialized (see the Ledger doc).
+//
 // The package sits beside vfabric, not above it: admitted tenants
 // materialize through the chaos.TenantSpec churn surface (any
 // Materializer — vfabric.Fabric implements it), and the read side of the
@@ -14,8 +20,10 @@
 package placement
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"ufab/internal/topo"
 )
@@ -26,24 +34,47 @@ type Pair struct {
 	Src, Dst topo.NodeID
 }
 
-// Ledger is the per-link Σ-guarantee subscription account. For every
-// admitted tenant it commits the tenant's hose guarantee G on every link
-// of each VM-pair's ECMP path union — a conservative upper bound on the
-// Φ_l·BU the pair can ever register, since μFAB-E samples its candidate
-// paths from exactly that equal-cost set and registers at most G per pair
-// per link. Commit and Release are incremental: O(affected links), never
-// a full recompute. Verify recomputes from scratch for testing.
+// Sentinel errors Admit, Commit and Fits wrap so callers can map a
+// failure to a rejection reason without string matching.
+var (
+	// ErrHeadroom: a link would exceed the oversubscribed admission budget.
+	ErrHeadroom = errors.New("headroom")
+	// ErrDuplicate: the tenant id already holds a commitment.
+	ErrDuplicate = errors.New("duplicate tenant")
+	// ErrInvalid: malformed request (non-positive guarantee, unroutable
+	// pair).
+	ErrInvalid = errors.New("invalid request")
+)
+
+// Ledger is the per-link Σ-guarantee subscription account — the only one
+// in the tree. For every admitted tenant it commits the tenant's hose
+// guarantee G on every link of each VM-pair's ECMP path union — a
+// conservative upper bound on the Φ_l·BU the pair can ever register,
+// since μFAB-E samples its candidate paths from exactly that equal-cost
+// set and registers at most G per pair per link. Admit owns the headroom
+// check; Commit and Release are incremental: O(affected links), never a
+// full recompute. Verify recomputes from scratch as the reference.
 //
-// A Ledger is single-goroutine, like the simulation engine it serves.
+// All methods are safe for concurrent use: one mutex covers the account,
+// the delta scratch and the graph's path memo (which Paths fills lazily),
+// so an Admit's check-then-commit is atomic and two racing admissions can
+// never jointly overshoot a link. One lock is deliberate — every caller in
+// the tree is already serialized (the simulation engine goroutine, or
+// ctlplane.Service's own mutex), so nothing contends on it.
 type Ledger struct {
+	// Oversubscription scales every link's admission budget in Admit and
+	// Fits (0 = 1.0, the paper's predictability precondition; >1
+	// deliberately oversubscribes). Set it before the first admission.
+	Oversubscription float64
+
 	g *topo.Graph
 	// maxPaths bounds the per-pair ECMP enumeration (0 = the full
 	// equal-cost set, a superset of what μFAB-E samples).
 	maxPaths int
 
+	mu        sync.Mutex
 	committed []float64 // bps, indexed by LinkID
 	tenants   map[int32]*ledgerEntry
-	order     []int32 // admitted ids in commit order (deterministic Verify)
 
 	// Scratch for delta computation, reused across calls.
 	stamp   []int64
@@ -78,16 +109,19 @@ func NewLedger(g *topo.Graph, maxPaths int) *Ledger {
 
 // delta computes the per-link commitment of (guaranteeBps, pairs) into
 // the reusable scratch buffers and returns the touched links sorted by
-// id. Each pair contributes G once per link of its ECMP path union
-// (multiple candidate paths sharing a link count once, matching the
-// μFAB-C register's per-pair dedup); separate pairs sharing a link each
-// contribute.
+// id, in freshly allocated slices. Each pair contributes G once per link
+// of its ECMP path union (multiple candidate paths sharing a link count
+// once, matching the μFAB-C register's per-pair dedup); separate pairs
+// sharing a link each contribute. mu must be held.
 func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
 	l.touched = l.touched[:0]
 	for _, pr := range pairs {
 		paths := l.g.Paths(pr.Src, pr.Dst, l.maxPaths)
 		if len(paths) == 0 {
-			return nil, nil, fmt.Errorf("placement: no path %d→%d", pr.Src, pr.Dst)
+			for _, lid := range l.touched {
+				l.scratch[lid] = 0 // reset for the next call
+			}
+			return nil, nil, fmt.Errorf("placement: no path %d→%d: %w", pr.Src, pr.Dst, ErrInvalid)
 		}
 		l.seq++
 		for _, p := range paths {
@@ -114,26 +148,80 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []flo
 	return links, amounts, nil
 }
 
+// overBudget is the one headroom comparison: it returns the first link on
+// which committed + delta would exceed Oversubscription × capacity. mu
+// must be held.
+func (l *Ledger) overBudget(links []topo.LinkID, amounts []float64) (topo.LinkID, bool) {
+	oversub := l.Oversubscription
+	if oversub == 0 {
+		oversub = 1.0
+	}
+	for i, lid := range links {
+		budget := oversub * l.g.Links[lid].Capacity
+		if l.committed[lid]+amounts[i] > budget+1e-9 {
+			return lid, true
+		}
+	}
+	return 0, false
+}
+
 // Evaluate returns, without committing anything, the links a placement
 // would touch and the bps it would add to each. The returned slices are
 // freshly allocated; an error means a pair has no path.
 func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.delta(guaranteeBps, pairs)
 }
 
-// Commit admits a tenant: its guarantee is added to every link of each
-// pair's ECMP union. Errors (duplicate id, non-positive guarantee,
-// unroutable pair) leave the ledger untouched.
-func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
-	if l.tenants[id] != nil {
-		return fmt.Errorf("placement: tenant %d already committed", id)
+// Fits answers the what-if Admit would decide, committing nothing: nil
+// when the placement is routable and within budget on every link, else an
+// error wrapping ErrInvalid or ErrHeadroom.
+func (l *Ledger) Fits(guaranteeBps float64, pairs []Pair) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	links, amounts, err := l.delta(guaranteeBps, pairs)
+	if err != nil {
+		return err
 	}
+	if hot, over := l.overBudget(links, amounts); over {
+		return fmt.Errorf("placement: link %d over budget: %w", hot, ErrHeadroom)
+	}
+	return nil
+}
+
+// Commit admits a tenant unconditionally — no budget check: its guarantee
+// is added to every link of each pair's ECMP union. Errors (ErrDuplicate,
+// ErrInvalid) leave the ledger untouched.
+func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
+	return l.admit(id, guaranteeBps, pairs, false)
+}
+
+// Admit is Commit behind the headroom check: the tenant is committed only
+// while committed + delta ≤ Oversubscription × capacity on every affected
+// link, decided and applied under one lock. On any failure the ledger is
+// untouched; the error wraps ErrDuplicate, ErrInvalid or ErrHeadroom.
+func (l *Ledger) Admit(id int32, guaranteeBps float64, pairs []Pair) error {
+	return l.admit(id, guaranteeBps, pairs, true)
+}
+
+func (l *Ledger) admit(id int32, guaranteeBps float64, pairs []Pair, budgeted bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if guaranteeBps <= 0 {
-		return fmt.Errorf("placement: tenant %d non-positive guarantee %v", id, guaranteeBps)
+		return fmt.Errorf("placement: tenant %d guarantee %v: %w", id, guaranteeBps, ErrInvalid)
+	}
+	if l.tenants[id] != nil {
+		return fmt.Errorf("placement: tenant %d: %w", id, ErrDuplicate)
 	}
 	links, amounts, err := l.delta(guaranteeBps, pairs)
 	if err != nil {
 		return err
+	}
+	if budgeted {
+		if hot, over := l.overBudget(links, amounts); over {
+			return fmt.Errorf("placement: tenant %d link %d over budget: %w", id, hot, ErrHeadroom)
+		}
 	}
 	for i, lid := range links {
 		l.committed[lid] += amounts[i]
@@ -141,13 +229,14 @@ func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
 	e := &ledgerEntry{guaranteeBps: guaranteeBps, links: links, amounts: amounts}
 	e.pairs = append(e.pairs, pairs...)
 	l.tenants[id] = e
-	l.order = append(l.order, id)
 	return nil
 }
 
 // Release withdraws a tenant's commitment, subtracting exactly the
 // amounts Commit added. Returns false for an unknown id.
 func (l *Ledger) Release(id int32) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	e := l.tenants[id]
 	if e == nil {
 		return false
@@ -160,12 +249,6 @@ func (l *Ledger) Release(id int32) bool {
 		}
 	}
 	delete(l.tenants, id)
-	for i, tid := range l.order {
-		if tid == id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
 	return true
 }
 
@@ -173,24 +256,38 @@ func (l *Ledger) Release(id int32) bool {
 func (l *Ledger) Graph() *topo.Graph { return l.g }
 
 // Has reports whether the tenant currently holds a commitment.
-func (l *Ledger) Has(id int32) bool { return l.tenants[id] != nil }
+func (l *Ledger) Has(id int32) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tenants[id] != nil
+}
 
 // Tenants returns the number of tenants currently committed.
-func (l *Ledger) Tenants() int { return len(l.tenants) }
+func (l *Ledger) Tenants() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.tenants)
+}
 
 // CommittedBps returns the Σ-guarantee currently committed on the link,
 // in bits per second. It implements vfabric.SubscriptionLedger.
-func (l *Ledger) CommittedBps(lid topo.LinkID) float64 { return l.committed[lid] }
+func (l *Ledger) CommittedBps(lid topo.LinkID) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.committed[lid]
+}
 
 // Subscription returns the link's committed subscription as a fraction of
 // its physical capacity.
 func (l *Ledger) Subscription(lid topo.LinkID) float64 {
-	return l.committed[lid] / l.g.Link(lid).Capacity
+	return l.CommittedBps(lid) / l.g.Link(lid).Capacity
 }
 
 // MaxSubscription returns the highest committed/capacity ratio across all
 // links, the fleet's bottleneck subscription.
 func (l *Ledger) MaxSubscription() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	max := 0.0
 	for i := range l.committed {
 		if s := l.committed[i] / l.g.Links[i].Capacity; s > max {
@@ -203,6 +300,8 @@ func (l *Ledger) MaxSubscription() float64 {
 // MeanSubscription returns the mean committed/capacity ratio across all
 // links — the fleet's committed utilization.
 func (l *Ledger) MeanSubscription() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if len(l.committed) == 0 {
 		return 0
 	}
@@ -214,12 +313,20 @@ func (l *Ledger) MeanSubscription() float64 {
 }
 
 // Verify recomputes every link's commitment from scratch from the stored
-// tenant inputs and compares it with the incrementally maintained state.
-// It returns the first discrepancy found (nil when consistent). Testing
-// only: it is O(tenants × pairs × paths).
+// tenant inputs (in ascending id order) and compares it with the
+// incrementally maintained state. It returns the first discrepancy found
+// (nil when consistent). It is the reference the incremental path is
+// tested against: O(tenants × pairs × paths), holding the lock throughout.
 func (l *Ledger) Verify() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids := make([]int32, 0, len(l.tenants))
+	for id := range l.tenants {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	full := make([]float64, len(l.committed))
-	for _, id := range l.order {
+	for _, id := range ids {
 		e := l.tenants[id]
 		links, amounts, err := l.delta(e.guaranteeBps, e.pairs)
 		if err != nil {

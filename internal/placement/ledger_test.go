@@ -1,7 +1,10 @@
 package placement
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ufab/internal/sim"
@@ -121,68 +124,230 @@ func TestLedgerMaxPathsBound(t *testing.T) {
 	}
 }
 
-// Property (quick-check style, seeded): arbitrary admit/release
-// interleavings leave the incrementally maintained ledger equal to
-// Verify()'s from-scratch recompute, with zero residue once every tenant
-// has departed. This test is in the -race CI row.
-func TestLedgerPropertyRandomChurn(t *testing.T) {
-	cl := topo.NewClos(topo.ClosConfig{
+func testClos() *topo.Clos {
+	return topo.NewClos(topo.ClosConfig{
 		Pods: 4, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4, HostsPerToR: 4,
 		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond,
 	})
+}
+
+// Property (quick-check style, seeded): arbitrary admit/release
+// interleavings leave the incrementally maintained ledger equal to
+// Verify()'s from-scratch recompute, with zero residue once every tenant
+// has departed. Each seed runs twice: unbudgeted (Commit — every arrival
+// lands) and budgeted (Admit at the given oversubscription — arrivals
+// that would overshoot bounce with ErrHeadroom, and after every op no
+// link may exceed Oversubscription × capacity). This test is in the -race
+// CI row.
+func TestLedgerPropertyRandomChurn(t *testing.T) {
+	cl := testClos()
 	g, hosts := cl.Graph, cl.Hosts
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		rng := rand.New(rand.NewSource(seed))
-		l := NewLedger(g, 0)
-		live := []int32{}
-		next := int32(1)
-		for op := 0; op < 400; op++ {
-			if len(live) == 0 || rng.Intn(100) < 55 {
-				// Admit a tenant with 1..4 random pairs.
-				n := 1 + rng.Intn(4)
-				pairs := make([]Pair, 0, n)
-				for len(pairs) < n {
-					s := hosts[rng.Intn(len(hosts))]
-					d := hosts[rng.Intn(len(hosts))]
-					if s == d {
-						continue
+	for _, oversub := range []float64{0, 1.0, 1.5} { // 0 = unbudgeted Commit
+		for _, seed := range []int64{1, 2, 3, 4, 5} {
+			rng := rand.New(rand.NewSource(seed))
+			l := NewLedger(g, 0)
+			l.Oversubscription = oversub
+			live := []int32{}
+			next := int32(1)
+			bounced := 0
+			for op := 0; op < 400; op++ {
+				if len(live) == 0 || rng.Intn(100) < 55 {
+					// Admit a tenant with 1..4 random pairs.
+					n := 1 + rng.Intn(4)
+					pairs := make([]Pair, 0, n)
+					for len(pairs) < n {
+						s := hosts[rng.Intn(len(hosts))]
+						d := hosts[rng.Intn(len(hosts))]
+						if s == d {
+							continue
+						}
+						pairs = append(pairs, Pair{Src: s, Dst: d})
 					}
-					pairs = append(pairs, Pair{Src: s, Dst: d})
+					gbps := float64(1+rng.Intn(40)) * 1e8
+					var err error
+					if oversub == 0 {
+						err = l.Commit(next, gbps, pairs)
+					} else {
+						err = l.Admit(next, gbps, pairs)
+					}
+					switch {
+					case err == nil:
+						live = append(live, next)
+					case oversub != 0 && errors.Is(err, ErrHeadroom):
+						bounced++
+						if l.Has(next) {
+							t.Fatalf("oversub %v seed %d op %d: bounced tenant registered", oversub, seed, op)
+						}
+						if fits := l.Fits(gbps, pairs); !errors.Is(fits, ErrHeadroom) {
+							t.Fatalf("oversub %v seed %d op %d: Admit bounced but Fits = %v", oversub, seed, op, fits)
+						}
+					default:
+						t.Fatalf("oversub %v seed %d op %d: %v", oversub, seed, op, err)
+					}
+					next++
+				} else {
+					i := rng.Intn(len(live))
+					if !l.Release(live[i]) {
+						t.Fatalf("oversub %v seed %d op %d: release %d failed", oversub, seed, op, live[i])
+					}
+					live = append(live[:i], live[i+1:]...)
 				}
-				gbps := float64(1+rng.Intn(40)) * 1e8
-				if err := l.Commit(next, gbps, pairs); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				if oversub != 0 {
+					for i := range g.Links {
+						if c, budget := l.CommittedBps(topo.LinkID(i)), oversub*g.Links[i].Capacity; c > budget+1e-6 {
+							t.Fatalf("oversub %v seed %d op %d: link %d committed %v over budget %v", oversub, seed, op, i, c, budget)
+						}
+					}
 				}
-				live = append(live, next)
-				next++
-			} else {
-				i := rng.Intn(len(live))
-				if !l.Release(live[i]) {
-					t.Fatalf("seed %d op %d: release %d failed", seed, op, live[i])
+				if oversub != 0 || op%20 == 0 {
+					if err := l.Verify(); err != nil {
+						t.Fatalf("oversub %v seed %d op %d: %v", oversub, seed, op, err)
+					}
 				}
-				live = append(live[:i], live[i+1:]...)
 			}
-			if op%20 == 0 {
-				if err := l.Verify(); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, op, err)
+			if oversub == 1.0 && bounced == 0 {
+				t.Fatalf("seed %d: budgeted run never hit the headroom check", seed)
+			}
+			if err := l.Verify(); err != nil {
+				t.Fatalf("oversub %v seed %d final: %v", oversub, seed, err)
+			}
+			// Drain everyone: the ledger must return to exactly zero.
+			for _, id := range append([]int32{}, live...) {
+				l.Release(id)
+			}
+			for i := range g.Links {
+				if got := l.CommittedBps(topo.LinkID(i)); got != 0 {
+					t.Fatalf("oversub %v seed %d: link %d residue %v after full drain", oversub, seed, i, got)
 				}
 			}
-		}
-		if err := l.Verify(); err != nil {
-			t.Fatalf("seed %d final: %v", seed, err)
-		}
-		// Drain everyone: the ledger must return to exactly zero.
-		for _, id := range append([]int32{}, live...) {
-			l.Release(id)
-		}
-		for i := range g.Links {
-			if got := l.CommittedBps(topo.LinkID(i)); got != 0 {
-				t.Fatalf("seed %d: link %d residue %v after full drain", seed, i, got)
+			if err := l.Verify(); err != nil {
+				t.Fatalf("oversub %v seed %d drained: %v", oversub, seed, err)
 			}
 		}
-		if err := l.Verify(); err != nil {
-			t.Fatalf("seed %d drained: %v", seed, err)
+	}
+}
+
+// TestLedgerConcurrentChurn hammers Admit/Release from many goroutines
+// (run under -race in CI); after the drain the ledger must verify with
+// zero residue.
+func TestLedgerConcurrentChurn(t *testing.T) {
+	cl := testClos()
+	hosts := cl.Hosts
+	l := NewLedger(cl.Graph, 4)
+
+	const workers = 8
+	var next int32 // atomic tenant-id source
+	var admitted, rejected int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			var held []int32
+			for i := 0; i < 500; i++ {
+				id := atomic.AddInt32(&next, 1)
+				a := hosts[rng.Intn(len(hosts))]
+				b := hosts[rng.Intn(len(hosts))]
+				if a == b {
+					continue
+				}
+				err := l.Admit(id, 2e9, []Pair{{Src: a, Dst: b}})
+				if err == nil {
+					atomic.AddInt64(&admitted, 1)
+					held = append(held, id)
+				} else if errors.Is(err, ErrHeadroom) {
+					atomic.AddInt64(&rejected, 1)
+				} else {
+					t.Errorf("unexpected admit error: %v", err)
+					return
+				}
+				if len(held) > 16 {
+					if !l.Release(held[0]) {
+						t.Errorf("release of own tenant %d failed", held[0])
+						return
+					}
+					held = held[1:]
+				}
+			}
+			for _, id := range held {
+				l.Release(id)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if admitted == 0 {
+		t.Fatal("no admissions went through")
+	}
+	if l.Tenants() != 0 {
+		t.Fatalf("%d tenants left after drain", l.Tenants())
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("post-drain verify: %v", err)
+	}
+	if max := l.MaxSubscription(); max > 1e-9 {
+		t.Fatalf("residual subscription %v after full drain", max)
+	}
+}
+
+// TestLedgerHeadroomAtomic checks the property Admit's single lock exists
+// for: concurrent admissions racing for the same bottleneck link can
+// never jointly exceed the budget.
+func TestLedgerHeadroomAtomic(t *testing.T) {
+	cl := testClos()
+	hosts := cl.Hosts
+	// Oversub 1.0 on 10G links; each tenant wants 3G on the same
+	// host-pair, so exactly 3 of the 12 racing admissions fit — the rest
+	// must bounce off the budget check.
+	l := NewLedger(cl.Graph, 1)
+	a, b := hosts[0], hosts[len(hosts)-1]
+
+	var wg sync.WaitGroup
+	for id := int32(1); id <= 12; id++ {
+		wg.Add(1)
+		go func(id int32) {
+			defer wg.Done()
+			err := l.Admit(id, 3e9, []Pair{{Src: a, Dst: b}})
+			if err != nil && !errors.Is(err, ErrHeadroom) {
+				t.Errorf("tenant %d: %v", id, err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	if got := l.Tenants(); got != 3 {
+		t.Fatalf("%d tenants admitted, want 3", got)
+	}
+	for lid := range cl.Graph.Links {
+		c := l.CommittedBps(topo.LinkID(lid))
+		if cap := cl.Graph.Links[lid].Capacity; c > cap+1e-6 {
+			t.Fatalf("link %d committed %v exceeds capacity %v", lid, c, cap)
 		}
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerRejectsDuplicates: a held id bounces with ErrDuplicate and is
+// reusable after release.
+func TestLedgerRejectsDuplicates(t *testing.T) {
+	cl := testClos()
+	l := NewLedger(cl.Graph, 2)
+	pairs := []Pair{{Src: cl.Hosts[0], Dst: cl.Hosts[1]}}
+	if err := l.Admit(7, 1e9, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Admit(7, 1e9, pairs); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("want ErrDuplicate, got %v", err)
+	}
+	if !l.Release(7) {
+		t.Fatal("release failed")
+	}
+	if l.Release(7) {
+		t.Fatal("double release succeeded")
+	}
+	if err := l.Admit(7, 1e9, pairs); err != nil {
+		t.Fatalf("id not reusable after release: %v", err)
 	}
 }
 

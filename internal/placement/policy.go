@@ -105,27 +105,13 @@ func (f *Fleet) Release(hosts []topo.NodeID) {
 	}
 }
 
-// LedgerView is the read/what-if surface a policy needs from a
-// subscription ledger. *Ledger implements it, and so does the control
-// plane's sharded ledger (ctlplane.ShardedLedger) — policies stay
-// agnostic of which account backs them.
-type LedgerView interface {
-	// Evaluate returns, without committing, the links a placement would
-	// touch and the bps it would add to each.
-	Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error)
-	// CommittedBps returns the Σ-guarantee currently committed on a link.
-	CommittedBps(lid topo.LinkID) float64
-	// Graph returns the topology the ledger accounts over.
-	Graph() *topo.Graph
-}
-
 // Policy picks hosts for a tenant's VMs. Place returns one distinct host
 // per VM (nil when the fleet cannot host the request); it must not mutate
 // the fleet or the ledger — the controller commits the outcome after the
 // headroom check passes. Implementations must be deterministic.
 type Policy interface {
 	Name() string
-	Place(req Request, fleet *Fleet, ledger LedgerView) []topo.NodeID
+	Place(req Request, fleet *Fleet, ledger *Ledger) []topo.NodeID
 }
 
 // ---- first-fit -------------------------------------------------------------
@@ -136,7 +122,7 @@ type FirstFit struct{}
 
 func (FirstFit) Name() string { return "first-fit" }
 
-func (FirstFit) Place(req Request, fleet *Fleet, _ LedgerView) []topo.NodeID {
+func (FirstFit) Place(req Request, fleet *Fleet, _ *Ledger) []topo.NodeID {
 	var hosts []topo.NodeID
 	for i := range fleet.Hosts {
 		if fleet.free(i) {
@@ -158,7 +144,7 @@ type Spread struct{}
 
 func (Spread) Name() string { return "spread" }
 
-func (Spread) Place(req Request, fleet *Fleet, _ LedgerView) []topo.NodeID {
+func (Spread) Place(req Request, fleet *Fleet, _ *Ledger) []topo.NodeID {
 	if fleet.Groups == 0 {
 		return nil
 	}
@@ -207,7 +193,7 @@ type SubscriptionAware struct{}
 
 func (SubscriptionAware) Name() string { return "subscription-aware" }
 
-func (SubscriptionAware) Place(req Request, fleet *Fleet, ledger LedgerView) []topo.NodeID {
+func (SubscriptionAware) Place(req Request, fleet *Fleet, ledger *Ledger) []topo.NodeID {
 	taken := make(map[topo.NodeID]bool, req.VMs)
 	// Pending contributions of the pairs this placement has already
 	// decided, per link.

@@ -376,7 +376,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // period panics. stop is idempotent: the first call cancels the outstanding
 // tick and descheds the loop; further calls are no-ops even if the engine
 // has since reused the tick's arena slot.
-func (e *Engine) Every(period Duration, fn Event) (stop func()) {
+func (e *Engine) Every(period Duration, fn Event) (stop func()) { return every(e, period, fn) }
+
+// every is the one periodic-tick loop behind Engine.Every and
+// shardView.Every (Sharded.Every delegates to its coordinator Engine).
+func every(s Scheduler, period Duration, fn Event) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
 	}
@@ -389,16 +393,16 @@ func (e *Engine) Every(period Duration, fn Event) (stop func()) {
 		}
 		fn()
 		if !stopped {
-			next = e.After(period, tick)
+			next = s.After(period, tick)
 		}
 	}
-	next = e.After(period, tick)
+	next = s.After(period, tick)
 	return func() {
 		if stopped {
 			return
 		}
 		stopped = true
-		e.Cancel(next)
+		s.Cancel(next)
 	}
 }
 

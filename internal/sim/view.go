@@ -60,31 +60,7 @@ func (v *shardView) Cancel(h Handle) bool { return v.e.Cancel(h) }
 // Every runs fn periodically under the view's shard stamp until stop is
 // called; semantics match Engine.Every (idempotent stop, cancels the
 // outstanding tick).
-func (v *shardView) Every(period Duration, fn Event) (stop func()) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive period %v", period))
-	}
-	stopped := false
-	var next Handle
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			next = v.After(period, tick)
-		}
-	}
-	next = v.After(period, tick)
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		v.e.Cancel(next)
-	}
-}
+func (v *shardView) Every(period Duration, fn Event) (stop func()) { return every(v, period, fn) }
 
 // Stop stops the underlying engine's run loop.
 func (v *shardView) Stop() { v.e.Stop() }
