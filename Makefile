@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile check audit golden chaos trace place fuzz serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -51,6 +51,22 @@ race:
 # with repetitions lives in bench/ (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./... | tee bench.txt
+
+# Where a benchmark workload's CPU time and allocated bytes go: one
+# full-scale repetition of workload W in a fresh process under the CPU and
+# allocation profilers (the recipe of bench/README.md), then `pprof -top` of
+# both. The test binary and the profiles stay in a temp dir outside the tree
+# for -list/-peek/-web:
+#   make profile W=fabric1k_backlog
+profile:
+	@test -n "$(W)" || { echo "usage: make profile W=<workload>  (names: BENCHMARK.json)" >&2; exit 2; }
+	@dir=$$(mktemp -d); \
+	$(GO) test -C bench -run '^$$' -bench 'Workload/$(W)$$' -benchtime 1x \
+		-cpuprofile $$dir/cpu.prof -memprofile $$dir/mem.prof -memprofilerate 4096 \
+		-o $$dir/bench.test; \
+	$(GO) tool pprof -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
+	echo "binary and profiles: $$dir"
 
 # The full-scale evaluation transcript (every experiment's report text).
 # Generated, not committed — regenerate after metric-affecting changes.

@@ -294,7 +294,8 @@ func (a *Agent) probeUtil(fl *Flow) {
 			PathID: uint16(i),
 			SentAt: int64(a.eng.Now()),
 		}
-		buf, err := pp.Encode(nil)
+		// Room for the path's INT records, as ufabe.sendProbe.
+		buf, err := pp.Encode(make([]byte, 0, probe.PayloadSize(len(route))))
 		if err != nil {
 			continue
 		}

@@ -10,11 +10,23 @@
 // both banks behaves exactly like the paper's Bloom-filter false positive:
 // the VM-pair is omitted, so Φ_l and W_l under-count slightly — which §3.6
 // argues is digested by the 5% capacity headroom and migration.
+//
+// The table is a sparse model of those register arrays. A switch has the
+// SRAM whether or not a slot is ever written; a simulation holds one table
+// per egress link of the fabric (thousands), each carrying a handful of
+// VM-pairs, so zeroing the paper's full 2 × 16384 slots (768 KiB) per link
+// was 90 % of all bytes a 1024-host run allocated. Each bank is therefore a
+// directory of fixed-size bucket pages allocated on the first insert that
+// lands in them; a lookup in an absent page reads as empty. Hashes,
+// fingerprints, bucket choice, collisions, counters and every returned delta
+// are those of the dense array — bloom_test.go keeps the dense layout as the
+// reference model and checks the two against each other operation by
+// operation.
 package bloom
 
 import "fmt"
 
-// Entry is the per-slot payload.
+// entry is the per-slot payload.
 type entry struct {
 	fp       uint16 // fingerprint; 0 means empty
 	phi      uint32
@@ -29,9 +41,25 @@ const bucketWidth = 2
 
 type bucket [bucketWidth]entry
 
+// pageBuckets is the number of buckets per lazily allocated page (a power
+// of two): a page is 768 B and a 16384-slot bank's directory 4 KiB. On a
+// sparsely used table nearly every new VM-pair lands on a page of its own,
+// so smaller pages waste fewer empty buckets but double the directory with
+// each halving. Chosen by measurement — job_alloc_mb of the benchmark's
+// fabric1k_backlog / clos128_rpc / ctl_churn workloads at 4, 8, 16, 32 and
+// 64 buckets (seed 1): 87/101/241, 74/98/247, 72/101/256, 78/109/265 and
+// 96/126/271 MiB. 16 is the minimum on the headline fabric; 8 is within
+// 4 % of it on all three.
+const pageBuckets = 16
+
+type page [pageBuckets]bucket
+
 // Table is the 2-way hashed active-VM-pair table. Create one with New.
 type Table struct {
-	banks [2][]bucket
+	// banks[b] is bank b's page directory, nil until the first insert into
+	// the bank; banks[b][i] holds its buckets [i*pageBuckets,
+	// (i+1)*pageBuckets), nil until the first insert into one of them.
+	banks [2][]*page
 	mask  uint64
 	// Collisions counts Update calls rejected because both candidate
 	// slots were held by other keys (the false-positive analogue).
@@ -42,7 +70,8 @@ type Table struct {
 
 // New returns a table with the given number of slots per bank, rounded up
 // to a power of two. Paper configuration: a 20 KB filter ≈ 2 banks × 10K
-// slots supports 20K distinct VM-pairs with <5% collision rate.
+// slots supports 20K distinct VM-pairs with <5% collision rate. No bucket
+// memory is allocated here; directories and pages follow the inserts.
 func New(slotsPerBank int) *Table {
 	if slotsPerBank < 1 {
 		panic(fmt.Sprintf("bloom: slotsPerBank %d < 1", slotsPerBank))
@@ -51,10 +80,7 @@ func New(slotsPerBank int) *Table {
 	for n*bucketWidth < slotsPerBank {
 		n <<= 1
 	}
-	t := &Table{mask: uint64(n - 1)}
-	t.banks[0] = make([]bucket, n)
-	t.banks[1] = make([]bucket, n)
-	return t
+	return &Table{mask: uint64(n - 1)}
 }
 
 // SlotsPerBank returns the (rounded) per-bank slot capacity.
@@ -77,6 +103,24 @@ func (t *Table) slots(key uint64) (i0, i1 uint64, fp uint16) {
 	return
 }
 
+// find returns the key's entry in either bank, or nil. A bucket whose page
+// was never allocated reads as empty.
+func (t *Table) find(i0, i1 uint64, fp uint16) *entry {
+	for b, i := range [2]uint64{i0, i1} {
+		dir := t.banks[b]
+		if i/pageBuckets >= uint64(len(dir)) || dir[i/pageBuckets] == nil {
+			continue
+		}
+		bk := &dir[i/pageBuckets][i%pageBuckets]
+		for s := range bk {
+			if bk[s].fp == fp {
+				return &bk[s]
+			}
+		}
+	}
+	return nil
+}
+
 // Update records that the VM-pair identified by key reported token phi and
 // window w at time now (simulation picoseconds). It returns the deltas the
 // caller must apply to the link's Φ and W registers. ok is false when both
@@ -84,24 +128,27 @@ func (t *Table) slots(key uint64) (i0, i1 uint64, fp uint16) {
 // the deltas are zero.
 func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok bool) {
 	i0, i1, fp := t.slots(key)
-	// Existing entry in either bank?
-	for b, idx := range [2]uint64{i0, i1} {
-		for s := range t.banks[b][idx] {
-			e := &t.banks[b][idx][s]
-			if e.fp == fp {
-				dPhi = int64(phi) - int64(e.phi)
-				dW = int64(w) - int64(e.window)
-				e.phi, e.window, e.lastSeen = phi, w, now
-				return dPhi, dW, true
-			}
-		}
+	if e := t.find(i0, i1, fp); e != nil {
+		dPhi = int64(phi) - int64(e.phi)
+		dW = int64(w) - int64(e.window)
+		e.phi, e.window, e.lastSeen = phi, w, now
+		return dPhi, dW, true
 	}
-	// Empty slot?
-	for b, idx := range [2]uint64{i0, i1} {
-		for s := range t.banks[b][idx] {
-			e := &t.banks[b][idx][s]
-			if e.fp == 0 {
-				*e = entry{fp: fp, phi: phi, window: w, lastSeen: now}
+	// Empty slot? Bank 0 first; an insert allocates the directory and the
+	// page it lands in if they do not exist yet.
+	for b, i := range [2]uint64{i0, i1} {
+		if t.banks[b] == nil {
+			t.banks[b] = make([]*page, (t.mask+pageBuckets)/pageBuckets)
+		}
+		pg := t.banks[b][i/pageBuckets]
+		if pg == nil {
+			pg = new(page)
+			t.banks[b][i/pageBuckets] = pg
+		}
+		bk := &pg[i%pageBuckets]
+		for s := range bk {
+			if bk[s].fp == 0 {
+				bk[s] = entry{fp: fp, phi: phi, window: w, lastSeen: now}
 				t.Occupied++
 				return int64(phi), int64(w), true
 			}
@@ -114,48 +161,55 @@ func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok
 // Remove deletes the VM-pair's entry (finish probe, §3.6), returning the
 // register deltas (negative) and whether an entry was found.
 func (t *Table) Remove(key uint64) (dPhi, dW int64, ok bool) {
-	i0, i1, fp := t.slots(key)
-	for b, idx := range [2]uint64{i0, i1} {
-		for s := range t.banks[b][idx] {
-			e := &t.banks[b][idx][s]
-			if e.fp == fp {
-				dPhi, dW = -int64(e.phi), -int64(e.window)
-				*e = entry{}
-				t.Occupied--
-				return dPhi, dW, true
-			}
-		}
+	e := t.find(t.slots(key))
+	if e == nil {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	dPhi, dW = -int64(e.phi), -int64(e.window)
+	*e = entry{}
+	t.Occupied--
+	return dPhi, dW, true
 }
 
 // Contains reports whether the key currently has an entry.
 func (t *Table) Contains(key uint64) bool {
-	i0, i1, fp := t.slots(key)
-	for b, idx := range [2]uint64{i0, i1} {
-		for s := range t.banks[b][idx] {
-			if t.banks[b][idx][s].fp == fp {
-				return true
-			}
-		}
-	}
-	return false
+	return t.find(t.slots(key)) != nil
 }
 
 // Expire removes every entry whose lastSeen is strictly older than cutoff
 // (the silent-quit cleanup μFAB-C runs every 10 s). It returns the summed
 // register deltas (≤ 0) and the number of entries expired.
 func (t *Table) Expire(cutoff int64) (dPhi, dW int64, n int) {
+	return t.removeIf(func(e *entry) bool { return e.lastSeen < cutoff })
+}
+
+// Drain removes every entry, returning the summed register deltas (≤ 0)
+// and the number of entries removed.
+func (t *Table) Drain() (dPhi, dW int64, n int) {
+	return t.removeIf(func(*entry) bool { return true })
+}
+
+// removeIf walks the allocated pages and removes every live entry stale
+// selects, returning the summed register deltas and the count.
+func (t *Table) removeIf(stale func(*entry) bool) (dPhi, dW int64, n int) {
+	if t.Occupied == 0 {
+		return 0, 0, 0
+	}
 	for b := range t.banks {
-		for i := range t.banks[b] {
-			for s := range t.banks[b][i] {
-				e := &t.banks[b][i][s]
-				if e.fp != 0 && e.lastSeen < cutoff {
-					dPhi -= int64(e.phi)
-					dW -= int64(e.window)
-					*e = entry{}
-					t.Occupied--
-					n++
+		for _, pg := range t.banks[b] {
+			if pg == nil {
+				continue
+			}
+			for i := range pg {
+				for s := range pg[i] {
+					e := &pg[i][s]
+					if e.fp != 0 && stale(e) {
+						dPhi -= int64(e.phi)
+						dW -= int64(e.window)
+						*e = entry{}
+						t.Occupied--
+						n++
+					}
 				}
 			}
 		}
@@ -168,33 +222,13 @@ func (t *Table) LoadFactor() float64 {
 	return float64(t.Occupied) / float64(2*(t.mask+1)*bucketWidth)
 }
 
-// Reset clears all entries and counters.
+// Reset clears all entries and counters and releases the bucket pages.
 func (t *Table) Reset() {
 	for b := range t.banks {
 		clear(t.banks[b])
 	}
 	t.Occupied = 0
 	t.Collisions = 0
-}
-
-// Drain removes every entry, returning the summed register deltas (≤ 0)
-// and the number of entries removed.
-func (t *Table) Drain() (dPhi, dW int64, n int) {
-	for b := range t.banks {
-		for i := range t.banks[b] {
-			for s := range t.banks[b][i] {
-				e := &t.banks[b][i][s]
-				if e.fp != 0 {
-					dPhi -= int64(e.phi)
-					dW -= int64(e.window)
-					*e = entry{}
-					t.Occupied--
-					n++
-				}
-			}
-		}
-	}
-	return dPhi, dW, n
 }
 
 // Rotating is the timing-Bloom-filter variant §3.6 points to: two epoch

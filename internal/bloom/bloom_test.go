@@ -1,7 +1,9 @@
 package bloom
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -289,5 +291,243 @@ func TestRotatingRegisterInvariant(t *testing.T) {
 	}
 	if phiReg != want {
 		t.Fatalf("register %d != live sum %d", phiReg, want)
+	}
+}
+
+// denseTable is the layout Table had before its banks became page
+// directories: both banks fully allocated by the constructor. It is kept as
+// the reference model the sparse table is property-tested against.
+type denseTable struct {
+	banks      [2][]bucket
+	mask       uint64
+	collisions uint64
+	occupied   int
+}
+
+func newDense(slotsPerBank int) *denseTable {
+	n := 1
+	for n*bucketWidth < slotsPerBank {
+		n <<= 1
+	}
+	return &denseTable{banks: [2][]bucket{make([]bucket, n), make([]bucket, n)}, mask: uint64(n - 1)}
+}
+
+func (t *denseTable) slots(key uint64) ([2]uint64, uint16) {
+	i0, i1, fp := (&Table{mask: t.mask}).slots(key)
+	return [2]uint64{i0, i1}, fp
+}
+
+func (t *denseTable) update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok bool) {
+	idx, fp := t.slots(key)
+	for b, i := range idx {
+		for s := range t.banks[b][i] {
+			if e := &t.banks[b][i][s]; e.fp == fp {
+				dPhi, dW = int64(phi)-int64(e.phi), int64(w)-int64(e.window)
+				e.phi, e.window, e.lastSeen = phi, w, now
+				return dPhi, dW, true
+			}
+		}
+	}
+	for b, i := range idx {
+		for s := range t.banks[b][i] {
+			if e := &t.banks[b][i][s]; e.fp == 0 {
+				*e = entry{fp: fp, phi: phi, window: w, lastSeen: now}
+				t.occupied++
+				return int64(phi), int64(w), true
+			}
+		}
+	}
+	t.collisions++
+	return 0, 0, false
+}
+
+func (t *denseTable) remove(key uint64) (dPhi, dW int64, ok bool) {
+	idx, fp := t.slots(key)
+	for b, i := range idx {
+		for s := range t.banks[b][i] {
+			if e := &t.banks[b][i][s]; e.fp == fp {
+				dPhi, dW = -int64(e.phi), -int64(e.window)
+				*e = entry{}
+				t.occupied--
+				return dPhi, dW, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+func (t *denseTable) contains(key uint64) bool {
+	idx, fp := t.slots(key)
+	for b, i := range idx {
+		for s := range t.banks[b][i] {
+			if t.banks[b][i][s].fp == fp {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// expire removes entries older than cutoff; drain is expire(MaxInt64).
+func (t *denseTable) expire(cutoff int64) (dPhi, dW int64, n int) {
+	for b := range t.banks {
+		for i := range t.banks[b] {
+			for s := range t.banks[b][i] {
+				if e := &t.banks[b][i][s]; e.fp != 0 && e.lastSeen < cutoff {
+					dPhi -= int64(e.phi)
+					dW -= int64(e.window)
+					*e = entry{}
+					t.occupied--
+					n++
+				}
+			}
+		}
+	}
+	return dPhi, dW, n
+}
+
+func (t *denseTable) loadFactor() float64 {
+	return float64(t.occupied) / float64(2*(t.mask+1)*bucketWidth)
+}
+
+func (t *denseTable) reset() {
+	clear(t.banks[0])
+	clear(t.banks[1])
+	t.occupied, t.collisions = 0, 0
+}
+
+// denseRotating is Rotating over the dense model.
+type denseRotating struct {
+	cur, prev  *denseTable
+	collisions uint64
+}
+
+func (r *denseRotating) update(key uint64, phi, w uint32, now int64) (int64, int64, bool) {
+	if pPhi, pW, found := r.prev.remove(key); found {
+		d1, d2, ok := r.cur.update(key, phi, w, now)
+		if !ok {
+			r.collisions++
+			return pPhi, pW, false
+		}
+		return d1 + pPhi, d2 + pW, true
+	}
+	dPhi, dW, ok := r.cur.update(key, phi, w, now)
+	if !ok {
+		r.collisions++
+	}
+	return dPhi, dW, ok
+}
+
+func (r *denseRotating) remove(key uint64) (int64, int64, bool) {
+	if d1, d2, found := r.cur.remove(key); found {
+		return d1, d2, true
+	}
+	return r.prev.remove(key)
+}
+
+func (r *denseRotating) rotate() (dPhi, dW int64, n int) {
+	dPhi, dW, n = r.prev.expire(math.MaxInt64)
+	r.cur, r.prev = r.prev, r.cur
+	return dPhi, dW, n
+}
+
+// TestSparseMatchesDense drives the sparse Table and Rotating and the dense
+// model with one seeded random operation stream and requires identical
+// return values and counters after every operation — at a table smaller
+// than one page, one of a few pages, and the paper's size, each loaded far
+// enough to collide.
+func TestSparseMatchesDense(t *testing.T) {
+	for _, tc := range []struct{ slots, keys, ops int }{
+		{64, 200, 20000},
+		{1024, 3000, 40000},
+		{16384, 45000, 200000},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			sp, de := New(tc.slots), newDense(tc.slots)
+			spr := NewRotating(tc.slots)
+			der := &denseRotating{cur: newDense(tc.slots), prev: newDense(tc.slots)}
+			if sp.SlotsPerBank() != int(de.mask+1)*bucketWidth {
+				t.Fatalf("slots %d: SlotsPerBank = %d", tc.slots, sp.SlotsPerBank())
+			}
+			collided, collidedR := false, false
+			for i := 0; i < tc.ops; i++ {
+				key := uint64(rng.Intn(tc.keys))
+				phi, w, now := uint32(rng.Intn(5000)), uint32(rng.Intn(1<<20)), int64(i)
+				var got, want, gotR, wantR [3]int64
+				b2i := func(b bool) int64 {
+					if b {
+						return 1
+					}
+					return 0
+				}
+				pack := func(a, b int64, ok bool) [3]int64 { return [3]int64{a, b, b2i(ok)} }
+				packN := func(a, b int64, n int) [3]int64 { return [3]int64{a, b, int64(n)} }
+				// Mostly updates, so the tables fill; the wholesale operations
+				// come a handful of times per stream, so they stay full.
+				op := 100 + rng.Intn(900)
+				if rare := rng.Intn(tc.ops); rare < 10 {
+					op = rare
+				}
+				switch {
+				case op >= 400:
+					got, want = pack(sp.Update(key, phi, w, now)), pack(de.update(key, phi, w, now))
+					gotR, wantR = pack(spr.Update(key, phi, w, now)), pack(der.update(key, phi, w, now))
+					collided = collided || want[2] == 0
+					collidedR = collidedR || wantR[2] == 0
+				case op >= 250:
+					got, want = pack(sp.Remove(key)), pack(de.remove(key))
+					gotR, wantR = pack(spr.Remove(key)), pack(der.remove(key))
+				case op >= 100:
+					got[0], want[0] = b2i(sp.Contains(key)), b2i(de.contains(key))
+					gotR[0] = b2i(spr.Contains(key))
+					wantR[0] = b2i(der.cur.contains(key) || der.prev.contains(key))
+				case op >= 4:
+					cutoff := now - int64(rng.Intn(tc.ops/4))
+					got, want = packN(sp.Expire(cutoff)), packN(de.expire(cutoff))
+					gotR, wantR = packN(spr.Rotate()), packN(der.rotate())
+				case op >= 1:
+					got, want = packN(sp.Drain()), packN(de.expire(math.MaxInt64))
+				default:
+					sp.Reset()
+					de.reset()
+				}
+				if got != want || gotR != wantR {
+					t.Fatalf("slots %d seed %d op %d (%d): table %v want %v, rotating %v want %v",
+						tc.slots, seed, i, op, got, want, gotR, wantR)
+				}
+				if sp.Occupied != de.occupied || sp.Collisions != de.collisions || sp.LoadFactor() != de.loadFactor() {
+					t.Fatalf("slots %d seed %d op %d (%d): occupied %d/%d collisions %d/%d load %v/%v", tc.slots, seed, i, op,
+						sp.Occupied, de.occupied, sp.Collisions, de.collisions, sp.LoadFactor(), de.loadFactor())
+				}
+				if spr.Occupied() != der.cur.occupied+der.prev.occupied || spr.Collisions != der.collisions {
+					t.Fatalf("slots %d seed %d op %d (%d): rotating occupied %d/%d collisions %d/%d", tc.slots, seed, i, op,
+						spr.Occupied(), der.cur.occupied+der.prev.occupied, spr.Collisions, der.collisions)
+				}
+			}
+			if !collided || !collidedR {
+				t.Errorf("slots %d seed %d: stream produced no collision (table %v, rotating %v)",
+					tc.slots, seed, collided, collidedR)
+			}
+		}
+	}
+}
+
+// TestTableAllocatesForInserts pins the sparse layout: the paper-sized table
+// with a handful of VM-pairs costs kilobytes, not the 768 KiB register file.
+func TestTableAllocatesForInserts(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tb := New(16384)
+	for k := uint64(1); k <= 16; k++ {
+		tb.Update(k, 1, 1, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("New(16384) + 16 inserts allocated %d bytes, want < 64 KiB", got)
+	}
+	if tb.Occupied != 16 {
+		t.Fatalf("Occupied = %d", tb.Occupied)
 	}
 }

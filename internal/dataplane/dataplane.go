@@ -78,6 +78,13 @@ type Packet struct {
 	// Meta carries scheme-specific data (e.g. ack bookkeeping) that a
 	// real implementation would encode in headers.
 	Meta any
+
+	// arrival is the one event callback the packet's whole journey
+	// schedules, bound to this Packet by Send/SendECMP; at is the node the
+	// link it is currently on delivers it to. A value copy inherits the
+	// original's binding, which is why every injection rebinds.
+	arrival sim.Event
+	at      topo.NodeID
 }
 
 // Handler receives packets delivered to a host.
@@ -137,10 +144,15 @@ const (
 // Port is the egress side of a link: a FIFO queue plus telemetry.
 type Port struct {
 	Link *topo.Link
-	// queue holds packets waiting behind the one being serialized.
-	queue      []*Packet
-	queueBytes int
-	busy       bool
+	// queue is a ring of the qlen packets waiting behind the one being
+	// serialized, oldest at qhead; its length is a power of two. wire is the
+	// packet being serialized (nil when the port is idle) and txDone the
+	// port's transmit-complete callback, bound once in newNetwork.
+	queue       []*Packet
+	qhead, qlen int
+	queueBytes  int
+	wire        *Packet
+	txDone      sim.Event
 	// Telemetry.
 	rate     rateEstimator
 	capBytes int
@@ -161,6 +173,28 @@ func (p *Port) QueueBytes() int { return p.queueBytes }
 
 // Capacity returns the link line rate in bits/s.
 func (p *Port) Capacity() float64 { return p.Link.Capacity }
+
+// push appends pkt to the egress ring, doubling it when full.
+func (p *Port) push(pkt *Packet) {
+	if p.qlen == len(p.queue) {
+		grown := make([]*Packet, max(4, 2*len(p.queue)))
+		n := copy(grown, p.queue[p.qhead:])
+		copy(grown[n:], p.queue[:p.qhead])
+		p.queue, p.qhead = grown, 0
+	}
+	p.queue[(p.qhead+p.qlen)&(len(p.queue)-1)] = pkt
+	p.qlen++
+}
+
+// pop removes the oldest queued packet, clearing its slot so the ring does
+// not keep a delivered packet reachable.
+func (p *Port) pop() *Packet {
+	pkt := p.queue[p.qhead]
+	p.queue[p.qhead] = nil
+	p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
+	p.qlen--
+	return pkt
+}
 
 // TxRate returns the estimated output rate in bits/s over the most recent
 // estimator window, clamped to the line rate (the estimator's live-window
@@ -334,6 +368,7 @@ func newNetwork(g *topo.Graph, cfg Config) *Network {
 		p.capBytes = cfg.QueueCapBytes
 		p.ecnBytes = cfg.ECNThresholdBytes
 		p.rate.window = cfg.RateWindow
+		p.txDone = func() { n.finishTx(p) }
 	}
 	if cfg.Telemetry != nil {
 		n.linkEntity = make([]string, len(g.Links))
@@ -544,6 +579,7 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	pkt.Hop = 0
 	pkt.Dst = n.G.PathDst(pkt.Route)
+	n.bindArrival(pkt)
 	n.enqueue(pkt, pkt.Route[0])
 }
 
@@ -555,7 +591,16 @@ func (n *Network) SendECMP(pkt *Packet, src topo.NodeID) {
 		atomic.AddUint64(&n.TotalDrops, 1)
 		return
 	}
+	n.bindArrival(pkt)
 	n.enqueue(pkt, next)
+}
+
+// bindArrival binds the packet's arrival callback to this Packet value: the
+// one allocation of its journey, instead of a closure per hop. Injection
+// always rebinds, so a value copy of a packet (or a packet sent again)
+// delivers itself and not the packet it was copied from.
+func (n *Network) bindArrival(pkt *Packet) {
+	pkt.arrival = func() { n.arrive(pkt, pkt.at) }
 }
 
 func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
@@ -600,44 +645,50 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 		}
 		return
 	}
-	port.queue = append(port.queue, pkt)
 	port.queueBytes += pkt.Size
 	if port.queueBytes > port.MaxQueueBytes {
 		port.MaxQueueBytes = port.queueBytes
 	}
-	if !port.busy {
-		n.startTx(port)
+	if port.wire == nil {
+		n.startTx(port, pkt)
+	} else {
+		port.push(pkt)
 	}
 }
 
-func (n *Network) startTx(port *Port) {
-	pkt := port.queue[0]
-	port.queue = port.queue[1:]
+// startTx puts pkt on the wire of an idle port. A hop schedules the same two
+// events at the same instants as ever — transmit-complete after the
+// serialization delay, arrival after the propagation delay — but allocates
+// neither: both callbacks were bound before the packet got here.
+func (n *Network) startTx(port *Port, pkt *Packet) {
 	port.queueBytes -= pkt.Size
-	port.busy = true
-	src := port.Link.Src
-	sched := n.schedAt(src)
+	port.wire = pkt
 	ser := topo.SerializationDelay(pkt.Size, n.effectiveCapacity(port))
-	sched.After(ser, func() {
-		port.busy = false
-		port.TxPackets++
-		port.TxBytes += uint64(pkt.Size)
-		port.rate.add(sched.Now(), pkt.Size)
-		// Propagate to the far end (a gray fault may add latency). A
-		// cross-shard hop hands the arrival to the destination shard's
-		// heap; the partition guarantees prop is at least the lookahead
-		// window.
-		dst := port.Link.Dst
-		prop := port.Link.PropDelay + n.faults[port.Link.ID].deg.ExtraDelay
-		if sd, dd := n.shardOf[src], n.shardOf[dst]; n.shard != nil && sd != dd {
-			n.shard.Send(int(sd), int(dd), prop, func() { n.arrive(pkt, dst) })
-		} else {
-			sched.After(prop, func() { n.arrive(pkt, dst) })
-		}
-		if len(port.queue) > 0 {
-			n.startTx(port)
-		}
-	})
+	n.schedAt(port.Link.Src).After(ser, port.txDone)
+}
+
+// finishTx runs when port's packet has been serialized.
+func (n *Network) finishTx(port *Port) {
+	pkt := port.wire
+	port.wire = nil
+	src, dst := port.Link.Src, port.Link.Dst
+	sched := n.schedAt(src)
+	port.TxPackets++
+	port.TxBytes += uint64(pkt.Size)
+	port.rate.add(sched.Now(), pkt.Size)
+	// Propagate to the far end (a gray fault may add latency). A
+	// cross-shard hop hands the arrival to the destination shard's heap;
+	// the partition guarantees prop is at least the lookahead window.
+	pkt.at = dst
+	prop := port.Link.PropDelay + n.faults[port.Link.ID].deg.ExtraDelay
+	if sd, dd := n.shardOf[src], n.shardOf[dst]; n.shard != nil && sd != dd {
+		n.shard.Send(int(sd), int(dd), prop, pkt.arrival)
+	} else {
+		sched.After(prop, pkt.arrival)
+	}
+	if port.qlen > 0 {
+		n.startTx(port, port.pop())
+	}
 }
 
 func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
@@ -721,14 +772,18 @@ func (n *Network) distTo(dst topo.NodeID) []int32 {
 
 func (n *Network) ecmpNext(at topo.NodeID, pkt *Packet) topo.LinkID {
 	d := n.distTo(pkt.Dst)
-	var candidates []topo.LinkID
-	for _, lid := range n.G.Node(at).Out {
+	out := n.G.Node(at).Out
+	eligible := func(lid topo.LinkID) bool {
 		to := n.G.Link(lid).Dst
-		if d[to] == d[at]-1 && !n.failed[to] && !n.faults[lid].down {
-			candidates = append(candidates, lid)
+		return d[to] == d[at]-1 && !n.failed[to] && !n.faults[lid].down
+	}
+	candidates := uint64(0)
+	for _, lid := range out {
+		if eligible(lid) {
+			candidates++
 		}
 	}
-	if len(candidates) == 0 {
+	if candidates == 0 {
 		return topo.NoLink
 	}
 	h := ecmpHash(uint64(pkt.VMPair), n.Cfg.HashSeed)
@@ -736,7 +791,17 @@ func (n *Network) ecmpNext(at topo.NodeID, pkt *Packet) topo.LinkID {
 		// Mix per-switch entropy in, as independent hash functions do.
 		h = ecmpHash(h^uint64(at)*0x9e3779b97f4a7c15, n.Cfg.HashSeed)
 	}
-	return candidates[h%uint64(len(candidates))]
+	// Second pass: the (h mod candidates)-th eligible out-link.
+	pick := h % candidates
+	for _, lid := range out {
+		if eligible(lid) {
+			if pick == 0 {
+				return lid
+			}
+			pick--
+		}
+	}
+	panic("dataplane: ecmpNext: eligible link vanished between passes")
 }
 
 func ecmpHash(x, seed uint64) uint64 {

@@ -157,8 +157,9 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 			return false
 		}
 		if d.ProbeCorruptProb > 0 && len(pkt.Payload) > 0 && rng.Float64() < d.ProbeCorruptProb {
-			b := make([]byte, len(pkt.Payload))
-			copy(b, pkt.Payload)
+			// The copy keeps the spare capacity the edge reserved for the
+			// remaining hop records.
+			b := append(make([]byte, 0, cap(pkt.Payload)), pkt.Payload...)
 			i := rng.Intn(len(b))
 			b[i] ^= 1 << uint(rng.Intn(8))
 			pkt.Payload = b

@@ -160,9 +160,14 @@ const (
 	HeaderOverhead = 14 + 20 + 16
 )
 
+// PayloadSize returns the encoded size of a probe carrying n hop records:
+// the length Encode produces, and the capacity an edge gives a fresh probe's
+// buffer so the path's switches can StampHop it without regrowing it.
+func PayloadSize(nHops int) int { return preambleLen + nHops*hopLen }
+
 // WireSize returns the on-wire byte size of a probe carrying n hop
 // records, including the modeled outer headers.
-func WireSize(nHops int) int { return HeaderOverhead + preambleLen + nHops*hopLen }
+func WireSize(nHops int) int { return HeaderOverhead + PayloadSize(nHops) }
 
 // Size returns the packet's current on-wire size.
 func (p *Packet) Size() int { return WireSize(len(p.Hops)) }
@@ -200,18 +205,8 @@ func (p *Packet) Encode(dst []byte) ([]byte, error) {
 	default:
 		return dst, ErrBadKind
 	}
-	var kindBits uint8
-	switch p.Kind {
-	case KindProbe:
-		kindBits = 1
-	case KindResponse:
-		kindBits = 2
-	case KindFailure:
-		kindBits = 4
-	case KindFinish:
-		kindBits = 8
-	}
-	dst = append(dst, kindBits<<4|uint8(len(p.Hops)))
+	// A Kind's value is its 4-bit wire encoding.
+	dst = append(dst, uint8(p.Kind)<<4|uint8(len(p.Hops)))
 	dst = binary.BigEndian.AppendUint32(dst, p.VMPair)
 	dst = binary.BigEndian.AppendUint16(dst, p.PathID)
 	dst = binary.BigEndian.AppendUint32(dst, p.Seq)
@@ -221,48 +216,69 @@ func (p *Packet) Encode(dst []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(quantize(p.PeerPhi, PhiUnit, 1<<32-1)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(p.SentAt))
 	for _, h := range p.Hops {
-		rec := uint64(quantize(float64(h.TotalWindow), WindowUnit, 1<<16-1)) << 48
-		rec |= quantize(h.TotalTokens, TotalPhiUnit, 1<<16-1) << 32
-		rec |= quantize(h.TxRate, TxUnit, 1<<16-1) << 16
-		rec |= quantize(float64(h.Queue), QueueUnit, 1<<12-1) << 4
-		rec |= uint64(EncodeSpeedClass(h.Capacity))
-		dst = binary.BigEndian.AppendUint64(dst, rec)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(h.LinkID))
+		dst = appendHopRecord(dst, h)
 	}
 	return dst, nil
+}
+
+// appendHopRecord appends one hop's 12-byte wire record to dst.
+func appendHopRecord(dst []byte, h Hop) []byte {
+	rec := uint64(quantize(float64(h.TotalWindow), WindowUnit, 1<<16-1)) << 48
+	rec |= quantize(h.TotalTokens, TotalPhiUnit, 1<<16-1) << 32
+	rec |= quantize(h.TxRate, TxUnit, 1<<16-1) << 16
+	rec |= quantize(float64(h.Queue), QueueUnit, 1<<12-1) << 4
+	rec |= uint64(EncodeSpeedClass(h.Capacity))
+	dst = binary.BigEndian.AppendUint64(dst, rec)
+	return binary.BigEndian.AppendUint32(dst, uint32(h.LinkID))
+}
+
+// wireHops validates the framing of a wire representation — a known kind
+// and a buffer that covers the preamble and every hop record the 4-bit nHop
+// field declares — and returns the kind and that count.
+func wireHops(buf []byte) (kind Kind, nHops int, err error) {
+	if len(buf) < preambleLen {
+		return 0, 0, ErrTruncated
+	}
+	switch kind = Kind(buf[0] >> 4); kind {
+	case KindProbe, KindResponse, KindFailure, KindFinish:
+	default:
+		return 0, 0, ErrBadKind
+	}
+	nHops = int(buf[0] & 0xf)
+	if len(buf) < PayloadSize(nHops) {
+		return 0, 0, ErrTruncated
+	}
+	return kind, nHops, nil
+}
+
+// DecodeHeader parses the fixed preamble of a wire representation and
+// validates it exactly as Decode does, without touching the hop records:
+// what a switch reads of a probe. It returns the preamble fields in a Packet
+// with nil Hops, and the number of hop records the buffer carries.
+func DecodeHeader(buf []byte) (hdr Packet, nHops int, err error) {
+	hdr.Kind, nHops, err = wireHops(buf)
+	if err != nil {
+		return Packet{}, 0, err
+	}
+	hdr.VMPair = binary.BigEndian.Uint32(buf[1:])
+	hdr.PathID = binary.BigEndian.Uint16(buf[5:])
+	hdr.Seq = binary.BigEndian.Uint32(buf[7:])
+	hdr.Phi = float64(uint32(buf[11])<<16|uint32(buf[12])<<8|uint32(buf[13])) * PhiUnit
+	hdr.Window = uint32(binary.BigEndian.Uint16(buf[14:])) * WindowUnit
+	hdr.PeerPhi = float64(binary.BigEndian.Uint32(buf[16:])) * PhiUnit
+	hdr.SentAt = int64(binary.BigEndian.Uint64(buf[20:]))
+	return hdr, nHops, nil
 }
 
 // Decode parses a wire representation produced by Encode. It returns the
 // number of bytes consumed.
 func Decode(buf []byte) (*Packet, int, error) {
-	if len(buf) < preambleLen {
-		return nil, 0, ErrTruncated
+	hdr, nHops, err := DecodeHeader(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	p := &Packet{}
-	switch buf[0] >> 4 {
-	case 1:
-		p.Kind = KindProbe
-	case 2:
-		p.Kind = KindResponse
-	case 4:
-		p.Kind = KindFailure
-	case 8:
-		p.Kind = KindFinish
-	default:
-		return nil, 0, ErrBadKind
-	}
-	nHops := int(buf[0] & 0xf)
-	p.VMPair = binary.BigEndian.Uint32(buf[1:])
-	p.PathID = binary.BigEndian.Uint16(buf[5:])
-	p.Seq = binary.BigEndian.Uint32(buf[7:])
-	p.Phi = float64(uint32(buf[11])<<16|uint32(buf[12])<<8|uint32(buf[13])) * PhiUnit
-	p.Window = uint32(binary.BigEndian.Uint16(buf[14:])) * WindowUnit
-	p.PeerPhi = float64(binary.BigEndian.Uint32(buf[16:])) * PhiUnit
-	p.SentAt = int64(binary.BigEndian.Uint64(buf[20:]))
+	p := &hdr
 	n := preambleLen
-	if len(buf) < n+nHops*hopLen {
-		return nil, 0, ErrTruncated
-	}
 	p.Hops = make([]Hop, nHops)
 	for i := 0; i < nHops; i++ {
 		rec := binary.BigEndian.Uint64(buf[n:])
@@ -277,6 +293,25 @@ func Decode(buf []byte) (*Packet, int, error) {
 		n += hopLen
 	}
 	return p, n, nil
+}
+
+// StampHop appends h to an encoded probe in place, the way a switch's INT
+// stage does: it bumps the 4-bit nHop field and writes the 12-byte record
+// after the last one the buffer declares (bytes beyond that are dropped, as
+// a Decode/Encode round trip would). The result decodes to the same Packet
+// as decoding buf, AppendHop(h) and re-encoding, without the intermediate
+// Packet; it reuses buf's spare capacity. It fails once MaxHops is reached,
+// leaving buf as is.
+func StampHop(buf []byte, h Hop) ([]byte, error) {
+	_, nHops, err := wireHops(buf)
+	if err != nil {
+		return buf, err
+	}
+	if nHops >= MaxHops {
+		return buf, ErrTooLong
+	}
+	buf[0]++ // nHop is the low nibble, and nHops+1 <= MaxHops fits it
+	return appendHopRecord(buf[:PayloadSize(nHops)], h), nil
 }
 
 // AppendHop adds a switch's INT record; it fails once MaxHops is reached,

@@ -1,7 +1,9 @@
 package probe
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -284,5 +286,63 @@ func BenchmarkDecode(b *testing.B) {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStampHopMatchesDecodeAppendEncode: stamping a record onto the wire in
+// place must produce the bytes the switch's old decode → AppendHop →
+// re-encode produced, for every hop count, with trailing garbage dropped,
+// reusing spare capacity; at MaxHops and on a malformed buffer it must leave
+// the buffer alone.
+func TestStampHopMatchesDecodeAppendEncode(t *testing.T) {
+	stamp := Hop{TotalWindow: 3 << 20, TotalTokens: 123.4, TxRate: 7.7e9, Queue: 9000, Capacity: 9.5e9, LinkID: 42}
+	for nh := 0; nh <= MaxHops; nh++ {
+		p := samplePacket()
+		p.Hops = nil
+		for i := 0; i < nh; i++ {
+			p.Hops = append(p.Hops, Hop{TotalWindow: uint32(i) << 12, TotalTokens: float64(i), TxRate: 1e9 * float64(i),
+				Queue: uint32(64 * i), Capacity: 25e9, LinkID: int32(i)})
+		}
+		wire, err := p.Encode(make([]byte, 0, 512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, n, err := DecodeHeader(wire)
+		full, _, _ := Decode(wire)
+		if err != nil || n != nh || hdr.Hops != nil {
+			t.Fatalf("DecodeHeader(%d hops) = %d hops, %v, Hops %v", nh, n, err, hdr.Hops)
+		}
+		hdr.Hops = full.Hops
+		if !reflect.DeepEqual(&hdr, full) {
+			t.Fatalf("DecodeHeader %+v differs from Decode %+v", hdr, *full)
+		}
+		var want []byte
+		if err := full.AppendHop(stamp); err == nil {
+			want, _ = full.Encode(nil)
+		}
+		got, err := StampHop(append(wire, 0xde, 0xad), stamp) // trailing bytes past the declared records
+		if nh == MaxHops {
+			if err != ErrTooLong || len(got) != len(wire)+2 {
+				t.Fatalf("StampHop at MaxHops: err %v, %d bytes", err, len(got))
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d hops: StampHop = %x, %v\nwant %x", nh, got, err, want)
+		}
+		if &got[0] != &wire[0] {
+			t.Errorf("%d hops: StampHop reallocated a buffer with spare capacity", nh)
+		}
+	}
+	for _, bad := range [][]byte{nil, {0x10}, {0xf0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27}} {
+		if got, err := StampHop(bad, stamp); err == nil || len(got) != len(bad) {
+			t.Errorf("StampHop(%x) = %x, %v; want the buffer back with an error", bad, got, err)
+		}
+	}
+	// A buffer whose nHop nibble claims more records than it holds.
+	p := samplePacket()
+	wire, _ := p.Encode(nil)
+	if _, err := StampHop(wire[:len(wire)-1], stamp); err != ErrTruncated {
+		t.Errorf("StampHop on a short buffer: %v, want ErrTruncated", err)
 	}
 }

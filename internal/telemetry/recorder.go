@@ -227,7 +227,7 @@ func (r *Recorder) Events() []Event {
 // EventsSince returns the events recorded after the first n, oldest first.
 // Events the ring has already evicted are silently absent (callers that
 // need a complete view size the ring accordingly). The slice is freshly
-// allocated.
+// allocated and holds only the returned events.
 func (r *Recorder) EventsSince(n uint64) []Event {
 	if r == nil {
 		return nil
@@ -239,8 +239,17 @@ func (r *Recorder) EventsSince(n uint64) []Event {
 	if n >= r.total {
 		return nil
 	}
-	all := r.Events()
-	return all[n-evicted:]
+	// The retained window is buf[start:] then buf[:start]; skip its first
+	// n-evicted events.
+	skip := int(n - evicted)
+	out := make([]Event, 0, len(r.buf)-skip)
+	if first := r.buf[r.start:]; skip < len(first) {
+		out = append(out, first[skip:]...)
+		skip = 0
+	} else {
+		skip -= len(first)
+	}
+	return append(out, r.buf[skip:r.start]...)
 }
 
 // EventBefore is the canonical content order used to merge per-shard

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // fillRecorder records n events with T = 0..n-1 so position in the stream
@@ -151,5 +153,68 @@ func TestSnapshotDiff(t *testing.T) {
 	snap := r.Snapshot()
 	if d := snap.Diff(snap); len(d.Counters) != 0 || len(d.Gauges) != 0 {
 		t.Fatalf("self-diff not empty: %+v", d)
+	}
+}
+
+// TestEventsSince: for an unwrapped, an exactly full and a wrapped ring, and
+// a cursor before, at the edges of, inside and past the retained window, the
+// result is Events() minus what the cursor has already seen — and only that
+// many events are allocated, not the ring.
+func TestEventsSince(t *testing.T) {
+	const ringCap = 8
+	for _, recorded := range []int{0, 5, ringCap, ringCap + 3, 3*ringCap + 1} {
+		rec := newRecorder(ringCap)
+		fillRecorder(rec, recorded)
+		all := rec.Events()
+		evicted := uint64(recorded - len(all))
+		for n := uint64(0); n <= uint64(recorded)+2; n++ {
+			want := all
+			if n >= evicted {
+				if n-evicted >= uint64(len(all)) {
+					want = nil
+				} else {
+					want = all[n-evicted:]
+				}
+			}
+			got := rec.EventsSince(n)
+			if len(got) != len(want) {
+				t.Fatalf("recorded %d, EventsSince(%d): %d events, want %d", recorded, n, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("recorded %d, EventsSince(%d)[%d] = %+v, want %+v", recorded, n, i, got[i], want[i])
+				}
+			}
+			if cap(got) != len(got) {
+				t.Errorf("recorded %d, EventsSince(%d): cap %d for %d events", recorded, n, cap(got), len(got))
+			}
+		}
+	}
+	if got := (*Recorder)(nil).EventsSince(0); got != nil {
+		t.Errorf("nil recorder: %v", got)
+	}
+}
+
+// TestEventsSinceAllocatesTheTailOnly: draining a few new events from a full
+// default-size ring — what the auditor does every sampling tick — must not
+// copy the ring.
+func TestEventsSinceAllocatesTheTailOnly(t *testing.T) {
+	rec := newRecorder(DefaultRecorderCap)
+	fillRecorder(rec, DefaultRecorderCap+100)
+	cursor := rec.Total()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds, fresh = 50, 16
+	for i := 0; i < rounds; i++ {
+		fillRecorder(rec, fresh)
+		if got := rec.EventsSince(cursor); len(got) != fresh {
+			t.Fatalf("round %d: %d events, want %d", i, len(got), fresh)
+		}
+		cursor = rec.Total()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / rounds
+	if limit := uint64(4 * fresh * unsafe.Sizeof(Event{})); perCall > limit {
+		t.Errorf("EventsSince allocated %d bytes per call for %d events, want <= %d", perCall, fresh, limit)
 	}
 }

@@ -24,7 +24,11 @@ import (
 // Config parameterizes a μFAB-C agent.
 type Config struct {
 	// TableSlotsPerBank sizes the active-VM-pair table (default 16384,
-	// supporting the paper's 20K VM-pairs at <5% omission).
+	// supporting the paper's 20K VM-pairs at <5% omission). It is the
+	// modelled register capacity — it fixes the hash range and hence the
+	// collision behaviour — not a memory reservation: a link's table is
+	// created on its first probe and grows with the pairs it carries
+	// (see package bloom).
 	TableSlotsPerBank int
 	// TargetUtilization is η: the fraction of physical capacity
 	// advertised as the target capacity C̄_l (default 0.95).
@@ -215,12 +219,15 @@ func pairKey(p *probe.Packet) uint64 {
 // OnForward implements dataplane.SwitchAgent: it processes probe packets
 // at egress enqueue time, updating the link registers and appending the
 // INT hop record. Data, ACK and response packets pass through untouched
-// (responses only carry information back; §3.2 step 5).
+// (responses only carry information back; §3.2 step 5). Like the Tofino
+// pipeline it reads the probe's preamble and writes its 12-byte record onto
+// the wire buffer in place; when the edge sized the payload for the path's
+// hop records nothing is allocated.
 func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Time) {
 	if pkt.Kind != dataplane.Probe || len(pkt.Payload) == 0 {
 		return
 	}
-	p, _, err := probe.Decode(pkt.Payload)
+	p, nHops, err := probe.DecodeHeader(pkt.Payload)
 	if err != nil {
 		return // malformed probe: forward without touching registers
 	}
@@ -231,7 +238,7 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 	}
 	a.cProbes.Inc()
 	ls := a.link(out.Link.ID)
-	key := pairKey(p)
+	key := pairKey(&p)
 	// The probe's wire identity (pair, path, seq) reproduces the edge's
 	// trace id, so per-hop register updates join the probe's causal trace.
 	trace := telemetry.SpanID(telemetry.TraceProbe, int64(p.VMPair), int64(p.PathID), int64(p.Seq))
@@ -251,7 +258,7 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 		return
 	}
 	// Stamp the INT record against the *target* capacity.
-	err = p.AppendHop(probe.Hop{
+	buf, err := probe.StampHop(pkt.Payload, probe.Hop{
 		TotalWindow: clampU32(ls.windowBytes),
 		TotalTokens: float64(ls.phiMilli) * 1e-3,
 		TxRate:      out.TxRate(now),
@@ -262,12 +269,8 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 	if err != nil {
 		return // path longer than MaxHops: leave remaining hops unstamped
 	}
-	buf, err := p.Encode(pkt.Payload[:0])
-	if err != nil {
-		return
-	}
 	pkt.Payload = buf
-	pkt.Size = p.Size()
+	pkt.Size = probe.WireSize(nHops + 1)
 }
 
 // recordChurn accounts a register delta in the churn counters and the

@@ -310,3 +310,38 @@ func TestRestartThenCleanupExpiresStalePairs(t *testing.T) {
 		t.Errorf("Φ=%v W=%d at 50 ms, want 0/0 (cleanup dead after restart?)", phi, w)
 	}
 }
+
+// TestOnForwardSteadyStateAllocatesNothing is the tier-1 gate on per-switch
+// probe garbage: once a link's pairs are registered, stamping a probe whose
+// payload has room for the record (as the edges encode them) allocates
+// nothing — no decoded packet, no hop slice, no regrown buffer.
+func TestOnForwardSteadyStateAllocatesNothing(t *testing.T) {
+	_, net, st, ag, _ := testNet(t, Config{})
+	port := net.Port(st.Graph.Node(st.Center).Out[0])
+	const pairs = 64
+	wires := make([][]byte, pairs)
+	for i := range wires {
+		p := &probe.Packet{Kind: probe.KindProbe, VMPair: uint32(i + 1), PathID: 1, Seq: 1, Phi: 10, Window: 32 << 10}
+		wires[i], _ = p.Encode(nil)
+	}
+	pkt := &dataplane.Packet{Kind: dataplane.Probe, Payload: make([]byte, 0, probe.PayloadSize(2))}
+	i := 0
+	fwd := func() {
+		pkt.Payload = append(pkt.Payload[:0], wires[i%pairs]...)
+		i++
+		ag.OnForward(pkt, port, sim.Time(i)*sim.Microsecond)
+	}
+	for range wires {
+		fwd() // first sight of a pair allocates its bucket page
+	}
+	if a := testing.AllocsPerRun(1000, fwd); a != 0 {
+		t.Errorf("steady-state OnForward allocates %v times per probe, want 0", a)
+	}
+	got, _, err := probe.Decode(pkt.Payload)
+	if err != nil || len(got.Hops) != 1 || got.Hops[0].LinkID != int32(port.Link.ID) || pkt.Size != probe.WireSize(1) {
+		t.Errorf("stamped probe: %+v, size %d, err %v", got, pkt.Size, err)
+	}
+	if phi, w := ag.Subscription(port.Link.ID); phi != 10*pairs || w != pairs*(32<<10) {
+		t.Errorf("registers Φ=%v W=%d after %d pairs", phi, w, pairs)
+	}
+}

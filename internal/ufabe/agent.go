@@ -540,7 +540,9 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 		Window: uint32(min64(p.Window(), int64(^uint32(0)))),
 		SentAt: int64(a.eng.Now()),
 	}
-	buf, err := pp.Encode(nil)
+	// Room for one INT record per link of the path: the switches stamp the
+	// buffer in place (probe.StampHop) and never regrow it.
+	buf, err := pp.Encode(make([]byte, 0, probe.PayloadSize(len(ps.route))))
 	if err != nil {
 		panic(fmt.Sprintf("ufabe: probe encode: %v", err))
 	}
