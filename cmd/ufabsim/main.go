@@ -508,7 +508,7 @@ usage:
   ufabsim [flags] audit all | <id>...
   ufabsim [flags] check [-golden file] [-update] [-tol t] [-telemetry] [-audit]
   ufabsim fuzz [-seeds n] [-seed0 s] [-budget d] [-shrink] [-out dir] [-corpus dir] [-replay file]
-  ufabsim serve [-addr a] [-store dir] [-seed s] [-churn] [-policy p] [-shards n] [-oversub f]
+  ufabsim serve [-addr a] [-store dir] [-seed s] [-churn] [-policy p] [-oversub f] [-slots n]
   ufabsim ctl [-addr a] <verb> [args]   (ufabsim ctl -h for verbs)
 
 flags:

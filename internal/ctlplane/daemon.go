@@ -1,6 +1,8 @@
 package ctlplane
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -42,6 +44,19 @@ type DaemonConfig struct {
 	SlotsPerHost int
 }
 
+// Northbound HTTP server limits. There is deliberately no write timeout:
+// /v1/findings?follow=1 is a stream.
+const (
+	// readHeaderTimeout bounds how long a connection may dribble its
+	// request line and headers.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes keep-alive connections nobody uses.
+	idleTimeout = 2 * time.Minute
+	// shutdownGrace bounds how long Stop waits for in-flight requests to
+	// be answered before the engine loop exits.
+	shutdownGrace = 5 * time.Second
+)
+
 // Daemon is the always-on control plane: a simulated Clos fabric advanced
 // in wall-clock ticks, the Service reconciling over it, and the
 // northbound HTTP API. Every mutation — HTTP handler or timer — runs on
@@ -57,9 +72,15 @@ type Daemon struct {
 	Reg   *telemetry.Registry
 	Audit *audit.Log
 
-	ops  chan func()
-	quit chan struct{}
-	done chan struct{}
+	ops chan func()
+	// Stop closes draining first (findings streams end, the HTTP server
+	// shuts down while the loop still answers in-flight requests), then
+	// quit (the loop exits); the loop closes done.
+	draining chan struct{}
+	quit     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
+	srv      *http.Server
 
 	findingsMu   sync.Mutex
 	findingsSubs map[chan audit.Finding]struct{}
@@ -102,6 +123,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Reg:          telemetry.New(),
 		Audit:        &audit.Log{},
 		ops:          make(chan func(), 64),
+		draining:     make(chan struct{}),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		findingsSubs: make(map[chan audit.Finding]struct{}),
@@ -153,6 +175,11 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d.UF.StartSampling(250 * sim.Microsecond)
 	if cfg.Churn {
 		d.Eng.Every(200*sim.Microsecond, d.churnTick)
+	}
+	d.srv = &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	return d, nil
 }
@@ -222,18 +249,26 @@ func (d *Daemon) Loop() {
 	}
 }
 
-// Stop terminates the loop. Safe to call more than once.
+// Stop shuts the daemon down in order: the HTTP server stops accepting
+// and its in-flight requests are answered (bounded by shutdownGrace) while
+// the loop still runs, then the loop exits and the store is snapshotted
+// and closed. Safe to call more than once; every call returns after the
+// shutdown has completed.
 func (d *Daemon) Stop() {
-	select {
-	case <-d.quit:
-	default:
+	d.stopOnce.Do(func() {
+		close(d.draining)
+		// A no-op unless ListenAndServe is serving; on timeout the
+		// stragglers are cut when the process exits.
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		_ = d.srv.Shutdown(ctx)
+		cancel()
 		close(d.quit)
-	}
-	<-d.done
-	if st := d.Svc.Store(); st != nil {
-		_ = st.Snapshot()
-		_ = st.Close()
-	}
+		<-d.done
+		if st := d.Svc.Store(); st != nil {
+			_ = st.Snapshot()
+			_ = st.Close()
+		}
+	})
 }
 
 // broadcastFinding fans a finding out to the streaming subscribers
@@ -264,27 +299,21 @@ func (d *Daemon) subscribeFindings() (ch chan audit.Finding, cancel func()) {
 }
 
 // ListenAndServe runs the daemon: engine loop in the background, HTTP in
-// the foreground until the listener fails or Stop is called. ready, if
-// non-nil, receives the bound address (useful with ":0").
+// the foreground until the listener fails or Stop is called; after a Stop
+// it returns once the shutdown has completed. ready, if non-nil, receives
+// the bound address (useful with ":0").
 func (d *Daemon) ListenAndServe(ready chan<- string) error {
 	ln, err := net.Listen("tcp", d.Cfg.Addr)
 	if err != nil {
 		return err
 	}
 	go d.Loop()
-	srv := &http.Server{Handler: d.Handler()}
-	go func() {
-		<-d.quit
-		ln.Close()
-	}()
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	err = srv.Serve(ln)
-	select {
-	case <-d.quit: // orderly Stop: the listener close is expected
-		return nil
-	default:
+	if err := d.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
+	d.Stop() // wait out the Stop that closed the server
+	return nil
 }

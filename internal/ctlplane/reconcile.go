@@ -11,10 +11,7 @@ package ctlplane
 // scenario — so experiments driving it from simulated time are
 // byte-identical across parallel runs.
 
-import (
-	"ufab/internal/placement"
-	"ufab/internal/sim"
-)
+import "ufab/internal/sim"
 
 // Reconcile runs one convergence pass at simulated time nowPS and
 // returns how many tenants changed state.
@@ -28,8 +25,9 @@ func (s *Service) Reconcile(nowPS int64) int {
 	// set ∨ drain. The set was updated synchronously as the recorder saw
 	// each dataplane fault, so a pass at time T observes exactly the
 	// faults before T — the same view the old fabric poll produced.
-	for i, h := range s.fleet.Hosts {
-		s.fleet.Unschedulable[i] = s.failed[h] || s.draining[h]
+	fleet := s.alloc.Fleet()
+	for i, h := range fleet.Hosts {
+		fleet.Unschedulable[i] = s.failed[h] || s.draining[h]
 	}
 
 	ids := s.sortedIDsLocked()
@@ -42,13 +40,9 @@ func (s *Service) Reconcile(nowPS int64) int {
 		if t.Status != StatusPlaced || !s.displacedLocked(t) {
 			continue
 		}
-		s.teardownLocked(t)
-		t.Status = StatusDegraded
-		t.Retries = 0
-		t.NotBeforePS = nowPS
-		t.UpdatedPS = nowPS
+		s.alloc.Withdraw(t.ID)
+		s.degradeLocked(t, nowPS)
 		s.displaced++
-		_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 		changed++
 	}
 
@@ -87,8 +81,9 @@ func (s *Service) Reconcile(nowPS int64) int {
 
 // displacedLocked reports whether any of t's hosts is unschedulable.
 func (s *Service) displacedLocked(t *Tenant) bool {
+	fleet := s.alloc.Fleet()
 	for _, h := range t.Hosts {
-		if i := s.fleet.HostIndex(h); i >= 0 && s.fleet.Unschedulable[i] {
+		if i := fleet.HostIndex(h); i >= 0 && fleet.Unschedulable[i] {
 			return true
 		}
 	}
@@ -130,27 +125,10 @@ func (s *Service) Recover(nowPS int64) error {
 		if t.Status != StatusPlaced {
 			continue
 		}
-		hosts := t.Hosts
-		pairs := placement.ChainPairs(hosts)
-		ok := len(hosts) == t.VMs
-		if ok {
-			ok = s.ledger.Admit(t.ID, t.GuaranteeBps, pairs) == nil
+		if _, err := s.alloc.Restore(t.request(), t.Hosts); err != nil {
+			s.degradeLocked(t, nowPS)
 		}
-		if ok && s.mat != nil && !s.mat.AddTenant(s.spec(t, pairs)) {
-			s.ledger.Release(t.ID)
-			ok = false
-		}
-		if !ok {
-			t.Hosts = nil
-			t.Status = StatusDegraded
-			t.Retries = 0
-			t.NotBeforePS = nowPS
-			t.UpdatedPS = nowPS
-			_ = s.persistPutLocked(t) // best effort: see persistPutLocked
-			continue
-		}
-		s.fleet.Place(hosts)
 	}
 	s.flushLocked()
-	return s.ledger.Verify()
+	return s.alloc.Ledger().Verify()
 }

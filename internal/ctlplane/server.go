@@ -20,25 +20,6 @@ import (
 	"ufab/internal/topo"
 )
 
-// admitBody is the wire form of an admit/evaluate request.
-type admitBody struct {
-	ID           int32   `json:"id"`
-	GuaranteeBps float64 `json:"guarantee_bps"`
-	VMs          int     `json:"vms"`
-	WeightClass  int     `json:"weight_class"`
-	BacklogBytes int64   `json:"backlog_bytes"`
-}
-
-func (b admitBody) request() placement.Request {
-	return placement.Request{
-		ID:           b.ID,
-		GuaranteeBps: b.GuaranteeBps,
-		VMs:          b.VMs,
-		WeightClass:  b.WeightClass,
-		BacklogBytes: b.BacklogBytes,
-	}
-}
-
 type idBody struct {
 	ID int32 `json:"id"`
 }
@@ -102,22 +83,22 @@ func (d *Daemon) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/admit", func(w http.ResponseWriter, r *http.Request) {
-		var body admitBody
-		if !readJSON(w, r, &body) {
+		var req placement.Request
+		if !readJSON(w, r, &req) {
 			return
 		}
 		var dec Decision
-		d.Do(func() { dec = d.Svc.Admit(body.request(), int64(d.Eng.Now())) })
+		d.Do(func() { dec = d.Svc.Admit(req, int64(d.Eng.Now())) })
 		writeJSON(w, http.StatusOK, dec)
 	})
 
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
-		var body admitBody
-		if !readJSON(w, r, &body) {
+		var req placement.Request
+		if !readJSON(w, r, &req) {
 			return
 		}
 		var dec Decision
-		d.Do(func() { dec = d.Svc.Evaluate(body.request()) })
+		d.Do(func() { dec = d.Svc.Evaluate(req) })
 		writeJSON(w, http.StatusOK, dec)
 	})
 
@@ -308,7 +289,7 @@ func (d *Daemon) serveFindings(w http.ResponseWriter, r *http.Request) {
 			}
 		case <-r.Context().Done():
 			return
-		case <-d.quit:
+		case <-d.draining:
 			return
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ufab/internal/placement"
 	"ufab/internal/sim"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
@@ -73,18 +74,18 @@ func TestServerEndToEnd(t *testing.T) {
 	_, base := testDaemon(t, DaemonConfig{Seed: 1})
 
 	var dec Decision
-	postJSON(t, base+"/v1/admit", admitBody{ID: 1, GuaranteeBps: 2e9, VMs: 2, WeightClass: 5}, &dec)
+	postJSON(t, base+"/v1/admit", placement.Request{ID: 1, GuaranteeBps: 2e9, VMs: 2, WeightClass: 5}, &dec)
 	if !dec.Accepted || len(dec.Hosts) != 2 {
 		t.Fatalf("admit: %+v", dec)
 	}
 	// Copy: later decodes into dec would otherwise scribble over the
 	// shared backing array.
 	placedHosts := append([]topo.NodeID(nil), dec.Hosts...)
-	postJSON(t, base+"/v1/admit", admitBody{ID: 1, GuaranteeBps: 1e9, VMs: 1}, &dec)
+	postJSON(t, base+"/v1/admit", placement.Request{ID: 1, GuaranteeBps: 1e9, VMs: 1}, &dec)
 	if dec.Accepted || dec.Reason != "duplicate" {
 		t.Fatalf("duplicate admit: %+v", dec)
 	}
-	postJSON(t, base+"/v1/evaluate", admitBody{ID: 2, GuaranteeBps: 1e9, VMs: 3}, &dec)
+	postJSON(t, base+"/v1/evaluate", placement.Request{ID: 2, GuaranteeBps: 1e9, VMs: 3}, &dec)
 	if !dec.Accepted {
 		t.Fatalf("evaluate: %+v", dec)
 	}
@@ -157,7 +158,7 @@ func TestDaemonRestartRecovery(t *testing.T) {
 	d1, base1 := testDaemon(t, DaemonConfig{Seed: 1, StoreDir: dir})
 	var dec Decision
 	for id := int32(1); id <= 3; id++ {
-		postJSON(t, base1+"/v1/admit", admitBody{ID: id, GuaranteeBps: 1e9, VMs: 2}, &dec)
+		postJSON(t, base1+"/v1/admit", placement.Request{ID: id, GuaranteeBps: 1e9, VMs: 2}, &dec)
 		if !dec.Accepted {
 			t.Fatalf("admit %d: %+v", id, dec)
 		}
@@ -186,7 +187,7 @@ func TestDaemonRestartRecovery(t *testing.T) {
 func TestServerOpenMetricsEndpoint(t *testing.T) {
 	_, base := testDaemon(t, DaemonConfig{Seed: 1})
 	var dec Decision
-	postJSON(t, base+"/v1/admit", admitBody{ID: 1, GuaranteeBps: 2e9, VMs: 2, WeightClass: 5}, &dec)
+	postJSON(t, base+"/v1/admit", placement.Request{ID: 1, GuaranteeBps: 2e9, VMs: 2, WeightClass: 5}, &dec)
 	if !dec.Accepted {
 		t.Fatalf("admit: %+v", dec)
 	}
@@ -270,5 +271,83 @@ func TestServerFindingsEndpoint(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/jsonl" {
 		t.Fatalf("content type %q", ct)
+	}
+}
+
+// TestDaemonStopAnswersInFlight: Stop shuts the HTTP server down while the
+// engine loop still runs, so an admit already parked behind a busy loop
+// gets its real decision — not a cut connection, not a zero-value reply —
+// and a findings stream does not hold the shutdown up. ListenAndServe
+// returns only once the store is closed.
+func TestDaemonStopAnswersInFlight(t *testing.T) {
+	d, err := NewDaemon(DaemonConfig{Addr: "127.0.0.1:0", StoreDir: t.TempDir(), Seed: 1, TickEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan string, 1)
+	served := make(chan error, 1)
+	go func() { served <- d.ListenAndServe(ready) }()
+	base := "http://" + <-ready
+
+	stream, err := http.Get(base + "/v1/findings?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+
+	// Occupy the loop, then park an admit behind it.
+	release := make(chan struct{})
+	busy := make(chan struct{})
+	go d.Do(func() { close(busy); <-release })
+	<-busy
+	type reply struct {
+		code int
+		dec  Decision
+		err  error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		b, _ := json.Marshal(placement.Request{ID: 1, GuaranteeBps: 1e9, VMs: 2})
+		resp, err := http.Post(base+"/v1/admit", "application/json", bytes.NewReader(b))
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := reply{code: resp.StatusCode}
+		r.err = json.NewDecoder(resp.Body).Decode(&r.dec)
+		got <- r
+	}()
+	for len(d.ops) == 0 { // the admit's op is queued behind the busy loop
+		time.Sleep(time.Millisecond)
+	}
+
+	stopped := make(chan struct{})
+	go func() { d.Stop(); close(stopped) }()
+	<-d.draining
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned with a request still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+
+	r := <-got
+	if r.err != nil || r.code != http.StatusOK || !r.dec.Accepted || len(r.dec.Hosts) != 2 {
+		t.Fatalf("in-flight admit: %+v", r)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(shutdownGrace):
+		t.Fatal("Stop is still waiting: the findings stream held the shutdown up")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ListenAndServe after an orderly Stop: %v", err)
+	}
+	if err := d.Svc.Store().Put(Tenant{ID: 2}); err == nil {
+		t.Fatal("store still open after ListenAndServe returned")
+	}
+	if _, err := http.Get(base + "/v1/status"); err == nil {
+		t.Fatal("the listener still accepts after Stop")
 	}
 }

@@ -7,21 +7,22 @@
 // toward it by a reconciler that re-places tenants displaced by node
 // failures, evacuates drained hosts, and rolls back partial
 // materializations — with per-tenant status and bounded retry/backoff.
-// Admissions commit through the one per-link subscription ledger,
-// placement.Ledger — the same account the in-simulation Controller uses.
-// It is a single mutex, not a striped or two-phase structure, because
-// nothing reaches it concurrently: Service holds its own lock across
-// every Admit/Evaluate/Release/Reconcile/Recover, and the daemon in
-// daemon.go (`ufabsim serve`) funnels every HTTP operation onto the one
-// engine goroutine. The whole thing is served northbound over HTTP/JSON.
+// Every change to realized state — admit, what-if, re-placement, recovery,
+// teardown — is one call into placement.Allocator, the admission
+// transaction the in-simulation Controller also uses; this package keeps
+// only what is its own: desired records, the store, the watcher and the
+// reconciler. The ledger under the transaction is a single mutex, not a
+// striped or two-phase structure, because nothing reaches it concurrently:
+// Service holds its own lock across every
+// Admit/Evaluate/Release/Reconcile/Recover, and the daemon in daemon.go
+// (`ufabsim serve`) funnels every HTTP operation onto the one engine
+// goroutine. The whole thing is served northbound over HTTP/JSON.
 package ctlplane
 
 import (
-	"errors"
 	"sort"
 	"sync"
 
-	"ufab/internal/chaos"
 	"ufab/internal/placement"
 	"ufab/internal/sim"
 	"ufab/internal/telemetry"
@@ -73,11 +74,9 @@ type Stats struct {
 // callers (experiments) drive it from one goroutine, where iteration
 // order is fixed by sorted tenant ids.
 type Service struct {
-	cfg    Config
-	ledger *placement.Ledger
-	fleet  *placement.Fleet
-	store  *Store
-	mat    placement.Materializer
+	cfg   Config
+	alloc *placement.Allocator
+	store *Store
 
 	mu       sync.Mutex
 	tenants  map[int32]*Tenant
@@ -95,12 +94,6 @@ type Service struct {
 // (no persistence — experiments run in-memory); mat may be nil
 // (ledger-only operation).
 func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Config) *Service {
-	if cfg.Oversubscription == 0 {
-		cfg.Oversubscription = 1.0
-	}
-	if cfg.SlotsPerHost == 0 {
-		cfg.SlotsPerHost = 8
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = placement.Spread{}
 	}
@@ -110,14 +103,15 @@ func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Con
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 250 * sim.Microsecond
 	}
-	ledger := placement.NewLedger(g, cfg.MaxPaths)
-	ledger.Oversubscription = cfg.Oversubscription
 	return &Service{
-		cfg:      cfg,
-		ledger:   ledger,
-		fleet:    placement.NewFleet(g, cfg.SlotsPerHost),
+		cfg: cfg,
+		alloc: placement.NewAllocator(g, mat, placement.Config{
+			Oversubscription: cfg.Oversubscription,
+			SlotsPerHost:     cfg.SlotsPerHost,
+			MaxPaths:         cfg.MaxPaths,
+			Policy:           cfg.Policy,
+		}),
 		store:    store,
-		mat:      mat,
 		tenants:  make(map[int32]*Tenant),
 		draining: make(map[topo.NodeID]bool),
 		failed:   make(map[topo.NodeID]bool),
@@ -150,10 +144,10 @@ func (s *Service) WatchRecorder(rec *telemetry.Recorder) {
 
 // Ledger exposes the subscription account (read side for the auditor's
 // ledger_bound invariant and for experiments).
-func (s *Service) Ledger() *placement.Ledger { return s.ledger }
+func (s *Service) Ledger() *placement.Ledger { return s.alloc.Ledger() }
 
 // Fleet exposes the slot-occupancy view.
-func (s *Service) Fleet() *placement.Fleet { return s.fleet }
+func (s *Service) Fleet() *placement.Fleet { return s.alloc.Fleet() }
 
 // Store exposes the persistence layer (nil when running in-memory).
 func (s *Service) Store() *Store { return s.store }
@@ -165,9 +159,6 @@ func (s *Service) Store() *Store { return s.store }
 func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.GuaranteeBps <= 0 || req.VMs < 1 {
-		return s.rejectLocked("invalid")
-	}
 	if s.tenants[req.ID] != nil {
 		return s.rejectLocked("duplicate")
 	}
@@ -189,7 +180,7 @@ func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 		// the realized state back down and withdraw whatever part of the
 		// record the store did keep (a put that landed before a failed
 		// checkpoint).
-		s.teardownLocked(t)
+		s.alloc.Withdraw(t.ID)
 		s.persistDeleteLocked(t.ID)
 		return s.rejectLocked("store")
 	}
@@ -204,21 +195,12 @@ func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 func (s *Service) Evaluate(req placement.Request) Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.GuaranteeBps <= 0 || req.VMs < 1 {
-		return Decision{Reason: "invalid"}
-	}
 	if s.tenants[req.ID] != nil {
 		return Decision{Reason: "duplicate"}
 	}
-	hosts := s.cfg.Policy.Place(req, s.fleet, s.ledger)
-	if len(hosts) != req.VMs {
-		return Decision{Reason: "placement"}
-	}
-	if err := s.ledger.Fits(req.GuaranteeBps, placement.ChainPairs(hosts)); err != nil {
-		if errors.Is(err, placement.ErrHeadroom) {
-			return Decision{Reason: "headroom"}
-		}
-		return Decision{Reason: "placement"}
+	hosts, err := s.alloc.Propose(req)
+	if err != nil {
+		return Decision{Reason: placement.Reason(err)}
 	}
 	return Decision{Accepted: true, Hosts: hosts}
 }
@@ -232,7 +214,7 @@ func (s *Service) Release(id int32, nowPS int64) bool {
 	if t == nil {
 		return false
 	}
-	s.teardownLocked(t)
+	s.alloc.Withdraw(id) // a tenant that is not Placed holds nothing
 	delete(s.tenants, id)
 	s.persistDeleteLocked(id)
 	s.released++
@@ -246,7 +228,7 @@ func (s *Service) Release(id int32, nowPS int64) bool {
 func (s *Service) Drain(h topo.NodeID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.fleet.SetUnschedulable(h, true) {
+	if !s.alloc.Fleet().SetUnschedulable(h, true) {
 		return false
 	}
 	s.draining[h] = true
@@ -265,44 +247,18 @@ func (s *Service) Uncordon(h topo.NodeID) bool {
 	// Schedulability is recomputed (failed ∨ drain) next reconcile; clear
 	// the drain bit now so admissions between ticks can use the host.
 	if !s.failed[h] {
-		s.fleet.SetUnschedulable(h, false)
+		s.alloc.Fleet().SetUnschedulable(h, false)
 	}
 	return true
 }
 
-// placeLocked attempts to realize t: policy placement, budgeted ledger
-// admission, fabric materialization with rollback. On success t becomes
-// Placed. mu must be held.
+// placeLocked attempts to realize t through the admission transaction.
+// On success t becomes Placed. mu must be held.
 func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
-	req := placement.Request{
-		ID:           t.ID,
-		GuaranteeBps: t.GuaranteeBps,
-		VMs:          t.VMs,
-		WeightClass:  t.WeightClass,
-		BacklogBytes: t.BacklogBytes,
+	hosts, _, err := s.alloc.Realize(t.request())
+	if err != nil {
+		return Decision{Reason: placement.Reason(err)}
 	}
-	hosts := s.cfg.Policy.Place(req, s.fleet, s.ledger)
-	if len(hosts) != t.VMs {
-		return Decision{Reason: "placement"}
-	}
-	pairs := placement.ChainPairs(hosts)
-	if err := s.ledger.Admit(t.ID, t.GuaranteeBps, pairs); err != nil {
-		switch {
-		case errors.Is(err, placement.ErrHeadroom):
-			return Decision{Reason: "headroom"}
-		case errors.Is(err, placement.ErrDuplicate):
-			return Decision{Reason: "duplicate"}
-		default:
-			return Decision{Reason: "invalid"}
-		}
-	}
-	if s.mat != nil {
-		if !s.mat.AddTenant(s.spec(t, pairs)) {
-			s.ledger.Release(t.ID)
-			return Decision{Reason: "materialize"}
-		}
-	}
-	s.fleet.Place(hosts)
 	t.Hosts = hosts
 	t.Status = StatusPlaced
 	t.Retries = 0
@@ -311,33 +267,15 @@ func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
 	return Decision{Accepted: true, Hosts: hosts}
 }
 
-// teardownLocked removes t's realized state (ledger, slots, fabric), if
-// any. mu must be held.
-func (s *Service) teardownLocked(t *Tenant) {
-	if t.Status != StatusPlaced {
-		return
-	}
-	if s.mat != nil {
-		s.mat.RemoveTenant(t.ID)
-	}
-	s.ledger.Release(t.ID)
-	s.fleet.Release(t.Hosts)
+// degradeLocked records that t holds no realized state any more and is
+// due for re-placement at nowPS. mu must be held.
+func (s *Service) degradeLocked(t *Tenant, nowPS int64) {
 	t.Hosts = nil
-}
-
-// spec converts a tenant + chain into the churn surface's tenant spec.
-func (s *Service) spec(t *Tenant, pairs []placement.Pair) chaos.TenantSpec {
-	sp := chaos.TenantSpec{
-		VF:           t.ID,
-		GuaranteeBps: t.GuaranteeBps,
-		WeightClass:  t.WeightClass,
-	}
-	for _, p := range pairs {
-		sp.Pairs = append(sp.Pairs, chaos.PairSpec{
-			Src: p.Src, Dst: p.Dst, BacklogBytes: t.BacklogBytes,
-		})
-	}
-	return sp
+	t.Status = StatusDegraded
+	t.Retries = 0
+	t.NotBeforePS = nowPS
+	t.UpdatedPS = nowPS
+	_ = s.persistPutLocked(t) // best effort: see persistPutLocked
 }
 
 func (s *Service) rejectLocked(reason string) Decision {
@@ -383,12 +321,6 @@ func (s *Service) StatusCounts() map[TenantStatus]int {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	placed := 0
-	for _, t := range s.tenants {
-		if t.Status == StatusPlaced {
-			placed++
-		}
-	}
 	return Stats{
 		Admitted:       s.admitted,
 		Rejected:       s.rejected,
@@ -399,12 +331,22 @@ func (s *Service) Stats() Stats {
 		Retries:        s.retries,
 		Evictions:      s.evictions,
 		Desired:        len(s.tenants),
-		Placed:         placed,
+		Placed:         s.placedLocked(),
 	}
 }
 
+func (s *Service) placedLocked() int {
+	placed := 0
+	for _, t := range s.tenants {
+		if t.Status == StatusPlaced {
+			placed++
+		}
+	}
+	return placed
+}
+
 // Verify recomputes the ledger from the admitted set.
-func (s *Service) Verify() error { return s.ledger.Verify() }
+func (s *Service) Verify() error { return s.alloc.Ledger().Verify() }
 
 func (s *Service) sortedIDsLocked() []int32 {
 	ids := make([]int32, 0, len(s.tenants))
@@ -437,27 +379,15 @@ func (s *Service) flushLocked() {
 	if reg == nil {
 		return
 	}
-	set := func(name string, v int64) {
-		cnt := reg.Counter(name)
-		if d := v - cnt.Value(); d > 0 {
-			cnt.Add(d)
-		}
-	}
-	set("placement.ctl.admitted", s.admitted)
-	set("placement.ctl.rejected", s.rejected)
-	set("placement.ctl.released", s.released)
-	set("placement.ctl.reconcile_loops", s.reconcileLoops)
-	set("placement.ctl.displaced", s.displaced)
-	set("placement.ctl.replacements", s.replacements)
-	set("placement.ctl.retries", s.retries)
-	set("placement.ctl.evictions", s.evictions)
-	placed := 0
-	for _, t := range s.tenants {
-		if t.Status == StatusPlaced {
-			placed++
-		}
-	}
+	placement.MirrorCounter(reg, "placement.ctl.admitted", s.admitted)
+	placement.MirrorCounter(reg, "placement.ctl.rejected", s.rejected)
+	placement.MirrorCounter(reg, "placement.ctl.released", s.released)
+	placement.MirrorCounter(reg, "placement.ctl.reconcile_loops", s.reconcileLoops)
+	placement.MirrorCounter(reg, "placement.ctl.displaced", s.displaced)
+	placement.MirrorCounter(reg, "placement.ctl.replacements", s.replacements)
+	placement.MirrorCounter(reg, "placement.ctl.retries", s.retries)
+	placement.MirrorCounter(reg, "placement.ctl.evictions", s.evictions)
 	reg.Gauge("placement.ctl.desired_tenants").Set(float64(len(s.tenants)))
-	reg.Gauge("placement.ctl.placed_tenants").Set(float64(placed))
-	reg.Gauge("placement.ctl.max_subscription").SetMax(s.ledger.MaxSubscription())
+	reg.Gauge("placement.ctl.placed_tenants").Set(float64(s.placedLocked()))
+	reg.Gauge("placement.ctl.max_subscription").SetMax(s.alloc.Ledger().MaxSubscription())
 }

@@ -170,7 +170,7 @@ func TestServiceRecover(t *testing.T) {
 	s.Release(2, 100)
 	before := s.TenantList()
 	links := map[topo.LinkID]float64{}
-	for lid := range s.ledger.Graph().Links {
+	for lid := range s.Ledger().Graph().Links {
 		links[topo.LinkID(lid)] = s.Ledger().CommittedBps(topo.LinkID(lid))
 	}
 	usedBefore := append([]int(nil), s.Fleet().Used...)
@@ -201,6 +201,75 @@ func TestServiceRecover(t *testing.T) {
 		t.Fatalf("re-materialized %d tenants, want 3", mat2.adds)
 	}
 	if err := s2.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceRecoverHostileRecords: a store file is outside input. A
+// Placed record whose hosts are outside the graph, are not hosts, repeat,
+// or do not match its VM count must demote to Degraded — no index panic,
+// no slot charged to some other host — while a sound record beside them
+// recovers.
+func TestServiceRecoverHostileRecords(t *testing.T) {
+	tb := topo.NewTestbed(topo.TestbedConfig{})
+	h := tb.Servers
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[int32][]topo.NodeID{
+		1: {h[0], 9999},
+		2: {-1, h[1]},
+		3: {h[0], tb.ToRs[0]},
+		4: {h[2], h[3], h[2]},
+		5: {h[4]},
+		6: nil,
+	}
+	for id, hosts := range bad {
+		vms := 2
+		if id == 4 {
+			vms = 3
+		}
+		if err := st.Put(Tenant{ID: id, GuaranteeBps: 1e9, VMs: vms, Status: StatusPlaced, Hosts: hosts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	mat := newFakeMat()
+	s := testService(t, st2, mat)
+	if err := s.Recover(50); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	for id := range bad {
+		tn, _ := s.Get(id)
+		if tn.Status != StatusDegraded || tn.Hosts != nil || tn.NotBeforePS != 50 {
+			t.Fatalf("tenant %d after recovery: %+v, want Degraded with no hosts", id, tn)
+		}
+	}
+	for i, u := range s.Fleet().Used {
+		if u != 0 {
+			t.Fatalf("a rejected record charged host index %d: Used = %v", i, s.Fleet().Used)
+		}
+	}
+	if s.Ledger().Tenants() != 0 || mat.adds != 0 {
+		t.Fatalf("rejected records reached the ledger (%d) or fabric (%d)", s.Ledger().Tenants(), mat.adds)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// The reconciler then re-places them like any other Degraded tenant.
+	s.Reconcile(100)
+	if got := s.StatusCounts()[StatusPlaced]; got != len(bad) {
+		t.Fatalf("%d of %d demoted tenants re-placed: %v", got, len(bad), s.StatusCounts())
+	}
+	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"ufab/internal/placement"
 	"ufab/internal/topo"
 )
 
@@ -48,6 +49,18 @@ type Tenant struct {
 	Retries     int   `json:"retries,omitempty"`
 	NotBeforePS int64 `json:"not_before_ps,omitempty"`
 	UpdatedPS   int64 `json:"updated_ps,omitempty"`
+}
+
+// request is what the tenant asked for, in the admission transaction's
+// terms.
+func (t *Tenant) request() placement.Request {
+	return placement.Request{
+		ID:           t.ID,
+		GuaranteeBps: t.GuaranteeBps,
+		VMs:          t.VMs,
+		WeightClass:  t.WeightClass,
+		BacklogBytes: t.BacklogBytes,
+	}
 }
 
 // walRecord is one WAL line. CRC is crc32-IEEE over the record's JSON

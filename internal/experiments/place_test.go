@@ -116,3 +116,41 @@ func TestPlaceExperimentsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioBogusEndpointRejected: a scenario file is outside input. A
+// TenantArrive whose pair names a node outside the graph must be turned
+// away by checked admission (logged admission-reject) and the run must
+// carry on to the next event — not die indexing the graph.
+func TestScenarioBogusEndpointRejected(t *testing.T) {
+	eng := sim.New()
+	tb := topo.NewTestbed(topo.TestbedConfig{})
+	uf := vfabric.New(eng, tb.Graph, vfabric.Config{Seed: 1})
+	ctl := placement.NewController(eng, tb.Graph, uf, placement.Config{})
+	uf.Cfg.Ledger = ctl.Ledger()
+	sc := chaos.New("bogus endpoint").
+		ArriveTenant(sim.Millisecond, chaos.TenantSpec{
+			VF: 1, GuaranteeBps: 1e9,
+			Pairs: []chaos.PairSpec{{Src: tb.Servers[0], Dst: 9999}},
+		}).
+		ArriveTenant(2*sim.Millisecond, chaos.TenantSpec{
+			VF: 2, GuaranteeBps: 1e9,
+			Pairs: []chaos.PairSpec{{Src: tb.Servers[0], Dst: tb.Servers[5], BacklogBytes: 1 << 16}},
+		})
+	inj := uf.ApplyScenario(sc).WithAdmission(ctl)
+	eng.RunUntil(3 * sim.Millisecond)
+	if len(inj.Log) != 2 {
+		t.Fatalf("injection log has %d records, want 2: %v", len(inj.Log), inj.Log)
+	}
+	if inj.Log[0].OK || inj.Log[0].Note != "admission-reject" {
+		t.Fatalf("bogus arrival logged as %v, want an admission-reject", inj.Log[0])
+	}
+	if !inj.Log[1].OK {
+		t.Fatalf("the arrival after the bogus one did not materialize: %v", inj.Log[1])
+	}
+	if st := ctl.Stats(); st.Admitted != 1 || st.Rejected != 1 || st.Active != 1 {
+		t.Fatalf("controller stats %+v", st)
+	}
+	if err := ctl.Ledger().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -99,10 +99,10 @@ func Churn(c *Controller, cfg ChurnConfig) *ChurnStats {
 				}
 				st.Accepted++
 				st.TimeToAdmit.Add(float64(d.DecidedAt-d.SubmittedAt) / 1e6)
-				if s := c.ledger.MaxSubscription(); s > st.PeakMaxSubscription {
+				if s := c.alloc.ledger.MaxSubscription(); s > st.PeakMaxSubscription {
 					st.PeakMaxSubscription = s
 				}
-				if n := c.ledger.Tenants(); n > st.PeakTenants {
+				if n := c.alloc.ledger.Tenants(); n > st.PeakTenants {
 					st.PeakTenants = n
 				}
 				c.eng.At(c.eng.Now()+sim.Time(hold), func() {
@@ -118,5 +118,5 @@ func Churn(c *Controller, cfg ChurnConfig) *ChurnStats {
 // engine drains (departures may still be pending when the last arrival
 // decides).
 func (s *ChurnStats) Finish(c *Controller) {
-	s.FinalMeanSubscription = c.ledger.MeanSubscription()
+	s.FinalMeanSubscription = c.alloc.ledger.MeanSubscription()
 }

@@ -47,7 +47,7 @@ func TestChurnDrainsClean(t *testing.T) {
 	if n := c.Ledger().Tenants(); n != 0 {
 		t.Fatalf("%d tenants still committed after drain", n)
 	}
-	for i := range c.ledger.Graph().Links {
+	for i := range c.Ledger().Graph().Links {
 		if got := c.Ledger().CommittedBps(topo.LinkID(i)); got != 0 {
 			t.Fatalf("link %d residue %v", i, got)
 		}

@@ -2,30 +2,12 @@ package placement
 
 import (
 	"errors"
-	"fmt"
 
 	"ufab/internal/chaos"
 	"ufab/internal/sim"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
 )
-
-// Request asks the controller to admit one tenant: a hose guarantee per
-// VM, a VM count (materialized as a chain of VM-pairs), and a WFQ weight
-// class.
-type Request struct {
-	// ID becomes the tenant's VF id; it must be unique among admitted
-	// tenants.
-	ID int32
-	// GuaranteeBps is the per-VM hose guarantee.
-	GuaranteeBps float64
-	// VMs is how many VMs to place (each on a distinct host).
-	VMs int
-	// WeightClass is the WFQ class (0..7).
-	WeightClass int
-	// BacklogBytes per materialized pair; <= 0 means effectively infinite.
-	BacklogBytes int64
-}
 
 // Decision is the controller's verdict on one request.
 type Decision struct {
@@ -41,13 +23,6 @@ type Decision struct {
 	// SubmittedAt/DecidedAt bound the decision latency (queue wait +
 	// service time).
 	SubmittedAt, DecidedAt sim.Time
-}
-
-// Materializer turns an admitted spec into data-plane state.
-// *vfabric.Fabric implements it; ledger-only studies leave it nil.
-type Materializer interface {
-	AddTenant(spec chaos.TenantSpec) bool
-	RemoveTenant(vf int32) bool
 }
 
 // Config parameterizes a Controller.
@@ -72,23 +47,18 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Controller is the admission control plane: requests flow through a
-// FIFO decision queue, the policy proposes hosts, the ledger headroom
-// check accepts or rejects, and accepted tenants materialize through the
-// Materializer. It must run on the simulation engine's goroutine.
+// Controller is the in-simulation admission front-end: requests flow
+// through a FIFO decision queue, one per DecisionLatency, and each decision
+// is one Allocator transaction (policy → ledger headroom → materialize →
+// slots). The Controller adds only the queue, the lifetime counters and the
+// flight-recorder events. It must run on the simulation engine's goroutine.
 type Controller struct {
-	eng    sim.Scheduler
-	cfg    Config
-	ledger *Ledger
-	fleet  *Fleet
-	mat    Materializer
+	eng   sim.Scheduler
+	cfg   Config
+	alloc *Allocator
 
 	queue []queued
 	busy  bool
-
-	// hostsOf remembers policy-placed hosts per tenant so Release can
-	// return the slots.
-	hostsOf map[int32][]topo.NodeID
 
 	// Counters (also mirrored to telemetry when attached).
 	submitted, admitted, rejected, released int64
@@ -106,43 +76,24 @@ type queued struct {
 // NewController builds the control plane over the graph. mat may be nil
 // (ledger-only operation — admitted tenants exist on paper only).
 func NewController(eng sim.Scheduler, g *topo.Graph, mat Materializer, cfg Config) *Controller {
-	if cfg.Oversubscription == 0 {
-		cfg.Oversubscription = 1.0
-	}
-	if cfg.SlotsPerHost == 0 {
-		cfg.SlotsPerHost = 8
-	}
 	if cfg.DecisionLatency == 0 {
 		cfg.DecisionLatency = 10 * sim.Microsecond
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = FirstFit{}
-	}
-	c := &Controller{
-		eng:     eng,
-		cfg:     cfg,
-		ledger:  NewLedger(g, cfg.MaxPaths),
-		fleet:   NewFleet(g, cfg.SlotsPerHost),
-		mat:     mat,
-		hostsOf: make(map[int32][]topo.NodeID),
-	}
-	c.ledger.Oversubscription = cfg.Oversubscription
+	c := &Controller{eng: eng, cfg: cfg, alloc: NewAllocator(g, mat, cfg)}
 	if cfg.Telemetry != nil {
 		c.rec = cfg.Telemetry.Recorder()
 		c.hAdmit = cfg.Telemetry.Histogram("placement.ctl.admit_latency_us")
+		c.alloc.stage = c.stage
 	}
 	return c
 }
 
 // Ledger exposes the controller's subscription account (read side for
 // the auditor and experiments).
-func (c *Controller) Ledger() *Ledger { return c.ledger }
+func (c *Controller) Ledger() *Ledger { return c.alloc.ledger }
 
 // Fleet exposes the slot-occupancy view.
-func (c *Controller) Fleet() *Fleet { return c.fleet }
-
-// Policy returns the active placement policy.
-func (c *Controller) Policy() Policy { return c.cfg.Policy }
+func (c *Controller) Fleet() *Fleet { return c.alloc.fleet }
 
 // Submit enqueues a request; done (optional) fires with the decision
 // when the controller reaches it. Decisions are served FIFO, one per
@@ -175,85 +126,27 @@ func (c *Controller) serve() {
 	})
 }
 
-// decide runs one admission decision: place → headroom → commit →
-// materialize.
+// decide runs one admission decision through the transaction.
 func (c *Controller) decide(req Request) Decision {
-	if req.GuaranteeBps <= 0 || req.VMs < 1 || c.ledger.Has(req.ID) {
-		return c.reject(req, "invalid")
-	}
-	hosts := c.cfg.Policy.Place(req, c.fleet, c.ledger)
-	if len(hosts) != req.VMs {
-		return c.reject(req, "placement")
-	}
-	c.stage(req.ID, "place", 2)
-	pairs := ChainPairs(hosts)
-	if err := c.ledger.Admit(req.ID, req.GuaranteeBps, pairs); err != nil {
-		switch {
-		case errors.Is(err, ErrHeadroom):
-			return c.reject(req, "headroom")
-		case errors.Is(err, ErrDuplicate):
-			return c.reject(req, "invalid")
-		default: // unroutable pair
-			return c.reject(req, "placement")
+	hosts, pairs, err := c.alloc.Realize(req)
+	if err != nil {
+		c.count(&c.rejected, req, "reject")
+		if errors.Is(err, ErrDuplicate) {
+			err = ErrInvalid // Decision.Reason has never had a "duplicate"
 		}
+		return Decision{Reason: Reason(err)}
 	}
-	c.stage(req.ID, "commit", 3)
-	if c.mat != nil {
-		if !c.mat.AddTenant(c.spec(req, pairs)) {
-			c.ledger.Release(req.ID)
-			return c.reject(req, "materialize")
-		}
-		c.stage(req.ID, "materialize", 4)
-	}
-	c.fleet.Place(hosts)
-	c.hostsOf[req.ID] = hosts
-	c.admitted++
-	c.event(req, "admit")
-	c.flush()
+	c.count(&c.admitted, req, "admit")
 	return Decision{Accepted: true, Hosts: hosts, Pairs: pairs}
 }
 
-// spec converts an accepted request + chain into the churn surface's
-// tenant spec.
-func (c *Controller) spec(req Request, pairs []Pair) chaos.TenantSpec {
-	sp := chaos.TenantSpec{
-		VF:           req.ID,
-		GuaranteeBps: req.GuaranteeBps,
-		WeightClass:  req.WeightClass,
-	}
-	for _, p := range pairs {
-		sp.Pairs = append(sp.Pairs, chaos.PairSpec{
-			Src: p.Src, Dst: p.Dst, BacklogBytes: req.BacklogBytes,
-		})
-	}
-	return sp
-}
-
-func (c *Controller) reject(req Request, reason string) Decision {
-	c.rejected++
-	c.event(req, "reject")
-	c.flush()
-	return Decision{Reason: reason}
-}
-
-// Release tears an admitted tenant down: data-plane state first (finish
-// probes drain its registers), then the ledger commitment and host
-// slots. Returns false for an unknown tenant.
+// Release tears an admitted tenant down (Allocator.Withdraw). Returns
+// false for an unknown tenant.
 func (c *Controller) Release(id int32) bool {
-	if !c.ledger.Has(id) {
+	if !c.alloc.Withdraw(id) {
 		return false
 	}
-	if c.mat != nil {
-		c.mat.RemoveTenant(id)
-	}
-	c.ledger.Release(id)
-	if hosts, ok := c.hostsOf[id]; ok {
-		c.fleet.Release(hosts)
-		delete(c.hostsOf, id)
-	}
-	c.released++
-	c.event(Request{ID: id}, "release")
-	c.flush()
+	c.count(&c.released, Request{ID: id}, "release")
 	return true
 }
 
@@ -261,46 +154,38 @@ func (c *Controller) Release(id int32) bool {
 
 // AdmitSpec implements chaos.Admission: a scenario's explicit
 // TenantArrive spec (hosts already chosen) is checked against ledger
-// headroom and committed on accept. The injector materializes the spec
-// itself, so no Materializer call happens here. Slot occupancy is not
-// charged — scenario specs place VMs explicitly, outside the policy's
-// slot accounting.
+// headroom and committed on accept. It is ledger-only by design, not a
+// second copy of the transaction: the injector materializes the spec
+// itself, and scenario specs place VMs explicitly, outside the policy's
+// slot accounting — so there is no fabric step to roll back and no slot to
+// charge. A spec the ledger cannot account (non-positive guarantee,
+// duplicate id, endpoint outside the graph) is rejected.
 func (c *Controller) AdmitSpec(spec chaos.TenantSpec) bool {
 	req := Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps}
-	ok := spec.GuaranteeBps > 0 && !c.ledger.Has(spec.VF)
+	ok := spec.GuaranteeBps > 0 && !c.alloc.ledger.Has(spec.VF)
 	if ok {
 		pairs := make([]Pair, 0, len(spec.Pairs))
 		for _, p := range spec.Pairs {
 			pairs = append(pairs, Pair{Src: p.Src, Dst: p.Dst})
 		}
 		req.VMs = len(spec.Pairs) + 1
-		ok = c.ledger.Admit(spec.VF, spec.GuaranteeBps, pairs) == nil
+		ok = c.alloc.ledger.Admit(spec.VF, spec.GuaranteeBps, pairs) == nil
 	}
 	if !ok {
-		c.rejected++
-		c.event(req, "reject")
-		c.flush()
+		c.count(&c.rejected, req, "reject")
 		return false
 	}
-	c.admitted++
-	c.event(req, "admit")
-	c.flush()
+	c.count(&c.admitted, req, "admit")
 	return true
 }
 
 // ReleaseTenant implements chaos.Admission: the injector already tore the
 // tenant down (or never materialized it); only the commitment returns.
 func (c *Controller) ReleaseTenant(vf int32) bool {
-	if !c.ledger.Release(vf) {
+	if !c.alloc.release(vf) {
 		return false
 	}
-	if hosts, ok := c.hostsOf[vf]; ok {
-		c.fleet.Release(hosts)
-		delete(c.hostsOf, vf)
-	}
-	c.released++
-	c.event(Request{ID: vf}, "release")
-	c.flush()
+	c.count(&c.released, Request{ID: vf}, "release")
 	return true
 }
 
@@ -320,43 +205,44 @@ func (c *Controller) Stats() Stats {
 		Admitted:  c.admitted,
 		Rejected:  c.rejected,
 		Released:  c.released,
-		Active:    c.ledger.Tenants(),
+		Active:    c.alloc.ledger.Tenants(),
 		Pending:   len(c.queue),
 	}
 }
 
-// event records an EvPlacement flight-recorder entry, joined to the
-// request's admission trace.
+// count bumps one lifetime counter, records the outcome's flight-recorder
+// event and mirrors the counters into the registry.
+func (c *Controller) count(n *int64, req Request, note string) {
+	*n++
+	c.event(req, note)
+	c.flush()
+}
+
+// event records the outcome of a request (EvPlacement) under its
+// admission trace, after the pipeline stages.
 func (c *Controller) event(req Request, note string) {
+	c.record(telemetry.EvPlacement, req, note, 5)
+}
+
+// stage traces one step of the admission pipeline
+// (queue→place→commit→materialize) under the request's admission trace.
+func (c *Controller) stage(id int32, note string, span uint64) {
+	c.record(telemetry.EvStage, Request{ID: id}, note, span)
+}
+
+func (c *Controller) record(kind telemetry.EventKind, req Request, note string, span uint64) {
 	if c.rec == nil {
 		return
 	}
 	c.rec.Record(telemetry.Event{
 		T:      int64(c.eng.Now()),
-		Kind:   telemetry.EvPlacement,
+		Kind:   kind,
 		Entity: "placement.ctl",
 		A:      int64(req.ID),
 		B:      int64(req.VMs),
 		V:      req.GuaranteeBps,
 		Note:   note,
 		Trace:  telemetry.SpanID(telemetry.TraceAdmission, int64(req.ID)),
-		Span:   5,
-	})
-}
-
-// stage traces one step of the admission pipeline
-// (queue→place→commit→materialize) under the request's admission trace.
-func (c *Controller) stage(id int32, note string, span uint64) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Record(telemetry.Event{
-		T:      int64(c.eng.Now()),
-		Kind:   telemetry.EvStage,
-		Entity: "placement.ctl",
-		A:      int64(id),
-		Note:   note,
-		Trace:  telemetry.SpanID(telemetry.TraceAdmission, int64(id)),
 		Span:   span,
 	})
 }
@@ -367,24 +253,22 @@ func (c *Controller) flush() {
 	if reg == nil {
 		return
 	}
-	set := func(name string, v int64) {
-		cnt := reg.Counter(name)
-		if d := v - cnt.Value(); d > 0 {
-			cnt.Add(d)
-		}
+	MirrorCounter(reg, "placement.ctl.submitted", c.submitted)
+	MirrorCounter(reg, "placement.ctl.admitted", c.admitted)
+	MirrorCounter(reg, "placement.ctl.rejected", c.rejected)
+	MirrorCounter(reg, "placement.ctl.released", c.released)
+	reg.Gauge("placement.ctl.active_tenants").Set(float64(c.alloc.ledger.Tenants()))
+	reg.Gauge("placement.ctl.max_subscription").SetMax(c.alloc.ledger.MaxSubscription())
+}
+
+// MirrorCounter raises the registry counter name to v. Both front-ends
+// keep their lifetime counters as plain fields and publish them this way
+// after every decision.
+func MirrorCounter(reg *telemetry.Registry, name string, v int64) {
+	cnt := reg.Counter(name)
+	if d := v - cnt.Value(); d > 0 {
+		cnt.Add(d)
 	}
-	set("placement.ctl.submitted", c.submitted)
-	set("placement.ctl.admitted", c.admitted)
-	set("placement.ctl.rejected", c.rejected)
-	set("placement.ctl.released", c.released)
-	reg.Gauge("placement.ctl.active_tenants").Set(float64(c.ledger.Tenants()))
-	reg.Gauge("placement.ctl.max_subscription").SetMax(c.ledger.MaxSubscription())
 }
 
 var _ chaos.Admission = (*Controller)(nil)
-
-// String names the controller's configuration for experiment labels.
-func (c *Controller) String() string {
-	return fmt.Sprintf("placement(policy=%s, oversub=%.2f, slots=%d)",
-		c.cfg.Policy.Name(), c.cfg.Oversubscription, c.cfg.SlotsPerHost)
-}

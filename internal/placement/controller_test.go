@@ -68,7 +68,7 @@ func TestControllerAdmit(t *testing.T) {
 	if len(mat.removed) != 1 || mat.removed[0] != 1 {
 		t.Fatalf("removed %v", mat.removed)
 	}
-	if got := c.Fleet().FreeSlots(); got != 8*c.cfg.SlotsPerHost {
+	if got := c.Fleet().FreeSlots(); got != 8*c.Fleet().SlotsPerHost {
 		t.Fatalf("slots not returned: free = %d", got)
 	}
 }
@@ -101,40 +101,6 @@ func TestControllerHeadroomReject(t *testing.T) {
 	eng2.Run()
 	if !last.Accepted {
 		t.Fatalf("oversub=2 still rejected: %s", last.Reason)
-	}
-}
-
-func TestControllerSlotsExhausted(t *testing.T) {
-	c, eng, _ := newTestController(t, Config{SlotsPerHost: 1})
-	var decisions []Decision
-	// 8 hosts × 1 slot: two 4-VM tenants fill the fleet; the third has
-	// nowhere to go.
-	for i := int32(1); i <= 3; i++ {
-		c.Submit(Request{ID: i, GuaranteeBps: 1e8, VMs: 4}, func(d Decision) { decisions = append(decisions, d) })
-	}
-	eng.Run()
-	if !decisions[0].Accepted || !decisions[1].Accepted {
-		t.Fatalf("fleet-filling tenants rejected: %+v", decisions)
-	}
-	if decisions[2].Accepted || decisions[2].Reason != "placement" {
-		t.Fatalf("third = %+v, want placement reject", decisions[2])
-	}
-}
-
-func TestControllerMaterializeRollback(t *testing.T) {
-	c, eng, mat := newTestController(t, Config{})
-	mat.failNext = true
-	var got Decision
-	c.Submit(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, func(d Decision) { got = d })
-	eng.Run()
-	if got.Accepted || got.Reason != "materialize" {
-		t.Fatalf("decision = %+v", got)
-	}
-	if c.Ledger().Has(1) {
-		t.Fatal("failed materialization left ledger commitment")
-	}
-	if c.Fleet().FreeSlots() != 8*c.cfg.SlotsPerHost {
-		t.Fatal("failed materialization consumed slots")
 	}
 }
 
@@ -202,6 +168,20 @@ func TestControllerAdmitSpec(t *testing.T) {
 		Pairs: []chaos.PairSpec{{Src: s1, Dst: s2}}})
 	if !ok {
 		t.Fatal("spec rejected after headroom freed")
+	}
+	if err := c.Ledger().Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// A spec naming an endpoint outside the graph (a scenario file is
+	// outside input) is a rejection, not an index panic.
+	for _, bad := range []topo.NodeID{9999, -1, tb.ToRs[0]} {
+		if c.AdmitSpec(chaos.TenantSpec{VF: 3, GuaranteeBps: 1e9,
+			Pairs: []chaos.PairSpec{{Src: s1, Dst: bad}}}) {
+			t.Fatalf("spec with endpoint %d admitted", bad)
+		}
+	}
+	if st := c.Stats(); st.Admitted != 2 || st.Rejected != 4 || st.Active != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 	if err := c.Ledger().Verify(); err != nil {
 		t.Fatal(err)

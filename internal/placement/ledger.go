@@ -7,11 +7,15 @@
 // μFAB-C Φ_l registers meter at run time); this package is the layer that
 // establishes it before the data plane ever sees a packet.
 //
-// Ledger is the one account of that precondition in the tree: the
-// in-simulation Controller here and the always-on ctlplane.Service both
-// admit through Ledger.Admit, so the budget comparison exists once. It is
-// a single mutex rather than a striped structure because every caller is
-// already serialized (see the Ledger doc).
+// Ledger is the one account of that precondition in the tree and
+// Allocator the one transaction that changes it: validate → policy →
+// ledger headroom → materialize → host slots, and the inverse. The
+// in-simulation Controller here (a FIFO decision queue and recorder events
+// on top) and the always-on ctlplane.Service (desired records, store and
+// reconciler on top) both place, recover and tear down tenants through
+// Allocator, so every check, rollback and rejection reason exists once.
+// The ledger is a single mutex rather than a striped structure because
+// every caller is already serialized (see the Ledger doc).
 //
 // The package sits beside vfabric, not above it: admitted tenants
 // materialize through the chaos.TenantSpec churn surface (any
@@ -34,16 +38,23 @@ type Pair struct {
 	Src, Dst topo.NodeID
 }
 
-// Sentinel errors Admit, Commit and Fits wrap so callers can map a
-// failure to a rejection reason without string matching.
+// Sentinel errors the ledger and the Allocator return or wrap, so callers
+// map a failure to a rejection reason (Reason) without string matching.
 var (
 	// ErrHeadroom: a link would exceed the oversubscribed admission budget.
 	ErrHeadroom = errors.New("headroom")
 	// ErrDuplicate: the tenant id already holds a commitment.
 	ErrDuplicate = errors.New("duplicate tenant")
-	// ErrInvalid: malformed request (non-positive guarantee, unroutable
-	// pair).
+	// ErrInvalid: malformed request (non-positive guarantee, a pair that is
+	// unroutable or whose endpoint is not a host of the graph).
 	ErrInvalid = errors.New("invalid request")
+	// ErrPlacement: no feasible hosts — the fleet cannot hold the VMs, or
+	// the given hosts are not distinct, routable fleet hosts. A pair the
+	// ledger cannot route wraps it together with ErrInvalid.
+	ErrPlacement = errors.New("no feasible placement")
+	// ErrMaterialize: the fabric refused the spec; the transaction rolled
+	// the ledger commitment back.
+	ErrMaterialize = errors.New("fabric refused the tenant")
 )
 
 // Ledger is the per-link Σ-guarantee subscription account — the only one
@@ -116,12 +127,17 @@ func NewLedger(g *topo.Graph, maxPaths int) *Ledger {
 func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
 	l.touched = l.touched[:0]
 	for _, pr := range pairs {
-		paths := l.g.Paths(pr.Src, pr.Dst, l.maxPaths)
+		// Endpoints come from files and sockets (scenario specs, store
+		// records): vet them before the graph indexes by them.
+		var paths []topo.Path
+		if l.isHost(pr.Src) && l.isHost(pr.Dst) {
+			paths = l.g.Paths(pr.Src, pr.Dst, l.maxPaths)
+		}
 		if len(paths) == 0 {
 			for _, lid := range l.touched {
 				l.scratch[lid] = 0 // reset for the next call
 			}
-			return nil, nil, fmt.Errorf("placement: no path %d→%d: %w", pr.Src, pr.Dst, ErrInvalid)
+			return nil, nil, fmt.Errorf("placement: no path %d→%d: %w, %w", pr.Src, pr.Dst, ErrInvalid, ErrPlacement)
 		}
 		l.seq++
 		for _, p := range paths {
@@ -148,6 +164,11 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []flo
 	return links, amounts, nil
 }
 
+// isHost reports whether n names a host of the graph.
+func (l *Ledger) isHost(n topo.NodeID) bool {
+	return n >= 0 && int(n) < len(l.g.Nodes) && l.g.Nodes[n].Kind == topo.Host
+}
+
 // overBudget is the one headroom comparison: it returns the first link on
 // which committed + delta would exceed Oversubscription × capacity. mu
 // must be held.
@@ -167,7 +188,8 @@ func (l *Ledger) overBudget(links []topo.LinkID, amounts []float64) (topo.LinkID
 
 // Evaluate returns, without committing anything, the links a placement
 // would touch and the bps it would add to each. The returned slices are
-// freshly allocated; an error means a pair has no path.
+// freshly allocated; an error (wrapping ErrInvalid) means a pair has no
+// path or an endpoint that is not a host of the graph.
 func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -68,6 +68,36 @@ func TestLedgerRejects(t *testing.T) {
 	if l.Has(2) {
 		t.Fatal("failed commit left tenant registered")
 	}
+	// An endpoint outside the graph, negative, or naming a switch is
+	// ErrInvalid on every entry point — after a good first pair, so the
+	// scratch that pair filled must be reset, not leak into tenant 3.
+	tor := g.Link(g.Node(servers[0]).Out[0]).Dst
+	for _, bad := range []topo.NodeID{9999, -1, tor} {
+		for _, pr := range []Pair{{Src: servers[2], Dst: bad}, {Src: bad, Dst: servers[2]}} {
+			ps := []Pair{{Src: servers[2], Dst: servers[3]}, pr}
+			if _, _, err := l.Evaluate(1e9, ps); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Evaluate %v: %v, want ErrInvalid", pr, err)
+			}
+			if err := l.Fits(1e9, ps); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Fits %v: %v, want ErrInvalid", pr, err)
+			}
+			if err := l.Commit(2, 1e9, ps); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Commit %v: %v, want ErrInvalid", pr, err)
+			}
+			if err := l.Admit(2, 1e9, ps); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Admit %v: %v, want ErrInvalid", pr, err)
+			}
+		}
+	}
+	if err := l.Commit(3, 1e9, []Pair{{Src: servers[2], Dst: servers[3]}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.CommittedBps(g.Node(servers[2]).Out[0]); got != 1e9 {
+		t.Fatalf("uplink of S3 carries %v after the rejected pairs, want 1e9", got)
+	}
+	if l.Has(2) || l.Tenants() != 2 {
+		t.Fatalf("rejected pairs left tenant state: %d tenants", l.Tenants())
+	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -92,16 +92,21 @@ func (f *Fleet) HostIndex(h topo.NodeID) int {
 	return i
 }
 
-// Place/Release update occupancy for a decided placement.
+// Place/Release update occupancy for a decided placement. A host outside
+// the fleet is skipped, never charged to another host's slot.
 func (f *Fleet) Place(hosts []topo.NodeID) {
 	for _, h := range hosts {
-		f.Used[f.index[h]]++
+		if i, ok := f.index[h]; ok {
+			f.Used[i]++
+		}
 	}
 }
 
 func (f *Fleet) Release(hosts []topo.NodeID) {
 	for _, h := range hosts {
-		f.Used[f.index[h]]--
+		if i, ok := f.index[h]; ok {
+			f.Used[i]--
+		}
 	}
 }
 

@@ -35,6 +35,14 @@ func TestFleetGrouping(t *testing.T) {
 	if fleet.FreeSlots() != 32*4 {
 		t.Fatalf("free slots = %d", fleet.FreeSlots())
 	}
+	// A host outside the fleet is never charged to another host's slot.
+	fleet.Place([]topo.NodeID{9999, -1})
+	fleet.Release([]topo.NodeID{9999, -1})
+	for i, u := range fleet.Used {
+		if u != 0 {
+			t.Fatalf("unknown hosts changed Used[%d] to %d", i, u)
+		}
+	}
 }
 
 func TestFirstFitPacks(t *testing.T) {

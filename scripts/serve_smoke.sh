@@ -43,6 +43,12 @@ ctl ledger | grep -q '"verify_ok": true'
 ctl findings >/dev/null
 ctl metrics | grep -q 'placement.ctl.admitted'
 
+# A hostile what-if: a VM count no fleet can hold is turned away by the
+# admission transaction's bound check (no policy may size a working set by
+# it), and the daemon keeps answering.
+ctl evaluate -id 9005 -g 1e9 -vms 2000000000 | grep -q '"reason": "placement"'
+ctl status | grep -q '"now_ps"'
+
 # Let the churn workload run, then SIGKILL mid-flight: recovery must ride
 # the WAL tail, not a clean shutdown snapshot.
 sleep 1
