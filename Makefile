@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench profile check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile pairs check audit golden chaos trace place fuzz serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -67,6 +67,15 @@ profile:
 	$(GO) tool pprof -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
 	echo "binary and profiles: $$dir"
+
+# The paired comparison a performance change reports: N alternating runs of
+# the benchmark driver contract on workload W, base ref BASE against the
+# working tree, with medians, quartiles, wins and the gain / inside-the-bound
+# / unresolved verdict per end-to-end metric (scripts/bench_pairs.sh):
+#   make pairs BASE=HEAD~1 W=fabric1k_backlog
+pairs:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make pairs BASE=<ref> W=<workload> [N=10]  (names: BENCHMARK.json)" >&2; exit 2; }
+	./scripts/bench_pairs.sh "$(BASE)" "$(W)" $(N)
 
 # The full-scale evaluation transcript (every experiment's report text).
 # Generated, not committed — regenerate after metric-affecting changes.

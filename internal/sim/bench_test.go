@@ -2,10 +2,12 @@ package sim
 
 import "testing"
 
-// The BenchmarkEngine* suite measures the three scheduler hot paths —
-// schedule+fire, schedule+cancel, and bulk churn — of the arena engine.
-// CI runs these with -benchmem; the steady-state paths must stay at
-// 0 allocs/op. (bench/ -layers reports the same quantities with
+// The BenchmarkEngine* suite measures the scheduler hot paths of the keyed
+// event heap: schedule+fire and schedule+cancel at depth 1 (the path every
+// idle port and timer lives on, which must not pay for the deep one), bulk
+// churn at depth 1024, and build-fill-drain. CI runs these with -benchmem;
+// the steady-state paths must stay at 0 allocs/op. (bench/ -layers reports
+// the same quantities, and the hold model at depths 1 k and 64 k, with
 // repetitions and a host descriptor.)
 
 // noop is a shared callback so closure allocation does not pollute the

@@ -33,27 +33,6 @@ import (
 	"time"
 )
 
-// eventKey is the full ordering key of a scheduled event; see slotOrder.
-type eventKey struct {
-	at      Time
-	schedAt Time
-	src     uint32
-	seq     uint64
-}
-
-func (k eventKey) less(o eventKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	if k.schedAt != o.schedAt {
-		return k.schedAt < o.schedAt
-	}
-	if k.src != o.src {
-		return k.src < o.src
-	}
-	return k.seq < o.seq
-}
-
 // maxKey is an upper bound on every real event key at or before the given
 // time: real events always have schedAt ≤ at < MaxInt64.
 func maxKey(at Time) eventKey {
@@ -64,14 +43,13 @@ func maxKey(at Time) eventKey {
 // releasing any cancelled entries it passes over.
 func (e *Engine) nextKey() (eventKey, bool) {
 	for len(e.queue) > 0 {
-		s := &e.slots[e.queue[0]]
-		if s.cancelled {
-			var idx int32
-			idx, e.queue = quadPop(slotOrder{e.slots}, e.queue)
+		next := &e.queue[0]
+		if e.slots[next.idx].cancelled {
+			_, idx := e.heapPop()
 			e.release(idx)
 			continue
 		}
-		return eventKey{at: s.at, schedAt: s.schedAt, src: s.src, seq: s.seq}, true
+		return next.key(), true
 	}
 	return eventKey{}, false
 }

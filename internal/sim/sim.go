@@ -4,13 +4,16 @@
 // exactly representable; the int64 horizon (~106 days) far exceeds any
 // experiment length.
 //
-// The engine is deliberately minimal: a 4-ary-heap event queue with
-// deterministic FIFO tie-breaking for events scheduled at the same instant,
-// plus cancellable timers. Determinism matters because the evaluation
-// compares schemes on identical traffic traces.
+// The engine is deliberately minimal: one 4-ary min-heap of pending events
+// with deterministic FIFO tie-breaking for events scheduled at the same
+// instant, plus cancellable timers. Determinism matters because the
+// evaluation compares schemes on identical traffic traces.
 //
-// Events live in a slab-allocated arena: fired and cancelled slots go on a
-// free list and are reused, so steady-state scheduling performs no heap
+// A pending event is two records. Its heap entry (heap.go) carries the whole
+// ordering key (at, schedAt, src, seq) inline, so ordering the queue never
+// leaves the heap's backing array; its callback lives in a slab-allocated
+// arena slot the entry points at. Fired and cancelled slots go on a free
+// list and are reused, so steady-state scheduling performs no heap
 // allocation at all. Handles are generation-checked, which makes stale
 // cancels (after the event fired, or after its slot was reused) safe no-ops.
 package sim
@@ -132,47 +135,13 @@ func (h Handle) Valid() bool {
 // pending (referenced by the heap, live), cancelled (still referenced by
 // the heap until popped), or free (linked into the free list via nextFree).
 // gen increments whenever the slot's event fires or is cancelled, which
-// invalidates all outstanding Handles to it.
+// invalidates all outstanding Handles to it. The event's ordering key lives
+// in its heap entry (heap.go), not here.
 type eventSlot struct {
-	at Time
-	// schedAt is the simulated time at which the event was scheduled, and
-	// src the shard that scheduled it (0 outside the sharded core). They
-	// extend the ordering key so cross-shard handoffs sort independently
-	// of worker interleaving; see slotOrder.
-	schedAt   Time
-	seq       uint64 // FIFO tie-break for equal (at, schedAt, src)
-	src       uint32
 	fn        Event
 	gen       uint32
 	cancelled bool
 	nextFree  int32 // free-list link, 1-based; 0 terminates
-}
-
-// slotOrder compares heap entries (arena indices) by the full event key
-// (at, schedAt, src, seq). For a plain sequential Engine this is provably
-// the classic (at, seq) FIFO order: src is constant and seq increases
-// monotonically with scheduling time, so schedAt never reorders equal-time
-// events. The extra components only matter in the sharded core, where seq
-// counters are per-shard: schedAt and src make the key a total order over
-// events from different shards that is independent of how shard engines are
-// interleaved onto workers. slotOrder is a value type so the generic heap
-// calls devirtualize.
-type slotOrder struct {
-	slots []eventSlot
-}
-
-func (o slotOrder) Less(a, b int32) bool {
-	sa, sb := &o.slots[a], &o.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	if sa.schedAt != sb.schedAt {
-		return sa.schedAt < sb.schedAt
-	}
-	if sa.src != sb.src {
-		return sa.src < sb.src
-	}
-	return sa.seq < sb.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -184,7 +153,7 @@ type Engine struct {
 	src     uint32      // shard ID stamped on locally scheduled events
 	slots   []eventSlot // event arena
 	free    int32       // free-list head, 1-based; 0 = empty
-	queue   []int32     // 4-ary heap of arena indices
+	queue   []heapEntry // 4-ary heap ordered by eventKey.less; see heap.go
 	stopped bool
 	// maxSched is the latest time any event was ever scheduled for;
 	// monotone. The sharded driver uses it to bound drain-to-empty epochs.
@@ -270,15 +239,11 @@ func (e *Engine) At(t Time, fn Event) Handle {
 func (e *Engine) push(at, schedAt Time, src uint32, seq uint64, fn Event) Handle {
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.at = at
-	s.schedAt = schedAt
-	s.src = src
-	s.seq = seq
 	s.fn = fn
 	if at > e.maxSched {
 		e.maxSched = at
 	}
-	e.queue = quadPush(slotOrder{e.slots}, e.queue, idx)
+	e.heapPush(eventKey{at: at, schedAt: schedAt, src: src, seq: seq}, idx)
 	if len(e.queue) > e.peakPending {
 		e.peakPending = len(e.queue)
 	}
@@ -305,7 +270,8 @@ func (e *Engine) Cancel(h Handle) bool {
 		return false // already fired, cancelled, or slot reused
 	}
 	s.cancelled = true
-	s.gen++ // invalidate outstanding handles
+	s.fn = nil // what the callback captured is garbage now, not when the entry is popped
+	s.gen++    // invalidate outstanding handles
 	return true
 }
 
@@ -316,14 +282,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		var idx int32
-		idx, e.queue = quadPop(slotOrder{e.slots}, e.queue)
+		at, idx := e.heapPop()
 		s := &e.slots[idx]
 		if s.cancelled {
 			e.release(idx)
 			continue
 		}
-		e.now = s.at
+		e.now = at
 		fn := s.fn
 		s.gen++ // the event is firing; invalidate handles
 		e.release(idx)
@@ -353,10 +318,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			break
 		}
 		// Peek.
-		next := &e.slots[e.queue[0]]
-		if next.cancelled {
-			var idx int32
-			idx, e.queue = quadPop(slotOrder{e.slots}, e.queue)
+		next := &e.queue[0]
+		if e.slots[next.idx].cancelled {
+			_, idx := e.heapPop()
 			e.release(idx)
 			continue
 		}
@@ -422,9 +386,9 @@ func (e *Engine) PendingTimes(n int) []Time {
 		n = 0
 	}
 	out := make([]Time, 0, n)
-	for _, idx := range e.queue[:n] {
-		if s := &e.slots[idx]; !s.cancelled {
-			out = append(out, s.at)
+	for i := range e.queue[:n] {
+		if ent := &e.queue[i]; !e.slots[ent.idx].cancelled {
+			out = append(out, ent.at)
 		}
 	}
 	return out

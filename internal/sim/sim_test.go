@@ -136,6 +136,12 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(h) {
 		t.Error("second Cancel returned true")
 	}
+	// The entry stays queued until its time, but the callback — and
+	// whatever it captured — is released at once: a far-future timer
+	// cancelled early must not pin its owner until then.
+	if e.Pending() != 1 || e.slots[h.idx].fn != nil {
+		t.Errorf("after Cancel: %d pending, callback released: %v", e.Pending(), e.slots[h.idx].fn == nil)
+	}
 	e.Run()
 	if ran {
 		t.Error("cancelled event ran")

@@ -235,19 +235,24 @@ func (g *Graph) Paths(src, dst NodeID, maxPaths int) []Path {
 	return out
 }
 
-// enumeratePaths is the uncached path enumeration behind Paths.
+// enumeratePaths is the uncached path enumeration behind Paths: a BFS from
+// dst labels every node with its hop distance *to* dst (every link is one
+// half of a duplex pair, so walking Out from dst measures the way back),
+// and a DFS from src descends only links that bring it one hop closer. It
+// never enters a branch that cannot reach dst, which in a Clos fabric is
+// nearly all of them. Children are visited in Out order, so the paths come
+// out in the lexicographic order of their Out indices and truncation at
+// maxPaths keeps the first ones.
 func (g *Graph) enumeratePaths(src, dst NodeID, maxPaths int) []Path {
-	// BFS from src computing hop distance.
 	const inf = int32(1) << 30
 	dist := make([]int32, len(g.Nodes))
 	for i := range dist {
 		dist[i] = inf
 	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	dist[dst] = 0
+	queue := append(make([]NodeID, 0, len(g.Nodes)), dst)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for _, lid := range g.Nodes[n].Out {
 			m := g.Links[lid].Dst
 			if dist[m] == inf {
@@ -256,12 +261,11 @@ func (g *Graph) enumeratePaths(src, dst NodeID, maxPaths int) []Path {
 			}
 		}
 	}
-	if dist[dst] == inf {
+	if dist[src] == inf {
 		return nil
 	}
-	// DFS over the shortest-path DAG, collecting link sequences.
 	var paths []Path
-	cur := make(Path, 0, dist[dst])
+	cur := make(Path, 0, dist[src])
 	var dfs func(n NodeID)
 	dfs = func(n NodeID) {
 		if maxPaths > 0 && len(paths) >= maxPaths {
@@ -275,7 +279,7 @@ func (g *Graph) enumeratePaths(src, dst NodeID, maxPaths int) []Path {
 		}
 		for _, lid := range g.Nodes[n].Out {
 			m := g.Links[lid].Dst
-			if dist[m] == dist[n]+1 && dist[m] <= dist[dst] {
+			if dist[m] == dist[n]-1 {
 				cur = append(cur, lid)
 				dfs(m)
 				cur = cur[:len(cur)-1]

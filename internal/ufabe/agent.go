@@ -167,7 +167,11 @@ type Agent struct {
 
 	nicNextFree sim.Time
 	sendPending bool
-	uplinkCap   float64
+	// sendTick is the one callback scheduleSend ever schedules, bound once
+	// (as dataplane's Port.txDone is) so arming the send loop allocates
+	// nothing.
+	sendTick  sim.Event
+	uplinkCap float64
 
 	// Per-host migration freeze window (§3.5 "avoiding oscillations").
 	freezeUntil sim.Time
@@ -200,6 +204,12 @@ type Agent struct {
 	rec                               *telemetry.Recorder
 
 	tokenLoopStop func()
+	// tok is tokenUpdate's working memory, kept across ticks.
+	tok struct {
+		toks []token.Pair
+		tps  []*token.Pair
+		byVF map[int32][]*recvPair
+	}
 }
 
 // AttachTelemetry registers this agent's instruments under
@@ -290,6 +300,11 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		cFrArmed:     &telemetry.Counter{},
 		cFrSupp:      &telemetry.Counter{},
 	}
+	a.sendTick = func() {
+		a.sendPending = false
+		a.trySend()
+	}
+	a.tok.byVF = make(map[int32][]*recvPair)
 	net.SetHandler(host, a)
 	if cfg.TokenPeriod > 0 {
 		a.tokenLoopStop = eng.Every(cfg.TokenPeriod, a.tokenUpdate)
@@ -373,7 +388,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 		a.vfs[pc.VF] = vf
 		a.sched.addVF(vf)
 	}
-	vf.pairs = append(vf.pairs, p)
+	a.sched.addPair(vf, p)
 	if k, ok := pc.Demand.(flowsrc.Kicker); ok && pc.Demand != nil {
 		k.SetKick(func() { a.Kick(p) })
 	}
@@ -387,14 +402,14 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 	a.eng.After(2*p.maxBaseRTT(), func() { a.finishEvaluation(p, evalBootstrap) })
 	// The slow work-conservation scan (§3.5 trigger ii).
 	if a.cfg.CandidateProbeInterval > 0 && len(p.paths) > 1 {
-		a.eng.Every(a.cfg.CandidateProbeInterval, func() { a.scanForBetterPath(p) })
+		p.stopScan = a.eng.Every(a.cfg.CandidateProbeInterval, func() { a.scanForBetterPath(p) })
 	}
 	a.scheduleSend()
 	return p
 }
 
-// RemovePair tears a pair down: finish probes on its active path and
-// removal from the scheduler.
+// RemovePair tears a pair down: finish probes on its active path, its
+// candidate-scan timer stopped, and removal from the scheduler.
 func (a *Agent) RemovePair(id dataplane.VMPair) {
 	p := a.pairs[id]
 	if p == nil {
@@ -402,13 +417,11 @@ func (a *Agent) RemovePair(id dataplane.VMPair) {
 	}
 	a.sendProbe(p, p.active, probe.KindFinish)
 	delete(a.pairs, id)
+	if p.stopScan != nil {
+		p.stopScan()
+	}
 	if vf := a.vfs[p.VF]; vf != nil {
-		for i, q := range vf.pairs {
-			if q == p {
-				vf.pairs = append(vf.pairs[:i], vf.pairs[i+1:]...)
-				break
-			}
-		}
+		a.sched.removePair(vf, p)
 	}
 }
 
@@ -467,10 +480,7 @@ func (a *Agent) scheduleSend() {
 	if now := a.eng.Now(); at < now {
 		at = now
 	}
-	a.eng.At(at, func() {
-		a.sendPending = false
-		a.trySend()
-	})
+	a.eng.At(at, a.sendTick)
 }
 
 // trySend emits at most one data packet (the WFQ engine schedules one
@@ -1050,53 +1060,17 @@ func (a *Agent) migrate(p *Pair, to int, urgent bool) {
 // (Algorithm 1 receiver).
 func (a *Agent) tokenUpdate() {
 	period := a.cfg.TokenPeriod.Seconds()
-	// Sender side.
-	for _, vf := range a.vfs {
-		if vf.senderTokens <= 0 || len(vf.pairs) == 0 {
-			continue
-		}
-		// Externally-managed pairs (multipath token splits) keep their
-		// φ; the rest share the remaining hose.
-		hose := vf.senderTokens
-		var managed []*Pair
-		var free []*Pair
-		for _, p := range vf.pairs {
-			if p.phiManaged {
-				hose -= p.phi
-				managed = append(managed, p)
-			} else {
-				free = append(free, p)
-			}
-		}
-		_ = managed
-		if hose <= 0 || len(free) == 0 {
-			continue
-		}
-		tps := make([]*token.Pair, len(free))
-		for i, p := range free {
-			demand := -1.0
-			// A pair that drained its demand and is not backlogged is
-			// demand-bounded: measure its actual rate in tokens.
-			if p.Demand == nil {
-				demand = 0
-			} else if p.Demand.Pending() == 0 {
-				demand = float64(p.txSinceToken*8) / period / a.cfg.BU
-			}
-			adm := token.Unbound
-			if p.peerPhi > 0 {
-				adm = p.peerPhi
-			}
-			tps[i] = &token.Pair{Demand: demand, Admitted: adm}
-			p.txSinceToken = 0
-		}
-		token.SenderAssign(hose, tps)
-		for i, p := range free {
-			p.phi = tps[i].Requested
+	// Sender side: the VFs with pairs on this host, off the scheduler's
+	// populated index. VFs are independent, so their order is immaterial.
+	for c := range a.sched.classes {
+		cl := &a.sched.classes[c]
+		for _, pos := range cl.populated {
+			a.assignSenderTokens(cl.vfs[pos], period)
 		}
 	}
 	// Receiver side: admit per VF.
 	now := a.eng.Now()
-	byVF := make(map[int32][]*recvPair)
+	byVF := a.tok.byVF
 	for vm, rp := range a.recvPairs {
 		if now-rp.lastSeen > 100*a.cfg.TokenPeriod {
 			delete(a.recvPairs, vm)
@@ -1105,15 +1079,71 @@ func (a *Agent) tokenUpdate() {
 		byVF[rp.vf] = append(byVF[rp.vf], rp)
 	}
 	for vfID, rps := range byVF {
-		hose := a.recvVFTokens[vfID]
-		if hose <= 0 {
+		if len(rps) == 0 {
+			// No pair of this VF since the last tick: forget it.
+			delete(byVF, vfID)
 			continue
 		}
-		tps := make([]*token.Pair, len(rps))
-		for i, rp := range rps {
-			tps[i] = &rp.tok
+		if hose := a.recvVFTokens[vfID]; hose > 0 {
+			tps := a.tok.tps[:0]
+			for _, rp := range rps {
+				tps = append(tps, &rp.tok)
+			}
+			a.tok.tps = tps
+			token.ReceiverAdmit(hose, tps)
+			clear(tps)
 		}
-		token.ReceiverAdmit(hose, tps)
+		clear(rps)
+		byVF[vfID] = rps[:0]
+	}
+}
+
+// assignSenderTokens is Algorithm 1's sender side for one VF: split the
+// hose over the VF's pairs by measured demand and receiver admission.
+func (a *Agent) assignSenderTokens(vf *vfState, period float64) {
+	if vf.senderTokens <= 0 {
+		return
+	}
+	// Externally-managed pairs (multipath token splits) keep their φ; the
+	// rest share the remaining hose.
+	hose := vf.senderTokens
+	toks := a.tok.toks[:0]
+	for _, p := range vf.pairs {
+		if p.phiManaged {
+			hose -= p.phi
+			continue
+		}
+		demand := -1.0
+		// A pair that drained its demand and is not backlogged is
+		// demand-bounded: measure its actual rate in tokens.
+		if p.Demand == nil {
+			demand = 0
+		} else if p.Demand.Pending() == 0 {
+			demand = float64(p.txSinceToken*8) / period / a.cfg.BU
+		}
+		adm := token.Unbound
+		if p.peerPhi > 0 {
+			adm = p.peerPhi
+		}
+		toks = append(toks, token.Pair{Demand: demand, Admitted: adm})
+	}
+	a.tok.toks = toks
+	if hose <= 0 || len(toks) == 0 {
+		return
+	}
+	tps := a.tok.tps[:0]
+	for i := range toks {
+		tps = append(tps, &toks[i])
+	}
+	a.tok.tps = tps
+	token.SenderAssign(hose, tps)
+	i := 0
+	for _, p := range vf.pairs {
+		if !p.phiManaged {
+			p.phi = toks[i].Requested
+			p.txSinceToken = 0
+			i++
+		}
 	}
 }
 

@@ -106,6 +106,9 @@ type Pair struct {
 	deliveredAtCheck int64
 	betterSince      sim.Time // when a persistently better path was first seen
 	migrating        bool
+	// stopScan stops the pair's periodic candidate scan (nil for a
+	// single-path pair, which has none); RemovePair calls it.
+	stopScan func()
 
 	// Idle/finish state.
 	idle      bool

@@ -1,5 +1,7 @@
 package ufabe
 
+import "slices"
+
 // Hierarchical traffic admission at the sender (§4.1): VM-pair queues are
 // grouped per VF, VFs are assigned to one of eight weighted classes, and a
 // deficit-round-robin engine arbitrates classes while plain round-robin
@@ -26,13 +28,27 @@ type vfState struct {
 	rr           int // round-robin cursor over pairs
 }
 
+// wfqClass is one weighted queue of the WFQ engine.
+type wfqClass struct {
+	vfs []*vfState
+	// populated holds, ascending, the positions in vfs of the VFs that have
+	// at least one pair on this host. An edge registers every tenant of the
+	// fabric but sources pairs of a few, so the per-packet pick and the
+	// token tick walk this index instead of vfs: their cost follows the
+	// VM-pairs the host sources (the paper's context table, §4.1), not the
+	// tenants configured. wfq maintains it on the four transitions that
+	// change it: addVF, removeVF, a VF's first pair added, its last removed.
+	populated []int
+	// rr is the round-robin cursor: a position in vfs (the registered
+	// list, not the index), so the service order is that of a scan over
+	// every registered VF.
+	rr      int
+	deficit float64
+}
+
 // wfq is the 8-class deficit-round-robin engine.
 type wfq struct {
-	classes [NumWeightClasses]struct {
-		vfs     []*vfState
-		rr      int // round-robin cursor over VFs
-		deficit float64
-	}
+	classes [NumWeightClasses]wfqClass
 	weights [NumWeightClasses]float64
 	cursor  int
 }
@@ -51,23 +67,68 @@ func (w *wfq) addVF(vf *vfState) {
 		c = NumWeightClasses - 1
 	}
 	vf.class = c
-	w.classes[c].vfs = append(w.classes[c].vfs, vf)
+	cl := &w.classes[c]
+	cl.vfs = append(cl.vfs, vf)
+	if len(vf.pairs) > 0 {
+		cl.populated = append(cl.populated, len(cl.vfs)-1)
+	}
 }
 
 func (w *wfq) removeVF(vf *vfState) {
 	cl := &w.classes[vf.class]
-	for i, v := range cl.vfs {
-		if v == vf {
-			cl.vfs = append(cl.vfs[:i], cl.vfs[i+1:]...)
-			// Keep the round-robin cursor in range so the next sweep
-			// starts from a valid VF.
-			if len(cl.vfs) > 0 {
-				cl.rr %= len(cl.vfs)
-			} else {
-				cl.rr = 0
-			}
-			return
-		}
+	i := slices.Index(cl.vfs, vf)
+	if i < 0 {
+		return
+	}
+	cl.vfs = slices.Delete(cl.vfs, i, i+1)
+	// Position i leaves the index; the positions above it shift down.
+	k, populated := slices.BinarySearch(cl.populated, i)
+	if populated {
+		cl.populated = slices.Delete(cl.populated, k, k+1)
+	}
+	for ; k < len(cl.populated); k++ {
+		cl.populated[k]--
+	}
+	// Keep the round-robin cursor in range so the next sweep starts from a
+	// valid VF. It is deliberately not decremented when i was below it (the
+	// VF it pointed at is then skipped once): the service order is part of
+	// every golden.
+	if len(cl.vfs) > 0 {
+		cl.rr %= len(cl.vfs)
+	} else {
+		cl.rr = 0
+	}
+}
+
+// addPair appends p to vf's pairs; a VF's first pair enters it in its
+// class's populated index.
+func (w *wfq) addPair(vf *vfState, p *Pair) {
+	vf.pairs = append(vf.pairs, p)
+	if len(vf.pairs) > 1 {
+		return
+	}
+	cl := &w.classes[vf.class]
+	if i := slices.Index(cl.vfs, vf); i >= 0 {
+		k, _ := slices.BinarySearch(cl.populated, i)
+		cl.populated = slices.Insert(cl.populated, k, i)
+	}
+}
+
+// removePair removes p from vf's pairs (the pair cursor vf.rr stays where
+// it is, like the VF cursor in removeVF); a VF's last pair takes it out of
+// the populated index.
+func (w *wfq) removePair(vf *vfState, p *Pair) {
+	j := slices.Index(vf.pairs, p)
+	if j < 0 {
+		return
+	}
+	vf.pairs = slices.Delete(vf.pairs, j, j+1)
+	if len(vf.pairs) > 0 {
+		return
+	}
+	cl := &w.classes[vf.class]
+	if k, ok := slices.BinarySearch(cl.populated, slices.Index(cl.vfs, vf)); ok {
+		cl.populated = slices.Delete(cl.populated, k, k+1)
 	}
 }
 
@@ -93,14 +154,24 @@ func (w *wfq) nextPair(now int64, quantum float64) *Pair {
 			if cl.deficit <= 0 {
 				cl.deficit += quantum * w.weights[w.cursor]
 			}
-			// RR over VFs in this class.
-			for i := 0; i < len(cl.vfs); i++ {
-				vf := cl.vfs[(cl.rr+i)%len(cl.vfs)]
+			// RR over the populated VFs in this class, in the cyclic
+			// order of their positions starting at the cursor — the
+			// order a scan of every registered VF visits them in, as
+			// a VF without pairs offers that scan nothing.
+			m := len(cl.populated)
+			k, _ := slices.BinarySearch(cl.populated, cl.rr)
+			for i := 0; i < m; i++ {
+				if k == m {
+					k = 0
+				}
+				pos := cl.populated[k]
+				k++
+				vf := cl.vfs[pos]
 				// RR over pairs in this VF.
 				for j := 0; j < len(vf.pairs); j++ {
 					p := vf.pairs[(vf.rr+j)%len(vf.pairs)]
 					if eligible(p, now) {
-						cl.rr = (cl.rr + i + 1) % len(cl.vfs)
+						cl.rr = (pos + 1) % len(cl.vfs)
 						vf.rr = (vf.rr + j + 1) % len(vf.pairs)
 						return p
 					}

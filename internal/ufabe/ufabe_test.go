@@ -328,7 +328,7 @@ func TestWFQClassWeights(t *testing.T) {
 		ps := &pathState{window: 1 << 20}
 		p.paths = []*pathState{ps}
 		p.stage = stageSteady
-		vf.pairs = append(vf.pairs, p)
+		w.addPair(vf, p)
 		return p
 	}
 	ph := mkPair(hi)

@@ -130,3 +130,36 @@ func TestScenarioRestartAndChurn(t *testing.T) {
 		t.Errorf("CoreRestarts = %d, want 1", got)
 	}
 }
+
+// A departed tenant must leave nothing scheduled behind. Every multi-path
+// pair runs a periodic candidate scan; RemovePair used to leave it ticking
+// forever, one heap entry, closure and Pair per tenant that ever lived — a
+// churning daemon's event queue and memory grew without bound.
+func TestTenantChurnLeavesNoTimers(t *testing.T) {
+	eng := sim.New()
+	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
+	f := New(eng, ft.Graph, Config{Seed: 3})
+	eng.RunUntil(sim.Millisecond)
+	idle := eng.Pending() // the edges' token loops
+	src, dst := ft.Hosts[0], ft.Hosts[len(ft.Hosts)-1]
+	spec := chaos.TenantSpec{VF: 1, GuaranteeBps: 1e9, WeightClass: 2,
+		Pairs: []chaos.PairSpec{{Src: src, Dst: dst, BacklogBytes: 1 << 20}}}
+	for i := 0; i < 200; i++ {
+		if !f.AddTenant(spec) {
+			t.Fatalf("cycle %d: tenant rejected", i)
+		}
+		if n := f.Flows[0].Pair.PathCount(); n < 2 {
+			t.Fatalf("pair has %d candidate paths; the scan timer needs ≥ 2", n)
+		}
+		eng.RunUntil(eng.Now() + 50*sim.Microsecond)
+		if !f.RemoveTenant(1) {
+			t.Fatalf("cycle %d: tenant not removed", i)
+		}
+	}
+	// Cancelled ticks leave the queue when their time comes, and the scan
+	// period is the longest timer a pair owns.
+	eng.RunUntil(eng.Now() + f.Edge(src).Config().CandidateProbeInterval + sim.Millisecond)
+	if got := eng.Pending(); got != idle {
+		t.Fatalf("%d events pending after 200 arrive/depart cycles and a quiet scan period, want the idle fabric's %d", got, idle)
+	}
+}
