@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench profile pairs check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile pairs size check audit golden chaos trace place fuzz serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -38,7 +38,7 @@ test:
 
 # The race-detector row: telemetry registry, the placement control plane
 # (ledger property + concurrency tests), the control-plane service (store
-# recovery, reconciler), parallel-runner determinism. The sharded-core
+# recovery, reconciler), parallel-runner determinism. The partitioned-engine
 # packages race under `make shard`, the fuzzer under `make fuzz`.
 race:
 	$(GO) test -race ./internal/telemetry
@@ -77,12 +77,21 @@ pairs:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make pairs BASE=<ref> W=<workload> [N=10]  (names: BENCHMARK.json)" >&2; exit 2; }
 	./scripts/bench_pairs.sh "$(BASE)" "$(W)" $(N)
 
+# The size comparison a simplification reports, in the units ROADMAP aim 2
+# scores by: per package under internal/ and cmd/, non-test code lines,
+# exported identifiers and panic( sites, and with BASE the delta against
+# that ref (scripts/size.sh):
+#   make size BASE=HEAD~1
+size:
+	./scripts/size.sh $(BASE)
+
 # The full-scale evaluation transcript (every experiment's report text).
 # Generated, not committed — regenerate after metric-affecting changes.
 results:
 	$(GO) run ./cmd/ufabsim run all | tee full_results.txt
 
-# The golden gate runs twice: instrumentation must never change results.
+# The golden gate runs twice, both with zero workers (`make shard` is the
+# 4-worker twin): instrumentation must never change results.
 check:
 	$(GO) run ./cmd/ufabsim check
 	$(GO) run ./cmd/ufabsim check -telemetry
@@ -94,10 +103,11 @@ audit:
 	$(GO) run ./cmd/ufabsim -quick -findings findings.jsonl audit all
 	$(GO) run ./cmd/ufabsim check -audit
 
-# The sharded-core gate: the whole evaluation replayed on the parallel
-# engine must reproduce the sequential golden numbers exactly; shard
+# The worker-count gate: the whole evaluation replayed with 4 workers
+# executing the pod shards must reproduce exactly the golden numbers zero
+# workers (the shards inline, as `make check` runs them) recorded; shard
 # identity, live shard-ring subscribers, the pod partitioner and the
-# conservative-lookahead core run under the race detector.
+# conservative-lookahead engine run under the race detector.
 shard:
 	$(GO) run ./cmd/ufabsim check -shards 4
 	$(GO) run ./cmd/ufabsim check -telemetry -shards 4
@@ -125,6 +135,7 @@ serve-smoke:
 # The scenario-fuzzer smoke gate, exactly as the CI fuzz-smoke job runs
 # it: package tests under the race detector (oracle, shrinker, regression
 # corpus), then a fixed-seed sweep that also replays the committed corpus.
+# Every replay is differential: zero workers against 4.
 # For a long randomized hunt use the nightly knobs, e.g.:
 #   go run ./cmd/ufabsim fuzz -seeds 1000 -seed0 $$RANDOM -budget 20m -shrink -out fuzz-failures
 fuzz:

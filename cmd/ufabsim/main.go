@@ -63,7 +63,7 @@ func main() {
 	scenario := flag.String("scenario", "", "chaos scenario JSON file, replayed by the chaoslab experiment")
 	telemetry := flag.Bool("telemetry", false, "attach the unified telemetry registry (link/agent instruments + flight recorder) to each run's fabric")
 	metricsOut := flag.String("metrics", "", "write every run's registry snapshot as JSON to this file (implies -telemetry)")
-	shards := flag.Int("shards", 0, "parallel simulation workers per run: 0 = sequential engine, N >= 1 = sharded parallel-in-time core with N workers (results are bit-identical across values)")
+	shards := flag.Int("shards", 0, "worker goroutines executing each run's pod shards: 0 = inline on the run's own goroutine, N >= 1 = N workers in parallel (results are bit-identical across values)")
 	auditFlag := flag.Bool("audit", false, "attach the online predictability auditor to each run's fabric (implies -telemetry for it)")
 	findingsOut := flag.String("findings", "", "write every run's audit findings as JSONL to this file (implies -audit)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
@@ -388,7 +388,7 @@ func trace(opts experiments.Options, args []string) {
 
 // check replays the whole evaluation at the golden file's pinned options
 // and fails on metric drift. With -update it re-records the baseline.
-// Telemetry, auditing and the sharded core must all reproduce the same
+// Telemetry, auditing and any worker count must all reproduce the same
 // numbers, so CI runs check in every mode against one golden file.
 func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
@@ -397,7 +397,7 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 	tol := fs.Float64("tol", 1e-6, "default relative tolerance when recording with -update")
 	telemetry := fs.Bool("telemetry", false, "attach the telemetry registry during the replay (results must not change)")
 	auditFlag := fs.Bool("audit", false, "attach the predictability auditor during the replay (results must not change, findings must be clean)")
-	shards := fs.Int("shards", -1, "replay on the sharded parallel-in-time core with N workers (results must not change); -1 inherits the top-level -shards")
+	shards := fs.Int("shards", -1, "replay with N workers executing the pod shards (results must not change); -1 inherits the top-level -shards")
 	fs.Parse(args)
 
 	opts := experiments.Options{Quick: true, Seed: 1}
@@ -443,8 +443,8 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 	}
 	if *update {
 		g := experiments.BuildGolden(opts, reports, *tol)
-		// The baseline must never pin telemetry, auditing or an execution
-		// mode: check replays with the recorded options, and every mode
+		// The baseline must never pin telemetry, auditing or a worker
+		// count: check replays with the recorded options, and every mode
 		// must reproduce it.
 		g.Options.Telemetry = false
 		g.Options.Audit = false
@@ -492,7 +492,7 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 		mode += ", audited"
 	}
 	if opts.Shards > 0 {
-		mode += fmt.Sprintf(", sharded x%d", opts.Shards)
+		mode += fmt.Sprintf(", %d workers", opts.Shards)
 	}
 	fmt.Printf("check ok: %d experiments match %s in %.1fs (%s)\n", len(reports), *golden, wall, mode)
 }

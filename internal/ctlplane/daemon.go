@@ -144,8 +144,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	ufCfg.Core.CleanupPeriod = 5 * sim.Millisecond
 	// The daemon's fabric comes from the same construction path as the
-	// experiments and fuzzer; the daemon owns the engine loop, so the
-	// fabric stays sequential regardless of the pod partition.
+	// experiments and fuzzer; the daemon owns the engine loop, and the
+	// pod shards run inline on its goroutine (no workers).
 	uf, err := vfabric.Build(vfabric.BuildOptions{Graph: d.Clos.Graph, Cfg: ufCfg, Eng: d.Eng})
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: build fabric: %w", err)

@@ -232,8 +232,8 @@ func (d *Daemon) Handler() http.Handler {
 // appendHealthGauges folds the simulation driver's operational shard-health
 // counters (window stalls, seal latency, ring occupancy — wall-clock and
 // scheduling dependent, so deliberately kept out of the deterministic
-// registry) into a snapshot as extra gauges for exposition. A sequential
-// engine reports no shards and contributes nothing.
+// registry) into a snapshot as extra gauges for exposition. A plain,
+// unpartitioned engine reports no shards and contributes nothing.
 func appendHealthGauges(snap *telemetry.Snapshot, src sim.HealthSource) {
 	for _, h := range src.Health() {
 		ent := fmt.Sprintf("simhealth.shard%d", h.Shard)

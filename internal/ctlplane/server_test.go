@@ -248,11 +248,11 @@ func TestAppendHealthGauges(t *testing.T) {
 	if !strings.Contains(buf.String(), `ufab_window_stalls{entity="simhealth.shard0"} 3`) {
 		t.Fatalf("health gauge missing from exposition:\n%s", buf.String())
 	}
-	// A sequential engine contributes nothing.
+	// A plain engine contributes nothing.
 	n := len(snap.Gauges)
 	appendHealthGauges(&snap, sim.New())
 	if len(snap.Gauges) != n {
-		t.Fatalf("sequential engine added gauges")
+		t.Fatalf("plain engine added gauges")
 	}
 }
 

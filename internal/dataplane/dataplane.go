@@ -265,9 +265,9 @@ func (r *rateEstimator) Rate(now sim.Time) float64 {
 // keyed by a node — its egress ports, queues, handlers, agents, per-shard RNG
 // and recorder — is only ever touched from that shard's scheduling context.
 // Under the plain constructor there is a single shard and a single context;
-// under NewPartitioned the contexts are either views of one sequential engine
-// or the shard engines of the parallel core, with cross-shard packet
-// propagation handed off through sim.Sharded.Send.
+// under NewPartitioned the contexts are the shards of a partitioned
+// sim.Engine, with cross-shard packet propagation handed off through its
+// Send.
 type Network struct {
 	// Eng is the coordinator-context scheduler: use it for setup and for
 	// globally scoped work (sampling, chaos). Per-node work must schedule on
@@ -284,12 +284,12 @@ type Network struct {
 	faults   []linkFault   // indexed by LinkID
 
 	// shardOf maps every node to its logical shard; scheds, faultRngs and
-	// recs are indexed by shard. shard is the parallel driver when running
-	// on the sharded core, nil otherwise.
+	// recs are indexed by shard. coord is the partitioned engine cross-shard
+	// hops are sent through; nil under New, which has no second shard.
 	shardOf   []int32
 	scheds    []sim.Scheduler
 	faultRngs []*mrand.Rand
-	shard     *sim.Sharded
+	coord     *sim.Engine
 
 	// dist[h] is the hop distance from every node to host h, for ECMP;
 	// computed lazily per destination. distMu serializes the lazy fill,
@@ -398,44 +398,28 @@ func New(eng sim.Scheduler, g *topo.Graph, cfg Config) *Network {
 
 // NewPartitioned builds a Network whose scheduling contexts follow a
 // topology partition: one scheduler, fault-RNG stream and flight recorder
-// per logical shard. The driver picks the execution mode — a *sim.Engine
-// runs every shard through views of one sequential heap, a *sim.Sharded runs
-// them in parallel with cross-shard propagation over its rings — and both
-// modes stamp identical event keys, so their output is bit-identical.
-func NewPartitioned(drv sim.Driver, part *topo.Partition, g *topo.Graph, cfg Config) *Network {
+// per logical shard of eng, which must have been partitioned to match. How
+// many workers execute the shards is eng's business and changes no output.
+func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Config) *Network {
 	if len(part.Node) != len(g.Nodes) {
 		panic(fmt.Sprintf("dataplane: partition covers %d nodes, graph has %d", len(part.Node), len(g.Nodes)))
 	}
+	if eng.Shards() != part.Shards {
+		panic(fmt.Sprintf("dataplane: engine has %d shards, partition %d", eng.Shards(), part.Shards))
+	}
 	n := newNetwork(g, cfg)
-	n.Eng = drv
+	n.Eng = eng
+	n.coord = eng
 	n.shardOf = part.Node
 	n.scheds = make([]sim.Scheduler, part.Shards)
 	n.faultRngs = make([]*mrand.Rand, part.Shards)
-	for i := range n.faultRngs {
+	for i := range n.scheds {
+		n.scheds[i] = eng.Shard(i)
 		n.faultRngs[i] = mrand.New(mrand.NewSource(faultSeed(cfg.FaultSeed, i)))
 	}
-	switch d := drv.(type) {
-	case *sim.Sharded:
-		if d.Shards() != part.Shards {
-			panic(fmt.Sprintf("dataplane: driver has %d shards, partition %d", d.Shards(), part.Shards))
-		}
-		n.shard = d
-		for i := range n.scheds {
-			n.scheds[i] = d.Shard(i)
-		}
-		// Declare the ring pairs cross-shard propagation will use.
-		for _, l := range g.Links {
-			if a, b := part.Node[l.Src], part.Node[l.Dst]; a != b {
-				d.Connect(int(a), int(b))
-			}
-		}
-	case *sim.Engine:
-		d.SetSrc(uint32(part.Shards))
-		for i := range n.scheds {
-			n.scheds[i] = d.ShardView(uint32(i))
-		}
-	default:
-		panic(fmt.Sprintf("dataplane: unsupported driver %T", drv))
+	// Declare the shard pairs cross-shard propagation will use.
+	for _, l := range g.Links {
+		eng.Connect(int(part.Node[l.Src]), int(part.Node[l.Dst]))
 	}
 	if cfg.Telemetry != nil {
 		n.rec = cfg.Telemetry.ShardRecorder(-1)
@@ -557,7 +541,7 @@ func (n *Network) RecoverNode(id topo.NodeID) bool {
 // recordNodeFault emits the node up/down transition. Fail/recover calls
 // originate in coordinator context (chaos fires at coordinator barriers),
 // so the event goes to the coordinator recorder with coordinator time and
-// is identical under sequential and sharded execution.
+// is identical for every worker count.
 func (n *Network) recordNodeFault(id topo.NodeID, down int64, note string) {
 	if n.rec == nil {
 		return
@@ -681,8 +665,8 @@ func (n *Network) finishTx(port *Port) {
 	// the partition guarantees prop is at least the lookahead window.
 	pkt.at = dst
 	prop := port.Link.PropDelay + n.faults[port.Link.ID].deg.ExtraDelay
-	if sd, dd := n.shardOf[src], n.shardOf[dst]; n.shard != nil && sd != dd {
-		n.shard.Send(int(sd), int(dd), prop, pkt.arrival)
+	if sd, dd := n.shardOf[src], n.shardOf[dst]; sd != dd {
+		n.coord.Send(int(sd), int(dd), prop, pkt.arrival)
 	} else {
 		sched.After(prop, pkt.arrival)
 	}

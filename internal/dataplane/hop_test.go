@@ -11,8 +11,8 @@ import (
 // once per injection, so a value copy of an in-flight packet carries the
 // original's binding until it is sent. Injected on another route, the copy
 // must reach its own destination with its own Hop, and so must the
-// original — on the sequential engine and on the sharded core, where the
-// two packets cross shard boundaries on different workers.
+// original — on a plain engine and on a partitioned one, where the two
+// packets cross shard boundaries inline or on different workers.
 func TestCopiedPacketDeliversItself(t *testing.T) {
 	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
 	part, err := topo.PartitionPods(ft.Graph)
@@ -25,15 +25,20 @@ func TestCopiedPacketDeliversItself(t *testing.T) {
 	if len(far) != 6 || len(other) != 6 {
 		t.Fatalf("routes have %d and %d links, want 6", len(far), len(other))
 	}
+	partitioned := func(workers int) func() (sim.Driver, *Network) {
+		return func() (sim.Driver, *Network) {
+			eng := sim.New()
+			eng.Partition(part.Shards, workers, part.MinCutDelay)
+			return eng, NewPartitioned(eng, part, ft.Graph, Config{})
+		}
+	}
 	drivers := map[string]func() (sim.Driver, *Network){
-		"sequential": func() (sim.Driver, *Network) {
+		"plain": func() (sim.Driver, *Network) {
 			eng := sim.New()
 			return eng, New(eng, ft.Graph, Config{})
 		},
-		"sharded": func() (sim.Driver, *Network) {
-			sh := sim.NewSharded(part.Shards, 2, part.MinCutDelay)
-			return sh, NewPartitioned(sh, part, ft.Graph, Config{})
-		},
+		"partitioned, 0 workers": partitioned(0),
+		"partitioned, 2 workers": partitioned(2),
 	}
 	for name, build := range drivers {
 		drv, n := build()

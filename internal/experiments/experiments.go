@@ -56,13 +56,12 @@ type Options struct {
 	// is a pure observer — headline metrics and golden comparison are
 	// unaffected. Excluded from the golden encoding.
 	Audit bool `json:"-"`
-	// Shards selects the μFAB simulation's execution mode: 0 runs each
-	// fabric sequentially (through per-shard views of one engine), N >= 1
-	// runs it on the sharded parallel-in-time core with N workers. Results
-	// are bit-identical for every value — metrics, snapshots and traces —
-	// which `check -shards N` and the shard-identity tests enforce. The
-	// baseline already records with it zero, so the field is omitted from
-	// golden_metrics.json.
+	// Shards is the number of worker goroutines executing each μFAB
+	// fabric's pod shards: 0 runs them inline on the run's own goroutine,
+	// N >= 1 on N workers in parallel. Results are bit-identical for every
+	// value — metrics, snapshots and traces — which `check -shards N` and
+	// the shard-identity tests enforce. The baseline already records with
+	// it zero, so the field is omitted from golden_metrics.json.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -283,7 +282,7 @@ type system struct {
 	// eng drives the deployment's simulation and doubles as the
 	// coordinator scheduling context: experiment timelines (workload
 	// feeders, chaos, samplers) scheduled here run at global barriers with
-	// exclusive access to fabric state in every execution mode.
+	// exclusive access to fabric state for every worker count.
 	eng   sim.Driver
 	graph *topo.Graph
 
@@ -361,8 +360,8 @@ func (h *flowHandle) delivered() int64 {
 // instruments for baselines. A non-nil aud additionally attaches the
 // predictability auditor to μFAB schemes (baselines make no μFAB
 // guarantees to audit). μFAB schemes honor o.Shards through
-// vfabric.Build; baselines always run sequentially (their results don't
-// depend on the μFAB execution mode).
+// vfabric.Build; baselines run on a plain engine (they have no shards
+// for workers to execute).
 func newSystem(s scheme, o Options, g *topo.Graph, seed int64, reg *telemetry.Registry, aud *audit.Config) *system {
 	sys := &system{scheme: s, graph: g, reg: reg, fctPair: make(map[int32][]*telemetry.Histogram)}
 	switch s {
@@ -389,8 +388,9 @@ func newSystem(s scheme, o Options, g *topo.Graph, seed int64, reg *telemetry.Re
 
 // hostScheduler returns the scheduling context owning a host: per-host
 // workload drivers (as opposed to coordinator-paced feeders) must
-// schedule there so their traffic runs inside the host's shard on the
-// parallel core. Baselines are single-context, so it is their engine.
+// schedule there so their traffic runs inside the host's shard, beside
+// the other shards when there are workers. Baselines are single-context,
+// so it is their engine.
 func (sys *system) hostScheduler(host topo.NodeID) sim.Scheduler {
 	if sys.uf != nil {
 		return sys.uf.HostScheduler(host)

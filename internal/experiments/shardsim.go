@@ -1,9 +1,9 @@
 package experiments
 
-// The sharded-core exercise: a pod-partitioned Clos (folded FatTree)
+// The partitioned-engine exercise: a pod-partitioned Clos (folded FatTree)
 // carrying per-host Poisson message workloads whose drivers schedule
-// inside their host's shard, so the parallel-in-time core actually runs
-// the pods concurrently instead of serializing on coordinator barriers.
+// inside their host's shard, so worker goroutines actually run the pods
+// concurrently instead of serializing on coordinator barriers.
 // The experiment's metrics are defined to be bit-identical for every
 // Options.Shards value — `check -shards N` and TestShardIdentity hold it
 // to that.

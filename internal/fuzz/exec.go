@@ -28,7 +28,8 @@ const (
 	// VerdictPanic: the simulation panicked (recovered by the executor).
 	VerdictPanic Verdict = "panic"
 	// VerdictMismatch: a replay of the same case diverged — the
-	// determinism contract broke.
+	// determinism contract broke, across repetitions or across worker
+	// counts.
 	VerdictMismatch Verdict = "mismatch"
 )
 
@@ -59,16 +60,21 @@ type Result struct {
 // Executor runs cases. The zero value is usable; Replay doubles the cost
 // of every case to buy determinism checking.
 type Executor struct {
-	// Replay runs each case twice and compares the runs' digests
-	// (findings JSONL, per-flow delivery, admission counters, injection
-	// log); any divergence is a VerdictMismatch.
+	// Replay runs each case twice — shards inline, then on replayWorkers
+	// goroutines — and compares the runs' digests (findings JSONL,
+	// per-flow delivery, admission counters, injection log); any
+	// divergence is a VerdictMismatch. One comparison checks both that a
+	// case replays and that the worker count cannot change a byte.
 	Replay bool
 	// Sabotage is a test-only hook invoked after the fabric and standing
 	// tenants are assembled, before the run starts. Tests use it to break
 	// an invariant deliberately (e.g. pin a pair's Φ) and prove the
-	// oracle catches it. It runs in every replay identically.
+	// oracle catches it. It runs in every replay.
 	Sabotage func(eng *sim.Engine, f *vfabric.Fabric)
 }
+
+// replayWorkers is the worker count of Replay's second execution.
+const replayWorkers = 4
 
 // Run executes the case (twice under Replay) and classifies the outcome.
 // An error means the case itself is malformed; a panic inside the
@@ -77,7 +83,7 @@ func (x *Executor) Run(c *Case) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	first := x.execOnce(c)
+	first := x.execOnce(c, 0)
 	res := &Result{
 		Excused:       first.excused,
 		Unexcused:     first.unexcused,
@@ -92,7 +98,7 @@ func (x *Executor) Run(c *Case) (*Result, error) {
 		return res, nil
 	}
 	if x.Replay {
-		second := x.execOnce(c)
+		second := x.execOnce(c, replayWorkers)
 		if second.panicked != "" {
 			res.Verdict = VerdictPanic
 			res.Panic = "replay only: " + second.panicked
@@ -126,9 +132,10 @@ type runOut struct {
 }
 
 // execOnce assembles the case's fabric and control plane from scratch,
-// runs it to the horizon, and digests everything a deterministic run
-// must reproduce. Panics are recovered into the outcome.
-func (x *Executor) execOnce(c *Case) (out runOut) {
+// runs it to the horizon on the given number of workers, and digests
+// everything a deterministic run must reproduce. Panics are recovered into
+// the outcome.
+func (x *Executor) execOnce(c *Case, workers int) (out runOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.panicked = fmt.Sprintf("%v\n%s", r, debug.Stack())
@@ -156,9 +163,8 @@ func (x *Executor) execOnce(c *Case) (out runOut) {
 		Audit: &audit.Config{Log: log, HoldTicks: hold}}
 	cfg.Core.CleanupPeriod = c.HorizonPS / 8
 	// Built through the shared construction path so fuzzing exercises the
-	// same partitioned dataplane the experiments and daemon run on; the
-	// provided engine keeps execution sequential (and digests replayable).
-	f, err := vfabric.Build(vfabric.BuildOptions{Graph: g, Cfg: cfg, Eng: eng})
+	// same partitioned dataplane the experiments and daemon run on.
+	f, err := vfabric.Build(vfabric.BuildOptions{Graph: g, Cfg: cfg, Eng: eng, Shards: workers})
 	if err != nil {
 		panic(err)
 	}

@@ -158,6 +158,59 @@ func TestShrunkReproducerRoundTrips(t *testing.T) {
 	}
 }
 
+// TestReplayCatchesWorkerDependence proves the differential half of the
+// replay oracle bites: a run that behaves differently only once worker
+// goroutines execute the shards (the sabotage pins a sender token on the
+// replay's engine, never on the inline one) comes back as a mismatch that
+// names the diverging line, and the shrinker minimizes it like any other
+// failure.
+func TestReplayCatchesWorkerDependence(t *testing.T) {
+	c := &Case{
+		Name:      "sabotage-workers",
+		Seed:      7,
+		Topology:  Topology{Kind: "clos"},
+		HorizonPS: 12 * sim.Millisecond,
+		Tenants: []Tenant{
+			{VF: 1, GuaranteeBps: 4e9, WeightClass: 2, Pairs: []chaos.PairSpec{{Src: 0, Dst: 4}}},
+			{VF: 2, GuaranteeBps: 4e9, WeightClass: 2, Pairs: []chaos.PairSpec{{Src: 1, Dst: 4}}},
+			{VF: 3, GuaranteeBps: 2e9, WeightClass: 1, Pairs: []chaos.PairSpec{{Src: 2, Dst: 6}}},
+		},
+	}
+	g, err := c.Topology.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	for i := range c.Tenants {
+		p := &c.Tenants[i].Pairs[0]
+		p.Src, p.Dst = hosts[p.Src], hosts[p.Dst]
+	}
+	x := &Executor{
+		Replay: true,
+		Sabotage: func(eng *sim.Engine, f *vfabric.Fabric) {
+			if eng.Workers() == 0 {
+				return
+			}
+			eng.At(6*sim.Millisecond, func() { f.Flows[0].Pair.SetPhi(1) })
+		},
+	}
+	r, err := x.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != VerdictMismatch || r.Mismatch == "" {
+		t.Fatalf("verdict = %s (mismatch %q), want a mismatch with its diff", r.Verdict, r.Mismatch)
+	}
+	min, mr, st := (&Shrinker{X: x}).Shrink(c)
+	if mr.Verdict != VerdictMismatch || mr.Mismatch == "" {
+		t.Fatalf("shrunk case verdict = %s (mismatch %q), want mismatch", mr.Verdict, mr.Mismatch)
+	}
+	if st.Reductions == 0 || len(min.Tenants) >= len(c.Tenants) {
+		t.Errorf("shrink kept %d of %d tenants in %d reductions; vf 3 shares nothing with the sabotaged flow",
+			len(min.Tenants), len(c.Tenants), st.Reductions)
+	}
+}
+
 // TestShrinkCleanCaseNoOp: a passing case comes back unchanged.
 func TestShrinkCleanCaseNoOp(t *testing.T) {
 	c := Generate(2)

@@ -1,6 +1,6 @@
 package sim
 
-// Operational health counters for the sharded core. Unlike EngineStats these
+// Operational health counters of a partitioned engine's shards. Unlike EngineStats these
 // are NOT deterministic: they count synchronization behavior (stalls, spins,
 // wall-clock seal latency) that depends on worker scheduling and machine
 // load, so they must never feed a Report metric or the deterministic
@@ -30,26 +30,19 @@ type ShardHealth struct {
 }
 
 // HealthSource is implemented by drivers that expose per-shard operational
-// health. The sequential Engine trivially satisfies it with no shards.
+// health; a plain Engine has no shards and reports none.
 type HealthSource interface {
 	Health() []ShardHealth
 }
 
-var (
-	_ HealthSource = (*Engine)(nil)
-	_ HealthSource = (*Sharded)(nil)
-)
-
-// Health implements HealthSource: a sequential engine has no shards and
-// therefore no synchronization counters.
-func (e *Engine) Health() []ShardHealth { return nil }
+var _ HealthSource = (*Engine)(nil)
 
 // Health returns a snapshot of every shard's counters. Safe to call
 // concurrently with a running epoch (values are monotonic atomics), though a
 // mid-epoch snapshot may be mutually inconsistent across fields.
-func (s *Sharded) Health() []ShardHealth {
-	out := make([]ShardHealth, len(s.shards))
-	for i, sh := range s.shards {
+func (e *Engine) Health() []ShardHealth {
+	out := make([]ShardHealth, len(e.shards))
+	for i, sh := range e.shards {
 		out[i] = ShardHealth{
 			Shard:        i,
 			WindowStalls: sh.health.windowStalls.Load(),

@@ -7,9 +7,7 @@ import "testing"
 // and the snapshot covers every shard. Stall and spin counts are timing
 // dependent, so only their presence (non-negative, monotonic) is asserted.
 func TestShardedHealth(t *testing.T) {
-	s := NewSharded(2, 2, Microsecond)
-	s.Connect(0, 1)
-	s.Connect(1, 0)
+	s := meshed(2, 2, Microsecond)
 	// Ping-pong: each arrival bounces an event back across the cut.
 	var bounce func(from, to int) func()
 	n := 0
@@ -54,7 +52,7 @@ func TestShardedHealth(t *testing.T) {
 	}
 }
 
-// TestEngineHealthEmpty pins the sequential engine's trivial HealthSource.
+// TestEngineHealthEmpty pins the plain engine's trivial HealthSource.
 func TestEngineHealthEmpty(t *testing.T) {
 	var e Engine
 	if h := e.Health(); len(h) != 0 {

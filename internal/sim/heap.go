@@ -33,13 +33,13 @@ package sim
 //     out, and field-by-field access to any entry that may be that fresh.
 
 // eventKey is the full ordering key of a scheduled event, and less the one
-// definition of event order. For a plain sequential Engine it is provably
-// the classic (at, seq) FIFO order: src is constant and seq increases
-// monotonically with scheduling time, so schedAt never reorders equal-time
-// events. The extra components only matter in the sharded core, where seq
-// counters are per shard: schedAt and src make the key a total order over
-// events from different shards that is independent of how shard engines are
-// interleaved onto workers.
+// definition of event order. For a plain Engine it is provably the classic
+// (at, seq) FIFO order: src is constant and seq increases monotonically with
+// scheduling time, so schedAt never reorders equal-time events. The extra
+// components only matter on a partitioned engine, where seq counters are per
+// shard: schedAt and src make the key a total order over events from
+// different shards that is independent of how shard engines are interleaved
+// onto workers.
 type eventKey struct {
 	at      Time
 	schedAt Time

@@ -7,84 +7,92 @@ import (
 	"testing"
 )
 
-// simCore abstracts the two execution modes of a logically sharded
-// simulation: the parallel Sharded driver, and a single sequential Engine
-// driven through per-shard views. The harness runs identically on both,
-// which is the bit-identity claim at the core level.
-type simCore interface {
-	Shard(i int) Scheduler
-	Send(src, dst int, d Duration, fn Event)
-	Window() Duration
-	Run() Time
-	RunUntil(deadline Time) Time
+// seqView is the test-only oracle for the partitioned engine: it schedules on
+// one shared plain Engine while stamping events with a fixed logical-shard id
+// and a private sequence counter — exactly the key (at, schedAt, src, seq) a
+// shard engine assigns. One heap holding every event, popped in key order,
+// is the definition of the order the shards must reproduce.
+type seqView struct {
+	e   *Engine
+	src uint32
+	seq uint64
 }
 
-// seqCore is the sequential realization: one engine stamped as coordinator,
-// one view per logical shard, cross-shard sends degenerating to a local
-// After under the source view's stamp.
-type seqCore struct {
-	e      *Engine
-	views  []Scheduler
-	window Duration
-}
-
-func newSeqCore(ns int, window Duration) *seqCore {
-	if window <= 0 {
-		window = noCutWindow
+func (v *seqView) Now() Time { return v.e.now }
+func (v *seqView) At(t Time, fn Event) Handle {
+	if t < v.e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, v.e.now))
 	}
-	c := &seqCore{e: New(), window: window, views: make([]Scheduler, ns)}
-	c.e.SetSrc(uint32(ns))
-	for i := range c.views {
-		c.views[i] = c.e.ShardView(uint32(i))
-	}
-	return c
+	v.seq++
+	return v.e.push(t, v.e.now, v.src, v.seq-1, fn)
 }
-
-func (c *seqCore) Shard(i int) Scheduler                   { return c.views[i] }
-func (c *seqCore) Send(src, dst int, d Duration, fn Event) { c.views[src].After(d, fn) }
-func (c *seqCore) Window() Duration                        { return c.window }
-func (c *seqCore) Run() Time                               { return c.e.Run() }
-func (c *seqCore) RunUntil(deadline Time) Time             { return c.e.RunUntil(deadline) }
+func (v *seqView) After(d Duration, fn Event) Handle             { return v.At(v.e.now+d, fn) }
+func (v *seqView) Cancel(h Handle) bool                          { return v.e.Cancel(h) }
+func (v *seqView) Every(period Duration, fn Event) (stop func()) { return every(v, period, fn) }
 
 // shardedHarness builds a little message-passing simulation over ns shards:
 // each shard runs a deterministic RNG-driven loop that does local work and
-// occasionally sends an event to another shard with at least minDelay of
-// latency. Every executed event appends to its shard's log, so two runs are
-// behaviorally identical iff the per-shard logs match.
+// occasionally sends an event to another shard with at least the window of
+// latency, and the coordinator samples all of them at fixed times. Every
+// executed event appends to its shard's log (the coordinator's is the last),
+// so two runs are behaviorally identical iff the logs match. It runs on a
+// partitioned engine with any worker count, or on the single-heap oracle.
 type shardedHarness struct {
-	s    simCore
-	logs [][]string
-	rngs []*rand.Rand
+	drv    *Engine
+	shard  func(i int) Scheduler
+	send   func(src, dst int, d Duration, fn Event)
+	window Duration
+	logs   [][]string
+	rngs   []*rand.Rand
 }
 
-func newHarnessOn(core simCore, ns int, seed int64) *shardedHarness {
-	h := &shardedHarness{
-		s:    core,
-		logs: make([][]string, ns),
-		rngs: make([]*rand.Rand, ns),
-	}
+func newHarness(ns int, seed int64) *shardedHarness {
+	h := &shardedHarness{logs: make([][]string, ns+1), rngs: make([]*rand.Rand, ns)}
 	for i := 0; i < ns; i++ {
 		h.rngs[i] = rand.New(rand.NewSource(seed ^ int64(i)<<16))
 	}
 	return h
 }
 
-func newShardedHarness(ns, workers int, minDelay Duration, seed int64) *shardedHarness {
-	s := NewSharded(ns, workers, minDelay)
+// meshed returns an engine partitioned into ns fully connected shards.
+func meshed(ns, workers int, window Duration) *Engine {
+	e := New()
+	e.Partition(ns, workers, window)
 	for i := 0; i < ns; i++ {
 		for j := 0; j < ns; j++ {
-			if i != j {
-				s.Connect(i, j)
-			}
+			e.Connect(i, j)
 		}
 	}
-	return newHarnessOn(s, ns, seed)
+	return e
+}
+
+func newShardedHarness(ns, workers int, window Duration, seed int64) *shardedHarness {
+	h := newHarness(ns, seed)
+	h.drv = meshed(ns, workers, window)
+	h.shard, h.send, h.window = h.drv.Shard, h.drv.Send, h.drv.Window()
+	return h
+}
+
+// newOracleHarness runs the harness on one plain engine stamped as
+// coordinator, one view per logical shard, cross-shard sends degenerating to
+// a local After under the source view's stamp.
+func newOracleHarness(ns int, window Duration, seed int64) *shardedHarness {
+	h := newHarness(ns, seed)
+	h.drv = &Engine{src: uint32(ns)}
+	views := make([]*seqView, ns)
+	for i := range views {
+		views[i] = &seqView{e: h.drv, src: uint32(i)}
+	}
+	h.shard = func(i int) Scheduler { return views[i] }
+	h.send = func(src, _ int, d Duration, fn Event) { views[src].After(d, fn) }
+	h.window = window
+	return h
 }
 
 // hop logs one step on shard id and, while steps remain, schedules the next
 // step locally or on a random peer.
 func (h *shardedHarness) hop(id, steps int) {
-	sch := h.s.Shard(id)
+	sch := h.shard(id)
 	h.logs[id] = append(h.logs[id], fmt.Sprintf("%d@%v", steps, sch.Now()))
 	if steps <= 0 {
 		return
@@ -95,64 +103,76 @@ func (h *shardedHarness) hop(id, steps int) {
 		if peer >= id {
 			peer++
 		}
-		d := h.s.Window() + Duration(r.Intn(5000))*Nanosecond
-		h.s.Send(id, peer, d, func() { h.hop(peer, steps-1) })
+		d := h.window + Duration(r.Intn(5000))*Nanosecond
+		h.send(id, peer, d, func() { h.hop(peer, steps-1) })
 		return
 	}
 	sch.After(Duration(1+r.Intn(900))*Nanosecond, func() { h.hop(id, steps-1) })
 }
 
-func (h *shardedHarness) seed(ns int) {
+// seed starts a 40-step chain on every shard and twenty coordinator samples
+// of how far the chains have got.
+func (h *shardedHarness) seed() *shardedHarness {
+	ns := len(h.rngs)
 	for i := 0; i < ns; i++ {
 		id := i
-		h.s.Shard(id).At(Time(id)*Nanosecond, func() { h.hop(id, 40) })
+		h.shard(id).At(Time(id)*Nanosecond, func() { h.hop(id, 40) })
 	}
+	for k := 1; k <= 20; k++ {
+		h.drv.At(Time(k)*2*Microsecond, func() {
+			seen := 0
+			for _, l := range h.logs[:ns] {
+				seen += len(l)
+			}
+			h.logs[ns] = append(h.logs[ns], fmt.Sprintf("%d@%v", seen, h.drv.Now()))
+		})
+	}
+	return h
 }
 
 func runHarness(ns, workers int, seed int64) ([][]string, Time) {
-	h := newShardedHarness(ns, workers, Microsecond, seed)
-	h.seed(ns)
-	end := h.s.Run()
+	h := newShardedHarness(ns, workers, Microsecond, seed).seed()
+	end := h.drv.Run()
 	return h.logs, end
 }
 
 // TestShardedWorkerCountIndependence is the core determinism claim: the
 // per-shard event sequences must be byte-identical no matter how many
-// workers execute the logical shards.
+// workers execute the logical shards — none (inline) included.
 func TestShardedWorkerCountIndependence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
-		ref, refEnd := runHarness(5, 1, seed)
-		for _, workers := range []int{2, 3, 5} {
+		ref, refEnd := runHarness(5, 0, seed)
+		for _, workers := range []int{1, 2, 3, 5} {
 			got, end := runHarness(5, workers, seed)
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("seed %d: logs differ between 1 and %d workers:\n1: %v\n%d: %v",
+				t.Fatalf("seed %d: logs differ between 0 and %d workers:\n0: %v\n%d: %v",
 					seed, workers, ref, workers, got)
 			}
 			if refEnd != end {
-				t.Fatalf("seed %d: final time %v (1 worker) vs %v (%d workers)", seed, refEnd, end, workers)
+				t.Fatalf("seed %d: final time %v (0 workers) vs %v (%d workers)", seed, refEnd, end, workers)
 			}
 		}
 	}
 }
 
-// TestSequentialViewsMatchSharded is the cross-mode bit-identity claim: one
-// sequential Engine driven through per-shard views executes the exact same
-// event sequence as the parallel core, for any worker count, because both
-// order every event by the same (at, schedAt, src, seq) key.
+// TestSequentialViewsMatchSharded holds the partitioned engine to its
+// definition: one plain Engine holding every event in a single heap, driven
+// through key-stamping views, executes the exact same event sequence as the
+// shards do for any worker count, because both order every event by the same
+// (at, schedAt, src, seq) key.
 func TestSequentialViewsMatchSharded(t *testing.T) {
 	const ns = 5
 	for _, seed := range []int64{1, 4, 9} {
-		hs := newHarnessOn(newSeqCore(ns, Microsecond), ns, seed)
-		hs.seed(ns)
-		ref := hs.s.Run()
-		for _, workers := range []int{1, 3, 5} {
+		hs := newOracleHarness(ns, Microsecond, seed).seed()
+		ref := hs.drv.Run()
+		for _, workers := range []int{0, 1, 3, 5} {
 			got, end := runHarness(ns, workers, seed)
 			if !reflect.DeepEqual(hs.logs, got) {
-				t.Fatalf("seed %d: sequential views diverged from %d workers:\nseq:     %v\nsharded: %v",
+				t.Fatalf("seed %d: single-heap oracle diverged from %d workers:\noracle: %v\nshards: %v",
 					seed, workers, hs.logs, got)
 			}
 			if ref != end {
-				t.Fatalf("seed %d: final time %v (sequential) vs %v (%d workers)", seed, ref, end, workers)
+				t.Fatalf("seed %d: final time %v (oracle) vs %v (%d workers)", seed, ref, end, workers)
 			}
 		}
 	}
@@ -161,20 +181,17 @@ func TestSequentialViewsMatchSharded(t *testing.T) {
 // TestShardedRunUntilMatchesRun pins that windowed RunUntil epochs reach the
 // same state as a single drain, and that the clock lands on the deadline.
 func TestShardedRunUntilMatchesRun(t *testing.T) {
-	ref, _ := runHarness(4, 2, 3)
-
-	h := newShardedHarness(4, 2, Microsecond, 3)
-	for i := 0; i < 4; i++ {
-		id := i
-		h.s.Shard(id).At(Time(id)*Nanosecond, func() { h.hop(id, 40) })
-	}
-	for d := 5 * Microsecond; d <= 500*Microsecond; d += 5 * Microsecond {
-		if got := h.s.RunUntil(d); got != d {
-			t.Fatalf("RunUntil(%v) = %v", d, got)
+	for _, workers := range []int{0, 2} {
+		ref, _ := runHarness(4, workers, 3)
+		h := newShardedHarness(4, workers, Microsecond, 3).seed()
+		for d := 5 * Microsecond; d <= 500*Microsecond; d += 5 * Microsecond {
+			if got := h.drv.RunUntil(d); got != d {
+				t.Fatalf("%d workers: RunUntil(%v) = %v", workers, d, got)
+			}
 		}
-	}
-	if !reflect.DeepEqual(ref, h.logs) {
-		t.Fatalf("chunked RunUntil diverged from Run:\nrun:   %v\nchunk: %v", ref, h.logs)
+		if !reflect.DeepEqual(ref, h.logs) {
+			t.Fatalf("%d workers: chunked RunUntil diverged from Run:\nrun:   %v\nchunk: %v", workers, ref, h.logs)
+		}
 	}
 }
 
@@ -183,62 +200,76 @@ func TestShardedRunUntilMatchesRun(t *testing.T) {
 // after every shard event with time < T (and those scheduled earlier at T)
 // and observes all their state.
 func TestShardedGlobalBarrier(t *testing.T) {
-	s := NewSharded(3, 3, Microsecond)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i != j {
-				s.Connect(i, j)
+	for _, workers := range []int{0, 3} {
+		s := meshed(3, workers, Microsecond)
+		counts := make([]int, 3)
+		for i := 0; i < 3; i++ {
+			id := i
+			// 10 local events per shard, every 300ns starting at 300ns.
+			var step func()
+			n := 0
+			step = func() {
+				counts[id]++
+				if n++; n < 10 {
+					s.Shard(id).After(300*Nanosecond, step)
+				}
 			}
+			s.Shard(id).After(300*Nanosecond, step)
+		}
+		var samples []int
+		stop := s.Every(Microsecond, func() {
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			samples = append(samples, total)
+		})
+		s.RunUntil(4 * Microsecond)
+		stop()
+		// At each μs boundary every shard has fired floor(T/300ns) of its 10
+		// events: 3, 6, 9, 10 → totals 9, 18, 27, 30.
+		want := []int{9, 18, 27, 30}
+		if !reflect.DeepEqual(samples, want) {
+			t.Fatalf("%d workers: barrier samples = %v, want %v", workers, samples, want)
 		}
 	}
-	counts := make([]int, 3)
-	for i := 0; i < 3; i++ {
-		id := i
-		// 10 local events per shard, every 300ns starting at 300ns.
-		var step func()
-		n := 0
-		step = func() {
-			counts[id]++
-			if n++; n < 10 {
-				s.Shard(id).After(300*Nanosecond, step)
-			}
-		}
-		s.Shard(id).After(300*Nanosecond, step)
-	}
-	var samples []int
-	stop := s.Every(Microsecond, func() {
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		samples = append(samples, total)
-	})
-	s.RunUntil(4 * Microsecond)
-	stop()
-	// At each μs boundary every shard has fired floor(T/300ns) of its 10
-	// events: 3, 6, 9, 10 → totals 9, 18, 27, 30.
-	want := []int{9, 18, 27, 30}
-	if !reflect.DeepEqual(samples, want) {
-		t.Fatalf("barrier samples = %v, want %v", samples, want)
+}
+
+// wantSendPanic checks that a cross-shard send on a two-shard engine with
+// only 0→1 connected panics, for inline and ring delivery alike: a fabric
+// that only panics once workers are added would be a second code path.
+func wantSendPanic(t *testing.T, what string, send func(s *Engine)) {
+	t.Helper()
+	for _, workers := range []int{0, 1} {
+		s := New()
+		s.Partition(2, workers, Microsecond)
+		s.Connect(0, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d workers: %s cross-shard send did not panic", workers, what)
+				}
+			}()
+			send(s)
+		}()
 	}
 }
 
 // TestShardedCrossShardBelowWindowPanics pins the lookahead guard.
 func TestShardedCrossShardBelowWindowPanics(t *testing.T) {
-	s := NewSharded(2, 1, Microsecond)
-	s.Connect(0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sub-window cross-shard send did not panic")
-		}
-	}()
-	s.Send(0, 1, 500*Nanosecond, func() {})
+	wantSendPanic(t, "sub-window", func(s *Engine) { s.Send(0, 1, 500*Nanosecond, func() {}) })
+}
+
+// TestShardedUnconnectedSendPanics pins the declared-connection guard.
+func TestShardedUnconnectedSendPanics(t *testing.T) {
+	wantSendPanic(t, "undeclared", func(s *Engine) { s.Send(1, 0, Microsecond, func() {}) })
 }
 
 // TestShardedSingleShardDegenerates checks the no-cut configuration: one
-// shard, no window bound, plain sequential behavior.
+// shard, no window bound, plain sequential behavior for any worker count.
 func TestShardedSingleShardDegenerates(t *testing.T) {
-	s := NewSharded(1, 4, 0)
+	s := New()
+	s.Partition(1, 4, 0)
 	var order []Time
 	sch := s.Shard(0)
 	sch.At(3*Microsecond, func() { order = append(order, sch.Now()) })
@@ -258,18 +289,73 @@ func TestShardedSingleShardDegenerates(t *testing.T) {
 
 // TestShardedStats checks the aggregate counters are sums over components.
 func TestShardedStats(t *testing.T) {
-	logs, _ := runHarness(3, 2, 9)
-	total := 0
-	for _, l := range logs {
-		total += len(l)
+	for _, workers := range []int{0, 2} {
+		h := newShardedHarness(3, workers, Microsecond, 9).seed()
+		h.drv.Run()
+		total := 0
+		for _, l := range h.logs {
+			total += len(l)
+		}
+		if got := h.drv.Stats().Processed; got != uint64(total) {
+			t.Fatalf("%d workers: Processed = %d, want %d logged events (coordinator's included)", workers, got, total)
+		}
+		if got := h.drv.Pending(); got != 0 {
+			t.Fatalf("%d workers: Pending = %d after Run", workers, got)
+		}
 	}
-	h := newShardedHarness(3, 2, Microsecond, 9)
+}
+
+// TestStopKeepsClocks pins that a run ended by Stop leaves every clock at
+// the event that stopped it. RunUntil used to jump to the deadline anyway,
+// over still-queued events, so the next run set the clock back and an At in
+// between panicked "before now".
+func TestStopKeepsClocks(t *testing.T) {
+	for name, build := range map[string]func() (*Engine, Scheduler){
+		"plain":     func() (*Engine, Scheduler) { e := New(); return e, e },
+		"0 workers": func() (*Engine, Scheduler) { e := meshed(2, 0, Microsecond); return e, e.Shard(1) },
+		"2 workers": func() (*Engine, Scheduler) { e := meshed(2, 2, Microsecond); return e, e.Shard(1) },
+	} {
+		e, late := build()
+		e.At(5*Nanosecond, e.Stop)
+		ran := false
+		late.At(7*Nanosecond, func() { ran = true })
+		if got := e.RunUntil(10 * Nanosecond); got != 5*Nanosecond || late.Now() != 5*Nanosecond {
+			t.Fatalf("%s: stopped RunUntil returned %v with the other clock at %v, want 5ns both", name, got, late.Now())
+		}
+		if ran || e.Pending() != 1 {
+			t.Fatalf("%s: event past the stop ran=%v, %d pending", name, ran, e.Pending())
+		}
+		late.At(6*Nanosecond, func() {}) // legal: 6ns is still the future
+		if got := e.RunUntil(10 * Nanosecond); got != 10*Nanosecond || late.Now() != 10*Nanosecond || !ran {
+			t.Fatalf("%s: resumed RunUntil returned %v (other clock %v, ran=%v)", name, got, late.Now(), ran)
+		}
+	}
+}
+
+// TestInlineEpochAllocatesNothing is the gate on the zero-worker path every
+// sequential run now takes: advancing the shards to a coordinator event,
+// executing it and parking again must not touch the allocator — the owner
+// lists are built once at partition time and no epoch state lives on the
+// heap.
+func TestInlineEpochAllocatesNothing(t *testing.T) {
+	e := meshed(3, 0, Microsecond)
 	for i := 0; i < 3; i++ {
 		id := i
-		h.s.Shard(id).At(Time(id)*Nanosecond, func() { h.hop(id, 40) })
+		var step func()
+		step = func() {
+			e.Shard(id).After(300*Nanosecond, step)
+			e.Send(id, (id+1)%3, Microsecond, func() {})
+		}
+		e.Shard(id).After(300*Nanosecond, step)
 	}
-	h.s.Run()
-	if got := h.s.(*Sharded).Stats().Processed; got != uint64(total) {
-		t.Fatalf("Processed = %d, want %d logged events", got, total)
+	ticks := 0
+	e.Every(700*Nanosecond, func() { ticks++ })
+	e.RunUntil(100 * Microsecond) // grow the arenas and heaps to their working size
+	before := ticks
+	if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 2*Microsecond) }); a != 0 {
+		t.Fatalf("a zero-worker RunUntil step allocates %.1f times, want 0", a)
+	}
+	if ticks-before < 200 {
+		t.Fatalf("only %d coordinator events ran; the measured steps did no epochs", ticks-before)
 	}
 }

@@ -9,6 +9,14 @@
 // instant, plus cancellable timers. Determinism matters because the
 // evaluation compares schemes on identical traffic traces.
 //
+// There is one driver type and one run loop. An Engine may be partitioned at
+// set-up into logical shards — child engines with their own arena, heap and
+// sequence counter — of which it becomes the coordinator (sharded.go); its
+// Run and RunUntil then advance the shards up to each of its own events
+// before executing it. A plain engine is that loop over zero shards, and how
+// many goroutines execute the shards (none: inline on the caller) is an
+// execution detail that never reaches an event key.
+//
 // A pending event is two records. Its heap entry (heap.go) carries the whole
 // ordering key (at, schedAt, src, seq) inline, so ordering the queue never
 // leaves the heap's backing array; its callback lives in a slab-allocated
@@ -67,12 +75,12 @@ func DurationFromSeconds(s float64) Duration { return Duration(s * float64(Secon
 // Event is a callback scheduled to run at a specific simulated time.
 type Event func()
 
-// Scheduler is the clock-and-timer surface agents program against. Both the
-// sequential *Engine and the per-shard engines of the sharded core satisfy
-// it, so agent code is indifferent to which clock it runs on. Callers must
-// only invoke a Scheduler from the goroutine that executes its events (for a
-// shard-local scheduler, that shard's worker; for the sharded coordinator,
-// the barrier goroutine).
+// Scheduler is the clock-and-timer surface agents program against: a plain
+// engine, the coordinator of a partitioned one, or one of its shards
+// (Engine.Shard), so agent code is indifferent to which clock it runs on.
+// Callers must only invoke a Scheduler from the goroutine that executes its
+// events (for a shard, that shard's worker; for the coordinator, the
+// goroutine that called Run/RunUntil, during set-up or from its own events).
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time
@@ -84,20 +92,20 @@ type Scheduler interface {
 	Cancel(h Handle) bool
 	// Every runs fn periodically until the returned stop is called.
 	Every(period Duration, fn Event) (stop func())
-	// Stop makes the driving Run/RunUntil return after the current event.
-	Stop()
 }
 
 // Driver is the run-loop surface owned by whoever drives the simulation
-// forward (experiments, the fuzz executor, the control-plane daemon). Both
-// *Engine and *Sharded satisfy it.
+// forward (experiments, the fuzz executor, the control-plane daemon): an
+// *Engine that is nobody's shard.
 type Driver interface {
 	Scheduler
 	// Run executes events until the queue drains or Stop is called.
 	Run() Time
 	// RunUntil executes events with time ≤ deadline, then advances the
-	// clock to the deadline.
+	// clock to the deadline unless Stop ended the run first.
 	RunUntil(deadline Time) Time
+	// Stop makes Run/RunUntil return after the current event.
+	Stop()
 }
 
 // StatsSource is satisfied by schedulers that can report scheduling
@@ -144,9 +152,10 @@ type eventSlot struct {
 	nextFree  int32 // free-list link, 1-based; 0 terminates
 }
 
-// Engine is a single-threaded discrete-event simulator. The zero value is
-// ready to use. Engine is not safe for concurrent use; all event callbacks
-// run on the goroutine that calls Run or Step.
+// Engine is a discrete-event simulator. The zero value is ready to use.
+// Engine is not safe for concurrent use: its own events run on the goroutine
+// that calls Run, RunUntil or Step, and between them it has exclusive access
+// to its shards, if Partition gave it any.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -156,12 +165,21 @@ type Engine struct {
 	queue   []heapEntry // 4-ary heap ordered by eventKey.less; see heap.go
 	stopped bool
 	// maxSched is the latest time any event was ever scheduled for;
-	// monotone. The sharded driver uses it to bound drain-to-empty epochs.
+	// monotone. Run uses it to bound the epochs that drain a shard.
 	maxSched Time
-	// Processed counts events executed so far; useful for runaway
-	// detection in tests.
+	// Processed counts events executed so far by this engine's own queue
+	// (Stats adds the shards'); useful for runaway detection in tests.
 	Processed   uint64
 	peakPending int
+
+	// Partition state (sharded.go): the shards this engine coordinates,
+	// their lookahead window, and the share of each worker goroutine that
+	// executes them (no crew: inline). All zero for a plain engine and for
+	// a shard.
+	shards  []*shard
+	window  Duration
+	crew    [][]*shard
+	started bool // a worker epoch has run: set-up is over, rings carry the sends
 }
 
 // EngineStats is a snapshot of the engine's scheduling activity, pulled by
@@ -175,15 +193,25 @@ type EngineStats struct {
 	ArenaSlots  int    // arena size: peak live+free event slots
 }
 
-// Stats returns the current scheduling statistics.
+// Stats returns the current scheduling statistics, summed over the engine's
+// own queue and its shards' (Now is the engine's own clock). The sums do not
+// depend on the worker count because no component engine's activity does.
 func (e *Engine) Stats() EngineStats {
-	return EngineStats{
+	st := EngineStats{
 		Now:         e.now,
 		Processed:   e.Processed,
 		Pending:     len(e.queue),
 		PeakPending: e.peakPending,
 		ArenaSlots:  len(e.slots),
 	}
+	for _, sh := range e.shards {
+		es := sh.eng.Stats()
+		st.Processed += es.Processed
+		st.Pending += es.Pending
+		st.PeakPending += es.PeakPending
+		st.ArenaSlots += es.ArenaSlots
+	}
+	return st
 }
 
 // alloc returns an arena slot index, reusing a freed slot when possible.
@@ -213,8 +241,8 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events still queued (including cancelled
-// events that have not yet been popped).
-func (e *Engine) Pending() int { return len(e.queue) }
+// events that have not yet been popped), the shards' included.
+func (e *Engine) Pending() int { return e.Stats().Pending }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now) panics: it would silently reorder causality, which in a network
@@ -275,11 +303,12 @@ func (e *Engine) Cancel(h Handle) bool {
 	return true
 }
 
-// Stop makes Run return after the currently executing event (if any)
-// completes. Pending events remain queued.
+// Stop makes Run/RunUntil return after the currently executing event of this
+// engine's own queue completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the next event, if any, and reports whether one ran.
+// Step executes the next event of the engine's own queue, if any, and
+// reports whether one ran.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		at, idx := e.heapPop()
@@ -299,38 +328,70 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final simulated time.
-func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil executes events with time ≤ deadline, then advances the clock to
-// the deadline (even if no event was pending there) and returns. Events
-// scheduled exactly at the deadline do run.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 {
-			break
-		}
-		// Peek.
+// nextKey returns the key of the engine's next pending event, popping and
+// releasing any cancelled entries it passes over.
+func (e *Engine) nextKey() (eventKey, bool) {
+	for len(e.queue) > 0 {
 		next := &e.queue[0]
 		if e.slots[next.idx].cancelled {
 			_, idx := e.heapPop()
 			e.release(idx)
 			continue
 		}
-		if next.at > deadline {
+		return next.key(), true
+	}
+	return eventKey{}, false
+}
+
+// Run executes events until every queue drains or Stop is called, and
+// returns the time of the last event executed.
+func (e *Engine) Run() Time {
+	e.stopped = false
+	for !e.stopped {
+		if k, ok := e.nextKey(); ok {
+			e.advanceShards(k)
+			e.Step()
+			continue
+		}
+		// Nothing of our own is left: drain the shards to their horizon.
+		// Their events may extend it, so loop until they hold nothing.
+		horizon := Time(-1)
+		for _, sh := range e.shards {
+			if _, ok := sh.eng.nextKey(); ok && sh.eng.maxSched > horizon {
+				horizon = sh.eng.maxSched
+			}
+		}
+		if horizon < 0 {
 			break
 		}
-		e.Step()
+		e.runEpoch(maxKey(horizon))
 	}
-	if e.now < deadline {
-		e.now = deadline
+	for _, sh := range e.shards {
+		if sh.eng.now > e.now {
+			e.now = sh.eng.now
+		}
+	}
+	return e.now
+}
+
+// RunUntil executes events with time ≤ deadline — events scheduled exactly
+// at the deadline do run — then advances every clock to the deadline (even
+// if no event was pending there) and returns it. A run ended by Stop leaves
+// the clocks at the event that called it: the events it did not reach are
+// still queued in their future.
+func (e *Engine) RunUntil(deadline Time) Time {
+	e.stopped = false
+	for !e.stopped {
+		k, ok := e.nextKey()
+		if !ok || k.at > deadline {
+			e.advanceShards(maxKey(deadline))
+			if e.now < deadline {
+				e.now = deadline
+			}
+			break
+		}
+		e.advanceShards(k)
+		e.Step()
 	}
 	return e.now
 }
@@ -342,8 +403,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // has since reused the tick's arena slot.
 func (e *Engine) Every(period Duration, fn Event) (stop func()) { return every(e, period, fn) }
 
-// every is the one periodic-tick loop behind Engine.Every and
-// shardView.Every (Sharded.Every delegates to its coordinator Engine).
+// every is the periodic-tick loop behind Every, over any Scheduler.
 func every(s Scheduler, period Duration, fn Event) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))

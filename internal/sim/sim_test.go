@@ -453,37 +453,32 @@ func TestEveryStopIdempotent(t *testing.T) {
 	}
 }
 
-// TestSchedulerConformance pins that both engines satisfy the Scheduler
-// contract through the interface, so consumers can be migrated type-only.
+// TestSchedulerConformance pins that the three contexts a Scheduler can be —
+// a plain engine, the coordinator of a partitioned one, one of its shards —
+// honour the same contract through the interface, whoever executes the
+// shards.
 func TestSchedulerConformance(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func() (Scheduler, Driver)
-	}{
-		{"engine", func() (Scheduler, Driver) { e := New(); return e, e }},
-		{"sharded-coordinator", func() (Scheduler, Driver) {
-			sh := NewSharded(2, 1, Microsecond)
-			return sh, sh
-		}},
-		{"shard-local", func() (Scheduler, Driver) {
-			sh := NewSharded(2, 1, Microsecond)
-			return sh.Shard(0), sh
-		}},
-	} {
-		s, driver := tc.build()
-		var order []string
-		h := s.At(5*Nanosecond, func() { order = append(order, "cancelled") })
-		s.After(2*Nanosecond, func() { order = append(order, "a") })
-		s.At(2*Nanosecond, func() { order = append(order, "b") })
-		if !s.Cancel(h) {
-			t.Fatalf("%s: Cancel = false", tc.name)
-		}
-		stop := s.Every(3*Nanosecond, func() { order = append(order, "tick") })
-		s.At(7*Nanosecond, func() { stop() })
-		driver.Run()
-		want := []string{"a", "b", "tick", "tick"}
-		if !reflect.DeepEqual(order, want) {
-			t.Errorf("%s: order = %v, want %v", tc.name, order, want)
+	for _, workers := range []int{0, 2} {
+		for name, build := range map[string]func() (Scheduler, Driver){
+			"plain":       func() (Scheduler, Driver) { e := New(); return e, e },
+			"coordinator": func() (Scheduler, Driver) { e := meshed(2, workers, Microsecond); return e, e },
+			"shard-local": func() (Scheduler, Driver) { e := meshed(2, workers, Microsecond); return e.Shard(0), e },
+		} {
+			s, driver := build()
+			var order []string
+			h := s.At(5*Nanosecond, func() { order = append(order, "cancelled") })
+			s.After(2*Nanosecond, func() { order = append(order, "a") })
+			s.At(2*Nanosecond, func() { order = append(order, "b") })
+			if !s.Cancel(h) {
+				t.Fatalf("%s, %d workers: Cancel = false", name, workers)
+			}
+			stop := s.Every(3*Nanosecond, func() { order = append(order, "tick") })
+			s.At(7*Nanosecond, func() { stop() })
+			driver.Run()
+			want := []string{"a", "b", "tick", "tick"}
+			if !reflect.DeepEqual(order, want) {
+				t.Errorf("%s, %d workers: order = %v, want %v", name, workers, order, want)
+			}
 		}
 	}
 }

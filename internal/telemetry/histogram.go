@@ -8,7 +8,7 @@ import "math"
 // same observations are bit-identical regardless of construction order,
 // and any two histograms can be merged by adding bucket counts. Observe is
 // allocation-free and lock-free; like Counter, a histogram is written by
-// one goroutine (per-entity instruments under the sharded engine) and read
+// one goroutine (per-entity instruments under the partitioned engine) and read
 // at barriers or after the run. All methods are safe no-ops on a nil
 // receiver — the disabled fast path.
 type Histogram struct {

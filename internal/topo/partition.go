@@ -29,7 +29,7 @@ type Partition struct {
 
 // PartitionPods computes the pod partition of g. It fails if a cut link has
 // a non-positive propagation delay, which would leave no safe lookahead
-// window for the sharded engine.
+// window between the shards.
 func PartitionPods(g *Graph) (*Partition, error) {
 	p := &Partition{Node: make([]int32, len(g.Nodes))}
 	const unassigned = int32(-1)

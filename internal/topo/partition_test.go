@@ -6,7 +6,7 @@ import (
 	"ufab/internal/sim"
 )
 
-// checkPartition verifies the structural invariants the sharded engine
+// checkPartition verifies the structural invariants the partitioned engine
 // depends on: every node is assigned, every link either stays inside one
 // shard or crosses exactly one boundary whose propagation delay is at least
 // the declared minimum, and non-core nodes of one pod share a shard.
@@ -109,7 +109,7 @@ func TestPartitionTestbed(t *testing.T) {
 }
 
 // TestPartitionCorelessGraph pins the degenerate single-shard case: no core
-// tier means one shard and no cut links, which the sharded engine runs with
+// tier means one shard and no cut links, which the partitioned engine runs with
 // an unbounded window.
 func TestPartitionCorelessGraph(t *testing.T) {
 	st := NewStar(4, Gbps(10), sim.Microsecond)

@@ -93,9 +93,10 @@ func (f *Fabric) initAudit(cfg *Config) {
 // feedEvents drains every recorder's new events since the last tick,
 // merges them canonically, and replays them into the auditor. Running at
 // the sampling barrier makes the fed stream a pure function of the
-// simulation state — identical whether the shards executed sequentially
-// or on the parallel core — because the set of events recorded before a
-// barrier is mode-invariant and the merge order is content-defined.
+// simulation state — identical whether the shards executed inline or on
+// worker goroutines — because the set of events recorded before a barrier
+// does not depend on the worker count and the merge order is
+// content-defined.
 func (au *auditState) feedEvents() {
 	if au.feedRecs == nil {
 		return

@@ -8,52 +8,44 @@ import (
 	"ufab/internal/topo"
 )
 
-// BuildOptions selects how a fabric and its simulation core are
+// BuildOptions selects how a fabric and its simulation engine are
 // constructed. It is the one construction path shared by the experiment
-// harness, the scenario fuzzer, and the control-plane daemon, so the
-// sequential/sharded choice and its invariants live in exactly one place.
+// harness, the scenario fuzzer, and the control-plane daemon.
 type BuildOptions struct {
 	// Graph is the physical topology (required).
 	Graph *topo.Graph
 	// Cfg is the fabric configuration (seed, telemetry, audit, agents).
 	Cfg Config
-	// Shards selects the execution mode. 0 runs the logically sharded
-	// fabric on one sequential engine (through per-shard views); N >= 1
-	// runs it on the parallel-in-time core with N worker goroutines.
-	// Output is bit-identical across every value: both modes order every
-	// event by the same (time, schedule-time, shard, sequence) key.
+	// Shards is the number of worker goroutines that execute the fabric's
+	// logical shards: 0 runs them inline on the goroutine driving the
+	// engine, N >= 1 on N workers in parallel. Output is bit-identical
+	// across every value: the shards, and the (time, schedule-time, shard,
+	// sequence) key that orders every event, are the same.
 	Shards int
-	// Eng optionally supplies the sequential engine to drive (the daemon
-	// and fuzzer keep their own handle for timers and quantum stepping).
-	// It must be fresh — no events scheduled yet — and is only legal with
-	// Shards == 0: the parallel core owns its engines.
+	// Eng optionally supplies the engine to partition and drive (the
+	// daemon and fuzzer keep their own handle for timers and quantum
+	// stepping). It must be fresh — no events scheduled yet.
 	Eng *sim.Engine
 }
 
-// Build assembles a μFAB fabric over a pod partition of the topology.
+// Build assembles a μFAB fabric over a pod partition of the topology: the
+// topology is cut into one shard per pod (cores round-robined), the engine
+// is partitioned to match, every node's agents schedule and record inside
+// the node's shard, fault randomness comes from per-shard streams derived
+// from (seed, shard), and the auditor is fed the canonically merged event
+// stream at each sampling barrier. None of that depends on how many
+// workers execute the shards, so metrics and traces are bit-identical for
+// any Shards value.
 //
-// Both execution modes build the same logical structure: the topology is
-// cut into one shard per pod (cores round-robined), every node's agents
-// schedule and record inside the node's shard, fault randomness comes
-// from per-shard streams derived from (seed, shard), and the auditor is
-// fed the canonically merged event stream at each sampling barrier.
-// Sequentially the shards are views over one engine; on the parallel
-// core they are per-worker engines synchronized by conservative
-// lookahead. Because every event carries the same ordering key either
-// way, metrics and traces are bit-identical for any Shards value.
-//
-// Topologies that cannot be partitioned (a cut link with zero
-// propagation delay leaves no lookahead window) degrade to a single
-// logical shard sequentially and are an error for Shards >= 1.
+// A topology that cannot be partitioned (a cut link with zero propagation
+// delay leaves no lookahead window) is one logical shard, which always
+// runs inline.
 func Build(o BuildOptions) (*Fabric, error) {
 	if o.Graph == nil {
 		return nil, fmt.Errorf("vfabric: Build requires a Graph")
 	}
 	part, err := topo.PartitionPods(o.Graph)
 	if err != nil {
-		if o.Shards >= 1 {
-			return nil, fmt.Errorf("vfabric: cannot shard topology: %w", err)
-		}
 		part = singleShard(o.Graph)
 	}
 	cfg := o.Cfg
@@ -61,27 +53,12 @@ func Build(o BuildOptions) (*Fabric, error) {
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.EnableShardRecorders(part.Shards, 0)
 	}
-
-	var drv sim.Driver
-	var net *dataplane.Network
-	switch {
-	case o.Shards >= 1:
-		if o.Eng != nil {
-			return nil, fmt.Errorf("vfabric: external engine is only legal with Shards == 0")
-		}
-		sh := sim.NewSharded(part.Shards, o.Shards, part.MinCutDelay)
-		drv = sh
-		net = dataplane.NewPartitioned(sh, part, o.Graph, cfg.Dataplane)
-	default:
-		eng := o.Eng
-		if eng == nil {
-			eng = sim.New()
-		}
-		drv = eng
-		net = dataplane.NewPartitioned(eng, part, o.Graph, cfg.Dataplane)
+	eng := o.Eng
+	if eng == nil {
+		eng = sim.New()
 	}
-
-	f := assemble(drv, net, o.Graph, cfg)
+	eng.Partition(part.Shards, o.Shards, part.MinCutDelay)
+	f := assemble(eng, dataplane.NewPartitioned(eng, part, o.Graph, cfg.Dataplane), o.Graph, cfg)
 	f.partitioned = true
 	return f, nil
 }

@@ -105,8 +105,8 @@ type Flow struct {
 
 // Fabric is an assembled μFAB deployment.
 type Fabric struct {
-	// Eng is the driver of the fabric's simulation: a plain *sim.Engine
-	// for sequential deployments, a *sim.Sharded for the parallel core.
+	// Eng is the driver of the fabric's simulation: the *sim.Engine the
+	// fabric was assembled on — plain under New, partitioned under Build.
 	// It is also the coordinator scheduling context — experiment-level
 	// timelines (sampling, chaos, tenant churn) schedule here and run at
 	// global barriers with exclusive access to all shards' state. Per-host
@@ -126,9 +126,10 @@ type Fabric struct {
 	rng     *rand.Rand
 	vfOrder []int32
 	aud     *auditState
-	// partitioned marks fabrics assembled by Build over a pod partition
-	// (regardless of execution mode); they suppress per-heap gauges whose
-	// values depend on how the event queues are laid out.
+	// partitioned marks fabrics assembled by Build over a pod partition;
+	// they suppress per-heap gauges whose values depend on when cross-shard
+	// events reach the destination heap (at once inline, via rings with
+	// workers).
 	partitioned bool
 }
 
@@ -376,10 +377,10 @@ func (f *Fabric) FlushTelemetry() {
 		reg.Gauge("sim.engine.events_processed").Set(float64(es.Processed))
 		reg.Gauge("sim.engine.pending").Set(float64(es.Pending))
 		// Processed and pending count logical events, so they are identical
-		// across execution modes. Queue peaks and arena sizes are per-heap
-		// artifacts (one heap sequentially, one per shard on the parallel
-		// core), so partitioned fabrics skip them to keep snapshots
-		// bit-identical for every -shards value.
+		// for every worker count. Queue peaks and arena sizes are not — an
+		// event in flight between shards sits in a ring under workers and
+		// in the destination heap without — so partitioned fabrics skip
+		// them to keep snapshots bit-identical for every -shards value.
 		if !f.partitioned {
 			reg.Gauge("sim.engine.peak_pending").Set(float64(es.PeakPending))
 			reg.Gauge("sim.engine.arena_slots").Set(float64(es.ArenaSlots))
