@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench profile pairs size check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile pairs size identical check audit golden chaos trace place fuzz serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -84,6 +84,15 @@ pairs:
 #   make size BASE=HEAD~1
 size:
 	./scripts/size.sh $(BASE)
+
+# The behavioural comparison a refactor reports: ufabsim built from BASE and
+# from the tree must produce byte-identical report text, registry snapshots,
+# CSV curves, audit findings and traces, with 0 and with 4 workers
+# (scripts/identical.sh):
+#   make identical BASE=HEAD~1
+identical:
+	@test -n "$(BASE)" || { echo "usage: make identical BASE=<ref>" >&2; exit 2; }
+	./scripts/identical.sh "$(BASE)"
 
 # The full-scale evaluation transcript (every experiment's report text).
 # Generated, not committed — regenerate after metric-affecting changes.

@@ -1,0 +1,166 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ufab/internal/experiments"
+)
+
+// binary is the ufabsim executable TestMain builds once for the table.
+var binary string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ufabsim-cli")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binary = filepath.Join(dir, "ufabsim")
+	if out, err := exec.Command("go", "build", "-o", binary, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// ufabsim runs the binary in dir and returns its exit code and both streams.
+func ufabsim(t *testing.T, dir string, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(binary, args...)
+	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &stdout, &stderr
+	err := cmd.Run()
+	if _, exited := err.(*exec.ExitError); err != nil && !exited {
+		t.Fatalf("ufabsim %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+}
+
+// withoutWallTime drops the one report line that differs between two runs.
+func withoutWallTime(s string) string {
+	var keep []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "-- wall time") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestCLI pins what an invocation exits with and says first — above all
+// that nothing a flag or a file can carry panics the process: a refusal is
+// exit 1 (2 for a usage error) and one line on stderr, never a goroutine
+// trace.
+func TestCLI(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	hostileCase := func(name, topology string) string {
+		return write(name, `{"name":"hostile","seed":1,"topology":`+topology+`,"horizon_ps":2000000000,"tenants":[]}`)
+	}
+	malformed := write("malformed.json", `{not json`)
+	negativeTime := write("negative-time.json", `{"name":"neg","events":[{"at_ps":-5,"kind":"link-down","link":0}]}`)
+	// Link, node and tenant ids far outside the testbed: each event must be
+	// logged as rejected, none may index a table.
+	outOfRange := write("out-of-range.json", `{"name":"out-of-range","events":[
+		{"at_ps":1000000000,"kind":"link-down","link":99999},
+		{"at_ps":1000000000,"kind":"link-down","link":-7},
+		{"at_ps":2000000000,"kind":"node-crash","node":99999},
+		{"at_ps":2000000000,"kind":"agent-restart","node":-3},
+		{"at_ps":3000000000,"kind":"link-degrade","link":4242,"degradation":{"capacity_scale":0.5}},
+		{"at_ps":3000000000,"kind":"tenant-arrive","tenant":{"vf":77,"guarantee_bps":1e9,"weight_class":0,"pairs":[{"src":99999,"dst":-1}]}},
+		{"at_ps":4000000000,"kind":"tenant-depart","vf":31337}]}`)
+	notADir := write("file", "")
+
+	var list strings.Builder
+	for _, e := range experiments.All {
+		fmt.Fprintf(&list, "%-8s %s\n", e.ID, e.Title)
+	}
+	_, plainFig4, _ := ufabsim(t, dir, "-quick", "run", "fig4")
+
+	for _, row := range []struct {
+		name string
+		args []string
+		exit int
+		// stdout and stderr are the prefix each stream must start with; ""
+		// means the stream must be empty, "*" that it is not looked at.
+		stdout, stderr string
+		// check, if set, sees the whole of both streams.
+		check func(t *testing.T, stdout, stderr string)
+	}{
+		{name: "list", args: []string{"list"}, stdout: list.String()},
+		{name: "no subcommand", exit: 2, stderr: "ufabsim — uFAB"},
+		{name: "unknown subcommand", args: []string{"frobnicate"}, exit: 2, stderr: "ufabsim — uFAB"},
+		{name: "run unknown experiment", args: []string{"run", "nope"}, exit: 1, stderr: `unknown experiment "nope"`},
+		{name: "trace unknown experiment", args: []string{"trace", "nope"}, exit: 1, stderr: `unknown experiment "nope"`},
+		{name: "trace unknown format", args: []string{"trace", "-format", "bogus", "fig19"}, exit: 2, stderr: `unknown trace format "bogus"`},
+		{name: "scenario missing", args: []string{"-scenario", filepath.Join(dir, "absent.json"), "run", "chaoslab"}, exit: 1, stderr: "read scenario: open "},
+		{name: "scenario malformed", args: []string{"-scenario", malformed, "run", "chaoslab"}, exit: 1, stderr: "chaos: parse scenario: "},
+		{name: "scenario negative time", args: []string{"-scenario", negativeTime, "run", "chaoslab"}, exit: 1, stderr: "chaos: event 0 at negative time"},
+		{name: "scenario ids out of range", args: []string{"-quick", "-scenario", outOfRange, "run", "chaoslab"},
+			stdout: "== chaoslab: ", check: func(t *testing.T, stdout, _ string) {
+				events, rejected := strings.Count(stdout, "\nchaos: "), strings.Count(stdout, "[REJECTED]\n")
+				if events != 7 || rejected != 7 {
+					t.Errorf("%d chaos events logged, %d rejected; want 7 and 7\n%s", events, rejected, stdout)
+				}
+			}},
+		{name: "replay negative capacity", args: []string{"fuzz", "-replay", hostileCase("neg.json", `{"kind":"star","hosts":4,"capacity_gbps":-5}`)},
+			exit: 1, stderr: filepath.Join(dir, "neg.json") + ": fuzz: negative capacity_gbps"},
+		{name: "replay two billion hosts", args: []string{"fuzz", "-replay", hostileCase("huge.json", `{"kind":"star","hosts":2000000000}`)},
+			exit: 1, stderr: filepath.Join(dir, "huge.json") + ": fuzz: star of 2000000001 nodes exceeds"},
+		{name: "replay million-pod clos", args: []string{"fuzz", "-replay", hostileCase("pods.json", `{"kind":"clos","pods":1000000,"tors_per_pod":2,"aggs_per_pod":2,"cores":2,"hosts_per_tor":2}`)},
+			exit: 1, stderr: filepath.Join(dir, "pods.json") + ": fuzz: clos of 8000002 nodes exceeds"},
+		{name: "replay negative clos dimension", args: []string{"fuzz", "-replay", hostileCase("degenerate.json", `{"kind":"clos","pods":2,"tors_per_pod":-1,"aggs_per_pod":2,"cores":2,"hosts_per_tor":2}`)},
+			exit: 1, stderr: filepath.Join(dir, "degenerate.json") + ": fuzz: clos dimension -1"},
+		{name: "corpus with a hostile case", args: []string{"fuzz", "-seeds", "0", "-corpus", dir}, exit: 1, stdout: "*", stderr: "FAIL ",
+			check: func(t *testing.T, _, stderr string) {
+				if strings.Contains(stderr, "goroutine ") {
+					t.Errorf("goroutine trace on stderr:\n%s", stderr)
+				}
+			}},
+		{name: "csv into a file", args: []string{"-quick", "-csv", filepath.Join(notADir, "curves"), "run", "fig12"}, exit: 1, stdout: "== fig12: ", stderr: "mkdir "},
+		{name: "negative shards, jobs and zero repeat", args: []string{"-quick", "-shards", "-1", "-jobs", "-3", "-repeat", "0", "run", "fig4"},
+			stdout: "== fig4: ", check: func(t *testing.T, stdout, _ string) {
+				if withoutWallTime(stdout) != withoutWallTime(plainFig4) {
+					t.Errorf("differs from a run without the flags:\n%s\nvs\n%s", stdout, plainFig4)
+				}
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			code, stdout, stderr := ufabsim(t, dir, row.args...)
+			if code != row.exit {
+				t.Errorf("exit %d, want %d\nstdout: %s\nstderr: %s", code, row.exit, stdout, stderr)
+			}
+			for _, s := range []struct{ stream, got, want string }{{"stdout", stdout, row.stdout}, {"stderr", stderr, row.stderr}} {
+				switch {
+				case s.want == "*":
+				case s.want == "" && s.got != "":
+					t.Errorf("%s not empty:\n%s", s.stream, s.got)
+				case !strings.HasPrefix(s.got, s.want):
+					t.Errorf("%s starts %q, want %q", s.stream, strings.SplitN(s.got, "\n", 2)[0], s.want)
+				}
+			}
+			// A refusal is one line, whatever was refused.
+			if row.exit == 1 && row.check == nil && strings.Count(stderr, "\n") != 1 {
+				t.Errorf("stderr is not one line:\n%s", stderr)
+			}
+			if row.check != nil {
+				row.check(t, stdout, stderr)
+			}
+		})
+	}
+}

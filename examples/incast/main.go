@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 
 	"ufab/internal/dataplane"
 	"ufab/internal/sim"
@@ -68,7 +69,7 @@ func main() {
 				rtt.Add(fh.Flow.RTT.Max())
 				goodput += float64(fh.Flow.Delivered*8) / dur.Seconds()
 			}
-			maxQ = f.MaxQueueBytes()
+			maxQ = slices.Max(f.Net.SwitchQueueHighWaters())
 		}
 
 		fmt.Printf("%-22s %8.1fus %8.1fus %10dKB %9.2fGbps\n",

@@ -10,6 +10,10 @@
 // The auditor is an observer only: it allocates its own state, never
 // mutates samples, and never feeds back into the simulation, so audited
 // runs stay bit-identical to unaudited ones.
+//
+// Config holds only what some caller sets (the log, two hold times, the
+// per-check switches); the tolerances every run has always used are the
+// package's constants.
 package audit
 
 import (
@@ -18,60 +22,21 @@ import (
 	"ufab/internal/telemetry"
 )
 
-// Config tunes the auditor's tolerances. The zero value means "defaults";
-// time quantities are simulated picoseconds (the flight recorder's unit).
+// Config is what a caller may adjust about an auditor; the zero value means
+// "defaults". The tolerances nobody adjusts are the constants below.
 type Config struct {
 	// Log receives findings. Several auditors (one per audited fabric of a
 	// run) may share one Log.
 	Log *Log
 
-	// MinBWTolerance is the fractional slack on the hose guarantee: a
-	// fully backlogged VF violates when its windowed rate stays below
-	// (1-MinBWTolerance)·guarantee (default 0.10).
-	MinBWTolerance float64
-	// CheckWindowPS is the rate-averaging window (default 2 ms).
-	CheckWindowPS int64
-	// WarmupPS exempts a subject's first moments: a VF, pair or link is
-	// checked only after it has existed this long (default 3 ms).
-	WarmupPS int64
 	// HoldTicks is how many consecutive violating ticks a min-BW, queue or
 	// negative-register streak needs before it becomes a finding
 	// (default 4).
 	HoldTicks int
-
-	// WCSpareFrac: work conservation is checked only when every link of a
-	// backlogged pair's active path has spare > WCSpareFrac·target
-	// (default 0.25) — small headroom is indistinguishable from the 5%
-	// η-headroom and estimator noise.
-	WCSpareFrac float64
-	// WCGainFrac: the pair violates when its rate stays under
-	// guarantee + WCGainFrac·spare (default 0.10).
-	WCGainFrac float64
-	// WCHoldTicks is the persistence requirement for work-conservation
-	// findings (default 8; convergence transients are longer than
-	// guarantee transients).
-	WCHoldTicks int
-
-	// QueueFloorBytes + QueueFactorW·W_l bounds a core link's queue
-	// (defaults 64 KiB and 1.5): W_l is the admitted sending-window sum,
-	// the two-stage admission's burst bound.
-	QueueFloorBytes int64
-	QueueFactorW    float64
-
-	// AcctTolerance (default 0.10) and AcctAbsTokens (default 4) bound the
-	// Φ_l register against the live VM-pair token sum; AcctHoldPS is how
-	// long a drift must persist (default: the check window; vfabric raises
-	// it to the core's cleanup lag, the declared staleness bound).
-	AcctTolerance float64
-	AcctAbsTokens float64
-	AcctHoldPS    int64
-
-	// FaultExcusePS is the excused window opened after each applied chaos
-	// fault event (default 5 ms).
-	FaultExcusePS int64
-	// MaxContextEvents caps the flight-recorder context attached to one
-	// finding (default 12).
-	MaxContextEvents int
+	// AcctHoldPS is how long a Φ_l drift must persist (default: the check
+	// window; vfabric raises it to the core's cleanup lag, the declared
+	// staleness bound).
+	AcctHoldPS int64
 
 	// Per-check switches. vfabric disables the queue bound for μFAB′
 	// fabrics (DisableTwoStage removes the burst bound by design). The
@@ -81,51 +46,59 @@ type Config struct {
 	DisableWorkConservation bool
 	DisableQueueBound       bool
 	DisableAccounting       bool
-	DisableLedgerBound      bool
 }
 
+// The auditor's tolerances; time quantities are simulated picoseconds (the
+// flight recorder's unit).
+const (
+	// minBWTolerance is the fractional slack on the hose guarantee: a
+	// fully backlogged VF violates when its windowed rate stays below
+	// (1-minBWTolerance)·guarantee.
+	minBWTolerance = 0.10
+	// checkWindowPS is the rate-averaging window (2 ms).
+	checkWindowPS int64 = 2_000_000_000
+	// warmupPS exempts a subject's first moments: a VF, pair or link is
+	// checked only after it has existed this long (3 ms).
+	warmupPS int64 = 3_000_000_000
+
+	// wcSpareFrac: work conservation is checked only when every link of a
+	// backlogged pair's active path has spare > wcSpareFrac·target — small
+	// headroom is indistinguishable from the 5% η-headroom and estimator
+	// noise.
+	wcSpareFrac = 0.25
+	// wcGainFrac: the pair violates when its rate stays under
+	// guarantee + wcGainFrac·spare.
+	wcGainFrac = 0.10
+	// wcHoldTicks is the persistence requirement for work-conservation
+	// findings (convergence transients are longer than guarantee
+	// transients).
+	wcHoldTicks = 8
+
+	// queueFloorBytes + queueFactorW·W_l bounds a core link's queue: W_l is
+	// the admitted sending-window sum, the two-stage admission's burst
+	// bound.
+	queueFloorBytes = 64 << 10
+	queueFactorW    = 1.5
+
+	// acctTolerance and acctAbsTokens bound the Φ_l register against the
+	// live VM-pair token sum.
+	acctTolerance = 0.10
+	acctAbsTokens = 4.0
+
+	// faultExcusePS is the excused window opened after each applied chaos
+	// fault event (5 ms).
+	faultExcusePS int64 = 5_000_000_000
+	// maxContextEvents caps the flight-recorder context attached to one
+	// finding.
+	maxContextEvents = 12
+)
+
 func (c *Config) setDefaults() {
-	if c.MinBWTolerance == 0 {
-		c.MinBWTolerance = 0.10
-	}
-	if c.CheckWindowPS == 0 {
-		c.CheckWindowPS = 2_000_000_000 // 2 ms
-	}
-	if c.WarmupPS == 0 {
-		c.WarmupPS = 3_000_000_000 // 3 ms
-	}
 	if c.HoldTicks == 0 {
 		c.HoldTicks = 4
 	}
-	if c.WCSpareFrac == 0 {
-		c.WCSpareFrac = 0.25
-	}
-	if c.WCGainFrac == 0 {
-		c.WCGainFrac = 0.10
-	}
-	if c.WCHoldTicks == 0 {
-		c.WCHoldTicks = 8
-	}
-	if c.QueueFloorBytes == 0 {
-		c.QueueFloorBytes = 64 << 10
-	}
-	if c.QueueFactorW == 0 {
-		c.QueueFactorW = 1.5
-	}
-	if c.AcctTolerance == 0 {
-		c.AcctTolerance = 0.10
-	}
-	if c.AcctAbsTokens == 0 {
-		c.AcctAbsTokens = 4
-	}
 	if c.AcctHoldPS == 0 {
-		c.AcctHoldPS = c.CheckWindowPS
-	}
-	if c.FaultExcusePS == 0 {
-		c.FaultExcusePS = 5_000_000_000 // 5 ms
-	}
-	if c.MaxContextEvents == 0 {
-		c.MaxContextEvents = 12
+		c.AcctHoldPS = checkWindowPS
 	}
 }
 
@@ -321,7 +294,7 @@ func (a *Auditor) ObserveEvent(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EvFault:
 		if ev.A == 1 {
-			a.addExcuse(ev.T, ev.T+a.cfg.FaultExcusePS, "fault:"+ev.Note)
+			a.addExcuse(ev.T, ev.T+faultExcusePS, "fault:"+ev.Note)
 		}
 	case telemetry.EvMigration, telemetry.EvFreeze, telemetry.EvTenant, telemetry.EvDrop:
 	default:
@@ -365,10 +338,10 @@ func (a *Auditor) excuseFor(from, to int64) (string, bool) {
 
 // contextFor collects retained flight-recorder events around the interval.
 func (a *Auditor) contextFor(from, to int64) []telemetry.Event {
-	pad := a.cfg.CheckWindowPS
+	const pad = checkWindowPS
 	var out []telemetry.Event
 	n := len(a.ctx)
-	for i := 0; i < n && len(out) < a.cfg.MaxContextEvents; i++ {
+	for i := 0; i < n && len(out) < maxContextEvents; i++ {
 		ev := a.ctx[(a.ctxStart+i)%n]
 		if ev.T >= from-pad && ev.T <= to+pad {
 			out = append(out, ev)
@@ -407,7 +380,7 @@ func (a *Auditor) Tick(s *Sample) {
 	}
 	a.lastT = t
 	cfg := &a.cfg
-	W := cfg.CheckWindowPS
+	const W = checkWindowPS
 
 	// Link rate histories.
 	for len(a.links) < len(s.Links) {
@@ -447,7 +420,7 @@ func (a *Auditor) Tick(s *Sample) {
 		st.hist.add(t, float64(p.Delivered), W)
 		st.rate, st.rateOK = st.hist.rateBps(t, W)
 		st.covered = st.backSince >= 0 && st.backSince <= t-W &&
-			t-st.firstSeen >= cfg.WarmupPS && st.rateOK
+			t-st.firstSeen >= warmupPS && st.rateOK
 		acc := a.accum[p.VF]
 		if acc == nil {
 			acc = &vfAccum{covered: true}
@@ -468,8 +441,8 @@ func (a *Auditor) Tick(s *Sample) {
 		acc := a.accum[v.ID]
 		eligible := !cfg.DisableMinBW && v.GuaranteeBps > 0 &&
 			acc != nil && acc.n > 0 && acc.covered &&
-			t-vst.firstSeen >= cfg.WarmupPS
-		bound := (1 - cfg.MinBWTolerance) * v.GuaranteeBps
+			t-vst.firstSeen >= warmupPS
+		bound := (1 - minBWTolerance) * v.GuaranteeBps
 		if eligible && acc.rateBps < bound {
 			vst.minbw.hit(t, acc.rateBps, bound, true)
 		} else {
@@ -486,7 +459,7 @@ func (a *Auditor) Tick(s *Sample) {
 		// its rate legitimately dips below spare capacity; grant it the
 		// warmup again before holding it to work conservation.
 		if !cfg.DisableWorkConservation && st.covered &&
-			(st.migrAt == 0 || t-st.migrAt >= cfg.WarmupPS) {
+			(st.migrAt == 0 || t-st.migrAt >= warmupPS) {
 			spare, minTarget, usable := maxFloat, maxFloat, len(p.Links) > 0
 			for _, li := range p.Links {
 				if int(li) >= len(a.links) {
@@ -506,8 +479,8 @@ func (a *Auditor) Tick(s *Sample) {
 					minTarget = l.TargetBps
 				}
 			}
-			if usable && spare > cfg.WCSpareFrac*minTarget {
-				if bound := p.PhiBps + cfg.WCGainFrac*spare; st.rate < bound {
+			if usable && spare > wcSpareFrac*minTarget {
+				if bound := p.PhiBps + wcGainFrac*spare; st.rate < bound {
 					st.wc.hit(t, st.rate, bound, true)
 					violated = true
 				}
@@ -522,11 +495,11 @@ func (a *Auditor) Tick(s *Sample) {
 	for i := range s.Links {
 		l := &s.Links[i]
 		ls := a.links[i]
-		if !l.HasCore || l.Faulty || t-ls.firstSeen < cfg.WarmupPS {
+		if !l.HasCore || l.Faulty || t-ls.firstSeen < warmupPS {
 			a.closeLink(ls)
 			continue
 		}
-		if qBound := float64(cfg.QueueFloorBytes) + cfg.QueueFactorW*float64(l.WindowBytes); !cfg.DisableQueueBound && float64(l.QueueBytes) > qBound {
+		if qBound := queueFloorBytes + queueFactorW*float64(l.WindowBytes); !cfg.DisableQueueBound && float64(l.QueueBytes) > qBound {
 			ls.queue.hit(t, float64(l.QueueBytes), qBound, false)
 		} else {
 			a.closeLinkStreak(ls, &ls.queue, QueueBoundViolation, "bytes", cfg.HoldTicks, 0)
@@ -536,7 +509,7 @@ func (a *Auditor) Tick(s *Sample) {
 		// drain lazily (finish probes + core cleanup), so the same
 		// AcctHoldPS staleness bound applies before a drift becomes a
 		// finding.
-		if lBound := l.CommittedTokens*(1+cfg.AcctTolerance) + cfg.AcctAbsTokens; !cfg.DisableLedgerBound && l.HasLedger && l.PhiTokens > lBound {
+		if lBound := l.CommittedTokens*(1+acctTolerance) + acctAbsTokens; l.HasLedger && l.PhiTokens > lBound {
 			ls.ledger.hit(t, l.PhiTokens, lBound, false)
 		} else {
 			a.closeLinkStreak(ls, &ls.ledger, LedgerBoundViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
@@ -553,12 +526,12 @@ func (a *Auditor) Tick(s *Sample) {
 		} else {
 			a.closeLinkStreak(ls, &ls.acctNeg, AccountingViolation, "tokens", 1, 0)
 		}
-		if over := l.LivePhiCand*(1+cfg.AcctTolerance) + cfg.AcctAbsTokens; l.PhiTokens > over {
+		if over := l.LivePhiCand*(1+acctTolerance) + acctAbsTokens; l.PhiTokens > over {
 			ls.acctOver.hit(t, l.PhiTokens, over, false)
 		} else {
 			a.closeLinkStreak(ls, &ls.acctOver, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
 		}
-		if under := l.LivePhiActive*(1-cfg.AcctTolerance) - cfg.AcctAbsTokens; l.PhiTokens < under {
+		if under := l.LivePhiActive*(1-acctTolerance) - acctAbsTokens; l.PhiTokens < under {
 			ls.acctUnder.hit(t, l.PhiTokens, under, true)
 		} else {
 			a.closeLinkStreak(ls, &ls.acctUnder, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
@@ -578,7 +551,7 @@ func (a *Auditor) closeVF(vst *vfState) {
 // closePair ends a pair's work-conservation streak.
 func (a *Auditor) closePair(st *pairState) {
 	a.emit(&st.wc, WorkConservationViolation, st.vf,
-		fmt.Sprintf("vf.%d.pair.%d", st.vf, st.id), "bps", a.cfg.WCHoldTicks, 0)
+		fmt.Sprintf("vf.%d.pair.%d", st.vf, st.id), "bps", wcHoldTicks, 0)
 }
 
 // closeLink ends every streak of a link.

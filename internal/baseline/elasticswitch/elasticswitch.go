@@ -10,25 +10,19 @@ package elasticswitch
 
 import "ufab/internal/sim"
 
-// Config holds the RA constants.
-type Config struct {
-	// AIBps is the additive rate increase per RTT when uncongested.
-	AIBps float64
-	// Beta is the multiplicative decrease applied to the above-guarantee
+// The RA constants of the evaluation.
+const (
+	// aiBps is the additive rate increase per RTT when uncongested.
+	aiBps = 200e6
+	// beta is the multiplicative decrease applied to the above-guarantee
 	// headroom on congestion.
-	Beta float64
-	// MaxRateBps caps the rate (the path line rate).
-	MaxRateBps float64
-}
-
-// Defaults returns the constants used in the evaluation.
-func Defaults(maxRate float64) Config {
-	return Config{AIBps: 200e6, Beta: 0.5, MaxRateBps: maxRate}
-}
+	beta = 0.5
+)
 
 // RA is one VM-pair's rate allocation state.
 type RA struct {
-	cfg Config
+	// maxRateBps caps the rate (the path line rate).
+	maxRateBps float64
 	// Guarantee is the pair's minimum bandwidth in bits/s (from GP).
 	Guarantee float64
 	// Rate is the current sending rate in bits/s.
@@ -36,9 +30,9 @@ type RA struct {
 	lastDecrease sim.Time
 }
 
-// New returns an RA starting at the guarantee.
-func New(cfg Config, guarantee float64) *RA {
-	ra := &RA{cfg: cfg, Guarantee: guarantee, Rate: guarantee}
+// New returns an RA capped at maxRateBps, starting at the guarantee.
+func New(maxRateBps, guarantee float64) *RA {
+	ra := &RA{maxRateBps: maxRateBps, Guarantee: guarantee, Rate: guarantee}
 	ra.clamp()
 	return ra
 }
@@ -53,8 +47,8 @@ func (ra *RA) clamp() {
 	if ra.Rate < ra.Guarantee {
 		ra.Rate = ra.Guarantee
 	}
-	if ra.cfg.MaxRateBps > 0 && ra.Rate > ra.cfg.MaxRateBps {
-		ra.Rate = ra.cfg.MaxRateBps
+	if ra.maxRateBps > 0 && ra.Rate > ra.maxRateBps {
+		ra.Rate = ra.maxRateBps
 	}
 }
 
@@ -65,14 +59,14 @@ func (ra *RA) clamp() {
 func (ra *RA) OnAck(now sim.Time, rtt sim.Duration, acked int, congested bool) {
 	if congested {
 		if now-ra.lastDecrease >= rtt {
-			ra.Rate = ra.Guarantee + (ra.Rate-ra.Guarantee)*(1-ra.cfg.Beta)
+			ra.Rate = ra.Guarantee + (ra.Rate-ra.Guarantee)*(1-beta)
 			ra.lastDecrease = now
 		}
 	} else {
 		// Per-ack share of the per-RTT additive increase.
 		bdp := ra.Rate * rtt.Seconds() / 8
 		if bdp > 0 {
-			ra.Rate += ra.cfg.AIBps * float64(acked) / 8 / bdp
+			ra.Rate += aiBps * float64(acked) / 8 / bdp
 		}
 	}
 	ra.clamp()
@@ -80,7 +74,7 @@ func (ra *RA) OnAck(now sim.Time, rtt sim.Duration, acked int, congested bool) {
 
 // OnLoss reacts to a retransmission timeout like congestion.
 func (ra *RA) OnLoss(now sim.Time) {
-	ra.Rate = ra.Guarantee + (ra.Rate-ra.Guarantee)*(1-ra.cfg.Beta)
+	ra.Rate = ra.Guarantee + (ra.Rate-ra.Guarantee)*(1-beta)
 	ra.lastDecrease = now
 	ra.clamp()
 }

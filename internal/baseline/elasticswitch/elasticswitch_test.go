@@ -8,14 +8,14 @@ import (
 )
 
 func TestStartsAtGuarantee(t *testing.T) {
-	ra := New(Defaults(10e9), 2e9)
+	ra := New(10e9, 2e9)
 	if ra.Rate != 2e9 {
 		t.Fatalf("initial rate = %v", ra.Rate)
 	}
 }
 
 func TestNeverBelowGuarantee(t *testing.T) {
-	ra := New(Defaults(10e9), 2e9)
+	ra := New(10e9, 2e9)
 	rtt := 24 * sim.Microsecond
 	now := sim.Time(0)
 	// Persistent congestion: the rate converges to the guarantee but
@@ -34,7 +34,7 @@ func TestNeverBelowGuarantee(t *testing.T) {
 }
 
 func TestProbesUpWhenUncongested(t *testing.T) {
-	ra := New(Defaults(10e9), 1e9)
+	ra := New(10e9, 1e9)
 	rtt := 24 * sim.Microsecond
 	now := sim.Time(0)
 	for i := 0; i < 2000; i++ {
@@ -50,7 +50,7 @@ func TestProbesUpWhenUncongested(t *testing.T) {
 }
 
 func TestOneDecreasePerRTT(t *testing.T) {
-	ra := New(Defaults(10e9), 1e9)
+	ra := New(10e9, 1e9)
 	ra.Rate = 8e9
 	rtt := 24 * sim.Microsecond
 	ra.OnAck(sim.Millisecond, rtt, 1500, true)
@@ -62,7 +62,7 @@ func TestOneDecreasePerRTT(t *testing.T) {
 }
 
 func TestSetGuaranteeRaisesFloor(t *testing.T) {
-	ra := New(Defaults(10e9), 1e9)
+	ra := New(10e9, 1e9)
 	ra.SetGuarantee(4e9)
 	if ra.Rate != 4e9 {
 		t.Fatalf("rate after floor raise = %v", ra.Rate)
@@ -70,7 +70,7 @@ func TestSetGuaranteeRaisesFloor(t *testing.T) {
 }
 
 func TestOnLoss(t *testing.T) {
-	ra := New(Defaults(10e9), 2e9)
+	ra := New(10e9, 2e9)
 	ra.Rate = 10e9
 	ra.OnLoss(0)
 	if ra.Rate != 2e9+8e9*0.5 {
@@ -82,7 +82,7 @@ func TestOnLoss(t *testing.T) {
 // sequence.
 func TestRateBoundsProperty(t *testing.T) {
 	f := func(events []bool) bool {
-		ra := New(Defaults(10e9), 1.5e9)
+		ra := New(10e9, 1.5e9)
 		now := sim.Time(0)
 		rtt := 30 * sim.Microsecond
 		for _, congested := range events {

@@ -41,8 +41,6 @@ type FlowHandle struct {
 	// Buffer is non-nil when the flow was created with AddFlow.
 	Buffer *flowsrc.Buffer
 	Meter  *stats.RateMeter
-
-	lastDelivered int64
 }
 
 // Rate returns acknowledged throughput in bits/s averaged over [from, to].
@@ -56,7 +54,7 @@ func (fh *FlowHandle) Rate(from, to sim.Time) float64 {
 func NewFabric(eng *sim.Engine, g *topo.Graph, cfg Config, dpCfg dataplane.Config) *Fabric {
 	cfg.setDefaults()
 	if dpCfg.ECNThresholdBytes == 0 {
-		dpCfg.ECNThresholdBytes = 65 * cfg.MTU
+		dpCfg.ECNThresholdBytes = 65 * mtu
 	}
 	f := &Fabric{
 		Eng:           eng,
@@ -93,15 +91,11 @@ func (f *Fabric) AddFlowDemand(vf int32, weight float64, src, dst topo.NodeID, m
 	if maxPaths <= 0 {
 		maxPaths = 8
 	}
-	all := f.Graph.Paths(src, dst, 8*maxPaths)
-	if len(all) == 0 {
+	routes := f.Graph.SamplePaths(src, dst, maxPaths, f.rng)
+	if len(routes) == 0 {
 		panic(fmt.Sprintf("baseline/host: no path %d→%d", src, dst))
 	}
-	if len(all) > maxPaths {
-		f.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-		all = all[:maxPaths]
-	}
-	return f.AddFlowRoutes(vf, weight, all, demand)
+	return f.AddFlowRoutes(vf, weight, routes, demand)
 }
 
 // AddFlowRoutes creates a flow over an explicit candidate-path set.
@@ -130,31 +124,11 @@ func (f *Fabric) AddFlowRoutes(vf int32, weight float64, routes []topo.Path, dem
 func (f *Fabric) SampleRates() {
 	now := f.Eng.Now()
 	for _, fh := range f.Flows {
-		d := fh.Flow.Delivered
-		if delta := d - fh.lastDelivered; delta > 0 {
-			fh.Meter.Add(now, int(delta))
-			fh.lastDelivered = d
-		}
-		fh.Meter.Flush(now)
+		fh.Meter.AddTotal(now, fh.Flow.Delivered)
 	}
 }
 
 // StartSampling arranges for SampleRates to run every interval.
 func (f *Fabric) StartSampling(interval sim.Duration) (stop func()) {
 	return f.Eng.Every(interval, f.SampleRates)
-}
-
-// MaxQueueBytes returns the largest switch egress queue high-water mark.
-func (f *Fabric) MaxQueueBytes() int {
-	max := 0
-	for i := range f.Net.Ports {
-		p := &f.Net.Ports[i]
-		if f.Graph.Node(p.Link.Src).Kind != topo.Switch {
-			continue
-		}
-		if p.MaxQueueBytes > max {
-			max = p.MaxQueueBytes
-		}
-	}
-	return max
 }

@@ -6,6 +6,13 @@
 // receiver-driven admission grants and the Swift-based weighted window;
 // ES+Clove paces each VM-pair at the ElasticSwitch RA rate (never below
 // its guarantee) with ECN feedback.
+//
+// Config selects the scheme, the seed and Clove's flowlet gap — what the
+// evaluation varies. Packet sizes, the bandwidth unit, the probing and
+// admission periods and the transports' AIMD constants (packages wcc and
+// elasticswitch) are constants: one value was ever in use. Fabric measures
+// flows with the routines vfabric.Fabric uses (stats.RateMeter.AddTotal,
+// topo.Graph.SamplePaths, dataplane.Network.SwitchQueueHighWaters).
 package host
 
 import (
@@ -45,56 +52,32 @@ func (s Scheme) String() string {
 // Config parameterizes a baseline host agent.
 type Config struct {
 	Scheme Scheme
-	// BU converts tokens to bandwidth, bits/s (default 100 Mbps).
-	BU float64
-	// MTU and AckSize are packet sizes in bytes (1500 / 64).
-	MTU, AckSize int
-	// TargetUtilization bounds receiver admission (default 0.95).
-	TargetUtilization float64
-	// WCC configures the PWC transport; its TargetDelay defaults to
-	// 1.5× the first path's baseRTT per flow when zero.
-	WCC wcc.Config
-	// ES configures the ES+Clove rate allocator; MaxRateBps defaults to
-	// the uplink capacity.
-	ES elasticswitch.Config
 	// CloveGap is the flowlet gap (default 200 μs; Fig 5 also uses 36 μs).
 	CloveGap sim.Duration
-	// UtilProbeInterval is how often active flows refresh per-path
-	// utilization for Clove (default 100 μs).
-	UtilProbeInterval sim.Duration
-	// AdmissionWindow is the PicNIC′ receiver measurement window
-	// (default 100 μs).
-	AdmissionWindow sim.Duration
-	// RTORTTs is the loss-recovery timeout in baseRTTs (default 16).
-	RTORTTs int
 	// Seed drives Clove tie-breaking.
 	Seed int64
 }
 
+// The constants of the evaluation's baselines.
+const (
+	// bu converts tokens to bandwidth, bits/s.
+	bu = 100e6
+	// mtu and ackSize are packet sizes in bytes.
+	mtu, ackSize = 1500, 64
+	// targetUtilization bounds receiver admission.
+	targetUtilization = 0.95
+	// utilProbeInterval is how often active flows refresh per-path
+	// utilization for Clove.
+	utilProbeInterval = 100 * sim.Microsecond
+	// admissionWindow is the PicNIC′ receiver measurement window.
+	admissionWindow = 100 * sim.Microsecond
+	// rtoRTTs is the loss-recovery timeout in baseRTTs.
+	rtoRTTs = 16
+)
+
 func (c *Config) setDefaults() {
-	if c.BU == 0 {
-		c.BU = 100e6
-	}
-	if c.MTU == 0 {
-		c.MTU = 1500
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 64
-	}
-	if c.TargetUtilization == 0 {
-		c.TargetUtilization = 0.95
-	}
 	if c.CloveGap == 0 {
 		c.CloveGap = 200 * sim.Microsecond
-	}
-	if c.UtilProbeInterval == 0 {
-		c.UtilProbeInterval = 100 * sim.Microsecond
-	}
-	if c.AdmissionWindow == 0 {
-		c.AdmissionWindow = 100 * sim.Microsecond
-	}
-	if c.RTORTTs == 0 {
-		c.RTORTTs = 16
 	}
 }
 
@@ -147,7 +130,7 @@ type Flow struct {
 }
 
 // Guarantee returns the flow's minimum-bandwidth guarantee in bits/s.
-func (fl *Flow) Guarantee() float64 { return fl.Weight * fl.agent.cfg.BU }
+func (fl *Flow) Guarantee() float64 { return fl.Weight * bu }
 
 // CurrentPath returns the index of the flowlet's current path.
 func (fl *Flow) CurrentPath() int { return fl.lb.Current() }
@@ -223,7 +206,7 @@ func New(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config
 	}
 	net.SetHandler(hostID, a)
 	if cfg.Scheme == PWC {
-		eng.Every(cfg.AdmissionWindow, a.admissionUpdate)
+		eng.Every(admissionWindow, a.admissionUpdate)
 	}
 	return a
 }
@@ -250,24 +233,18 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 		}),
 	}
 	for _, r := range fc.Routes {
-		fl.baseRTT = append(fl.baseRTT, a.graph.BaseRTT(r, a.cfg.MTU))
+		fl.baseRTT = append(fl.baseRTT, a.graph.BaseRTT(r, mtu))
 	}
 	switch a.cfg.Scheme {
 	case PWC:
-		wcfg := a.cfg.WCC
-		if wcfg.TargetDelay == 0 {
-			wcfg = wcc.Defaults(fl.baseRTT[0] * 3 / 2)
-		}
 		// Greedy initial window: one path BDP — the burst behavior
-		// Case-1 (Fig 4) attributes to guarantee-agnostic transports.
+		// Case-1 (Fig 4) attributes to guarantee-agnostic transports. The
+		// delay target is 1.5× the first path's baseRTT.
 		bdp := a.graph.MinCapacity(fc.Routes[0]) * fl.baseRTT[0].Seconds() / 8
-		fl.wf = wcc.NewFlow(wcfg, fc.Weight, bdp)
+		fl.wf = wcc.NewFlow(fl.baseRTT[0]*3/2, fc.Weight, bdp)
 	case ESClove:
-		ecfg := a.cfg.ES
-		if ecfg.MaxRateBps == 0 {
-			ecfg = elasticswitch.Defaults(a.uplinkCap)
-		}
-		fl.ra = elasticswitch.New(ecfg, fl.Guarantee())
+		// The rate is capped at the uplink capacity.
+		fl.ra = elasticswitch.New(a.uplinkCap, fl.Guarantee())
 	}
 	a.flows[fc.ID] = fl
 	a.order = append(a.order, fl)
@@ -275,7 +252,7 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 		k.SetKick(func() { a.scheduleSend() })
 	}
 	// Clove's explicit utilization feedback loop.
-	a.eng.Every(a.cfg.UtilProbeInterval, func() { a.probeUtil(fl) })
+	a.eng.Every(utilProbeInterval, func() { a.probeUtil(fl) })
 	a.probeUtil(fl)
 	a.scheduleSend()
 	return fl
@@ -389,7 +366,7 @@ func (a *Agent) trySend() {
 		}
 		return
 	}
-	size := int64(a.cfg.MTU)
+	size := int64(mtu)
 	if pend := fl.demand.Pending(); pend < size {
 		size = pend
 	}
@@ -482,7 +459,7 @@ func (a *Agent) handleData(pkt *dataplane.Packet) {
 		Kind:   dataplane.Ack,
 		VMPair: pkt.VMPair,
 		Tenant: pkt.Tenant,
-		Size:   a.cfg.AckSize,
+		Size:   ackSize,
 		Route:  a.graph.ReversePath(pkt.Route),
 		SentAt: now,
 		Meta:   ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, ecn: pkt.ECN, grant: grant},
@@ -567,7 +544,7 @@ func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 	fl.lb.SetUtil(int(resp.PathID), util)
 }
 
-// admissionUpdate runs every AdmissionWindow at PWC receivers: measure
+// admissionUpdate runs every admissionWindow at PWC receivers: measure
 // per-pair demand, grant weighted max-min rates when oversubscribed.
 func (a *Agent) admissionUpdate() {
 	if len(a.recv) == 0 {
@@ -580,7 +557,7 @@ func (a *Agent) admissionUpdate() {
 		order = append(order, rs)
 		rs.bytes = 0
 	}
-	grants := picnic.Allocate(a.cfg.TargetUtilization*a.uplinkCap, a.cfg.AdmissionWindow, demands)
+	grants := picnic.Allocate(targetUtilization*a.uplinkCap, admissionWindow, demands)
 	for i, rs := range order {
 		if grants == nil {
 			rs.grant = 0
@@ -597,7 +574,7 @@ func (a *Agent) armRTO(fl *Flow) {
 		return
 	}
 	fl.rtoArmed = true
-	rto := sim.Duration(a.cfg.RTORTTs) * fl.baseRTT[0]
+	rto := rtoRTTs * fl.baseRTT[0]
 	a.eng.After(rto, func() { a.checkRTO(fl, rto) })
 }
 

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"slices"
 	"testing"
 
 	"ufab/internal/dataplane"
@@ -83,7 +84,7 @@ func TestESBuildsQueues(t *testing.T) {
 	fa.Buffer.Add(1 << 40)
 	fb.Buffer.Add(1 << 40)
 	eng.RunUntil(10 * sim.Millisecond)
-	if q := f.MaxQueueBytes(); q < 100_000 {
+	if q := slices.Max(f.Net.SwitchQueueHighWaters()); q < 100_000 {
 		t.Errorf("ES max queue = %d bytes, expected deep queues when guarantees exceed capacity", q)
 	}
 }

@@ -11,58 +11,42 @@ package wcc
 
 import "ufab/internal/sim"
 
-// Config holds the algorithm constants.
-type Config struct {
-	// TargetDelay is the end-to-end delay target; below it the window
-	// grows, above it the window shrinks (Swift's base target).
-	TargetDelay sim.Duration
-	// AI is the additive increase in bytes per RTT per unit weight.
-	AI float64
-	// Beta scales the multiplicative decrease with the relative delay
+// The algorithm constants of the evaluation (Swift's defaults).
+const (
+	// ai is the additive increase in bytes per RTT per unit weight: one
+	// MTU.
+	ai = 1500.0
+	// beta scales the multiplicative decrease with the relative delay
 	// excess (Swift's β).
-	Beta float64
-	// MaxMDF caps the per-RTT multiplicative decrease factor.
-	MaxMDF float64
-	// MinCwnd and MaxCwnd bound the window in bytes.
-	MinCwnd, MaxCwnd float64
-}
-
-// Defaults returns the constants used by the evaluation: Swift's β = 0.8,
-// max decrease 0.5, AI of one MTU per RTT per unit weight.
-func Defaults(targetDelay sim.Duration) Config {
-	return Config{
-		TargetDelay: targetDelay,
-		AI:          1500,
-		Beta:        0.8,
-		MaxMDF:      0.5,
-		MinCwnd:     1500,
-		MaxCwnd:     64 << 20,
-	}
-}
+	beta = 0.8
+	// maxMDF caps the per-RTT multiplicative decrease factor.
+	maxMDF = 0.5
+	// minCwnd and maxCwnd bound the window in bytes.
+	minCwnd = 1500.0
+	maxCwnd = 64 << 20
+)
 
 // Flow is one weighted flow's congestion state.
 type Flow struct {
-	cfg    Config
-	Weight float64
-	Cwnd   float64 // bytes
+	// targetDelay is the end-to-end delay target; below it the window
+	// grows, above it the window shrinks (Swift's base target).
+	targetDelay sim.Duration
+	Weight      float64
+	Cwnd        float64 // bytes
 	// lastDecrease enforces at most one multiplicative decrease per RTT.
 	lastDecrease sim.Time
 }
 
-// NewFlow returns a flow with the given weight and initial window.
-func NewFlow(cfg Config, weight, initialCwnd float64) *Flow {
-	f := &Flow{cfg: cfg, Weight: weight, Cwnd: initialCwnd}
+// NewFlow returns a flow with the given delay target, weight and initial
+// window.
+func NewFlow(targetDelay sim.Duration, weight, initialCwnd float64) *Flow {
+	f := &Flow{targetDelay: targetDelay, Weight: weight, Cwnd: initialCwnd}
 	f.clamp()
 	return f
 }
 
 func (f *Flow) clamp() {
-	if f.Cwnd < f.cfg.MinCwnd {
-		f.Cwnd = f.cfg.MinCwnd
-	}
-	if f.Cwnd > f.cfg.MaxCwnd {
-		f.Cwnd = f.cfg.MaxCwnd
-	}
+	f.Cwnd = min(max(f.Cwnd, minCwnd), maxCwnd)
 }
 
 // OnAck updates the window from one acknowledgment: rtt is the measured
@@ -71,15 +55,11 @@ func (f *Flow) clamp() {
 // relative delay excess, at most once per RTT — the slow, heuristic
 // evolution the paper contrasts with μFAB's jump-to-target.
 func (f *Flow) OnAck(now sim.Time, rtt sim.Duration, acked int) {
-	if rtt <= f.cfg.TargetDelay {
-		f.Cwnd += f.cfg.AI * f.Weight * float64(acked) / f.Cwnd
+	if rtt <= f.targetDelay {
+		f.Cwnd += ai * f.Weight * float64(acked) / f.Cwnd
 	} else if now-f.lastDecrease >= rtt {
-		excess := float64(rtt-f.cfg.TargetDelay) / float64(rtt)
-		md := f.cfg.Beta * excess
-		if md > f.cfg.MaxMDF {
-			md = f.cfg.MaxMDF
-		}
-		f.Cwnd *= 1 - md
+		excess := float64(rtt-f.targetDelay) / float64(rtt)
+		f.Cwnd *= 1 - min(beta*excess, maxMDF)
 		f.lastDecrease = now
 	}
 	f.clamp()

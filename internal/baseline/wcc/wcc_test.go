@@ -7,10 +7,11 @@ import (
 	"ufab/internal/sim"
 )
 
-func cfg() Config { return Defaults(36 * sim.Microsecond) }
+// target is the delay target the tests run with.
+const target = 36 * sim.Microsecond
 
 func TestIncreaseBelowTarget(t *testing.T) {
-	f := NewFlow(cfg(), 1, 10000)
+	f := NewFlow(target, 1, 10000)
 	before := f.Cwnd
 	f.OnAck(0, 24*sim.Microsecond, 1500)
 	if f.Cwnd <= before {
@@ -19,8 +20,8 @@ func TestIncreaseBelowTarget(t *testing.T) {
 }
 
 func TestWeightScalesIncrease(t *testing.T) {
-	f1 := NewFlow(cfg(), 1, 10000)
-	f5 := NewFlow(cfg(), 5, 10000)
+	f1 := NewFlow(target, 1, 10000)
+	f5 := NewFlow(target, 5, 10000)
 	f1.OnAck(0, 24*sim.Microsecond, 1500)
 	f5.OnAck(0, 24*sim.Microsecond, 1500)
 	d1 := f1.Cwnd - 10000
@@ -31,19 +32,19 @@ func TestWeightScalesIncrease(t *testing.T) {
 }
 
 func TestDecreaseAboveTarget(t *testing.T) {
-	f := NewFlow(cfg(), 1, 10000)
+	f := NewFlow(target, 1, 10000)
 	f.OnAck(sim.Millisecond, 72*sim.Microsecond, 1500)
 	if f.Cwnd >= 10000 {
 		t.Fatalf("cwnd did not shrink: %v", f.Cwnd)
 	}
 	// Decrease proportional to delay excess, capped at MaxMDF.
-	if f.Cwnd < 10000*(1-cfg().MaxMDF)-1 {
+	if f.Cwnd < 10000*(1-maxMDF)-1 {
 		t.Fatalf("decrease exceeded MaxMDF: %v", f.Cwnd)
 	}
 }
 
 func TestOneDecreasePerRTT(t *testing.T) {
-	f := NewFlow(cfg(), 1, 10000)
+	f := NewFlow(target, 1, 10000)
 	rtt := 72 * sim.Microsecond
 	f.OnAck(sim.Millisecond, rtt, 1500)
 	after1 := f.Cwnd
@@ -60,23 +61,22 @@ func TestOneDecreasePerRTT(t *testing.T) {
 }
 
 func TestClamp(t *testing.T) {
-	c := cfg()
-	f := NewFlow(c, 1, 100)
-	if f.Cwnd != c.MinCwnd {
+	f := NewFlow(target, 1, 100)
+	if f.Cwnd != minCwnd {
 		t.Fatalf("initial clamp: %v", f.Cwnd)
 	}
 	f.OnLoss()
-	if f.Cwnd != c.MinCwnd {
+	if f.Cwnd != minCwnd {
 		t.Fatalf("loss clamp: %v", f.Cwnd)
 	}
-	g := NewFlow(c, 1, 1e12)
-	if g.Cwnd != c.MaxCwnd {
+	g := NewFlow(target, 1, 1e12)
+	if g.Cwnd != maxCwnd {
 		t.Fatalf("max clamp: %v", g.Cwnd)
 	}
 }
 
 func TestOnLossHalves(t *testing.T) {
-	f := NewFlow(cfg(), 1, 10000)
+	f := NewFlow(target, 1, 10000)
 	f.OnLoss()
 	if f.Cwnd != 5000 {
 		t.Fatalf("OnLoss cwnd = %v, want 5000", f.Cwnd)
@@ -86,15 +86,14 @@ func TestOnLossHalves(t *testing.T) {
 // Property: the window always stays within [MinCwnd, MaxCwnd] under any
 // ack sequence.
 func TestBoundsProperty(t *testing.T) {
-	c := cfg()
 	fn := func(rtts []uint16, seed int64) bool {
-		f := NewFlow(c, 2, 20000)
+		f := NewFlow(target, 2, 20000)
 		now := sim.Time(0)
 		for _, r := range rtts {
 			now += 10 * sim.Microsecond
 			rtt := sim.Duration(r%200+1) * sim.Microsecond
 			f.OnAck(now, rtt, 1500)
-			if f.Cwnd < c.MinCwnd || f.Cwnd > c.MaxCwnd {
+			if f.Cwnd < minCwnd || f.Cwnd > maxCwnd {
 				return false
 			}
 		}

@@ -804,3 +804,17 @@ func (n *Network) LinkUtilization(l topo.LinkID, now sim.Time) float64 {
 	p := &n.Ports[l]
 	return float64(p.TxBytes*8) / (p.Link.Capacity * now.Seconds())
 }
+
+// SwitchQueueHighWaters returns, in port order, the egress-queue high-water
+// mark in bytes of every port a switch transmits on (host uplinks queue in
+// the sender's NIC, not in the fabric, and are excluded).
+func (n *Network) SwitchQueueHighWaters() []int {
+	var marks []int
+	for i := range n.Ports {
+		p := &n.Ports[i]
+		if n.G.Node(p.Link.Src).Kind == topo.Switch {
+			marks = append(marks, p.MaxQueueBytes)
+		}
+	}
+	return marks
+}

@@ -59,6 +59,38 @@ func TestQueueingDelay(t *testing.T) {
 	}
 }
 
+// Two senders into one receiver queue at the switch's downlink; the host
+// uplinks queue too, and are not switch ports.
+func TestSwitchQueueHighWaters(t *testing.T) {
+	eng := sim.New()
+	st := topo.NewStar(3, topo.Gbps(10), sim.Microsecond)
+	n := New(eng, st.Graph, Config{})
+	n.SetHandler(st.Hosts[2], HandlerFunc(func(*Packet) {}))
+	for _, src := range st.Hosts[:2] {
+		route := st.Graph.Paths(src, st.Hosts[2], 1)[0]
+		for i := 0; i < 4; i++ {
+			n.Send(&Packet{Kind: Data, Size: 1500, Route: route})
+		}
+	}
+	eng.Run()
+	marks := n.SwitchQueueHighWaters()
+	if len(marks) != 3 {
+		t.Fatalf("%d switch ports, want the star's 3 downlinks", len(marks))
+	}
+	busy := 0
+	for _, m := range marks {
+		if m > 0 {
+			busy++
+			if down := n.Port(st.Graph.Link(st.Graph.Node(st.Hosts[2]).Out[0]).Reverse); m != down.MaxQueueBytes {
+				t.Errorf("high-water %d, want the receiver downlink's %d", m, down.MaxQueueBytes)
+			}
+		}
+	}
+	if busy != 1 {
+		t.Fatalf("%d switch ports queued, want only the receiver's downlink (marks %v)", busy, marks)
+	}
+}
+
 func TestTailDrop(t *testing.T) {
 	eng := sim.New()
 	st := topo.NewStar(2, topo.Gbps(10), sim.Microsecond)

@@ -6,8 +6,9 @@ package experiments
 // measures the quantity that mechanism exists to protect.
 
 import (
+	"strconv"
+
 	"ufab/internal/sim"
-	"ufab/internal/stats"
 	"ufab/internal/topo"
 	"ufab/internal/ufabe"
 	"ufab/internal/vfabric"
@@ -33,26 +34,11 @@ func Ablations(o Options) *Report {
 
 	// ---- (a) two-stage admission: max RTT in a synchronized incast ----
 	incast := func(mutate func(*vfabric.Config)) (maxRTT float64, maxQ int, overhead float64) {
-		eng := sim.New()
 		st := topo.NewStar(n+1, topo.Gbps(10), 5*sim.Microsecond)
-		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		uf := vfabric.New(eng, st.Graph, cfg)
-		var flows []*vfabric.Flow
-		for i := 0; i < n; i++ {
-			vf := uf.AddVF(int32(i+1), 500e6, 2)
-			fl := uf.AddFlow(vf, st.Hosts[i], st.Hosts[n], 0)
-			fl.Buffer.Add(1 << 40)
-			flows = append(flows, fl)
-		}
-		eng.RunUntil(dur)
-		var rtt stats.Samples
-		for _, fl := range flows {
-			rtt.Add(fl.Pair.RTT.Max())
-		}
-		return rtt.Max(), uf.MaxQueueBytes(), uf.ProbeOverhead() * 100
+		d := deployPlain(schemeUFAB, o, r, st.Graph, mutate)
+		flows := d.incast(st.Hosts[:n], st.Hosts[n], 500e6)
+		d.eng.RunUntil(dur)
+		return poolRTT(flows, 1).Max(), d.uf.MaxQueueBytes(), d.uf.ProbeOverhead() * 100
 	}
 	fullRTT, fullQ, _ := incast(nil)
 	noStageRTT, noStageQ, _ := incast(func(c *vfabric.Config) { c.Edge.DisableTwoStage = true })
@@ -65,23 +51,22 @@ func Ablations(o Options) *Report {
 	for _, lw := range []int64{1024, 4096, 16384} {
 		rtt, _, ovh := incast(func(c *vfabric.Config) { c.Edge.ProbePayloadBytes = lw })
 		r.Printf("L_w = %5d B: probing overhead %5.2f%%, max RTT %6.1fus", lw, ovh, rtt)
-		r.Metric("lw"+itoa(int(lw))+".overhead_pct", ovh)
+		r.Metric("lw"+strconv.FormatInt(lw, 10)+".overhead_pct", ovh)
 	}
 
 	// ---- (c) Guarantee Partitioning: bursty pair reclaiming its hose ----
 	gp := func(disable bool) float64 {
-		eng := sim.New()
 		st := topo.NewStar(3, topo.Gbps(10), 5*sim.Microsecond)
-		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r)}
-		if disable {
-			// GP off is deliberate sabotage of the guarantee machinery — the
-			// auditor would (correctly) flag it, so only the healthy variant
-			// is audited.
-			cfg.Edge.TokenPeriod = -1
-		} else {
-			cfg.Audit = o.fabricAudit(r)
-		}
-		uf := vfabric.New(eng, st.Graph, cfg)
+		d := deployPlain(schemeUFAB, o, r, st.Graph, func(c *vfabric.Config) {
+			if disable {
+				// GP off is deliberate sabotage of the guarantee machinery —
+				// the auditor would (correctly) flag it, so only the healthy
+				// variant is audited.
+				c.Edge.TokenPeriod = -1
+				c.Audit = nil
+			}
+		})
+		eng, uf := d.eng, d.uf
 		vf := uf.AddVF(1, 4e9, 4) // 40-token hose
 		// Two pairs of the same VF: static split gives each 20 tokens;
 		// GP moves the idle pair's share to the busy one.
@@ -91,8 +76,7 @@ func Ablations(o Options) *Report {
 		// A competing tenant keeps the uplink fully subscribed so the
 		// busy pair's rate tracks its token share.
 		other := uf.AddVF(2, 6e9, 5)
-		comp := uf.AddFlow(other, st.Hosts[1], st.Hosts[0], 0)
-		_ = comp
+		uf.AddFlow(other, st.Hosts[1], st.Hosts[0], 0)
 		compUp := uf.AddFlow(other, st.Hosts[2], st.Hosts[1], 0)
 		compUp.Buffer.Add(1 << 40)
 		busyBuf.Add(1 << 40)
@@ -112,15 +96,16 @@ func Ablations(o Options) *Report {
 
 	// ---- (d) migration: colliding placement with and without candidates ----
 	migr := func(pinned bool) float64 {
-		eng := sim.New()
 		tt := topo.NewTwoTier(2, 3, topo.Gbps(10), 5*sim.Microsecond)
-		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r)}
-		if !pinned {
-			// The pinned variant deliberately overcommits one path (that is
-			// the ablation); only the healthy multi-candidate run is audited.
-			cfg.Audit = o.fabricAudit(r)
-		}
-		uf := vfabric.New(eng, tt.Graph, cfg)
+		d := deployPlain(schemeUFAB, o, r, tt.Graph, func(c *vfabric.Config) {
+			if pinned {
+				// The pinned variant deliberately overcommits one path (that
+				// is the ablation); only the healthy multi-candidate run is
+				// audited.
+				c.Audit = nil
+			}
+		})
+		eng, uf := d.eng, d.uf
 		var flows []*vfabric.Flow
 		for i := 0; i < 3; i++ {
 			vf := uf.AddVF(int32(i+1), 4e9, 4)

@@ -1,110 +1,13 @@
 package experiments
 
-// Adapters exposing the two fabrics through apps.Net, plus the Fig 13/14
-// application-level experiments.
+// The application-level experiments (Fig 13/14): Memcached, MongoDB and the
+// EBS task mix run over a deployment through apps.Net.
 
 import (
 	"ufab/internal/apps"
-	"ufab/internal/audit"
-	"ufab/internal/dataplane"
 	"ufab/internal/sim"
-	"ufab/internal/telemetry"
 	"ufab/internal/topo"
-	"ufab/internal/vfabric"
-	"ufab/internal/workload"
-
-	blhost "ufab/internal/baseline/host"
 )
-
-type connKey struct {
-	vf       int32
-	src, dst topo.NodeID
-}
-
-// ufabNet adapts vfabric.Fabric to apps.Net.
-type ufabNet struct {
-	f     *vfabric.Fabric
-	conns map[connKey]*workload.Messages
-}
-
-func newUFABNet(eng *sim.Engine, g *topo.Graph, seed int64, prime bool, reg *telemetry.Registry, aud *audit.Config) *ufabNet {
-	cfg := vfabric.Config{Seed: seed, Telemetry: reg, Audit: aud}
-	cfg.Edge.DisableTwoStage = prime
-	return &ufabNet{f: vfabric.New(eng, g, cfg), conns: map[connKey]*workload.Messages{}}
-}
-
-func (n *ufabNet) Engine() sim.Scheduler { return n.f.Eng }
-
-func (n *ufabNet) Dial(vf int32, tokens float64, src, dst topo.NodeID) *workload.Messages {
-	key := connKey{vf, src, dst}
-	if c := n.conns[key]; c != nil {
-		return c
-	}
-	v := n.f.VFs[vf]
-	if v == nil {
-		// The VF hose defaults to the per-pair guarantee; experiments
-		// that need a different hose pre-register the VF.
-		v = n.f.AddVF(vf, tokens*100e6, weightClass(tokens*100e6))
-	}
-	msgs := &workload.Messages{}
-	n.f.AddFlowDemand(v, src, dst, tokens, msgs)
-	n.conns[key] = msgs
-	return msgs
-}
-
-// baselineNet adapts the baseline fabric to apps.Net.
-type baselineNet struct {
-	bl    *blhost.Fabric
-	conns map[connKey]*workload.Messages
-}
-
-func newBaselineNet(eng *sim.Engine, g *topo.Graph, sc blhost.Scheme, seed int64, reg *telemetry.Registry) *baselineNet {
-	return &baselineNet{
-		bl:    blhost.NewFabric(eng, g, blhost.Config{Scheme: sc, Seed: seed}, dataplane.Config{Telemetry: reg}),
-		conns: map[connKey]*workload.Messages{},
-	}
-}
-
-func (n *baselineNet) Engine() sim.Scheduler { return n.bl.Eng }
-
-func (n *baselineNet) Dial(vf int32, tokens float64, src, dst topo.NodeID) *workload.Messages {
-	key := connKey{vf, src, dst}
-	if c := n.conns[key]; c != nil {
-		return c
-	}
-	msgs := &workload.Messages{}
-	n.bl.AddFlowDemand(vf, tokens, src, dst, 4, msgs)
-	n.conns[key] = msgs
-	return msgs
-}
-
-// appsNetFor builds the apps.Net for a scheme. Only the μFAB schemes are
-// audited (the baselines make no guarantees to check).
-func appsNetFor(sc scheme, eng *sim.Engine, g *topo.Graph, seed int64, reg *telemetry.Registry, aud *audit.Config) apps.Net {
-	switch sc {
-	case schemeUFAB:
-		return newUFABNet(eng, g, seed, false, reg, aud)
-	case schemeUFABPrime:
-		return newUFABNet(eng, g, seed, true, reg, aud)
-	case schemePWC:
-		return newBaselineNet(eng, g, blhost.PWC, seed, reg)
-	default:
-		return newBaselineNet(eng, g, blhost.ESClove, seed, reg)
-	}
-}
-
-// newEBSOn wires the EBS task mix with the paper's guarantees (SA 2G,
-// BA 6G, GC 1G → tokens at BU = 100 Mbps).
-func newEBSOn(net apps.Net, saHosts, storageHosts []topo.NodeID, seed int64) *apps.EBS {
-	return apps.NewEBS(net, apps.EBSConfig{
-		SAHosts:      saHosts,
-		StorageHosts: storageHosts,
-		SATokens:     20,
-		BATokens:     60,
-		GCTokens:     10,
-		Seed:         seed,
-	})
-}
 
 // Fig13 runs Memcached against MongoDB background traffic on the testbed
 // under each scheme plus the Ideal case (no MongoDB): μFAB keeps QPS and
@@ -135,13 +38,13 @@ func Fig13(o Options) *Report {
 		period sim.Duration
 	}{{"low", 800 * sim.Microsecond}, {"high", 60 * sim.Microsecond}} {
 		for _, v := range variants {
-			eng := sim.New()
 			tb := topo.NewTestbed(topo.TestbedConfig{})
-			net := appsNetFor(v.sc, eng, tb.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-			if uf, ok := net.(*ufabNet); ok {
+			net := deployPlain(v.sc, o, r, tb.Graph, nil)
+			eng := net.eng
+			if net.uf != nil {
 				// Tenant hoses: Memcached 2G, MongoDB 6G.
-				uf.f.AddVF(1, 2e9, 3)
-				uf.f.AddVF(2, 6e9, 5)
+				net.uf.AddVF(1, 2e9, 3)
+				net.uf.AddVF(2, 6e9, 5)
 			}
 			mc := apps.NewMemcached(net, apps.MemcachedConfig{
 				VF: 1, Tokens: 4,
@@ -198,13 +101,13 @@ func Fig14(o Options) *Report {
 		saPeriod sim.Duration
 	}{{"paper", 320 * sim.Microsecond}, {"overload", 200 * sim.Microsecond}} {
 		for _, sc := range []scheme{schemePWC, schemeES, schemeUFAB} {
-			eng := sim.New()
 			tb := topo.NewTestbed(topo.TestbedConfig{})
-			net := appsNetFor(sc, eng, tb.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-			if uf, ok := net.(*ufabNet); ok {
-				uf.f.AddVF(101, 2e9, 3) // SA
-				uf.f.AddVF(102, 6e9, 5) // BA
-				uf.f.AddVF(103, 1e9, 2) // GC
+			net := deployPlain(sc, o, r, tb.Graph, nil)
+			eng := net.eng
+			if net.uf != nil {
+				net.uf.AddVF(101, 2e9, 3) // SA
+				net.uf.AddVF(102, 6e9, 5) // BA
+				net.uf.AddVF(103, 1e9, 2) // GC
 			}
 			ebs := apps.NewEBS(net, apps.EBSConfig{
 				SAHosts:      tb.Servers[0:4],

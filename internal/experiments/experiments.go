@@ -7,6 +7,13 @@
 // simulator, not the authors' testbed), but each Report records the
 // quantities whose *shape* the paper's claims rest on: who keeps its
 // guarantee, whose tail latency is bounded, where the crossovers fall.
+//
+// Every experiment holds its fabric through one deployment handle, built by
+// deploy or deployPlain — the only code that knows whether μFAB or a
+// baseline runs underneath (DESIGN.md "One deployment under every scheme").
+// Figures stay code rather than data because an event's key ends in the
+// order the figure called into the fabric: the same calls in the same order
+// is what keeps golden_metrics.json byte-identical.
 package experiments
 
 import (
@@ -18,6 +25,7 @@ import (
 
 	"ufab/internal/audit"
 	"ufab/internal/dataplane"
+	"ufab/internal/flowsrc"
 	"ufab/internal/sim"
 	"ufab/internal/stats"
 	"ufab/internal/telemetry"
@@ -249,7 +257,7 @@ func Find(id string) *Entry {
 	return nil
 }
 
-// ---- shared fabric helpers --------------------------------------------------
+// ---- one deployment under every scheme ---------------------------------------
 
 // scheme identifies the system under test in comparative experiments.
 type scheme int
@@ -259,6 +267,9 @@ const (
 	schemeUFABPrime
 	schemePWC
 	schemeES
+	// schemePWCGap36 is PWC with Clove's flowlet gap cut from 200 to 36 μs,
+	// the oscillating alternative of Fig 5.
+	schemePWCGap36
 )
 
 func (s scheme) String() string {
@@ -271,23 +282,37 @@ func (s scheme) String() string {
 		return "PicNIC'+WCC+Clove"
 	case schemeES:
 		return "ES+Clove"
+	case schemePWCGap36:
+		return "PicNIC'+WCC+Clove (36us gap)"
 	}
 	return "?"
 }
 
-// system is the uniform handle over a μFAB or baseline deployment used by
-// the comparative experiments.
-type system struct {
-	scheme scheme
+// deployment is the one handle an experiment holds on the fabric under
+// test, whichever scheme runs on it. newDeployment is the only code that
+// knows the scheme: it assembles the fabric and binds the operations that
+// differ; everything else is written once against the parts both fabrics
+// share — the engine, the dataplane network, a demand buffer, a rate meter,
+// RTT samples. It is also the apps.Net the application models run over.
+type deployment struct {
 	// eng drives the deployment's simulation and doubles as the
 	// coordinator scheduling context: experiment timelines (workload
 	// feeders, chaos, samplers) scheduled here run at global barriers with
 	// exclusive access to fabric state for every worker count.
-	eng   sim.Driver
-	graph *topo.Graph
-
+	eng *sim.Engine
+	net *dataplane.Network
+	// uf is the μFAB fabric, nil under a baseline: the μFAB-only experiments
+	// reach chaos, the core registers and the probe counters through it.
 	uf *vfabric.Fabric
-	bl *blhost.Fabric
+
+	// add creates a VM-pair of VF vf draining demand, over routes or, when
+	// routes is nil, over candidates the fabric samples from src to dst. A
+	// VF not yet registered gets hose hoseBps; phi is the pair's tokens, 0
+	// for the whole hose.
+	add func(vf int32, hoseBps, phi float64, src, dst topo.NodeID, routes []topo.Path, demand flowsrc.Source) *flow
+	// sampleRates flushes every flow's rate meter up to now (and, under
+	// μFAB, publishes telemetry and ticks the auditor).
+	sampleRates func()
 
 	// reg is the attached registry (nil when telemetry is off). fctVFs and
 	// fctPair track the per-pair FCT histograms created by addMessageFlow
@@ -296,127 +321,151 @@ type system struct {
 	reg     *telemetry.Registry
 	fctVFs  []int32
 	fctPair map[int32][]*telemetry.Histogram
+	// conns memoises Dial.
+	conns map[connKey]*workload.Messages
 }
 
-// flowHandle is the uniform per-flow measurement handle.
-type flowHandle struct {
-	ufFlow *vfabric.Flow
-	blFlow *blhost.FlowHandle
+type connKey struct {
+	vf       int32
+	src, dst topo.NodeID
 }
 
-func (h *flowHandle) buffer() *flowBuffer {
-	if h.ufFlow != nil {
-		return &flowBuffer{uf: h.ufFlow}
-	}
-	return &flowBuffer{bl: h.blFlow}
+// flow is one VM-pair under test: its demand and what the run measures of
+// it, the same fields whichever fabric carries it.
+type flow struct {
+	// buf is the demand buffer; nil for a message-tracked flow.
+	buf *flowsrc.Buffer
+	// meter is the acknowledged throughput, filled by sampleRates.
+	meter *stats.RateMeter
+	rtt   *stats.Samples
+	// delivered is the live count of acknowledged bytes.
+	delivered *int64
+	// switches counts the pair's path changes: μFAB-E migrations, Clove
+	// flowlet repicks.
+	switches func() int
 }
 
-// flowBuffer writes demand into either fabric's buffer.
-type flowBuffer struct {
-	uf *vfabric.Flow
-	bl *blhost.FlowHandle
+// backlog fills the flow with effectively infinite demand.
+func (f *flow) backlog() { f.buf.Add(1 << 42) }
+
+// rate returns acknowledged throughput in bits/s averaged over [from, to].
+func (f *flow) rate(from, to sim.Time) float64 { return f.meter.Series.MeanOver(from, to) }
+
+// deploy assembles scheme sc over g on its own engine, attaching the run's
+// telemetry and, for the μFAB schemes, its auditor (the baselines make no
+// guarantees to audit). μFAB runs as vfabric.Build assembles it, on the
+// pod-partitioned engine with o.Shards workers; the baselines have no
+// shards for workers to execute and run on a plain engine.
+func deploy(sc scheme, o Options, r *Report, g *topo.Graph) *deployment {
+	return newDeployment(sc, o, r, g, true, nil)
 }
 
-func (b *flowBuffer) Add(n int64) {
-	if b.uf != nil {
-		b.uf.Buffer.Add(n)
-	} else {
-		b.bl.Buffer.Add(n)
-	}
+// deployPlain is deploy with μFAB on an unpartitioned engine (vfabric.New)
+// and an optional tweak of its configuration. Every caller is a golden
+// re-record candidate, not a refactoring one: moving a figure to deploy
+// re-stamps the (src, seq) half of its event keys and with them its
+// tie-breaks (ROADMAP "The evaluation as data").
+func deployPlain(sc scheme, o Options, r *Report, g *topo.Graph, tweak func(*vfabric.Config)) *deployment {
+	return newDeployment(sc, o, r, g, false, tweak)
 }
 
-func (b *flowBuffer) Drain() {
-	if b.uf != nil {
-		b.uf.Buffer.Consume(b.uf.Buffer.Pending())
-	} else {
-		b.bl.Buffer.Consume(b.bl.Buffer.Pending())
-	}
-}
-
-func (h *flowHandle) rate(from, to sim.Time) float64 {
-	if h.ufFlow != nil {
-		return h.ufFlow.Rate(from, to)
-	}
-	return h.blFlow.Rate(from, to)
-}
-
-func (h *flowHandle) rtt() *stats.Samples {
-	if h.ufFlow != nil {
-		return &h.ufFlow.Pair.RTT
-	}
-	return &h.blFlow.Flow.RTT
-}
-
-func (h *flowHandle) delivered() int64 {
-	if h.ufFlow != nil {
-		return h.ufFlow.Pair.Delivered
-	}
-	return h.blFlow.Flow.Delivered
-}
-
-// newSystem builds a deployment of the given scheme over g, with its own
-// private simulation driver. A non-nil reg attaches the run's telemetry
-// registry: the full fabric for μFAB schemes, the dataplane link
-// instruments for baselines. A non-nil aud additionally attaches the
-// predictability auditor to μFAB schemes (baselines make no μFAB
-// guarantees to audit). μFAB schemes honor o.Shards through
-// vfabric.Build; baselines run on a plain engine (they have no shards
-// for workers to execute).
-func newSystem(s scheme, o Options, g *topo.Graph, seed int64, reg *telemetry.Registry, aud *audit.Config) *system {
-	sys := &system{scheme: s, graph: g, reg: reg, fctPair: make(map[int32][]*telemetry.Histogram)}
-	switch s {
-	case schemeUFAB, schemeUFABPrime:
-		cfg := vfabric.Config{Seed: seed, Telemetry: reg, Audit: aud}
-		cfg.Edge.DisableTwoStage = s == schemeUFABPrime
-		uf, err := vfabric.Build(vfabric.BuildOptions{Graph: g, Cfg: cfg, Shards: o.Shards})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
+func newDeployment(sc scheme, o Options, r *Report, g *topo.Graph, partitioned bool, tweak func(*vfabric.Config)) *deployment {
+	d := &deployment{eng: sim.New(), reg: o.fabricTelemetry(r),
+		fctPair: make(map[int32][]*telemetry.Histogram), conns: make(map[connKey]*workload.Messages)}
+	if sc == schemeUFAB || sc == schemeUFABPrime {
+		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
+		cfg.Edge.DisableTwoStage = sc == schemeUFABPrime
+		if tweak != nil {
+			tweak(&cfg)
 		}
-		sys.uf = uf
-		sys.eng = uf.Eng
-	case schemePWC:
-		eng := sim.New()
-		sys.eng = eng
-		sys.bl = blhost.NewFabric(eng, g, blhost.Config{Scheme: blhost.PWC, Seed: seed}, dataplane.Config{Telemetry: reg})
-	case schemeES:
-		eng := sim.New()
-		sys.eng = eng
-		sys.bl = blhost.NewFabric(eng, g, blhost.Config{Scheme: blhost.ESClove, Seed: seed}, dataplane.Config{Telemetry: reg})
+		var uf *vfabric.Fabric
+		if partitioned {
+			var err error
+			if uf, err = vfabric.Build(vfabric.BuildOptions{Graph: g, Cfg: cfg, Shards: o.Shards, Eng: d.eng}); err != nil {
+				panic(fmt.Sprintf("experiments: %v", err))
+			}
+		} else {
+			uf = vfabric.New(d.eng, g, cfg)
+		}
+		d.uf, d.net, d.sampleRates = uf, uf.Net, uf.SampleRates
+		d.add = func(vf int32, hoseBps, phi float64, src, dst topo.NodeID, routes []topo.Path, demand flowsrc.Source) *flow {
+			v := uf.VFs[vf]
+			if v == nil {
+				v = uf.AddVF(vf, hoseBps, weightClass(hoseBps))
+			}
+			var fl *vfabric.Flow
+			if routes == nil {
+				fl = uf.AddFlowDemand(v, src, dst, phi, demand)
+			} else {
+				fl = uf.AddFlowRoutes(v, routes, phi, demand)
+			}
+			return &flow{meter: fl.Meter, rtt: &fl.Pair.RTT, delivered: &fl.Pair.Delivered,
+				switches: func() int { return fl.Pair.Migrations }}
+		}
+		return d
 	}
-	return sys
+	cfg := blhost.Config{Scheme: blhost.PWC, Seed: o.Seed}
+	switch sc {
+	case schemeES:
+		cfg.Scheme = blhost.ESClove
+	case schemePWCGap36:
+		cfg.CloveGap = 36 * sim.Microsecond
+	}
+	bl := blhost.NewFabric(d.eng, g, cfg, dataplane.Config{Telemetry: d.reg})
+	d.net, d.sampleRates = bl.Net, bl.SampleRates
+	d.add = func(vf int32, hoseBps, phi float64, src, dst topo.NodeID, routes []topo.Path, demand flowsrc.Source) *flow {
+		// The baselines carry the weight per flow: the pair's tokens, or
+		// the hose's at BU = 100 Mbps.
+		if phi == 0 {
+			phi = hoseBps / 100e6
+		}
+		var fh *blhost.FlowHandle
+		if routes == nil {
+			fh = bl.AddFlowDemand(vf, phi, src, dst, 4, demand)
+		} else {
+			fh = bl.AddFlowRoutes(vf, phi, routes, demand)
+		}
+		return &flow{meter: fh.Meter, rtt: &fh.Flow.RTT, delivered: &fh.Flow.Delivered, switches: fh.Flow.Repicks}
+	}
+	return d
 }
 
 // hostScheduler returns the scheduling context owning a host: per-host
 // workload drivers (as opposed to coordinator-paced feeders) must
 // schedule there so their traffic runs inside the host's shard, beside
-// the other shards when there are workers. Baselines are single-context,
-// so it is their engine.
-func (sys *system) hostScheduler(host topo.NodeID) sim.Scheduler {
-	if sys.uf != nil {
-		return sys.uf.HostScheduler(host)
-	}
-	return sys.eng
+// the other shards when there are workers. An unpartitioned deployment is
+// one context, so it is the engine.
+func (d *deployment) hostScheduler(host topo.NodeID) sim.Scheduler {
+	return d.net.NodeScheduler(host)
 }
 
-// addVF registers a VF (μFAB) — a no-op for baselines, which carry the
-// weight per flow.
-func (sys *system) addVF(id int32, guaranteeBps float64, class int) {
-	if sys.uf != nil {
-		sys.uf.AddVF(id, guaranteeBps, class)
-	}
+// addFlow creates a VM-pair of the VF holding the whole guarantee, fed
+// from the returned flow's buffer.
+func (d *deployment) addFlow(vf int32, guaranteeBps float64, src, dst topo.NodeID) *flow {
+	buf := &flowsrc.Buffer{}
+	f := d.add(vf, guaranteeBps, 0, src, dst, nil, buf)
+	f.buf = buf
+	return f
 }
 
-// addFlow creates a backing VM-pair of the VF with guarantee tokens.
-func (sys *system) addFlow(vf int32, guaranteeBps float64, src, dst topo.NodeID) *flowHandle {
-	if sys.uf != nil {
-		v := sys.uf.VFs[vf]
-		if v == nil {
-			v = sys.uf.AddVF(vf, guaranteeBps, weightClass(guaranteeBps))
-		}
-		return &flowHandle{ufFlow: sys.uf.AddFlow(v, src, dst, 0)}
+// addFlowRoutes is addFlow over an explicit candidate-path set (Fig 5 pins
+// flows to underlay paths).
+func (d *deployment) addFlowRoutes(vf int32, guaranteeBps float64, routes []topo.Path) *flow {
+	buf := &flowsrc.Buffer{}
+	f := d.add(vf, guaranteeBps, 0, d.net.G.PathSrc(routes[0]), d.net.G.PathDst(routes[0]), routes, buf)
+	f.buf = buf
+	return f
+}
+
+// incast backlogs one flow per sender towards dst: VF i+1 from senders[i],
+// each with the given guarantee.
+func (d *deployment) incast(senders []topo.NodeID, dst topo.NodeID, guaranteeBps float64) []*flow {
+	flows := make([]*flow, len(senders))
+	for i, src := range senders {
+		flows[i] = d.addFlow(int32(i+1), guaranteeBps, src, dst)
+		flows[i].backlog()
 	}
-	tokens := guaranteeBps / 100e6
-	return &flowHandle{blFlow: sys.bl.AddFlow(vf, tokens, src, dst, 4)}
+	return flows
 }
 
 // weightClass maps a guarantee to one of the 8 WFQ classes.
@@ -428,82 +477,41 @@ func weightClass(guaranteeBps float64) int {
 	return c
 }
 
-func (sys *system) startSampling(interval sim.Duration) func() {
-	if sys.uf != nil {
-		return sys.uf.StartSampling(interval)
-	}
-	return sys.bl.StartSampling(interval)
-}
-
-func (sys *system) sampleRates() {
-	if sys.uf != nil {
-		sys.uf.SampleRates()
-	} else {
-		sys.bl.SampleRates()
-	}
-}
-
-func (sys *system) maxQueueBytes() int {
-	if sys.uf != nil {
-		return sys.uf.MaxQueueBytes()
-	}
-	return sys.bl.MaxQueueBytes()
+// startSampling arranges for sampleRates to run every interval.
+func (d *deployment) startSampling(interval sim.Duration) (stop func()) {
+	return d.eng.Every(interval, d.sampleRates)
 }
 
 // queueHighWaters gathers the high-water marks of all switch egress
 // queues as a sorted-once snapshot (quantiles come off it without
 // re-sorting per call).
-func (sys *system) queueHighWaters() stats.Snapshot {
-	net := sys.net()
+func (d *deployment) queueHighWaters() stats.Snapshot {
 	var s stats.Samples
-	for i := range net.Ports {
-		p := &net.Ports[i]
-		if sys.graph.Node(p.Link.Src).Kind != topo.Switch {
-			continue
-		}
-		s.Add(float64(p.MaxQueueBytes))
+	for _, q := range d.net.SwitchQueueHighWaters() {
+		s.Add(float64(q))
 	}
 	return s.Snapshot()
 }
 
-func (sys *system) net() *dataplane.Network {
-	if sys.uf != nil {
-		return sys.uf.Net
-	}
-	return sys.bl.Net
-}
-
-// backlog fills a flow with effectively infinite demand.
-func (h *flowHandle) backlog() { h.buffer().Add(1 << 42) }
-
-// mcMessages dials a message-tracked flow on either fabric.
-func (sys *system) addMessageFlow(vf int32, guaranteeBps float64, src, dst topo.NodeID) (*workload.Messages, *flowHandle) {
+// addMessageFlow creates a message-tracked VM-pair: sizes sent on the
+// returned tracker complete when the fabric has delivered them.
+func (d *deployment) addMessageFlow(vf int32, guaranteeBps float64, src, dst topo.NodeID) (*workload.Messages, *flow) {
 	msgs := &workload.Messages{}
-	if sys.reg != nil {
+	if d.reg != nil {
 		// Per-pair FCT histogram: completions fire in the source host's
 		// shard, so each histogram keeps the single-writer discipline.
 		// mergeTenantFCT folds them into per-tenant distributions after
 		// the run.
 		ent := fmt.Sprintf("workload.vf%d-%s-%s", vf,
-			telemetry.Token(sys.graph.Node(src).Name), telemetry.Token(sys.graph.Node(dst).Name))
-		h := sys.reg.Histogram(ent + ".fct_us")
-		sys.fctPair[vf] = append(sys.fctPair[vf], h)
-		if len(sys.fctPair[vf]) == 1 {
-			sys.fctVFs = append(sys.fctVFs, vf)
+			telemetry.Token(d.net.G.Node(src).Name), telemetry.Token(d.net.G.Node(dst).Name))
+		h := d.reg.Histogram(ent + ".fct_us")
+		d.fctPair[vf] = append(d.fctPair[vf], h)
+		if len(d.fctPair[vf]) == 1 {
+			d.fctVFs = append(d.fctVFs, vf)
 		}
 		msgs.Observe(func(_ workload.Message, fct sim.Duration) { h.Observe(fct.Micros()) })
 	}
-	if sys.uf != nil {
-		v := sys.uf.VFs[vf]
-		if v == nil {
-			v = sys.uf.AddVF(vf, guaranteeBps, weightClass(guaranteeBps))
-		}
-		fl := sys.uf.AddFlowDemand(v, src, dst, 0, msgs)
-		return msgs, &flowHandle{ufFlow: fl}
-	}
-	tokens := guaranteeBps / 100e6
-	fh := sys.bl.AddFlowDemand(vf, tokens, src, dst, 4, msgs)
-	return msgs, &flowHandle{blFlow: fh}
+	return msgs, d.add(vf, guaranteeBps, 0, src, dst, nil, msgs)
 }
 
 // mergeTenantFCT folds each tenant's per-pair FCT histograms into one
@@ -511,16 +519,67 @@ func (sys *system) addMessageFlow(vf int32, guaranteeBps float64, src, dst topo.
 // makes the merge exact. Call at the coordinator after the horizon; merge
 // order follows creation order, so the merged histograms are byte-identical
 // across -jobs and -shards.
-func (sys *system) mergeTenantFCT() {
-	if sys.reg == nil {
+func (d *deployment) mergeTenantFCT() {
+	if d.reg == nil {
 		return
 	}
-	for _, vf := range sys.fctVFs {
-		merged := sys.reg.Histogram(fmt.Sprintf("workload.vf%d.fct_us", vf))
-		for _, h := range sys.fctPair[vf] {
+	for _, vf := range d.fctVFs {
+		merged := d.reg.Histogram(fmt.Sprintf("workload.vf%d.fct_us", vf))
+		for _, h := range d.fctPair[vf] {
 			merged.Merge(h)
 		}
 	}
+}
+
+// Engine implements apps.Net.
+func (d *deployment) Engine() sim.Scheduler { return d.eng }
+
+// Dial implements apps.Net: one message channel per (VF, src, dst), created
+// on first use with the given tokens. Under μFAB a VF's hose defaults to its
+// first pair's guarantee; experiments that need a different hose
+// pre-register the VF.
+func (d *deployment) Dial(vf int32, tokens float64, src, dst topo.NodeID) *workload.Messages {
+	key := connKey{vf, src, dst}
+	if d.conns[key] == nil {
+		d.conns[key] = &workload.Messages{}
+		d.add(vf, tokens*100e6, tokens, src, dst, nil, d.conns[key])
+	}
+	return d.conns[key]
+}
+
+// aggMeter samples the aggregate delivered rate of a flow set.
+func aggMeter(eng sim.Scheduler, flows []*flow, interval sim.Duration) *stats.RateMeter {
+	m := stats.NewRateMeter("agg", interval)
+	eng.Every(interval, func() {
+		var d int64
+		for _, f := range flows {
+			d += *f.delivered
+		}
+		m.AddTotal(eng.Now(), d)
+	})
+	return m
+}
+
+// poolRTT pools the flows' RTT distributions into one by resampling each
+// at the given quantiles.
+func poolRTT(flows []*flow, quantiles ...float64) *stats.Samples {
+	var all stats.Samples
+	for _, f := range flows {
+		for _, q := range quantiles {
+			all.Add(f.rtt.P(q))
+		}
+	}
+	return &all
+}
+
+// convergence renders a stats.ConvergenceTime result for a report: the
+// time as text and in the given unit, or "none" and -1 for a series that
+// never settled.
+func convergence(ct, unit sim.Duration) (string, float64) {
+	if ct < 0 {
+		return "none", -1
+	}
+	return ct.String(), float64(ct) / float64(unit)
 }
 
 // newRand returns a deterministic RNG for experiment-level choices.

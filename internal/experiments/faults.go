@@ -51,14 +51,10 @@ type faultRig struct {
 }
 
 func newFaultRig(o Options, r *Report, mutate func(*vfabric.Config)) *faultRig {
-	eng := sim.New()
 	tb := topo.NewTestbed(topo.TestbedConfig{})
-	cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	uf := vfabric.New(eng, tb.Graph, cfg)
-	rig := &faultRig{eng: eng, tb: tb, uf: uf, gbps: 2e9, report: r}
+	d := deployPlain(schemeUFAB, o, r, tb.Graph, mutate)
+	uf := d.uf
+	rig := &faultRig{eng: d.eng, tb: tb, uf: uf, gbps: 2e9, report: r}
 	for i := 0; i < 4; i++ {
 		vf := uf.AddVF(int32(i+1), rig.gbps, weightClass(rig.gbps))
 		fl := uf.AddFlow(vf, tb.Servers[i], tb.Servers[7], 0)

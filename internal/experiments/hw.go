@@ -4,6 +4,9 @@ package experiments
 // failure; probing overhead) and the Tables 3/4 resource models.
 
 import (
+	"strconv"
+	"strings"
+
 	"ufab/internal/chaos"
 	"ufab/internal/probe"
 	"ufab/internal/resmodel"
@@ -28,9 +31,9 @@ func Fig15(o Options) *Report {
 		dur = 26 * sim.Millisecond
 	}
 	// ---- (a) predictability under churn and failure ----
-	eng := sim.New()
 	tb := topo.NewTestbed(topo.TestbedConfig{LinkCapacity: topo.Gbps(100)})
-	uf := vfabric.New(eng, tb.Graph, vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)})
+	d := deployPlain(schemeUFAB, o, r, tb.Graph, nil)
+	eng, uf := d.eng, d.uf
 	guarantees := []float64{5e9, 5e9, 5e9, 10e9, 10e9, 10e9, 15e9}
 	var flows []*vfabric.Flow
 	for i, g := range guarantees {
@@ -52,7 +55,7 @@ func Fig15(o Options) *Report {
 	satisfied := 0
 	migrations := 0
 	for i, fl := range flows {
-		r.AddSeries("vf"+itoa(i+1)+"_bps", &fl.Meter.Series)
+		r.AddSeries("vf"+strconv.Itoa(i+1)+"_bps", &fl.Meter.Series)
 		rate := fl.Rate(dur-dur/10, dur)
 		ok := rate >= 0.9*guarantees[i]
 		if ok {
@@ -81,11 +84,9 @@ func Fig15(o Options) *Report {
 		counts = []int{1, 10, 100}
 	}
 	for _, n := range counts {
-		eng2 := sim.New()
 		st := topo.NewStar(2, topo.Gbps(100), 2*sim.Microsecond)
-		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-		cfg.Edge.ProbePayloadBytes = lw
-		uf2 := vfabric.New(eng2, st.Graph, cfg)
+		d2 := deployPlain(schemeUFAB, o, r, st.Graph, func(c *vfabric.Config) { c.Edge.ProbePayloadBytes = lw })
+		eng2, uf2 := d2.eng, d2.uf
 		vf := uf2.AddVF(1, 50e9, 6)
 		for i := 0; i < n; i++ {
 			fl := uf2.AddFlow(vf, st.Hosts[0], st.Hosts[1], 0)
@@ -98,7 +99,7 @@ func Fig15(o Options) *Report {
 		eng2.RunUntil(horizon)
 		ovh := uf2.ProbeOverhead() * 100
 		r.Printf("probing overhead with %4d VM-pairs: %.3f%%", n, ovh)
-		r.Metric("probe.overhead_pct."+itoa(n), ovh)
+		r.Metric("probe.overhead_pct."+strconv.Itoa(n), ovh)
 	}
 	lp := float64(probe.WireSize(3))
 	bound := lp / (lp + float64(lw)) * 100
@@ -112,9 +113,7 @@ func Fig15(o Options) *Report {
 func Table3(o Options) *Report {
 	r := NewReport("tab3", "uFAB-E FPGA resource consumption (model)")
 	rows := resmodel.EdgeTable(resmodel.EdgeConfig{VMPairs: 8192, Tenants: 1024})
-	for _, line := range splitLines(resmodel.FormatEdgeTable(rows)) {
-		r.Printf("%s", line)
-	}
+	r.Lines = append(r.Lines, tableLines(resmodel.FormatEdgeTable(rows))...)
 	total := rows[len(rows)-1]
 	r.Metric("fpga.total_lut_pct", total.LUT)
 	r.Metric("fpga.total_bram_pct", total.BRAM)
@@ -127,29 +126,15 @@ func Table3(o Options) *Report {
 func Table4(o Options) *Report {
 	r := NewReport("tab4", "uFAB-C switch resource consumption (model)")
 	cols := resmodel.CoreTable(nil)
-	for _, line := range splitLines(resmodel.FormatCoreTable(cols)) {
-		r.Printf("%s", line)
-	}
+	r.Lines = append(r.Lines, tableLines(resmodel.FormatCoreTable(cols))...)
 	for _, c := range cols {
-		r.Metric("switch.sram_pct."+itoa(c.VMPairs/1000)+"k", c.SRAM)
+		r.Metric("switch.sram_pct."+strconv.Itoa(c.VMPairs/1000)+"k", c.SRAM)
 	}
 	r.Printf("paper Table 4 SRAM: 17.29%% / 17.71%% / 18.75%% — only the active-pair table scales")
 	return r
 }
 
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
+// tableLines splits a formatted table into its non-empty lines.
+func tableLines(table string) []string {
+	return strings.FieldsFunc(table, func(c rune) bool { return c == '\n' })
 }

@@ -16,21 +16,6 @@ import (
 	"ufab/internal/workload"
 )
 
-// aggMeter samples the aggregate delivered rate of a flow set.
-func aggMeter(eng sim.Scheduler, flows []*flowHandle, interval sim.Duration) *stats.RateMeter {
-	m := stats.NewRateMeter("agg", interval)
-	var last int64
-	eng.Every(interval, func() {
-		var d int64
-		for _, fh := range flows {
-			d += fh.delivered()
-		}
-		m.Add(eng.Now(), int(d-last))
-		last = d
-	})
-	return m
-}
-
 // Fig16 runs the 90-to-1 on/off workload: every sender alternates between
 // a 500 Mbps trickle and unlimited demand every 4 ms. μFAB converges to
 // the new allocation within the phase; PWC overshoots then under-utilizes;
@@ -46,18 +31,13 @@ func Fig16(o Options) *Report {
 	period := 4 * sim.Millisecond
 	for _, sc := range []scheme{schemePWC, schemeES, schemeUFABPrime, schemeUFAB} {
 		st := topo.NewStar(n+1, topo.Gbps(100), 2*sim.Microsecond)
-		sys := newSystem(sc, o, st.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-		eng := sys.eng
-		var flows []*flowHandle
+		d := deploy(sc, o, r, st.Graph)
+		eng := d.eng
+		var flows []*flow
 		for i := 0; i < n; i++ {
-			fh := sys.addFlow(int32(i+1), 1e9, st.Hosts[i], st.Hosts[n])
+			fh := d.addFlow(int32(i+1), 1e9, st.Hosts[i], st.Hosts[n])
 			flows = append(flows, fh)
-			buf := fh.buffer()
-			if buf.uf != nil {
-				workload.OnOff(eng, buf.uf.Buffer, 500e6, period, 50<<20)
-			} else {
-				workload.OnOff(eng, buf.bl.Buffer, 500e6, period, 50<<20)
-			}
+			workload.OnOff(eng, fh.buf, 500e6, period, 50<<20)
 		}
 		agg := aggMeter(eng, flows, 100*sim.Microsecond)
 		eng.RunUntil(dur)
@@ -73,13 +53,7 @@ func Fig16(o Options) *Report {
 				under.Add(p.V)
 			}
 		}
-		var rtt stats.Samples
-		for _, fh := range flows {
-			s := fh.rtt()
-			for _, q := range []float64{0.5, 0.99, 1} {
-				rtt.Add(s.P(q))
-			}
-		}
+		rtt := poolRTT(flows, 0.5, 0.99, 1)
 		r.Printf("%-18s unlimited-phase rate %6.1f G (target 95) | underload %5.1f G | RTT p99≈%8.1fus max %9.1fus",
 			sc, unlimited.Mean()/1e9, under.Mean()/1e9, rtt.P(0.9), rtt.Max())
 		r.Metric(metricKey(sc, "unlimited_gbps", -1), unlimited.Mean()/1e9)
@@ -140,14 +114,14 @@ func Fig17(o Options) *Report {
 		}
 		for _, sc := range []scheme{schemePWC, schemeES, schemeUFAB} {
 			cl := topo.NewClos(cell.clos)
-			sys := newSystem(sc, o, cl.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-			eng := sys.eng
+			d := deploy(sc, o, r, cl.Graph)
+			eng := d.eng
 			dist := workload.WebSearch()
 			type pairState struct {
 				msgs      *workload.Messages
 				guarantee float64
 				offered   int64
-				fh        *flowHandle
+				fh        *flow
 				// Per-pair slowdown accumulators: completion callbacks run
 				// in the source host's shard, so each pair writes only its
 				// own samples and the run-wide aggregation happens after
@@ -165,7 +139,7 @@ func Fig17(o Options) *Report {
 					dst := cl.Hosts[(hi+offsets[k])%len(cl.Hosts)]
 					vfID++
 					guarantee := perPairLoad
-					msgs, fh := sys.addMessageFlow(vfID, guarantee, src, dst)
+					msgs, fh := d.addMessageFlow(vfID, guarantee, src, dst)
 					// Flows are independent entities sharing the pair's
 					// allocation, not a FIFO behind one another.
 					msgs.Sharing = true
@@ -192,7 +166,7 @@ func Fig17(o Options) *Report {
 				}
 			}
 			eng.RunUntil(dur)
-			sys.mergeTenantFCT()
+			d.mergeTenantFCT()
 			for _, ps := range pairs {
 				slow.AddAll(&ps.slow)
 				for bin, s := range ps.bins {
@@ -206,15 +180,14 @@ func Fig17(o Options) *Report {
 			cutoff := (dur * 3 / 4).Seconds()
 			var achieved, owed, demand []float64
 			for _, ps := range pairs {
-				achieved = append(achieved, float64(ps.fh.delivered()*8)/cutoff)
+				achieved = append(achieved, float64(*ps.fh.delivered*8)/cutoff)
 				owed = append(owed, ps.guarantee)
 				demand = append(demand, float64(ps.offered*8)/cutoff)
 			}
 			dissat := stats.Dissatisfaction(achieved, owed, demand) * 100
 			for _, ps := range pairs {
-				s := ps.fh.rtt()
-				if s.Len() > 0 {
-					rttAgg.Add(s.P(0.99))
+				if ps.fh.rtt.Len() > 0 {
+					rttAgg.Add(ps.fh.rtt.P(0.99))
 				}
 			}
 			r.Printf("%-12s %-18s dissat %5.1f%%  p99RTT %8.1fus  slowdown avg %6.2f p99 %8.2f (n=%d)",

@@ -7,16 +7,12 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
-	"ufab/internal/dataplane"
-	"ufab/internal/flowsrc"
 	"ufab/internal/sim"
 	"ufab/internal/stats"
 	"ufab/internal/topo"
-	"ufab/internal/vfabric"
 	"ufab/internal/workload"
-
-	blhost "ufab/internal/baseline/host"
 )
 
 // Fig4 reproduces Case-1: N flows of different VFs (500 Mbps guarantees)
@@ -34,24 +30,12 @@ func Fig4(o Options) *Report {
 	for _, sc := range []scheme{schemePWC, schemeUFAB} {
 		for _, n := range degrees {
 			st := topo.NewStar(n+1, topo.Gbps(10), 5*sim.Microsecond)
-			sys := newSystem(sc, o, st.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-			eng := sys.eng
-			var flows []*flowHandle
-			for i := 0; i < n; i++ {
-				fh := sys.addFlow(int32(i+1), 500e6, st.Hosts[i], st.Hosts[n])
-				fh.backlog()
-				flows = append(flows, fh)
-			}
-			eng.RunUntil(dur)
+			d := deploy(sc, o, r, st.Graph)
+			flows := d.incast(st.Hosts[:n], st.Hosts[n], 500e6)
+			d.eng.RunUntil(dur)
 			// Pool per-flow samples via quantile resampling into the
 			// figure's CDF.
-			var all stats.Samples
-			for _, fh := range flows {
-				s := fh.rtt()
-				for _, p := range []float64{0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 0.999, 1} {
-					all.Add(s.P(p))
-				}
-			}
+			all := poolRTT(flows, 0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 0.999, 1)
 			p50, p999 := all.P(0.3), all.Max()
 			if base == 0 {
 				base = st.Graph.Diameter(1500).Micros()
@@ -86,28 +70,13 @@ func metricKey(sc scheme, what string, n int) string {
 		schemeUFAB: "ufab", schemeUFABPrime: "ufabp", schemePWC: "pwc", schemeES: "es",
 	}[sc]
 	if n >= 0 {
-		return name + "." + what + "." + itoa(n)
+		return name + "." + what + "." + strconv.Itoa(n)
 	}
 	return name + "." + what
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// fig5Variant runs the Case-2 scenario under one scheme/flowlet-gap combo
-// and returns the four VFs' rates in the final window plus F4's observed
-// path-switch count.
+// fig5Result is one Case-2 run: the four VFs' rates in the final window,
+// their sampled rate series, and F4's observed path-switch count.
 type fig5Result struct {
 	rates    [4]float64 // Gbps in final window
 	switches int
@@ -128,90 +97,49 @@ func Fig5(o Options) *Report {
 		dur = 80 * sim.Millisecond
 	}
 	guarantees := [4]float64{9e9, 8e9, 4e9, 3e9}
-	run := func(sc scheme, gap sim.Duration) fig5Result {
-		eng := sim.New()
+	run := func(sc scheme) fig5Result {
 		tt := topo.NewTwoTier(3, 4, topo.Gbps(10), 5*sim.Microsecond)
-		var uf *vfabric.Fabric
-		var bl *blhost.Fabric
-		if sc == schemeUFAB {
-			uf = vfabric.New(eng, tt.Graph, vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)})
-		} else {
-			bl = blhost.NewFabric(eng, tt.Graph, blhost.Config{
-				Scheme: blhost.PWC, CloveGap: gap, Seed: o.Seed,
-			}, dataplane.Config{Telemetry: o.fabricTelemetry(r)})
-		}
+		d := deployPlain(sc, o, r, tt.Graph, nil)
 		// Per-flow routes: F1..F3 pinned to P1..P3; F4 sees all three.
-		pathsFor := func(i int) []topo.Path {
-			all := tt.Graph.Paths(tt.HostsLeft[i], tt.HostsRight[i], 0)
-			if i < 3 {
-				return all[i : i+1]
-			}
-			return all
-		}
-		var ufFlows [4]*vfabric.Flow
-		var blFlows [4]*blhost.FlowHandle
-		var bufs [4]*flowsrc.Buffer
+		var flows [4]*flow
 		addFlow := func(i int) {
-			bufs[i] = &flowsrc.Buffer{}
-			if uf != nil {
-				vf := uf.AddVF(int32(i+1), guarantees[i], weightClass(guarantees[i]))
-				ufFlows[i] = uf.AddFlowRoutes(vf, pathsFor(i), 0, bufs[i])
-			} else {
-				blFlows[i] = bl.AddFlowRoutes(int32(i+1), guarantees[i]/100e6, pathsFor(i), bufs[i])
+			routes := tt.Graph.Paths(tt.HostsLeft[i], tt.HostsRight[i], 0)
+			if i < 3 {
+				routes = routes[i : i+1]
 			}
+			flows[i] = d.addFlowRoutes(int32(i+1), guarantees[i], routes)
 		}
 		for i := 0; i < 3; i++ {
 			addFlow(i)
 		}
 		// F1 has insufficient demand (8G of its 9G guarantee: P1 at 80%
 		// utilization); F2 and F3 are backlogged (work conservation).
-		workload.FixedRate(eng, bufs[0], 8e9, 50*sim.Microsecond)
-		bufs[1].Add(1 << 42)
-		bufs[2].Add(1 << 42)
-		eng.At(joinAt, func() {
+		workload.FixedRate(d.eng, flows[0].buf, 8e9, 50*sim.Microsecond)
+		flows[1].backlog()
+		flows[2].backlog()
+		d.eng.At(joinAt, func() {
 			addFlow(3)
-			bufs[3].Add(1 << 42)
+			flows[3].backlog()
 		})
-		var sampler func()
-		if uf != nil {
-			sampler = func() { uf.SampleRates() }
-		} else {
-			sampler = func() { bl.SampleRates() }
-		}
-		eng.Every(200*sim.Microsecond, sampler)
-		eng.RunUntil(dur)
-		sampler()
-		var res fig5Result
-		for i := 0; i < 4; i++ {
-			var rate float64
-			if uf != nil {
-				rate = ufFlows[i].Rate(dur-dur/8, dur)
-				res.series[i] = &ufFlows[i].Meter.Series
-			} else {
-				rate = blFlows[i].Rate(dur-dur/8, dur)
-				res.series[i] = &blFlows[i].Meter.Series
-			}
-			res.rates[i] = rate / 1e9
-		}
-		if uf != nil {
-			res.switches = ufFlows[3].Pair.Migrations
-		} else {
-			res.switches = blFlows[3].Flow.CurrentPath() // path id only
-			res.switches = cloveRepicks(blFlows[3])
+		d.startSampling(200 * sim.Microsecond)
+		d.eng.RunUntil(dur)
+		d.sampleRates()
+		res := fig5Result{switches: flows[3].switches()}
+		for i, f := range flows {
+			res.rates[i] = f.rate(dur-dur/8, dur) / 1e9
+			res.series[i] = &f.meter.Series
 		}
 		return res
 	}
-	type variant struct {
-		name string
-		sc   scheme
-		gap  sim.Duration
-	}
-	for _, v := range []variant{
-		{"PWC (200us gap)", schemePWC, 200 * sim.Microsecond},
-		{"PWC (36us gap)", schemePWC, 36 * sim.Microsecond},
-		{"uFAB", schemeUFAB, 0},
+	for _, v := range []struct {
+		name, key string
+		sc        scheme
+	}{
+		{"PWC (200us gap)", "pwc200", schemePWC},
+		{"PWC (36us gap)", "pwc36", schemePWCGap36},
+		{"uFAB", "ufab", schemeUFAB},
 	} {
-		res := run(v.sc, v.gap)
+		res := run(v.sc)
 		ok := 0
 		for i := range res.rates {
 			// F1's demand is 8G; others owe their full guarantee.
@@ -225,18 +153,15 @@ func Fig5(o Options) *Report {
 		}
 		r.Printf("%-18s F1=%.2fG(owes 8) F2=%.2fG(8) F3=%.2fG(4) F4=%.2fG(3); satisfied %d/4; F4 path switches %d",
 			v.name, res.rates[0], res.rates[1], res.rates[2], res.rates[3], ok, res.switches)
-		key := map[string]string{"PWC (200us gap)": "pwc200", "PWC (36us gap)": "pwc36", "uFAB": "ufab"}[v.name]
-		r.Metric(key+".satisfied", float64(ok))
-		r.Metric(key+".switches", float64(res.switches))
+		r.Metric(v.key+".satisfied", float64(ok))
+		r.Metric(v.key+".switches", float64(res.switches))
 		for i, ser := range res.series {
-			r.AddSeries(key+"_F"+itoa(i+1)+"_bps", ser)
+			r.AddSeries(v.key+"_F"+strconv.Itoa(i+1)+"_bps", ser)
 		}
 	}
 	r.Printf("paper shape: PWC leaves guarantees unsatisfied (200us pins F4 on P1; 36us oscillates); uFAB close to ideal")
 	return r
 }
-
-func cloveRepicks(fh *blhost.FlowHandle) int { return fh.Flow.Repicks() }
 
 // Fig11 reproduces the permutation churn experiment: three VF classes
 // (1/2/5 Gbps) per sending host, one VF inserted every 20 ms; μFAB
@@ -253,10 +178,10 @@ func Fig11(o Options) *Report {
 	classes := []float64{1e9, 2e9, 5e9}
 	for _, sc := range []scheme{schemeUFAB, schemePWC, schemeES} {
 		tb := topo.NewTestbed(topo.TestbedConfig{})
-		sys := newSystem(sc, o, tb.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-		eng := sys.eng
+		d := deploy(sc, o, r, tb.Graph)
+		eng := d.eng
 		type vfFlow struct {
-			fh        *flowHandle
+			fh        *flow
 			guarantee float64
 			start     sim.Time
 		}
@@ -271,7 +196,7 @@ func Fig11(o Options) *Report {
 				id++
 				vfID := id
 				inserts = append(inserts, func() {
-					fh := sys.addFlow(vfID, g, tb.Servers[h], tb.Servers[4+(h+ci)%4])
+					fh := d.addFlow(vfID, g, tb.Servers[h], tb.Servers[4+(h+ci)%4])
 					fh.backlog()
 					flows = append(flows, &vfFlow{fh: fh, guarantee: g, start: eng.Now()})
 				})
@@ -283,24 +208,24 @@ func Fig11(o Options) *Report {
 		for i, ins := range inserts {
 			eng.At(sim.Time(i)*insertEvery, ins)
 		}
-		stopSampling := sys.startSampling(500 * sim.Microsecond)
+		stopSampling := d.startSampling(500 * sim.Microsecond)
 		end := sim.Time(len(inserts))*insertEvery + tail
 		eng.RunUntil(end)
 		stopSampling()
-		sys.sampleRates()
+		d.sampleRates()
 		// Steady-state dissatisfaction over the final window.
 		var achieved, owed []float64
 		for i, f := range flows {
 			achieved = append(achieved, f.fh.rate(end-tail/2, end))
 			owed = append(owed, f.guarantee)
-			r.AddSeries(metricKey(sc, "vf"+itoa(i)+"_bps", -1), flowSeries(f.fh))
+			r.AddSeries(metricKey(sc, "vf"+strconv.Itoa(i)+"_bps", -1), &f.fh.meter.Series)
 		}
 		dissat := stats.Dissatisfaction(achieved, owed, nil)
-		qhw := sys.queueHighWaters()
+		qhw := d.queueHighWaters()
 		maxQ := qhw.Max()
 		r.Printf("%-18s dissatisfaction(final)=%5.1f%%  max queue=%6.0f KB  q-p90=%6.0f KB",
 			sc, dissat*100, maxQ/1e3, qhw.P(0.9)/1e3)
-		for ci, g := range classes {
+		for _, g := range classes {
 			sum, n := 0.0, 0
 			for _, f := range flows {
 				if f.guarantee == g {
@@ -309,7 +234,6 @@ func Fig11(o Options) *Report {
 				}
 			}
 			r.Printf("    class %dG: avg rate %.2f G (n=%d)", int(g/1e9), sum/float64(n)/1e9, n)
-			_ = ci
 		}
 		r.Metric(metricKey(sc, "dissat_pct", -1), dissat*100)
 		r.Metric(metricKey(sc, "maxq_kb", -1), maxQ/1e3)
@@ -331,19 +255,13 @@ func Fig12(o Options) *Report {
 	}
 	for _, sc := range []scheme{schemePWC, schemeES, schemeUFABPrime, schemeUFAB} {
 		st := topo.NewStar(n+1, topo.Gbps(10), 5*sim.Microsecond)
-		sys := newSystem(sc, o, st.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
-		eng := sys.eng
-		var flows []*flowHandle
-		for i := 0; i < n; i++ {
-			fh := sys.addFlow(int32(i+1), 500e6, st.Hosts[i], st.Hosts[n])
-			fh.backlog()
-			flows = append(flows, fh)
-		}
-		agg := aggMeter(eng, flows, 100*sim.Microsecond)
-		stop := sys.startSampling(200 * sim.Microsecond)
-		eng.RunUntil(dur)
+		d := deploy(sc, o, r, st.Graph)
+		flows := d.incast(st.Hosts[:n], st.Hosts[n], 500e6)
+		agg := aggMeter(d.eng, flows, 100*sim.Microsecond)
+		stop := d.startSampling(200 * sim.Microsecond)
+		d.eng.RunUntil(dur)
 		stop()
-		sys.sampleRates()
+		d.sampleRates()
 		agg.Flush(dur)
 		r.AddSeries(metricKey(sc, "agg_bps", -1), &agg.Series)
 		// Convergence: aggregate goodput within 10% of the 95% target
@@ -357,36 +275,15 @@ func Fig12(o Options) *Report {
 				fairOK++
 			}
 		}
-		var rttAll stats.Samples
-		for _, fh := range flows {
-			s := fh.rtt()
-			for _, p := range []float64{0.5, 0.9, 0.99, 1} {
-				rttAll.Add(s.P(p))
-			}
-		}
+		rttAll := poolRTT(flows, 0.5, 0.9, 0.99, 1)
 		baseRTT := st.Graph.Diameter(1500).Micros()
 		bound := 5 * baseRTT // 3·BDP inflight + baseRTT ≈ 4–5 baseRTTs
-		conv := "no"
-		if worst >= 0 {
-			conv = worst.String()
-		}
+		conv, convUs := convergence(worst, sim.Microsecond)
 		r.Printf("%-18s convergence=%9s fair %2d/%2d  RTT p50≈%7.1fus max≈%8.1fus  (bound %.0fus)",
 			sc, conv, fairOK, n, rttAll.P(0.25), rttAll.Max(), bound)
-		if worst >= 0 {
-			r.Metric(metricKey(sc, "conv_us", -1), worst.Micros())
-		} else {
-			r.Metric(metricKey(sc, "conv_us", -1), -1)
-		}
+		r.Metric(metricKey(sc, "conv_us", -1), convUs)
 		r.Metric(metricKey(sc, "rtt_max_us", -1), rttAll.Max())
 	}
 	r.Printf("paper shape: uFAB/uFAB' react fast; baselines 99p RTT ~ms; uFAB bounds the tail, uFAB' cuts it ~11x vs baselines")
 	return r
-}
-
-// flowSeries returns the flow's sampled rate series.
-func flowSeries(fh *flowHandle) *stats.Series {
-	if fh.ufFlow != nil {
-		return &fh.ufFlow.Meter.Series
-	}
-	return &fh.blFlow.Meter.Series
 }

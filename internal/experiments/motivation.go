@@ -17,8 +17,6 @@ import (
 	"ufab/internal/stats"
 	"ufab/internal/topo"
 	"ufab/internal/workload"
-
-	blhost "ufab/internal/baseline/host"
 )
 
 // Fig1 runs a latency-sensitive victim next to a periodically bursting
@@ -33,20 +31,20 @@ func Fig1(o Options) *Report {
 		epochs = 4
 		epoch = 4 * sim.Millisecond
 	}
-	eng := sim.New()
 	st := topo.NewStar(7, topo.Gbps(10), 5*sim.Microsecond)
-	bl := blhost.NewFabric(eng, st.Graph, blhost.Config{Scheme: blhost.PWC, Seed: o.Seed}, dataplane.Config{Telemetry: o.fabricTelemetry(r)})
+	d := deployPlain(schemePWC, o, r, st.Graph, nil)
+	eng := d.eng
 	victimDst := st.Hosts[6]
 	// Victim: a steady 200 Mbps small-message stream host0→host6.
-	victim := bl.AddFlow(1, 2, st.Hosts[0], victimDst, 0)
-	workload.FixedRate(eng, victim.Buffer, 200e6, 50*sim.Microsecond)
+	victim := d.addFlow(1, 200e6, st.Hosts[0], victimDst)
+	workload.FixedRate(eng, victim.buf, 200e6, 50*sim.Microsecond)
 	// Interferer: the analytics tenant's workers on five hosts shuffle
 	// toward the victim's host simultaneously at the start of every
 	// other epoch — the synchronized short burst the hourly average
 	// never shows.
-	var bursters []*blhost.FlowHandle
+	var bursters []*flow
 	for i := 1; i <= 5; i++ {
-		bursters = append(bursters, bl.AddFlow(2, 2, st.Hosts[i], victimDst, 0))
+		bursters = append(bursters, d.addFlow(2, 200e6, st.Hosts[i], victimDst))
 	}
 	// Each burster injects ~2% of the epoch at line rate; five arriving
 	// at once build a ~1 MB queue that drains for most of a millisecond.
@@ -56,7 +54,7 @@ func Fig1(o Options) *Report {
 			e := e
 			eng.At(sim.Time(e)*epoch, func() {
 				for _, b := range bursters {
-					b.Buffer.Add(burstBytes)
+					b.buf.Add(burstBytes)
 				}
 			})
 		}
@@ -69,10 +67,10 @@ func Fig1(o Options) *Report {
 	for e := 0; e < epochs; e++ {
 		eng.RunUntil(sim.Time(e+1) * epoch)
 		var s stats.Samples
-		for _, v := range victim.Flow.RTT.TakeAll() {
+		for _, v := range victim.rtt.TakeAll() {
 			s.Add(v)
 		}
-		port := bl.Net.Port(rev)
+		port := d.net.Port(rev)
 		bytes := port.TxBytes - prevBytes
 		prevBytes = port.TxBytes
 		load := float64(bytes*8) / (10e9 * epoch.Seconds()) * 100
@@ -105,9 +103,9 @@ func Fig2(o Options) *Report {
 	if o.Quick {
 		dur = 25 * sim.Millisecond
 	}
-	eng := sim.New()
 	st := topo.NewStar(8, topo.Gbps(10), 5*sim.Microsecond)
-	net := newBaselineNet(eng, st.Graph, blhost.PWC, o.Seed, o.fabricTelemetry(r))
+	net := deployPlain(schemePWC, o, r, st.Graph, nil)
+	eng := net.eng
 	// Task sizes scaled for ~27% steady fabric load at 10G (the paper's
 	// production hosts run faster NICs at the same fractional load).
 	ebs := apps.NewEBS(net, apps.EBSConfig{
@@ -127,7 +125,7 @@ func Fig2(o Options) *Report {
 	load := 0.0
 	for _, h := range st.Hosts[4:] {
 		up := st.Graph.Node(h).Out[0]
-		load += net.bl.Net.LinkUtilization(st.Graph.Link(up).Reverse, eng.Now()) * 100 / 4
+		load += net.net.LinkUtilization(st.Graph.Link(up).Reverse, eng.Now()) * 100 / 4
 	}
 	mean, p999 := ebs.TotalTCT.Mean(), ebs.TotalTCT.P(0.999)
 	r.Printf("network load %.1f%%; total TCT mean %.2f ms, p99.9 %.2f ms (x%.1f)", load, mean, p999, p999/mean)

@@ -98,11 +98,9 @@ func PlaceChurn(o Options) *Report {
 		arrivals = 24
 		cleanup = 3 * sim.Millisecond
 	}
-	eng := sim.New()
 	tb := topo.NewTestbed(topo.TestbedConfig{})
-	cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-	cfg.Core.CleanupPeriod = cleanup
-	uf := vfabric.New(eng, tb.Graph, cfg)
+	d := deployPlain(schemeUFAB, o, r, tb.Graph, func(c *vfabric.Config) { c.Core.CleanupPeriod = cleanup })
+	eng, uf := d.eng, d.uf
 	uf.StartCoreCleanup()
 	ctl := placement.NewController(eng, tb.Graph, uf, placement.Config{
 		Policy:    placement.Spread{},

@@ -40,7 +40,6 @@ func Reconcile(o Options) *Report {
 		dur = 26 * sim.Millisecond
 		cleanup = 3 * sim.Millisecond
 	}
-	eng := sim.New()
 	tb := topo.NewTestbed(topo.TestbedConfig{})
 	// The watcher is event-driven off the flight recorder, so this
 	// experiment always attaches a registry with a recorder to the fabric:
@@ -53,9 +52,11 @@ func Reconcile(o Options) *Report {
 		reg = telemetry.New()
 		reg.EnableRecorder(0)
 	}
-	cfg := vfabric.Config{Seed: o.Seed, Telemetry: reg, Audit: o.fabricAudit(r)}
-	cfg.Core.CleanupPeriod = cleanup
-	uf := vfabric.New(eng, tb.Graph, cfg)
+	d := deployPlain(schemeUFAB, o, r, tb.Graph, func(c *vfabric.Config) {
+		c.Telemetry = reg
+		c.Core.CleanupPeriod = cleanup
+	})
+	eng, uf := d.eng, d.uf
 	uf.StartCoreCleanup()
 
 	svc := ctlplane.NewService(tb.Graph, nil, uf, ctlplane.Config{

@@ -6,11 +6,12 @@ package experiments
 // convergence of Appendix D (Fig 20).
 
 import (
+	"strconv"
+
 	"ufab/internal/sim"
 	"ufab/internal/stats"
 	"ufab/internal/topo"
 	"ufab/internal/vfabric"
-	"ufab/internal/workload"
 )
 
 // Fig18 sweeps (a/b) the migration freeze window [1,N] under 50% and 70%
@@ -29,34 +30,21 @@ func Fig18(o Options) *Report {
 		guarantee float64
 	}{{"50%", 1.6e9}, {"70%", 2.9e9}} {
 		for _, n := range []int{2, 3, 4, 10} {
-			eng := sim.New()
 			tt := topo.NewTwoTier(3, nFlows, topo.Gbps(10), 5*sim.Microsecond)
-			cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-			cfg.Edge.FreezeMaxRTTs = n
-			uf := vfabric.New(eng, tt.Graph, cfg)
+			d := deployPlain(schemeUFAB, o, r, tt.Graph, func(c *vfabric.Config) { c.Edge.FreezeMaxRTTs = n })
 			// Synchronized arrival: all VFs join at once, so initial
 			// placements collide and migrations must untangle them —
 			// the oscillation risk the freeze window addresses.
-			var flows []*vfabric.Flow
+			var flows []*flow
 			for i := 0; i < nFlows; i++ {
-				vf := uf.AddVF(int32(i+1), load.guarantee, 3)
-				fl := uf.AddFlow(vf, tt.HostsLeft[i], tt.HostsRight[i], 0)
-				fl.Buffer.Add(1 << 42)
+				fl := d.addFlow(int32(i+1), load.guarantee, tt.HostsLeft[i], tt.HostsRight[i])
+				fl.backlog()
 				flows = append(flows, fl)
 			}
 			lastInsert := sim.Time(0)
 			end := settle
-			agg := stats.NewRateMeter("agg", 250*sim.Microsecond)
-			var last int64
-			eng.Every(250*sim.Microsecond, func() {
-				var d int64
-				for _, fl := range flows {
-					d += fl.Pair.Delivered
-				}
-				agg.Add(eng.Now(), int(d-last))
-				last = d
-			})
-			eng.RunUntil(end)
+			agg := aggMeter(d.eng, flows, 250*sim.Microsecond)
+			d.eng.RunUntil(end)
 			agg.Flush(end)
 			// Convergence: aggregate goodput within 10% of the fabric's
 			// max (3 paths × 9.5 G target) or the total guarantee,
@@ -65,17 +53,12 @@ func Fig18(o Options) *Report {
 			ct := stats.ConvergenceTime(&agg.Series, lastInsert, target, 0.1, 2*sim.Millisecond)
 			migrations := 0
 			for _, fl := range flows {
-				migrations += fl.Pair.Migrations
+				migrations += fl.switches()
 			}
-			ctStr := "none"
-			ctMs := -1.0
-			if ct >= 0 {
-				ctStr = ct.String()
-				ctMs = ct.Millis()
-			}
+			ctStr, ctMs := convergence(ct, sim.Millisecond)
 			r.Printf("load %s freeze [1,%2d]: convergence %8s, migrations %3d", load.name, n, ctStr, migrations)
-			r.Metric("freeze"+itoa(n)+"."+sanitize(load.name)+".migrations", float64(migrations))
-			r.Metric("freeze"+itoa(n)+"."+sanitize(load.name)+".conv_ms", ctMs)
+			r.Metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".migrations", float64(migrations))
+			r.Metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".conv_ms", ctMs)
 		}
 	}
 	// ---- (c) probing frequency ----
@@ -83,42 +66,20 @@ func Fig18(o Options) *Report {
 		name string
 		rtts int
 	}{{"self-clocking", 0}, {"2 RTT", 2}, {"3 RTT", 3}} {
-		eng := sim.New()
 		st := topo.NewStar(17, topo.Gbps(10), 5*sim.Microsecond)
-		cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}
-		cfg.Edge.PeriodicProbeRTTs = pf.rtts
-		uf := vfabric.New(eng, st.Graph, cfg)
-		var flows []*vfabric.Flow
-		for i := 0; i < 16; i++ {
-			vf := uf.AddVF(int32(i+1), 500e6, 2)
-			fl := uf.AddFlow(vf, st.Hosts[i], st.Hosts[16], 0)
-			fl.Buffer.Add(1 << 42)
-			flows = append(flows, fl)
-		}
-		agg := stats.NewRateMeter("agg", 100*sim.Microsecond)
-		var last int64
-		eng.Every(100*sim.Microsecond, func() {
-			var d int64
-			for _, fl := range flows {
-				d += fl.Pair.Delivered
-			}
-			agg.Add(eng.Now(), int(d-last))
-			last = d
-		})
+		d := deployPlain(schemeUFAB, o, r, st.Graph, func(c *vfabric.Config) { c.Edge.PeriodicProbeRTTs = pf.rtts })
+		flows := d.incast(st.Hosts[:16], st.Hosts[16], 500e6)
+		agg := aggMeter(d.eng, flows, 100*sim.Microsecond)
 		dur := 8 * sim.Millisecond
 		if o.Quick {
 			dur = 4 * sim.Millisecond
 		}
-		eng.RunUntil(dur)
+		d.eng.RunUntil(dur)
 		agg.Flush(dur)
-		ct := stats.ConvergenceTime(&agg.Series, 0, 0.95*10e9, 0.1, sim.Millisecond)
-		ctStr := "none"
-		if ct >= 0 {
-			ctStr = ct.String()
-		}
+		ctStr, ctUs := convergence(stats.ConvergenceTime(&agg.Series, 0, 0.95*10e9, 0.1, sim.Millisecond), sim.Microsecond)
 		r.Printf("probing %-14s: 16-to-1 aggregate convergence %s", pf.name, ctStr)
-		if ct >= 0 {
-			r.Metric("probe."+sanitize(pf.name)+".conv_us", ct.Micros())
+		if ctUs >= 0 {
+			r.Metric("probe."+sanitize(pf.name)+".conv_us", ctUs)
 		}
 	}
 	r.Printf("paper shape: [1,10] freeze cuts migrations sharply at 70%% load with similar convergence; probing frequency barely affects convergence")
@@ -130,9 +91,9 @@ func Fig18(o Options) *Report {
 // incumbent's window/rate must start dropping within a few RTTs.
 func Fig19(o Options) *Report {
 	r := NewReport("fig19", "primal control reaction delay")
-	eng := sim.New()
 	st := topo.NewStar(3, topo.Gbps(10), 5*sim.Microsecond)
-	uf := vfabric.New(eng, st.Graph, vfabric.Config{Seed: o.Seed, MeterInterval: 25 * sim.Microsecond, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)})
+	d := deployPlain(schemeUFAB, o, r, st.Graph, func(c *vfabric.Config) { c.MeterInterval = 25 * sim.Microsecond })
+	eng, uf := d.eng, d.uf
 	vfA := uf.AddVF(1, 2e9, 3)
 	vfB := uf.AddVF(2, 2e9, 3)
 	a := uf.AddFlow(vfA, st.Hosts[0], st.Hosts[2], 0)
@@ -185,7 +146,6 @@ func Fig20(o Options) *Report {
 		n = 32
 		dur = 5 * sim.Millisecond
 	}
-	eng := sim.New()
 	// Heterogeneous propagation delays (0.5–4 μs per host) make the
 	// probe responses arrive out of sync across senders, as in the
 	// paper's Fig 20a.
@@ -194,7 +154,7 @@ func Fig20(o Options) *Report {
 	sw := g.AddNode(topo.Switch, topo.TierToR, "SW")
 	var hosts []topo.NodeID
 	for i := 0; i <= n; i++ {
-		h := g.AddNode(topo.Host, topo.TierHost, "H"+itoa(i))
+		h := g.AddNode(topo.Host, topo.TierHost, "H"+strconv.Itoa(i))
 		prop := sim.Duration(500+rng.Intn(3500)) * sim.Nanosecond
 		if i == n {
 			prop = sim.Microsecond
@@ -202,42 +162,26 @@ func Fig20(o Options) *Report {
 		g.AddDuplexLink(h, sw, topo.Gbps(100), prop)
 		hosts = append(hosts, h)
 	}
-	uf := vfabric.New(eng, g, vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)})
-	var flows []*flowHandle
-	for i := 0; i < n; i++ {
-		vf := uf.AddVF(int32(i+1), 500e6, 2)
-		fl := uf.AddFlow(vf, hosts[i], hosts[n], 0)
-		fl.Buffer.Add(1 << 42)
-		flows = append(flows, &flowHandle{ufFlow: fl})
-	}
-	agg := aggMeter(eng, flows, 100*sim.Microsecond)
+	d := deployPlain(schemeUFAB, o, r, g, nil)
+	flows := d.incast(hosts[:n], hosts[n], 500e6)
+	agg := aggMeter(d.eng, flows, 100*sim.Microsecond)
 	// Background load is implicit: the incast itself saturates the
 	// downlink, and senders' self-clocked probes desynchronize.
-	eng.RunUntil(dur)
+	d.eng.RunUntil(dur)
 	agg.Flush(dur)
 	ct := stats.ConvergenceTime(&agg.Series, 0, 0.95*100e9, 0.1, sim.Millisecond)
 	// Response asynchrony: spread of median RTT across senders.
 	var meds stats.Samples
 	for _, fh := range flows {
-		meds.Add(fh.rtt().P(0.5))
+		meds.Add(fh.rtt.P(0.5))
 	}
 	spread := meds.Max() - meds.Min()
 	baseRTT := g.Diameter(1500).Micros()
-	ctStr := "none"
-	if ct >= 0 {
-		ctStr = ct.String()
-	}
+	ctStr, ctUs := convergence(ct, sim.Microsecond)
 	r.Printf("%d-to-1: per-sender median RTT spread %.1f us (baseRTT %.1f us) — responses are asynchronous", n, spread, baseRTT)
 	r.Printf("aggregate convergence to 95%% of line rate: %s", ctStr)
-	if ct >= 0 {
-		r.Metric("conv.us", ct.Micros())
-	} else {
-		r.Metric("conv.us", -1)
-	}
+	r.Metric("conv.us", ctUs)
 	r.Metric("rtt.spread_us", spread)
 	r.Printf("paper shape: senders receive responses out of sync by >1 RTT yet rates converge quickly (Fig 20b)")
 	return r
 }
-
-// fig18 helpers reuse workload only for documentation symmetry.
-var _ = workload.Permutation

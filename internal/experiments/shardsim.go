@@ -27,10 +27,10 @@ func ShardSim(o Options) *Report {
 	}
 	cl := topo.NewClos(topo.ClosConfig{Pods: pods, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4,
 		HostsPerToR: 4, LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond})
-	sys := newSystem(schemeUFAB, o, cl.Graph, o.Seed, o.fabricTelemetry(r), o.fabricAudit(r))
+	d := deploy(schemeUFAB, o, r, cl.Graph)
 
 	type pairState struct {
-		fh   *flowHandle
+		fh   *flow
 		msgs *workload.Messages
 		// slow is written only from the source host's shard (completion
 		// callbacks run there); merged in pair order after the horizon.
@@ -46,7 +46,7 @@ func ShardSim(o Options) *Report {
 	pairs := make([]*pairState, 0, len(hosts))
 	for i, src := range hosts {
 		dst := hosts[(i+stride)%len(hosts)]
-		msgs, fh := sys.addMessageFlow(int32(i+1), guarantee, src, dst)
+		msgs, fh := d.addMessageFlow(int32(i+1), guarantee, src, dst)
 		msgs.Sharing = true
 		ps := &pairState{fh: fh, msgs: msgs}
 		pairs = append(pairs, ps)
@@ -55,35 +55,35 @@ func ShardSim(o Options) *Report {
 		})
 		// The workload driver lives in the host's shard: arrivals are
 		// simulated events of that shard, not coordinator barriers.
-		sched := sys.hostScheduler(src)
+		sched := d.hostScheduler(src)
 		stop := workload.Poisson(sched, newRand(o.Seed+int64(i)*7919), dist, load,
 			func(size int64, now sim.Time) { ps.msgs.Send(size, now) })
 		sched.At(dur*3/4, stop)
 	}
-	stopSampling := sys.startSampling(500 * sim.Microsecond)
-	sys.eng.RunUntil(dur)
+	stopSampling := d.startSampling(500 * sim.Microsecond)
+	d.eng.RunUntil(dur)
 	stopSampling()
-	sys.mergeTenantFCT()
+	d.mergeTenantFCT()
 
 	var slow stats.Samples
 	var completed, delivered int64
 	for _, ps := range pairs {
 		slow.AddAll(&ps.slow)
 		completed += ps.msgs.Completed
-		delivered += ps.fh.delivered()
+		delivered += *ps.fh.delivered
 	}
-	net := sys.net()
+	net := d.net
 	shards := net.Shards()
 	r.Printf("clos pods=%d hosts=%d logical shards=%d", pods, len(hosts), shards)
 	r.Printf("messages completed %d | delivered %.1f MB | slowdown mean %.2f p99 %.2f | probe overhead %.3f%% | drops %d",
 		completed, float64(delivered)/1e6, slow.Mean(), slow.P(0.99),
-		sys.uf.ProbeOverhead()*100, net.TotalDrops)
+		d.uf.ProbeOverhead()*100, net.TotalDrops)
 	r.Metric("shardsim.logical_shards", float64(shards))
 	r.Metric("shardsim.completed", float64(completed))
 	r.Metric("shardsim.delivered_mb", float64(delivered)/1e6)
 	r.Metric("shardsim.slowdown_mean", slow.Mean())
 	r.Metric("shardsim.slowdown_p99", slow.P(0.99))
-	r.Metric("shardsim.probe_overhead_pct", sys.uf.ProbeOverhead()*100)
+	r.Metric("shardsim.probe_overhead_pct", d.uf.ProbeOverhead()*100)
 	r.Metric("shardsim.drops", float64(net.TotalDrops))
 	return r
 }

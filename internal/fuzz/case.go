@@ -46,13 +46,37 @@ type Topology struct {
 	CapacityGbps float64 `json:"capacity_gbps,omitempty"`
 }
 
-// Build constructs the graph. Node and link IDs are assigned by the
-// builders deterministically, so a case's chaos events and tenant pairs
-// may reference them directly.
+// maxNodes bounds the hosts plus switches of a case's topology. Cases
+// arrive as files (`ufabsim fuzz -replay`, `-corpus`), so the size is
+// checked before anything is built; the generator draws at most 9 hosts and
+// the committed corpus tops out at the 18-node testbed.
+const maxNodes = 512
+
+// Build constructs the graph, or returns an error for a shape no builder
+// accepts: a negative capacity, a dimension below 1, more than maxNodes
+// nodes. Node and link IDs are assigned by the builders deterministically,
+// so a case's chaos events and tenant pairs may reference them directly.
 func (t *Topology) Build() (*topo.Graph, error) {
+	if t.CapacityGbps < 0 {
+		return nil, fmt.Errorf("fuzz: negative capacity_gbps %g", t.CapacityGbps)
+	}
 	capa := topo.Gbps(t.CapacityGbps)
 	if t.CapacityGbps == 0 {
 		capa = topo.Gbps(10)
+	}
+	// sized rejects a dimension below 1 and a node count — computed by the
+	// caller in floating point, where hostile dimensions cannot overflow —
+	// above the budget.
+	sized := func(nodes float64, dims ...int) error {
+		for _, d := range dims {
+			if d < 1 {
+				return fmt.Errorf("fuzz: %s dimension %d, want >= 1", t.Kind, d)
+			}
+		}
+		if nodes > maxNodes {
+			return fmt.Errorf("fuzz: %s of %.0f nodes exceeds the %d-node budget", t.Kind, nodes, maxNodes)
+		}
+		return nil
 	}
 	switch t.Kind {
 	case "testbed":
@@ -62,11 +86,14 @@ func (t *Topology) Build() (*topo.Graph, error) {
 		if n < 2 {
 			return nil, fmt.Errorf("fuzz: star needs >= 2 hosts, have %d", n)
 		}
+		if err := sized(float64(n) + 1); err != nil {
+			return nil, err
+		}
 		return topo.NewStar(n, capa, 2*sim.Microsecond).Graph, nil
 	case "twotier":
 		aggs, hosts := t.Aggs, t.Hosts
-		if aggs < 1 || hosts < 1 {
-			return nil, fmt.Errorf("fuzz: twotier needs aggs >= 1 and hosts >= 1, have %d/%d", aggs, hosts)
+		if err := sized(2+float64(aggs)+2*float64(hosts), aggs, hosts); err != nil {
+			return nil, err
 		}
 		return topo.NewTwoTier(aggs, hosts, capa, 2*sim.Microsecond).Graph, nil
 	case "clos":
@@ -78,6 +105,11 @@ func (t *Topology) Build() (*topo.Graph, error) {
 		if cfg.Pods == 0 {
 			cfg = topo.ClosConfig{Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Cores: 2,
 				HostsPerToR: 2, LinkCapacity: capa, PropDelay: sim.Microsecond}
+		}
+		perPod := float64(cfg.AggsPerPod) + float64(cfg.ToRsPerPod)*(1+float64(cfg.HostsPerToR))
+		if err := sized(float64(cfg.Cores)+float64(cfg.Pods)*perPod,
+			cfg.Pods, cfg.ToRsPerPod, cfg.AggsPerPod, cfg.Cores, cfg.HostsPerToR); err != nil {
+			return nil, err
 		}
 		return topo.NewClos(cfg).Graph, nil
 	default:

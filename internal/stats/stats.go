@@ -300,6 +300,11 @@ func (m *RateMeter) Add(t sim.Time, bytes int) {
 	m.total += int64(bytes)
 }
 
+// AddTotal records the reading, at time t, of a cumulative byte counter
+// that only this method feeds into the meter: the bytes counted since the
+// previous reading arrive at t, and windows close up to t either way.
+func (m *RateMeter) AddTotal(t sim.Time, total int64) { m.Add(t, int(total-m.total)) }
+
 // Flush closes windows up to time t so the series covers [0, t).
 func (m *RateMeter) Flush(t sim.Time) { m.flushTo(t) }
 

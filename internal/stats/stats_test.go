@@ -139,6 +139,31 @@ func TestRateMeter(t *testing.T) {
 	}
 }
 
+// AddTotal must produce the series the samplers' hand-written step did:
+// Add the counter's growth when it grew, close windows up to t either way.
+func TestRateMeterAddTotal(t *testing.T) {
+	got := NewRateMeter("total", 10*sim.Microsecond)
+	want := NewRateMeter("step", 10*sim.Microsecond)
+	var last int64
+	for i, total := range []int64{0, 12500, 12500, 40000, 40000, 40000, 52500} {
+		now := sim.Time(i) * 7 * sim.Microsecond
+		got.AddTotal(now, total)
+		if delta := total - last; delta > 0 {
+			want.Add(now, int(delta))
+			last = total
+		}
+		want.Flush(now)
+	}
+	if got.TotalBytes() != 52500 || len(got.Series.Pts) != len(want.Series.Pts) {
+		t.Fatalf("total %d, %d points; want 52500, %d", got.TotalBytes(), len(got.Series.Pts), len(want.Series.Pts))
+	}
+	for i, p := range got.Series.Pts {
+		if p != want.Series.Pts[i] {
+			t.Errorf("point %d = %+v, want %+v", i, p, want.Series.Pts[i])
+		}
+	}
+}
+
 func TestRateMeterIdleWindows(t *testing.T) {
 	m := NewRateMeter("r", sim.Microsecond)
 	m.Add(500*sim.Nanosecond, 125)

@@ -10,6 +10,7 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ufab/internal/sim"
 )
@@ -233,6 +234,19 @@ func (g *Graph) Paths(src, dst NodeID, maxPaths int) []Path {
 	out := make([]Path, len(paths))
 	copy(out, paths)
 	return out
+}
+
+// SamplePaths returns up to k candidate paths from src to dst, drawn
+// uniformly with rng from the first 8k equal-cost paths when there are more
+// than k (§3.5: the edge "randomly chooses a few of them"); rng is consumed
+// only in that case.
+func (g *Graph) SamplePaths(src, dst NodeID, k int, rng *rand.Rand) []Path {
+	all := g.Paths(src, dst, 8*k)
+	if len(all) > k {
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		all = all[:k]
+	}
+	return all
 }
 
 // enumeratePaths is the uncached path enumeration behind Paths: a BFS from

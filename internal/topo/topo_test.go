@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -172,6 +174,26 @@ func TestPathsMaxLimit(t *testing.T) {
 	paths := cl.Graph.Paths(cl.Hosts[0], cl.Hosts[511], 4)
 	if len(paths) != 4 {
 		t.Fatalf("maxPaths=4 returned %d", len(paths))
+	}
+}
+
+// SamplePaths is the draw both fabrics made by hand: the whole set when it
+// fits, otherwise a seeded shuffle of the first 8k paths cut to k.
+func TestSamplePaths(t *testing.T) {
+	cl := NewClos(Paper512(16))
+	src, dst := cl.Hosts[0], cl.Hosts[511]
+	want := cl.Graph.Paths(src, dst, 32)
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	if got := cl.Graph.SamplePaths(src, dst, 4, rand.New(rand.NewSource(7))); !reflect.DeepEqual(got, want[:4]) {
+		t.Fatalf("sampled %v, want %v", got, want[:4])
+	}
+	// Two paths fit in k = 4: returned in enumeration order, rng untouched
+	// (a nil rng would panic if it were consumed).
+	tt := NewTwoTier(2, 1, Gbps(10), sim.Microsecond)
+	all := tt.Graph.Paths(tt.HostsLeft[0], tt.HostsRight[0], 0)
+	if got := tt.Graph.SamplePaths(tt.HostsLeft[0], tt.HostsRight[0], 4, nil); !reflect.DeepEqual(got, all) {
+		t.Fatalf("sampled %v, want all of %v", got, all)
 	}
 }
 

@@ -12,6 +12,7 @@ package vfabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ufab/internal/audit"
 	"ufab/internal/dataplane"
@@ -99,8 +100,6 @@ type Flow struct {
 	Buffer *ufabe.Buffer
 	// Meter samples acknowledged throughput.
 	Meter *stats.RateMeter
-
-	lastDelivered int64
 }
 
 // Fabric is an assembled μFAB deployment.
@@ -287,22 +286,11 @@ func (f *Fabric) AddFlowDemand(vf *VF, src, dst topo.NodeID, phi float64, demand
 	if err := f.validatePair(src, dst); err != nil {
 		panic(err.Error())
 	}
-	routes := f.sampleRoutes(src, dst, f.Cfg.CandidatePaths)
+	routes := f.Graph.SamplePaths(src, dst, f.Cfg.CandidatePaths, f.rng)
 	if len(routes) == 0 {
 		panic(fmt.Sprintf("vfabric: no path %d→%d", src, dst))
 	}
 	return f.AddFlowRoutes(vf, routes, phi, demand)
-}
-
-// sampleRoutes picks up to k candidate paths uniformly at random from the
-// equal-cost set (§3.5: the edge "randomly chooses a few of them").
-func (f *Fabric) sampleRoutes(src, dst topo.NodeID, k int) []topo.Path {
-	all := f.Graph.Paths(src, dst, 8*k)
-	if len(all) <= k {
-		return all
-	}
-	f.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	return all[:k]
 }
 
 // AddFlowRoutes creates a VM-pair over an explicit candidate-path set
@@ -338,12 +326,7 @@ func (f *Fabric) AddFlowRoutes(vf *VF, routes []topo.Path, phi float64, demand u
 func (f *Fabric) SampleRates() {
 	now := f.Eng.Now()
 	for _, fl := range f.Flows {
-		d := fl.Pair.Delivered
-		if delta := d - fl.lastDelivered; delta > 0 {
-			fl.Meter.Add(now, int(delta))
-			fl.lastDelivered = d
-		}
-		fl.Meter.Flush(now)
+		fl.Meter.AddTotal(now, fl.Pair.Delivered)
 	}
 	f.FlushTelemetry()
 	f.auditTick()
@@ -434,15 +417,6 @@ func (f *Fabric) ProbeOverhead() float64 {
 // MaxQueueBytes returns the largest egress queue high-water mark across
 // all switch ports (host uplinks excluded).
 func (f *Fabric) MaxQueueBytes() int {
-	max := 0
-	for i := range f.Net.Ports {
-		p := &f.Net.Ports[i]
-		if f.Graph.Node(p.Link.Src).Kind != topo.Switch {
-			continue
-		}
-		if p.MaxQueueBytes > max {
-			max = p.MaxQueueBytes
-		}
-	}
-	return max
+	// The appended 0 answers for a fabric without a switch port.
+	return slices.Max(append(f.Net.SwitchQueueHighWaters(), 0))
 }
