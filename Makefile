@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench profile pairs size identical check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile pairs size identical testtime check audit golden chaos trace place fuzz serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -36,6 +36,16 @@ test:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# $(call race-run,<package>,<TestA|TestB>): exactly those tests under the race
+# detector. `go test -run` with a stale name exits 0 having run nothing, so
+# every alternative must first select a test the package still has.
+define race-run
+	@list=$$($(GO) test -list . $(1)); for t in $(subst |, ,$(2)); do \
+		grep -q "^$$t" <<<"$$list" || { echo "make: -run '$$t' selects no test of $(1)" >&2; exit 1; }; \
+	done
+	$(GO) test -race $(1) -run '$(2)'
+endef
+
 # The race-detector row: telemetry registry, the placement control plane
 # (ledger property + concurrency tests), the control-plane service (store
 # recovery, reconciler), parallel-runner determinism. The partitioned-engine
@@ -44,7 +54,7 @@ race:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/placement
 	$(GO) test -race ./internal/ctlplane
-	$(GO) test -race ./internal/experiments -run 'TestParallelRunnerDeterminism|TestTelemetryParallelDeterminism|TestAuditParallelDeterminism'
+	$(call race-run,./internal/experiments,TestParallelRunnerDeterminism|TestTelemetryParallelDeterminism|TestAuditParallelDeterminism)
 
 # One pass over every testing.B benchmark in the tree (the per-figure
 # evaluation + scheduler hot paths) into bench.txt. Measured performance
@@ -94,6 +104,14 @@ identical:
 	@test -n "$(BASE)" || { echo "usage: make identical BASE=<ref>" >&2; exit 2; }
 	./scripts/identical.sh "$(BASE)"
 
+# The tier-1 wall-time comparison a test-suite change reports: `go test
+# -count=1 -json ./...` on the tree and on BASE, alternating, ROUNDS times,
+# with per-package wall per round and each side's 15 slowest tests
+# (scripts/testtime.sh):
+#   make testtime BASE=HEAD~1
+testtime:
+	ROUNDS=$(ROUNDS) ./scripts/testtime.sh $(BASE)
+
 # The full-scale evaluation transcript (every experiment's report text).
 # Generated, not committed — regenerate after metric-affecting changes.
 results:
@@ -120,7 +138,7 @@ audit:
 shard:
 	$(GO) run ./cmd/ufabsim check -shards 4
 	$(GO) run ./cmd/ufabsim check -telemetry -shards 4
-	$(GO) test -race ./internal/experiments -run 'TestShardIdentity|TestShardedSubscribe'
+	$(call race-run,./internal/experiments,TestShardIdentity|TestShardedSubscribeLive)
 	$(GO) test -race ./internal/sim ./internal/topo ./internal/dataplane
 
 golden:

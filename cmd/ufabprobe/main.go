@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -132,6 +133,21 @@ func encode(args []string) {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown kind %q\n", o.kind)
 		os.Exit(2)
+	}
+	// A value its wire field cannot hold is refused, not wrapped.
+	for _, f := range []struct {
+		name   string
+		v, max uint
+	}{{"vm", o.vm, math.MaxUint32}, {"path", o.path, math.MaxUint16}, {"seq", o.seq, math.MaxUint32},
+		{"window", o.window, math.MaxUint32}, {"queue", o.queue, math.MaxUint32}} {
+		if f.v > f.max {
+			fmt.Fprintf(os.Stderr, "-%s %d exceeds the field's maximum %d\n", f.name, f.v, f.max)
+			os.Exit(1)
+		}
+	}
+	if o.hops < 0 {
+		fmt.Fprintf(os.Stderr, "-hops %d is negative\n", o.hops)
+		os.Exit(1)
 	}
 	p := &probe.Packet{
 		Kind: k, VMPair: uint32(o.vm), PathID: uint16(o.path), Seq: uint32(o.seq),

@@ -26,8 +26,8 @@
 //	ufabsim serve -store /var/lib/ufab  # always-on control-plane daemon
 //	ufabsim serve -churn -addr :7663    # with an open-loop background workload
 //	ufabsim ctl status           # query a running daemon (see 'ufabsim ctl')
-//	ufabsim check                # replay evaluation vs golden_metrics.json
-//	ufabsim check -update        # re-record the golden baseline
+//	ufabsim check                # replay evaluation vs golden_metrics.json and the registry's claims
+//	ufabsim check -update        # re-record the golden baseline (refused while a claim is false)
 //	ufabsim check -telemetry     # replay with instrumentation attached
 //	ufabsim check -audit         # replay audited; findings must be clean
 //
@@ -387,7 +387,8 @@ func trace(opts experiments.Options, args []string) {
 }
 
 // check replays the whole evaluation at the golden file's pinned options
-// and fails on metric drift. With -update it re-records the baseline.
+// and fails on metric drift or on a registry claim that does not hold. With
+// -update it re-records the baseline, unless a claim is false.
 // Telemetry, auditing and any worker count must all reproduce the same
 // numbers, so CI runs check in every mode against one golden file.
 func check(runner *experiments.Runner, args []string, cli experiments.Options) {
@@ -441,7 +442,17 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 			os.Exit(1)
 		}
 	}
+	// The paper's claims are part of the gate in every mode, and of the
+	// recording too: a golden whose claims are false pins a broken evaluation.
+	held, falseClaims := experiments.CheckClaims(reports)
+	for _, err := range falseClaims {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+	}
 	if *update {
+		if len(falseClaims) > 0 {
+			fmt.Fprintf(os.Stderr, "%d claim(s) false: %s not recorded\n", len(falseClaims), *golden)
+			os.Exit(1)
+		}
 		g := experiments.BuildGolden(opts, reports, *tol)
 		// The baseline must never pin telemetry, auditing or a worker
 		// count: check replays with the recorded options, and every mode
@@ -453,7 +464,7 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("recorded %d experiments to %s in %.1fs\n", len(reports), *golden, wall)
+		fmt.Printf("recorded %d experiments, %d claims hold, to %s in %.1fs\n", len(reports), held, *golden, wall)
 		return
 	}
 	drifts := g.Compare(reports)
@@ -462,6 +473,8 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 		for _, d := range drifts {
 			fmt.Fprintf(os.Stderr, "  %s\n", d)
 		}
+	}
+	if len(drifts)+len(falseClaims) > 0 {
 		os.Exit(1)
 	}
 	if opts.Audit {
@@ -494,7 +507,7 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 	if opts.Shards > 0 {
 		mode += fmt.Sprintf(", %d workers", opts.Shards)
 	}
-	fmt.Printf("check ok: %d experiments match %s in %.1fs (%s)\n", len(reports), *golden, wall, mode)
+	fmt.Printf("check ok: %d experiments match %s, %d claims hold, in %.1fs (%s)\n", len(reports), *golden, held, wall, mode)
 }
 
 func usage() {

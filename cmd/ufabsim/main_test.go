@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -13,7 +14,31 @@ import (
 )
 
 // binary is the ufabsim executable TestMain builds once for the table.
-var binary string
+// sabotaged is the same program built from a source overlay (nothing in the
+// tree changes) in which one claim's operator is flipped — fig4's "μFAB's
+// tail is below PWC's" — and the registry is cut to three cheap experiments:
+// `check` always replays the whole registry, 8 s a mode at full size, and
+// what it does with a false claim does not depend on how many it replayed.
+var binary, sabotaged string
+
+// sabotagedRegistry is what the sabotaged binary's registry is cut to.
+var sabotagedRegistry = map[string]bool{"fig3": true, "fig4": true, "tab4": true}
+
+// sabotage is the file the overlay adds to internal/experiments.
+var sabotage = fmt.Sprintf(`package experiments
+
+func init() {
+	keep := %#v
+	kept := All[:0]
+	for _, e := range All {
+		if keep[e.ID] {
+			kept = append(kept, e)
+		}
+	}
+	All = kept
+	Find("fig4").Claims[0].Op = ">="
+}
+`, sabotagedRegistry)
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "ufabsim-cli")
@@ -27,6 +52,18 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 		os.Exit(1)
 	}
+	// The overlay adds a file after every other of the package, so its init
+	// runs last.
+	extra, _ := filepath.Abs("../../internal/experiments/zz_sabotage.go")
+	overlay, _ := json.Marshal(map[string]any{"Replace": map[string]string{extra: filepath.Join(dir, "sabotage.go")}})
+	os.WriteFile(filepath.Join(dir, "sabotage.go"), []byte(sabotage), 0o644)
+	os.WriteFile(filepath.Join(dir, "overlay.json"), overlay, 0o644)
+	sabotaged = filepath.Join(dir, "ufabsim_sabotaged")
+	if out, err := exec.Command("go", "build", "-overlay", filepath.Join(dir, "overlay.json"), "-o", sabotaged, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build -overlay: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -35,8 +72,13 @@ func TestMain(m *testing.M) {
 // ufabsim runs the binary in dir and returns its exit code and both streams.
 func ufabsim(t *testing.T, dir string, args ...string) (int, string, string) {
 	t.Helper()
+	return invoke(t, binary, dir, args...)
+}
+
+func invoke(t *testing.T, exe, dir string, args ...string) (int, string, string) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(binary, args...)
+	cmd := exec.Command(exe, args...)
 	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &stdout, &stderr
 	err := cmd.Run()
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
@@ -92,10 +134,30 @@ func TestCLI(t *testing.T) {
 	}
 	_, plainFig4, _ := ufabsim(t, dir, "-quick", "run", "fig4")
 
+	// The committed golden cut to the sabotaged binary's experiments:
+	// its numbers match, so only the flipped claim can fail the check.
+	g, err := experiments.LoadGolden("../../golden_metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range g.Experiments {
+		if !sabotagedRegistry[id] {
+			delete(g.Experiments, id)
+		}
+	}
+	golden := filepath.Join(dir, "golden3.json")
+	if err := g.Save(golden); err != nil {
+		t.Fatal(err)
+	}
+	recorded, _ := os.ReadFile(golden)
+	const falseClaim = "fig4: claim fig4.ufab-tail-below-pwc: ufab.tail_us.10 = 140.144796 is not >= 1 × pwc.tail_us.10 = 257.4832\n"
+
 	for _, row := range []struct {
 		name string
-		args []string
-		exit int
+		// sabotaged runs the binary with fig4's claim flipped instead.
+		sabotaged bool
+		args      []string
+		exit      int
 		// stdout and stderr are the prefix each stream must start with; ""
 		// means the stream must be empty, "*" that it is not looked at.
 		stdout, stderr string
@@ -139,9 +201,23 @@ func TestCLI(t *testing.T) {
 					t.Errorf("differs from a run without the flags:\n%s\nvs\n%s", stdout, plainFig4)
 				}
 			}},
+		{name: "false claim fails check", sabotaged: true, args: []string{"check", "-golden", golden}, exit: 1, stderr: falseClaim},
+		{name: "false claim fails check -telemetry", sabotaged: true, args: []string{"check", "-golden", golden, "-telemetry"}, exit: 1, stderr: falseClaim},
+		{name: "false claim fails check -audit", sabotaged: true, args: []string{"check", "-golden", golden, "-audit"}, exit: 1, stderr: falseClaim},
+		{name: "false claim fails check -shards 4", sabotaged: true, args: []string{"check", "-golden", golden, "-shards", "4"}, exit: 1, stderr: falseClaim},
+		{name: "false claim is not recorded", sabotaged: true, args: []string{"check", "-golden", golden, "-update"}, exit: 1, stderr: falseClaim,
+			check: func(t *testing.T, _, stderr string) {
+				if now, _ := os.ReadFile(golden); !bytes.Equal(now, recorded) || !strings.HasSuffix(stderr, "golden3.json not recorded\n") {
+					t.Errorf("check -update rewrote the golden file or did not say it kept it:\n%s", stderr)
+				}
+			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			code, stdout, stderr := ufabsim(t, dir, row.args...)
+			exe := binary
+			if row.sabotaged {
+				exe = sabotaged
+			}
+			code, stdout, stderr := invoke(t, exe, dir, row.args...)
 			if code != row.exit {
 				t.Errorf("exit %d, want %d\nstdout: %s\nstderr: %s", code, row.exit, stdout, stderr)
 			}

@@ -8,10 +8,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"ufab/internal/fuzz"
 	"ufab/internal/sim"
 	"ufab/internal/topo"
 )
@@ -34,21 +36,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	var g *topo.Graph
-	switch os.Args[1] {
-	case "testbed":
-		g = topo.NewTestbed(topo.TestbedConfig{}).Graph
-	case "fattree":
-		g = topo.FatTree(*k, topo.Gbps(10), sim.Microsecond).Graph
-	case "clos":
-		g = topo.NewClos(topo.Paper512(*cores)).Graph
-	case "twotier":
-		g = topo.NewTwoTier(*aggs, *hosts, topo.Gbps(10), sim.Microsecond).Graph
-	case "star":
-		g = topo.NewStar(*hosts, topo.Gbps(10), sim.Microsecond).Graph
-	default:
+	g, err := build(os.Args[1], *k, *cores, *aggs, *hosts)
+	if err == errUnknownKind {
 		usage()
 		os.Exit(2)
+	}
+	// -src/-dst ask for a path listing; an index given is an index checked,
+	// before anything is printed.
+	listing := false
+	fs.Visit(func(f *flag.Flag) { listing = listing || f.Name == "src" || f.Name == "dst" })
+	if err == nil && listing {
+		if n := len(g.Hosts()); pathPair[0] < 0 || pathPair[0] >= n || pathPair[1] < 0 || pathPair[1] >= n {
+			err = fmt.Errorf("-src %d -dst %d: host index out of range (have %d hosts)", pathPair[0], pathPair[1], n)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ufabtopo: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *dot {
@@ -56,9 +60,49 @@ func main() {
 		return
 	}
 	summarize(g)
-	if pathPair[0] >= 0 && pathPair[1] >= 0 {
+	if listing {
 		listPaths(g, pathPair[0], pathPair[1])
 	}
+}
+
+var errUnknownKind = errors.New("unknown topology kind")
+
+// build constructs the named topology from the dimension flags, which are
+// outside input: each passes the size rule fuzz case files pass
+// (fuzz.CheckSize — no dimension below 1, the nodes a flag asks for within
+// the budget) before a builder sees it, so no flag value panics a builder or
+// allocates without bound.
+func build(kind string, k, cores, aggs, hosts int) (*topo.Graph, error) {
+	switch kind {
+	case "testbed":
+		return topo.NewTestbed(topo.TestbedConfig{}).Graph, nil
+	case "fattree":
+		if k < 2 || k%2 != 0 {
+			return nil, fmt.Errorf("fat tree arity %d must be even and >= 2", k)
+		}
+		// k³/4 hosts under 5k²/4 switches.
+		if err := fuzz.CheckSize(kind, (5+float64(k))*float64(k)*float64(k)/4, k); err != nil {
+			return nil, err
+		}
+		return topo.FatTree(k, topo.Gbps(10), sim.Microsecond).Graph, nil
+	case "clos":
+		// The paper's fixed 512-host shape; the flag adds the cores.
+		if err := fuzz.CheckSize(kind+" core layer", float64(cores), cores); err != nil {
+			return nil, err
+		}
+		return topo.NewClos(topo.Paper512(cores)).Graph, nil
+	case "twotier":
+		if err := fuzz.CheckSize(kind, 2+float64(aggs)+2*float64(hosts), aggs, hosts); err != nil {
+			return nil, err
+		}
+		return topo.NewTwoTier(aggs, hosts, topo.Gbps(10), sim.Microsecond).Graph, nil
+	case "star":
+		if err := fuzz.CheckSize(kind, 1+float64(hosts), hosts); err != nil {
+			return nil, err
+		}
+		return topo.NewStar(hosts, topo.Gbps(10), sim.Microsecond).Graph, nil
+	}
+	return nil, errUnknownKind
 }
 
 func usage() {
@@ -99,10 +143,6 @@ func pathLen(p []topo.Path) int {
 
 func listPaths(g *topo.Graph, srcIdx, dstIdx int) {
 	hs := g.Hosts()
-	if srcIdx >= len(hs) || dstIdx >= len(hs) {
-		fmt.Fprintf(os.Stderr, "host index out of range (have %d hosts)\n", len(hs))
-		os.Exit(1)
-	}
 	src, dst := hs[srcIdx], hs[dstIdx]
 	paths := g.Paths(src, dst, 0)
 	fmt.Printf("%d equal-cost paths %s → %s:\n", len(paths), g.Node(src).Name, g.Node(dst).Name)

@@ -14,14 +14,6 @@ import (
 	"ufab/internal/vfabric"
 )
 
-func init() {
-	All = append(All, Entry{
-		ID:    "abl",
-		Title: "ablations: two-stage admission, GP, migration, probing payload",
-		Run:   Ablations,
-	})
-}
-
 // Ablations runs the four ablations and reports what breaks.
 func Ablations(o Options) *Report {
 	r := NewReport("abl", "design ablations")

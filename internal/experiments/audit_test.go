@@ -25,16 +25,9 @@ func TestAuditAllExperimentsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full audited batch is not -short material")
 	}
-	jobs, err := ExpandIDs(AllIDs(), Options{Quick: true, Seed: 1, Audit: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := (&Runner{}).Run(jobs)
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%v", res.Err)
-		}
-		r := res.Report
+	t.Parallel()
+	for _, id := range AllIDs() {
+		r := auditedAll(t)[id]
 		if r.Findings == nil {
 			// No μFAB fabric under audit (resource-model tables,
 			// baseline-only motivation figures).
@@ -67,42 +60,30 @@ var auditIDs = []string{"fig4", "fig15", "flap", "placechurn", "reconcile"}
 // the exported findings JSONL must be byte-identical between a
 // sequential and a parallel batch.
 func TestAuditParallelDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2} {
 		opts := Options{Quick: true, Seed: seed, Audit: true}
-		jobs, err := ExpandIDs(auditIDs, opts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := (&Runner{Jobs: 1}).Run(jobs)
-		par := (&Runner{Jobs: 8}).Run(jobs)
-		for i := range seq {
-			if seq[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("seed %d job %d: errs %v / %v", seed, i, seq[i].Err, par[i].Err)
-			}
-			a, b := seq[i].Report, par[i].Report
+		seq, par := batch(t, auditIDs, opts, 1), batch(t, auditIDs, opts, 8)
+		for _, id := range auditIDs {
+			a, b := seq[id], par[id]
 			if as, bs := a.String(), b.String(); as != bs {
-				t.Errorf("seed %d %s: rendered reports differ between -jobs 1 and -jobs 8", seed, a.ID)
+				t.Errorf("seed %d %s: rendered reports differ between -jobs 1 and -jobs 8", seed, id)
 			}
 			if af, bf := dumpFindings(t, a), dumpFindings(t, b); af != bf {
 				t.Errorf("seed %d %s: findings JSONL differs between -jobs 1 and -jobs 8:\n--- sequential\n%s--- parallel\n%s",
-					seed, a.ID, af, bf)
+					seed, id, af, bf)
 			}
 		}
 	}
 }
 
 // TestAuditDoesNotChangeResults guards the auditor's pure-observer
-// contract: enabling it must leave every headline metric exactly as in
-// an unaudited run.
+// contract: enabling it must leave every headline metric of every
+// experiment exactly as in an unaudited run.
 func TestAuditDoesNotChangeResults(t *testing.T) {
-	for _, id := range []string{"fig15", "flap"} {
-		e := Find(id)
-		if e == nil {
-			t.Fatalf("unknown experiment %q", id)
-		}
-		plain := e.Run(Options{Quick: true, Seed: 1}).Metrics()
-		audited := e.Run(Options{Quick: true, Seed: 1, Audit: true}).Metrics()
-		if !reflect.DeepEqual(plain, audited) {
+	t.Parallel()
+	for id, r := range auditedAll(t) {
+		if plain, audited := plainAll(t)[id].Metrics(), r.Metrics(); !reflect.DeepEqual(plain, audited) {
 			t.Errorf("%s: metrics changed under audit:\noff: %v\non:  %v", id, plain, audited)
 		}
 	}

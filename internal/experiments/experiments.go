@@ -8,6 +8,10 @@
 // quantities whose *shape* the paper's claims rest on: who keeps its
 // guarantee, whose tail latency is bounded, where the crossovers fall.
 //
+// The registry (registry.go) lists every experiment with the claims its
+// result must satisfy, as data; `ufabsim check` and TestClaims evaluate them
+// (DESIGN.md "One evaluation matrix").
+//
 // Every experiment holds its fabric through one deployment handle, built by
 // deploy or deployPlain — the only code that knows whether μFAB or a
 // baseline runs underneath (DESIGN.md "One deployment under every scheme").
@@ -216,45 +220,6 @@ func (r *Report) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Entry describes one runnable experiment.
-type Entry struct {
-	ID    string
-	Title string
-	Run   func(Options) *Report
-}
-
-// All lists every experiment in paper order.
-var All = []Entry{
-	{"fig1", "ECS motivation: bursty interference inflates tail RTT at low average load", Fig1},
-	{"fig2", "EBS motivation: millisecond bursts inflate tail task completion time", Fig2},
-	{"fig3", "Hash polarization: load imbalance across equivalent uplinks", Fig3},
-	{"fig4", "Case-1: incast RTT distribution vs incast degree (PWC vs uFAB)", Fig4},
-	{"fig5", "Case-2: utilization-oriented migration breaks bandwidth guarantees", Fig5},
-	{"fig11", "Bandwidth guarantee with work conservation under high load", Fig11},
-	{"fig12", "14-to-1 incast: convergence and bounded latency", Fig12},
-	{"fig13", "Memcached QPS/QCT under MongoDB background traffic", Fig13},
-	{"fig14", "EBS task completion times under guarantees", Fig14},
-	{"fig15", "100GE predictability under churn and failure; probing overhead", Fig15},
-	{"fig16", "90-to-1 highly dynamic workload", Fig16},
-	{"fig17", "Real workload on the large fabric (oversubscription x load sweep)", Fig17},
-	{"fig18", "Sensitivity: migration freeze window and probing frequency", Fig18},
-	{"fig19", "Control-law reaction: primal (2 RTT) vs dual (4 RTT)", Fig19},
-	{"fig20", "Heterogeneous response delays: 128-to-1 convergence", Fig20},
-	{"tab3", "uFAB-E FPGA resource consumption model", Table3},
-	{"tab4", "uFAB-C switch resource consumption model", Table4},
-	{"shardsim", "sharded parallel-in-time core: cross-pod workload identity", ShardSim},
-}
-
-// Find returns the entry with the given id, or nil.
-func Find(id string) *Entry {
-	for i := range All {
-		if All[i].ID == id {
-			return &All[i]
-		}
-	}
-	return nil
 }
 
 // ---- one deployment under every scheme ---------------------------------------

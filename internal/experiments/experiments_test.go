@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func quick(t *testing.T, id string) *Report {
-	t.Helper()
-	e := Find(id)
-	if e == nil {
-		t.Fatalf("experiment %q not registered", id)
-	}
-	rep := e.Run(Options{Quick: true, Seed: 1})
-	if rep.ID != id {
-		t.Fatalf("report id %q", rep.ID)
-	}
-	if len(rep.Lines) == 0 {
-		t.Fatal("empty report")
-	}
-	return rep
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
@@ -38,6 +22,19 @@ func TestRegistryComplete(t *testing.T) {
 	if Find("nope") != nil {
 		t.Error("Find invented an experiment")
 	}
+	// Every entry says what it claims, under a name of its own.
+	seen := map[string]bool{}
+	for _, e := range All {
+		if len(e.Claims) == 0 {
+			t.Errorf("%s carries no claim", e.ID)
+		}
+		for _, c := range e.Claims {
+			if !strings.HasPrefix(c.Name, e.ID+".") || seen[c.Name] {
+				t.Errorf("%s: claim name %q is not a unique %s.<what-holds>", e.ID, c.Name, e.ID)
+			}
+			seen[c.Name] = true
+		}
+	}
 }
 
 func TestReportString(t *testing.T) {
@@ -53,300 +50,9 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-func TestFig3Shape(t *testing.T) {
-	rep := quick(t, "fig3")
-	if rep.Metrics()["ecmp.polarized_used"] >= rep.Metrics()["ecmp.independent_used"] {
-		t.Errorf("polarization must concentrate load: %v vs %v",
-			rep.Metrics()["ecmp.polarized_used"], rep.Metrics()["ecmp.independent_used"])
-	}
-	if rep.Metrics()["ecmp.independent_used"] != 24 {
-		t.Errorf("independent hash used %v/24 uplinks", rep.Metrics()["ecmp.independent_used"])
-	}
-}
-
-func TestFig1Shape(t *testing.T) {
-	rep := quick(t, "fig1")
-	if rep.Metrics()["load.avg_pct"] > 15 {
-		t.Errorf("average load %v%%, want the low-utilization regime", rep.Metrics()["load.avg_pct"])
-	}
-	if rep.Metrics()["rtt.max_tail_inflation"] < 2 {
-		t.Errorf("tail inflation %vx, want burst epochs to inflate the tail", rep.Metrics()["rtt.max_tail_inflation"])
-	}
-}
-
-func TestFig2Shape(t *testing.T) {
-	rep := quick(t, "fig2")
-	if rep.Metrics()["load.pct"] < 10 || rep.Metrics()["load.pct"] > 45 {
-		t.Errorf("load %v%%, want the paper's moderate-steady regime", rep.Metrics()["load.pct"])
-	}
-	if rep.Metrics()["tct.tail_over_mean"] < 1.3 {
-		t.Errorf("TCT tail/mean %v, want visible tail inflation", rep.Metrics()["tct.tail_over_mean"])
-	}
-}
-
-func TestFig4Shape(t *testing.T) {
-	rep := quick(t, "fig4")
-	// At the largest degree, μFAB's tail must be well below PWC's.
-	pwc := rep.Metrics()["pwc.tail_us.10"]
-	ufab := rep.Metrics()["ufab.tail_us.10"]
-	if ufab >= pwc {
-		t.Errorf("uFAB tail %v ≥ PWC tail %v at 10-to-1", ufab, pwc)
-	}
-}
-
-func TestFig5Shape(t *testing.T) {
-	rep := quick(t, "fig5")
-	if rep.Metrics()["ufab.satisfied"] != 4 {
-		t.Errorf("uFAB satisfied %v/4 guarantees", rep.Metrics()["ufab.satisfied"])
-	}
-	if rep.Metrics()["pwc200.satisfied"] >= 4 {
-		t.Errorf("PWC(200us) satisfied %v/4 — should break a guarantee", rep.Metrics()["pwc200.satisfied"])
-	}
-	// The small flowlet gap oscillates; μFAB settles after ≤2 switches.
-	if rep.Metrics()["pwc36.switches"] < 10*rep.Metrics()["ufab.switches"] {
-		t.Errorf("oscillation contrast missing: pwc36=%v ufab=%v switches",
-			rep.Metrics()["pwc36.switches"], rep.Metrics()["ufab.switches"])
-	}
-}
-
-func TestFig11Shape(t *testing.T) {
-	rep := quick(t, "fig11")
-	ufab := rep.Metrics()["ufab.dissat_pct"]
-	pwc := rep.Metrics()["pwc.dissat_pct"]
-	if ufab >= pwc {
-		t.Errorf("uFAB dissatisfaction %v%% ≥ PWC %v%%", ufab, pwc)
-	}
-	if ufab > 12 {
-		t.Errorf("uFAB dissatisfaction %v%%, want near zero", ufab)
-	}
-	// ES keeps guarantees by building queues: its max queue dwarfs μFAB's.
-	if rep.Metrics()["es.maxq_kb"] < 5*rep.Metrics()["ufab.maxq_kb"] {
-		t.Errorf("ES queue %v KB vs uFAB %v KB — deep-queue contrast missing",
-			rep.Metrics()["es.maxq_kb"], rep.Metrics()["ufab.maxq_kb"])
-	}
-}
-
-func TestFig12Shape(t *testing.T) {
-	rep := quick(t, "fig12")
-	// μFAB's max RTT must be below μFAB′'s (the burst bound at work)
-	// and far below PWC's.
-	if rep.Metrics()["ufab.rtt_max_us"] > rep.Metrics()["ufabp.rtt_max_us"] {
-		t.Errorf("uFAB max RTT %v > uFAB' %v", rep.Metrics()["ufab.rtt_max_us"], rep.Metrics()["ufabp.rtt_max_us"])
-	}
-	if rep.Metrics()["ufab.rtt_max_us"] >= rep.Metrics()["pwc.rtt_max_us"] {
-		t.Errorf("uFAB max RTT %v ≥ PWC %v", rep.Metrics()["ufab.rtt_max_us"], rep.Metrics()["pwc.rtt_max_us"])
-	}
-}
-
-func TestFig15Shape(t *testing.T) {
-	rep := quick(t, "fig15")
-	if rep.Metrics()["guarantee.satisfied"] < 6 {
-		t.Errorf("only %v/7 guarantees kept around the failure", rep.Metrics()["guarantee.satisfied"])
-	}
-	if rep.Metrics()["faults.migrations"] == 0 {
-		t.Error("no migrations after the core failure")
-	}
-	// Probing overhead stays under the analytic bound and flattens.
-	bound := rep.Metrics()["probe.overhead_bound_pct"]
-	for _, k := range []string{"probe.overhead_pct.1", "probe.overhead_pct.10", "probe.overhead_pct.100"} {
-		if rep.Metrics()[k] > bound*1.5 {
-			t.Errorf("%s = %v%% exceeds bound %v%%", k, rep.Metrics()[k], bound)
-		}
-	}
-}
-
-func TestFig19Shape(t *testing.T) {
-	rep := quick(t, "fig19")
-	rtts := rep.Metrics()["reaction.rtts"]
-	if rtts < 0 {
-		t.Fatal("incumbent never reacted")
-	}
-	// Primal control reacts within a handful of RTTs (theory: ~2; allow
-	// measurement slack for meter quantization and probe cadence).
-	if rtts > 8 {
-		t.Errorf("reaction = %.1f baseRTTs, want a few", rtts)
-	}
-}
-
-func TestFig20Shape(t *testing.T) {
-	rep := quick(t, "fig20")
-	if rep.Metrics()["conv.us"] < 0 {
-		t.Fatal("no convergence despite async responses")
-	}
-	if rep.Metrics()["rtt.spread_us"] <= 0 {
-		t.Error("no response asynchrony measured")
-	}
-}
-
-func TestTablesShape(t *testing.T) {
-	t3 := quick(t, "tab3")
-	if t3.Metrics()["fpga.total_bram_pct"] < 10 || t3.Metrics()["fpga.total_bram_pct"] > 25 {
-		t.Errorf("tab3 BRAM = %v%%", t3.Metrics()["fpga.total_bram_pct"])
-	}
-	t4 := quick(t, "tab4")
-	if !(t4.Metrics()["switch.sram_pct.20k"] < t4.Metrics()["switch.sram_pct.40k"] &&
-		t4.Metrics()["switch.sram_pct.40k"] < t4.Metrics()["switch.sram_pct.80k"]) {
-		t.Error("tab4 SRAM not monotone in VM-pairs")
-	}
-}
-
-func TestFig13Shape(t *testing.T) {
-	rep := quick(t, "fig13")
-	// Under high load, μFAB's QPS beats the baselines'; the
-	// interference-free Ideal beats everyone.
-	if rep.Metrics()["high.ufab.qps"] <= rep.Metrics()["high.pwc.qps"] {
-		t.Errorf("uFAB QPS %v ≤ PWC %v under high load",
-			rep.Metrics()["high.ufab.qps"], rep.Metrics()["high.pwc.qps"])
-	}
-	if rep.Metrics()["high.ideal.qps"] < rep.Metrics()["high.ufab.qps"] {
-		t.Errorf("Ideal QPS %v below uFAB %v", rep.Metrics()["high.ideal.qps"], rep.Metrics()["high.ufab.qps"])
-	}
-	if rep.Metrics()["high.ideal.qct_p99_us"] >= rep.Metrics()["high.pwc.qct_p99_us"] {
-		t.Error("Ideal tail QCT not below PWC's")
-	}
-}
-
-func TestFig16Shape(t *testing.T) {
-	rep := quick(t, "fig16")
-	// μFAB bounds the tail RTT under the on/off churn; PWC does not.
-	if rep.Metrics()["ufab.rtt_max_us"] >= rep.Metrics()["pwc.rtt_max_us"] {
-		t.Errorf("uFAB max RTT %v ≥ PWC %v", rep.Metrics()["ufab.rtt_max_us"], rep.Metrics()["pwc.rtt_max_us"])
-	}
-	// All schemes reach high utilization during unlimited phases.
-	for _, k := range []string{"ufab.unlimited_gbps", "pwc.unlimited_gbps", "es.unlimited_gbps"} {
-		if rep.Metrics()[k] < 40 {
-			t.Errorf("%s = %v G, want high utilization", k, rep.Metrics()[k])
-		}
-	}
-}
-
-func TestFig18Shape(t *testing.T) {
-	rep := quick(t, "fig18")
-	// Convergence with the recommended [1,10] freeze window at 70% load.
-	if v, ok := rep.Metrics()["freeze10.70%.conv_ms"]; !ok || v < 0 {
-		t.Errorf("freeze [1,10] at 70%% load did not converge: %v", v)
-	}
-	// Self-clocked probing converges.
-	if _, ok := rep.Metrics()["probe.self-clocking.conv_us"]; !ok {
-		t.Error("self-clocking probing did not converge")
-	}
-}
-
-func TestFig14Shape(t *testing.T) {
-	rep := quick(t, "fig14")
-	// Under overload, μFAB must keep the 3-way replication bounded while
-	// the guarantee-agnostic schemes let it explode.
-	ufabBA := rep.Metrics()["overload."+metricKey(schemeUFAB, "ba_p99_ms", -1)]
-	pwcBA := rep.Metrics()["overload."+metricKey(schemePWC, "ba_p99_ms", -1)]
-	if ufabBA >= pwcBA {
-		t.Errorf("uFAB BA p99 %v ms ≥ PWC %v ms under overload", ufabBA, pwcBA)
-	}
-	// At the paper cadence every scheme's totals stay within the bound.
-	if v := rep.Metrics()["paper."+metricKey(schemeUFAB, "total_p99_ms", -1)]; v > 10 {
-		t.Errorf("uFAB paper-cadence total p99 %v ms exceeds the 10 ms bound", v)
-	}
-}
-
-func TestAblationShape(t *testing.T) {
-	rep := quick(t, "abl")
-	if rep.Metrics()["full.rtt_max_us"] >= rep.Metrics()["nostage.rtt_max_us"] {
-		t.Errorf("two-stage admission did not reduce the incast tail: %v vs %v",
-			rep.Metrics()["full.rtt_max_us"], rep.Metrics()["nostage.rtt_max_us"])
-	}
-	if rep.Metrics()["gp.rate_gbps"] < 1.3*rep.Metrics()["static.rate_gbps"] {
-		t.Errorf("GP did not reclaim the idle pair's tokens: %v vs %v",
-			rep.Metrics()["gp.rate_gbps"], rep.Metrics()["static.rate_gbps"])
-	}
-	if rep.Metrics()["migration.worst_gbps"] <= rep.Metrics()["pinned.worst_gbps"] {
-		t.Errorf("migration did not rescue the worst flow: %v vs %v",
-			rep.Metrics()["migration.worst_gbps"], rep.Metrics()["pinned.worst_gbps"])
-	}
-	// Probing overhead grows as L_w shrinks.
-	if rep.Metrics()["lw1024.overhead_pct"] <= rep.Metrics()["lw16384.overhead_pct"] {
-		t.Error("L_w sweep shows no overhead gradient")
-	}
-}
-
-func TestFaultFlapShape(t *testing.T) {
-	rep := quick(t, "flap")
-	if rep.Metrics()["guarantee.satisfied"] < 3 {
-		t.Errorf("only %v/4 incast guarantees survived the flaps", rep.Metrics()["guarantee.satisfied"])
-	}
-	if rep.Metrics()["faults.migrations"] == 0 {
-		t.Error("no migrations despite a flapping core path")
-	}
-	if rep.Metrics()["chaos.flaps_applied"] == 0 {
-		t.Error("no flap events applied")
-	}
-	// The intra-ToR control tenant never crosses the flapped link.
-	if rep.Metrics()["ctrl.gbps"] < 5 {
-		t.Errorf("control tenant collapsed to %v G", rep.Metrics()["ctrl.gbps"])
-	}
-}
-
-func TestFaultGrayShape(t *testing.T) {
-	rep := quick(t, "gray")
-	if rep.Metrics()["chaos.degrades_applied"] != 1 {
-		t.Errorf("degrades_applied = %v", rep.Metrics()["chaos.degrades_applied"])
-	}
-	if rep.Metrics()["faults.drops"] == 0 {
-		t.Error("lossy gray link dropped nothing")
-	}
-	if rep.Metrics()["faults.corrupted_probes"] == 0 {
-		t.Error("probe corruption filter never fired")
-	}
-	if rep.Metrics()["ctrl.gbps"] < 5 {
-		t.Errorf("control tenant collapsed to %v G", rep.Metrics()["ctrl.gbps"])
-	}
-}
-
-func TestFaultRestartShape(t *testing.T) {
-	rep := quick(t, "restart")
-	if rep.Metrics()["faults.core_restarts"] != 4 {
-		t.Errorf("restarts = %v, want 4", rep.Metrics()["faults.core_restarts"])
-	}
-	if rep.Metrics()["phi.before"] <= 0 {
-		t.Error("Φ register empty before the restart")
-	}
-	if rep.Metrics()["phi.after_wipe"] != 0 {
-		t.Errorf("Φ register %v right after the wipe, want 0", rep.Metrics()["phi.after_wipe"])
-	}
-	// Re-registration must rebuild Φ to its pre-restart value — not zero
-	// (no rebuild) and not above it (double-counting).
-	if rep.Metrics()["phi.rebuilt"] <= 0 || rep.Metrics()["phi.rebuilt"] > rep.Metrics()["phi.before"] {
-		t.Errorf("Φ rebuilt to %v (before: %v)", rep.Metrics()["phi.rebuilt"], rep.Metrics()["phi.before"])
-	}
-	if rep.Metrics()["guarantee.satisfied"] < 3 {
-		t.Errorf("only %v/4 guarantees survived the restarts", rep.Metrics()["guarantee.satisfied"])
-	}
-}
-
-func TestFaultChurnShape(t *testing.T) {
-	rep := quick(t, "churn")
-	if rep.Metrics()["chaos.arrivals"] == 0 || rep.Metrics()["chaos.arrivals"] != rep.Metrics()["chaos.departures"] {
-		t.Errorf("churn unbalanced: %v arrivals, %v departures",
-			rep.Metrics()["chaos.arrivals"], rep.Metrics()["chaos.departures"])
-	}
-	if rep.Metrics()["chaos.rejected"] != 2 {
-		t.Errorf("rejected = %v, want the 2 invalid events", rep.Metrics()["chaos.rejected"])
-	}
-	if rep.Metrics()["guarantee.satisfied"] < 3 {
-		t.Errorf("stable guarantees lost under churn: %v/4", rep.Metrics()["guarantee.satisfied"])
-	}
-	// After the storm drains, only the 4 stable incast pairs (20 tokens
-	// each at 2G / 100M BU) may remain registered on S8's downlink.
-	if rep.Metrics()["phi.residue"] > 81 {
-		t.Errorf("Φ residue %v after churn, want the stable tenants only", rep.Metrics()["phi.residue"])
-	}
-}
-
 func TestChaosLabScenarioOption(t *testing.T) {
-	// The built-in sampler applies every event kind.
-	rep := quick(t, "chaoslab")
-	if rep.Metrics()["chaos.events_applied"] < 9 {
-		t.Errorf("built-in sampler applied %v events", rep.Metrics()["chaos.events_applied"])
-	}
-	// A user scenario replaces the built-in one.
+	// A user scenario replaces the built-in one (whose nine event kinds are
+	// the claim chaoslab.every-kind-applied).
 	custom := `{"name":"custom","events":[{"at_ps":1000000,"kind":"node-crash","node":0}]}`
 	rep2 := ChaosLab(Options{Quick: true, Seed: 1, Scenario: custom})
 	if rep2.Metrics()["chaos.events_applied"] != 1 {

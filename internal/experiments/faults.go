@@ -16,16 +16,6 @@ import (
 	"ufab/internal/vfabric"
 )
 
-func init() {
-	All = append(All,
-		Entry{ID: "flap", Title: "fault suite: link-flap incast on the testbed", Run: FaultFlap},
-		Entry{ID: "gray", Title: "fault suite: gray core link (capacity loss, latency, probe corruption)", Run: FaultGray},
-		Entry{ID: "restart", Title: "fault suite: uFAB-C agent restart and register rebuild", Run: FaultRestart},
-		Entry{ID: "churn", Title: "fault suite: tenant churn storm against a stable guarantee", Run: FaultChurn},
-		Entry{ID: "chaoslab", Title: "fault suite: scripted scenario playground (-scenario flag)", Run: ChaosLab},
-	)
-}
-
 // linkBetween returns the directional link a→b, or topo.NoLink.
 func linkBetween(g *topo.Graph, a, b topo.NodeID) topo.LinkID {
 	for _, lid := range g.Node(a).Out {

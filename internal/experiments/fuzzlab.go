@@ -4,12 +4,6 @@ import (
 	"ufab/internal/fuzz"
 )
 
-func init() {
-	All = append(All,
-		Entry{ID: "fuzzlab", Title: "scenario fuzzer: seeded generated cases under the auditor oracle", Run: FuzzLab},
-	)
-}
-
 // FuzzLab runs a short deterministic slice of the scenario fuzzer as an
 // experiment: generated cases starting at the run's seed, executed under
 // the full oracle (auditor + double-run determinism check). It pins the

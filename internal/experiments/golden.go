@@ -48,7 +48,7 @@ func (d Drift) String() string {
 
 // BuildGolden records the metrics of the given reports as a new baseline.
 // NaN/Inf metrics are skipped (JSON cannot carry them and they encode
-// "did not happen" sentinels better checked by shape tests).
+// "did not happen" sentinels better checked by the entry's claims).
 func BuildGolden(opts Options, reports []*Report, defaultTol float64) *Golden {
 	g := &Golden{
 		Options:          opts,
@@ -58,10 +58,9 @@ func BuildGolden(opts Options, reports []*Report, defaultTol float64) *Golden {
 	for _, r := range reports {
 		m := map[string]float64{}
 		for k, v := range r.Metrics() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
+			if finite(v) {
+				m[k] = v
 			}
-			m[k] = v
 		}
 		g.Experiments[r.ID] = m
 	}
@@ -101,17 +100,16 @@ func (g *Golden) Compare(reports []*Report) []Drift {
 				continue
 			}
 			tol := g.tolerance(id, metric)
-			if math.Abs(gotV-w) > tol*math.Max(math.Abs(w), 1) {
+			// A recorded metric that turned NaN or Inf is drift: every
+			// comparison with NaN is false, so it must be asked first.
+			if !finite(gotV) || math.Abs(gotV-w) > tol*math.Max(math.Abs(w), 1) {
 				drifts = append(drifts, Drift{Experiment: id, Metric: metric,
 					Want: w, Got: gotV, Tol: tol})
 			}
 		}
 		// New metrics are drift too: they mean the golden file is stale.
 		for metric, v := range got {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			if _, ok := want[metric]; !ok {
+			if _, ok := want[metric]; !ok && finite(v) {
 				drifts = append(drifts, Drift{Experiment: id, Metric: metric,
 					Structural: fmt.Sprintf("metric %s not in golden file (run check -update)", metric)})
 			}

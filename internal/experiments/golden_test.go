@@ -111,3 +111,16 @@ func TestGoldenSkipsNonFinite(t *testing.T) {
 		t.Fatalf("non-finite metrics flagged: %v", drifts)
 	}
 }
+
+// A metric the golden holds that turns NaN or Inf is drift: |NaN − want| >
+// tol is false, so the comparison alone would wave it through.
+func TestGoldenFlagsNonFiniteDrift(t *testing.T) {
+	g := BuildGolden(Options{}, twoReports(), 1e-6)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		reports := twoReports()
+		reports[0].Metric("a.x", bad)
+		if drifts := g.Compare(reports); len(drifts) != 1 || drifts[0].Metric != "a.x" || drifts[0].Structural != "" {
+			t.Errorf("a.x = %v: drifts = %v, want exactly figA/a.x", bad, drifts)
+		}
+	}
+}

@@ -18,14 +18,6 @@ import (
 	"ufab/internal/vfabric"
 )
 
-func init() {
-	All = append(All,
-		Entry{ID: "placecmp", Title: "control plane: placement-policy comparison under open-loop churn (3-tier Clos)", Run: PlaceCompare},
-		Entry{ID: "placechurn", Title: "control plane: admission-checked churn materialized on the testbed fabric", Run: PlaceChurn},
-		Entry{ID: "placesweep", Title: "control plane: oversubscription-factor sweep (accept ratio vs committed risk)", Run: PlaceSweep},
-	)
-}
-
 // placeClos is the control-plane suite's large fabric: a 3-tier Clos with
 // 32 hosts in 8 racks (the same shape the ledger property test churns).
 func placeClos() *topo.Clos {

@@ -21,12 +21,6 @@ import (
 	"ufab/internal/vfabric"
 )
 
-func init() {
-	All = append(All,
-		Entry{ID: "reconcile", Title: "control plane: watcher/reconciler convergence under node crash and drain", Run: Reconcile},
-	)
-}
-
 // Reconcile runs four standing tenants under the reconciling control
 // plane, crashes one tenant's host a quarter of the way in (recovering
 // it later), and drains another tenant's host at the midpoint. Both

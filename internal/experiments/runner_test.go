@@ -13,36 +13,29 @@ import (
 // apply). It spans motivation figures, comparative incast runs, control
 // laws, both resource-model tables, and two fault-injection experiments
 // (link flaps and tenant churn) so chaos scheduling stays `-jobs`-proof,
-// plus the control-plane suite's policy comparison, admission-checked
-// churn and reconciler convergence so placement decisions do too.
-var fastIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig12", "fig19", "tab3", "tab4", "flap", "churn", "placecmp", "placechurn", "reconcile"}
+// plus the control-plane suite's policy comparison, oversubscription sweep,
+// admission-checked churn and reconciler convergence so placement decisions
+// do too.
+var fastIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig12", "fig19", "tab3", "tab4", "flap", "churn", "placecmp", "placechurn", "placesweep", "reconcile"}
 
 // TestParallelRunnerDeterminism is the CI gate for the tentpole claim: a
 // parallel batch must produce Reports identical — field for field and
 // byte for byte — to a sequential one, across several seeds.
 func TestParallelRunnerDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		opts := Options{Quick: true, Seed: seed}
-		jobs, err := ExpandIDs(fastIDs, opts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := (&Runner{Jobs: 1}).Run(jobs)
-		par := (&Runner{Jobs: 8}).Run(jobs)
-		if len(seq) != len(par) {
-			t.Fatalf("seed %d: %d sequential vs %d parallel results", seed, len(seq), len(par))
-		}
-		for i := range seq {
-			if seq[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("seed %d job %d: errs %v / %v", seed, i, seq[i].Err, par[i].Err)
-			}
-			a, b := seq[i].Report, par[i].Report
+		seq, par := batch(t, fastIDs, opts, 1), batch(t, fastIDs, opts, 8)
+		for _, id := range fastIDs {
+			a, b := seq[id], par[id]
 			if as, bs := a.String(), b.String(); as != bs {
 				t.Errorf("seed %d %s: rendered reports differ:\n--- sequential\n%s\n--- parallel\n%s",
-					seed, a.ID, as, bs)
+					seed, id, as, bs)
 			}
+			// Field for field includes the registry's mutex, so no other
+			// test reads the fastIDs batches.
 			if !reflect.DeepEqual(a, b) {
-				t.Errorf("seed %d %s: report structures differ", seed, a.ID)
+				t.Errorf("seed %d %s: report structures differ", seed, id)
 			}
 		}
 	}
@@ -77,21 +70,13 @@ func snapshotAndTrace(t *testing.T, r *Report) (string, string) {
 // exported snapshot JSON and trace JSONL must be bit-identical between a
 // sequential and a parallel batch, across several seeds.
 func TestTelemetryParallelDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		opts := Options{Quick: true, Seed: seed, Telemetry: true}
-		jobs, err := ExpandIDs(telemetryIDs, opts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := (&Runner{Jobs: 1}).Run(jobs)
-		par := (&Runner{Jobs: 8}).Run(jobs)
-		for i := range seq {
-			if seq[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("seed %d job %d: errs %v / %v", seed, i, seq[i].Err, par[i].Err)
-			}
-			id := seq[i].Report.ID
-			aSnap, aTrace := snapshotAndTrace(t, seq[i].Report)
-			bSnap, bTrace := snapshotAndTrace(t, par[i].Report)
+		seq, par := batch(t, telemetryIDs, opts, 1), batch(t, telemetryIDs, opts, 8)
+		for _, id := range telemetryIDs {
+			aSnap, aTrace := snapshotAndTrace(t, seq[id])
+			bSnap, bTrace := snapshotAndTrace(t, par[id])
 			if aSnap != bSnap {
 				t.Errorf("seed %d %s: registry snapshots differ between -jobs 1 and -jobs 8", seed, id)
 			}
@@ -111,14 +96,9 @@ func TestTelemetryParallelDeterminism(t *testing.T) {
 // registry (the counter-reuse trap) and flap reads the fault-counter
 // accessors, so both accessor paths are exercised.
 func TestTelemetryDoesNotChangeResults(t *testing.T) {
-	for _, id := range []string{"fig15", "flap"} {
-		e := Find(id)
-		if e == nil {
-			t.Fatalf("unknown experiment %q", id)
-		}
-		plain := e.Run(Options{Quick: true, Seed: 1}).Metrics()
-		inst := e.Run(Options{Quick: true, Seed: 1, Telemetry: true}).Metrics()
-		if !reflect.DeepEqual(plain, inst) {
+	t.Parallel()
+	for id, r := range batch(t, telemetryIDs, Options{Quick: true, Seed: 1, Telemetry: true}, 1) {
+		if plain, inst := plainAll(t)[id].Metrics(), r.Metrics(); !reflect.DeepEqual(plain, inst) {
 			t.Errorf("%s: metrics changed under telemetry:\noff: %v\non:  %v", id, plain, inst)
 		}
 	}

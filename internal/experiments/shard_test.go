@@ -9,19 +9,10 @@ import "testing"
 // injection on top of the partitioned dataplane.
 var shardIdentityIDs = []string{"shardsim", "flap"}
 
-// runWithWorkers executes one experiment fully instrumented (registry,
-// flight recorder, auditor) under the given worker count and returns
-// the three exported byte streams: rendered report, registry snapshot
-// JSON, and the canonically merged trace JSONL.
-func runWithWorkers(t *testing.T, id string, seed int64, workers int) (string, string, string) {
-	t.Helper()
-	e := Find(id)
-	if e == nil {
-		t.Fatalf("unknown experiment %q", id)
-	}
-	r := e.Run(Options{Quick: true, Seed: seed, Telemetry: true, Audit: true, Shards: workers})
-	snap, trace := snapshotAndTrace(t, r)
-	return r.String(), snap, trace
+// shardIdentityOptions is a fully instrumented run (registry, flight
+// recorder, auditor) with the given number of workers on the pod shards.
+func shardIdentityOptions(seed int64, workers int) Options {
+	return Options{Quick: true, Seed: seed, Telemetry: true, Audit: true, Shards: workers}
 }
 
 // TestShardIdentity is the CI gate for the one-engine claim: the pod
@@ -31,15 +22,19 @@ func runWithWorkers(t *testing.T, id string, seed int64, workers int) (string, s
 // several seeds. Run under -race it doubles as the data-race gate for
 // the cross-shard handoff path.
 func TestShardIdentity(t *testing.T) {
-	for _, id := range shardIdentityIDs {
-		for _, seed := range []int64{1, 2, 3} {
-			refRep, refSnap, refTrace := runWithWorkers(t, id, seed, 0)
+	t.Parallel()
+	for _, seed := range []int64{1, 2, 3} {
+		ref := batch(t, shardIdentityIDs, shardIdentityOptions(seed, 0), 0)
+		for _, id := range shardIdentityIDs {
+			refRep := ref[id].String()
+			refSnap, refTrace := snapshotAndTrace(t, ref[id])
 			if refTrace == "" {
 				t.Fatalf("%s seed %d: empty reference trace — recorder saw no events", id, seed)
 			}
 			for _, workers := range []int{1, 4} {
-				rep, snap, trace := runWithWorkers(t, id, seed, workers)
-				if rep != refRep {
+				r := batch(t, shardIdentityIDs, shardIdentityOptions(seed, workers), 0)[id]
+				snap, trace := snapshotAndTrace(t, r)
+				if rep := r.String(); rep != refRep {
 					t.Errorf("%s seed %d: report differs between 0 and %d workers:\n--- 0 workers\n%s\n--- %d workers\n%s",
 						id, seed, workers, refRep, workers, rep)
 				}

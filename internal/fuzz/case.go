@@ -46,11 +46,27 @@ type Topology struct {
 	CapacityGbps float64 `json:"capacity_gbps,omitempty"`
 }
 
-// maxNodes bounds the hosts plus switches of a case's topology. Cases
-// arrive as files (`ufabsim fuzz -replay`, `-corpus`), so the size is
+// maxNodes bounds the hosts plus switches of a topology somebody outside
+// the program describes. Cases arrive as files (`ufabsim fuzz -replay`,
+// `-corpus`) and `ufabtopo` takes dimensions as flags, so the size is
 // checked before anything is built; the generator draws at most 9 hosts and
 // the committed corpus tops out at the 18-node testbed.
 const maxNodes = 512
+
+// CheckSize is the one size rule for such a topology: it rejects a
+// dimension below 1 and a node count — computed by the caller in floating
+// point, where hostile dimensions cannot overflow — above the budget.
+func CheckSize(kind string, nodes float64, dims ...int) error {
+	for _, d := range dims {
+		if d < 1 {
+			return fmt.Errorf("fuzz: %s dimension %d, want >= 1", kind, d)
+		}
+	}
+	if nodes > maxNodes {
+		return fmt.Errorf("fuzz: %s of %.0f nodes exceeds the %d-node budget", kind, nodes, maxNodes)
+	}
+	return nil
+}
 
 // Build constructs the graph, or returns an error for a shape no builder
 // accepts: a negative capacity, a dimension below 1, more than maxNodes
@@ -64,20 +80,6 @@ func (t *Topology) Build() (*topo.Graph, error) {
 	if t.CapacityGbps == 0 {
 		capa = topo.Gbps(10)
 	}
-	// sized rejects a dimension below 1 and a node count — computed by the
-	// caller in floating point, where hostile dimensions cannot overflow —
-	// above the budget.
-	sized := func(nodes float64, dims ...int) error {
-		for _, d := range dims {
-			if d < 1 {
-				return fmt.Errorf("fuzz: %s dimension %d, want >= 1", t.Kind, d)
-			}
-		}
-		if nodes > maxNodes {
-			return fmt.Errorf("fuzz: %s of %.0f nodes exceeds the %d-node budget", t.Kind, nodes, maxNodes)
-		}
-		return nil
-	}
 	switch t.Kind {
 	case "testbed":
 		return topo.NewTestbed(topo.TestbedConfig{LinkCapacity: capa}).Graph, nil
@@ -86,13 +88,13 @@ func (t *Topology) Build() (*topo.Graph, error) {
 		if n < 2 {
 			return nil, fmt.Errorf("fuzz: star needs >= 2 hosts, have %d", n)
 		}
-		if err := sized(float64(n) + 1); err != nil {
+		if err := CheckSize(t.Kind, float64(n)+1); err != nil {
 			return nil, err
 		}
 		return topo.NewStar(n, capa, 2*sim.Microsecond).Graph, nil
 	case "twotier":
 		aggs, hosts := t.Aggs, t.Hosts
-		if err := sized(2+float64(aggs)+2*float64(hosts), aggs, hosts); err != nil {
+		if err := CheckSize(t.Kind, 2+float64(aggs)+2*float64(hosts), aggs, hosts); err != nil {
 			return nil, err
 		}
 		return topo.NewTwoTier(aggs, hosts, capa, 2*sim.Microsecond).Graph, nil
@@ -107,7 +109,7 @@ func (t *Topology) Build() (*topo.Graph, error) {
 				HostsPerToR: 2, LinkCapacity: capa, PropDelay: sim.Microsecond}
 		}
 		perPod := float64(cfg.AggsPerPod) + float64(cfg.ToRsPerPod)*(1+float64(cfg.HostsPerToR))
-		if err := sized(float64(cfg.Cores)+float64(cfg.Pods)*perPod,
+		if err := CheckSize(t.Kind, float64(cfg.Cores)+float64(cfg.Pods)*perPod,
 			cfg.Pods, cfg.ToRsPerPod, cfg.AggsPerPod, cfg.Cores, cfg.HostsPerToR); err != nil {
 			return nil, err
 		}
