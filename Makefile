@@ -130,11 +130,15 @@ audit:
 	$(GO) run ./cmd/ufabsim -quick -findings findings.jsonl audit all
 	$(GO) run ./cmd/ufabsim check -audit
 
-# The worker-count gate: the whole evaluation replayed with 4 workers
-# executing the pod shards must reproduce exactly the golden numbers zero
-# workers (the shards inline, as `make check` runs them) recorded; shard
-# identity, live shard-ring subscribers, the pod partitioner and the
-# conservative-lookahead engine run under the race detector.
+# The worker-count gate: the whole evaluation replayed at -shards 4 must
+# reproduce exactly the golden numbers zero workers (the shards inline, as
+# `make check` runs them) recorded. Workers have something to execute where
+# a fabric deploys more than one logical shard — today fig11 (testbed, 2
+# pods), fig17 and shardsim (Clos); fig4/12/16 run on a star (one shard,
+# always inline) and the deployPlain experiments on a plain engine, so their
+# rows hold by construction. Shard identity, live shard-ring subscribers, the
+# pod partitioner and the conservative-lookahead engine run under the race
+# detector.
 shard:
 	$(GO) run ./cmd/ufabsim check -shards 4
 	$(GO) run ./cmd/ufabsim check -telemetry -shards 4

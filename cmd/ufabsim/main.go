@@ -267,17 +267,9 @@ func auditCmd(runner *experiments.Runner, opts experiments.Options, repeat int, 
 					f.Kind, f.Entity, f.FromPS, f.ToPS, f.Observed, f.Bound, f.Unit)
 			}
 		}
-		if unexcused > 0 {
+		for _, err := range experiments.CheckAudit([]*experiments.Report{rep}) {
 			bad++
-		}
-		if d := rep.Findings.Dropped(); d > 0 {
-			bad++
-			fmt.Fprintf(os.Stderr, "%s: findings log dropped %d finding(s)\n", rep.ID, d)
-		}
-		if min := rep.Findings.ExpectExcusedMin; excused < min {
-			bad++
-			fmt.Fprintf(os.Stderr, "%s: %d excused finding(s), scenario declares >= %d — injected faults not observed\n",
-				rep.ID, excused, min)
+			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 	if exportFindings != "" {
@@ -477,25 +469,11 @@ func check(runner *experiments.Runner, args []string, cli experiments.Options) {
 	if len(drifts)+len(falseClaims) > 0 {
 		os.Exit(1)
 	}
-	if opts.Audit {
-		bad := 0
-		for _, rep := range reports {
-			if rep.Findings == nil {
-				continue
-			}
-			if n := rep.Findings.Unexcused(); n > 0 {
-				bad++
-				fmt.Fprintf(os.Stderr, "%s: %d unexcused audit finding(s)\n", rep.ID, n)
-			}
-			if min := rep.Findings.ExpectExcusedMin; rep.Findings.Excused() < min {
-				bad++
-				fmt.Fprintf(os.Stderr, "%s: %d excused finding(s), scenario declares >= %d\n",
-					rep.ID, rep.Findings.Excused(), min)
-			}
+	if failed := experiments.CheckAudit(reports); len(failed) > 0 {
+		for _, err := range failed {
+			fmt.Fprintln(os.Stderr, err)
 		}
-		if bad > 0 {
-			os.Exit(1)
-		}
+		os.Exit(1)
 	}
 	mode := "telemetry off"
 	if opts.Telemetry {

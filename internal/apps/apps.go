@@ -76,9 +76,7 @@ type MemcachedConfig struct {
 	// Period is the client think time between query starts; a query
 	// that takes longer defers the next one (closed loop).
 	Period sim.Duration
-	// Dist is the value-size distribution (default workload.KeyValue).
-	Dist *workload.SizeDist
-	Seed int64
+	Seed   int64
 }
 
 // Memcached is the Fig-13 latency-sensitive application.
@@ -87,6 +85,8 @@ type Memcached struct {
 	net Net
 	rng *rand.Rand
 	rpc rpcer
+	// dist is the value-size distribution.
+	dist *workload.SizeDist
 
 	// QCT collects query completion times in microseconds.
 	QCT stats.Samples
@@ -99,17 +99,15 @@ type Memcached struct {
 
 // NewMemcached creates the tenant; Start launches the client loops.
 func NewMemcached(net Net, cfg MemcachedConfig) *Memcached {
-	if cfg.Dist == nil {
-		cfg.Dist = workload.KeyValue()
-	}
 	if cfg.Period == 0 {
 		cfg.Period = 200 * sim.Microsecond
 	}
 	m := &Memcached{
-		cfg: cfg,
-		net: net,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d63)),
-		rpc: rpcer{net: net, vf: cfg.VF, tokens: cfg.Tokens, reqSize: 64},
+		cfg:  cfg,
+		net:  net,
+		rng:  rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d63)),
+		rpc:  rpcer{net: net, vf: cfg.VF, tokens: cfg.Tokens, reqSize: 64},
+		dist: workload.KeyValue(),
 	}
 	return m
 }
@@ -127,7 +125,7 @@ func (m *Memcached) Start() {
 			}
 			issued := eng.Now()
 			server := m.cfg.Servers[m.rng.Intn(len(m.cfg.Servers))]
-			size := m.cfg.Dist.Sample(m.rng)
+			size := m.dist.Sample(m.rng)
 			if client.Host == server.Host {
 				// Intra-host query: no fabric involvement; complete
 				// after a nominal local latency.
@@ -258,12 +256,15 @@ type EBSConfig struct {
 	SAPeriod, GCPeriod      sim.Duration
 	SASize                  int64
 	GCReadSize, GCWriteSize int64
-	// Replicas is the Block Agent replication factor (3).
-	Replicas int
-	Seed     int64
-	// VF ids for the three tasks.
-	SAVF, BAVF, GCVF int32
+	Seed                    int64
 }
+
+// The storage mix's fixed shape: the Block Agent replication factor and
+// the VF ids of the three tasks.
+const (
+	ebsReplicas               = 3
+	ebsSAVF, ebsBAVF, ebsGCVF = 101, 102, 103
+)
 
 func (c *EBSConfig) setDefaults() {
 	if c.SAPeriod == 0 {
@@ -280,18 +281,6 @@ func (c *EBSConfig) setDefaults() {
 	}
 	if c.GCWriteSize == 0 {
 		c.GCWriteSize = 128 << 10
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.SAVF == 0 {
-		c.SAVF = 101
-	}
-	if c.BAVF == 0 {
-		c.BAVF = 102
-	}
-	if c.GCVF == 0 {
-		c.GCVF = 103
 	}
 }
 
@@ -351,14 +340,14 @@ func (e *EBS) storeTask(sa topo.NodeID) {
 	eng := e.net.Engine()
 	start := eng.Now()
 	ba := e.cfg.StorageHosts[e.rng.Intn(len(e.cfg.StorageHosts))]
-	e.sendMsg(e.cfg.SAVF, e.cfg.SATokens, sa, ba, e.cfg.SASize, func() {
+	e.sendMsg(ebsSAVF, e.cfg.SATokens, sa, ba, e.cfg.SASize, func() {
 		saDone := eng.Now()
 		e.SATCT.Add((saDone - start).Millis())
 		// Block Agent replicates to distinct chunk servers.
 		targets := e.pickChunkServers(ba)
 		remaining := len(targets)
 		for _, cs := range targets {
-			e.sendMsg(e.cfg.BAVF, e.cfg.BATokens, ba, cs, e.cfg.SASize, func() {
+			e.sendMsg(ebsBAVF, e.cfg.BATokens, ba, cs, e.cfg.SASize, func() {
 				remaining--
 				if remaining == 0 {
 					now := eng.Now()
@@ -378,11 +367,7 @@ func (e *EBS) pickChunkServers(ba topo.NodeID) []topo.NodeID {
 		}
 	}
 	e.rng.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
-	n := e.cfg.Replicas
-	if n > len(others) {
-		n = len(others)
-	}
-	return others[:n]
+	return others[:min(ebsReplicas, len(others))]
 }
 
 func (e *EBS) gcTask(gcHost topo.NodeID) {
@@ -392,8 +377,8 @@ func (e *EBS) gcTask(gcHost topo.NodeID) {
 	if cs == gcHost {
 		return // local read-modify-write: no fabric traffic
 	}
-	e.sendMsg(e.cfg.GCVF, e.cfg.GCTokens, cs, gcHost, e.cfg.GCReadSize, func() {
-		e.sendMsg(e.cfg.GCVF, e.cfg.GCTokens, gcHost, cs, e.cfg.GCWriteSize, func() {
+	e.sendMsg(ebsGCVF, e.cfg.GCTokens, cs, gcHost, e.cfg.GCReadSize, func() {
+		e.sendMsg(ebsGCVF, e.cfg.GCTokens, gcHost, cs, e.cfg.GCWriteSize, func() {
 			e.GCTCT.Add((eng.Now() - start).Millis())
 		})
 	})

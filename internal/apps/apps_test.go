@@ -192,11 +192,11 @@ func TestEBSTaskPipeline(t *testing.T) {
 func TestEBSConfigDefaults(t *testing.T) {
 	c := EBSConfig{}
 	c.setDefaults()
-	if c.SAPeriod != 320*sim.Microsecond || c.SASize != 64<<10 || c.Replicas != 3 {
+	if c.SAPeriod != 320*sim.Microsecond || c.SASize != 64<<10 || c.GCPeriod != sim.Millisecond {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if c.SAVF == 0 || c.BAVF == 0 || c.GCVF == 0 {
-		t.Error("VF ids unset")
+	if ebsReplicas != 3 || ebsSAVF == ebsBAVF || ebsBAVF == ebsGCVF || ebsSAVF == ebsGCVF {
+		t.Error("the mix's constants: want 3 replicas and three distinct VF ids")
 	}
 }
 

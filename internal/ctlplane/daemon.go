@@ -26,13 +26,9 @@ type DaemonConfig struct {
 	StoreDir string
 	// Seed drives the fabric and the optional churn generator.
 	Seed int64
-	// Quantum is how much simulated time advances per wall tick (default
-	// 1 ms of sim time).
-	Quantum sim.Duration
-	// TickEvery is the wall-clock tick period (default 10 ms).
+	// TickEvery is the wall-clock tick period (default 10 ms); each tick
+	// advances the simulation by quantum.
 	TickEvery time.Duration
-	// ReconcilePeriod is the reconciler's sim-time cadence (default 500 µs).
-	ReconcilePeriod sim.Duration
 	// Churn, when true, runs an open-loop background tenant workload so
 	// the daemon has something to reconcile.
 	Churn bool
@@ -43,6 +39,14 @@ type DaemonConfig struct {
 	// SlotsPerHost caps VMs per host (0 = 4).
 	SlotsPerHost int
 }
+
+// The daemon's simulated cadence.
+const (
+	// quantum is how much simulated time advances per wall tick.
+	quantum = sim.Millisecond
+	// reconcilePeriod is the reconciler's sim-time cadence.
+	reconcilePeriod = 500 * sim.Microsecond
+)
 
 // Northbound HTTP server limits. There is deliberately no write timeout:
 // /v1/findings?follow=1 is a stream.
@@ -97,14 +101,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:7663"
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = sim.Millisecond
-	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 10 * time.Millisecond
-	}
-	if cfg.ReconcilePeriod <= 0 {
-		cfg.ReconcilePeriod = 500 * sim.Microsecond
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = "spread"
@@ -171,7 +169,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err := d.Svc.Recover(int64(d.Eng.Now())); err != nil {
 		return nil, fmt.Errorf("ctlplane: recover: store and ledger disagree: %w", err)
 	}
-	d.Svc.StartReconciler(d.Eng, cfg.ReconcilePeriod)
+	d.Svc.StartReconciler(d.Eng, reconcilePeriod)
 	d.UF.StartSampling(250 * sim.Microsecond)
 	if cfg.Churn {
 		d.Eng.Every(200*sim.Microsecond, d.churnTick)
@@ -234,7 +232,7 @@ func (d *Daemon) Loop() {
 		case f := <-d.ops:
 			f()
 		case <-ticker.C:
-			d.Eng.RunUntil(d.Eng.Now() + sim.Time(d.Cfg.Quantum))
+			d.Eng.RunUntil(d.Eng.Now() + quantum)
 		case <-d.quit:
 			// Drain operations that raced the shutdown.
 			for {

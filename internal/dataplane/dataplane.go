@@ -112,8 +112,6 @@ type Config struct {
 	// ECNThresholdBytes marks packets ECN when the egress queue exceeds
 	// it. 0 disables marking.
 	ECNThresholdBytes int
-	// RateWindow is the TX-rate estimator window (default 16 μs).
-	RateWindow sim.Duration
 	// ECMP selects the hash used by hash-based forwarding.
 	ECMP ECMPMode
 	// HashSeed perturbs the ECMP hash.
@@ -207,11 +205,13 @@ func (p *Port) TxRate(now sim.Time) float64 {
 	return r
 }
 
+// rateWindow is the TX-rate estimator's window.
+const rateWindow = 16 * sim.Microsecond
+
 // rateEstimator measures bytes sent in rotating windows; the reported rate
 // is from the last completed window, blended with the live one, which is
 // what a switch data plane computes with paired byte/time registers.
 type rateEstimator struct {
-	window     sim.Duration
 	winStart   sim.Time
 	winBytes   int64
 	prevRate   float64 // bits/s of last completed window
@@ -226,16 +226,15 @@ func (r *rateEstimator) add(now sim.Time, bytes int) {
 }
 
 func (r *rateEstimator) roll(now sim.Time) {
-	for now-r.winStart >= r.window {
-		elapsed := r.window
-		r.prevRate = float64(r.winBytes*8) / elapsed.Seconds()
+	for now-r.winStart >= rateWindow {
+		r.prevRate = float64(r.winBytes*8) / rateWindow.Seconds()
 		r.havePrev = true
 		r.winBytes = 0
-		r.winStart += r.window
-		if now-r.winStart >= 16*r.window {
+		r.winStart += rateWindow
+		if now-r.winStart >= 16*rateWindow {
 			// Long idle gap: jump instead of looping.
 			r.prevRate = 0
-			r.winStart = now - (now-r.winStart)%r.window
+			r.winStart = now - (now-r.winStart)%rateWindow
 		}
 	}
 }
@@ -251,7 +250,7 @@ func (r *rateEstimator) Rate(now sim.Time) float64 {
 	}
 	// Blend the completed window with the live partial window for
 	// responsiveness at sub-window timescales.
-	frac := float64(now-r.winStart) / float64(r.window)
+	frac := float64(now-r.winStart) / float64(rateWindow)
 	if frac <= 0 {
 		return r.prevRate
 	}
@@ -349,9 +348,6 @@ func newNetwork(g *topo.Graph, cfg Config) *Network {
 	if cfg.QueueCapBytes == 0 {
 		cfg.QueueCapBytes = 10 << 20
 	}
-	if cfg.RateWindow == 0 {
-		cfg.RateWindow = 16 * sim.Microsecond
-	}
 	n := &Network{
 		G:        g,
 		Cfg:      cfg,
@@ -367,7 +363,6 @@ func newNetwork(g *topo.Graph, cfg Config) *Network {
 		p.Link = g.Link(topo.LinkID(i))
 		p.capBytes = cfg.QueueCapBytes
 		p.ecnBytes = cfg.ECNThresholdBytes
-		p.rate.window = cfg.RateWindow
 		p.txDone = func() { n.finishTx(p) }
 	}
 	if cfg.Telemetry != nil {
@@ -389,9 +384,7 @@ func New(eng sim.Scheduler, g *topo.Graph, cfg Config) *Network {
 	n.shardOf = make([]int32, len(g.Nodes))
 	n.scheds = []sim.Scheduler{eng}
 	n.faultRngs = []*mrand.Rand{mrand.New(mrand.NewSource(faultSeed(cfg.FaultSeed, 0)))}
-	if cfg.Telemetry != nil {
-		n.rec = cfg.Telemetry.Recorder()
-	}
+	n.rec = cfg.Telemetry.Recorder()
 	n.recs = []*telemetry.Recorder{n.rec}
 	return n
 }
@@ -421,15 +414,12 @@ func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Co
 	for _, l := range g.Links {
 		eng.Connect(int(part.Node[l.Src]), int(part.Node[l.Dst]))
 	}
-	if cfg.Telemetry != nil {
-		n.rec = cfg.Telemetry.ShardRecorder(-1)
-		n.recs = make([]*telemetry.Recorder, part.Shards)
-		for i := range n.recs {
-			n.recs[i] = cfg.Telemetry.ShardRecorder(i)
-		}
-	} else {
-		n.recs = make([]*telemetry.Recorder, part.Shards)
+	n.rec = cfg.Telemetry.Recorder()
+	n.recs = make([]*telemetry.Recorder, part.Shards)
+	for i := range n.recs {
+		n.recs[i] = n.rec // unless the registry holds one recorder per shard
 	}
+	copy(n.recs, cfg.Telemetry.ShardRecorders())
 	return n
 }
 
@@ -446,11 +436,15 @@ func (n *Network) NodeScheduler(id topo.NodeID) sim.Scheduler {
 	return n.scheds[n.shardOf[id]]
 }
 
-// schedAt / recAt / rngAt return the scheduling context, flight recorder and
-// fault-RNG stream of node id's shard.
-func (n *Network) schedAt(id topo.NodeID) sim.Scheduler     { return n.scheds[n.shardOf[id]] }
-func (n *Network) recAt(id topo.NodeID) *telemetry.Recorder { return n.recs[n.shardOf[id]] }
-func (n *Network) rngAt(id topo.NodeID) *mrand.Rand         { return n.faultRngs[n.shardOf[id]] }
+// RecorderAt returns the flight recorder of node id's shard (nil when
+// telemetry is off): where everything attached to that node — its ports'
+// drops, its μFAB-C and μFAB-E agents — records.
+func (n *Network) RecorderAt(id topo.NodeID) *telemetry.Recorder { return n.recs[n.shardOf[id]] }
+
+// schedAt / rngAt return the scheduling context and fault-RNG stream of
+// node id's shard.
+func (n *Network) schedAt(id topo.NodeID) sim.Scheduler { return n.scheds[n.shardOf[id]] }
+func (n *Network) rngAt(id topo.NodeID) *mrand.Rand     { return n.faultRngs[n.shardOf[id]] }
 
 // FlightRecorder returns the run-trace recorder drop events go to (nil
 // when telemetry is off); chaos injection records its faults there too.
@@ -592,7 +586,7 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 	sched := n.schedAt(port.Link.Src)
 	if n.failed[port.Link.Src] || n.failed[port.Link.Dst] {
 		atomic.AddUint64(&n.TotalDrops, 1)
-		if rec := n.recAt(port.Link.Src); rec != nil {
+		if rec := n.RecorderAt(port.Link.Src); rec != nil {
 			rec.Record(telemetry.Event{T: int64(sched.Now()), Kind: telemetry.EvDrop,
 				Entity: n.linkEntity[lid], A: int64(pkt.Kind), Note: "failed"})
 		}
@@ -622,7 +616,7 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 	if port.queueBytes+pkt.Size > port.capBytes {
 		port.Drops++
 		atomic.AddUint64(&n.TotalDrops, 1)
-		if rec := n.recAt(port.Link.Src); rec != nil {
+		if rec := n.RecorderAt(port.Link.Src); rec != nil {
 			rec.Record(telemetry.Event{T: int64(sched.Now()), Kind: telemetry.EvDrop,
 				Entity: n.linkEntity[lid], A: int64(pkt.Kind),
 				B: int64(port.queueBytes), Note: "overflow"})

@@ -164,7 +164,7 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 			b[i] ^= 1 << uint(rng.Intn(8))
 			pkt.Payload = b
 			atomic.AddUint64(&n.CorruptedProbes, 1)
-			if rec := n.recAt(port.Link.Src); rec != nil {
+			if rec := n.RecorderAt(port.Link.Src); rec != nil {
 				rec.Record(telemetry.Event{T: int64(n.schedAt(port.Link.Src).Now()), Kind: telemetry.EvFault,
 					Entity: n.linkEnt(port.Link.ID), A: int64(pkt.Kind), Note: "probe_corrupt"})
 			}
@@ -176,7 +176,7 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 // recordFaultDrop traces a fault-induced packet loss (no-op without a
 // recorder), into the link-source shard's recorder.
 func (n *Network) recordFaultDrop(pkt *Packet, port *Port) {
-	rec := n.recAt(port.Link.Src)
+	rec := n.RecorderAt(port.Link.Src)
 	if rec == nil {
 		return
 	}

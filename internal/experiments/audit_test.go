@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ufab/internal/audit"
+	"ufab/internal/sim"
+	"ufab/internal/telemetry"
 )
 
 // dumpFindings renders a findings log for a test failure message.
@@ -28,20 +33,69 @@ func TestAuditAllExperimentsClean(t *testing.T) {
 	t.Parallel()
 	for _, id := range AllIDs() {
 		r := auditedAll(t)[id]
-		if r.Findings == nil {
-			// No μFAB fabric under audit (resource-model tables,
-			// baseline-only motivation figures).
+		// A report with no μFAB fabric under audit (resource-model tables,
+		// baseline-only motivation figures) has no findings log and passes.
+		for _, err := range CheckAudit([]*Report{r}) {
+			t.Errorf("%v\n%s", err, dumpFindings(t, r))
+		}
+	}
+}
+
+// auditLog returns a findings log capped at max findings that was offered
+// excused findings inside a declared fault window and unexcused ones outside
+// any, in that order.
+func auditLog(max, excused, unexcused int) *audit.Log {
+	log := &audit.Log{MaxFindings: max}
+	const ms = int64(sim.Millisecond)
+	for i, n := range []int{excused, unexcused} {
+		a := audit.New(audit.Config{Log: log})
+		if i == 0 {
+			a.ObserveEvent(telemetry.Event{T: 4 * ms, Kind: telemetry.EvFault, A: 1, Note: "test"})
+		}
+		s := &audit.Sample{T: 1, Links: make([]audit.LinkSample, n)}
+		for l := range s.Links {
+			s.Links[l] = audit.LinkSample{Entity: fmt.Sprintf("link.a-b%d", l), HasCore: true}
+		}
+		a.Tick(s)
+		for l := range s.Links {
+			s.Links[l].PhiTokens = -1 // a negative register is a finding at once
+		}
+		s.T = 4 * ms // past the link's warm-up, inside the fault's window
+		a.Tick(s)
+	}
+	return log
+}
+
+// TestCheckAudit holds the gate's predicate — the one auditCmd, `check
+// -audit` and TestAuditAllExperimentsClean share — to its three conditions,
+// each alone. The overflowed log whose surviving findings are all excused is
+// the case `check -audit` used to pass.
+func TestCheckAudit(t *testing.T) {
+	declared := auditLog(0, 0, 0)
+	declared.ExpectExcusedMin = 1
+	observed := auditLog(0, 2, 0)
+	observed.ExpectExcusedMin = 2
+	for _, tc := range []struct {
+		name string
+		log  *audit.Log
+		want []string // a fragment of each expected error, in order
+	}{
+		{"no fabric under audit", nil, nil},
+		{"clean", auditLog(0, 0, 0), nil},
+		{"declared faults observed", observed, nil},
+		{"declared faults not observed", declared, []string{"0 excused finding(s), scenario declares >= 1"}},
+		{"unexcused", auditLog(0, 1, 2), []string{"2 unexcused"}},
+		{"overflowed, survivors excused", auditLog(2, 2, 3), []string{"dropped 3"}},
+	} {
+		failed := CheckAudit([]*Report{{ID: "x", Findings: tc.log}})
+		if len(failed) != len(tc.want) {
+			t.Errorf("%s: %d error(s) %v, want %d", tc.name, len(failed), failed, len(tc.want))
 			continue
 		}
-		if n := r.Findings.Unexcused(); n != 0 {
-			t.Errorf("%s: %d unexcused finding(s):\n%s", r.ID, n, dumpFindings(t, r))
-		}
-		if d := r.Findings.Dropped(); d != 0 {
-			t.Errorf("%s: findings log dropped %d findings (cap too small or auditor runaway)", r.ID, d)
-		}
-		if min := r.Findings.ExpectExcusedMin; r.Findings.Excused() < min {
-			t.Errorf("%s: %d excused finding(s), scenario declares >= %d — injected faults were not observed",
-				r.ID, r.Findings.Excused(), min)
+		for i, err := range failed {
+			if !strings.HasPrefix(err.Error(), "x: ") || !strings.Contains(err.Error(), tc.want[i]) {
+				t.Errorf("%s: error %q, want \"x: …%s…\"", tc.name, err, tc.want[i])
+			}
 		}
 	}
 }

@@ -98,6 +98,31 @@ func CheckClaims(reports []*Report) (held int, failed []error) {
 	return held, failed
 }
 
+// CheckAudit is the audit gate's predicate over audited reports: no
+// unexcused finding, no finding dropped by a full log, and at least the
+// excused findings the run's chaos scenario declares (fewer means the
+// injected faults were not observed). It returns one error, prefixed with the
+// experiment id, per condition a report fails; a report with no fabric under
+// audit passes.
+func CheckAudit(reports []*Report) (failed []error) {
+	for _, r := range reports {
+		f := r.Findings
+		if f == nil {
+			continue
+		}
+		if n := f.Unexcused(); n > 0 {
+			failed = append(failed, fmt.Errorf("%s: %d unexcused audit finding(s)", r.ID, n))
+		}
+		if d := f.Dropped(); d > 0 {
+			failed = append(failed, fmt.Errorf("%s: findings log dropped %d finding(s)", r.ID, d))
+		}
+		if min := f.ExpectExcusedMin; f.Excused() < min {
+			failed = append(failed, fmt.Errorf("%s: %d excused finding(s), scenario declares >= %d — injected faults not observed", r.ID, f.Excused(), min))
+		}
+	}
+	return failed
+}
+
 // All lists every experiment: the paper's figures and tables in paper
 // order, then this repo's additions. Registry order is the order `run all`
 // prints in.

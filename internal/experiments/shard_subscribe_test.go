@@ -36,7 +36,7 @@ func TestShardedSubscribeLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := append([]*telemetry.Recorder{reg.ShardRecorder(-1)}, reg.ShardRecorders()...)
+	recs := append([]*telemetry.Recorder{reg.Recorder()}, reg.ShardRecorders()...)
 	if len(recs) != pods+1 {
 		t.Fatalf("got %d recorders, want base + %d shard rings", len(recs), pods)
 	}

@@ -3,11 +3,14 @@ package experiments
 import "testing"
 
 // shardIdentityIDs are the experiments held to worker-count identity
-// under the race detector. shardsim is the adversarial case — its
-// workload drivers schedule inside host shards, so every arrival crosses
-// the conservative-lookahead machinery — and flap adds chaos fault
-// injection on top of the partitioned dataplane.
-var shardIdentityIDs = []string{"shardsim", "flap"}
+// under the race detector. Each must deploy more than one logical shard —
+// a fabric built by vfabric.New (deployPlain) ignores Options.Shards and a
+// single shard always runs inline, so their worker cells are equal by
+// construction. shardsim is the adversarial case: its workload drivers
+// schedule inside host shards, so every arrival crosses the
+// conservative-lookahead machinery. Fault injection under workers is held
+// by fuzz.Executor.Replay's 0-against-4 differential, not here.
+var shardIdentityIDs = []string{"shardsim"}
 
 // shardIdentityOptions is a fully instrumented run (registry, flight
 // recorder, auditor) with the given number of workers on the pod shards.
@@ -26,6 +29,9 @@ func TestShardIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ref := batch(t, shardIdentityIDs, shardIdentityOptions(seed, 0), 0)
 		for _, id := range shardIdentityIDs {
+			if n := len(ref[id].Reg.ShardRecorders()); n < 2 {
+				t.Fatalf("%s: %d logical shard(s) — nothing for workers to execute, identity would hold by construction", id, n)
+			}
 			refRep := ref[id].String()
 			refSnap, refTrace := snapshotAndTrace(t, ref[id])
 			if refTrace == "" {

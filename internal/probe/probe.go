@@ -49,6 +49,11 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// TargetUtilization is η: both ends of the protocol hold Φ_l and the
+// allocation against the target capacity C̄_l = η·C_l, so a 5 % headroom
+// absorbs transient bursts and table-collision under-counts (§3.3).
+const TargetUtilization = 0.95
+
 // MaxHops is the largest number of INT hop records a probe can carry,
 // bounded by the 4-bit nHop field.
 const MaxHops = 15

@@ -170,20 +170,15 @@ type Registry struct {
 	// like the shard engine), and exports merge them canonically. Empty
 	// for sequential runs.
 	shardRecs []*Recorder
-	// activeShard redirects Recorder() during sharded fabric
-	// construction so agents capture their own shard's recorder without
-	// code changes; -1 means the base recorder.
-	activeShard int
 }
 
 // New returns an empty registry (no flight recorder; see EnableRecorder).
 func New() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		series:      make(map[string]*Series),
-		histograms:  make(map[string]*Histogram),
-		activeShard: -1,
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		series:     make(map[string]*Series),
+		histograms: make(map[string]*Histogram),
 	}
 }
 
@@ -286,16 +281,13 @@ func (r *Registry) EnableRecorder(capEvents int) *Recorder {
 }
 
 // Recorder returns the attached flight recorder, or nil when none (the
-// disabled fast path: recording into a nil recorder is a free no-op).
-// During sharded fabric construction SetActiveShard redirects it to the
-// shard under construction, so per-node agents capture their own shard's
-// recorder.
+// disabled fast path: recording into a nil recorder is a free no-op). In a
+// sharded run it is the base recorder, reserved for coordinator-context
+// events; which shard recorder a node's agents use is the network's
+// business (dataplane.Network.RecorderAt).
 func (r *Registry) Recorder() *Recorder {
 	if r == nil {
 		return nil
-	}
-	if r.activeShard >= 0 && r.activeShard < len(r.shardRecs) {
-		return r.shardRecs[r.activeShard]
 	}
 	return r.rec
 }
@@ -327,35 +319,12 @@ func (r *Registry) EnableShardRecorders(n, capEvents int) []*Recorder {
 	return r.shardRecs
 }
 
-// ShardRecorder returns shard i's recorder, or the base recorder when no
-// shard recorders are attached (sequential runs) or i is out of range.
-func (r *Registry) ShardRecorder(i int) *Recorder {
-	if r == nil {
-		return nil
-	}
-	if i >= 0 && i < len(r.shardRecs) {
-		return r.shardRecs[i]
-	}
-	return r.rec
-}
-
 // ShardRecorders returns the per-shard recorders (nil for sequential runs).
 func (r *Registry) ShardRecorders() []*Recorder {
 	if r == nil {
 		return nil
 	}
 	return r.shardRecs
-}
-
-// SetActiveShard makes Recorder() return shard i's recorder until the next
-// call; i < 0 restores the base recorder. Construction-time only — it
-// exists so per-node agents built for shard i capture the right recorder
-// without threading shard IDs through every constructor.
-func (r *Registry) SetActiveShard(i int) {
-	if r == nil {
-		return
-	}
-	r.activeShard = i
 }
 
 // Token sanitizes s into one dotted-name segment: lowercased, with

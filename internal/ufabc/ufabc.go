@@ -8,8 +8,9 @@
 // VM-pairs announce themselves through their probes' φ and w fields;
 // finish probes deduct a departing VM-pair's contribution; a periodic
 // cleanup expires VM-pairs that went silent (§4.2 runs it every 10 s).
-// Φ_l is used against the *target* capacity C̄_l = η·C_l (η = 0.95) so a
-// 5% headroom absorbs transient bursts and table-collision under-counts.
+// Φ_l is used against the *target* capacity C̄_l = η·C_l
+// (probe.TargetUtilization) so a 5% headroom absorbs transient bursts and
+// table-collision under-counts.
 package ufabc
 
 import (
@@ -21,24 +22,19 @@ import (
 	"ufab/internal/topo"
 )
 
+// tableSlotsPerBank sizes the active-VM-pair table: 16384 slots per bank
+// support the paper's 20K VM-pairs at <5% omission. It is the modelled
+// register capacity — it fixes the hash range and hence the collision
+// behaviour — not a memory reservation: a link's table is created on its
+// first probe and grows with the pairs it carries (see package bloom).
+const tableSlotsPerBank = 16384
+
 // Config parameterizes a μFAB-C agent.
 type Config struct {
-	// TableSlotsPerBank sizes the active-VM-pair table (default 16384,
-	// supporting the paper's 20K VM-pairs at <5% omission). It is the
-	// modelled register capacity — it fixes the hash range and hence the
-	// collision behaviour — not a memory reservation: a link's table is
-	// created on its first probe and grows with the pairs it carries
-	// (see package bloom).
-	TableSlotsPerBank int
-	// TargetUtilization is η: the fraction of physical capacity
-	// advertised as the target capacity C̄_l (default 0.95).
-	TargetUtilization float64
 	// CleanupPeriod is how often silent VM-pairs are expired (default
-	// 10 s per §4.2; experiments shorten it).
+	// 10 s per §4.2; experiments shorten it). A pair is expired by the
+	// first sweep that finds it silent for a whole period.
 	CleanupPeriod sim.Duration
-	// CleanupAge is how long a VM-pair may be silent before expiry
-	// (default = CleanupPeriod).
-	CleanupAge sim.Duration
 	// UseTimingFilter switches the active-pair structure to the
 	// rotating (timing Bloom filter) variant §3.6 suggests: expiry
 	// becomes an epoch swap instead of a timestamp scan, at the cost of
@@ -47,18 +43,17 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.TableSlotsPerBank == 0 {
-		c.TableSlotsPerBank = 16384
-	}
-	if c.TargetUtilization == 0 {
-		c.TargetUtilization = 0.95
-	}
 	if c.CleanupPeriod == 0 {
 		c.CleanupPeriod = 10 * sim.Second
 	}
-	if c.CleanupAge == 0 {
-		c.CleanupAge = c.CleanupPeriod
-	}
+}
+
+// StalenessBound is how long a silent VM-pair's registration can linger in
+// Φ_l and W_l: one period of silence, and at most one more until the sweep
+// that finds it. The auditor excuses register residue for that long.
+func (c Config) StalenessBound() sim.Duration {
+	c.setDefaults()
+	return 2 * c.CleanupPeriod
 }
 
 // linkState is the per-egress-link register set. Exactly one of scan/rot
@@ -129,9 +124,11 @@ func New(cfg Config) *Agent {
 }
 
 // AttachTelemetry registers this agent's instruments under
-// "ufabc.<instance>.*" and wires register-churn events into reg's flight
-// recorder. Call before the simulation starts; a nil reg is a no-op.
-func (a *Agent) AttachTelemetry(reg *telemetry.Registry, instance string) {
+// "ufabc.<instance>.*" and wires register-churn events into rec, the flight
+// recorder of the shard that owns the agent's node
+// (dataplane.Network.RecorderAt). Call before the simulation starts; a nil
+// reg is a no-op.
+func (a *Agent) AttachTelemetry(reg *telemetry.Registry, instance string, rec *telemetry.Recorder) {
 	if reg == nil {
 		return
 	}
@@ -142,7 +139,7 @@ func (a *Agent) AttachTelemetry(reg *telemetry.Registry, instance string) {
 	a.cWChurn = reg.Counter(a.entity + ".w_churn_bytes")
 	a.baseProbes = a.cProbes.Value()
 	a.baseRestarts = a.cRestarts.Value()
-	a.rec = reg.Recorder()
+	a.rec = rec
 }
 
 // ProbesSeenCount returns how many probes the agent has processed (the
@@ -161,7 +158,7 @@ func (a *Agent) RestartCount() uint64 {
 // and returns a stop function.
 func (a *Agent) StartCleanup(eng sim.Scheduler) (stop func()) {
 	return eng.Every(a.cfg.CleanupPeriod, func() {
-		cutoff := int64(eng.Now() - a.cfg.CleanupAge)
+		cutoff := int64(eng.Now() - a.cfg.CleanupPeriod)
 		for _, ls := range a.links {
 			dPhi, dW := ls.cleanup(cutoff)
 			ls.phiMilli += dPhi
@@ -185,9 +182,9 @@ func (a *Agent) link(id topo.LinkID) *linkState {
 	if ls == nil {
 		ls = &linkState{}
 		if a.cfg.UseTimingFilter {
-			ls.rot = bloom.NewRotating(a.cfg.TableSlotsPerBank)
+			ls.rot = bloom.NewRotating(tableSlotsPerBank)
 		} else {
-			ls.scan = bloom.New(a.cfg.TableSlotsPerBank)
+			ls.scan = bloom.New(tableSlotsPerBank)
 		}
 		a.links[id] = ls
 	}
@@ -263,7 +260,7 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 		TotalTokens: float64(ls.phiMilli) * 1e-3,
 		TxRate:      out.TxRate(now),
 		Queue:       uint32(out.QueueBytes()),
-		Capacity:    a.cfg.TargetUtilization * out.Capacity(),
+		Capacity:    probe.TargetUtilization * out.Capacity(),
 		LinkID:      int32(out.Link.ID),
 	})
 	if err != nil {

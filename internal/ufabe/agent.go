@@ -5,6 +5,17 @@
 // path migration, driven entirely by the INT telemetry μFAB-C piggybacks
 // onto probe responses. It also embeds the Guarantee Partitioning token
 // loop of Appendix E (sender assignment + receiver admission).
+//
+// The package decides apart from doing. law.go is the control law as
+// functions of values — allocate (Eqns 1 and 3, qualification), the
+// two-stage ramp, the violation streak, selectPath, betterPath — over the
+// paper's constants (BU, mtu, ackSize, eta, violationRTTs,
+// idleFinishAfter), with no engine, network or recorder in reach; law_test.go
+// iterates it against a synthetic link. Agent (this file) is transport,
+// timers, the RNG, counters and flight-recorder events: it decodes, updates
+// path state, asks the law and applies the decision, in an order of engine
+// and RNG calls that every golden depends on. pair.go is the state the two
+// share, sched.go the WFQ engine.
 package ufabe
 
 import (
@@ -21,17 +32,9 @@ import (
 	"ufab/internal/topo"
 )
 
-// Config parameterizes an edge agent.
+// Config parameterizes an edge agent: what some experiment, fuzz case or test
+// varies. The paper's fixed numbers are the constants of law.go.
 type Config struct {
-	// BU is the bandwidth one token represents, bits/s (default 100 Mbps).
-	BU float64
-	// MTU is the data packet size in bytes (default 1500).
-	MTU int
-	// AckSize is the acknowledgment size in bytes (default 64).
-	AckSize int
-	// TargetUtilization is η, the fraction of physical capacity treated
-	// as the target C̄_l (default 0.95).
-	TargetUtilization float64
 	// ProbePayloadBytes is L_w: the bytes transmitted between
 	// self-clocked probes (default 4096, giving the ≤1.28% overhead
 	// bound of Fig 15b).
@@ -42,9 +45,6 @@ type Config struct {
 	// DisableTwoStage removes the two-stage admission burst bound — the
 	// μFAB′ variant of Figs 12 and 16.
 	DisableTwoStage bool
-	// ViolationRTTs is how many consecutive RTT-spaced unqualified
-	// observations trigger a migration (default 5, §3.5).
-	ViolationRTTs int
 	// FreezeMaxRTTs is N: after a migration, migrations freeze for a
 	// uniform-random [1,N] RTTs (default 10, Fig 18a/b).
 	FreezeMaxRTTs int
@@ -61,11 +61,6 @@ type Config struct {
 	// TokenPeriod is the Guarantee Partitioning update period (default
 	// 32 μs per §5.1; negative disables GP so pairs keep static tokens).
 	TokenPeriod sim.Duration
-	// IdleFinishAfter sends finish probes after this much idle time
-	// (default 200 μs) — deregistering idle VM-pairs promptly keeps the
-	// proportional shares of the remaining active pairs undiluted,
-	// which is what work conservation for bursty RPC traffic rests on.
-	IdleFinishAfter sim.Duration
 	// ProbeTimeoutRTTs detects probe loss after n·baseRTT (default 8,
 	// §4.1: latency is bounded by 4 baseRTTs, so 8 is safe).
 	ProbeTimeoutRTTs int
@@ -74,23 +69,8 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.BU == 0 {
-		c.BU = 100e6
-	}
-	if c.MTU == 0 {
-		c.MTU = 1500
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 64
-	}
-	if c.TargetUtilization == 0 {
-		c.TargetUtilization = 0.95
-	}
 	if c.ProbePayloadBytes == 0 {
 		c.ProbePayloadBytes = 4096
-	}
-	if c.ViolationRTTs == 0 {
-		c.ViolationRTTs = 5
 	}
 	if c.FreezeMaxRTTs == 0 {
 		c.FreezeMaxRTTs = 10
@@ -103,9 +83,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.TokenPeriod == 0 {
 		c.TokenPeriod = 32 * sim.Microsecond
-	}
-	if c.IdleFinishAfter == 0 {
-		c.IdleFinishAfter = 200 * sim.Microsecond
 	}
 	if c.ProbeTimeoutRTTs == 0 {
 		c.ProbeTimeoutRTTs = 8
@@ -213,9 +190,9 @@ type Agent struct {
 }
 
 // AttachTelemetry registers this agent's instruments under
-// "ufabe.<instance>.*" and wires probe/window/migration events into reg's
-// flight recorder. Call before the simulation starts; a nil reg is a
-// no-op.
+// "ufabe.<instance>.*" and wires probe/window/migration events into the
+// flight recorder of the shard that owns the host. Call before the
+// simulation starts; a nil reg is a no-op.
 func (a *Agent) AttachTelemetry(reg *telemetry.Registry, instance string) {
 	if reg == nil {
 		return
@@ -234,7 +211,7 @@ func (a *Agent) AttachTelemetry(reg *telemetry.Registry, instance string) {
 	a.baseFrArmed = a.cFrArmed.Value()
 	a.baseFrSupp = a.cFrSupp.Value()
 	a.hRTT = reg.Histogram(a.entity + ".probe_rtt_us")
-	a.rec = reg.Recorder()
+	a.rec = a.net.RecorderAt(a.host)
 }
 
 // MigrationsCount returns completed path migrations (the delta since
@@ -375,7 +352,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 		p.paths = append(p.paths, &pathState{
 			id:      uint16(i),
 			route:   r,
-			baseRTT: a.graph.BaseRTT(r, a.cfg.MTU),
+			baseRTT: a.graph.BaseRTT(r, mtu),
 		})
 	}
 	p.active = a.rng.Intn(len(p.paths))
@@ -393,13 +370,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 		k.SetKick(func() { a.Kick(p) })
 	}
 	p.enterRamp(a.eng.Now(), false)
-	// Bootstrap: probe all candidates in parallel; evaluate when the
-	// responses are in.
-	p.migrating = true
-	for i := range p.paths {
-		a.sendProbe(p, i, probe.KindProbe)
-	}
-	a.eng.After(2*p.maxBaseRTT(), func() { a.finishEvaluation(p, evalBootstrap) })
+	a.evaluate(p, evalBootstrap)
 	// The slow work-conservation scan (§3.5 trigger ii).
 	if a.cfg.CandidateProbeInterval > 0 && len(p.paths) > 1 {
 		p.stopScan = a.eng.Every(a.cfg.CandidateProbeInterval, func() { a.scanForBetterPath(p) })
@@ -491,11 +462,11 @@ func (a *Agent) trySend() {
 		a.scheduleSend()
 		return
 	}
-	p := a.sched.nextPair(int64(now), float64(a.cfg.MTU))
+	p := a.sched.nextPair(int64(now), mtu)
 	if p == nil {
 		return
 	}
-	size := int64(a.cfg.MTU)
+	size := int64(mtu)
 	if pend := p.Demand.Pending(); pend < size {
 		size = pend
 	}
@@ -547,7 +518,7 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 		PathID: ps.id,
 		Seq:    seq,
 		Phi:    p.phi,
-		Window: uint32(min64(p.Window(), int64(^uint32(0)))),
+		Window: uint32(min(p.Window(), int64(^uint32(0)))),
 		SentAt: int64(a.eng.Now()),
 	}
 	// Room for one INT record per link of the path: the switches stamp the
@@ -566,8 +537,6 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 		SentAt:  a.eng.Now(),
 		Payload: buf,
 	})
-	ps.probeOutstanding = true
-	ps.probeSentAt = a.eng.Now()
 	if kind == probe.KindProbe && pathIdx == p.active {
 		p.wantProbe = false
 	}
@@ -599,11 +568,9 @@ func (a *Agent) checkProbeTimeout(p *Pair, pathIdx int, seq uint32) {
 	if ps.respSeq >= seq {
 		return // answered
 	}
-	ps.lostProbes++
 	if pathIdx == p.active {
 		// Consecutive probe drops count as predictability violations.
-		p.violationStreak++
-		if p.violationStreak >= a.cfg.ViolationRTTs {
+		if p.viol = p.viol.step(true); p.viol.tripped() {
 			a.beginMigration(p)
 		}
 		if p.Demand != nil && (p.Demand.Pending() > 0 || p.inflight > 0) {
@@ -642,7 +609,7 @@ func (a *Agent) handleData(pkt *dataplane.Packet) {
 		Kind:   dataplane.Ack,
 		VMPair: pkt.VMPair,
 		Tenant: pkt.Tenant,
-		Size:   a.cfg.AckSize,
+		Size:   ackSize,
 		Route:  a.graph.ReversePath(pkt.Route),
 		SentAt: now,
 		Meta:   ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, path: path},
@@ -683,7 +650,7 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	// Idle detection: demand drained and nothing in flight.
 	if p.Demand.Pending() == 0 && p.inflight == 0 && !p.idle {
 		p.idleSince = now
-		a.eng.After(a.cfg.IdleFinishAfter, func() { a.checkIdle(p, now) })
+		a.eng.After(idleFinishAfter, func() { a.checkIdle(p, now) })
 	}
 	a.scheduleSend()
 }
@@ -743,91 +710,68 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 }
 
 // handleResponse runs at the source edge: step 6 of the workflow — rate
-// adjustment on the current path or migration away from it.
+// adjustment on the current path or migration away from it. Decode, update
+// the path's state, ask the law, apply.
 func (a *Agent) handleResponse(pkt *dataplane.Packet) {
 	p := a.pairs[pkt.VMPair]
 	if p == nil {
 		return
 	}
 	resp, _, err := probe.Decode(pkt.Payload)
-	if err != nil {
-		return
-	}
-	if int(resp.PathID) >= len(p.paths) {
+	if err != nil || int(resp.PathID) >= len(p.paths) {
 		return
 	}
 	now := a.eng.Now()
 	ps := p.paths[resp.PathID]
-	ps.probeOutstanding = false
-	if resp.Seq > ps.respSeq {
-		ps.respSeq = resp.Seq
-	}
+	onActive := int(resp.PathID) == p.active
+	ps.respSeq = max(ps.respSeq, resp.Seq)
 	if resp.Kind == probe.KindFailure {
 		// Explicit path-death notice (type-4 failure response): the
 		// path's telemetry is void — it must not look like a fresh,
 		// qualified candidate — and an active pair migrates right away
 		// instead of accumulating timeout violations.
-		ps.lastResp = nil
-		ps.lastRespAt = 0
-		ps.qualified = false
-		ps.subscription = math.Inf(1)
-		if int(resp.PathID) == p.active && !p.idle {
+		ps.lastResp, ps.lastRespAt = nil, 0
+		ps.qualified, ps.subscription = false, math.Inf(1)
+		if onActive && !p.idle {
 			a.beginMigration(p)
 		}
 		return
 	}
 	ps.lastRespAt = now
-	ps.lostProbes = 0
-	rttUS := (now - sim.Time(resp.SentAt)).Micros()
+	rtt := now - sim.Time(resp.SentAt)
+	rttUS := rtt.Micros()
 	a.hRTT.Observe(rttUS)
 	if a.rec != nil {
 		a.rec.Record(telemetry.Event{T: int64(now), Kind: telemetry.EvProbeRX,
-			Entity: a.entity, A: int64(p.ID), B: int64(resp.PathID),
-			V:     rttUS,
+			Entity: a.entity, A: int64(p.ID), B: int64(resp.PathID), V: rttUS,
 			Trace: telemetry.SpanID(telemetry.TraceProbe, int64(p.ID), int64(resp.PathID), int64(resp.Seq)), Span: 3})
 	}
-	if rtt := now - sim.Time(resp.SentAt); rtt > 0 {
-		if ps.srtt == 0 {
-			ps.srtt = rtt
-		} else {
-			ps.srtt = (7*ps.srtt + rtt) / 8
-		}
+	if ps.srtt == 0 && rtt > 0 {
+		ps.srtt = rtt
+	} else if rtt > 0 {
+		ps.srtt = (7*ps.srtt + rtt) / 8
 	}
 	if resp.Kind != probe.KindResponse {
 		return
 	}
-	if resp.PeerPhi > 0 {
-		p.peerPhi = resp.PeerPhi
-	} else {
-		p.peerPhi = 0
-	}
-	p.computeFromResponse(ps, resp)
-	if int(resp.PathID) != p.active {
+	p.peerPhi = resp.PeerPhi // 0 on the wire is unbound
+	p.applyResponse(ps, resp)
+	if !onActive {
 		return
 	}
 	p.advanceRamp(now)
-	// Violation detection (§3.5 trigger i): the pair must be
-	// *consistently* missing its minimum bandwidth while having
-	// sufficient demand AND the path must be oversubscribed. A merely
-	// oversubscribed path that still delivers (others have insufficient
-	// demand — Case-2's P1) is not abandoned; a transient rate dip on a
-	// qualified path is left to the allocation loop.
-	if now-p.lastViolationAt >= ps.baseRTT {
-		elapsed := now - p.lastViolationAt
-		rate := float64(p.Delivered-p.deliveredAtCheck) * 8 / elapsed.Seconds()
-		p.deliveredAtCheck = p.Delivered
-		p.lastViolationAt = now
-		demandSufficient := p.Demand != nil && p.Demand.Pending() > 0
-		if demandSufficient && !ps.qualified && rate < 0.92*p.Guarantee() {
-			p.violationStreak++
-		} else {
-			p.violationStreak = 0
-		}
-	}
-	if p.violationStreak >= a.cfg.ViolationRTTs {
+	backlogged := p.Demand != nil && p.Demand.Pending() > 0
+	p.viol = p.viol.observe(now, ps.baseRTT, p.Delivered, p.Guarantee(), ps.qualified, backlogged)
+	if p.viol.tripped() {
 		a.beginMigration(p)
 	}
-	// Probing cadence.
+	a.clockNextProbe(p, ps)
+	a.scheduleSend()
+}
+
+// clockNextProbe sets the probing cadence after a response on the active
+// path.
+func (a *Agent) clockNextProbe(p *Pair, ps *pathState) {
 	p.bytesSinceResp = 0
 	if a.cfg.PeriodicProbeRTTs > 0 {
 		a.eng.After(sim.Duration(a.cfg.PeriodicProbeRTTs)*ps.baseRTT, func() {
@@ -835,14 +779,13 @@ func (a *Agent) handleResponse(pkt *dataplane.Packet) {
 				a.sendProbe(p, p.active, probe.KindProbe)
 			}
 		})
-	} else {
-		// Self-clocked probing (§4.1): the next probe goes out with the
-		// data, once L_w more bytes have been transmitted. No timer
-		// fallback — the L_p/(L_p+L_w) overhead bound depends on
-		// probes being strictly data-clocked.
-		p.wantProbe = true
+		return
 	}
-	a.scheduleSend()
+	// Self-clocked probing (§4.1): the next probe goes out with the data,
+	// once L_w more bytes have been transmitted. No timer fallback — the
+	// L_p/(L_p+L_w) overhead bound depends on probes being strictly
+	// data-clocked.
+	p.wantProbe = true
 }
 
 // ---- Migration ------------------------------------------------------------
@@ -860,8 +803,21 @@ const (
 	evalWorkConservation
 )
 
-// beginMigration starts an evaluation round: probe every candidate path in
-// parallel and decide when the responses are in (§3.5).
+// evaluate starts an evaluation round: probe the candidate paths in parallel
+// — all of them at bootstrap, the idle ones afterwards — and decide when the
+// responses are in (§3.5).
+func (a *Agent) evaluate(p *Pair, mode evalMode) {
+	p.migrating = true
+	for i := range p.paths {
+		if mode == evalBootstrap || i != p.active {
+			a.sendProbe(p, i, probe.KindProbe)
+		}
+	}
+	a.eng.After(2*p.maxBaseRTT(), func() { a.finishEvaluation(p, mode) })
+}
+
+// beginMigration is §3.5 trigger (i), at most once per freeze window and
+// host.
 func (a *Agent) beginMigration(p *Pair) {
 	now := a.eng.Now()
 	if p.migrating || len(p.paths) < 2 {
@@ -875,13 +831,7 @@ func (a *Agent) beginMigration(p *Pair) {
 		}
 		return
 	}
-	p.migrating = true
-	for i := range p.paths {
-		if i != p.active {
-			a.sendProbe(p, i, probe.KindProbe)
-		}
-	}
-	a.eng.After(2*p.maxBaseRTT(), func() { a.finishEvaluation(p, evalViolation) })
+	a.evaluate(p, evalViolation)
 }
 
 // scanForBetterPath drives §3.5 trigger (ii): every
@@ -895,21 +845,14 @@ func (a *Agent) scanForBetterPath(p *Pair) {
 	if p.Demand == nil || (p.Demand.Pending() == 0 && p.inflight == 0) {
 		return
 	}
-	p.migrating = true
-	for i := range p.paths {
-		if i != p.active {
-			a.sendProbe(p, i, probe.KindProbe)
-		}
-	}
-	a.eng.After(2*p.maxBaseRTT(), func() { a.finishEvaluation(p, evalWorkConservation) })
+	a.evaluate(p, evalWorkConservation)
 }
 
-// finishEvaluation selects the new active path among candidates with fresh
-// responses: qualified paths preferred, minimum subscription first, random
-// tie-break (§3.5 "path selection"). The mode decides fallback and freeze
-// behavior: violation-triggered migrations may fall back to the
-// least-subscribed path and arm the freeze window; work-conservation
-// evaluations only move after a persistently better path is observed.
+// finishEvaluation applies the law's choice among the candidates with fresh
+// responses. The mode decides fallback and freeze behavior: violation-
+// triggered migrations may fall back to the least-subscribed unqualified path
+// and arm the freeze window; work-conservation evaluations only move after a
+// persistently better path is observed.
 func (a *Agent) finishEvaluation(p *Pair, mode evalMode) {
 	if a.pairs[p.ID] != p {
 		return
@@ -917,83 +860,24 @@ func (a *Agent) finishEvaluation(p *Pair, mode evalMode) {
 	now := a.eng.Now()
 	p.migrating = false
 	freshAge := 4 * p.maxBaseRTT()
-	// §3.5: "among all qualified paths, it selects one randomly with a
-	// preference to the path with minimum bandwidth subscription."
-	// Randomization matters: a deterministic argmin would herd every
-	// migrating pair onto the same link and oscillate.
-	pick := func(qualifiedOnly bool) int {
-		minSub := -1.0
-		for _, ps := range p.paths {
-			if !ps.fresh(now, freshAge) || (qualifiedOnly && !ps.qualified) {
-				continue
-			}
-			if minSub < 0 || ps.subscription < minSub {
-				minSub = ps.subscription
-			}
-		}
-		if minSub < 0 {
-			return -1
-		}
-		var cands []int
-		for i, ps := range p.paths {
-			if !ps.fresh(now, freshAge) || (qualifiedOnly && !ps.qualified) {
-				continue
-			}
-			if ps.subscription <= minSub+0.2 {
-				cands = append(cands, i)
-			}
-		}
-		return cands[a.rng.Intn(len(cands))]
-	}
+	var best int
 	if mode == evalWorkConservation {
-		a.finishWorkConservation(p, now, freshAge)
-		a.cleanupCandidates(p)
-		return
-	}
-	best := pick(true)
-	if best == -1 {
-		// No qualified path: fall back to a least-subscribed fresh
-		// path (best effort) on urgent migrations only.
-		if mode != evalViolation {
-			a.cleanupCandidates(p)
-			return
-		}
-		best = pick(false)
-	}
-	if best != -1 && best != p.active {
-		a.migrate(p, best, mode == evalViolation)
+		p.betterSince, best = betterPath(p.paths, p.active, now, freshAge, a.cfg.BetterPathHold, p.betterSince)
 	} else {
-		p.violationStreak = 0
+		best = selectPath(p.paths, now, freshAge, true, a.rng)
+		if best == -1 && mode == evalViolation {
+			// No qualified path: an urgent migration settles for a
+			// least-subscribed fresh one (best effort).
+			best = selectPath(p.paths, now, freshAge, false, a.rng)
+		}
+	}
+	switch {
+	case best != -1 && best != p.active:
+		a.migrate(p, best, mode == evalViolation)
+	case mode == evalViolation, mode == evalBootstrap && best != -1:
+		p.viol.streak = 0 // the evaluation answered for the active path
 	}
 	a.cleanupCandidates(p)
-}
-
-// finishWorkConservation applies trigger (ii): among fresh qualified
-// candidates, consider only the one with the largest share R; if it has
-// beaten the active path by ≥20%% continuously for BetterPathHold, migrate.
-func (a *Agent) finishWorkConservation(p *Pair, now sim.Time, freshAge sim.Duration) {
-	active := p.paths[p.active]
-	best := -1
-	for i, ps := range p.paths {
-		if i == p.active || !ps.fresh(now, freshAge) || !ps.qualified {
-			continue
-		}
-		if best == -1 || ps.share > p.paths[best].share {
-			best = i
-		}
-	}
-	if best == -1 || p.paths[best].share <= 1.2*active.share {
-		p.betterSince = 0
-		return
-	}
-	if p.betterSince == 0 {
-		p.betterSince = now
-		return
-	}
-	if now-p.betterSince >= a.cfg.BetterPathHold {
-		p.betterSince = 0
-		a.migrate(p, best, false)
-	}
 }
 
 // cleanupCandidates sends finish probes on probed-but-unused candidate
@@ -1030,9 +914,7 @@ func (a *Agent) migrate(p *Pair, to int, urgent bool) {
 			Entity: a.entity, A: int64(p.ID), B: int64(to), Note: note,
 			Trace: migTrace, Span: 1})
 	}
-	p.violationStreak = 0
-	p.lastViolationAt = now
-	p.deliveredAtCheck = p.Delivered
+	p.viol = violation{at: now, delivered: p.Delivered}
 	p.enterRamp(now, false) // Scenario-1 on the fresh path
 	if a.cfg.ReorderFree {
 		p.dataStartAt = now + p.paths[to].baseRTT
@@ -1119,7 +1001,7 @@ func (a *Agent) assignSenderTokens(vf *vfState, period float64) {
 		if p.Demand == nil {
 			demand = 0
 		} else if p.Demand.Pending() == 0 {
-			demand = float64(p.txSinceToken*8) / period / a.cfg.BU
+			demand = float64(p.txSinceToken*8) / period / BU
 		}
 		adm := token.Unbound
 		if p.peerPhi > 0 {
@@ -1207,18 +1089,4 @@ func (a *Agent) reclaimOrphans(p *Pair, ps *pathState) {
 		rq.Requeue(lost)
 	}
 	a.scheduleSend()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -171,8 +171,8 @@ func TestAgentAccessors(t *testing.T) {
 	if a.Host() != r.tt.HostsLeft[0] {
 		t.Error("Host() wrong")
 	}
-	if a.Config().MTU != 1500 {
-		t.Error("Config() not defaulted")
+	if c := a.Config(); c.ProbeTimeoutRTTs != 8 || c.Seed != 6 {
+		t.Errorf("Config() = %+v, want the defaults filled around Seed 6", c)
 	}
 	a.Stop() // idempotent-ish: just must not panic
 }

@@ -1,8 +1,6 @@
 package ufabe
 
 import (
-	"math"
-
 	"ufab/internal/dataplane"
 	"ufab/internal/probe"
 	"ufab/internal/sim"
@@ -26,40 +24,15 @@ type pathState struct {
 	// like losses.
 	srtt sim.Duration
 
-	// Derived per-response quantities.
-	share     float64 // r_{a→b}: proportional guarantee share, bits/s (Eqn 1)
-	window    int64   // w_{a→b}: utilization-based window, bytes (Eqn 3)
-	qualified bool    // C̄_l ≥ Φ_l·B_u on every link
-	// headPhi is the largest Φ_l·B_u/C̄_l subscription ratio, for the
-	// minimum-subscription path preference.
-	subscription float64
+	// What the last response said (law.go).
+	allocation
 
 	// inflight is the unacknowledged bytes this pair has on this path.
 	inflight int64
 
-	// Probe bookkeeping.
-	probeSeq         uint32
-	respSeq          uint32 // highest seq answered
-	probeOutstanding bool
-	probeSentAt      sim.Time
-	lostProbes       int
+	probeSeq uint32
+	respSeq  uint32 // highest seq answered
 }
-
-// fresh reports whether the path has a response newer than age.
-func (ps *pathState) fresh(now sim.Time, age sim.Duration) bool {
-	return ps.lastResp != nil && now-ps.lastRespAt <= age
-}
-
-// admissionStage is the two-stage traffic admission state (§3.4).
-type admissionStage uint8
-
-const (
-	// stageRamp additively increases a bootstrap window until it crosses
-	// the Eqn-3 window.
-	stageRamp admissionStage = iota
-	// stageSteady uses the Eqn-3 window directly.
-	stageSteady
-)
 
 // Pair is the sender-side state of one VM-pair (one row of the FPGA
 // Context Table, §4.1).
@@ -84,12 +57,11 @@ type Pair struct {
 	paths  []*pathState
 	active int // index into paths
 
-	// Window state.
-	stage      admissionStage
-	rampWindow float64 // w′ in bytes during stageRamp
-	lastRampAt sim.Time
-	inflight   int64
-	seq        uint64
+	// Window state: two-stage admission (law.go) over the active path's
+	// Eqn-3 window.
+	ramp
+	inflight int64
+	seq      uint64
 	// dataStartAt delays data after a reorder-free migration.
 	dataStartAt sim.Time
 
@@ -99,13 +71,9 @@ type Pair struct {
 	wantProbe      bool
 
 	// Migration state (§3.5).
-	violationStreak int
-	lastViolationAt sim.Time
-	// deliveredAtCheck snapshots Delivered at the last violation check
-	// so the achieved rate over the last RTT-spaced interval is known.
-	deliveredAtCheck int64
-	betterSince      sim.Time // when a persistently better path was first seen
-	migrating        bool
+	viol        violation
+	betterSince sim.Time // when a persistently better path was first seen
+	migrating   bool
 	// stopScan stops the pair's periodic candidate scan (nil for a
 	// single-path pair, which has none); RemovePair calls it.
 	stopScan func()
@@ -152,7 +120,7 @@ func (p *Pair) EffectivePhi() float64 {
 
 // Guarantee returns the pair's current minimum-bandwidth guarantee in
 // bits/s.
-func (p *Pair) Guarantee() float64 { return p.EffectivePhi() * p.agent.cfg.BU }
+func (p *Pair) Guarantee() float64 { return p.EffectivePhi() * BU }
 
 // ActivePath returns the route currently carrying data.
 func (p *Pair) ActivePath() topo.Path { return p.paths[p.active].route }
@@ -163,16 +131,7 @@ func (p *Pair) ActivePathID() int { return p.active }
 // Window returns the current sending window in bytes.
 func (p *Pair) Window() int64 {
 	ps := p.paths[p.active]
-	switch p.stage {
-	case stageRamp:
-		w := int64(p.rampWindow)
-		if ps.lastResp != nil && w > ps.window {
-			return ps.window
-		}
-		return w
-	default:
-		return ps.window
-	}
+	return p.ramp.admitted(ps.allocation, ps.lastResp != nil)
 }
 
 // Inflight returns the bytes in flight.
@@ -188,69 +147,10 @@ func (p *Pair) Route(i int) topo.Path { return p.paths[i].route }
 // idle timeout) and released its admission.
 func (p *Pair) Idle() bool { return p.idle }
 
-// computeFromResponse derives {r, w, qualified, subscription} for a path
-// from a probe response, implementing Eqns (1) and (3).
-func (p *Pair) computeFromResponse(ps *pathState, resp *probe.Packet) {
-	cfg := &p.agent.cfg
-	phi := p.EffectivePhi()
-	T := ps.baseRTT.Seconds()
-	share := math.Inf(1)
-	window := math.Inf(1)
-	qualified := true
-	subscription := 0.0
-	for _, h := range resp.Hops {
-		target := cfg.TargetUtilization * h.Capacity // C̄_l
-		phiTotal := h.TotalTokens
-		if phiTotal < phi {
-			// The core's registers always include our own probe's φ;
-			// guard against quantization shaving it below φ.
-			phiTotal = phi
-		}
-		if phiTotal <= 0 {
-			phiTotal = math.SmallestNonzeroFloat64
-		}
-		// Eqn (1): proportional share of the target capacity.
-		if rl := phi / phiTotal * target; rl < share {
-			share = rl
-		}
-		// Eqn (3): utilization-based window.
-		bdpBytes := target * T / 8
-		denomBytes := h.TxRate*T/8 + float64(h.Queue)
-		var wl float64
-		if denomBytes <= 0 {
-			wl = bdpBytes
-		} else {
-			totalW := float64(h.TotalWindow)
-			if totalW < float64(p.Window()) {
-				totalW = float64(p.Window())
-			}
-			wl = phi / phiTotal * totalW * bdpBytes / denomBytes
-			if wl > bdpBytes {
-				wl = bdpBytes
-			}
-		}
-		if wl < window {
-			window = wl
-		}
-		// Qualification: the total subscription must fit under the
-		// target capacity (Φ_l already includes our φ on this path).
-		sub := phiTotal * cfg.BU / target
-		if sub > subscription {
-			subscription = sub
-		}
-		if sub > 1 {
-			qualified = false
-		}
-	}
-	ps.share = share
-	ps.qualified = qualified
-	ps.subscription = subscription
-	minWindow := int64(cfg.MTU) // one MTU keeps the ack clock alive
-	if w := int64(window); w > minWindow {
-		ps.window = w
-	} else {
-		ps.window = minWindow
-	}
+// applyResponse stores what a response says about its path: the law's
+// allocation for the pair's current token and window.
+func (p *Pair) applyResponse(ps *pathState, resp *probe.Packet) {
+	ps.allocation = allocate(p.EffectivePhi(), p.Window(), ps.baseRTT, resp.Hops)
 	ps.lastResp = resp
 	if a := p.agent; a.rec != nil {
 		a.rec.Record(telemetry.Event{T: int64(a.eng.Now()), Kind: telemetry.EvWindow,
@@ -259,37 +159,22 @@ func (p *Pair) computeFromResponse(ps *pathState, resp *probe.Packet) {
 	}
 }
 
-// enterRamp starts two-stage admission: Scenario-1 (new pair, bootstrap
-// window φ·B_u·T) or Scenario-2 (reactivated pair, window r·T).
+// enterRamp starts two-stage admission on the active path: Scenario-1 (new
+// pair or fresh path) or Scenario-2 (reactivated pair).
 func (p *Pair) enterRamp(now sim.Time, scenario2 bool) {
+	ps := p.paths[p.active]
 	if p.agent.cfg.DisableTwoStage {
-		// μFAB′: no burst bound; start from the full Eqn-3 window (or
-		// BDP before the first response).
 		p.stage = stageSteady
-		ps := p.paths[p.active]
 		if ps.lastResp == nil {
-			bdp := p.agent.graph.MinCapacity(ps.route) * ps.baseRTT.Seconds() / 8
-			ps.window = int64(bdp)
+			ps.window = unramped(p.agent.graph.MinCapacity(ps.route), ps.baseRTT)
 		}
 		return
 	}
-	p.stage = stageRamp
-	ps := p.paths[p.active]
-	cfg := &p.agent.cfg
-	// Scenario-1 bootstraps at the guarantee (φ·B_u·T); Scenario-2 at
-	// the last proportional share r·T, never below the guarantee — a
-	// reactivating pair must reach its minimum bandwidth immediately,
-	// not re-earn it (§3.4).
-	p.rampWindow = p.EffectivePhi() * cfg.BU * ps.baseRTT.Seconds() / 8
-	if scenario2 && ps.share > 0 {
-		if w := ps.share * ps.baseRTT.Seconds() / 8; w > p.rampWindow {
-			p.rampWindow = w
-		}
+	share := 0.0
+	if scenario2 {
+		share = ps.share
 	}
-	if min := float64(cfg.MTU); p.rampWindow < min {
-		p.rampWindow = min
-	}
-	p.lastRampAt = now
+	p.ramp = startRamp(p.EffectivePhi(), share, ps.baseRTT, now)
 	p.recordStage(now, "ramp")
 }
 
@@ -302,28 +187,14 @@ func (p *Pair) recordStage(now sim.Time, note string) {
 	}
 }
 
-// advanceRamp additively increases the ramp window by the proportional
-// share per RTT and switches to steady state once it crosses the Eqn-3
-// window (§3.4).
+// advanceRamp advances the first stage on an ack or a response of the
+// active path; the additive increase needs a response to know the share.
 func (p *Pair) advanceRamp(now sim.Time) {
-	if p.stage != stageRamp {
-		return
-	}
 	ps := p.paths[p.active]
-	if ps.lastResp == nil {
+	if p.stage != stageRamp || ps.lastResp == nil {
 		return
 	}
-	elapsed := now - p.lastRampAt
-	if elapsed <= 0 {
-		return
-	}
-	if elapsed > ps.baseRTT {
-		elapsed = ps.baseRTT
-	}
-	p.rampWindow += ps.share * elapsed.Seconds() / 8
-	p.lastRampAt = now
-	if int64(p.rampWindow) >= ps.window {
-		p.stage = stageSteady
+	if p.ramp = p.ramp.advance(ps.allocation, ps.baseRTT, now); p.stage == stageSteady {
 		p.recordStage(now, "steady")
 	}
 }

@@ -42,8 +42,8 @@ func (w *wfq) nextPairScan(now int64, quantum float64) *Pair {
 func schedPair() *Pair {
 	p := &Pair{
 		Demand: &Buffer{},
-		paths:  []*pathState{{window: 3000}},
-		stage:  stageSteady,
+		paths:  []*pathState{{allocation: allocation{window: 3000}}},
+		ramp:   ramp{stage: stageSteady},
 	}
 	p.Demand.(*Buffer).Add(6000)
 	return p

@@ -46,12 +46,16 @@ func (r *rig) addPair(phi float64) (*Pair, *Buffer) {
 }
 
 func TestConfigDefaults(t *testing.T) {
+	// The paper's fixed numbers are constants of the law, not fields.
+	if BU != 100e6 || mtu != 1500 || ackSize != 64 || eta != 0.95 {
+		t.Errorf("constants wrong: BU %v mtu %v ackSize %v eta %v", float64(BU), mtu, ackSize, eta)
+	}
+	if violationRTTs != 5 || idleFinishAfter != 200*sim.Microsecond {
+		t.Errorf("migration/idle constants wrong: %v %v", violationRTTs, idleFinishAfter)
+	}
 	var c Config
 	c.setDefaults()
-	if c.BU != 100e6 || c.MTU != 1500 || c.TargetUtilization != 0.95 {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-	if c.ProbePayloadBytes != 4096 || c.ViolationRTTs != 5 || c.FreezeMaxRTTs != 10 {
+	if c.ProbePayloadBytes != 4096 || c.FreezeMaxRTTs != 10 || c.ProbeTimeoutRTTs != 8 {
 		t.Errorf("probe/migration defaults wrong: %+v", c)
 	}
 	if c.TokenPeriod != 32*sim.Microsecond {
@@ -192,62 +196,74 @@ func TestRemovePair(t *testing.T) {
 }
 
 func TestComputeFromResponseEquations(t *testing.T) {
-	r := newRig(t, Config{})
-	p, _ := r.addPair(10) // φ = 10 tokens = 1G
-	ps := p.paths[p.active]
-	T := ps.baseRTT.Seconds()
-	resp := &probe.Packet{
-		Kind: probe.KindResponse, Phi: 10,
-		Hops: []probe.Hop{{
-			TotalWindow: 40000,
-			TotalTokens: 40,  // Φ = 40
-			TxRate:      8e9, // below target
-			Queue:       0,
-			Capacity:    10e9,
-		}},
-	}
-	p.computeFromResponse(ps, resp)
+	T := 22 * sim.Microsecond
+	hops := []probe.Hop{{
+		TotalWindow: 40000,
+		TotalTokens: 40,  // Φ = 40
+		TxRate:      8e9, // below target
+		Queue:       0,
+		Capacity:    10e9,
+	}}
+	al := allocate(10, mtu, T, hops) // φ = 10 tokens = 1G
 	// Eqn 1: r = (10/40)·0.95·10G = 2.375G.
-	if math.Abs(ps.share-2.375e9) > 1e6 {
-		t.Errorf("share = %v, want 2.375e9", ps.share)
+	if math.Abs(al.share-2.375e9) > 1e6 {
+		t.Errorf("share = %v, want 2.375e9", al.share)
 	}
 	// Eqn 3: w = (10/40)·W·(C̄T/8)/(txT/8) capped at BDP.
-	bdp := 0.95 * 10e9 * T / 8
-	want := 0.25 * 40000 * bdp / (8e9 * T / 8)
+	bdp := 0.95 * 10e9 * T.Seconds() / 8
+	want := 0.25 * 40000 * bdp / (8e9 * T.Seconds() / 8)
 	if want > bdp {
 		want = bdp
 	}
-	if math.Abs(float64(ps.window)-want) > 0.05*want {
-		t.Errorf("window = %d, want ≈%f", ps.window, want)
+	if math.Abs(float64(al.window)-want) > 0.05*want {
+		t.Errorf("window = %d, want ≈%f", al.window, want)
 	}
-	if !ps.qualified {
+	if !al.qualified {
 		t.Error("40 tokens on a 95-token link must be qualified")
 	}
+	// The pair's own window stands in for a W_l that has not caught up.
+	if al2 := allocate(10, 80000, T, hops); al2.window <= al.window {
+		t.Errorf("window %d with 80000 bytes in the pair's own window, want above %d", al2.window, al.window)
+	}
 	// Oversubscribed: Φ·BU > C̄.
-	resp.Hops[0].TotalTokens = 120
-	p.computeFromResponse(ps, resp)
-	if ps.qualified {
+	hops[0].TotalTokens = 120
+	al = allocate(10, mtu, T, hops)
+	if al.qualified {
 		t.Error("120 tokens on a 95-token link must be unqualified")
 	}
-	if ps.subscription < 1.2 {
-		t.Errorf("subscription = %v, want ≥1.2", ps.subscription)
+	if al.subscription < 1.2 {
+		t.Errorf("subscription = %v, want ≥1.2", al.subscription)
+	}
+	// The bottleneck hop decides share and window; the worst hop decides
+	// qualification.
+	hops = append(hops, probe.Hop{TotalTokens: 20, Capacity: 10e9})
+	if al = allocate(10, mtu, T, hops); math.Abs(al.share-10.0/120*9.5e9) > 1e6 || al.qualified {
+		t.Errorf("two hops: share %v qualified %v, want the 120-token hop's", al.share, al.qualified)
 	}
 }
 
 func TestComputeFromResponseIdleLink(t *testing.T) {
+	T := 22 * sim.Microsecond
+	al := allocate(10, mtu, T, []probe.Hop{{TotalTokens: 10, TxRate: 0, Queue: 0, Capacity: 10e9}})
+	// Idle link: the window jumps to the full BDP (§3.4: "any VM pair
+	// with a single token can use the full capacity").
+	bdp := int64(0.95 * 10e9 * T.Seconds() / 8)
+	if al.window < bdp*9/10 {
+		t.Errorf("idle-link window = %d, want ≈BDP %d", al.window, bdp)
+	}
+	// No hop records at all (a response that lost them): one MTU, no share
+	// bound, nothing to disqualify.
+	if al = allocate(10, mtu, T, nil); al.window != mtu || !al.qualified || !math.IsInf(al.share, 1) {
+		t.Errorf("empty response: %+v", al)
+	}
+	// Applying a response stores the allocation on the path.
 	r := newRig(t, Config{})
 	p, _ := r.addPair(10)
 	ps := p.paths[p.active]
-	resp := &probe.Packet{
-		Kind: probe.KindResponse, Phi: 10,
-		Hops: []probe.Hop{{TotalTokens: 10, TxRate: 0, Queue: 0, Capacity: 10e9}},
-	}
-	p.computeFromResponse(ps, resp)
-	// Idle link: the window jumps to the full BDP (§3.4: "any VM pair
-	// with a single token can use the full capacity").
-	bdp := int64(0.95 * 10e9 * ps.baseRTT.Seconds() / 8)
-	if ps.window < bdp*9/10 {
-		t.Errorf("idle-link window = %d, want ≈BDP %d", ps.window, bdp)
+	resp := &probe.Packet{Kind: probe.KindResponse, Phi: 10, Hops: []probe.Hop{{TotalTokens: 10, Capacity: 10e9}}}
+	p.applyResponse(ps, resp)
+	if ps.lastResp != resp || ps.allocation != allocate(10, p.Window(), ps.baseRTT, resp.Hops) {
+		t.Errorf("applyResponse stored %+v", ps.allocation)
 	}
 }
 
@@ -325,7 +341,7 @@ func TestWFQClassWeights(t *testing.T) {
 		b := &Buffer{}
 		b.Add(1 << 30)
 		p := &Pair{Demand: b}
-		ps := &pathState{window: 1 << 20}
+		ps := &pathState{allocation: allocation{window: 1 << 20}}
 		p.paths = []*pathState{ps}
 		p.stage = stageSteady
 		w.addPair(vf, p)

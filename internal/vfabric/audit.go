@@ -4,9 +4,10 @@ import (
 	"sort"
 
 	"ufab/internal/audit"
-	"ufab/internal/sim"
+	"ufab/internal/probe"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
+	"ufab/internal/ufabe"
 )
 
 // auditState holds the fabric's auditor and the reusable sample buffers
@@ -15,7 +16,6 @@ import (
 // collector never perturbs the simulation it observes.
 type auditState struct {
 	a      *audit.Auditor
-	eta    float64
 	sample audit.Sample
 	// Per-link accumulators, indexed by LinkID.
 	cand   []float64
@@ -56,25 +56,12 @@ func (f *Fabric) initAudit(cfg *Config) {
 	if ac.AcctHoldPS == 0 {
 		// Register residue after a pair vanishes is legitimate until the
 		// silent-quit cleanup expires it: only drift persisting past the
-		// declared staleness bound (period + age) is a bug.
-		cp := cfg.Core.CleanupPeriod
-		if cp == 0 {
-			cp = 10 * sim.Second
-		}
-		ca := cfg.Core.CleanupAge
-		if ca == 0 {
-			ca = cp
-		}
-		ac.AcctHoldPS = int64(cp + ca)
-	}
-	eta := cfg.Core.TargetUtilization
-	if eta == 0 {
-		eta = 0.95
+		// core's declared staleness bound is a bug.
+		ac.AcctHoldPS = int64(cfg.Core.StalenessBound())
 	}
 	nLinks := len(f.Graph.Links)
 	f.aud = &auditState{
 		a:      audit.New(ac),
-		eta:    eta,
 		cand:   make([]float64, nLinks),
 		act:    make([]float64, nLinks),
 		stamp:  make([]int64, nLinks),
@@ -82,7 +69,7 @@ func (f *Fabric) initAudit(cfg *Config) {
 	}
 	f.aud.sample.Links = make([]audit.LinkSample, nLinks)
 	if shardRecs := cfg.Telemetry.ShardRecorders(); len(shardRecs) > 0 {
-		f.aud.feedRecs = append(f.aud.feedRecs, cfg.Telemetry.ShardRecorder(-1))
+		f.aud.feedRecs = append(f.aud.feedRecs, cfg.Telemetry.Recorder())
 		f.aud.feedRecs = append(f.aud.feedRecs, shardRecs...)
 		f.aud.cursors = make([]uint64, len(f.aud.feedRecs))
 	} else {
@@ -181,7 +168,7 @@ func (f *Fabric) auditTick() {
 		ls := &s.Links[i]
 		*ls = audit.LinkSample{
 			Entity:        f.Net.LinkEntity(lid),
-			TargetBps:     au.eta * f.Net.EffectiveCapacity(lid),
+			TargetBps:     probe.TargetUtilization * f.Net.EffectiveCapacity(lid),
 			TxBytes:       port.TxBytes,
 			QueueBytes:    int64(port.QueueBytes()),
 			HasCore:       core != nil,
@@ -195,7 +182,7 @@ func (f *Fabric) auditTick() {
 			ls.WindowBytes = w
 		}
 		if f.Cfg.Ledger != nil {
-			ls.CommittedTokens = f.Cfg.Ledger.CommittedBps(lid) / f.Cfg.Edge.BU
+			ls.CommittedTokens = f.Cfg.Ledger.CommittedBps(lid) / ufabe.BU
 			ls.HasLedger = true
 		}
 	}

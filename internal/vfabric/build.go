@@ -58,7 +58,7 @@ func Build(o BuildOptions) (*Fabric, error) {
 		eng = sim.New()
 	}
 	eng.Partition(part.Shards, o.Shards, part.MinCutDelay)
-	f := assemble(eng, dataplane.NewPartitioned(eng, part, o.Graph, cfg.Dataplane), o.Graph, cfg)
+	f := assemble(eng, dataplane.NewPartitioned(eng, part, o.Graph, dataplane.Config{Telemetry: cfg.Telemetry}), o.Graph, cfg)
 	f.partitioned = true
 	return f, nil
 }

@@ -50,7 +50,7 @@ func (f *Fabric) AddMultiFlow(vf *VF, src, dst topo.NodeID, k int, rebalance sim
 	if rebalance <= 0 {
 		rebalance = 320 * sim.Microsecond
 	}
-	phiPair := vf.GuaranteeBps / f.Cfg.Edge.BU
+	phiPair := vf.GuaranteeBps / ufabe.BU
 	mf := &MultiFlow{
 		VF:      vf,
 		Buffer:  &ufabe.Buffer{},
@@ -93,7 +93,7 @@ func (mf *MultiFlow) SendAll(n int64) {
 
 // rebalance measures each path's demand and reruns Algorithm 2.
 func (mf *MultiFlow) rebalance(period sim.Duration) {
-	bu := mf.fabric.Cfg.Edge.BU
+	bu := ufabe.BU
 	for i, fl := range mf.Subflows {
 		sent := fl.Pair.SentBytes
 		rate := float64(sent-mf.lastBytes[i]) * 8 / period.Seconds()

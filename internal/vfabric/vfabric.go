@@ -31,19 +31,9 @@ type Config struct {
 	Edge ufabe.Config
 	// Core configures every μFAB-C agent.
 	Core ufabc.Config
-	// Dataplane configures queues/ECN/ECMP.
-	Dataplane dataplane.Config
-	// CandidatePaths bounds how many underlay paths each VM-pair
-	// monitors (0 = up to 4, §3.5 "it randomly chooses a few of them");
-	// candidates are sampled uniformly from the equal-cost set.
-	CandidatePaths int
 	// MeterInterval is the per-flow rate meter resolution (default
 	// 500 μs; reaction-time experiments use finer).
 	MeterInterval sim.Duration
-	// HostCoreAgents attaches a μFAB-C instance to each host so the
-	// host uplink contributes INT records (the hypervisor deployment of
-	// §6). Default true via New; set DisableHostCoreAgents to turn off.
-	DisableHostCoreAgents bool
 	// Seed drives path-candidate selection and the edge agents.
 	Seed int64
 	// Telemetry, if non-nil, attaches the unified registry to every layer
@@ -67,6 +57,11 @@ type Config struct {
 	// guarantee the ledger never committed.
 	Ledger SubscriptionLedger
 }
+
+// candidatePaths bounds how many underlay paths each VM-pair monitors (§3.5
+// "it randomly chooses a few of them"); candidates are sampled uniformly
+// from the equal-cost set.
+const candidatePaths = 4
 
 // SubscriptionLedger is the read side of the admission control plane's
 // per-link Σ-guarantee accounting (internal/placement.Ledger implements
@@ -134,34 +129,27 @@ type Fabric struct {
 
 // normalize fills the config's defaults in place.
 func normalize(cfg *Config) {
-	if cfg.CandidatePaths == 0 {
-		cfg.CandidatePaths = 4
-	}
-	if cfg.Edge.BU == 0 {
-		cfg.Edge.BU = 100e6
-	}
 	if cfg.MeterInterval == 0 {
 		cfg.MeterInterval = 500 * sim.Microsecond
 	}
 	cfg.Edge.Seed = cfg.Seed
-	cfg.Dataplane.Telemetry = cfg.Telemetry
 }
 
-// New assembles a fabric over the topology: μFAB-C on every switch (and
-// host unless disabled), μFAB-E on every host. The whole fabric runs as
-// one scheduling context on eng; Build is the shard-aware constructor.
+// New assembles a fabric over the topology: μFAB-C on every switch and, so
+// the host uplink contributes INT records, on every host (the hypervisor
+// deployment of §6); μFAB-E on every host. The whole fabric runs as one
+// scheduling context on eng; Build is the shard-aware constructor.
 func New(eng sim.Driver, g *topo.Graph, cfg Config) *Fabric {
 	normalize(&cfg)
-	return assemble(eng, dataplane.New(eng, g, cfg.Dataplane), g, cfg)
+	return assemble(eng, dataplane.New(eng, g, dataplane.Config{Telemetry: cfg.Telemetry}), g, cfg)
 }
 
 // assemble wires the agents of a fabric onto an already constructed
-// dataplane. Each node's agents are created under that node's shard: they
-// capture the shard's scheduler for their timers and the shard's flight
-// recorder for their telemetry, so every per-node event they ever produce
-// stays inside the shard that owns the node. (On a single-shard dataplane
-// both collapse to the engine and base recorder, preserving the classic
-// construction exactly.)
+// dataplane. Each node's agents take that node's shard scheduler for their
+// timers and, from the network, that shard's flight recorder for their
+// telemetry, so every per-node event they ever produce stays inside the shard
+// that owns the node. (On a single-shard dataplane both collapse to the
+// engine and base recorder, preserving the classic construction exactly.)
 func assemble(drv sim.Driver, net *dataplane.Network, g *topo.Graph, cfg Config) *Fabric {
 	f := &Fabric{
 		Eng:   drv,
@@ -175,29 +163,15 @@ func assemble(drv sim.Driver, net *dataplane.Network, g *topo.Graph, cfg Config)
 	}
 	f.Net.OnFailDrop = f.bounceFailure
 	for _, n := range g.Nodes {
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.SetActiveShard(int(f.Net.ShardOf(n.ID)))
-		}
-		switch {
-		case n.Kind == topo.Switch:
-			ag := ufabc.New(cfg.Core)
-			ag.AttachTelemetry(cfg.Telemetry, telemetry.Token(n.Name))
-			f.Net.SetSwitchAgent(n.ID, ag)
-			f.Cores[n.ID] = ag
-		case n.Kind == topo.Host:
-			if !cfg.DisableHostCoreAgents {
-				ag := ufabc.New(cfg.Core)
-				ag.AttachTelemetry(cfg.Telemetry, telemetry.Token(n.Name))
-				f.Net.SetSwitchAgent(n.ID, ag)
-				f.Cores[n.ID] = ag
-			}
+		ag := ufabc.New(cfg.Core)
+		ag.AttachTelemetry(cfg.Telemetry, telemetry.Token(n.Name), f.Net.RecorderAt(n.ID))
+		f.Net.SetSwitchAgent(n.ID, ag)
+		f.Cores[n.ID] = ag
+		if n.Kind == topo.Host {
 			e := ufabe.New(f.Net.NodeScheduler(n.ID), f.Net, n.ID, cfg.Edge)
 			e.AttachTelemetry(cfg.Telemetry, telemetry.Token(n.Name))
 			f.Edges[n.ID] = e
 		}
-	}
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.SetActiveShard(-1)
 	}
 	f.initAudit(&cfg)
 	return f
@@ -259,7 +233,7 @@ func (f *Fabric) AddVF(id int32, guaranteeBps float64, weightClass int) *VF {
 	if err := f.validateVF(id, guaranteeBps, weightClass); err != nil {
 		panic(err.Error())
 	}
-	tokens := guaranteeBps / f.Cfg.Edge.BU
+	tokens := guaranteeBps / ufabe.BU
 	for _, e := range f.Edges {
 		e.AddVF(id, tokens, weightClass)
 	}
@@ -271,7 +245,7 @@ func (f *Fabric) AddVF(id int32, guaranteeBps float64, weightClass int) *VF {
 
 // AddFlow creates a VM-pair of vf from src to dst with the given initial
 // token share of the VF's guarantee (tokens = guarantee/BU when 0). It
-// enumerates up to CandidatePaths equal-cost underlay paths.
+// samples up to candidatePaths equal-cost underlay paths.
 func (f *Fabric) AddFlow(vf *VF, src, dst topo.NodeID, phi float64) *Flow {
 	buf := &ufabe.Buffer{}
 	fl := f.AddFlowDemand(vf, src, dst, phi, buf)
@@ -286,7 +260,7 @@ func (f *Fabric) AddFlowDemand(vf *VF, src, dst topo.NodeID, phi float64, demand
 	if err := f.validatePair(src, dst); err != nil {
 		panic(err.Error())
 	}
-	routes := f.Graph.SamplePaths(src, dst, f.Cfg.CandidatePaths, f.rng)
+	routes := f.Graph.SamplePaths(src, dst, candidatePaths, f.rng)
 	if len(routes) == 0 {
 		panic(fmt.Sprintf("vfabric: no path %d→%d", src, dst))
 	}
@@ -299,7 +273,7 @@ func (f *Fabric) AddFlowRoutes(vf *VF, routes []topo.Path, phi float64, demand u
 	src := f.Graph.PathSrc(routes[0])
 	dst := f.Graph.PathDst(routes[0])
 	if phi == 0 {
-		phi = vf.GuaranteeBps / f.Cfg.Edge.BU
+		phi = vf.GuaranteeBps / ufabe.BU
 	}
 	f.nextVM++
 	pair := f.Edges[src].AddPair(ufabe.PairConfig{
