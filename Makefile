@@ -65,8 +65,13 @@ bench:
 # Where a benchmark workload's CPU time and allocated bytes go: one
 # full-scale repetition of workload W in a fresh process under the CPU and
 # allocation profilers (the recipe of bench/README.md), then `pprof -top` of
-# both. The test binary and the profiles stay in a temp dir outside the tree
-# for -list/-peek/-web:
+# CPU, of every allocated byte, and of the job alone — the bytes under
+# Engine.RunUntil, which is what job_alloc_mb counts on a sim workload (the
+# whole-process table is topped by set-up: AddVF, path enumeration) and the
+# simulated quanta's share on ctl_churn — with the job's bytes per simulated
+# event (the repetition is seed 1; its event count is pinned in
+# bench/pinned.json). The test binary and the profiles stay in a temp dir
+# outside the tree for -list/-peek/-web:
 #   make profile W=fabric1k_backlog
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>  (names: BENCHMARK.json)" >&2; exit 2; }
@@ -76,6 +81,12 @@ profile:
 		-o $$dir/bench.test; \
 	$(GO) tool pprof -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
+	echo; echo "== the job alone: alloc_space under Engine.RunUntil =="; \
+	$(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
+	job=$$($(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -top -cum -nodecount=1000 -unit=B $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
+		awk '$$NF ~ /Engine\)\.RunUntil$$/ { sub(/B$$/, "", $$4); print $$4; exit }'); \
+	events=$$(awk -v w='"$(W)":' '$$1 == w { inw = 1 } inw && $$1 == "\"1\":" { in1 = 1 } in1 && $$1 == "\"events\":" { sub(/,/, "", $$2); print $$2; exit }' bench/pinned.json); \
+	awk -v j="$$job" -v e="$$events" 'BEGIN { if (j > 0 && e > 0) printf "job: %.1f MiB under RunUntil over %d simulated events (seed 1) = %.1f bytes per event\n", j / 1048576, e, j / e }'; \
 	echo "binary and profiles: $$dir"
 
 # The paired comparison a performance change reports: N alternating runs of

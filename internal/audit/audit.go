@@ -286,6 +286,12 @@ func New(cfg Config) *Auditor {
 // Log returns the findings sink this auditor reports into.
 func (a *Auditor) Log() *Log { return a.log }
 
+// MissedEvents tells the auditor that n flight-recorder events were evicted
+// before it could observe them. They count on the Log as dropped: an audit
+// that did not see the whole stream — the faults that excuse findings among
+// what it missed, possibly — must fail the gates, not pass them quietly.
+func (a *Auditor) MissedEvents(n uint64) { a.log.dropped += int(n) }
+
 // ObserveEvent ingests one flight-recorder event: applied chaos faults
 // open excused windows, and fault/migration/freeze/tenant/drop events are
 // retained as root-cause context for findings. Wire it with

@@ -133,7 +133,9 @@ func (l *Log) Findings() []Finding {
 	return l.findings
 }
 
-// Dropped returns how many findings the MaxFindings cap discarded.
+// Dropped returns how much of the run the log does not account for: findings
+// the MaxFindings cap discarded, plus flight-recorder events evicted before an
+// auditor saw them (Auditor.MissedEvents).
 func (l *Log) Dropped() int {
 	if l == nil {
 		return 0

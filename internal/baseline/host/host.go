@@ -102,7 +102,10 @@ type Flow struct {
 	agent   *Agent
 	routes  []topo.Path
 	baseRTT []sim.Duration
-	lb      *clove.State
+	// back[i] is routes[i] reversed: what acks and probe responses of path i
+	// return on (dataplane.Packet.Return).
+	back []topo.Path
+	lb   *clove.State
 
 	demand flowsrc.Source
 
@@ -180,6 +183,8 @@ type Agent struct {
 	uplinkCap   float64
 
 	recv map[dataplane.VMPair]*recvState
+	// resp is handleUtilResponse's decode target, reused across responses.
+	resp probe.Packet
 
 	// OnReceive observes data arriving at this host (application hook).
 	OnReceive func(vm dataplane.VMPair, bytes int, now sim.Time)
@@ -234,6 +239,7 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 	}
 	for _, r := range fc.Routes {
 		fl.baseRTT = append(fl.baseRTT, a.graph.BaseRTT(r, mtu))
+		fl.back = append(fl.back, a.graph.ReversePath(r))
 	}
 	switch a.cfg.Scheme {
 	case PWC:
@@ -265,26 +271,23 @@ func (a *Agent) probeUtil(fl *Flow) {
 		return
 	}
 	for i, route := range fl.routes {
-		pp := &probe.Packet{
+		pp := probe.Packet{
 			Kind:   probe.KindProbe,
 			VMPair: uint32(fl.ID),
 			PathID: uint16(i),
 			SentAt: int64(a.eng.Now()),
 		}
-		// Room for the path's INT records, as ufabe.sendProbe.
-		buf, err := pp.Encode(make([]byte, 0, probe.PayloadSize(len(route))))
-		if err != nil {
-			continue
+		// Encoded into the packet's own buffer, with room for the path's INT
+		// records, as ufabe.sendProbe.
+		pkt := a.net.NewPacket(a.host)
+		if need := probe.PayloadSize(len(route)); cap(pkt.Payload) < need {
+			pkt.Payload = make([]byte, 0, need)
 		}
-		a.net.Send(&dataplane.Packet{
-			Kind:    dataplane.Probe,
-			VMPair:  fl.ID,
-			Tenant:  fl.VF,
-			Size:    probe.WireSize(0),
-			Route:   route,
-			SentAt:  a.eng.Now(),
-			Payload: buf,
-		})
+		pkt.Payload, _ = pp.Encode(pkt.Payload) // a probe of no hops always encodes
+		pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Probe, fl.ID, fl.VF
+		pkt.Size, pkt.SentAt = probe.WireSize(0), a.eng.Now()
+		pkt.Route, pkt.Return, pkt.PathID = route, fl.back[i], uint16(i)
+		a.net.Send(pkt)
 	}
 }
 
@@ -385,16 +388,12 @@ func (a *Agent) trySend() {
 	fl.lastProgress = now
 	a.armRTO(fl)
 	path := fl.lb.Pick(now)
-	a.net.Send(&dataplane.Packet{
-		Kind:   dataplane.Data,
-		VMPair: fl.ID,
-		Tenant: fl.VF,
-		Size:   int(size),
-		Seq:    fl.seq,
-		Route:  fl.routes[path],
-		SentAt: now,
-		Meta:   dataMeta{weight: fl.Weight},
-	})
+	pkt := a.net.NewPacket(a.host)
+	pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Data, fl.ID, fl.VF
+	pkt.Size, pkt.Seq, pkt.SentAt = int(size), fl.seq, now
+	pkt.Route, pkt.Return, pkt.PathID = fl.routes[path], fl.back[path], uint16(path)
+	pkt.Meta = dataMeta{weight: fl.Weight}
+	a.net.Send(pkt)
 	if fl.Weight > 0 {
 		fl.vservice += float64(size) / fl.Weight
 	}
@@ -455,15 +454,11 @@ func (a *Agent) handleData(pkt *dataplane.Packet) {
 		rs.bytes += int64(pkt.Size)
 		grant = rs.grant
 	}
-	a.net.Send(&dataplane.Packet{
-		Kind:   dataplane.Ack,
-		VMPair: pkt.VMPair,
-		Tenant: pkt.Tenant,
-		Size:   ackSize,
-		Route:  a.graph.ReversePath(pkt.Route),
-		SentAt: now,
-		Meta:   ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, ecn: pkt.ECN, grant: grant},
-	})
+	// The data packet turns around as its ack.
+	meta := ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, ecn: pkt.ECN, grant: grant}
+	ack := a.net.Reply(pkt, a.host)
+	ack.Kind, ack.Size, ack.SentAt, ack.Meta = dataplane.Ack, ackSize, now, meta
+	a.net.Send(ack)
 }
 
 func (a *Agent) handleAck(pkt *dataplane.Packet) {
@@ -497,26 +492,17 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	a.scheduleSend()
 }
 
-// handleProbe answers utilization probes at the destination.
+// handleProbe answers utilization probes at the destination: the probe turns
+// around as its own response, flipped in its buffer.
 func (a *Agent) handleProbe(pkt *dataplane.Packet) {
-	pp, _, err := probe.Decode(pkt.Payload)
-	if err != nil || pp.Kind != probe.KindProbe {
+	if pp, _, err := probe.DecodeHeader(pkt.Payload); err != nil || pp.Kind != probe.KindProbe {
 		return
 	}
-	resp := pp.ToResponse(0)
-	buf, err := resp.Encode(nil)
-	if err != nil {
-		return
-	}
-	a.net.Send(&dataplane.Packet{
-		Kind:    dataplane.Response,
-		VMPair:  pkt.VMPair,
-		Tenant:  pkt.Tenant,
-		Size:    pkt.Size,
-		Route:   a.graph.ReversePath(pkt.Route),
-		SentAt:  a.eng.Now(),
-		Payload: buf,
-	})
+	resp := a.net.Reply(pkt, a.host)
+	resp.Payload, _ = probe.FlipToResponse(resp.Payload, 0) // framed as DecodeHeader just accepted it
+	resp.Kind, resp.SentAt = dataplane.Response, a.eng.Now()
+	resp.Size = pkt.Size
+	a.net.Send(resp)
 }
 
 // handleUtilResponse feeds explicit path utilization into Clove.
@@ -525,8 +511,8 @@ func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 	if fl == nil {
 		return
 	}
-	resp, _, err := probe.Decode(pkt.Payload)
-	if err != nil || int(resp.PathID) >= len(fl.routes) {
+	resp := &a.resp
+	if _, err := probe.DecodeInto(resp, pkt.Payload); err != nil || int(resp.PathID) >= len(fl.routes) {
 		return
 	}
 	util := 0.0

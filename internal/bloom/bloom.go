@@ -15,13 +15,17 @@
 // SRAM whether or not a slot is ever written; a simulation holds one table
 // per egress link of the fabric (thousands), each carrying a handful of
 // VM-pairs, so zeroing the paper's full 2 × 16384 slots (768 KiB) per link
-// was 90 % of all bytes a 1024-host run allocated. Each bank is therefore a
-// directory of fixed-size bucket pages allocated on the first insert that
-// lands in them; a lookup in an absent page reads as empty. Hashes,
-// fingerprints, bucket choice, collisions, counters and every returned delta
-// are those of the dense array — bloom_test.go keeps the dense layout as the
-// reference model and checks the two against each other operation by
-// operation.
+// was 90 % of all bytes a 1024-host run allocated, and a 768-byte page plus a
+// 4 KiB directory for nearly every first (VM-pair, link) contact was still a
+// fifth. Each bank therefore stores only the buckets that hold an entry, in a
+// small open-addressed table keyed by the bucket's index in the modelled
+// array: it starts empty, doubles with occupancy, gives a slot back the
+// moment its bucket empties and keeps its capacity when it is drained, so
+// bytes follow the live entries and a steady churn of VM-pairs allocates
+// nothing. A lookup of an absent bucket reads as empty. Hashes, fingerprints,
+// bucket choice, collisions, counters and every returned delta are those of
+// the dense array — bloom_test.go keeps the dense layout as the reference
+// model and checks the two against each other operation by operation.
 package bloom
 
 import "fmt"
@@ -41,25 +45,90 @@ const bucketWidth = 2
 
 type bucket [bucketWidth]entry
 
-// pageBuckets is the number of buckets per lazily allocated page (a power
-// of two): a page is 768 B and a 16384-slot bank's directory 4 KiB. On a
-// sparsely used table nearly every new VM-pair lands on a page of its own,
-// so smaller pages waste fewer empty buckets but double the directory with
-// each halving. Chosen by measurement — job_alloc_mb of the benchmark's
-// fabric1k_backlog / clos128_rpc / ctl_churn workloads at 4, 8, 16, 32 and
-// 64 buckets (seed 1): 87/101/241, 74/98/247, 72/101/256, 78/109/265 and
-// 96/126/271 MiB. 16 is the minimum on the headline fabric; 8 is within
-// 4 % of it on all three.
-const pageBuckets = 16
+func (b *bucket) empty() bool { return b[0].fp == 0 && b[1].fp == 0 }
 
-type page [pageBuckets]bucket
+// cell is one position of a bank's store: the bucket with index key−1 of the
+// modelled array, or nothing when key is 0.
+type cell struct {
+	key uint64
+	b   bucket
+}
+
+// bank is one memory bank's occupied buckets: open addressing with linear
+// probing over a power-of-two array at most three quarters full, and
+// backward-shift deletion, so there are no tombstones and a bucket that
+// empties frees its cell at once. A bucket index is already the low bits of
+// a mixed hash, so it is its own probe start.
+type bank struct {
+	cells []cell
+	used  int
+}
+
+// find returns the position of bucket i's cell, or -1.
+func (bk *bank) find(i uint64) int {
+	if bk.used == 0 {
+		return -1
+	}
+	mask := uint64(len(bk.cells) - 1)
+	for p := i & mask; ; p = (p + 1) & mask {
+		switch bk.cells[p].key {
+		case i + 1:
+			return int(p)
+		case 0:
+			return -1
+		}
+	}
+}
+
+// add makes a cell for bucket i, which must have none, and returns the
+// bucket; it is the one place a table allocates.
+func (bk *bank) add(i uint64) *bucket {
+	if (bk.used+1)*4 > len(bk.cells)*3 {
+		old := bk.cells
+		bk.cells, bk.used = make([]cell, max(4, 2*len(old))), 0
+		for p := range old {
+			if old[p].key != 0 {
+				*bk.add(old[p].key - 1) = old[p].b
+			}
+		}
+	}
+	mask := uint64(len(bk.cells) - 1)
+	p := i & mask
+	for bk.cells[p].key != 0 {
+		p = (p + 1) & mask
+	}
+	bk.cells[p].key = i + 1
+	bk.used++
+	return &bk.cells[p].b
+}
+
+// del vacates position p and closes the gap: every later cell of the probe
+// run that may move back towards its start does.
+func (bk *bank) del(p int) {
+	mask := len(bk.cells) - 1
+	bk.used--
+	for {
+		bk.cells[p] = cell{}
+		q := p
+		for {
+			q = (q + 1) & mask
+			c := &bk.cells[q]
+			if c.key == 0 {
+				return
+			}
+			// c may fill the gap unless its probe start lies after the gap.
+			if start := int(c.key-1) & mask; (q-start)&mask >= (q-p)&mask {
+				break
+			}
+		}
+		bk.cells[p] = bk.cells[q]
+		p = q
+	}
+}
 
 // Table is the 2-way hashed active-VM-pair table. Create one with New.
 type Table struct {
-	// banks[b] is bank b's page directory, nil until the first insert into
-	// the bank; banks[b][i] holds its buckets [i*pageBuckets,
-	// (i+1)*pageBuckets), nil until the first insert into one of them.
-	banks [2][]*page
+	banks [2]bank
 	mask  uint64
 	// Collisions counts Update calls rejected because both candidate
 	// slots were held by other keys (the false-positive analogue).
@@ -71,7 +140,7 @@ type Table struct {
 // New returns a table with the given number of slots per bank, rounded up
 // to a power of two. Paper configuration: a 20 KB filter ≈ 2 banks × 10K
 // slots supports 20K distinct VM-pairs with <5% collision rate. No bucket
-// memory is allocated here; directories and pages follow the inserts.
+// memory is allocated here; it follows the inserts.
 func New(slotsPerBank int) *Table {
 	if slotsPerBank < 1 {
 		panic(fmt.Sprintf("bloom: slotsPerBank %d < 1", slotsPerBank))
@@ -103,22 +172,22 @@ func (t *Table) slots(key uint64) (i0, i1 uint64, fp uint16) {
 	return
 }
 
-// find returns the key's entry in either bank, or nil. A bucket whose page
-// was never allocated reads as empty.
-func (t *Table) find(i0, i1 uint64, fp uint16) *entry {
+// find returns the key's entry in either bank and where it lives (bank and
+// cell position), or nil. A bucket without a cell reads as empty.
+func (t *Table) find(i0, i1 uint64, fp uint16) (e *entry, b, pos int) {
 	for b, i := range [2]uint64{i0, i1} {
-		dir := t.banks[b]
-		if i/pageBuckets >= uint64(len(dir)) || dir[i/pageBuckets] == nil {
+		pos := t.banks[b].find(i)
+		if pos < 0 {
 			continue
 		}
-		bk := &dir[i/pageBuckets][i%pageBuckets]
+		bk := &t.banks[b].cells[pos].b
 		for s := range bk {
 			if bk[s].fp == fp {
-				return &bk[s]
+				return &bk[s], b, pos
 			}
 		}
 	}
-	return nil
+	return nil, 0, 0
 }
 
 // Update records that the VM-pair identified by key reported token phi and
@@ -128,24 +197,21 @@ func (t *Table) find(i0, i1 uint64, fp uint16) *entry {
 // the deltas are zero.
 func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok bool) {
 	i0, i1, fp := t.slots(key)
-	if e := t.find(i0, i1, fp); e != nil {
+	if e, _, _ := t.find(i0, i1, fp); e != nil {
 		dPhi = int64(phi) - int64(e.phi)
 		dW = int64(w) - int64(e.window)
 		e.phi, e.window, e.lastSeen = phi, w, now
 		return dPhi, dW, true
 	}
-	// Empty slot? Bank 0 first; an insert allocates the directory and the
-	// page it lands in if they do not exist yet.
+	// Empty slot? Bank 0 first; a bucket without a cell is all empty slots,
+	// and an insert into it makes the cell.
 	for b, i := range [2]uint64{i0, i1} {
-		if t.banks[b] == nil {
-			t.banks[b] = make([]*page, (t.mask+pageBuckets)/pageBuckets)
+		var bk *bucket
+		if pos := t.banks[b].find(i); pos >= 0 {
+			bk = &t.banks[b].cells[pos].b
+		} else {
+			bk = t.banks[b].add(i)
 		}
-		pg := t.banks[b][i/pageBuckets]
-		if pg == nil {
-			pg = new(page)
-			t.banks[b][i/pageBuckets] = pg
-		}
-		bk := &pg[i%pageBuckets]
 		for s := range bk {
 			if bk[s].fp == 0 {
 				bk[s] = entry{fp: fp, phi: phi, window: w, lastSeen: now}
@@ -161,59 +227,78 @@ func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok
 // Remove deletes the VM-pair's entry (finish probe, §3.6), returning the
 // register deltas (negative) and whether an entry was found.
 func (t *Table) Remove(key uint64) (dPhi, dW int64, ok bool) {
-	e := t.find(t.slots(key))
+	e, b, pos := t.find(t.slots(key))
 	if e == nil {
 		return 0, 0, false
 	}
 	dPhi, dW = -int64(e.phi), -int64(e.window)
 	*e = entry{}
 	t.Occupied--
+	if bk := &t.banks[b]; bk.cells[pos].b.empty() {
+		bk.del(pos)
+	}
 	return dPhi, dW, true
 }
 
 // Contains reports whether the key currently has an entry.
 func (t *Table) Contains(key uint64) bool {
-	return t.find(t.slots(key)) != nil
+	e, _, _ := t.find(t.slots(key))
+	return e != nil
 }
 
 // Expire removes every entry whose lastSeen is strictly older than cutoff
 // (the silent-quit cleanup μFAB-C runs every 10 s). It returns the summed
 // register deltas (≤ 0) and the number of entries expired.
 func (t *Table) Expire(cutoff int64) (dPhi, dW int64, n int) {
-	return t.removeIf(func(e *entry) bool { return e.lastSeen < cutoff })
-}
-
-// Drain removes every entry, returning the summed register deltas (≤ 0)
-// and the number of entries removed.
-func (t *Table) Drain() (dPhi, dW int64, n int) {
-	return t.removeIf(func(*entry) bool { return true })
-}
-
-// removeIf walks the allocated pages and removes every live entry stale
-// selects, returning the summed register deltas and the count.
-func (t *Table) removeIf(stale func(*entry) bool) (dPhi, dW int64, n int) {
 	if t.Occupied == 0 {
 		return 0, 0, 0
 	}
 	for b := range t.banks {
-		for _, pg := range t.banks[b] {
-			if pg == nil {
+		bk := &t.banks[b]
+		for p := 0; p < len(bk.cells); {
+			c := &bk.cells[p]
+			for s := range c.b {
+				if e := &c.b[s]; e.fp != 0 && e.lastSeen < cutoff {
+					dPhi -= int64(e.phi)
+					dW -= int64(e.window)
+					*e = entry{}
+					n++
+				}
+			}
+			if c.key != 0 && c.b.empty() {
+				// Closing the gap may move a later cell of the run here (and one
+				// already swept, from the array's start to its end, where it is
+				// swept again to no effect): look at p once more.
+				bk.del(p)
 				continue
 			}
-			for i := range pg {
-				for s := range pg[i] {
-					e := &pg[i][s]
-					if e.fp != 0 && stale(e) {
-						dPhi -= int64(e.phi)
-						dW -= int64(e.window)
-						*e = entry{}
-						t.Occupied--
-						n++
-					}
+			p++
+		}
+	}
+	t.Occupied -= n
+	return dPhi, dW, n
+}
+
+// Drain removes every entry, returning the summed register deltas (≤ 0)
+// and the number of entries removed. The banks keep their capacity.
+func (t *Table) Drain() (dPhi, dW int64, n int) {
+	if t.Occupied == 0 {
+		return 0, 0, 0
+	}
+	for b := range t.banks {
+		bk := &t.banks[b]
+		for p := range bk.cells {
+			for _, e := range bk.cells[p].b {
+				if e.fp != 0 {
+					dPhi -= int64(e.phi)
+					dW -= int64(e.window)
 				}
 			}
 		}
+		clear(bk.cells)
+		bk.used = 0
 	}
+	n, t.Occupied = t.Occupied, 0
 	return dPhi, dW, n
 }
 
@@ -222,12 +307,9 @@ func (t *Table) LoadFactor() float64 {
 	return float64(t.Occupied) / float64(2*(t.mask+1)*bucketWidth)
 }
 
-// Reset clears all entries and counters and releases the bucket pages.
+// Reset clears all entries and counters; the banks keep their capacity.
 func (t *Table) Reset() {
-	for b := range t.banks {
-		clear(t.banks[b])
-	}
-	t.Occupied = 0
+	t.Drain()
 	t.Collisions = 0
 }
 

@@ -531,3 +531,50 @@ func TestTableAllocatesForInserts(t *testing.T) {
 		t.Fatalf("Occupied = %d", tb.Occupied)
 	}
 }
+
+// TestBytesFollowLiveEntries is the allocation gate on the sparse banks: N
+// VM-pairs inserted into an empty paper-sized table cost a small multiple of
+// N 48-byte buckets — at most seven, the doubling's geometric sum at its
+// worst N — where a 768-byte page per first contact and a 4 KiB directory cost
+// eleven at this N and sixteen at a small one; and a table emptied by removal, expiry, drain or reset keeps its
+// storage, so the same VM-pairs coming back allocate nothing.
+func TestBytesFollowLiveEntries(t *testing.T) {
+	const n = 385 // one more than 512 cells hold at three quarters: the doubling's worst case
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	tb := New(16384)
+	insert := func(first, now int) {
+		for k := first; k < first+n; k++ {
+			tb.Update(uint64(k), 1, 1, int64(now))
+		}
+	}
+	if got, limit := allocated(func() { insert(0, 0) }), uint64(n*7*48); got > limit {
+		t.Errorf("%d inserts into an empty table allocated %d bytes, want <= %d (7 buckets' worth each)", n, got, limit)
+	}
+	if tb.Occupied+int(tb.Collisions) != n || tb.Collisions > n/100 {
+		t.Fatalf("%d occupied, %d collisions", tb.Occupied, tb.Collisions)
+	}
+	churn := func() {
+		for k := 0; k < n; k++ {
+			tb.Remove(uint64(k))
+		}
+		insert(0, 1)
+		tb.Expire(2)
+		insert(0, 2)
+		tb.Drain()
+		insert(0, 3)
+		tb.Reset()
+		insert(0, 4)
+	}
+	if got := allocated(churn); got > 0 {
+		t.Errorf("taking %d VM-pairs out of a table and putting them back allocated %d bytes, want 0", n, got)
+	}
+	if tb.Occupied == 0 || tb.Occupied+int(tb.Collisions) != n {
+		t.Fatalf("after the churn: %d occupied, %d collisions", tb.Occupied, tb.Collisions)
+	}
+}

@@ -53,6 +53,16 @@ func (k Kind) String() string {
 // Packet is the unit of transmission. Packets are created by edge agents
 // and mutated in place as they traverse the network (hop index, ECN mark,
 // probe payload).
+//
+// Ownership. A packet from Network.NewPacket is pool-born: it belongs to the
+// network from Send until the network hands it to a Handler, and the network
+// takes it back when HandlePacket returns or at the site that drops it. A
+// handler may read the packet it was handed, and may turn it around — Reply,
+// then Send, before returning — which is how an edge answers data with an ack
+// and a probe with its response in the same buffer; it must not keep a
+// pointer to it, or to its Payload, past its return. A packet the caller
+// built itself (&Packet{…}) is never recycled: the caller may keep it, read it
+// after delivery and send it again, as tests and the benchmark do.
 type Packet struct {
 	Kind   Kind
 	VMPair VMPair
@@ -65,6 +75,10 @@ type Packet struct {
 	// the next link to take. Empty Route means ECMP forwarding to Dst.
 	Route topo.Path
 	Hop   int
+	// Return, if non-nil, is Route reversed: the route Reply gives the answer.
+	// A sender that reverses each candidate path once fills it in so the far
+	// edge reverses nothing per packet; nil makes Reply compute it.
+	Return topo.Path
 	// Dst is the destination host (required for ECMP, informative
 	// otherwise).
 	Dst topo.NodeID
@@ -73,18 +87,55 @@ type Packet struct {
 	// ECN is set by switches when the egress queue exceeds the marking
 	// threshold; baselines use it as their congestion signal.
 	ECN bool
-	// Payload carries an encoded probe (for Probe/Response packets).
+	// Payload carries an encoded probe (for Probe/Response packets). A
+	// pool-born packet owns the buffer and keeps its capacity across reuse.
 	Payload []byte
-	// Meta carries scheme-specific data (e.g. ack bookkeeping) that a
-	// real implementation would encode in headers.
+	// PathID is the sender-side index of the candidate path the packet
+	// travels (a real stack reads it from the SR header); an ack echoes it.
+	PathID uint16
+	// AckedBytes and AckedSentAt are an Ack's transport header: the size and
+	// the SentAt of the data packet it acknowledges.
+	AckedBytes  int
+	AckedSentAt sim.Time
+	// Meta carries whatever else a scheme would encode in headers (the
+	// baselines' weights and grants); boxing it allocates, which is why
+	// μFAB-E's header rides in the typed fields above.
 	Meta any
 
 	// arrival is the one event callback the packet's whole journey
-	// schedules, bound to this Packet by Send/SendECMP; at is the node the
-	// link it is currently on delivers it to. A value copy inherits the
-	// original's binding, which is why every injection rebinds.
+	// schedules; at is the node the link it is currently on delivers it to.
+	// A pool-born packet is bound once per object, when NewPacket makes it,
+	// and the binding survives reuse. A caller-owned packet is bound by every
+	// Send/SendECMP: a value copy inherits the original's binding, so each
+	// injection must rebind.
 	arrival sim.Event
 	at      topo.NodeID
+	// self points at the packet itself iff it is pool-born, so a value copy
+	// of a pool-born packet is a caller-owned one. state follows a pool-born
+	// packet through its journey.
+	self  *Packet
+	state pktState
+}
+
+// pktState is where a pool-born packet is in its journey.
+type pktState uint8
+
+const (
+	pktFree      pktState = iota // on a free list
+	pktHeld                      // handed out by NewPacket, not sent yet
+	pktInFlight                  // between Send and its delivery or drop
+	pktDelivered                 // inside the destination's HandlePacket
+)
+
+// pktPool is one shard's free list, touched only in that shard's scheduling
+// context. made counts the packets NewPacket had to make here because the
+// list was empty; a packet made on one shard may retire onto another's list,
+// so only the sums over shards compare (made − free = packets outstanding).
+// Padded to a cache line: neighbouring shards run on different workers.
+type pktPool struct {
+	free []*Packet
+	made int64
+	_    [32]byte
 }
 
 // Handler receives packets delivered to a host.
@@ -289,6 +340,12 @@ type Network struct {
 	scheds    []sim.Scheduler
 	faultRngs []*mrand.Rand
 	coord     *sim.Engine
+	// pools[s] is shard s's packet free list (NewPacket, release). Nothing is
+	// pre-filled: a list holds what its shard has retired, at most the peak
+	// in-flight set. poison makes release scribble over what it takes back
+	// (tests only: export_test.go).
+	pools  []pktPool
+	poison bool
 
 	// dist[h] is the hop distance from every node to host h, for ECMP;
 	// computed lazily per destination. distMu serializes the lazy fill,
@@ -305,6 +362,10 @@ type Network struct {
 	rec        *telemetry.Recorder
 	recs       []*telemetry.Recorder
 	linkEntity []string
+	// instr[l] holds link l's instruments, resolved by the first
+	// FlushTelemetry (not at construction: a fabric that never samples must
+	// not populate the registry).
+	instr []portInstruments
 
 	// TotalDrops counts packets dropped anywhere (queue overflow, failed
 	// node, or link fault). Updated atomically: drops happen in shard
@@ -383,6 +444,7 @@ func New(eng sim.Scheduler, g *topo.Graph, cfg Config) *Network {
 	n.Eng = eng
 	n.shardOf = make([]int32, len(g.Nodes))
 	n.scheds = []sim.Scheduler{eng}
+	n.pools = make([]pktPool, 1)
 	n.faultRngs = []*mrand.Rand{mrand.New(mrand.NewSource(faultSeed(cfg.FaultSeed, 0)))}
 	n.rec = cfg.Telemetry.Recorder()
 	n.recs = []*telemetry.Recorder{n.rec}
@@ -405,6 +467,7 @@ func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Co
 	n.coord = eng
 	n.shardOf = part.Node
 	n.scheds = make([]sim.Scheduler, part.Shards)
+	n.pools = make([]pktPool, part.Shards)
 	n.faultRngs = make([]*mrand.Rand, part.Shards)
 	for i := range n.scheds {
 		n.scheds[i] = eng.Shard(i)
@@ -462,26 +525,47 @@ func (n *Network) linkEnt(l topo.LinkID) string {
 // or "" when telemetry is disabled.
 func (n *Network) LinkEntity(l topo.LinkID) string { return n.linkEnt(l) }
 
+// portInstruments are one link's instruments in the attached registry.
+type portInstruments struct {
+	txBytes, txGbps, hiwater, drops, faultDrops *telemetry.Gauge
+	qlen                                        *telemetry.Series
+	qdepth                                      *telemetry.Histogram
+}
+
 // FlushTelemetry publishes per-link instruments — cumulative TX bytes,
 // windowed TX rate, queue high-water, drop counts, and a queue-depth time
 // series point — to the attached registry. It runs at sampling time (the
 // vfabric meter interval), never on the per-packet path; a no-op when
-// telemetry is disabled.
+// telemetry is disabled. The first call resolves every link's instruments by
+// name; a tick after that builds no name and looks nothing up.
 func (n *Network) FlushTelemetry(now sim.Time) {
 	reg := n.Cfg.Telemetry
 	if reg == nil {
 		return
 	}
+	if n.instr == nil {
+		n.instr = make([]portInstruments, len(n.Ports))
+		for i, ent := range n.linkEntity {
+			n.instr[i] = portInstruments{
+				txBytes:    reg.Gauge(ent + ".tx_bytes"),
+				txGbps:     reg.Gauge(ent + ".tx_gbps"),
+				hiwater:    reg.Gauge(ent + ".qlen_hiwater_bytes"),
+				drops:      reg.Gauge(ent + ".drops"),
+				faultDrops: reg.Gauge(ent + ".fault_drops"),
+				qlen:       reg.Series(ent+".qlen_bytes", 0),
+				qdepth:     reg.Histogram(ent + ".qdepth_bytes"),
+			}
+		}
+	}
 	for i := range n.Ports {
-		p := &n.Ports[i]
-		ent := n.linkEntity[i]
-		reg.Gauge(ent + ".tx_bytes").Set(float64(p.TxBytes))
-		reg.Gauge(ent + ".tx_gbps").Set(p.TxRate(now) / 1e9)
-		reg.Gauge(ent + ".qlen_hiwater_bytes").SetMax(float64(p.MaxQueueBytes))
-		reg.Gauge(ent + ".drops").Set(float64(p.Drops))
-		reg.Gauge(ent + ".fault_drops").Set(float64(p.FaultDrops))
-		reg.Series(ent+".qlen_bytes", 0).Add(int64(now), float64(p.queueBytes))
-		reg.Histogram(ent + ".qdepth_bytes").Observe(float64(p.queueBytes))
+		p, in := &n.Ports[i], &n.instr[i]
+		in.txBytes.Set(float64(p.TxBytes))
+		in.txGbps.Set(p.TxRate(now) / 1e9)
+		in.hiwater.SetMax(float64(p.MaxQueueBytes))
+		in.drops.Set(float64(p.Drops))
+		in.faultDrops.Set(float64(p.FaultDrops))
+		in.qlen.Add(int64(now), float64(p.queueBytes))
+		in.qdepth.Observe(float64(p.queueBytes))
 	}
 }
 
@@ -549,6 +633,83 @@ func (n *Network) Failed(id topo.NodeID) bool {
 	return n.validNode(id) && n.failed[id]
 }
 
+// NewPacket hands out a pool-born packet for a sender at node at: zeroed but
+// for its payload buffer, which is empty and keeps the capacity it grew to.
+// It comes off the free list of at's shard, so it must be called in that
+// shard's scheduling context (or the coordinator's, at a barrier); the list
+// is empty until packets have been retired, and then a new one is made.
+func (n *Network) NewPacket(at topo.NodeID) *Packet {
+	pool := &n.pools[n.shardOf[at]]
+	if k := len(pool.free); k > 0 {
+		pkt := pool.free[k-1]
+		pool.free = pool.free[:k-1]
+		*pkt = Packet{Payload: pkt.Payload[:0], arrival: pkt.arrival, self: pkt, state: pktHeld}
+		return pkt
+	}
+	pool.made++
+	pkt := &Packet{state: pktHeld}
+	pkt.self = pkt
+	n.bindArrival(pkt)
+	return pkt
+}
+
+// release takes a pool-born packet back at the node where its journey ended
+// (delivered and not turned around, or dropped), onto that node's shard's
+// list. A caller-owned packet is left alone. It runs after every observer of
+// the packet (Trace, the handler, OnFailDrop, the drop's trace event).
+func (n *Network) release(pkt *Packet, at topo.NodeID) {
+	if pkt.self != pkt {
+		return
+	}
+	pkt.state = pktFree
+	if n.poison {
+		poisonPacket(pkt)
+	}
+	pool := &n.pools[n.shardOf[at]]
+	pool.free = append(pool.free, pkt)
+}
+
+// poisonPacket scribbles over a released packet so that anyone still reading
+// it reads nonsense: an impossible kind, no route, garbage in the payload.
+func poisonPacket(pkt *Packet) {
+	pkt.Kind, pkt.Size, pkt.VMPair, pkt.Tenant = 0xff, -1, ^VMPair(0), -1
+	pkt.Route, pkt.Return, pkt.Hop, pkt.Meta = nil, nil, -1, nil
+	pkt.Seq, pkt.SentAt, pkt.AckedBytes, pkt.AckedSentAt = ^uint64(0), -1, -1, -1
+	full := pkt.Payload[:cap(pkt.Payload)]
+	for i := range full {
+		full[i] = 0xa5
+	}
+}
+
+// ReturnRoute returns the reverse of the first hops links of pkt's route: the
+// way back from wherever those links led. It is a suffix of pkt.Return when
+// the sender filled that in, and computed otherwise.
+func (n *Network) ReturnRoute(pkt *Packet, hops int) topo.Path {
+	if pkt.Return != nil {
+		return pkt.Return[len(pkt.Route)-hops:]
+	}
+	return n.G.ReversePath(pkt.Route[:hops])
+}
+
+// Reply returns the packet the handler at host at answers pkt with, routed
+// back along pkt's route: pkt itself when it is pool-born — turned around in
+// place, payload and all, as an edge's hardware does — and otherwise a fresh
+// pool-born packet with a copy of pkt's identity and payload, so the
+// caller's packet stays as it was delivered. The handler sets Kind, Size,
+// SentAt and the answer's header fields, and Sends it before returning.
+func (n *Network) Reply(pkt *Packet, at topo.NodeID) *Packet {
+	back := n.ReturnRoute(pkt, len(pkt.Route))
+	r := pkt
+	if pkt.self != pkt {
+		r = n.NewPacket(at)
+		r.VMPair, r.Tenant, r.PathID = pkt.VMPair, pkt.Tenant, pkt.PathID
+		r.Payload = append(r.Payload, pkt.Payload...)
+	}
+	r.Route, r.Return = back, pkt.Route
+	r.Seq, r.ECN, r.Meta = 0, false, nil
+	return r
+}
+
 // Send injects a source-routed packet at the source of its route's first
 // link. The caller must have set Route; Hop must be 0.
 func (n *Network) Send(pkt *Packet) {
@@ -557,26 +718,42 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	pkt.Hop = 0
 	pkt.Dst = n.G.PathDst(pkt.Route)
-	n.bindArrival(pkt)
+	n.inject(pkt)
 	n.enqueue(pkt, pkt.Route[0])
 }
 
 // SendECMP injects a packet at src to be hash-forwarded to pkt.Dst.
 func (n *Network) SendECMP(pkt *Packet, src topo.NodeID) {
 	pkt.Route = nil
+	n.inject(pkt)
 	next := n.ecmpNext(src, pkt)
 	if next == topo.NoLink {
 		atomic.AddUint64(&n.TotalDrops, 1)
+		n.release(pkt, src)
 		return
 	}
-	n.bindArrival(pkt)
 	n.enqueue(pkt, next)
 }
 
-// bindArrival binds the packet's arrival callback to this Packet value: the
-// one allocation of its journey, instead of a closure per hop. Injection
-// always rebinds, so a value copy of a packet (or a packet sent again)
-// delivers itself and not the packet it was copied from.
+// inject starts a journey. A pool-born packet was bound when it was made; it
+// must be the sender's to send — held since NewPacket, or delivered and being
+// turned around. A caller-owned packet is bound here, every time, so a value
+// copy of a packet (or a packet sent again) delivers itself and not the
+// packet it was copied from.
+func (n *Network) inject(pkt *Packet) {
+	if pkt.self != pkt {
+		n.bindArrival(pkt)
+		return
+	}
+	if pkt.state == pktFree || pkt.state == pktInFlight {
+		panic("dataplane: Send of a packet the network owns")
+	}
+	pkt.state = pktInFlight
+}
+
+// bindArrival binds the packet's arrival callback to this Packet value: one
+// allocation per pool-born object or per caller-owned journey, instead of a
+// closure per hop.
 func (n *Network) bindArrival(pkt *Packet) {
 	pkt.arrival = func() { n.arrive(pkt, pkt.at) }
 }
@@ -599,9 +776,11 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 			}
 			n.OnFailDrop(pkt, port.Link.Src, failed)
 		}
+		n.release(pkt, port.Link.Src)
 		return
 	}
 	if !n.faultFilter(pkt, port) {
+		n.release(pkt, port.Link.Src)
 		return
 	}
 	// Switch agent hook (INT read/write) fires at enqueue time on
@@ -621,6 +800,7 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 				Entity: n.linkEntity[lid], A: int64(pkt.Kind),
 				B: int64(port.queueBytes), Note: "overflow"})
 		}
+		n.release(pkt, port.Link.Src)
 		return
 	}
 	port.queueBytes += pkt.Size
@@ -672,15 +852,22 @@ func (n *Network) finishTx(port *Port) {
 func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
 	if n.failed[at] {
 		atomic.AddUint64(&n.TotalDrops, 1)
+		n.release(pkt, at)
 		return
 	}
 	node := n.G.Node(at)
 	if node.Kind == topo.Host {
+		pkt.state = pktDelivered
 		if n.Trace != nil {
 			n.Trace(at, pkt)
 		}
 		if h := n.handlers[at]; h != nil {
 			h.HandlePacket(pkt)
+		}
+		// Still delivered: the handler did not turn it around (a packet it
+		// sent again is in flight, or already dropped and released).
+		if pkt.state == pktDelivered {
+			n.release(pkt, at)
 		}
 		return
 	}
@@ -690,6 +877,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
 		pkt.Hop++
 		if pkt.Hop >= len(pkt.Route) {
 			atomic.AddUint64(&n.TotalDrops, 1) // route exhausted before reaching a host
+			n.release(pkt, at)
 			return
 		}
 		next = pkt.Route[pkt.Hop]
@@ -700,6 +888,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
 		next = n.ecmpNext(at, pkt)
 		if next == topo.NoLink {
 			atomic.AddUint64(&n.TotalDrops, 1)
+			n.release(pkt, at)
 			return
 		}
 	}

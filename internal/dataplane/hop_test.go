@@ -201,7 +201,8 @@ func TestECMPNextMatchesCandidateList(t *testing.T) {
 // TestHopAllocationBudget is the tier-1 gate on per-hop garbage: a 6-hop
 // source-routed packet through the bare dataplane (the setup behind the
 // benchmark's dataplane.hop_allocs) costs the Packet and its one arrival
-// binding — nothing per hop.
+// binding — nothing per hop — when the caller made it, and nothing at all
+// when it came from the network's free list.
 func TestHopAllocationBudget(t *testing.T) {
 	eng := sim.New()
 	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
@@ -224,4 +225,148 @@ func TestHopAllocationBudget(t *testing.T) {
 	if delivered != 202 {
 		t.Errorf("delivered %d packets, want 202", delivered)
 	}
+	if n.LivePackets() != 0 || n.PooledPackets() != 0 {
+		t.Errorf("caller-owned packets reached the pool: %d live, %d free", n.LivePackets(), n.PooledPackets())
+	}
+
+	pooled := func() {
+		pkt := n.NewPacket(ft.Hosts[0])
+		pkt.Kind, pkt.Size, pkt.Route = Data, 1500, route
+		n.Send(pkt)
+		eng.Run()
+	}
+	pooled() // the one packet this loop ever makes
+	if a := testing.AllocsPerRun(200, pooled); a != 0 {
+		t.Errorf("%v allocations per pool-born 6-hop packet, want 0", a)
+	}
+	if delivered != 404 || n.LivePackets() != 0 || n.PooledPackets() != 1 {
+		t.Errorf("delivered %d (want 404), %d live (want 0), %d free (want 1: every journey reused one packet)",
+			delivered, n.LivePackets(), n.PooledPackets())
+	}
+}
+
+// TestPacketOwnership walks one pool-born packet through everything its
+// owner may do with it: delivered and taken back, turned around by the
+// handler, turned around into a drop, and dropped at each site that drops —
+// each time the network ends up holding exactly the packets it made. A
+// caller-owned packet answered with Reply stays the caller's, untouched.
+func TestPacketOwnership(t *testing.T) {
+	eng, n, st := twoHostNet(topo.Gbps(10))
+	a, b := st.Hosts[0], st.Hosts[1]
+	out := st.Graph.Paths(a, b, 1)[0]
+	back := st.Graph.ReversePath(out)
+	n.PoisonReleased(true)
+	var atA, atB []Kind
+	n.SetHandler(a, HandlerFunc(func(p *Packet) { atA = append(atA, p.Kind) }))
+	turnAround := true
+	n.SetHandler(b, HandlerFunc(func(p *Packet) {
+		atB = append(atB, p.Kind)
+		if !turnAround {
+			return
+		}
+		seq, payload := p.Seq, string(p.Payload)
+		r := n.Reply(p, b)
+		if r.Seq != 0 || r.ECN || string(r.Payload) != payload || r.VMPair != 9 || len(r.Route) != len(back) || r.Route[0] != back[0] {
+			t.Errorf("Reply to seq %d: %+v", seq, r)
+		}
+		r.Kind, r.Size = Ack, 64
+		n.Send(r)
+	}))
+	send := func(ret topo.Path) *Packet {
+		p := n.NewPacket(a)
+		p.Kind, p.Size, p.Seq, p.VMPair, p.Route, p.Return = Data, 1500, 7, 9, out, ret
+		p.Payload = append(p.Payload, "int"...)
+		n.Send(p)
+		return p
+	}
+	check := func(step string, live int64, free int) {
+		t.Helper()
+		eng.Run()
+		if n.LivePackets() != live || n.PooledPackets() != free {
+			t.Fatalf("%s: %d live, %d free; want %d, %d", step, n.LivePackets(), n.PooledPackets(), live, free)
+		}
+	}
+
+	// Turned around: one object makes both journeys, with the sender's
+	// Return or with a computed one.
+	first := send(back)
+	check("data→ack", 0, 1)
+	if again := send(nil); again != first {
+		t.Fatal("the free list did not hand the retired packet out again")
+	}
+	check("data→ack, computed reverse", 0, 1)
+	if len(atA) != 2 || atA[0] != Ack || len(atB) != 2 || atB[0] != Data {
+		t.Fatalf("deliveries: a %v, b %v", atA, atB)
+	}
+	if first.Kind != 0xff || first.Route != nil || cap(first.Payload) < 3 {
+		t.Fatalf("released packet not poisoned, or lost its buffer: %+v", first)
+	}
+
+	// Turned around into a dead link: released at the drop, not again when
+	// the handler returns.
+	n.FailLink(back[0])
+	send(back)
+	check("ack dropped at the fault filter", 0, 1)
+	n.RecoverLink(back[0])
+
+	// A caller-owned packet is answered with a pool-born one and keeps its
+	// own fields.
+	mine := &Packet{Kind: Data, Size: 1500, Seq: 7, VMPair: 9, Route: out, Payload: []byte("int")}
+	n.Send(mine)
+	check("reply to a caller-owned packet", 0, 1)
+	if mine.Kind != Data || mine.Seq != 7 || string(mine.Payload) != "int" || len(mine.Route) != len(out) {
+		t.Fatalf("Reply turned the caller's packet around: %+v", mine)
+	}
+
+	// Every drop site gives the packet back.
+	turnAround = false
+	n.FailNode(st.Center)
+	send(nil)
+	check("dropped entering a failed node", 0, 1)
+	n.RecoverNode(st.Center)
+	n.DegradeLink(out[1], Degradation{LossProb: 1})
+	send(nil)
+	check("dropped by a lossy link", 0, 1)
+	n.RestoreLink(out[1])
+	short := n.NewPacket(a)
+	short.Kind, short.Size, short.Route = Data, 100, out[:1]
+	n.Send(short)
+	check("route exhausted at a switch", 0, 1)
+	n.FailLink(out[1])
+	lost := n.NewPacket(a)
+	lost.Kind, lost.Size, lost.Dst = Data, 100, b
+	n.SendECMP(lost, a)
+	check("no ECMP next hop past the first link", 0, 1)
+	n.RecoverLink(out[1])
+	drops := n.TotalDrops
+	send(nil)
+	check("delivered, not answered", 0, 1)
+	if n.TotalDrops != drops || len(atB) != 5 {
+		t.Fatalf("drops %d → %d, %d deliveries at b (want 5)", drops, n.TotalDrops, len(atB))
+	}
+
+	// A full egress queue: the third of three back-to-back packets overflows.
+	shallow := New(eng, st.Graph, Config{QueueCapBytes: 2000})
+	for i := 0; i < 3; i++ {
+		p := shallow.NewPacket(a)
+		p.Kind, p.Size, p.Route = Data, 1500, out
+		shallow.Send(p)
+	}
+	if shallow.Port(out[0]).Drops != 1 || shallow.LivePackets() != 2 || shallow.PooledPackets() != 1 {
+		t.Fatalf("overflow: %d tail drops, %d live, %d free; want 1, 2, 1",
+			shallow.Port(out[0]).Drops, shallow.LivePackets(), shallow.PooledPackets())
+	}
+	eng.Run()
+	if shallow.LivePackets() != 0 || shallow.PooledPackets() != 3 {
+		t.Fatalf("after the two deliveries: %d live, %d free", shallow.LivePackets(), shallow.PooledPackets())
+	}
+
+	// Sending a packet the network has taken back is a bug it reports.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send of a released packet did not panic")
+		}
+	}()
+	first.Route = out
+	n.Send(first)
 }

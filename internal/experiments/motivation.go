@@ -183,10 +183,10 @@ func Fig3(o Options) *Report {
 		net.SetHandler(dst, dataplane.HandlerFunc(func(pkt *dataplane.Packet) {}))
 		for f := 0; f < flows; f++ {
 			for p := 0; p < pkts; p++ {
-				net.SendECMP(&dataplane.Packet{
-					Kind: dataplane.Data, Size: 1500,
-					VMPair: dataplane.VMPair(f + 1), Dst: dst,
-				}, src)
+				pkt := net.NewPacket(src)
+				pkt.Kind, pkt.Size = dataplane.Data, 1500
+				pkt.VMPair, pkt.Dst = dataplane.VMPair(f+1), dst
+				net.SendECMP(pkt, src)
 			}
 		}
 		eng.Run()

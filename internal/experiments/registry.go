@@ -99,7 +99,8 @@ func CheckClaims(reports []*Report) (held int, failed []error) {
 }
 
 // CheckAudit is the audit gate's predicate over audited reports: no
-// unexcused finding, no finding dropped by a full log, and at least the
+// unexcused finding, nothing dropped — a finding by a full log, or a
+// flight-recorder event by its ring before the auditor saw it — and at least the
 // excused findings the run's chaos scenario declares (fewer means the
 // injected faults were not observed). It returns one error, prefixed with the
 // experiment id, per condition a report fails; a report with no fabric under
@@ -114,7 +115,7 @@ func CheckAudit(reports []*Report) (failed []error) {
 			failed = append(failed, fmt.Errorf("%s: %d unexcused audit finding(s)", r.ID, n))
 		}
 		if d := f.Dropped(); d > 0 {
-			failed = append(failed, fmt.Errorf("%s: findings log dropped %d finding(s)", r.ID, d))
+			failed = append(failed, fmt.Errorf("%s: audit dropped %d finding(s) or unseen event(s)", r.ID, d))
 		}
 		if min := f.ExpectExcusedMin; f.Excused() < min {
 			failed = append(failed, fmt.Errorf("%s: %d excused finding(s), scenario declares >= %d — injected faults not observed", r.ID, f.Excused(), min))

@@ -11,6 +11,9 @@ import (
 // survives Encode → Decode unchanged, and StampHop — which mutates the
 // buffer in place on the switch path — either refuses them leaving every
 // byte as it was, or yields what decoding, AppendHop and re-encoding yields.
+// The receive path's two in-place variants answer to the allocating ones the
+// same way: DecodeInto a dirty scratch Packet is Decode, and FlipToResponse
+// is Decode, ToResponse, Encode to the byte.
 // The seeds run in `go test`; to fuzz beyond them:
 //
 //	go test ./internal/probe -run '^$' -fuzz FuzzProbeWire -fuzztime 30s
@@ -35,11 +38,25 @@ func FuzzProbeWire(f *testing.F) {
 		hop := Hop{TotalWindow: w, TotalTokens: tokens, TxRate: tx, Queue: q, Capacity: capacity, LinkID: link}
 		stamped, stampErr := StampHop(bytes.Clone(wire), hop)
 		p, n, err := Decode(wire)
+		scratch := Packet{Kind: KindFailure, Seq: 77, Hops: make([]Hop, 3, 7)}
+		flipped, flipErr := FlipToResponse(bytes.Clone(wire), tokens)
 		if err != nil {
 			if stampErr == nil {
 				t.Fatalf("StampHop accepted % x, which Decode refuses: %v", wire, err)
 			}
+			if _, intoErr := DecodeInto(&scratch, wire); intoErr != err || scratch.Seq != 77 || len(scratch.Hops) != 3 {
+				t.Fatalf("DecodeInto of refused bytes: %v (Decode: %v), scratch now %+v", intoErr, err, scratch)
+			}
+			if flipErr != err || !bytes.Equal(flipped, wire) {
+				t.Fatalf("FlipToResponse of refused bytes: %v (Decode: %v), % x → % x", flipErr, err, wire, flipped)
+			}
 			return
+		}
+		if m, err := DecodeInto(&scratch, wire); err != nil || m != n || !reflect.DeepEqual(&scratch, p) {
+			t.Fatalf("DecodeInto (%d bytes, %v) yields\n %+v\nDecode (%d bytes) yields\n %+v", m, err, scratch, n, p)
+		}
+		if want, _ := p.ToResponse(tokens).Encode(nil); flipErr != nil || !bytes.Equal(flipped, want) {
+			t.Fatalf("FlipToResponse (%v) yields\n % x\nDecode + ToResponse + Encode yields\n % x", flipErr, flipped, want)
 		}
 		if n != PayloadSize(len(p.Hops)) || n > len(wire) {
 			t.Fatalf("Decode consumed %d of %d bytes for %d hops", n, len(wire), len(p.Hops))

@@ -276,28 +276,72 @@ func DecodeHeader(buf []byte) (hdr Packet, nHops int, err error) {
 }
 
 // Decode parses a wire representation produced by Encode. It returns the
-// number of bytes consumed.
+// number of bytes consumed. It allocates the Packet and its hop records;
+// DecodeInto is the receive path's variant that allocates neither.
 func Decode(buf []byte) (*Packet, int, error) {
-	hdr, nHops, err := DecodeHeader(buf)
+	p := new(Packet)
+	n, err := DecodeInto(p, buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &hdr
+	return p, n, nil
+}
+
+// DecodeInto is Decode into a Packet the caller owns: every field of dst is
+// overwritten, and the hop records go into dst.Hops' backing array when it
+// has room for them, so a receiver decoding into the same scratch Packet
+// allocates nothing once the scratch has seen its longest path. On error dst
+// is left as it was.
+func DecodeInto(dst *Packet, buf []byte) (int, error) {
+	hdr, nHops, err := DecodeHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	hops := dst.Hops[:0]
+	if hops == nil || cap(hops) < nHops {
+		hops = make([]Hop, 0, nHops)
+	}
 	n := preambleLen
-	p.Hops = make([]Hop, nHops)
 	for i := 0; i < nHops; i++ {
 		rec := binary.BigEndian.Uint64(buf[n:])
-		p.Hops[i] = Hop{
+		hops = append(hops, Hop{
 			TotalWindow: uint32(rec>>48) * WindowUnit,
 			TotalTokens: float64(rec>>32&0xffff) * TotalPhiUnit,
 			TxRate:      float64(rec>>16&0xffff) * TxUnit,
 			Queue:       uint32(rec>>4&0xfff) * QueueUnit,
 			Capacity:    DecodeSpeedClass(uint8(rec & 0xf)),
 			LinkID:      int32(binary.BigEndian.Uint32(buf[n+8:])),
-		}
+		})
 		n += hopLen
 	}
-	return p, n, nil
+	*dst = hdr
+	dst.Hops = hops
+	return n, nil
+}
+
+// FlipToResponse turns an encoded probe or finish probe into its response in
+// place, the way the destination edge's hardware does (§3.2 steps 4–5): the
+// kind nibble becomes KindResponse, the receiver-admitted token goes into the
+// peer-φ field, and the hop records the switches stamped stay where they are.
+// The result is byte for byte what Decode, ToResponse(peerPhi) and Encode
+// produce — bytes beyond the declared hop records are cut off and a speed
+// class no port has reads back as class 0, as that round trip would leave
+// them — without the two Packets and the second buffer. It fails, leaving buf
+// as is, exactly where Decode fails.
+func FlipToResponse(buf []byte, peerPhi float64) ([]byte, error) {
+	_, nHops, err := wireHops(buf)
+	if err != nil {
+		return buf, err
+	}
+	buf = buf[:PayloadSize(nHops)]
+	buf[0] = uint8(KindResponse)<<4 | uint8(nHops)
+	binary.BigEndian.PutUint32(buf[16:], uint32(quantize(peerPhi, PhiUnit, 1<<32-1)))
+	for n := preambleLen; n < len(buf); n += hopLen {
+		if class := &buf[n+7]; int(*class&0xf) >= len(speedClasses) {
+			*class &= 0xf0
+		}
+	}
+	return buf, nil
 }
 
 // StampHop appends h to an encoded probe in place, the way a switch's INT

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -134,22 +134,35 @@ func SpanID(parts ...int64) uint64 {
 }
 
 // DefaultRecorderCap bounds the flight recorder's ring buffer (64k events
-// ≈ 4 MB). Deep enough to hold the full tail of any quick-scale run; long
+// ≈ 5.5 MB). Deep enough to hold the full tail of any quick-scale run; long
 // runs keep the most recent window, which is what post-mortem debugging
 // wants.
 const DefaultRecorderCap = 1 << 16
+
+// recorderChunk is how many events one chunk of a ring holds: 1024 × 88 B is
+// eleven 8 KiB pages exactly, so the allocator rounds nothing up.
+const (
+	recorderChunkShift = 10
+	recorderChunk      = 1 << recorderChunkShift
+)
 
 // Recorder is the run-trace flight recorder: a bounded in-memory ring of
 // structured events. Record is a safe no-op on a nil receiver, which is
 // the disabled fast path. A Recorder is single-goroutine, like the
 // simulation engine that feeds it.
+//
+// The ring's cap slots are numbered 0..cap-1 and event number k (the k-th
+// ever recorded, from 0) lives in slot k mod cap. Slot i is
+// chunks[i/recorderChunk][i%recorderChunk]; a chunk is allocated when the
+// first event lands in it — the first lap fills slots in order, so that is
+// always the next chunk — and is never copied or freed. Nothing is allocated
+// up front, a recorder that sees k events holds ⌈k/recorderChunk⌉ chunks, and
+// a full ring records without allocating.
 type Recorder struct {
-	buf     []Event
-	cap     int
-	start   int
-	total   uint64
-	wrapped bool
-	subs    []func(Event)
+	chunks [][]Event
+	cap    int
+	total  uint64
+	subs   []func(Event)
 }
 
 func newRecorder(capEvents int) *Recorder {
@@ -161,20 +174,16 @@ func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
+	slot := int(r.total % uint64(r.cap))
 	r.total++
 	for _, fn := range r.subs {
 		fn(ev)
 	}
-	if !r.wrapped && len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
-		return
+	c := slot >> recorderChunkShift
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(recorderChunk, r.cap-c*recorderChunk)))
 	}
-	r.wrapped = true
-	r.buf[r.start] = ev
-	r.start++
-	if r.start == r.cap {
-		r.start = 0
-	}
+	r.chunks[c][slot&(recorderChunk-1)] = ev
 }
 
 // Subscribe registers fn to observe every subsequently recorded event,
@@ -193,7 +202,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return int(min(r.total, uint64(r.cap)))
 }
 
 // Total returns how many events were ever recorded (retained + evicted).
@@ -204,52 +213,58 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
-// Dropped returns how many events the ring has evicted.
+// Dropped returns how many events the ring has evicted: the retained window
+// is events number Dropped() to Total()-1.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total - uint64(len(r.buf))
+	return r.total - uint64(r.Len())
 }
 
 // Events returns the retained events oldest-first. The slice is freshly
 // allocated.
 func (r *Recorder) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
-	return out
+	return r.EventsSince(0)
 }
 
 // EventsSince returns the events recorded after the first n, oldest first.
 // Events the ring has already evicted are silently absent (callers that
-// need a complete view size the ring accordingly). The slice is freshly
-// allocated and holds only the returned events.
+// need a complete view size the ring accordingly, or compare n with
+// Dropped()). The slice is freshly allocated and holds only the returned
+// events.
 func (r *Recorder) EventsSince(n uint64) []Event {
+	n = max(n, r.Dropped())
+	if n >= r.Total() {
+		return nil
+	}
+	return r.AppendEventsSince(make([]Event, 0, r.total-n), n)
+}
+
+// AppendEventsSince is EventsSince into a slice the caller owns: the events
+// are appended to dst, chunk by chunk, and dst is returned. A caller that
+// drains a recorder every tick into the same slice allocates nothing once the
+// slice has grown to its largest batch.
+func (r *Recorder) AppendEventsSince(dst []Event, n uint64) []Event {
 	if r == nil {
-		return nil
+		return dst
 	}
-	evicted := r.total - uint64(len(r.buf))
-	if n < evicted {
-		n = evicted
+	n = max(n, r.Dropped())
+	if n < r.total {
+		// Exactly what is missing, not append's geometric guess: the first
+		// drain of a run is its largest by far.
+		dst = slices.Grow(dst, int(r.total-n))
 	}
-	if n >= r.total {
-		return nil
+	for n < r.total {
+		slot := int(n % uint64(r.cap))
+		run := r.chunks[slot>>recorderChunkShift][slot&(recorderChunk-1):]
+		if left := r.total - n; uint64(len(run)) > left {
+			run = run[:left]
+		}
+		dst = append(dst, run...)
+		n += uint64(len(run))
 	}
-	// The retained window is buf[start:] then buf[:start]; skip its first
-	// n-evicted events.
-	skip := int(n - evicted)
-	out := make([]Event, 0, len(r.buf)-skip)
-	if first := r.buf[r.start:]; skip < len(first) {
-		out = append(out, first[skip:]...)
-		skip = 0
-	} else {
-		skip -= len(first)
-	}
-	return append(out, r.buf[skip:r.start]...)
+	return dst
 }
 
 // EventBefore is the canonical content order used to merge per-shard
@@ -285,12 +300,64 @@ func EventBefore(a, b Event) bool {
 	return a.Span < b.Span
 }
 
-// SortEventsCanonical stable-sorts events into the EventBefore order.
-// Stability makes ties (fully identical events) keep their input order, so
-// callers that concatenate shard streams in shard order get a fully
-// deterministic result.
-func SortEventsCanonical(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return EventBefore(evs[i], evs[j]) })
+// before is EventBefore without copying either event unless their times tie.
+func before(a, b *Event) bool {
+	if a.T != b.T {
+		return a.T < b.T
+	}
+	return EventBefore(*a, *b)
+}
+
+// compareEvents is EventBefore as a three-way comparison.
+func compareEvents(a, b Event) int {
+	switch {
+	case before(&a, &b):
+		return -1
+	case before(&b, &a):
+		return 1
+	}
+	return 0
+}
+
+// MergeEvents hands emit the canonical merge of streams, one event at a time:
+// all their events in the EventBefore order, events that compare equal (fully
+// identical ones) in stream order and, within a stream, in recording order —
+// exactly a stable sort of the streams' concatenation, which is what it
+// replaces, without sorting what the recorders already ordered. A recorder's
+// stream is non-decreasing in T, so a stream needs only its runs of equal T
+// put in order before a k-way merge; a stream that is not is sorted whole.
+// The streams' events are reordered in place and the slice headers in streams
+// are consumed; the merge itself allocates nothing.
+func MergeEvents(streams [][]Event, emit func(Event)) {
+	for _, evs := range streams {
+		for i := 0; i < len(evs); {
+			j := i + 1
+			for j < len(evs) && evs[j].T == evs[i].T {
+				j++
+			}
+			if j < len(evs) && evs[j].T < evs[i].T {
+				slices.SortStableFunc(evs, compareEvents)
+				break
+			}
+			if j-i > 1 {
+				slices.SortStableFunc(evs[i:j], compareEvents)
+			}
+			i = j
+		}
+	}
+	for {
+		best := -1
+		for s, evs := range streams {
+			if len(evs) > 0 && (best < 0 || before(&evs[0], &streams[best][0])) {
+				best = s
+			}
+		}
+		if best < 0 {
+			return
+		}
+		emit(streams[best][0])
+		streams[best] = streams[best][1:]
+	}
 }
 
 // TraceEvents returns the run's full retained trace, oldest first: the base
@@ -303,12 +370,15 @@ func (r *Registry) TraceEvents() []Event {
 	if len(r.shardRecs) == 0 {
 		return r.rec.Events()
 	}
-	var all []Event
-	all = append(all, r.rec.Events()...)
+	streams := make([][]Event, 0, 1+len(r.shardRecs))
+	streams = append(streams, r.rec.Events())
+	retained := r.rec.Len()
 	for _, sr := range r.shardRecs {
-		all = append(all, sr.Events()...)
+		streams = append(streams, sr.Events())
+		retained += sr.Len()
 	}
-	SortEventsCanonical(all)
+	all := make([]Event, 0, retained)
+	MergeEvents(streams, func(ev Event) { all = append(all, ev) })
 	return all
 }
 

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -217,4 +219,137 @@ func TestEventsSinceAllocatesTheTailOnly(t *testing.T) {
 	if limit := uint64(4 * fresh * unsafe.Sizeof(Event{})); perCall > limit {
 		t.Errorf("EventsSince allocated %d bytes per call for %d events, want <= %d", perCall, fresh, limit)
 	}
+}
+
+// TestRingAllocatesChunksOnDemand: a recorder holds nothing until it records,
+// then one chunk per recorderChunk events it retains — each allocated once and
+// never copied — and a full ring records without allocating at all.
+func TestRingAllocatesChunksOnDemand(t *testing.T) {
+	allocated := func(f func()) (bytes, objects uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	const chunkBytes = recorderChunk * uint64(unsafe.Sizeof(Event{}))
+	rec := newRecorder(DefaultRecorderCap)
+	for _, k := range []int{1, recorderChunk - 1, 1, 3*recorderChunk + 5} { // cumulative: 1, chunk, chunk+1, 4 chunks + 6
+		before := len(rec.chunks)
+		bytes, _ := allocated(func() { fillRecorder(rec, k) })
+		chunks := (int(rec.Total()) + recorderChunk - 1) / recorderChunk
+		if len(rec.chunks) != chunks {
+			t.Fatalf("%d events recorded: %d chunks, want %d", rec.Total(), len(rec.chunks), chunks)
+		}
+		// The chunks themselves, plus the directory's occasional regrowth.
+		if want := uint64(chunks-before) * chunkBytes; bytes < want || bytes > want+1024 {
+			t.Errorf("%d more events (%d in all) allocated %d bytes, want %d new chunk(s) = %d", k, rec.Total(), bytes, chunks-before, want)
+		}
+	}
+	fillRecorder(rec, DefaultRecorderCap)
+	if bytes, objects := allocated(func() { fillRecorder(rec, DefaultRecorderCap/2) }); objects != 0 {
+		t.Errorf("recording into a full ring allocated %d objects, %d bytes", objects, bytes)
+	}
+	// A ring smaller than a chunk, and one that is not a whole number of them.
+	for _, ringCap := range []int{16, recorderChunk + 100} {
+		rec := newRecorder(ringCap)
+		fillRecorder(rec, 3*ringCap+7)
+		slots := 0
+		for _, c := range rec.chunks {
+			slots += len(c)
+		}
+		evs := rec.Events()
+		if slots != ringCap || len(evs) != ringCap || evs[0].T != int64(2*ringCap+7) || evs[ringCap-1].T != int64(3*ringCap+6) {
+			t.Errorf("cap %d: %d slots, %d events retained, T %d..%d", ringCap, slots, len(evs), evs[0].T, evs[len(evs)-1].T)
+		}
+	}
+}
+
+// TestAppendEventsSinceReusesItsSlice: the auditor's per-tick drain appends
+// into the slice it drained into last tick; once that has grown to the
+// largest batch a drain allocates nothing, wrapped ring or not, and yields
+// what EventsSince yields.
+func TestAppendEventsSinceReusesItsSlice(t *testing.T) {
+	rec := newRecorder(4 * recorderChunk)
+	fillRecorder(rec, 3*recorderChunk) // the first drain is the largest
+	var batch []Event
+	cursor := uint64(0)
+	drain := func() {
+		batch = rec.AppendEventsSince(batch[:0], cursor)
+		cursor = rec.Total()
+	}
+	drain()
+	if len(batch) != 3*recorderChunk || cap(batch) > 3*recorderChunk+recorderChunk/8 {
+		t.Fatalf("first drain: %d events in a slice of %d, want %d sized to fit", len(batch), cap(batch), 3*recorderChunk)
+	}
+	for round := 0; round < 8; round++ { // wraps the ring twice
+		fillRecorder(rec, recorderChunk+17)
+		want := rec.EventsSince(cursor)
+		if a := testing.AllocsPerRun(1, func() { batch = rec.AppendEventsSince(batch[:0], cursor) }); a != 0 {
+			t.Errorf("round %d: draining %d events into a warm slice allocated %v times", round, len(want), a)
+		}
+		drain()
+		if len(batch) != len(want) {
+			t.Fatalf("round %d: %d events, EventsSince gives %d", round, len(batch), len(want))
+		}
+		for i := range want {
+			if batch[i] != want[i] {
+				t.Fatalf("round %d: event %d = %+v, EventsSince gives %+v", round, i, batch[i], want[i])
+			}
+		}
+	}
+	if got := (*Recorder)(nil).AppendEventsSince(batch[:1], 0); len(got) != 1 {
+		t.Errorf("nil recorder appended %d events", len(got)-1)
+	}
+}
+
+// TestMergeEventsMatchesStableSort is the property the k-way merge stands on:
+// for random multi-recorder streams — duplicate events within and across
+// streams, long runs of equal T, empty streams, and now and then a stream out
+// of time order — it emits exactly what the stable sort of the streams'
+// concatenation, which it replaced, produces.
+func TestMergeEventsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	entities := []string{"ufabe.h0", "ufabe.h1", "link.a-b"}
+	notes := []string{"", "probe", "finish"}
+	for trial := 0; trial < 300; trial++ {
+		streams := make([][]Event, 1+rng.Intn(9))
+		var concat []Event
+		for s := range streams {
+			n := rng.Intn(40)
+			if rng.Intn(5) == 0 {
+				n = 0
+			}
+			now := int64(rng.Intn(3))
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					now += int64(rng.Intn(3))
+				}
+				ev := Event{T: now, Kind: EventKind(rng.Intn(3)), Entity: entities[rng.Intn(len(entities))],
+					A: int64(rng.Intn(2)), B: int64(rng.Intn(2)), V: float64(rng.Intn(2)), Note: notes[rng.Intn(len(notes))],
+					Trace: uint64(rng.Intn(2)), Span: uint64(rng.Intn(2))}
+				if i > 0 && rng.Intn(4) == 0 {
+					ev = streams[s][rng.Intn(i)] // a duplicate, possibly from an earlier time
+					if trial%10 != 0 {
+						ev.T = now // keep the stream in time order on most trials
+					}
+				}
+				streams[s] = append(streams[s], ev)
+			}
+			concat = append(concat, streams[s]...)
+		}
+		want := append([]Event(nil), concat...)
+		sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+		var got []Event
+		MergeEvents(streams, func(ev Event) { got = append(got, ev) })
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: merged %d events of %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: event %d = %+v, stable sort gives %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	MergeEvents(nil, func(Event) { t.Error("merge of no streams emitted an event") })
 }

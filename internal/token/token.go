@@ -20,8 +20,25 @@ package token
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
+
+// stackPairs is how many pairs the two assignments order without touching the
+// heap: their working slice starts on the stack, and a VF with more pairs on
+// one host than this spills it. They run every token period on every host,
+// so what they allocate is allocated per simulated event.
+const stackPairs = 16
+
+// ascending is the three-way form of "a sorts before b iff a < b".
+func ascending(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
 
 // Unbound marks a receiver response that does not constrain the sender
 // (the sender's requested token was below the receiver's fair share).
@@ -64,7 +81,8 @@ func SenderAssign(phiVF float64, pairs []*Pair) {
 	}
 	equal := phiVF / float64(n)
 	spare := 0.0
-	var rest []*Pair
+	var buf [stackPairs]*Pair
+	rest := buf[:0]
 	for _, p := range pairs {
 		p.Requested = 0
 		if p.Demand >= 0 && p.Demand < equal {
@@ -82,15 +100,15 @@ func SenderAssign(phiVF float64, pairs []*Pair) {
 	}
 	// Max-min over the remaining pairs against receiver admissions,
 	// ascending on last admitted token.
-	sort.SliceStable(rest, func(i, j int) bool {
-		ai, aj := rest[i].Admitted, rest[j].Admitted
+	slices.SortStableFunc(rest, func(a, b *Pair) int {
+		ai, aj := a.Admitted, b.Admitted
 		if ai <= 0 {
 			ai = Unbound
 		}
 		if aj <= 0 {
 			aj = Unbound
 		}
-		return ai < aj
+		return ascending(ai, aj)
 	})
 	remainingTokens := equal*float64(len(rest)) + spare
 	remaining := len(rest)
@@ -121,12 +139,13 @@ func ReceiverAdmit(phiVF float64, pairs []*Pair) {
 	if n == 0 {
 		return
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	var buf [stackPairs]int
+	idx := buf[:0]
+	for i := range pairs {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return pairs[idx[a]].Requested < pairs[idx[b]].Requested
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return ascending(pairs[a].Requested, pairs[b].Requested)
 	})
 	remainingTokens := phiVF
 	remaining := n

@@ -89,21 +89,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// dataMeta tags data packets with the sender-side path index so the
-// acknowledgment can be attributed to the right path (a real stack reads
-// this from the SR header).
-type dataMeta struct {
-	path uint16
-}
-
-// ackMeta is the acknowledgment metadata a real stack would carry in the
-// transport header.
-type ackMeta struct {
-	bytes  int
-	sentAt sim.Time
-	path   uint16
-}
-
 // recvPair is the receiver-side record of an incoming VM-pair, used for
 // Guarantee Partitioning admission.
 type recvPair struct {
@@ -179,6 +164,10 @@ type Agent struct {
 	baseMigr, baseFrArmed, baseFrSupp int64
 	hRTT                              *telemetry.Histogram
 	rec                               *telemetry.Recorder
+
+	// resp is handleResponse's decode target, kept across responses so its
+	// hop records are decoded into the same backing array every time.
+	resp probe.Packet
 
 	tokenLoopStop func()
 	// tok is tokenUpdate's working memory, kept across ticks.
@@ -352,6 +341,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 		p.paths = append(p.paths, &pathState{
 			id:      uint16(i),
 			route:   r,
+			back:    a.graph.ReversePath(r),
 			baseRTT: a.graph.BaseRTT(r, mtu),
 		})
 	}
@@ -487,16 +477,11 @@ func (a *Agent) trySend() {
 	a.cDataB.Add(size)
 	ps := p.paths[p.active]
 	ps.inflight += size
-	a.net.Send(&dataplane.Packet{
-		Kind:   dataplane.Data,
-		VMPair: p.ID,
-		Tenant: p.VF,
-		Size:   int(size),
-		Seq:    p.seq,
-		Route:  ps.route,
-		SentAt: now,
-		Meta:   dataMeta{path: ps.id},
-	})
+	pkt := a.net.NewPacket(a.host)
+	pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Data, p.ID, p.VF
+	pkt.Size, pkt.Seq, pkt.SentAt = int(size), p.seq, now
+	pkt.Route, pkt.Return, pkt.PathID = ps.route, ps.back, ps.id
+	a.net.Send(pkt)
 	a.sched.charge(p, int(size), a.vfs[p.VF].class)
 	a.nicNextFree = now + topo.SerializationDelay(int(size), a.uplinkCap)
 	// Self-clocked probing: L_w bytes since the last response.
@@ -512,7 +497,7 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 	ps := p.paths[pathIdx]
 	ps.probeSeq++
 	seq := ps.probeSeq
-	pp := &probe.Packet{
+	pp := probe.Packet{
 		Kind:   kind,
 		VMPair: uint32(p.ID),
 		PathID: ps.id,
@@ -521,22 +506,22 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 		Window: uint32(min(p.Window(), int64(^uint32(0)))),
 		SentAt: int64(a.eng.Now()),
 	}
-	// Room for one INT record per link of the path: the switches stamp the
-	// buffer in place (probe.StampHop) and never regrow it.
-	buf, err := pp.Encode(make([]byte, 0, probe.PayloadSize(len(ps.route))))
+	// The probe is encoded into the packet's own buffer, with room for one
+	// INT record per link of the path: the switches stamp it in place
+	// (probe.StampHop), the far edge flips it into the response in place, and
+	// nobody regrows it.
+	pkt := a.net.NewPacket(a.host)
+	if need := probe.PayloadSize(len(ps.route)); cap(pkt.Payload) < need {
+		pkt.Payload = make([]byte, 0, need)
+	}
+	buf, err := pp.Encode(pkt.Payload)
 	if err != nil {
 		panic(fmt.Sprintf("ufabe: probe encode: %v", err))
 	}
-	size := probe.WireSize(0)
-	a.net.Send(&dataplane.Packet{
-		Kind:    dataplane.Probe,
-		VMPair:  p.ID,
-		Tenant:  p.VF,
-		Size:    size,
-		Route:   ps.route,
-		SentAt:  a.eng.Now(),
-		Payload: buf,
-	})
+	pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Probe, p.ID, p.VF
+	pkt.Size, pkt.SentAt, pkt.Payload = probe.WireSize(0), a.eng.Now(), buf
+	pkt.Route, pkt.Return, pkt.PathID = ps.route, ps.back, ps.id
+	a.net.Send(pkt)
 	if kind == probe.KindProbe && pathIdx == p.active {
 		p.wantProbe = false
 	}
@@ -600,20 +585,13 @@ func (a *Agent) handleData(pkt *dataplane.Packet) {
 	if a.OnReceive != nil {
 		a.OnReceive(pkt.VMPair, pkt.Size, now)
 	}
-	// Acknowledge on the reverse path.
-	var path uint16
-	if dm, ok := pkt.Meta.(dataMeta); ok {
-		path = dm.path
-	}
-	a.net.Send(&dataplane.Packet{
-		Kind:   dataplane.Ack,
-		VMPair: pkt.VMPair,
-		Tenant: pkt.Tenant,
-		Size:   ackSize,
-		Route:  a.graph.ReversePath(pkt.Route),
-		SentAt: now,
-		Meta:   ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, path: path},
-	})
+	// Acknowledge on the reverse path: the data packet itself, turned around,
+	// still carrying the pair, the tenant and the sender's path index.
+	size, sentAt := pkt.Size, pkt.SentAt
+	ack := a.net.Reply(pkt, a.host)
+	ack.Kind, ack.Size, ack.SentAt = dataplane.Ack, ackSize, now
+	ack.AckedBytes, ack.AckedSentAt = size, sentAt
+	a.net.Send(ack)
 }
 
 func (a *Agent) handleAck(pkt *dataplane.Packet) {
@@ -621,16 +599,13 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	if p == nil {
 		return
 	}
-	meta, ok := pkt.Meta.(ackMeta)
-	if !ok {
-		return
-	}
 	now := a.eng.Now()
 	// Attribute the ack to its path: bytes already reclaimed as orphans
 	// (after a migration) must not be freed twice.
-	credit := int64(meta.bytes)
-	if int(meta.path) < len(p.paths) {
-		ps := p.paths[meta.path]
+	acked := int64(pkt.AckedBytes)
+	credit := acked
+	if int(pkt.PathID) < len(p.paths) {
+		ps := p.paths[pkt.PathID]
 		if ps.inflight < credit {
 			credit = ps.inflight
 		}
@@ -641,11 +616,11 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 		p.inflight = 0
 	}
 	p.lastProgress = now
-	p.Delivered += int64(meta.bytes)
-	p.RTT.Add((now - meta.sentAt).Micros())
+	p.Delivered += acked
+	p.RTT.Add((now - pkt.AckedSentAt).Micros())
 	p.advanceRamp(now)
 	if obs, ok := p.Demand.(DeliveryObserver); ok {
-		obs.Delivered(int64(meta.bytes), now)
+		obs.Delivered(acked, now)
 	}
 	// Idle detection: demand drained and nothing in flight.
 	if p.Demand.Pending() == 0 && p.inflight == 0 && !p.idle {
@@ -670,7 +645,7 @@ func (a *Agent) checkIdle(p *Pair, since sim.Time) {
 // demand for GP admission and return the response with the receiver-side
 // admitted token (§3.2 steps 4–5).
 func (a *Agent) handleProbe(pkt *dataplane.Packet) {
-	pp, _, err := probe.Decode(pkt.Payload)
+	pp, _, err := probe.DecodeHeader(pkt.Payload)
 	if err != nil {
 		return
 	}
@@ -693,20 +668,13 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 	default:
 		return
 	}
-	resp := pp.ToResponse(admitted)
-	buf, err := resp.Encode(nil)
-	if err != nil {
-		return
-	}
-	a.net.Send(&dataplane.Packet{
-		Kind:    dataplane.Response,
-		VMPair:  pkt.VMPair,
-		Tenant:  pkt.Tenant,
-		Size:    pkt.Size, // response carries the same telemetry back
-		Route:   a.graph.ReversePath(pkt.Route),
-		SentAt:  now,
-		Payload: buf,
-	})
+	// The probe turns around as its own response: same packet, same buffer,
+	// the hop records where the switches stamped them.
+	resp := a.net.Reply(pkt, a.host)
+	resp.Payload, _ = probe.FlipToResponse(resp.Payload, admitted) // framed as DecodeHeader just accepted it
+	resp.Kind, resp.SentAt = dataplane.Response, now
+	resp.Size = pkt.Size // response carries the same telemetry back
+	a.net.Send(resp)
 }
 
 // handleResponse runs at the source edge: step 6 of the workflow — rate
@@ -717,8 +685,8 @@ func (a *Agent) handleResponse(pkt *dataplane.Packet) {
 	if p == nil {
 		return
 	}
-	resp, _, err := probe.Decode(pkt.Payload)
-	if err != nil || int(resp.PathID) >= len(p.paths) {
+	resp := &a.resp
+	if _, err := probe.DecodeInto(resp, pkt.Payload); err != nil || int(resp.PathID) >= len(p.paths) {
 		return
 	}
 	now := a.eng.Now()
@@ -730,7 +698,7 @@ func (a *Agent) handleResponse(pkt *dataplane.Packet) {
 		// path's telemetry is void — it must not look like a fresh,
 		// qualified candidate — and an active pair migrates right away
 		// instead of accumulating timeout violations.
-		ps.lastResp, ps.lastRespAt = nil, 0
+		ps.responded, ps.lastRespAt = false, 0
 		ps.qualified, ps.subscription = false, math.Inf(1)
 		if onActive && !p.idle {
 			a.beginMigration(p)
@@ -884,7 +852,7 @@ func (a *Agent) finishEvaluation(p *Pair, mode evalMode) {
 // paths so their registered φ/w does not linger in the core.
 func (a *Agent) cleanupCandidates(p *Pair) {
 	for i, ps := range p.paths {
-		if i != p.active && ps.lastResp != nil {
+		if i != p.active && ps.responded {
 			a.sendProbe(p, i, probe.KindFinish)
 		}
 	}

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"ufab/internal/dataplane"
+	"ufab/internal/probe"
 	"ufab/internal/sim"
+	"ufab/internal/topo"
+	"ufab/internal/ufabc"
 )
 
 // sendRig is newRig reduced to the sender's data path: the destination
@@ -39,19 +42,53 @@ func (r *rig) nextPacket(p *Pair) {
 }
 
 // TestSendAllocationBudget is the edge's share of the per-packet budget the
-// dataplane hop gate holds: arming the send loop binds no closure, so a data
-// packet costs what trySend hands the network and nothing else.
+// dataplane hop gate holds: arming the send loop binds no closure, the packet
+// comes off the network's free list with its arrival already bound, and the
+// path index rides in a typed field — a data packet allocates nothing.
 func TestSendAllocationBudget(t *testing.T) {
 	r, p := sendRig(t, 0)
-	if a := testing.AllocsPerRun(500, func() { r.nextPacket(p) }); a > 2 {
-		t.Errorf("%v allocations per data packet, want <= 2 (the Packet and its arrival binding; boxing the Meta of a path id below 256 is free)", a)
+	r.eng.RunUntil(r.eng.Now() + sim.Millisecond) // deliveries have stocked the free list
+	if a := testing.AllocsPerRun(500, func() { r.nextPacket(p) }); a != 0 {
+		t.Errorf("%v allocations per data packet, want 0", a)
 	}
 }
 
-// TestTokenUpdateAllocations: a token tick works out of the agent's scratch,
-// so what it allocates is what token.SenderAssign does for the pairs the
-// host sources — and not one byte more for 1 024 tenants registered on the
-// edge that have no pair here.
+// TestProbeRoundTripAllocationBudget: one probe round trip over a five-link
+// path — encoded into the packet's own buffer, stamped in place by μFAB-C on
+// the source's uplink and on four switches, flipped into its response in
+// that buffer at the far edge, decoded into the agent's scratch and copied
+// into the path's own storage at the source — allocates the probe-loss
+// timeout's closure and nothing else.
+func TestProbeRoundTripAllocationBudget(t *testing.T) {
+	eng := sim.New()
+	ch := topo.NewChain(4, topo.Gbps(10), sim.Microsecond)
+	net := dataplane.New(eng, ch.Graph, dataplane.Config{})
+	for _, n := range append([]topo.NodeID{ch.Src}, ch.Switches...) {
+		net.SetSwitchAgent(n, ufabc.New(ufabc.Config{}))
+	}
+	cfg := Config{TokenPeriod: -1, CandidateProbeInterval: -1}
+	src, dst := New(eng, net, ch.Src, cfg), New(eng, net, ch.Dst, cfg)
+	src.AddVF(1, 10, 2)
+	dst.AddVF(1, 10, 2)
+	p := src.AddPair(PairConfig{ID: 1, VF: 1, Dst: ch.Dst, Routes: ch.Graph.Paths(ch.Src, ch.Dst, 0), Phi: 10, Demand: &Buffer{}})
+	ps := p.paths[p.active]
+	roundTrip := func() {
+		src.sendProbe(p, p.active, probe.KindProbe)
+		eng.Run() // through the response and the timeout check that finds it answered
+	}
+	roundTrip() // past the bootstrap probe; registers, scratch and free list warm
+	if a := testing.AllocsPerRun(200, roundTrip); a > 1 {
+		t.Errorf("%v allocations per probe round trip, want <= 1 (the timeout closure)", a)
+	}
+	if ps.respSeq != ps.probeSeq || ps.probeSeq < 202 || len(ps.lastResp.Hops) != 5 || ps.lastResp.Kind != probe.KindResponse {
+		t.Errorf("after %d probes: answered up to %d, last response %+v", ps.probeSeq, ps.respSeq, ps.lastResp)
+	}
+}
+
+// TestTokenUpdateAllocations: a token tick works out of the agent's scratch
+// and token.SenderAssign out of its stack, so it allocates nothing for the
+// pairs the host sources — and not one byte more for 1 024 tenants registered
+// on the edge that have no pair here.
 func TestTokenUpdateAllocations(t *testing.T) {
 	var allocs [2]float64
 	for i, idle := range []int{0, 1024} {
@@ -63,8 +100,8 @@ func TestTokenUpdateAllocations(t *testing.T) {
 	if allocs[1] > allocs[0] {
 		t.Errorf("tokenUpdate allocates %v with 1024 registered-but-empty VFs, %v with none", allocs[1], allocs[0])
 	}
-	if allocs[0] > 2 {
-		t.Errorf("tokenUpdate allocates %v per tick for one backlogged pair, want <= 2 (inside token.SenderAssign: its rest slice and the sort's swapper)", allocs[0])
+	if allocs[0] != 0 {
+		t.Errorf("tokenUpdate allocates %v per tick for one backlogged pair, want 0", allocs[0])
 	}
 }
 

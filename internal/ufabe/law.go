@@ -211,7 +211,7 @@ func (v violation) observe(now sim.Time, baseRTT sim.Duration, delivered int64, 
 
 // fresh reports whether the path has a response newer than age.
 func (ps *pathState) fresh(now sim.Time, age sim.Duration) bool {
-	return ps.lastResp != nil && now-ps.lastRespAt <= age
+	return ps.responded && now-ps.lastRespAt <= age
 }
 
 // selectPath is §3.5's path selection: "among all qualified paths, it

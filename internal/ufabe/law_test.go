@@ -390,9 +390,9 @@ func TestLawSelection(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // never answered
 			case 1: // stale
-				ps.lastResp, ps.lastRespAt = &probe.Packet{}, now-sim.Time(freshAge)-1
+				ps.responded, ps.lastRespAt = true, now-sim.Time(freshAge)-1
 			default:
-				ps.lastResp, ps.lastRespAt = &probe.Packet{}, now-sim.Time(rng.Int63n(int64(freshAge)+1))
+				ps.responded, ps.lastRespAt = true, now-sim.Time(rng.Int63n(int64(freshAge)+1))
 			}
 			paths[i] = ps
 		}
@@ -441,7 +441,7 @@ func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
 func TestLawBetterPathHold(t *testing.T) {
 	const freshAge, hold = 100 * sim.Microsecond, sim.Millisecond
 	path := func(share float64, qualified bool, at sim.Time) *pathState {
-		return &pathState{allocation: allocation{share: share, qualified: qualified}, lastResp: &probe.Packet{}, lastRespAt: at}
+		return &pathState{allocation: allocation{share: share, qualified: qualified}, responded: true, lastRespAt: at}
 	}
 	now := sim.Time(10 * sim.Millisecond)
 	paths := []*pathState{path(1e9, true, now), path(3e9, true, now), path(5e9, false, now), path(9e9, true, now-sim.Time(freshAge)-1)}

@@ -218,7 +218,7 @@ func TestLongPathPartialTelemetry(t *testing.T) {
 		t.Fatalf("delivered %d over the long path", p.Delivered)
 	}
 	ps := p.paths[p.active]
-	if ps.lastResp == nil {
+	if !ps.responded {
 		t.Fatal("no response over the long path")
 	}
 	if len(ps.lastResp.Hops) != 15 {

@@ -11,12 +11,19 @@ import (
 
 // pathState tracks one candidate underlay path of a VM-pair.
 type pathState struct {
-	id      uint16
-	route   topo.Path
+	id    uint16
+	route topo.Path
+	// back is route reversed, computed once: every data packet and probe on
+	// this path carries it as its Return, so the far edge's ack or response
+	// reverses nothing.
+	back    topo.Path
 	baseRTT sim.Duration
 
-	// Last probe response and when it arrived.
-	lastResp   *probe.Packet
+	// Last probe response and when it arrived. responded is false until the
+	// first one, and again after a failure notice voids the path's telemetry;
+	// lastResp's hop records live in storage the path owns.
+	responded  bool
+	lastResp   probe.Packet
 	lastRespAt sim.Time
 	// srtt is the smoothed probe round-trip time on this path,
 	// including queueing; probe-loss timeouts scale with it so heavy
@@ -131,7 +138,7 @@ func (p *Pair) ActivePathID() int { return p.active }
 // Window returns the current sending window in bytes.
 func (p *Pair) Window() int64 {
 	ps := p.paths[p.active]
-	return p.ramp.admitted(ps.allocation, ps.lastResp != nil)
+	return p.ramp.admitted(ps.allocation, ps.responded)
 }
 
 // Inflight returns the bytes in flight.
@@ -148,10 +155,14 @@ func (p *Pair) Route(i int) topo.Path { return p.paths[i].route }
 func (p *Pair) Idle() bool { return p.idle }
 
 // applyResponse stores what a response says about its path: the law's
-// allocation for the pair's current token and window.
+// allocation for the pair's current token and window, and a copy of the
+// response — resp is the agent's decode scratch and is overwritten by the
+// next one.
 func (p *Pair) applyResponse(ps *pathState, resp *probe.Packet) {
 	ps.allocation = allocate(p.EffectivePhi(), p.Window(), ps.baseRTT, resp.Hops)
-	ps.lastResp = resp
+	hops := append(ps.lastResp.Hops[:0], resp.Hops...)
+	ps.lastResp, ps.responded = *resp, true
+	ps.lastResp.Hops = hops
 	if a := p.agent; a.rec != nil {
 		a.rec.Record(telemetry.Event{T: int64(a.eng.Now()), Kind: telemetry.EvWindow,
 			Entity: a.entity, A: int64(p.ID), B: ps.window, V: ps.share,
@@ -165,7 +176,7 @@ func (p *Pair) enterRamp(now sim.Time, scenario2 bool) {
 	ps := p.paths[p.active]
 	if p.agent.cfg.DisableTwoStage {
 		p.stage = stageSteady
-		if ps.lastResp == nil {
+		if !ps.responded {
 			ps.window = unramped(p.agent.graph.MinCapacity(ps.route), ps.baseRTT)
 		}
 		return
@@ -191,7 +202,7 @@ func (p *Pair) recordStage(now sim.Time, note string) {
 // active path; the additive increase needs a response to know the share.
 func (p *Pair) advanceRamp(now sim.Time) {
 	ps := p.paths[p.active]
-	if p.stage != stageRamp || ps.lastResp == nil {
+	if p.stage != stageRamp || !ps.responded {
 		return
 	}
 	if p.ramp = p.ramp.advance(ps.allocation, ps.baseRTT, now); p.stage == stageSteady {

@@ -2,6 +2,7 @@ package ufabe
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ufab/internal/dataplane"
@@ -261,9 +262,16 @@ func TestComputeFromResponseIdleLink(t *testing.T) {
 	p, _ := r.addPair(10)
 	ps := p.paths[p.active]
 	resp := &probe.Packet{Kind: probe.KindResponse, Phi: 10, Hops: []probe.Hop{{TotalTokens: 10, Capacity: 10e9}}}
+	want := allocate(10, p.Window(), ps.baseRTT, resp.Hops)
 	p.applyResponse(ps, resp)
-	if ps.lastResp != resp || ps.allocation != allocate(10, p.Window(), ps.baseRTT, resp.Hops) {
-		t.Errorf("applyResponse stored %+v", ps.allocation)
+	if !ps.responded || !reflect.DeepEqual(&ps.lastResp, resp) || ps.allocation != want {
+		t.Errorf("applyResponse stored %+v of %+v", ps.allocation, ps.lastResp)
+	}
+	// What the path keeps is its own: the agent decodes the next response
+	// over the one it was handed.
+	resp.Hops[0].TotalTokens, resp.Seq = 99, 5
+	if ps.lastResp.Hops[0].TotalTokens != 10 || ps.lastResp.Seq != 0 {
+		t.Errorf("the stored response aliases the decode scratch: %+v", ps.lastResp)
 	}
 }
 
@@ -285,7 +293,7 @@ func TestTwoStageAdmissionRamp(t *testing.T) {
 	}
 	// Additive increase needs a response to know the share.
 	ps := p.paths[p.active]
-	ps.lastResp = &probe.Packet{}
+	ps.responded = true
 	ps.share = 2e9
 	ps.window = 1 << 20 // keep eqn-3 above the ramp
 	before := p.rampWindow

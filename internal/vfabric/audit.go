@@ -27,13 +27,16 @@ type auditState struct {
 	routes [][]int32
 	// Barrier-fed event delivery for partitioned fabrics: instead of a
 	// live subscription (whose delivery order would depend on which shard
-	// recorded first), each tick drains every recorder from its cursor,
-	// merges the batch into canonical order, and replays it into the
-	// auditor. feedRecs[0] is the base (coordinator) recorder, then one
-	// per shard.
+	// recorded first), each tick drains every recorder from its cursor and
+	// replays the canonical merge of the tails into the auditor.
+	// feedRecs[0] is the base (coordinator) recorder, then one per shard.
+	// tails[i] is recorder i's drained tail and streams the merge's cursors
+	// over the tails: both are reused, so a tick's feed allocates nothing
+	// once they have seen the largest batch.
 	feedRecs []*telemetry.Recorder
 	cursors  []uint64
-	batch    []telemetry.Event
+	tails    [][]telemetry.Event
+	streams  [][]telemetry.Event
 }
 
 // initAudit wires the auditor into a freshly assembled fabric. Audit
@@ -72,6 +75,8 @@ func (f *Fabric) initAudit(cfg *Config) {
 		f.aud.feedRecs = append(f.aud.feedRecs, cfg.Telemetry.Recorder())
 		f.aud.feedRecs = append(f.aud.feedRecs, shardRecs...)
 		f.aud.cursors = make([]uint64, len(f.aud.feedRecs))
+		f.aud.tails = make([][]telemetry.Event, len(f.aud.feedRecs))
+		f.aud.streams = make([][]telemetry.Event, len(f.aud.feedRecs))
 	} else {
 		cfg.Telemetry.Recorder().Subscribe(f.aud.a.ObserveEvent)
 	}
@@ -85,21 +90,18 @@ func (f *Fabric) initAudit(cfg *Config) {
 // does not depend on the worker count and the merge order is
 // content-defined.
 func (au *auditState) feedEvents() {
-	if au.feedRecs == nil {
-		return
-	}
-	au.batch = au.batch[:0]
 	for i, r := range au.feedRecs {
-		if r == nil {
-			continue
+		// What the ring evicted since the last tick the auditor never sees —
+		// faults that excuse findings among it, for all it knows — and must
+		// not pass for a complete audit.
+		if evicted := r.Dropped(); evicted > au.cursors[i] {
+			au.a.MissedEvents(evicted - au.cursors[i])
 		}
-		au.batch = append(au.batch, r.EventsSince(au.cursors[i])...)
+		au.tails[i] = r.AppendEventsSince(au.tails[i][:0], au.cursors[i])
 		au.cursors[i] = r.Total()
 	}
-	telemetry.SortEventsCanonical(au.batch)
-	for i := range au.batch {
-		au.a.ObserveEvent(au.batch[i])
-	}
+	copy(au.streams, au.tails)
+	telemetry.MergeEvents(au.streams, au.a.ObserveEvent)
 }
 
 // AuditLog returns the findings sink of the fabric's auditor (nil when

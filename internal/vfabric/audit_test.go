@@ -79,3 +79,48 @@ func TestAuditCatchesDeliberateMinBWViolation(t *testing.T) {
 		t.Fatalf("Observed = %g (bound %g), want the collapsed ≈0.23G rate", fd.Observed, fd.Bound)
 	}
 }
+
+// TestAuditFeedReportsEvictedEvents: a partitioned fabric's auditor is fed
+// from the recorders' rings at each sampling tick, and a ring that turns over
+// between two ticks has evicted events the auditor never sees — the faults
+// that excuse findings among them, for all it knows. Every such event must be
+// counted on the log, where the audit gates fail on it; a ring deep enough
+// for the interval counts nothing.
+func TestAuditFeedReportsEvictedEvents(t *testing.T) {
+	const pods = 2
+	run := func(ringCap int) (dropped int, want uint64) {
+		cl := topo.NewClos(topo.ClosConfig{Pods: pods, ToRsPerPod: 2, AggsPerPod: 2, Cores: 4,
+			HostsPerToR: 2, LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond})
+		reg := telemetry.New()
+		reg.EnableRecorder(ringCap)
+		reg.EnableShardRecorders(pods, ringCap) // Build's own call is idempotent on the same count
+		f, err := Build(BuildOptions{Graph: cl.Graph, Cfg: Config{Seed: 1, Telemetry: reg, Audit: &audit.Config{}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := len(cl.Hosts) / 2
+		for i, src := range cl.Hosts {
+			vf := f.AddVF(int32(i+1), 1e9, 0)
+			f.AddFlow(vf, src, cl.Hosts[(i+stride)%len(cl.Hosts)], 0).Buffer.Add(1 << 30)
+		}
+		recs := append([]*telemetry.Recorder{reg.Recorder()}, reg.ShardRecorders()...)
+		seen := make([]uint64, len(recs))
+		for tick := 1; tick <= 4; tick++ {
+			f.Eng.RunUntil(sim.Time(tick) * 500 * sim.Microsecond)
+			for i, r := range recs {
+				if fresh := r.Total() - seen[i]; fresh > uint64(r.Len()) {
+					want += fresh - uint64(r.Len())
+				}
+				seen[i] = r.Total()
+			}
+			f.SampleRates()
+		}
+		return f.AuditLog().Dropped(), want
+	}
+	if dropped, want := run(16); want == 0 || uint64(dropped) != want {
+		t.Errorf("16-event rings: the log counts %d events lost to the auditor, the rings evicted %d between ticks", dropped, want)
+	}
+	if dropped, want := run(0); dropped != 0 || want != 0 {
+		t.Errorf("default rings: %d counted, %d evicted; want none", dropped, want)
+	}
+}

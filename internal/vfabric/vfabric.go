@@ -120,11 +120,20 @@ type Fabric struct {
 	rng     *rand.Rand
 	vfOrder []int32
 	aud     *auditState
+	// linkRegs[l] is where FlushTelemetry publishes link l's Φ_l and W_l.
+	linkRegs []linkRegisters
 	// partitioned marks fabrics assembled by Build over a pod partition;
 	// they suppress per-heap gauges whose values depend on when cross-shard
 	// events reach the destination heap (at once inline, via rings with
 	// workers).
 	partitioned bool
+}
+
+// linkRegisters is a link's source μFAB-C agent (nil when the node runs none)
+// and the two gauges its registers are published to.
+type linkRegisters struct {
+	core        *ufabc.Agent
+	phi, window *telemetry.Gauge
 }
 
 // normalize fills the config's defaults in place.
@@ -199,27 +208,19 @@ func (f *Fabric) bounceFailure(pkt *dataplane.Packet, at, failed topo.NodeID) {
 	if f.Graph.Node(at).Kind != topo.Switch || f.Net.Failed(at) {
 		return
 	}
-	p, _, err := probe.Decode(pkt.Payload)
-	if err != nil || p.Kind != probe.KindProbe {
+	fail, _, err := probe.DecodeHeader(pkt.Payload)
+	if err != nil || fail.Kind != probe.KindProbe {
 		return
 	}
-	fail := *p
 	fail.Kind = probe.KindFailure
-	fail.Hops = nil
-	buf, err := fail.Encode(nil)
-	if err != nil {
-		return
-	}
-	back := f.Graph.ReversePath(pkt.Route[:pkt.Hop])
-	f.Net.Send(&dataplane.Packet{
-		Kind:    dataplane.Response,
-		VMPair:  pkt.VMPair,
-		Tenant:  pkt.Tenant,
-		Size:    probe.WireSize(0),
-		Route:   back,
-		SentAt:  f.Net.NodeScheduler(at).Now(),
-		Payload: buf,
-	})
+	// The dropped probe goes back to the network when this returns; the
+	// notice is a packet of the detecting switch's own.
+	resp := f.Net.NewPacket(at)
+	resp.Payload, _ = fail.Encode(resp.Payload) // a known kind and no hops: always encodes
+	resp.Kind, resp.VMPair, resp.Tenant = dataplane.Response, pkt.VMPair, pkt.Tenant
+	resp.Size, resp.SentAt = probe.WireSize(0), f.Net.NodeScheduler(at).Now()
+	resp.Route = f.Net.ReturnRoute(pkt, pkt.Hop)
+	f.Net.Send(resp)
 }
 
 // Edge returns the μFAB-E agent of a host.
@@ -318,16 +319,24 @@ func (f *Fabric) FlushTelemetry() {
 	}
 	now := f.Eng.Now()
 	f.Net.FlushTelemetry(now)
-	for i := range f.Graph.Links {
-		lid := topo.LinkID(i)
-		c := f.Cores[f.Graph.Link(lid).Src]
-		if c == nil {
-			continue
+	if f.linkRegs == nil {
+		// Resolved by the first flush, as the dataplane's are: a tick after
+		// it builds no name and looks nothing up.
+		f.linkRegs = make([]linkRegisters, len(f.Graph.Links))
+		for i := range f.linkRegs {
+			lid := topo.LinkID(i)
+			if c := f.Cores[f.Graph.Link(lid).Src]; c != nil {
+				ent := f.Net.LinkEntity(lid)
+				f.linkRegs[i] = linkRegisters{c, reg.Gauge(ent + ".phi_tokens"), reg.Gauge(ent + ".window_bytes")}
+			}
 		}
-		phi, w := c.Subscription(lid)
-		ent := f.Net.LinkEntity(lid)
-		reg.Gauge(ent + ".phi_tokens").Set(phi)
-		reg.Gauge(ent + ".window_bytes").Set(float64(w))
+	}
+	for i := range f.linkRegs {
+		if lr := &f.linkRegs[i]; lr.core != nil {
+			phi, w := lr.core.Subscription(topo.LinkID(i))
+			lr.phi.Set(phi)
+			lr.window.Set(float64(w))
+		}
 	}
 	if src, ok := f.Eng.(sim.StatsSource); ok {
 		es := src.Stats()
