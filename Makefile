@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: ci build vet fmt-check test race bench profile pairs size identical testtime check audit golden chaos trace place fuzz serve-smoke shard results
+.PHONY: ci build vet fmt-check test race bench profile pairs size identical testtime check audit golden chaos trace place fuzz fuzz-native serve-smoke shard results
 
 ci: build vet fmt-check test race bench check audit shard fuzz serve-smoke
 	@echo "CI gate passed"
@@ -183,6 +183,27 @@ serve-smoke:
 fuzz:
 	$(GO) test -race ./internal/fuzz
 	$(GO) run ./cmd/ufabsim fuzz -seeds 50 -corpus internal/fuzz/testdata/regressions
+
+# The native fuzz targets actually fuzzing (tier-1 only replays their seeds),
+# FUZZTIME each, one after another. `go test -list '^Fuzz'` lists a package's
+# targets; a target named here that the package no longer has fails, as a
+# stale race-run name does, instead of fuzzing nothing. The minimize bound
+# keeps a large seed (FuzzAdmitRequest's 2 MiB body) from eating the budget.
+# A crasher lands in the package's testdata/fuzz/<target>/ — commit it with
+# the fix and tier-1 replays it from then on:
+#   make fuzz-native [FUZZTIME=2m]
+FUZZTIME ?= 2m
+FUZZ_TARGETS := ./internal/fuzz:FuzzParseCase ./internal/ctlplane:FuzzAdmitRequest \
+	./internal/ctlplane:FuzzStoreOpen ./internal/probe:FuzzProbeWire ./internal/chaos:FuzzParseScenario
+
+fuzz-native:
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; target=$${pt#*:}; \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		grep -qx "$$target" <<<"$$list" || { echo "make: -fuzz '$$target' selects no target of $$pkg" >&2; exit 1; }; \
+		echo "== $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 5s || exit 1; \
+	done
 
 # Flight-recorder sample: the chaoslab run's event stream as JSONL, and
 # the same run's causal spans as Chrome trace-event JSON (open

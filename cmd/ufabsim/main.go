@@ -30,6 +30,8 @@
 //	ufabsim check -update        # re-record the golden baseline (refused while a claim is false)
 //	ufabsim check -telemetry     # replay with instrumentation attached
 //	ufabsim check -audit         # replay audited; findings must be clean
+//	ufabsim probe encode -hops 3 # build/inspect the INT probe wire format
+//	ufabsim topo fattree -k 4 -dot  # topology summaries, paths, Graphviz
 //
 // Experiment runs are deterministic per (experiment, quick, seed), so a
 // parallel batch produces Reports identical to a sequential one; only the
@@ -125,6 +127,10 @@ func main() {
 		serveCmd(args[1:])
 	case "ctl":
 		ctlCmd(args[1:])
+	case "probe":
+		probeCmd(args[1:])
+	case "topo":
+		topoCmd(args[1:])
 	default:
 		usage()
 		os.Exit(2)
@@ -501,6 +507,9 @@ usage:
   ufabsim fuzz [-seeds n] [-seed0 s] [-budget d] [-shrink] [-out dir] [-corpus dir] [-replay file]
   ufabsim serve [-addr a] [-store dir] [-seed s] [-churn] [-policy p] [-oversub f] [-slots n]
   ufabsim ctl [-addr a] <verb> [args]   (ufabsim ctl -h for verbs)
+  ufabsim probe decode <hex>|-
+  ufabsim probe encode [-kind k] [-vm n] [-path n] [-seq n] [-phi f] [-window n] [-peer-phi f] [-hops n] [-tx f] [-queue n] [-cap f]
+  ufabsim topo <testbed|fattree|clos|twotier|star> [-k n] [-cores n] [-aggs n] [-hosts n] [-dot] [-src i -dst j]
 
 flags:
 `)

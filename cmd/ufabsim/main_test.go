@@ -72,14 +72,14 @@ func TestMain(m *testing.M) {
 // ufabsim runs the binary in dir and returns its exit code and both streams.
 func ufabsim(t *testing.T, dir string, args ...string) (int, string, string) {
 	t.Helper()
-	return invoke(t, binary, dir, args...)
+	return invoke(t, binary, dir, "", args...)
 }
 
-func invoke(t *testing.T, exe, dir string, args ...string) (int, string, string) {
+func invoke(t *testing.T, exe, dir, stdin string, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(exe, args...)
-	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &stdout, &stderr
+	cmd.Dir, cmd.Stdin, cmd.Stdout, cmd.Stderr = dir, strings.NewReader(stdin), &stdout, &stderr
 	err := cmd.Run()
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
 		t.Fatalf("ufabsim %v: %v", args, err)
@@ -99,9 +99,10 @@ func withoutWallTime(s string) string {
 }
 
 // TestCLI pins what an invocation exits with and says first — above all
-// that nothing a flag or a file can carry panics the process: a refusal is
-// exit 1 (2 for a usage error) and one line on stderr, never a goroutine
-// trace.
+// that nothing a flag, a file or stdin can carry panics the process: a
+// refusal is exit 1 (2 for a usage error) and one line on stderr, never a
+// goroutine trace, never an allocation the size of a flag, never a value
+// silently wrapped into its wire field.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -126,7 +127,22 @@ func TestCLI(t *testing.T) {
 		{"at_ps":3000000000,"kind":"link-degrade","link":4242,"degradation":{"capacity_scale":0.5}},
 		{"at_ps":3000000000,"kind":"tenant-arrive","tenant":{"vf":77,"guarantee_bps":1e9,"weight_class":0,"pairs":[{"src":99999,"dst":-1}]}},
 		{"at_ps":4000000000,"kind":"tenant-depart","vf":31337}]}`)
+	// Gray-fault delays the simulator cannot schedule: one would deliver a
+	// packet before it left, the other overflows the link's propagation delay.
+	negativeDelay := write("negative-delay.json", `{"name":"neg","events":[{"at_ps":1000000,"kind":"link-degrade","link":0,"duplex":true,"degradation":{"extra_delay_ps":-1000000000}}]}`)
+	hugeDelay := write("huge-delay.json", `{"name":"huge","events":[{"at_ps":1000000,"kind":"link-degrade","link":0,"duplex":true,"degradation":{"extra_delay_ps":9223372036854775000}}]}`)
 	notADir := write("file", "")
+
+	// allRejected checks that a chaoslab run logged n chaos events, each
+	// of them rejected.
+	allRejected := func(n int) func(t *testing.T, stdout, _ string) {
+		return func(t *testing.T, stdout, _ string) {
+			events, rejected := strings.Count(stdout, "\nchaos: "), strings.Count(stdout, "[REJECTED]\n")
+			if events != n || rejected != n {
+				t.Errorf("%d chaos events logged, %d rejected; want %d and %d\n%s", events, rejected, n, n, stdout)
+			}
+		}
+	}
 
 	var list strings.Builder
 	for _, e := range experiments.All {
@@ -151,12 +167,16 @@ func TestCLI(t *testing.T) {
 	}
 	recorded, _ := os.ReadFile(golden)
 	const falseClaim = "fig4: claim fig4.ufab-tail-below-pwc: ufab.tail_us.10 = 140.144796 is not >= 1 × pwc.tail_us.10 = 257.4832\n"
+	// twoHops is `ufabsim probe encode -hops 2`.
+	const twoHops = "1200000001000000000001002710010000000000000000000000000004000190125c00040000000004000190125c000400000001"
+	const topoUsage = "usage: ufabsim topo <testbed|fattree|clos|twotier|star> [flags]\n"
 
 	for _, row := range []struct {
 		name string
 		// sabotaged runs the binary with fig4's claim flipped instead.
 		sabotaged bool
 		args      []string
+		stdin     string
 		exit      int
 		// stdout and stderr are the prefix each stream must start with; ""
 		// means the stream must be empty, "*" that it is not looked at.
@@ -174,12 +194,11 @@ func TestCLI(t *testing.T) {
 		{name: "scenario malformed", args: []string{"-scenario", malformed, "run", "chaoslab"}, exit: 1, stderr: "chaos: parse scenario: "},
 		{name: "scenario negative time", args: []string{"-scenario", negativeTime, "run", "chaoslab"}, exit: 1, stderr: "chaos: event 0 at negative time"},
 		{name: "scenario ids out of range", args: []string{"-quick", "-scenario", outOfRange, "run", "chaoslab"},
-			stdout: "== chaoslab: ", check: func(t *testing.T, stdout, _ string) {
-				events, rejected := strings.Count(stdout, "\nchaos: "), strings.Count(stdout, "[REJECTED]\n")
-				if events != 7 || rejected != 7 {
-					t.Errorf("%d chaos events logged, %d rejected; want 7 and 7\n%s", events, rejected, stdout)
-				}
-			}},
+			stdout: "== chaoslab: ", check: allRejected(7)},
+		{name: "scenario negative delay", args: []string{"-quick", "-scenario", negativeDelay, "run", "chaoslab"},
+			stdout: "== chaoslab: ", check: allRejected(1)},
+		{name: "scenario overflowing delay", args: []string{"-quick", "-shards", "4", "-scenario", hugeDelay, "run", "chaoslab"},
+			stdout: "== chaoslab: ", check: allRejected(1)},
 		{name: "replay negative capacity", args: []string{"fuzz", "-replay", hostileCase("neg.json", `{"kind":"star","hosts":4,"capacity_gbps":-5}`)},
 			exit: 1, stderr: filepath.Join(dir, "neg.json") + ": fuzz: negative capacity_gbps"},
 		{name: "replay two billion hosts", args: []string{"fuzz", "-replay", hostileCase("huge.json", `{"kind":"star","hosts":2000000000}`)},
@@ -211,13 +230,53 @@ func TestCLI(t *testing.T) {
 					t.Errorf("check -update rewrote the golden file or did not say it kept it:\n%s", stderr)
 				}
 			}},
+		{name: "probe no subcommand", args: []string{"probe"}, exit: 2, stderr: "usage:\n  ufabsim probe decode"},
+		{name: "probe unknown subcommand", args: []string{"probe", "frob"}, exit: 2, stderr: "usage:\n  ufabsim probe decode"},
+		{name: "probe encode", args: []string{"probe", "encode", "-hops", "2"}, stdout: twoHops + "\n"},
+		{name: "probe decode", args: []string{"probe", "decode", twoHops}, stdout: "kind       probe\nvm-pair    1\n"},
+		{name: "probe decode stdin", args: []string{"probe", "decode", "-"}, stdin: twoHops[:40] + "\n" + twoHops[40:] + "\n", stdout: "kind       probe\nvm-pair    1\n"},
+		{name: "probe decode nothing", args: []string{"probe", "decode"}, exit: 2, stderr: "usage:\n"},
+		{name: "probe decode not hex", args: []string{"probe", "decode", "zz"}, exit: 1, stderr: "bad hex: encoding/hex: invalid byte"},
+		{name: "probe decode truncated", args: []string{"probe", "decode", "00"}, exit: 1, stderr: "decode: probe: buffer truncated"},
+		{name: "probe decode missing hop records", args: []string{"probe", "decode", twoHops[:len(twoHops)-2]}, exit: 1, stderr: "decode: probe: buffer truncated"},
+		{name: "probe decode unknown kind", args: []string{"probe", "decode", "f" + twoHops[1:]}, exit: 1, stderr: "decode: probe: unknown packet kind"},
+		{name: "probe encode too many hops", args: []string{"probe", "encode", "-hops", "300"}, exit: 1, stderr: "hop 15: probe: more than MaxHops hop records"},
+		{name: "probe encode negative hops", args: []string{"probe", "encode", "-hops", "-5"}, exit: 1, stderr: "-hops -5 is negative"},
+		{name: "probe encode unknown kind", args: []string{"probe", "encode", "-kind", "bogus"}, exit: 2, stderr: `unknown kind "bogus"`},
+		{name: "probe encode vm beyond 32 bits", args: []string{"probe", "encode", "-vm", "99999999999"}, exit: 1, stderr: "-vm 99999999999 exceeds the field's maximum 4294967295"},
+		{name: "probe encode path beyond 16 bits", args: []string{"probe", "encode", "-path", "70000"}, exit: 1, stderr: "-path 70000 exceeds the field's maximum 65535"},
+		{name: "topo no topology", args: []string{"topo"}, exit: 2, stderr: topoUsage},
+		{name: "topo unknown topology", args: []string{"topo", "torus", "-k", "4"}, exit: 2, stderr: topoUsage},
+		{name: "topo testbed", args: []string{"topo", "testbed"}, stdout: "nodes: 8 hosts, 10 switches; links: 48 (duplex pairs: 24)\nequal-cost paths S1→S8: 8 (length 6 links)\n"},
+		{name: "topo fattree", args: []string{"topo", "fattree", "-k", "4"}, stdout: "nodes: 16 hosts, 20 switches; links: 96 (duplex pairs: 48)\n"},
+		{name: "topo fattree dot", args: []string{"topo", "fattree", "-k", "4", "-dot"}, stdout: "graph fabric {\n  rankdir=BT;\n"},
+		{name: "topo clos", args: []string{"topo", "clos"}, stdout: "nodes: 512 hosts, 80 switches; links: 1536 (duplex pairs: 768)\n"},
+		{name: "topo twotier", args: []string{"topo", "twotier"}, stdout: "nodes: 8 hosts, 5 switches; "},
+		{name: "topo star", args: []string{"topo", "star", "-hosts", "3"}, stdout: "nodes: 3 hosts, 1 switches; links: 6 (duplex pairs: 3)\n"},
+		{name: "topo paths", args: []string{"topo", "testbed", "-src", "0", "-dst", "7"}, stdout: "nodes: 8 hosts"},
+		{name: "topo fattree odd arity", args: []string{"topo", "fattree", "-k", "3"}, exit: 1, stderr: "ufabsim topo: fat tree arity 3 must be even and >= 2\n"},
+		{name: "topo fattree zero arity", args: []string{"topo", "fattree", "-k", "0"}, exit: 1, stderr: "ufabsim topo: fat tree arity 0 must be even and >= 2\n"},
+		{name: "topo fattree negative arity", args: []string{"topo", "fattree", "-k", "-2"}, exit: 1, stderr: "ufabsim topo: fat tree arity -2 must be even and >= 2\n"},
+		{name: "topo fattree of a million pods", args: []string{"topo", "fattree", "-k", "1000000"}, exit: 1, stderr: "ufabsim topo: fuzz: fattree of 250001250000000000 nodes exceeds the 512-node budget\n"},
+		{name: "topo fattree just over the budget", args: []string{"topo", "fattree", "-k", "12"}, exit: 1, stderr: "ufabsim topo: fuzz: fattree of 612 nodes exceeds"},
+		{name: "topo star of 10^8 hosts", args: []string{"topo", "star", "-hosts", "100000000"}, exit: 1, stderr: "ufabsim topo: fuzz: star of 100000001 nodes exceeds"},
+		{name: "topo star without hosts", args: []string{"topo", "star", "-hosts", "-1"}, exit: 1, stderr: "ufabsim topo: fuzz: star dimension -1, want >= 1\n"},
+		{name: "topo twotier without aggs", args: []string{"topo", "twotier", "-aggs", "0"}, exit: 1, stderr: "ufabsim topo: fuzz: twotier dimension 0, want >= 1\n"},
+		{name: "topo clos with 10^9 cores", args: []string{"topo", "clos", "-cores", "999999999"}, exit: 1, stderr: "ufabsim topo: fuzz: clos core layer of 999999999 nodes exceeds"},
+		{name: "topo negative src", args: []string{"topo", "testbed", "-src", "-1"}, exit: 1, stderr: "ufabsim topo: -src -1 -dst -1: host index out of range (have 8 hosts)\n"},
+		{name: "topo src without dst", args: []string{"topo", "testbed", "-src", "2"}, exit: 1, stderr: "ufabsim topo: -src 2 -dst -1: host index out of range"},
+		{name: "topo dst beyond the hosts", args: []string{"topo", "testbed", "-src", "1", "-dst", "99"}, exit: 1, stderr: "ufabsim topo: -src 1 -dst 99: host index out of range"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
+			// Every row is its own process over files written above, so
+			// rows overlap: the slowest (topo clos, all 512² host pairs
+			// for the diameter) no longer adds to the rest.
+			t.Parallel()
 			exe := binary
 			if row.sabotaged {
 				exe = sabotaged
 			}
-			code, stdout, stderr := invoke(t, exe, dir, row.args...)
+			code, stdout, stderr := invoke(t, exe, dir, row.stdin, row.args...)
 			if code != row.exit {
 				t.Errorf("exit %d, want %d\nstdout: %s\nstderr: %s", code, row.exit, stdout, stderr)
 			}

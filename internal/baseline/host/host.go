@@ -147,17 +147,6 @@ func (fl *Flow) Rate() float64 {
 	return fl.wf.Cwnd * 8 / fl.baseRTT[fl.lb.Current()].Seconds()
 }
 
-type ackMeta struct {
-	bytes  int
-	sentAt sim.Time
-	ecn    bool
-	grant  float64
-}
-
-type dataMeta struct {
-	weight float64
-}
-
 type recvState struct {
 	weight float64
 	bytes  int64
@@ -181,6 +170,9 @@ type Agent struct {
 	timerActive bool
 	wakeAt      sim.Time
 	uplinkCap   float64
+	// fire is the send timer's callback, bound once so arming it allocates
+	// nothing.
+	fire sim.Event
 
 	recv map[dataplane.VMPair]*recvState
 	// resp is handleUtilResponse's decode target, reused across responses.
@@ -208,6 +200,10 @@ func New(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config
 		flows:     make(map[dataplane.VMPair]*Flow),
 		recv:      make(map[dataplane.VMPair]*recvState),
 		uplinkCap: g.Link(g.Node(hostID).Out[0]).Capacity,
+	}
+	a.fire = func() {
+		a.timerActive = false
+		a.trySend()
 	}
 	net.SetHandler(hostID, a)
 	if cfg.Scheme == PWC {
@@ -308,10 +304,7 @@ func (a *Agent) wakeup(at sim.Time) {
 	}
 	a.timerActive = true
 	a.wakeAt = at
-	a.sendTimer = a.eng.At(at, func() {
-		a.timerActive = false
-		a.trySend()
-	})
+	a.sendTimer = a.eng.At(at, a.fire)
 }
 
 func (a *Agent) scheduleSend() { a.wakeup(a.nicNextFree) }
@@ -392,7 +385,7 @@ func (a *Agent) trySend() {
 	pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Data, fl.ID, fl.VF
 	pkt.Size, pkt.Seq, pkt.SentAt = int(size), fl.seq, now
 	pkt.Route, pkt.Return, pkt.PathID = fl.routes[path], fl.back[path], uint16(path)
-	pkt.Meta = dataMeta{weight: fl.Weight}
+	pkt.Rate = fl.Weight
 	a.net.Send(pkt)
 	if fl.Weight > 0 {
 		fl.vservice += float64(size) / fl.Weight
@@ -448,16 +441,16 @@ func (a *Agent) handleData(pkt *dataplane.Packet) {
 			rs = &recvState{}
 			a.recv[pkt.VMPair] = rs
 		}
-		if dm, ok := pkt.Meta.(dataMeta); ok {
-			rs.weight = dm.weight
-		}
+		rs.weight = pkt.Rate
 		rs.bytes += int64(pkt.Size)
 		grant = rs.grant
 	}
-	// The data packet turns around as its ack.
-	meta := ackMeta{bytes: pkt.Size, sentAt: pkt.SentAt, ecn: pkt.ECN, grant: grant}
+	// The data packet turns around as its ack, which echoes its size, send
+	// time and ECN mark.
+	bytes, sentAt, ecn := pkt.Size, pkt.SentAt, pkt.ECN
 	ack := a.net.Reply(pkt, a.host)
-	ack.Kind, ack.Size, ack.SentAt, ack.Meta = dataplane.Ack, ackSize, now, meta
+	ack.Kind, ack.Size, ack.SentAt = dataplane.Ack, ackSize, now
+	ack.AckedBytes, ack.AckedSentAt, ack.ECNEcho, ack.Rate = bytes, sentAt, ecn, grant
 	a.net.Send(ack)
 }
 
@@ -466,28 +459,25 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	if fl == nil {
 		return
 	}
-	meta, ok := pkt.Meta.(ackMeta)
-	if !ok {
-		return
-	}
 	now := a.eng.Now()
-	fl.inflight -= int64(meta.bytes)
+	bytes := pkt.AckedBytes
+	fl.inflight -= int64(bytes)
 	if fl.inflight < 0 {
 		fl.inflight = 0
 	}
 	fl.lastProgress = now
-	fl.Delivered += int64(meta.bytes)
-	rtt := now - meta.sentAt
+	fl.Delivered += int64(bytes)
+	rtt := now - pkt.AckedSentAt
 	fl.RTT.Add(rtt.Micros())
 	switch a.cfg.Scheme {
 	case PWC:
-		fl.wf.OnAck(now, rtt, meta.bytes)
-		fl.grant = meta.grant
+		fl.wf.OnAck(now, rtt, bytes)
+		fl.grant = pkt.Rate
 	case ESClove:
-		fl.ra.OnAck(now, rtt, meta.bytes, meta.ecn)
+		fl.ra.OnAck(now, rtt, bytes, pkt.ECNEcho)
 	}
 	if obs, ok := fl.demand.(flowsrc.DeliveryObserver); ok {
-		obs.Delivered(int64(meta.bytes), now)
+		obs.Delivered(int64(bytes), now)
 	}
 	a.scheduleSend()
 }

@@ -183,3 +183,29 @@ func TestLossRecoveryRequeues(t *testing.T) {
 			fa.Flow.Losses, fb.Flow.Losses)
 	}
 }
+
+// TestDataAndAckAllocateNothing is the baselines' share of the per-packet
+// budget μFAB-E's TestSendAllocationBudget holds: once a backlogged flow is
+// in steady state, sending a data packet, turning it around as its ack and
+// taking the ack back allocates nothing — the packet comes off the free list,
+// the weight, grant and ECN echo ride in typed header fields, and the send
+// timer's callback is bound once per agent.
+func TestDataAndAckAllocateNothing(t *testing.T) {
+	for _, scheme := range []Scheme{PWC, ESClove} {
+		eng, f, st := starBaseline(2, scheme, 1)
+		fh := f.AddFlow(1, 10, st.Hosts[0], st.Hosts[1], 0)
+		fh.Buffer.Add(1 << 50)
+		eng.RunUntil(2 * sim.Millisecond) // windows open, free lists stocked
+		fl := fh.Flow
+		acked := func() {
+			for d := fl.Delivered; fl.Delivered == d; {
+				if !eng.Step() {
+					t.Fatal("engine drained before the backlogged flow was acked")
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(500, acked); a != 0 {
+			t.Errorf("%v: %v allocations per data packet and its ack, want 0", scheme, a)
+		}
+	}
+}

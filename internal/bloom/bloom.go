@@ -312,69 +312,3 @@ func (t *Table) Reset() {
 	t.Drain()
 	t.Collisions = 0
 }
-
-// Rotating is the timing-Bloom-filter variant §3.6 points to: two epoch
-// tables alternate, so expiring silent VM-pairs is a table swap instead of
-// a timestamp scan, and an entry's staleness is bounded by two epochs. A
-// VM-pair seen in the previous epoch is carried into the current one on
-// its next probe.
-type Rotating struct {
-	cur, prev *Table
-	// Collisions counts rejected updates (as Table.Collisions).
-	Collisions uint64
-}
-
-// NewRotating returns a rotating filter whose two epoch tables each have
-// the given per-bank slot count.
-func NewRotating(slotsPerBank int) *Rotating {
-	return &Rotating{cur: New(slotsPerBank), prev: New(slotsPerBank)}
-}
-
-// Update records the VM-pair in the current epoch, migrating it from the
-// previous epoch if present there. Register deltas follow the same
-// contract as Table.Update.
-func (r *Rotating) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok bool) {
-	if pPhi, pW, found := r.prev.Remove(key); found {
-		// Migrate: the registers already contain the old contribution.
-		d1, d2, ok := r.cur.Update(key, phi, w, now)
-		if !ok {
-			// No room in the current epoch: the pair is dropped, so
-			// its old contribution leaves the registers.
-			r.Collisions++
-			return pPhi, pW, false
-		}
-		// cur.Update returned +phi/+w (fresh insert); combined with the
-		// -old from prev.Remove the caller sees the net change.
-		return d1 + pPhi, d2 + pW, ok
-	}
-	dPhi, dW, ok = r.cur.Update(key, phi, w, now)
-	if !ok {
-		r.Collisions++
-	}
-	return dPhi, dW, ok
-}
-
-// Remove deletes the VM-pair from whichever epoch holds it.
-func (r *Rotating) Remove(key uint64) (dPhi, dW int64, ok bool) {
-	if d1, d2, found := r.cur.Remove(key); found {
-		return d1, d2, true
-	}
-	return r.prev.Remove(key)
-}
-
-// Contains reports whether either epoch holds the key.
-func (r *Rotating) Contains(key uint64) bool {
-	return r.cur.Contains(key) || r.prev.Contains(key)
-}
-
-// Rotate expires everything not refreshed during the last epoch: the
-// previous table is drained (its register deltas returned) and the tables
-// swap, so the just-current epoch becomes the grace period.
-func (r *Rotating) Rotate() (dPhi, dW int64, n int) {
-	dPhi, dW, n = r.prev.Drain()
-	r.cur, r.prev = r.prev, r.cur
-	return dPhi, dW, n
-}
-
-// Occupied returns live entries across both epochs.
-func (r *Rotating) Occupied() int { return r.cur.Occupied + r.prev.Occupied }

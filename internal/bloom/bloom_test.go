@@ -202,98 +202,6 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-func TestRotatingLifecycle(t *testing.T) {
-	r := NewRotating(128)
-	var phiReg int64
-	apply := func(d int64) { phiReg += d }
-
-	d, _, ok := r.Update(1, 10, 100, 0)
-	apply(d)
-	if !ok || phiReg != 10 {
-		t.Fatalf("insert: phiReg=%d", phiReg)
-	}
-	// Rotate once: entry moves to the grace epoch, registers unchanged.
-	d, _, _ = r.Rotate()
-	apply(d)
-	if phiReg != 10 || !r.Contains(1) {
-		t.Fatalf("after rotate 1: phiReg=%d contains=%v", phiReg, r.Contains(1))
-	}
-	// Refresh during grace migrates it back with a new value.
-	d, _, ok = r.Update(1, 15, 100, 1)
-	apply(d)
-	if !ok || phiReg != 15 {
-		t.Fatalf("refresh: phiReg=%d", phiReg)
-	}
-	// Two silent rotations expire it.
-	d, _, _ = r.Rotate()
-	apply(d)
-	d, _, n := r.Rotate()
-	apply(d)
-	if n != 1 || phiReg != 0 || r.Contains(1) {
-		t.Fatalf("expiry: n=%d phiReg=%d contains=%v", n, phiReg, r.Contains(1))
-	}
-	if r.Occupied() != 0 {
-		t.Fatalf("Occupied = %d", r.Occupied())
-	}
-}
-
-func TestRotatingRemove(t *testing.T) {
-	r := NewRotating(64)
-	r.Update(7, 3, 30, 0)
-	r.Rotate() // entry now in prev
-	dPhi, dW, ok := r.Remove(7)
-	if !ok || dPhi != -3 || dW != -30 {
-		t.Fatalf("Remove from grace epoch: %d/%d/%v", dPhi, dW, ok)
-	}
-}
-
-func TestRotatingRegisterInvariant(t *testing.T) {
-	r := NewRotating(1024)
-	rng := rand.New(rand.NewSource(11))
-	var phiReg int64
-	live := map[uint64]uint32{}
-	for i := 0; i < 5000; i++ {
-		key := uint64(rng.Intn(300))
-		switch rng.Intn(10) {
-		case 0:
-			d, _, _ := r.Rotate()
-			phiReg += d
-			// Anything not refreshed in the last epoch may be gone;
-			// rebuild truth lazily below via Contains.
-			for k := range live {
-				if !r.Contains(k) {
-					delete(live, k)
-				}
-			}
-		case 1, 2:
-			d, _, ok := r.Remove(key)
-			phiReg += d
-			if ok {
-				delete(live, key)
-			}
-		default:
-			phi := uint32(rng.Intn(50) + 1)
-			d, _, ok := r.Update(key, phi, 1, int64(i))
-			phiReg += d
-			if ok {
-				live[key] = phi
-			} else {
-				delete(live, key)
-			}
-		}
-		if phiReg < 0 {
-			t.Fatalf("negative register at step %d", i)
-		}
-	}
-	var want int64
-	for _, v := range live {
-		want += int64(v)
-	}
-	if phiReg != want {
-		t.Fatalf("register %d != live sum %d", phiReg, want)
-	}
-}
-
 // denseTable is the layout Table had before its banks became page
 // directories: both banks fully allocated by the constructor. It is kept as
 // the reference model the sparse table is property-tested against.
@@ -396,46 +304,10 @@ func (t *denseTable) reset() {
 	t.occupied, t.collisions = 0, 0
 }
 
-// denseRotating is Rotating over the dense model.
-type denseRotating struct {
-	cur, prev  *denseTable
-	collisions uint64
-}
-
-func (r *denseRotating) update(key uint64, phi, w uint32, now int64) (int64, int64, bool) {
-	if pPhi, pW, found := r.prev.remove(key); found {
-		d1, d2, ok := r.cur.update(key, phi, w, now)
-		if !ok {
-			r.collisions++
-			return pPhi, pW, false
-		}
-		return d1 + pPhi, d2 + pW, true
-	}
-	dPhi, dW, ok := r.cur.update(key, phi, w, now)
-	if !ok {
-		r.collisions++
-	}
-	return dPhi, dW, ok
-}
-
-func (r *denseRotating) remove(key uint64) (int64, int64, bool) {
-	if d1, d2, found := r.cur.remove(key); found {
-		return d1, d2, true
-	}
-	return r.prev.remove(key)
-}
-
-func (r *denseRotating) rotate() (dPhi, dW int64, n int) {
-	dPhi, dW, n = r.prev.expire(math.MaxInt64)
-	r.cur, r.prev = r.prev, r.cur
-	return dPhi, dW, n
-}
-
-// TestSparseMatchesDense drives the sparse Table and Rotating and the dense
-// model with one seeded random operation stream and requires identical
-// return values and counters after every operation — at a table smaller
-// than one page, one of a few pages, and the paper's size, each loaded far
-// enough to collide.
+// TestSparseMatchesDense drives the sparse Table and the dense model with
+// one seeded random operation stream and requires identical return values
+// and counters after every operation — at a table smaller than one page, one
+// of a few pages, and the paper's size, each loaded far enough to collide.
 func TestSparseMatchesDense(t *testing.T) {
 	for _, tc := range []struct{ slots, keys, ops int }{
 		{64, 200, 20000},
@@ -445,16 +317,14 @@ func TestSparseMatchesDense(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			sp, de := New(tc.slots), newDense(tc.slots)
-			spr := NewRotating(tc.slots)
-			der := &denseRotating{cur: newDense(tc.slots), prev: newDense(tc.slots)}
 			if sp.SlotsPerBank() != int(de.mask+1)*bucketWidth {
 				t.Fatalf("slots %d: SlotsPerBank = %d", tc.slots, sp.SlotsPerBank())
 			}
-			collided, collidedR := false, false
+			collided := false
 			for i := 0; i < tc.ops; i++ {
 				key := uint64(rng.Intn(tc.keys))
 				phi, w, now := uint32(rng.Intn(5000)), uint32(rng.Intn(1<<20)), int64(i)
-				var got, want, gotR, wantR [3]int64
+				var got, want [3]int64
 				b2i := func(b bool) int64 {
 					if b {
 						return 1
@@ -472,42 +342,30 @@ func TestSparseMatchesDense(t *testing.T) {
 				switch {
 				case op >= 400:
 					got, want = pack(sp.Update(key, phi, w, now)), pack(de.update(key, phi, w, now))
-					gotR, wantR = pack(spr.Update(key, phi, w, now)), pack(der.update(key, phi, w, now))
 					collided = collided || want[2] == 0
-					collidedR = collidedR || wantR[2] == 0
 				case op >= 250:
 					got, want = pack(sp.Remove(key)), pack(de.remove(key))
-					gotR, wantR = pack(spr.Remove(key)), pack(der.remove(key))
 				case op >= 100:
 					got[0], want[0] = b2i(sp.Contains(key)), b2i(de.contains(key))
-					gotR[0] = b2i(spr.Contains(key))
-					wantR[0] = b2i(der.cur.contains(key) || der.prev.contains(key))
 				case op >= 4:
 					cutoff := now - int64(rng.Intn(tc.ops/4))
 					got, want = packN(sp.Expire(cutoff)), packN(de.expire(cutoff))
-					gotR, wantR = packN(spr.Rotate()), packN(der.rotate())
 				case op >= 1:
 					got, want = packN(sp.Drain()), packN(de.expire(math.MaxInt64))
 				default:
 					sp.Reset()
 					de.reset()
 				}
-				if got != want || gotR != wantR {
-					t.Fatalf("slots %d seed %d op %d (%d): table %v want %v, rotating %v want %v",
-						tc.slots, seed, i, op, got, want, gotR, wantR)
+				if got != want {
+					t.Fatalf("slots %d seed %d op %d (%d): table %v want %v", tc.slots, seed, i, op, got, want)
 				}
 				if sp.Occupied != de.occupied || sp.Collisions != de.collisions || sp.LoadFactor() != de.loadFactor() {
 					t.Fatalf("slots %d seed %d op %d (%d): occupied %d/%d collisions %d/%d load %v/%v", tc.slots, seed, i, op,
 						sp.Occupied, de.occupied, sp.Collisions, de.collisions, sp.LoadFactor(), de.loadFactor())
 				}
-				if spr.Occupied() != der.cur.occupied+der.prev.occupied || spr.Collisions != der.collisions {
-					t.Fatalf("slots %d seed %d op %d (%d): rotating occupied %d/%d collisions %d/%d", tc.slots, seed, i, op,
-						spr.Occupied(), der.cur.occupied+der.prev.occupied, spr.Collisions, der.collisions)
-				}
 			}
-			if !collided || !collidedR {
-				t.Errorf("slots %d seed %d: stream produced no collision (table %v, rotating %v)",
-					tc.slots, seed, collided, collidedR)
+			if !collided {
+				t.Errorf("slots %d seed %d: stream produced no collision", tc.slots, seed)
 			}
 		}
 	}

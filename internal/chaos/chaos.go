@@ -17,7 +17,6 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"ufab/internal/dataplane"
 	"ufab/internal/sim"
@@ -287,13 +286,4 @@ func Parse(b []byte) (*Scenario, error) {
 		}
 	}
 	return s, nil
-}
-
-// LoadFile reads a scenario JSON file.
-func LoadFile(path string) (*Scenario, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(b)
 }

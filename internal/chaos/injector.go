@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ufab/internal/dataplane"
@@ -32,13 +31,13 @@ type Target interface {
 
 // Record is one line of the injection log.
 type Record struct {
-	At     sim.Time `json:"at_ps"`
-	Kind   Kind     `json:"kind"`
-	Detail string   `json:"detail,omitempty"`
-	Note   string   `json:"note,omitempty"`
+	At     sim.Time
+	Kind   Kind
+	Detail string
+	Note   string
 	// OK is false when the target rejected the event (bad node/link id,
 	// unknown VF, ...); the simulation continues either way.
-	OK bool `json:"ok"`
+	OK bool
 }
 
 func (r Record) String() string {
@@ -203,10 +202,4 @@ func (inj *Injector) Rejected() int {
 		}
 	}
 	return n
-}
-
-// LogJSON renders the injection log as indented JSON for archival
-// alongside experiment output.
-func (inj *Injector) LogJSON() ([]byte, error) {
-	return json.MarshalIndent(inj.Log, "", "  ")
 }

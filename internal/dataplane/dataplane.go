@@ -85,8 +85,10 @@ type Packet struct {
 	// SentAt is when the source emitted the packet (for RTT/latency).
 	SentAt sim.Time
 	// ECN is set by switches when the egress queue exceeds the marking
-	// threshold; baselines use it as their congestion signal.
-	ECN bool
+	// threshold; baselines use it as their congestion signal. ECNEcho is an
+	// Ack's copy of the acknowledged data packet's mark, a header field no
+	// switch on the way back touches.
+	ECN, ECNEcho bool
 	// Payload carries an encoded probe (for Probe/Response packets). A
 	// pool-born packet owns the buffer and keeps its capacity across reuse.
 	Payload []byte
@@ -97,10 +99,9 @@ type Packet struct {
 	// the SentAt of the data packet it acknowledges.
 	AckedBytes  int
 	AckedSentAt sim.Time
-	// Meta carries whatever else a scheme would encode in headers (the
-	// baselines' weights and grants); boxing it allocates, which is why
-	// μFAB-E's header rides in the typed fields above.
-	Meta any
+	// Rate is the baselines' rate header: the sender's weight in tokens on a
+	// data packet, the receiver's grant in bits/s on its ack.
+	Rate float64
 
 	// arrival is the one event callback the packet's whole journey
 	// schedules; at is the node the link it is currently on delivers it to.
@@ -673,8 +674,9 @@ func (n *Network) release(pkt *Packet, at topo.NodeID) {
 // it reads nonsense: an impossible kind, no route, garbage in the payload.
 func poisonPacket(pkt *Packet) {
 	pkt.Kind, pkt.Size, pkt.VMPair, pkt.Tenant = 0xff, -1, ^VMPair(0), -1
-	pkt.Route, pkt.Return, pkt.Hop, pkt.Meta = nil, nil, -1, nil
+	pkt.Route, pkt.Return, pkt.Hop = nil, nil, -1
 	pkt.Seq, pkt.SentAt, pkt.AckedBytes, pkt.AckedSentAt = ^uint64(0), -1, -1, -1
+	pkt.Rate, pkt.ECNEcho = -1, true
 	full := pkt.Payload[:cap(pkt.Payload)]
 	for i := range full {
 		full[i] = 0xa5
@@ -706,7 +708,7 @@ func (n *Network) Reply(pkt *Packet, at topo.NodeID) *Packet {
 		r.Payload = append(r.Payload, pkt.Payload...)
 	}
 	r.Route, r.Return = back, pkt.Route
-	r.Seq, r.ECN, r.Meta = 0, false, nil
+	r.Seq, r.ECN = 0, false
 	return r
 }
 

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -405,24 +404,5 @@ func BenchmarkForwarding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.Send(&Packet{Kind: Data, Size: 1500, Route: route})
 		eng.Run()
-	}
-}
-
-func TestTracer(t *testing.T) {
-	eng, n, st := twoHostNet(topo.Gbps(10))
-	var buf strings.Builder
-	tr := n.AttachTracer(&buf)
-	tr.Filter = func(pkt *Packet) bool { return pkt.Kind == Data }
-	route := st.Graph.Paths(st.Hosts[0], st.Hosts[1], 1)[0]
-	n.SetHandler(st.Hosts[1], HandlerFunc(func(pkt *Packet) {}))
-	n.Send(&Packet{Kind: Data, Size: 1500, Route: route, VMPair: 7})
-	n.Send(&Packet{Kind: Ack, Size: 64, Route: route}) // filtered out
-	eng.Run()
-	if tr.Lines != 1 {
-		t.Fatalf("traced %d lines, want 1", tr.Lines)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "vm=7") || !strings.Contains(out, "data") || !strings.Contains(out, "H2") {
-		t.Fatalf("trace line = %q", out)
 	}
 }

@@ -12,10 +12,12 @@ import (
 // passing) but misbehaves. Zero fields leave the corresponding aspect
 // untouched, so a Degradation is composable from any subset of symptoms.
 type Degradation struct {
-	// CapacityScale in (0, 1) scales the effective line rate (e.g. an
-	// autoneg downshift or a failing lane); 0 or >= 1 means full rate.
+	// CapacityScale in [minCapacityScale, 1) scales the effective line rate
+	// (e.g. an autoneg downshift or a failing lane); 0 or >= 1 means full
+	// rate.
 	CapacityScale float64 `json:"capacity_scale,omitempty"`
-	// ExtraDelay is added to the link's propagation delay.
+	// ExtraDelay is added to the link's propagation delay; it lies in
+	// [0, maxExtraDelay].
 	ExtraDelay sim.Duration `json:"extra_delay_ps,omitempty"`
 	// LossProb drops any packet entering the link with this probability.
 	LossProb float64 `json:"loss_prob,omitempty"`
@@ -41,6 +43,18 @@ type linkFault struct {
 }
 
 func (f *linkFault) clear() bool { return !f.down && !f.deg.active() }
+
+// The bounds of a degradation the simulator can schedule. maxExtraDelay is
+// the largest latency a gray fault may add: a simulated second, far beyond
+// any link a fabric carries traffic over, and small enough that propagation
+// delay plus it cannot overflow sim.Duration. minCapacityScale is the
+// slowest a link may run: a millionth of its line rate, already dead to
+// every flow; far below it a packet's serialization delay overflows
+// sim.Duration.
+const (
+	maxExtraDelay    = sim.Second
+	minCapacityScale = 1e-6
+)
 
 // validLink reports whether l indexes a real link.
 func (n *Network) validLink(l topo.LinkID) bool {
@@ -74,9 +88,13 @@ func (n *Network) LinkFailed(l topo.LinkID) bool {
 }
 
 // DegradeLink applies a gray fault to a link, replacing any previous
-// degradation. Returns false for an out-of-range id.
+// degradation. Returns false for an out-of-range id and for a degradation
+// the simulator cannot schedule: an ExtraDelay below zero (an arrival before
+// its departure) or above maxExtraDelay, or a CapacityScale below
+// minCapacityScale.
 func (n *Network) DegradeLink(l topo.LinkID, d Degradation) bool {
-	if !n.validLink(l) {
+	if !n.validLink(l) || d.ExtraDelay < 0 || d.ExtraDelay > maxExtraDelay ||
+		(d.CapacityScale > 0 && d.CapacityScale < minCapacityScale) {
 		return false
 	}
 	n.faults[l].deg = d

@@ -160,6 +160,27 @@ func TestDegradedCapacityAndExtraDelay(t *testing.T) {
 	}
 }
 
+// TestDegradeRefusesUnschedulable: a gray fault whose added latency
+// would schedule an arrival before its departure, or overflow the link's
+// propagation delay, or whose line rate is so low that a packet's
+// serialization overflows, is refused and leaves the link as it was.
+func TestDegradeRefusesUnschedulable(t *testing.T) {
+	_, n, _ := twoHostNet(topo.Gbps(10))
+	for _, d := range []sim.Duration{-1, -sim.Second, maxExtraDelay + 1, 9223372036854775000} {
+		if n.DegradeLink(0, Degradation{ExtraDelay: d, LossProb: 0.5}) || n.LinkDegraded(0) {
+			t.Errorf("ExtraDelay %d accepted", d)
+		}
+	}
+	for _, s := range []float64{1e-300, 5e-324, minCapacityScale / 2} {
+		if n.DegradeLink(0, Degradation{CapacityScale: s}) || n.LinkDegraded(0) {
+			t.Errorf("CapacityScale %g accepted", s)
+		}
+	}
+	if !n.DegradeLink(0, Degradation{ExtraDelay: maxExtraDelay, CapacityScale: minCapacityScale}) || !n.LinkDegraded(0) {
+		t.Error("a degradation at the bounds refused")
+	}
+}
+
 func TestLossDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []bool {
 		eng := sim.New()

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"testing"
+	"unsafe"
 
 	"ufab/internal/sim"
 	"ufab/internal/topo"
@@ -242,6 +243,14 @@ func TestHopAllocationBudget(t *testing.T) {
 	if delivered != 404 || n.LivePackets() != 0 || n.PooledPackets() != 1 {
 		t.Errorf("delivered %d (want 404), %d live (want 0), %d free (want 1: every journey reused one packet)",
 			delivered, n.LivePackets(), n.PooledPackets())
+	}
+}
+
+// TestPacketBytes: every scheme's header rides in a typed field, none boxed
+// behind an interface, so a packet is 200 bytes and must not grow.
+func TestPacketBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 200 {
+		t.Errorf("Packet is %d bytes, want <= 200", got)
 	}
 }
 

@@ -48,7 +48,7 @@ type Topology struct {
 
 // maxNodes bounds the hosts plus switches of a topology somebody outside
 // the program describes. Cases arrive as files (`ufabsim fuzz -replay`,
-// `-corpus`) and `ufabtopo` takes dimensions as flags, so the size is
+// `-corpus`) and `ufabsim topo` takes dimensions as flags, so the size is
 // checked before anything is built; the generator draws at most 9 hosts and
 // the committed corpus tops out at the 18-node testbed.
 const maxNodes = 512

@@ -1,8 +1,7 @@
 // Package token implements μFAB's bandwidth-token machinery: the hose-model
 // Guarantee Partitioning of Appendix E (Algorithm 1), which splits a VF's
 // minimum-bandwidth tokens φ^a into per-VM-pair tokens φ_{a→b} under online
-// traffic patterns, and the multipath token split of Appendix F
-// (Algorithm 2).
+// traffic patterns.
 //
 // A VF with hose guarantee B^a_min owns φ^a = B^a_min / B_u tokens on each
 // side (sender and receiver), where B_u is the bandwidth one token
@@ -162,48 +161,3 @@ func ReceiverAdmit(phiVF float64, pairs []*Pair) {
 		remaining--
 	}
 }
-
-// PathToken is one underlay path's token state for a multipath VM-pair.
-type PathToken struct {
-	// Demand is the path's measured demand in tokens (TX rate / B_u);
-	// negative means unbounded.
-	Demand float64
-	// Token is the assigned per-path token, written by MultipathAssign.
-	Token float64
-}
-
-// MultipathAssign implements Algorithm 2: it splits the VM-pair's token
-// phiPair equally over its underlay paths, boosts paths with insufficient
-// demand to the fair share (so demand growth is not throttled), and
-// redistributes the spare to the remaining paths.
-func MultipathAssign(phiPair float64, paths []*PathToken) {
-	n := len(paths)
-	if n == 0 {
-		return
-	}
-	equal := phiPair / float64(n)
-	spare := 0.0
-	unbounded := 0
-	for _, l := range paths {
-		l.Token = 0
-		if l.Demand >= 0 && l.Demand < equal {
-			spare += equal - l.Demand
-			l.Token = equal // boost demand growth
-		} else {
-			unbounded++
-		}
-	}
-	if unbounded == 0 {
-		return
-	}
-	extra := spare / float64(unbounded)
-	for _, l := range paths {
-		if l.Token == 0 {
-			l.Token = equal + extra
-		}
-	}
-}
-
-// TokensFor converts a bandwidth guarantee in bits/s into tokens given the
-// per-token bandwidth B_u in bits/s.
-func TokensFor(guaranteeBps, buBps float64) float64 { return guaranteeBps / buBps }

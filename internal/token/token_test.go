@@ -119,49 +119,6 @@ func TestEffective(t *testing.T) {
 	}
 }
 
-func TestMultipathAssignEqual(t *testing.T) {
-	paths := []*PathToken{{Demand: -1}, {Demand: -1}, {Demand: -1}}
-	MultipathAssign(30, paths)
-	for i, l := range paths {
-		if math.Abs(l.Token-10) > 1e-9 {
-			t.Errorf("path %d token %v, want 10", i, l.Token)
-		}
-	}
-}
-
-func TestMultipathAssignInsufficient(t *testing.T) {
-	paths := []*PathToken{{Demand: 2}, {Demand: -1}, {Demand: -1}}
-	MultipathAssign(30, paths)
-	if math.Abs(paths[0].Token-10) > 1e-9 {
-		t.Errorf("bounded path token %v, want boosted 10", paths[0].Token)
-	}
-	for i := 1; i < 3; i++ {
-		if math.Abs(paths[i].Token-14) > 1e-9 {
-			t.Errorf("path %d token %v, want 14", i, paths[i].Token)
-		}
-	}
-}
-
-func TestMultipathAssignAllBounded(t *testing.T) {
-	paths := []*PathToken{{Demand: 1}, {Demand: 2}}
-	MultipathAssign(30, paths)
-	for i, l := range paths {
-		if math.Abs(l.Token-15) > 1e-9 {
-			t.Errorf("path %d token %v, want equal share 15", i, l.Token)
-		}
-	}
-}
-
-func TestMultipathAssignEmpty(t *testing.T) {
-	MultipathAssign(30, nil) // must not panic
-}
-
-func TestTokensFor(t *testing.T) {
-	if got := TokensFor(5e9, 100e6); got != 50 {
-		t.Errorf("TokensFor = %v, want 50", got)
-	}
-}
-
 // Property: receiver admission is feasible — the sum of what bounded pairs
 // are admitted plus fitting requests never exceeds the hose, and every
 // response is either Unbound or ≤ the request... (a bounded admission is

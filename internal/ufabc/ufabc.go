@@ -35,11 +35,6 @@ type Config struct {
 	// 10 s per §4.2; experiments shorten it). A pair is expired by the
 	// first sweep that finds it silent for a whole period.
 	CleanupPeriod sim.Duration
-	// UseTimingFilter switches the active-pair structure to the
-	// rotating (timing Bloom filter) variant §3.6 suggests: expiry
-	// becomes an epoch swap instead of a timestamp scan, at the cost of
-	// a staleness bound of two cleanup periods.
-	UseTimingFilter bool
 }
 
 func (c *Config) setDefaults() {
@@ -56,37 +51,13 @@ func (c Config) StalenessBound() sim.Duration {
 	return 2 * c.CleanupPeriod
 }
 
-// linkState is the per-egress-link register set. Exactly one of scan/rot
-// is non-nil, per Config.UseTimingFilter.
+// linkState is the per-egress-link register set: the active-VM-pair table
+// and the two aggregates it keeps.
 type linkState struct {
-	scan *bloom.Table
-	rot  *bloom.Rotating
+	table *bloom.Table
 	// phiMilli is Φ_l in millitokens; windowBytes is W_l in bytes.
 	phiMilli    int64
 	windowBytes int64
-}
-
-func (ls *linkState) update(key uint64, phi, w uint32, now int64) (int64, int64, bool) {
-	if ls.rot != nil {
-		return ls.rot.Update(key, phi, w, now)
-	}
-	return ls.scan.Update(key, phi, w, now)
-}
-
-func (ls *linkState) remove(key uint64) (int64, int64, bool) {
-	if ls.rot != nil {
-		return ls.rot.Remove(key)
-	}
-	return ls.scan.Remove(key)
-}
-
-func (ls *linkState) cleanup(cutoff int64) (int64, int64) {
-	if ls.rot != nil {
-		dPhi, dW, _ := ls.rot.Rotate()
-		return dPhi, dW
-	}
-	dPhi, dW, _ := ls.scan.Expire(cutoff)
-	return dPhi, dW
 }
 
 // Agent is a μFAB-C instance for one switch (or one host hypervisor, for
@@ -160,7 +131,7 @@ func (a *Agent) StartCleanup(eng sim.Scheduler) (stop func()) {
 	return eng.Every(a.cfg.CleanupPeriod, func() {
 		cutoff := int64(eng.Now() - a.cfg.CleanupPeriod)
 		for _, ls := range a.links {
-			dPhi, dW := ls.cleanup(cutoff)
+			dPhi, dW, _ := ls.table.Expire(cutoff)
 			ls.phiMilli += dPhi
 			ls.windowBytes += dW
 		}
@@ -180,12 +151,7 @@ func (a *Agent) Restart() {
 func (a *Agent) link(id topo.LinkID) *linkState {
 	ls := a.links[id]
 	if ls == nil {
-		ls = &linkState{}
-		if a.cfg.UseTimingFilter {
-			ls.rot = bloom.NewRotating(tableSlotsPerBank)
-		} else {
-			ls.scan = bloom.New(tableSlotsPerBank)
-		}
+		ls = &linkState{table: bloom.New(tableSlotsPerBank)}
 		a.links[id] = ls
 	}
 	return ls
@@ -206,9 +172,8 @@ func (a *Agent) Subscription(id topo.LinkID) (phiTokens float64, windowBytes int
 // candidate paths of one pair share prefix links (always the host
 // uplink), and keying by pair keeps Φ_l idempotent when several candidate
 // probes of the same pair traverse the same link during a migration
-// evaluation. The cost is a transient under-count on a link both of a
-// pair's active paths share in the multipath mode of Appendix F, digested
-// by the 5% headroom like other register noise.
+// evaluation. A pair has one active path (§6), so one entry per pair per
+// link is all the register ever needs to hold.
 func pairKey(p *probe.Packet) uint64 {
 	return uint64(p.VMPair)
 }
@@ -242,12 +207,12 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 	switch p.Kind {
 	case probe.KindProbe:
 		phiMilli := uint32(p.Phi*1000 + 0.5)
-		dPhi, dW, _ := ls.update(key, phiMilli, p.Window, int64(now))
+		dPhi, dW, _ := ls.table.Update(key, phiMilli, p.Window, int64(now))
 		ls.phiMilli += dPhi
 		ls.windowBytes += dW
 		a.recordChurn(dPhi, dW, now, "update", trace)
 	case probe.KindFinish:
-		dPhi, dW, _ := ls.remove(key)
+		dPhi, dW, _ := ls.table.Remove(key)
 		ls.phiMilli += dPhi
 		ls.windowBytes += dW
 		a.recordChurn(dPhi, dW, now, "remove", trace)

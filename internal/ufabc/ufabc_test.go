@@ -139,25 +139,6 @@ func TestSilentQuitCleanup(t *testing.T) {
 	}
 }
 
-func TestSilentQuitCleanupTimingFilter(t *testing.T) {
-	// The rotating variant expires a silent pair within two epochs.
-	cfg := Config{CleanupPeriod: 10 * sim.Millisecond, UseTimingFilter: true}
-	eng, net, st, ag, route := testNet(t, cfg)
-	net.SetHandler(st.Hosts[1], dataplane.HandlerFunc(func(pkt *dataplane.Packet) {}))
-	stop := ag.StartCleanup(eng)
-	defer stop()
-	sendProbe(net, route, &probe.Packet{Kind: probe.KindProbe, VMPair: 1, Phi: 5, Window: 1024})
-	aliveStop := eng.Every(5*sim.Millisecond, func() {
-		sendProbe(net, route, &probe.Packet{Kind: probe.KindProbe, VMPair: 2, Phi: 3, Window: 512})
-	})
-	eng.RunUntil(35 * sim.Millisecond)
-	aliveStop()
-	phi, _ := ag.Subscription(route[1])
-	if math.Abs(phi-3) > 1e-6 {
-		t.Errorf("after rotations Φ = %v, want 3 (silent VM-pair expired)", phi)
-	}
-}
-
 func TestTelemetryReflectsLoadAndQueue(t *testing.T) {
 	eng, net, st, _, route := testNet(t, Config{})
 	var last *probe.Packet

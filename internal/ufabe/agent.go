@@ -954,8 +954,8 @@ func (a *Agent) assignSenderTokens(vf *vfState, period float64) {
 	if vf.senderTokens <= 0 {
 		return
 	}
-	// Externally-managed pairs (multipath token splits) keep their φ; the
-	// rest share the remaining hose.
+	// Pinned pairs (SetPhi) keep their φ; the rest share the remaining
+	// hose.
 	hose := vf.senderTokens
 	toks := a.tok.toks[:0]
 	for _, p := range vf.pairs {

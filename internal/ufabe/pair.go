@@ -54,9 +54,8 @@ type Pair struct {
 
 	// Tokens. phi is the sender-assigned token (GP-managed or static);
 	// peerPhi the last receiver admission (0 = unbound/unknown).
-	// phiManaged pairs are excluded from Guarantee Partitioning — an
-	// external controller (e.g. the Appendix-F multipath token split)
-	// owns their φ.
+	// phiManaged pairs are excluded from Guarantee Partitioning: whoever
+	// called SetPhi owns their φ.
 	phi        float64
 	peerPhi    float64
 	phiManaged bool
@@ -109,8 +108,8 @@ type Pair struct {
 func (p *Pair) Phi() float64 { return p.phi }
 
 // SetPhi pins the pair's sender token and excludes the pair from the VF's
-// Guarantee Partitioning loop; the Appendix-F multipath token split uses
-// this to own the per-path budget.
+// Guarantee Partitioning loop. The auditor's sabotage tests use it to starve
+// a pair below its guarantee.
 func (p *Pair) SetPhi(phi float64) {
 	p.phi = phi
 	p.phiManaged = true

@@ -337,3 +337,24 @@ func TestFailureNotificationFastRecovery(t *testing.T) {
 			migratedAt-failAt, 8*baseRTT)
 	}
 }
+
+// TestManagedPhiExcludedFromGP: a SetPhi pair keeps its token while its
+// VF's other pairs share the rest.
+func TestManagedPhiExcludedFromGP(t *testing.T) {
+	eng := sim.New()
+	st := topo.NewStar(3, topo.Gbps(10), 5*sim.Microsecond)
+	f := New(eng, st.Graph, Config{Seed: 7})
+	vf := f.AddVF(1, 8e9, 5) // 80 tokens
+	pinned := f.AddFlow(vf, st.Hosts[0], st.Hosts[1], 0)
+	pinned.Pair.SetPhi(30)
+	other := f.AddFlow(vf, st.Hosts[0], st.Hosts[2], 0)
+	backlog(other)
+	eng.RunUntil(2 * sim.Millisecond)
+	if got := pinned.Pair.Phi(); got != 30 {
+		t.Fatalf("managed φ = %v, want pinned 30", got)
+	}
+	// The free pair gets the remaining 50 (alone and backlogged).
+	if got := other.Pair.Phi(); got < 45 {
+		t.Fatalf("free pair φ = %v, want ≈50", got)
+	}
+}

@@ -313,16 +313,3 @@ func Poisson(eng sim.Scheduler, rng *rand.Rand, dist *SizeDist, loadBps float64,
 	eng.After(gap, next)
 	return func() { stopped = true }
 }
-
-// Permutation returns a random derangement-style pairing: srcs[i] sends to
-// dsts[perm[i]] with no src mapped to its own index when the slices alias.
-func Permutation(rng *rand.Rand, n int) []int {
-	perm := rng.Perm(n)
-	for i := 0; i < n; i++ {
-		if perm[i] == i {
-			j := (i + 1) % n
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	return perm
-}

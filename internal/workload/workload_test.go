@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ufab/internal/flowsrc"
 	"ufab/internal/sim"
@@ -161,28 +160,6 @@ func TestPoissonLoad(t *testing.T) {
 	offered := float64(bytes*8) / 0.2
 	if offered < 3.5e9 || offered > 6.5e9 {
 		t.Fatalf("offered load = %.2f Gbps, want ≈5", offered/1e9)
-	}
-}
-
-func TestPermutationProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%30) + 2
-		rng := rand.New(rand.NewSource(seed))
-		perm := Permutation(rng, n)
-		seen := make([]bool, n)
-		for i, p := range perm {
-			if p < 0 || p >= n || seen[p] {
-				return false
-			}
-			seen[p] = true
-			if p == i {
-				return false // no self-pairing
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
