@@ -292,19 +292,27 @@ func (a *Auditor) Log() *Log { return a.log }
 // what it missed, possibly — must fail the gates, not pass them quietly.
 func (a *Auditor) MissedEvents(n uint64) { a.log.dropped += int(n) }
 
+// Observes reports whether ObserveEvent reads events of kind k: faults, and
+// the migration/freeze/tenant/drop context kept for findings. It ignores
+// every other kind, so a feed may skip those unread (telemetry.Merge).
+func Observes(k telemetry.EventKind) bool {
+	switch k {
+	case telemetry.EvFault, telemetry.EvMigration, telemetry.EvFreeze, telemetry.EvTenant, telemetry.EvDrop:
+		return true
+	}
+	return false
+}
+
 // ObserveEvent ingests one flight-recorder event: applied chaos faults
 // open excused windows, and fault/migration/freeze/tenant/drop events are
 // retained as root-cause context for findings. Wire it with
 // Recorder.Subscribe.
 func (a *Auditor) ObserveEvent(ev telemetry.Event) {
-	switch ev.Kind {
-	case telemetry.EvFault:
-		if ev.A == 1 {
-			a.addExcuse(ev.T, ev.T+faultExcusePS, "fault:"+ev.Note)
-		}
-	case telemetry.EvMigration, telemetry.EvFreeze, telemetry.EvTenant, telemetry.EvDrop:
-	default:
+	if !Observes(ev.Kind) {
 		return
+	}
+	if ev.Kind == telemetry.EvFault && ev.A == 1 {
+		a.addExcuse(ev.T, ev.T+faultExcusePS, "fault:"+ev.Note)
 	}
 	if len(a.ctx) < contextRingCap {
 		a.ctx = append(a.ctx, ev)

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -306,6 +308,46 @@ func TestFindingsJSONL(t *testing.T) {
 	}
 	if buf2.String() != out {
 		t.Fatalf("re-serialization differs:\n%q\n%q", buf2.String(), out)
+	}
+}
+
+// TestNonFiniteValuesStayValidJSON: a NaN or infinite event value, finding
+// observation or bound is written as null, so trace.jsonl, findings.jsonl
+// and /v1/findings stay one valid JSON object per line; finite values keep
+// their shortest form.
+func TestNonFiniteValuesStayValidJSON(t *testing.T) {
+	reg := telemetry.New()
+	rec := reg.EnableRecorder(0)
+	var evs []telemetry.Event
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2.5} {
+		ev := telemetry.Event{T: int64(i), Kind: telemetry.EvDrop, Entity: "link.a-b", V: v, Note: "overflow"}
+		rec.Record(ev)
+		evs = append(evs, ev)
+	}
+	log := &Log{}
+	log.add(Finding{Kind: QueueBoundViolation, VF: -1, Entity: "link.a-b", Observed: math.Inf(1), Bound: math.NaN(), Unit: "bytes", Context: evs})
+	log.add(Finding{Kind: MinBWViolation, VF: 1, Entity: "vf.1", Observed: 1.5e9, Bound: math.Inf(-1), Unit: "bps"})
+	var trace, findings bytes.Buffer
+	if err := reg.WriteTraceJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.WriteJSONL(&findings); err != nil {
+		t.Fatal(err)
+	}
+	out := trace.String() + findings.String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("%d lines, want 4 events and 2 findings:\n%s", len(lines), out)
+	}
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Errorf("not valid JSON: %s", line)
+		}
+	}
+	for _, want := range []string{`"v":null`, `"v":2.5`, `"observed":null,"bound":null`, `"observed":1.5e+09,"bound":null`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %s:\n%s", want, out)
+		}
 	}
 }
 

@@ -212,9 +212,9 @@ func writeFindingJSON(bw *bufio.Writer, f Finding) {
 		bw.WriteString(strconv.Quote(f.Entity))
 	}
 	bw.WriteString(`,"observed":`)
-	bw.WriteString(strconv.FormatFloat(f.Observed, 'g', -1, 64))
+	bw.WriteString(telemetry.JSONFloat(f.Observed))
 	bw.WriteString(`,"bound":`)
-	bw.WriteString(strconv.FormatFloat(f.Bound, 'g', -1, 64))
+	bw.WriteString(telemetry.JSONFloat(f.Bound))
 	bw.WriteString(`,"unit":`)
 	bw.WriteString(strconv.Quote(f.Unit))
 	if f.Excused {

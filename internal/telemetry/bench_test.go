@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkTelemetryDisabled measures the nil-instrument fast path that
 // every instrumented hot loop (dataplane enqueue, ufabe probe handling)
@@ -47,5 +50,33 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 		s.Add(int64(i), float64(i))
 		h.Observe(float64(i))
 		rec.Record(Event{T: int64(i), Kind: EvDrop, B: int64(i), Trace: SpanID(int64(i)), Span: 1})
+	}
+}
+
+// BenchmarkRecord records into a full ring the mix an instrumented fabric
+// records: 128 edge agents and 64 links as entities, the probe/stage/drop
+// notes or none, a trace id on most events. The ring is full before the
+// timer starts, so allocs/op must be 0.
+func BenchmarkRecord(b *testing.B) {
+	kinds := []EventKind{EvProbeTX, EvProbeRX, EvWindow, EvRegister, EvDrop, EvStage}
+	notes := []string{"probe", "", "", "update", "overflow", "steady"}
+	evs := make([]Event, 4096)
+	for i := range evs {
+		k := i % len(kinds)
+		ev := Event{T: int64(i), Kind: kinds[k], Entity: fmt.Sprintf("ufabe.h%d", i%128), A: int64(i % 1000),
+			B: int64(i % 7), V: float64(i), Note: notes[k], Trace: SpanID(TraceProbe, int64(i)), Span: 1}
+		if ev.Kind == EvRegister || ev.Kind == EvDrop {
+			ev.Entity = fmt.Sprintf("link.s%d-s%d", i%64, (i+1)%64)
+		}
+		evs[i] = ev
+	}
+	rec := newRecorder(1 << 14)
+	for i := 0; i < 1<<14; i++ {
+		rec.Record(evs[i%len(evs)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Record(evs[i%len(evs)])
 	}
 }

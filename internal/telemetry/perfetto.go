@@ -6,8 +6,8 @@ import (
 	"strconv"
 )
 
-// WritePerfettoJSON exports the run's flight-recorder trace (the canonical
-// shard merge, see TraceEvents) as Chrome trace-event JSON, the format the
+// WritePerfettoJSON exports the run's flight-recorder trace (what
+// WriteTraceJSONL writes) as Chrome trace-event JSON, the format the
 // Perfetto UI (ui.perfetto.dev) opens directly. The mapping:
 //
 //   - Every distinct event entity becomes one "thread" (tid), numbered in
@@ -29,17 +29,17 @@ func (r *Registry) WritePerfettoJSON(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	evs := r.TraceEvents()
 
-	// Assign one tid per entity in first-seen canonical order.
+	// Assign one tid per entity in first-seen canonical order: a first pass
+	// over the trace, since the thread names lead the file.
 	tids := make(map[string]int)
 	var entities []string
-	for _, ev := range evs {
+	r.eachTraceEvent(func(ev Event) {
 		if _, ok := tids[ev.Entity]; !ok {
 			tids[ev.Entity] = len(entities) + 1
 			entities = append(entities, ev.Entity)
 		}
-	}
+	})
 
 	bw.WriteString(`{"traceEvents":[`)
 	first := true
@@ -62,7 +62,7 @@ func (r *Registry) WritePerfettoJSON(w io.Writer) error {
 		bw.WriteString(strconv.Quote(name))
 		bw.WriteString(`}}`)
 	}
-	for _, ev := range evs {
+	r.eachTraceEvent(func(ev Event) {
 		sep()
 		ph, cat := "i", ""
 		if ev.Trace != 0 {
@@ -84,7 +84,7 @@ func (r *Registry) WritePerfettoJSON(w io.Writer) error {
 		bw.WriteString(`,"ph":"`)
 		bw.WriteString(ph)
 		bw.WriteString(`","ts":`)
-		bw.WriteString(formatFloat(float64(ev.T) / 1e6))
+		bw.WriteString(JSONFloat(float64(ev.T) / 1e6))
 		bw.WriteString(`,"pid":1,"tid":`)
 		bw.WriteString(strconv.Itoa(tids[ev.Entity]))
 		if ev.Trace != 0 {
@@ -100,14 +100,14 @@ func (r *Registry) WritePerfettoJSON(w io.Writer) error {
 		bw.WriteString(`,"b":`)
 		bw.WriteString(strconv.FormatInt(ev.B, 10))
 		bw.WriteString(`,"v":`)
-		bw.WriteString(formatFloat(ev.V))
+		bw.WriteString(JSONFloat(ev.V))
 		if ev.Span != 0 {
 			bw.WriteString(`,"span":"`)
 			bw.WriteString(strconv.FormatUint(ev.Span, 16))
 			bw.WriteByte('"')
 		}
 		bw.WriteString(`}}`)
-	}
+	})
 	if !first {
 		bw.WriteByte('\n')
 	}

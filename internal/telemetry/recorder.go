@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 )
@@ -75,8 +76,10 @@ func (k EventKind) String() string {
 }
 
 // Event is one flight-recorder entry. The fields are fixed scalars plus
-// two strings that call sites keep constant or precomputed, so recording
-// an event never allocates.
+// two strings that call sites keep constant or precomputed: a recorder
+// stores each distinct string once and an event as a fixed-width slot, so
+// recording an event allocates only when it opens a chunk of the ring or
+// brings a string the recorder has not seen.
 type Event struct {
 	// T is simulated time in picoseconds.
 	T    int64
@@ -133,18 +136,36 @@ func SpanID(parts ...int64) uint64 {
 	return h
 }
 
-// DefaultRecorderCap bounds the flight recorder's ring buffer (64k events
-// ≈ 5.5 MB). Deep enough to hold the full tail of any quick-scale run; long
-// runs keep the most recent window, which is what post-mortem debugging
-// wants.
+// DefaultRecorderCap bounds a flight-recorder ring: 64k events, 3.5 MiB of
+// slots once full. The cap is per recorder, and vfabric.Build gives the base
+// recorder and each logical shard a ring of its own (nine on a k=8 fat tree).
+// Deep enough to hold the full tail of any quick-scale run; long runs keep the
+// most recent window, which is what post-mortem debugging wants.
 const DefaultRecorderCap = 1 << 16
 
-// recorderChunk is how many events one chunk of a ring holds: 1024 × 88 B is
-// eleven 8 KiB pages exactly, so the allocator rounds nothing up.
+// recorderChunk is how many slots one chunk of a ring holds: 1024 × 56 B is
+// seven 8 KiB pages exactly, so the allocator rounds nothing up.
 const (
 	recorderChunkShift = 10
 	recorderChunk      = 1 << recorderChunkShift
 )
+
+// slot is an Event as a ring stores it: the scalars as they are, the entity
+// as an id into the recorder's string table, and the kind in the low 8 bits
+// of kindNote with the note's id above it. A slot holds no pointer, so a chunk
+// is allocated noscan and the garbage collector never reads the ring.
+type slot struct {
+	T, A, B     int64
+	V           float64
+	Trace, Span uint64
+	entity      uint32
+	kindNote    uint32
+}
+
+// spilled is the note id of a slot whose strings are not in the string table
+// but in Recorder.spill, and the table's size limit: every id in it fits the
+// note's 24 bits and differs from spilled.
+const spilled = 1<<24 - 1
 
 // Recorder is the run-trace flight recorder: a bounded in-memory ring of
 // structured events. Record is a safe no-op on a nil receiver, which is
@@ -159,14 +180,25 @@ const (
 // up front, a recorder that sees k events holds ⌈k/recorderChunk⌉ chunks, and
 // a full ring records without allocating.
 type Recorder struct {
-	chunks [][]Event
+	chunks [][]slot
 	cap    int
 	total  uint64
 	subs   []func(Event)
+
+	// strs[id] is the string interned as id, strs[0] is "", and ids maps
+	// back. Call sites pass constants or names fixed at attach time, so the
+	// table stops growing after a run's first events. It holds at most
+	// maxStrs strings (spilled; tests lower it): an event with a string that
+	// does not fit keeps both its strings in spill, under its slot index, so
+	// spill never holds more than cap entries.
+	strs    []string
+	ids     map[string]uint32
+	maxStrs int
+	spill   map[int][2]string
 }
 
 func newRecorder(capEvents int) *Recorder {
-	return &Recorder{cap: capEvents}
+	return &Recorder{cap: capEvents, strs: []string{""}, maxStrs: spilled}
 }
 
 // Record appends an event, overwriting the oldest once the ring is full.
@@ -174,16 +206,73 @@ func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	slot := int(r.total % uint64(r.cap))
+	i := r.index(r.total)
 	r.total++
 	for _, fn := range r.subs {
 		fn(ev)
 	}
-	c := slot >> recorderChunkShift
+	c := i >> recorderChunkShift
 	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]Event, min(recorderChunk, r.cap-c*recorderChunk)))
+		r.chunks = append(r.chunks, make([]slot, min(recorderChunk, r.cap-c*recorderChunk)))
 	}
-	r.chunks[c][slot&(recorderChunk-1)] = ev
+	entity, okEntity := r.intern(ev.Entity)
+	note, okNote := r.intern(ev.Note)
+	if !okEntity || !okNote {
+		if r.spill == nil {
+			r.spill = make(map[int][2]string)
+		}
+		r.spill[i] = [2]string{ev.Entity, ev.Note}
+		entity, note = 0, spilled
+	}
+	*r.slotAt(i) = slot{T: ev.T, A: ev.A, B: ev.B, V: ev.V, Trace: ev.Trace, Span: ev.Span,
+		entity: entity, kindNote: uint32(ev.Kind) | note<<8}
+}
+
+// intern returns str's id in the string table, adding it if there is room.
+func (r *Recorder) intern(str string) (uint32, bool) {
+	if str == "" {
+		return 0, true
+	}
+	if id, ok := r.ids[str]; ok {
+		return id, true
+	}
+	if len(r.strs) >= r.maxStrs {
+		return 0, false
+	}
+	if r.ids == nil {
+		r.ids = make(map[string]uint32)
+	}
+	id := uint32(len(r.strs))
+	r.strs = append(r.strs, str)
+	r.ids[str] = id
+	return id, true
+}
+
+// index is the slot that holds event number k.
+func (r *Recorder) index(k uint64) int { return int(k % uint64(r.cap)) }
+
+func (r *Recorder) slotAt(i int) *slot {
+	return &r.chunks[i>>recorderChunkShift][i&(recorderChunk-1)]
+}
+
+// event decodes slot i.
+func (r *Recorder) event(i int) Event {
+	s := r.slotAt(i)
+	ev := Event{T: s.T, Kind: EventKind(s.kindNote), A: s.A, B: s.B, V: s.V, Trace: s.Trace, Span: s.Span}
+	if note := s.kindNote >> 8; note == spilled {
+		strs := r.spill[i]
+		ev.Entity, ev.Note = strs[0], strs[1]
+	} else {
+		ev.Entity, ev.Note = r.strs[s.entity], r.strs[note]
+	}
+	return ev
+}
+
+// each hands fn the retained events in recording order.
+func (r *Recorder) each(fn func(Event)) {
+	for k := r.Dropped(); k < r.Total(); k++ {
+		fn(r.event(r.index(k)))
+	}
 }
 
 // Subscribe registers fn to observe every subsequently recorded event,
@@ -238,33 +327,11 @@ func (r *Recorder) EventsSince(n uint64) []Event {
 	if n >= r.Total() {
 		return nil
 	}
-	return r.AppendEventsSince(make([]Event, 0, r.total-n), n)
-}
-
-// AppendEventsSince is EventsSince into a slice the caller owns: the events
-// are appended to dst, chunk by chunk, and dst is returned. A caller that
-// drains a recorder every tick into the same slice allocates nothing once the
-// slice has grown to its largest batch.
-func (r *Recorder) AppendEventsSince(dst []Event, n uint64) []Event {
-	if r == nil {
-		return dst
+	evs := make([]Event, 0, r.total-n)
+	for ; n < r.total; n++ {
+		evs = append(evs, r.event(r.index(n)))
 	}
-	n = max(n, r.Dropped())
-	if n < r.total {
-		// Exactly what is missing, not append's geometric guess: the first
-		// drain of a run is its largest by far.
-		dst = slices.Grow(dst, int(r.total-n))
-	}
-	for n < r.total {
-		slot := int(n % uint64(r.cap))
-		run := r.chunks[slot>>recorderChunkShift][slot&(recorderChunk-1):]
-		if left := r.total - n; uint64(len(run)) > left {
-			run = run[:left]
-		}
-		dst = append(dst, run...)
-		n += uint64(len(run))
-	}
-	return dst
+	return evs
 }
 
 // EventBefore is the canonical content order used to merge per-shard
@@ -300,86 +367,156 @@ func EventBefore(a, b Event) bool {
 	return a.Span < b.Span
 }
 
-// before is EventBefore without copying either event unless their times tie.
-func before(a, b *Event) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	return EventBefore(*a, *b)
-}
-
 // compareEvents is EventBefore as a three-way comparison.
 func compareEvents(a, b Event) int {
 	switch {
-	case before(&a, &b):
+	case EventBefore(a, b):
 		return -1
-	case before(&b, &a):
+	case EventBefore(b, a):
 		return 1
 	}
 	return 0
 }
 
-// MergeEvents hands emit the canonical merge of streams, one event at a time:
-// all their events in the EventBefore order, events that compare equal (fully
-// identical ones) in stream order and, within a stream, in recording order —
-// exactly a stable sort of the streams' concatenation, which is what it
-// replaces, without sorting what the recorders already ordered. A recorder's
-// stream is non-decreasing in T, so a stream needs only its runs of equal T
-// put in order before a k-way merge; a stream that is not is sorted whole.
-// The streams' events are reordered in place and the slice headers in streams
-// are consumed; the merge itself allocates nothing.
-func MergeEvents(streams [][]Event, emit func(Event)) {
-	for _, evs := range streams {
-		for i := 0; i < len(evs); {
-			j := i + 1
-			for j < len(evs) && evs[j].T == evs[i].T {
-				j++
-			}
-			if j < len(evs) && evs[j].T < evs[i].T {
-				slices.SortStableFunc(evs, compareEvents)
-				break
-			}
-			if j-i > 1 {
-				slices.SortStableFunc(evs[i:j], compareEvents)
-			}
-			i = j
+// Merge returns a reader that merges recs' rings where they lie. Each call
+// hands emit, in EventBefore order, the events of the kinds keep accepts
+// (every kind when keep is nil) that the recorders recorded since the
+// previous call — since they began, on the first — and still retain, and
+// returns how many events of any kind the rings evicted unread in between.
+//
+// The order is exactly that of a stable sort of the recorders' streams,
+// concatenated in recs order, filtered afterwards. EventBefore orders by T
+// first, so that is one stable sort per timestamp, and a recorder's stream is
+// non-decreasing in T, so the reader gathers each timestamp's events from the
+// recorders in turn into scratch it keeps, sorts them and hands them on. (It
+// checks: when some recorder is out of T order, it sorts everything new at
+// once.) Slots of other kinds are skipped undecoded, and a warm reader
+// allocates nothing. emit must not record into recs; nil recorders are
+// skipped.
+func Merge(recs []*Recorder, keep func(EventKind) bool, emit func(Event)) func() (missed uint64) {
+	m := &ringMerge{emit: emit}
+	for _, r := range recs {
+		if r != nil {
+			m.recs = append(m.recs, r)
 		}
 	}
-	for {
-		best := -1
-		for s, evs := range streams {
-			if len(evs) > 0 && (best < 0 || before(&evs[0], &streams[best][0])) {
-				best = s
+	m.next = make([]uint64, len(m.recs))
+	m.end = make([]uint64, len(m.recs))
+	for k := range m.keep {
+		m.keep[k] = keep == nil || keep(EventKind(k))
+	}
+	return m.drain
+}
+
+// ringMerge is the state of a Merge reader.
+type ringMerge struct {
+	recs []*Recorder
+	keep [256]bool
+	emit func(Event)
+	// Per recorder, the number of the first event not yet read and, during
+	// a drain, of the first event recorded after it began.
+	next, end []uint64
+	group     []Event // the events gathered for the next sort
+}
+
+func (m *ringMerge) drain() (missed uint64) {
+	ordered := true
+	for i, r := range m.recs {
+		from := max(m.next[i], r.Dropped())
+		missed += from - m.next[i]
+		m.next[i], m.end[i] = from, r.total
+		ordered = ordered && m.ordered(i)
+	}
+	if !ordered {
+		for i, r := range m.recs {
+			for ; m.next[i] < m.end[i]; m.next[i]++ {
+				if j := r.index(m.next[i]); m.keep[uint8(r.slotAt(j).kindNote)] {
+					m.group = append(m.group, r.event(j))
+				}
 			}
 		}
-		if best < 0 {
-			return
+		m.flush()
+		return missed
+	}
+	for {
+		t, found := int64(0), false
+		for i := range m.recs {
+			if ht, ok := m.head(i); ok && (!found || ht < t) {
+				t, found = ht, true
+			}
 		}
-		emit(streams[best][0])
-		streams[best] = streams[best][1:]
+		if !found {
+			return missed
+		}
+		for i := range m.recs {
+			m.take(i, t)
+		}
+		m.flush()
 	}
 }
 
-// TraceEvents returns the run's full retained trace, oldest first: the base
-// recorder's events for sequential runs, or the canonical merge of the base
-// and every per-shard recorder for sharded runs.
-func (r *Registry) TraceEvents() []Event {
-	if r == nil {
-		return nil
+// ordered reports whether recorder i's unread kept events are non-decreasing
+// in T.
+func (m *ringMerge) ordered(i int) bool {
+	r, last := m.recs[i], int64(math.MinInt64)
+	for k := m.next[i]; k < m.end[i]; k++ {
+		if s := r.slotAt(r.index(k)); m.keep[uint8(s.kindNote)] {
+			if s.T < last {
+				return false
+			}
+			last = s.T
+		}
 	}
+	return true
+}
+
+// head returns the T of recorder i's next unread kept event, skipping the
+// slots of other kinds before it.
+func (m *ringMerge) head(i int) (int64, bool) {
+	r := m.recs[i]
+	for ; m.next[i] < m.end[i]; m.next[i]++ {
+		if s := r.slotAt(r.index(m.next[i])); m.keep[uint8(s.kindNote)] {
+			return s.T, true
+		}
+	}
+	return 0, false
+}
+
+// take gathers recorder i's unread kept events at time t.
+func (m *ringMerge) take(i int, t int64) {
+	r := m.recs[i]
+	for ; m.next[i] < m.end[i]; m.next[i]++ {
+		j := r.index(m.next[i])
+		s := r.slotAt(j)
+		if !m.keep[uint8(s.kindNote)] {
+			continue
+		}
+		if s.T != t {
+			return
+		}
+		m.group = append(m.group, r.event(j))
+	}
+}
+
+// flush hands emit the gathered events in stable EventBefore order.
+func (m *ringMerge) flush() {
+	slices.SortStableFunc(m.group, compareEvents)
+	for i := range m.group {
+		m.emit(m.group[i])
+	}
+	m.group = m.group[:0]
+}
+
+// eachTraceEvent hands emit the run's retained trace, oldest first: the base
+// recorder's events in recording order when the run has no per-shard
+// recorders, or else the canonical Merge of the base and every per-shard
+// recorder.
+func (r *Registry) eachTraceEvent(emit func(Event)) {
 	if len(r.shardRecs) == 0 {
-		return r.rec.Events()
+		r.rec.each(emit)
+		return
 	}
-	streams := make([][]Event, 0, 1+len(r.shardRecs))
-	streams = append(streams, r.rec.Events())
-	retained := r.rec.Len()
-	for _, sr := range r.shardRecs {
-		streams = append(streams, sr.Events())
-		retained += sr.Len()
-	}
-	all := make([]Event, 0, retained)
-	MergeEvents(streams, func(ev Event) { all = append(all, ev) })
-	return all
+	Merge(append([]*Recorder{r.rec}, r.shardRecs...), nil, emit)()
 }
 
 // TraceTotals sums Total and Dropped across the base recorder and every
@@ -405,12 +542,7 @@ func (r *Registry) WriteTraceJSONL(w io.Writer) error {
 	if r == nil || r.rec == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	for _, ev := range r.TraceEvents() {
-		WriteEventJSON(bw, ev)
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+	return writeJSONL(w, r.eachTraceEvent)
 }
 
 // WriteJSONL writes the retained events as one JSON object per line,
@@ -420,11 +552,15 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	return writeJSONL(w, r.each)
+}
+
+func writeJSONL(w io.Writer, events func(emit func(Event))) error {
 	bw := bufio.NewWriter(w)
-	for _, ev := range r.Events() {
+	events(func(ev Event) {
 		WriteEventJSON(bw, ev)
 		bw.WriteByte('\n')
-	}
+	})
 	return bw.Flush()
 }
 
@@ -452,7 +588,7 @@ func WriteEventJSON(bw *bufio.Writer, ev Event) {
 	}
 	if ev.V != 0 {
 		bw.WriteString(`,"v":`)
-		bw.WriteString(strconv.FormatFloat(ev.V, 'g', -1, 64))
+		bw.WriteString(JSONFloat(ev.V))
 	}
 	if ev.Note != "" {
 		bw.WriteString(`,"note":`)

@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,7 +235,7 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	const chunkBytes = recorderChunk * uint64(unsafe.Sizeof(Event{}))
+	const chunkBytes = recorderChunk * uint64(unsafe.Sizeof(slot{}))
 	rec := newRecorder(DefaultRecorderCap)
 	for _, k := range []int{1, recorderChunk - 1, 1, 3*recorderChunk + 5} { // cumulative: 1, chunk, chunk+1, 4 chunks + 6
 		before := len(rec.chunks)
@@ -268,91 +271,186 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 	}
 }
 
-// TestAppendEventsSinceReusesItsSlice: the auditor's per-tick drain appends
-// into the slice it drained into last tick; once that has grown to the
-// largest batch a drain allocates nothing, wrapped ring or not, and yields
-// what EventsSince yields.
-func TestAppendEventsSinceReusesItsSlice(t *testing.T) {
-	rec := newRecorder(4 * recorderChunk)
-	fillRecorder(rec, 3*recorderChunk) // the first drain is the largest
-	var batch []Event
-	cursor := uint64(0)
-	drain := func() {
-		batch = rec.AppendEventsSince(batch[:0], cursor)
-		cursor = rec.Total()
-	}
-	drain()
-	if len(batch) != 3*recorderChunk || cap(batch) > 3*recorderChunk+recorderChunk/8 {
-		t.Fatalf("first drain: %d events in a slice of %d, want %d sized to fit", len(batch), cap(batch), 3*recorderChunk)
-	}
-	for round := 0; round < 8; round++ { // wraps the ring twice
-		fillRecorder(rec, recorderChunk+17)
-		want := rec.EventsSince(cursor)
-		if a := testing.AllocsPerRun(1, func() { batch = rec.AppendEventsSince(batch[:0], cursor) }); a != 0 {
-			t.Errorf("round %d: draining %d events into a warm slice allocated %v times", round, len(want), a)
-		}
-		drain()
-		if len(batch) != len(want) {
-			t.Fatalf("round %d: %d events, EventsSince gives %d", round, len(batch), len(want))
-		}
-		for i := range want {
-			if batch[i] != want[i] {
-				t.Fatalf("round %d: event %d = %+v, EventsSince gives %+v", round, i, batch[i], want[i])
-			}
+// TestMergeReusesItsScratch: the auditor's per-tick feed reads the rings in
+// place; once its scratch has grown to the largest timestamp group, a read
+// allocates nothing, wrapped rings or not, and hands on every new event.
+func TestMergeReusesItsScratch(t *testing.T) {
+	recs := []*Recorder{newRecorder(4 * recorderChunk), newRecorder(4 * recorderChunk)}
+	n := 0
+	read := Merge(recs, nil, func(Event) { n++ })
+	fill := func(k int) {
+		for _, rec := range recs {
+			fillRecorder(rec, k)
 		}
 	}
-	if got := (*Recorder)(nil).AppendEventsSince(batch[:1], 0); len(got) != 1 {
-		t.Errorf("nil recorder appended %d events", len(got)-1)
+	fill(3 * recorderChunk)
+	read()
+	if n != 6*recorderChunk {
+		t.Fatalf("first read: %d events, want %d", n, 6*recorderChunk)
+	}
+	for round := 0; round < 8; round++ { // wraps the rings twice
+		n = 0
+		if a := testing.AllocsPerRun(1, func() { fill(recorderChunk + 17); read() }); a != 0 {
+			t.Errorf("round %d: reading %d fresh events allocated %v times", round, n, a)
+		}
+		if want := 2 * 2 * (recorderChunk + 17); n != want { // AllocsPerRun runs twice
+			t.Fatalf("round %d: %d events read, want %d", round, n, want)
+		}
+	}
+	if missed := Merge([]*Recorder{nil}, nil, func(Event) { t.Error("a nil recorder emitted") })(); missed != 0 {
+		t.Errorf("nil recorder: %d missed", missed)
 	}
 }
 
-// TestMergeEventsMatchesStableSort is the property the k-way merge stands on:
-// for random multi-recorder streams — duplicate events within and across
-// streams, long runs of equal T, empty streams, and now and then a stream out
-// of time order — it emits exactly what the stable sort of the streams'
-// concatenation, which it replaced, produces.
+// TestMergeEventsMatchesStableSort is the property the ring merge stands on:
+// for random recorders read again and again — duplicate events within and
+// across recorders, long runs of equal T, empty batches, rings that evict
+// between reads, now and then a recorder out of time order, and on a third
+// of the trials a kind filter — each read hands on exactly what the stable
+// sort of the recorders' new retained events, concatenated in recorder
+// order and filtered afterwards, produces, and counts exactly the events the
+// rings evicted unread.
 func TestMergeEventsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	entities := []string{"ufabe.h0", "ufabe.h1", "link.a-b"}
 	notes := []string{"", "probe", "finish"}
 	for trial := 0; trial < 300; trial++ {
-		streams := make([][]Event, 1+rng.Intn(9))
-		var concat []Event
-		for s := range streams {
-			n := rng.Intn(40)
-			if rng.Intn(5) == 0 {
-				n = 0
-			}
-			now := int64(rng.Intn(3))
-			for i := 0; i < n; i++ {
-				if rng.Intn(3) == 0 {
-					now += int64(rng.Intn(3))
-				}
-				ev := Event{T: now, Kind: EventKind(rng.Intn(3)), Entity: entities[rng.Intn(len(entities))],
-					A: int64(rng.Intn(2)), B: int64(rng.Intn(2)), V: float64(rng.Intn(2)), Note: notes[rng.Intn(len(notes))],
-					Trace: uint64(rng.Intn(2)), Span: uint64(rng.Intn(2))}
-				if i > 0 && rng.Intn(4) == 0 {
-					ev = streams[s][rng.Intn(i)] // a duplicate, possibly from an earlier time
-					if trial%10 != 0 {
-						ev.T = now // keep the stream in time order on most trials
-					}
-				}
-				streams[s] = append(streams[s], ev)
-			}
-			concat = append(concat, streams[s]...)
+		recs := make([]*Recorder, 1+rng.Intn(9))
+		for s := range recs {
+			recs[s] = newRecorder(8 + rng.Intn(40))
 		}
-		want := append([]Event(nil), concat...)
-		sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+		var keep func(EventKind) bool
+		if trial%3 == 0 {
+			keep = func(k EventKind) bool { return k != EvProbeRX }
+		}
 		var got []Event
-		MergeEvents(streams, func(ev Event) { got = append(got, ev) })
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d events of %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: event %d = %+v, stable sort gives %+v", trial, i, got[i], want[i])
+		read := Merge(recs, keep, func(ev Event) { got = append(got, ev) })
+		seen := make([]uint64, len(recs))
+		now := make([]int64, len(recs))
+		for call := 0; call < 4; call++ {
+			for s, rec := range recs {
+				n := rng.Intn(40)
+				if rng.Intn(5) == 0 {
+					n = 0
+				}
+				for i := 0; i < n; i++ {
+					if rng.Intn(3) == 0 {
+						now[s] += int64(rng.Intn(3))
+					}
+					ev := Event{T: now[s], Kind: EventKind(rng.Intn(3)), Entity: entities[rng.Intn(len(entities))],
+						A: int64(rng.Intn(2)), B: int64(rng.Intn(2)), V: float64(rng.Intn(2)), Note: notes[rng.Intn(len(notes))],
+						Trace: uint64(rng.Intn(2)), Span: uint64(rng.Intn(2))}
+					if rec.Len() > 0 && rng.Intn(4) == 0 {
+						ev = rec.Events()[rng.Intn(rec.Len())] // a duplicate, possibly from an earlier time
+						if trial%10 != 0 {
+							ev.T = now[s] // keep the recorder in time order on most trials
+						}
+					}
+					rec.Record(ev)
+				}
+			}
+			var want []Event
+			var evicted uint64
+			for s, rec := range recs {
+				want = append(want, rec.EventsSince(seen[s])...)
+				evicted += max(seen[s], rec.Dropped()) - seen[s]
+				seen[s] = rec.Total()
+			}
+			sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+			want = slices.DeleteFunc(want, func(ev Event) bool { return keep != nil && !keep(ev.Kind) })
+			got = got[:0]
+			if missed := read(); missed != evicted {
+				t.Fatalf("trial %d, read %d: %d missed, the rings evicted %d unread", trial, call, missed, evicted)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d, read %d: merged %d events of %d", trial, call, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d, read %d: event %d = %+v, stable sort gives %+v", trial, call, i, got[i], want[i])
+				}
 			}
 		}
 	}
-	MergeEvents(nil, func(Event) { t.Error("merge of no streams emitted an event") })
+	if missed := Merge(nil, nil, func(Event) { t.Error("merge of no recorders emitted an event") })(); missed != 0 {
+		t.Errorf("merge of no recorders missed %d", missed)
+	}
+}
+
+// TestRecordRoundTrip: whatever a ring stores in its slots and string table
+// decodes to exactly the events recorded — every kind byte, empty and
+// repeated strings, arbitrary scalars — for a ring smaller than a chunk and
+// one that is not a whole number of them, over more than two laps.
+func TestRecordRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	strs := []string{"", "ufabe.h0", "ufabe.h17", "link.core1-agg2", "probe", "overflow", "placement.ctl", "chaos.injector"}
+	for _, ringCap := range []int{16, recorderChunk + 100} {
+		rec := newRecorder(ringCap)
+		var all []Event
+		for i := 0; i < 2*ringCap+1+rng.Intn(ringCap); i++ {
+			ev := Event{T: rng.Int63() - rng.Int63(), Kind: EventKind(rng.Intn(256)), Entity: strs[rng.Intn(len(strs))],
+				A: rng.Int63() - rng.Int63(), B: rng.Int63() - rng.Int63(), V: rng.NormFloat64() * 1e9,
+				Note: strs[rng.Intn(len(strs))], Trace: rng.Uint64(), Span: rng.Uint64()}
+			rec.Record(ev)
+			all = append(all, ev)
+		}
+		got, want := rec.Events(), all[len(all)-ringCap:]
+		if len(got) != len(want) {
+			t.Fatalf("cap %d: %d events retained, want %d", ringCap, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cap %d: event %d = %+v, recorded %+v", ringCap, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestStringTableOverflowSpills: a recorder whose string table is full keeps
+// the strings of an event that brings a new one beside the ring, under its
+// slot, instead of panicking or decoding them as another string.
+func TestStringTableOverflowSpills(t *testing.T) {
+	const ringCap = 16
+	rec := newRecorder(ringCap)
+	rec.maxStrs = 4 // "" and three more
+	var all []Event
+	for i := 0; i < 10*ringCap; i++ {
+		ev := Event{T: int64(i), Kind: EvDrop, Entity: fmt.Sprintf("link.l%d", i%40), A: int64(i), Note: []string{"", "overflow", "fault"}[i%3]}
+		rec.Record(ev)
+		all = append(all, ev)
+	}
+	got, want := rec.Events(), all[len(all)-ringCap:]
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, recorded %+v", i, got[i], want[i])
+		}
+	}
+	if len(rec.strs) > rec.maxStrs || len(rec.spill) == 0 {
+		t.Errorf("%d strings interned (limit %d), %d slots spilled", len(rec.strs), rec.maxStrs, len(rec.spill))
+	}
+}
+
+// TestSlotIsPointerFree: a ring slot is 56 bytes and holds no pointer, so a
+// 1024-slot chunk is seven pages the garbage collector never scans. A string,
+// slice or pointer field added to the slot fails here, not in a profile.
+func TestSlotIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 56 {
+		t.Errorf("slot is %d bytes, want 56", size)
+	}
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		default:
+			t.Errorf("%s is a %s: a slot must hold no pointer", path, typ.Kind())
+		}
+	}
+	check("slot", reflect.TypeOf(slot{}))
 }

@@ -160,7 +160,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		bw.WriteString("\n    {\"name\": ")
 		bw.WriteString(strconv.Quote(g.Name))
 		bw.WriteString(", \"value\": ")
-		bw.WriteString(formatFloat(g.Value))
+		bw.WriteString(JSONFloat(g.Value))
 		bw.WriteByte('}')
 	}
 	if len(s.Gauges) > 0 {
@@ -176,18 +176,18 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		bw.WriteString(", \"count\": ")
 		bw.WriteString(strconv.FormatUint(h.Count, 10))
 		bw.WriteString(", \"sum\": ")
-		bw.WriteString(formatFloat(h.Sum))
+		bw.WriteString(JSONFloat(h.Sum))
 		bw.WriteString(", \"min\": ")
-		bw.WriteString(formatFloat(h.Min))
+		bw.WriteString(JSONFloat(h.Min))
 		bw.WriteString(", \"max\": ")
-		bw.WriteString(formatFloat(h.Max))
+		bw.WriteString(JSONFloat(h.Max))
 		bw.WriteString(", \"buckets\": [")
 		for j, b := range h.Buckets {
 			if j > 0 {
 				bw.WriteByte(',')
 			}
 			bw.WriteString("[")
-			bw.WriteString(formatFloat(b.UpperBound))
+			bw.WriteString(JSONFloat(b.UpperBound))
 			bw.WriteByte(',')
 			bw.WriteString(strconv.FormatUint(b.Count, 10))
 			bw.WriteByte(']')
@@ -214,7 +214,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 			bw.WriteString("[")
 			bw.WriteString(strconv.FormatInt(p.T, 10))
 			bw.WriteByte(',')
-			bw.WriteString(formatFloat(p.V))
+			bw.WriteString(JSONFloat(p.V))
 			bw.WriteByte(']')
 		}
 		bw.WriteString("]}")
@@ -226,9 +226,11 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// formatFloat renders v in shortest round-trip form; NaN/Inf (not valid
+// JSONFloat renders v in shortest round-trip form; NaN/Inf (not valid
 // JSON) become null so a stray unfinished metric can't corrupt the file.
-func formatFloat(v float64) string {
+// The snapshot, trace, Perfetto and audit-findings encoders all write their
+// floats with it.
+func JSONFloat(v float64) string {
 	if v != v || v > 1.7976931348623157e308 || v < -1.7976931348623157e308 {
 		return "null"
 	}

@@ -65,10 +65,14 @@ func TestSubscribePerShardRings(t *testing.T) {
 			}
 		}
 	}
-	merged := r.TraceEvents()
+	var merged []Event
+	r.eachTraceEvent(func(ev Event) { merged = append(merged, ev) })
+	if len(merged) != 3*4 {
+		t.Fatalf("merged trace holds %d events, want the 3 × 4 the shard rings retain", len(merged))
+	}
 	for i := 1; i < len(merged); i++ {
 		if EventBefore(merged[i], merged[i-1]) {
-			t.Fatalf("TraceEvents not canonically sorted at %d", i)
+			t.Fatalf("merged trace not canonically sorted at %d", i)
 		}
 	}
 	gotTotal, gotDropped := r.TraceTotals()

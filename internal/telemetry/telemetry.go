@@ -294,8 +294,10 @@ func (r *Registry) Recorder() *Recorder {
 
 // EnableShardRecorders attaches n per-shard recorders (in addition to the
 // base recorder, which a sharded run reserves for coordinator-context
-// events such as chaos injections). capEvents <= 0 uses
-// DefaultRecorderCap per shard. Idempotent for the same n; growing or
+// events such as chaos injections). Each has a ring of its own of
+// capEvents events (<= 0: DefaultRecorderCap), so a run retains up to
+// 1 + n rings' worth: vfabric.Build asks for one per logical shard, which
+// is nine rings on a k=8 fat tree. Idempotent for the same n; growing or
 // shrinking an existing set panics, since agents already hold pointers.
 func (r *Registry) EnableShardRecorders(n, capEvents int) []*Recorder {
 	if r == nil || n <= 0 {

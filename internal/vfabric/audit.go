@@ -27,16 +27,11 @@ type auditState struct {
 	routes [][]int32
 	// Barrier-fed event delivery for partitioned fabrics: instead of a
 	// live subscription (whose delivery order would depend on which shard
-	// recorded first), each tick drains every recorder from its cursor and
-	// replays the canonical merge of the tails into the auditor.
-	// feedRecs[0] is the base (coordinator) recorder, then one per shard.
-	// tails[i] is recorder i's drained tail and streams the merge's cursors
-	// over the tails: both are reused, so a tick's feed allocates nothing
-	// once they have seen the largest batch.
-	feedRecs []*telemetry.Recorder
-	cursors  []uint64
-	tails    [][]telemetry.Event
-	streams  [][]telemetry.Event
+	// recorded first), each tick merges what the base (coordinator) recorder
+	// and every shard recorder recorded since the last one into the auditor,
+	// and returns how many events the rings evicted unread. Nil when the
+	// auditor subscribes.
+	feed func() (missed uint64)
 }
 
 // initAudit wires the auditor into a freshly assembled fabric. Audit
@@ -72,36 +67,27 @@ func (f *Fabric) initAudit(cfg *Config) {
 	}
 	f.aud.sample.Links = make([]audit.LinkSample, nLinks)
 	if shardRecs := cfg.Telemetry.ShardRecorders(); len(shardRecs) > 0 {
-		f.aud.feedRecs = append(f.aud.feedRecs, cfg.Telemetry.Recorder())
-		f.aud.feedRecs = append(f.aud.feedRecs, shardRecs...)
-		f.aud.cursors = make([]uint64, len(f.aud.feedRecs))
-		f.aud.tails = make([][]telemetry.Event, len(f.aud.feedRecs))
-		f.aud.streams = make([][]telemetry.Event, len(f.aud.feedRecs))
+		recs := append([]*telemetry.Recorder{cfg.Telemetry.Recorder()}, shardRecs...)
+		f.aud.feed = telemetry.Merge(recs, audit.Observes, f.aud.a.ObserveEvent)
 	} else {
 		cfg.Telemetry.Recorder().Subscribe(f.aud.a.ObserveEvent)
 	}
 }
 
-// feedEvents drains every recorder's new events since the last tick,
-// merges them canonically, and replays them into the auditor. Running at
-// the sampling barrier makes the fed stream a pure function of the
-// simulation state — identical whether the shards executed inline or on
-// worker goroutines — because the set of events recorded before a barrier
-// does not depend on the worker count and the merge order is
-// content-defined.
+// feedEvents replays every recorder's new events since the last tick into
+// the auditor, merged canonically. Running at the sampling barrier makes the
+// fed stream a pure function of the simulation state — identical whether the
+// shards executed inline or on worker goroutines — because the set of events
+// recorded before a barrier does not depend on the worker count and the
+// merge order is content-defined.
 func (au *auditState) feedEvents() {
-	for i, r := range au.feedRecs {
-		// What the ring evicted since the last tick the auditor never sees —
-		// faults that excuse findings among it, for all it knows — and must
-		// not pass for a complete audit.
-		if evicted := r.Dropped(); evicted > au.cursors[i] {
-			au.a.MissedEvents(evicted - au.cursors[i])
-		}
-		au.tails[i] = r.AppendEventsSince(au.tails[i][:0], au.cursors[i])
-		au.cursors[i] = r.Total()
+	if au.feed == nil {
+		return
 	}
-	copy(au.streams, au.tails)
-	telemetry.MergeEvents(au.streams, au.a.ObserveEvent)
+	// What the rings evicted since the last tick the auditor never sees —
+	// faults that excuse findings among it, for all it knows — and must not
+	// pass for a complete audit.
+	au.a.MissedEvents(au.feed())
 }
 
 // AuditLog returns the findings sink of the fabric's auditor (nil when

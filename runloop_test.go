@@ -83,10 +83,12 @@ func runLoopBytesPerEvent(t *testing.T, instrumented bool) float64 {
 // measures: the run loop recycles its packets, probe buffers, register cells
 // and trace chunks instead of making them, so a simulated event costs a few
 // bytes — RTT samples, first contacts, heap growth to the high-water mark —
-// and, instrumented, the 88 bytes of each trace event it retains and little
-// more. The ceilings are twice what the run measures (8.6 and 29.5 bytes per
-// event) and less than half of what it measured (52 and 138) before packets
-// were pooled, probes flipped in place and the rings chunked.
+// and, instrumented, the 56-byte slot of each trace event it retains and
+// little more. The bare ceiling is twice what the run measures (8.6 bytes per
+// event) and less than half of what it measured (52) before packets were
+// pooled and probes flipped in place. The instrumented one sits between what
+// the run measures (20.7) and what it measured (29.5) while a retained event
+// took 88 string-bearing bytes and the audit feed copied every ring's tail.
 func TestRunLoopBytesPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -94,7 +96,7 @@ func TestRunLoopBytesPerEvent(t *testing.T) {
 		ceiling      float64
 	}{
 		{"bare", false, 18},
-		{"telemetry, audit and sampling on", true, 60},
+		{"telemetry, audit and sampling on", true, 25},
 	} {
 		if got := runLoopBytesPerEvent(t, tc.instrumented); got > tc.ceiling {
 			t.Errorf("%s: RunUntil allocated %.1f bytes per event, want <= %.0f", tc.name, got, tc.ceiling)

@@ -14,9 +14,12 @@
 #                                                  snapshots, every CSV curve
 #   -quick -findings … audit all                   verdict lines (the timing
 #                                                  line stripped), findings
-#   -quick trace chaoslab | placechurn | fig12     JSONL stdout and the
-#                                                  report + histogram stderr
-#   -quick trace -format perfetto chaoslab         Chrome trace-event JSON
+#   -quick trace chaoslab | placechurn | fig12 |   JSONL stdout and the
+#                shardsim                          report + histogram stderr
+#   -quick trace -format perfetto chaoslab |       Chrome trace-event JSON
+#                                 shardsim
+# (shardsim deploys two logical shards, so its traces are the merge of the
+# per-shard rings; the others record into one ring)
 # then compares every artefact of the two sides with cmp, and the head's
 # 0-worker artefacts with its 4-worker ones. One line per artefact; exit 1 at
 # the first difference (the differing files are kept and named). Plain bash,
@@ -52,10 +55,12 @@ produce() {
 			grep -v -- '-- wall time' >run.stdout
 		"$bin" -quick -jobs 2 -shards "$2" -findings findings.jsonl audit all 2>audit.stderr |
 			grep -v '^audit ok: ' >audit.stdout
-		for id in chaoslab placechurn fig12; do
+		for id in chaoslab placechurn fig12 shardsim; do
 			"$bin" -quick -shards "$2" trace "$id" >"trace_$id.jsonl" 2>"trace_$id.stderr"
 		done
-		"$bin" -quick -shards "$2" trace -format perfetto chaoslab >trace_chaoslab.perfetto.json 2>/dev/null
+		for id in chaoslab shardsim; do
+			"$bin" -quick -shards "$2" trace -format perfetto "$id" >"trace_$id.perfetto.json" 2>/dev/null
+		done
 	)
 }
 
