@@ -100,7 +100,7 @@ type recvPair struct {
 // PairConfig describes a new VM-pair for AddPair.
 type PairConfig struct {
 	ID dataplane.VMPair
-	// VF is the tenant VF id; negative means no VF (static token).
+	// VF is the id of a tenant VF registered in the agent's Tenancy.
 	VF  int32
 	Dst topo.NodeID
 	// Routes are the candidate underlay paths (≥1). μFAB-E randomly
@@ -123,6 +123,9 @@ type Agent struct {
 	cfg   Config
 	rng   *rand.Rand
 
+	// ten is the fabric's tenant table; vfs holds sender state for the VFs
+	// this host sources pairs of, and for no others.
+	ten   *Tenancy
 	vfs   map[int32]*vfState
 	pairs map[dataplane.VMPair]*Pair
 	sched *wfq
@@ -139,8 +142,7 @@ type Agent struct {
 	freezeUntil sim.Time
 
 	// Receiver side.
-	recvVFTokens map[int32]float64
-	recvPairs    map[dataplane.VMPair]*recvPair
+	recvPairs map[dataplane.VMPair]*recvPair
 
 	// OnReceive, if set, observes data bytes arriving at this host
 	// (used by application models).
@@ -236,8 +238,9 @@ func (a *Agent) DataBytesCount() uint64 {
 }
 
 // New creates the agent for a host and installs it as the host's packet
-// handler. The host must have exactly one uplink.
-func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config) *Agent {
+// handler. The host must have exactly one uplink. ten is the fabric's tenant
+// table, shared by every agent of the fabric.
+func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config, ten *Tenancy) *Agent {
 	cfg.setDefaults()
 	g := net.G
 	if g.Node(host).Kind != topo.Host {
@@ -247,25 +250,26 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		panic(fmt.Sprintf("ufabe: host %d has %d uplinks, want 1", host, len(g.Node(host).Out)))
 	}
 	a := &Agent{
-		eng:          eng,
-		net:          net,
-		graph:        g,
-		host:         host,
-		cfg:          cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed + int64(host)*0x9e3779b9)),
-		vfs:          make(map[int32]*vfState),
-		pairs:        make(map[dataplane.VMPair]*Pair),
-		sched:        newWFQ(),
-		recvVFTokens: make(map[int32]float64),
-		recvPairs:    make(map[dataplane.VMPair]*recvPair),
-		uplinkCap:    g.Link(g.Node(host).Out[0]).Capacity,
-		cProbes:      &telemetry.Counter{},
-		cProbeB:      &telemetry.Counter{},
-		cDataB:       &telemetry.Counter{},
-		cMigr:        &telemetry.Counter{},
-		cFrArmed:     &telemetry.Counter{},
-		cFrSupp:      &telemetry.Counter{},
+		eng:       eng,
+		net:       net,
+		graph:     g,
+		host:      host,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed + int64(host)*0x9e3779b9)),
+		ten:       ten,
+		vfs:       make(map[int32]*vfState),
+		pairs:     make(map[dataplane.VMPair]*Pair),
+		sched:     newWFQ(&ten.roster),
+		recvPairs: make(map[dataplane.VMPair]*recvPair),
+		uplinkCap: g.Link(g.Node(host).Out[0]).Capacity,
+		cProbes:   &telemetry.Counter{},
+		cProbeB:   &telemetry.Counter{},
+		cDataB:    &telemetry.Counter{},
+		cMigr:     &telemetry.Counter{},
+		cFrArmed:  &telemetry.Counter{},
+		cFrSupp:   &telemetry.Counter{},
 	}
+	ten.agents = append(ten.agents, a)
 	a.sendTick = func() {
 		a.sendPending = false
 		a.trySend()
@@ -291,18 +295,6 @@ func (a *Agent) Host() topo.NodeID { return a.host }
 // Config returns the agent's effective configuration.
 func (a *Agent) Config() Config { return a.cfg }
 
-// AddVF registers a tenant VF on both the sending and receiving side with
-// the given hose tokens and WFQ weight class (0..7).
-func (a *Agent) AddVF(id int32, hoseTokens float64, class int) {
-	if _, ok := a.vfs[id]; ok {
-		panic(fmt.Sprintf("ufabe: VF %d already registered", id))
-	}
-	vf := &vfState{id: id, class: class, senderTokens: hoseTokens, recvTokens: hoseTokens}
-	a.vfs[id] = vf
-	a.recvVFTokens[id] = hoseTokens
-	a.sched.addVF(vf)
-}
-
 // Pair returns the sender-side pair state, or nil.
 func (a *Agent) Pair(id dataplane.VMPair) *Pair { return a.pairs[id] }
 
@@ -325,6 +317,10 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 	if _, ok := a.pairs[pc.ID]; ok {
 		panic(fmt.Sprintf("ufabe: pair %d already exists", pc.ID))
 	}
+	vf := a.sourceVF(pc.VF)
+	if vf == nil {
+		panic(fmt.Sprintf("ufabe: pair %d of unregistered VF %d", pc.ID, pc.VF))
+	}
 	p := &Pair{
 		ID:     pc.ID,
 		VF:     pc.VF,
@@ -332,6 +328,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 		Dst:    pc.Dst,
 		Demand: pc.Demand,
 		agent:  a,
+		vf:     vf,
 		phi:    pc.Phi,
 	}
 	for i, r := range pc.Routes {
@@ -347,14 +344,6 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 	}
 	p.active = a.rng.Intn(len(p.paths))
 	a.pairs[pc.ID] = p
-	vf := a.vfs[pc.VF]
-	if vf == nil {
-		// Static-token pair outside any registered VF: give it its own
-		// single-pair group in class 0.
-		vf = &vfState{id: pc.VF, class: 0, senderTokens: pc.Phi}
-		a.vfs[pc.VF] = vf
-		a.sched.addVF(vf)
-	}
 	a.sched.addPair(vf, p)
 	if k, ok := pc.Demand.(flowsrc.Kicker); ok && pc.Demand != nil {
 		k.SetKick(func() { a.Kick(p) })
@@ -369,6 +358,21 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 	return p
 }
 
+// sourceVF returns the host's sender state for VF id, creating it with the
+// host's first pair of the VF; nil for a VF the tenancy does not know.
+func (a *Agent) sourceVF(id int32) *vfState {
+	if vf := a.vfs[id]; vf != nil {
+		return vf
+	}
+	tn := a.ten.byID[id]
+	if tn == nil {
+		return nil
+	}
+	vf := &vfState{tenant: tn}
+	a.vfs[id] = vf
+	return vf
+}
+
 // RemovePair tears a pair down: finish probes on its active path, its
 // candidate-scan timer stopped, and removal from the scheduler.
 func (a *Agent) RemovePair(id dataplane.VMPair) {
@@ -381,27 +385,21 @@ func (a *Agent) RemovePair(id dataplane.VMPair) {
 	if p.stopScan != nil {
 		p.stopScan()
 	}
-	if vf := a.vfs[p.VF]; vf != nil {
-		a.sched.removePair(vf, p)
-	}
+	a.sched.removePair(p.vf, p)
 }
 
-// RemoveVF deregisters a tenant VF from both the sending and receiving
-// side, tearing down any remaining sender pairs first (finish probes
-// included, so core registers deallocate). Returns false for an unknown
-// VF, allowing churn scenarios to issue departures idempotently.
-func (a *Agent) RemoveVF(id int32) bool {
-	vf := a.vfs[id]
-	if vf == nil {
-		return false
+// dropVF is this host's part of Tenancy.Remove, after the tenant has left
+// the roster: the host's pairs of the VF are torn down (finish probes
+// included, so core registers deallocate), its sender state goes, and the
+// WFQ cursor of the VF's class is kept inside the shrunken roster.
+func (a *Agent) dropVF(tn *tenant) {
+	if vf := a.vfs[tn.id]; vf != nil {
+		for len(vf.pairs) > 0 {
+			a.RemovePair(vf.pairs[0].ID)
+		}
+		delete(a.vfs, tn.id)
 	}
-	for len(vf.pairs) > 0 {
-		a.RemovePair(vf.pairs[0].ID)
-	}
-	delete(a.vfs, id)
-	delete(a.recvVFTokens, id)
-	a.sched.removeVF(vf)
-	return true
+	a.sched.rosterShrank(tn.class)
 }
 
 func (p *Pair) maxBaseRTT() sim.Duration {
@@ -482,7 +480,7 @@ func (a *Agent) trySend() {
 	pkt.Size, pkt.Seq, pkt.SentAt = int(size), p.seq, now
 	pkt.Route, pkt.Return, pkt.PathID = ps.route, ps.back, ps.id
 	a.net.Send(pkt)
-	a.sched.charge(p, int(size), a.vfs[p.VF].class)
+	a.sched.charge(p, int(size), p.vf.class)
 	a.nicNextFree = now + topo.SerializationDelay(int(size), a.uplinkCap)
 	// Self-clocked probing: L_w bytes since the last response.
 	if p.wantProbe && p.bytesSinceResp >= a.cfg.ProbePayloadBytes {
@@ -913,9 +911,8 @@ func (a *Agent) tokenUpdate() {
 	// Sender side: the VFs with pairs on this host, off the scheduler's
 	// populated index. VFs are independent, so their order is immaterial.
 	for c := range a.sched.classes {
-		cl := &a.sched.classes[c]
-		for _, pos := range cl.populated {
-			a.assignSenderTokens(cl.vfs[pos], period)
+		for _, vf := range a.sched.classes[c].populated {
+			a.assignSenderTokens(vf, period)
 		}
 	}
 	// Receiver side: admit per VF.
@@ -934,13 +931,13 @@ func (a *Agent) tokenUpdate() {
 			delete(byVF, vfID)
 			continue
 		}
-		if hose := a.recvVFTokens[vfID]; hose > 0 {
+		if tn := a.ten.byID[vfID]; tn != nil && tn.hose > 0 {
 			tps := a.tok.tps[:0]
 			for _, rp := range rps {
 				tps = append(tps, &rp.tok)
 			}
 			a.tok.tps = tps
-			token.ReceiverAdmit(hose, tps)
+			token.ReceiverAdmit(tn.hose, tps)
 			clear(tps)
 		}
 		clear(rps)
@@ -951,12 +948,12 @@ func (a *Agent) tokenUpdate() {
 // assignSenderTokens is Algorithm 1's sender side for one VF: split the
 // hose over the VF's pairs by measured demand and receiver admission.
 func (a *Agent) assignSenderTokens(vf *vfState, period float64) {
-	if vf.senderTokens <= 0 {
+	if vf.hose <= 0 {
 		return
 	}
 	// Pinned pairs (SetPhi) keep their φ; the rest share the remaining
 	// hose.
-	hose := vf.senderTokens
+	hose := vf.hose
 	toks := a.tok.toks[:0]
 	for _, p := range vf.pairs {
 		if p.phiManaged {

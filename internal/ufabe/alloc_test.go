@@ -21,7 +21,7 @@ func sendRig(t *testing.T, idleVFs int) (*rig, *Pair) {
 	r := newRig(t, Config{TokenPeriod: -1, CandidateProbeInterval: -1, ProbeTimeoutRTTs: 1 << 20})
 	r.net.SetHandler(r.st.Hosts[1], dataplane.HandlerFunc(func(*dataplane.Packet) {}))
 	for i := 0; i < idleVFs; i++ {
-		r.src.AddVF(int32(1000+i), 1, 2)
+		r.ten.Add(int32(1000+i), 1, 2)
 	}
 	p, buf := r.addPair(10)
 	buf.Add(1 << 50)
@@ -67,9 +67,10 @@ func TestProbeRoundTripAllocationBudget(t *testing.T) {
 		net.SetSwitchAgent(n, ufabc.New(ufabc.Config{}))
 	}
 	cfg := Config{TokenPeriod: -1, CandidateProbeInterval: -1}
-	src, dst := New(eng, net, ch.Src, cfg), New(eng, net, ch.Dst, cfg)
-	src.AddVF(1, 10, 2)
-	dst.AddVF(1, 10, 2)
+	ten := &Tenancy{}
+	src := New(eng, net, ch.Src, cfg, ten)
+	New(eng, net, ch.Dst, cfg, ten)
+	ten.Add(1, 10, 2)
 	p := src.AddPair(PairConfig{ID: 1, VF: 1, Dst: ch.Dst, Routes: ch.Graph.Paths(ch.Src, ch.Dst, 0), Phi: 10, Demand: &Buffer{}})
 	ps := p.paths[p.active]
 	roundTrip := func() {
@@ -87,8 +88,8 @@ func TestProbeRoundTripAllocationBudget(t *testing.T) {
 
 // TestTokenUpdateAllocations: a token tick works out of the agent's scratch
 // and token.SenderAssign out of its stack, so it allocates nothing for the
-// pairs the host sources — and not one byte more for 1 024 tenants registered
-// on the edge that have no pair here.
+// pairs the host sources — and not one byte more for 1 024 tenants of the
+// fabric that have no pair here.
 func TestTokenUpdateAllocations(t *testing.T) {
 	var allocs [2]float64
 	for i, idle := range []int{0, 1024} {
@@ -98,55 +99,64 @@ func TestTokenUpdateAllocations(t *testing.T) {
 		allocs[i] = testing.AllocsPerRun(200, r.src.tokenUpdate)
 	}
 	if allocs[1] > allocs[0] {
-		t.Errorf("tokenUpdate allocates %v with 1024 registered-but-empty VFs, %v with none", allocs[1], allocs[0])
+		t.Errorf("tokenUpdate allocates %v with 1024 other tenants in the fabric, %v with none", allocs[1], allocs[0])
 	}
 	if allocs[0] != 0 {
 		t.Errorf("tokenUpdate allocates %v per tick for one backlogged pair, want 0", allocs[0])
 	}
 }
 
-// poisonEmptyVFs replaces every registered-but-empty VF of the scheduler by
-// nil: a pick or a tick that so much as looked at one would crash.
-func poisonEmptyVFs(w *wfq) {
-	for c := range w.classes {
-		for i, vf := range w.classes[c].vfs {
-			if len(vf.pairs) == 0 {
-				w.classes[c].vfs[i] = nil
-			}
-		}
-	}
-}
-
 // TestPickIgnoresEmptyVFs: the per-packet pick and the token tick visit the
 // VFs that have pairs on this host and no others, however many tenants the
-// edge has registered. (BenchmarkNextPair has the nanoseconds.)
+// fabric has — an edge keeps no state for the rest. 1 024 tenants and one
+// pair on this host leave one VF of sender state on the source, none on the
+// destination, and one populated entry to visit. A tenant's departure takes
+// the source's state with it.
 func TestPickIgnoresEmptyVFs(t *testing.T) {
 	r, p := sendRig(t, 1024)
 	r.src.cfg.TokenPeriod = 32 * sim.Microsecond
-	poisonEmptyVFs(r.src.sched)
+	if got := len(r.ten.byID); got != 1025 {
+		t.Fatalf("tenancy holds %d VFs, want 1025", got)
+	}
+	if len(r.src.vfs) != 1 || len(r.dst.vfs) != 0 {
+		t.Fatalf("sender state for %d VFs on the source and %d on the destination, want 1 and 0", len(r.src.vfs), len(r.dst.vfs))
+	}
+	var populated int
+	for c := range r.src.sched.classes {
+		populated += len(r.src.sched.classes[c].populated)
+	}
+	if populated != 1 {
+		t.Fatalf("%d populated VFs, want 1", populated)
+	}
 	for i := 0; i < 100; i++ {
 		r.nextPacket(p)
 		r.src.tokenUpdate()
 	}
+	if !r.ten.Remove(p.VF) || r.ten.Remove(p.VF) {
+		t.Fatal("Remove of a registered VF, then again: want true, false")
+	}
+	if len(r.src.vfs) != 0 || r.src.Pair(p.ID) != nil || len(r.src.sched.classes[2].populated) != 0 {
+		t.Fatalf("after Remove the source keeps %d VFs, pair %v", len(r.src.vfs), r.src.Pair(p.ID))
+	}
 	// An empty pick sweeps every class twice.
-	p.Demand.Consume(p.Demand.Pending())
 	if got := r.src.sched.nextPair(int64(r.eng.Now()), 1500); got != nil {
-		t.Fatalf("picked a pair with no demand")
+		t.Fatalf("picked a pair of a removed VF")
 	}
 }
 
 // BenchmarkNextPair is one pick + charge on an edge that sources one
-// backlogged pair, bare and with 1 024 other tenants registered: the two
-// must cost the same.
+// backlogged pair, in a fabric of that tenant alone and of 1 024 more: the
+// two must cost the same.
 func BenchmarkNextPair(b *testing.B) {
 	for _, idle := range []int{0, 1024} {
 		b.Run(fmt.Sprintf("registered=%d", idle), func(b *testing.B) {
-			w := newWFQ()
+			var ten Tenancy
 			for i := 0; i < idle; i++ {
-				w.addVF(&vfState{id: int32(1000 + i), class: 2})
+				ten.Add(int32(1000+i), 1, 2)
 			}
-			vf := &vfState{id: 1, class: 2}
-			w.addVF(vf)
+			ten.Add(1, 1, 2)
+			w := newWFQ(&ten.roster)
+			vf := &vfState{tenant: ten.byID[1]}
 			p := schedPair()
 			p.Demand.(*Buffer).Add(1 << 50)
 			w.addPair(vf, p)

@@ -14,6 +14,7 @@ type twoPathRig struct {
 	eng    *sim.Engine
 	net    *dataplane.Network
 	tt     *topo.TwoTier
+	ten    *Tenancy
 	agents map[topo.NodeID]*Agent
 }
 
@@ -27,10 +28,10 @@ func newTwoPathRig(t *testing.T, cfg Config, dpCfg dataplane.Config) *twoPathRig
 			net.SetSwitchAgent(n.ID, ufabc.New(ufabc.Config{}))
 		}
 	}
-	r := &twoPathRig{eng: eng, net: net, tt: tt, agents: map[topo.NodeID]*Agent{}}
+	r := &twoPathRig{eng: eng, net: net, tt: tt, ten: &Tenancy{}, agents: map[topo.NodeID]*Agent{}}
 	for _, h := range tt.Graph.Hosts() {
 		net.SetSwitchAgent(h, ufabc.New(ufabc.Config{}))
-		r.agents[h] = New(eng, net, h, cfg)
+		r.agents[h] = New(eng, net, h, cfg, r.ten)
 	}
 	return r
 }
@@ -38,9 +39,8 @@ func newTwoPathRig(t *testing.T, cfg Config, dpCfg dataplane.Config) *twoPathRig
 func (r *twoPathRig) pair(id dataplane.VMPair, i int, phi float64) (*Pair, *Buffer) {
 	src, dst := r.tt.HostsLeft[i], r.tt.HostsRight[i]
 	a := r.agents[src]
-	if a.vfs[int32(id)] == nil {
-		a.AddVF(int32(id), phi, 3)
-		r.agents[dst].AddVF(int32(id), phi, 3)
+	if r.ten.byID[int32(id)] == nil {
+		r.ten.Add(int32(id), phi, 3)
 	}
 	buf := &Buffer{}
 	p := a.AddPair(PairConfig{
@@ -128,8 +128,7 @@ func TestWorkConservationMigration(t *testing.T) {
 	// Competitor: 60 tokens pinned via a single-candidate pair on path 0.
 	compBuf := &Buffer{}
 	src, dst := r.tt.HostsLeft[1], r.tt.HostsRight[1]
-	r.agents[src].AddVF(9, 60, 5)
-	r.agents[dst].AddVF(9, 60, 5)
+	r.ten.Add(9, 60, 5)
 	comp := r.agents[src].AddPair(PairConfig{
 		ID: 9, VF: 9, Dst: dst,
 		Routes: r.tt.Graph.Paths(src, dst, 0)[:1],
@@ -203,9 +202,10 @@ func TestLongPathPartialTelemetry(t *testing.T) {
 	for _, sw := range ch.Switches {
 		net.SetSwitchAgent(sw, ufabc.New(ufabc.Config{}))
 	}
-	src := New(eng, net, ch.Src, Config{Seed: 8})
-	New(eng, net, ch.Dst, Config{Seed: 8})
-	src.AddVF(1, 20, 3)
+	ten := &Tenancy{}
+	src := New(eng, net, ch.Src, Config{Seed: 8}, ten)
+	New(eng, net, ch.Dst, Config{Seed: 8}, ten)
+	ten.Add(1, 20, 3)
 	buf := &Buffer{}
 	p := src.AddPair(PairConfig{
 		ID: 1, VF: 1, Dst: ch.Dst,

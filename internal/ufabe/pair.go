@@ -51,6 +51,7 @@ type Pair struct {
 	Demand Demand
 
 	agent *Agent
+	vf    *vfState
 
 	// Tokens. phi is the sender-assigned token (GP-managed or static);
 	// peerPhi the last receiver admission (0 = unbound/unknown).

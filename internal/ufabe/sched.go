@@ -1,6 +1,9 @@
 package ufabe
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Hierarchical traffic admission at the sender (§4.1): VM-pair queues are
 // grouped per VF, VFs are assigned to one of eight weighted classes, and a
@@ -16,32 +19,27 @@ const NumWeightClasses = 8
 // ladder, distinct levels as in §4.1).
 var defaultClassWeights = [NumWeightClasses]float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// vfState groups a tenant VF's pairs on one host.
+// vfState is a tenant VF's sender side on one host: the pairs the host
+// sources for it. An agent holds one only for a VF it has sourced a pair of;
+// the hose, class and roster position are the fabric's (tenant).
 type vfState struct {
-	id    int32
-	class int
-	// senderTokens is the VF's hose φ^a on the sending side;
-	// recvTokens on the receiving side.
-	senderTokens float64
-	recvTokens   float64
-	pairs        []*Pair
-	rr           int // round-robin cursor over pairs
+	*tenant
+	pairs []*Pair
+	rr    int // round-robin cursor over pairs
 }
 
 // wfqClass is one weighted queue of the WFQ engine.
 type wfqClass struct {
-	vfs []*vfState
-	// populated holds, ascending, the positions in vfs of the VFs that have
-	// at least one pair on this host. An edge registers every tenant of the
-	// fabric but sources pairs of a few, so the per-packet pick and the
-	// token tick walk this index instead of vfs: their cost follows the
-	// VM-pairs the host sources (the paper's context table, §4.1), not the
-	// tenants configured. wfq maintains it on the four transitions that
-	// change it: addVF, removeVF, a VF's first pair added, its last removed.
-	populated []int
-	// rr is the round-robin cursor: a position in vfs (the registered
-	// list, not the index), so the service order is that of a scan over
-	// every registered VF.
+	// populated holds the VFs of this class that have at least one pair on
+	// this host, ascending by roster position. The per-packet pick and the
+	// token tick walk it: their cost follows the VM-pairs the host sources
+	// (the paper's context table, §4.1), not the tenants of the fabric. wfq
+	// maintains it on the two transitions that change it: a VF's first pair
+	// added, its last removed.
+	populated []*vfState
+	// rr is the round-robin cursor: a position in the fabric's roster of
+	// the class (every registered VF, not the populated ones), so the
+	// service order is that of a scan over every registered VF.
 	rr      int
 	deficit float64
 }
@@ -51,54 +49,16 @@ type wfq struct {
 	classes [NumWeightClasses]wfqClass
 	weights [NumWeightClasses]float64
 	cursor  int
+	// roster is the fabric's per-class registration order (Tenancy.roster).
+	roster *[NumWeightClasses][]*tenant
 }
 
-func newWFQ() *wfq {
-	w := &wfq{weights: defaultClassWeights}
-	return w
+func newWFQ(roster *[NumWeightClasses][]*tenant) *wfq {
+	return &wfq{weights: defaultClassWeights, roster: roster}
 }
 
-func (w *wfq) addVF(vf *vfState) {
-	c := vf.class
-	if c < 0 {
-		c = 0
-	}
-	if c >= NumWeightClasses {
-		c = NumWeightClasses - 1
-	}
-	vf.class = c
-	cl := &w.classes[c]
-	cl.vfs = append(cl.vfs, vf)
-	if len(vf.pairs) > 0 {
-		cl.populated = append(cl.populated, len(cl.vfs)-1)
-	}
-}
-
-func (w *wfq) removeVF(vf *vfState) {
-	cl := &w.classes[vf.class]
-	i := slices.Index(cl.vfs, vf)
-	if i < 0 {
-		return
-	}
-	cl.vfs = slices.Delete(cl.vfs, i, i+1)
-	// Position i leaves the index; the positions above it shift down.
-	k, populated := slices.BinarySearch(cl.populated, i)
-	if populated {
-		cl.populated = slices.Delete(cl.populated, k, k+1)
-	}
-	for ; k < len(cl.populated); k++ {
-		cl.populated[k]--
-	}
-	// Keep the round-robin cursor in range so the next sweep starts from a
-	// valid VF. It is deliberately not decremented when i was below it (the
-	// VF it pointed at is then skipped once): the service order is part of
-	// every golden.
-	if len(cl.vfs) > 0 {
-		cl.rr %= len(cl.vfs)
-	} else {
-		cl.rr = 0
-	}
-}
+// byPos orders populated entries by roster position.
+func byPos(vf *vfState, pos int) int { return cmp.Compare(vf.pos, pos) }
 
 // addPair appends p to vf's pairs; a VF's first pair enters it in its
 // class's populated index.
@@ -108,15 +68,12 @@ func (w *wfq) addPair(vf *vfState, p *Pair) {
 		return
 	}
 	cl := &w.classes[vf.class]
-	if i := slices.Index(cl.vfs, vf); i >= 0 {
-		k, _ := slices.BinarySearch(cl.populated, i)
-		cl.populated = slices.Insert(cl.populated, k, i)
-	}
+	k, _ := slices.BinarySearchFunc(cl.populated, vf.pos, byPos)
+	cl.populated = slices.Insert(cl.populated, k, vf)
 }
 
 // removePair removes p from vf's pairs (the pair cursor vf.rr stays where
-// it is, like the VF cursor in removeVF); a VF's last pair takes it out of
-// the populated index.
+// it is); a VF's last pair takes it out of the populated index.
 func (w *wfq) removePair(vf *vfState, p *Pair) {
 	j := slices.Index(vf.pairs, p)
 	if j < 0 {
@@ -127,8 +84,21 @@ func (w *wfq) removePair(vf *vfState, p *Pair) {
 		return
 	}
 	cl := &w.classes[vf.class]
-	if k, ok := slices.BinarySearch(cl.populated, slices.Index(cl.vfs, vf)); ok {
+	if k := slices.Index(cl.populated, vf); k >= 0 {
 		cl.populated = slices.Delete(cl.populated, k, k+1)
+	}
+}
+
+// rosterShrank keeps class c's cursor in range after a VF left the class's
+// roster, so the next sweep starts from a valid position. It is
+// deliberately not decremented when the VF was below it (the VF it pointed
+// at is then skipped once): the service order is part of every golden.
+func (w *wfq) rosterShrank(c int) {
+	cl := &w.classes[c]
+	if n := len(w.roster[c]); n > 0 {
+		cl.rr %= n
+	} else {
+		cl.rr = 0
 	}
 }
 
@@ -150,36 +120,34 @@ func (w *wfq) nextPair(now int64, quantum float64) *Pair {
 	// Two sweeps: the first may need to refill deficits.
 	for sweep := 0; sweep < 2*NumWeightClasses; sweep++ {
 		cl := &w.classes[w.cursor]
-		if len(cl.vfs) > 0 {
-			if cl.deficit <= 0 {
-				cl.deficit += quantum * w.weights[w.cursor]
+		if cl.deficit <= 0 {
+			cl.deficit += quantum * w.weights[w.cursor]
+		}
+		// RR over the populated VFs in this class, in the cyclic order of
+		// their roster positions starting at the cursor — the order a scan
+		// of every registered VF visits them in, as a VF without pairs
+		// here offers that scan nothing.
+		m := len(cl.populated)
+		k, _ := slices.BinarySearchFunc(cl.populated, cl.rr, byPos)
+		for i := 0; i < m; i++ {
+			if k == m {
+				k = 0
 			}
-			// RR over the populated VFs in this class, in the cyclic
-			// order of their positions starting at the cursor — the
-			// order a scan of every registered VF visits them in, as
-			// a VF without pairs offers that scan nothing.
-			m := len(cl.populated)
-			k, _ := slices.BinarySearch(cl.populated, cl.rr)
-			for i := 0; i < m; i++ {
-				if k == m {
-					k = 0
-				}
-				pos := cl.populated[k]
-				k++
-				vf := cl.vfs[pos]
-				// RR over pairs in this VF.
-				for j := 0; j < len(vf.pairs); j++ {
-					p := vf.pairs[(vf.rr+j)%len(vf.pairs)]
-					if eligible(p, now) {
-						cl.rr = (pos + 1) % len(cl.vfs)
-						vf.rr = (vf.rr + j + 1) % len(vf.pairs)
-						return p
-					}
+			vf := cl.populated[k]
+			k++
+			// RR over pairs in this VF.
+			for j := 0; j < len(vf.pairs); j++ {
+				p := vf.pairs[(vf.rr+j)%len(vf.pairs)]
+				if eligible(p, now) {
+					cl.rr = (vf.pos + 1) % len(w.roster[w.cursor])
+					vf.rr = (vf.rr + j + 1) % len(vf.pairs)
+					return p
 				}
 			}
 		}
-		// Nothing eligible in this class: move on without banking
-		// deficit (DRR resets idle classes).
+		// Nothing eligible in this class: move on without banking deficit
+		// (DRR resets idle classes; an unpopulated one refilled above
+		// ends here too).
 		cl.deficit = 0
 		w.cursor = (w.cursor + 1) % NumWeightClasses
 	}

@@ -3,21 +3,52 @@ package ufabe
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ufab/internal/dataplane"
 	"ufab/internal/sim"
 )
 
-// nextPairScan is the pick nextPair made before the populated index: the
-// same DRR over classes, but a scan of every registered VF of the class,
-// populated or not. It is the reference model — the index must reproduce
-// its choice and every cursor it leaves behind, bit for bit.
-func (w *wfq) nextPairScan(now int64, quantum float64) *Pair {
+// scanWFQ is the scheduler as it was when every edge registered every VF of
+// the fabric: per class, the registered list in registration order, a
+// round-robin cursor that is a position in it, and a pick that scans the
+// whole list. It is the reference model — the shared roster with per-edge
+// populated lists must reproduce its choice and every cursor it leaves
+// behind, bit for bit.
+type scanWFQ struct {
+	classes [NumWeightClasses]struct {
+		vfs     []*vfState
+		rr      int
+		deficit float64
+	}
+	cursor int
+}
+
+func (w *scanWFQ) addVF(vf *vfState) {
+	cl := &w.classes[vf.class]
+	cl.vfs = append(cl.vfs, vf)
+}
+
+// removeVF clamps the cursor into range but does not decrement it when a
+// VF below it leaves.
+func (w *scanWFQ) removeVF(vf *vfState) {
+	cl := &w.classes[vf.class]
+	i := slices.Index(cl.vfs, vf)
+	cl.vfs = slices.Delete(cl.vfs, i, i+1)
+	if len(cl.vfs) > 0 {
+		cl.rr %= len(cl.vfs)
+	} else {
+		cl.rr = 0
+	}
+}
+
+func (w *scanWFQ) nextPair(now int64, quantum float64) *Pair {
 	for sweep := 0; sweep < 2*NumWeightClasses; sweep++ {
 		cl := &w.classes[w.cursor]
 		if len(cl.vfs) > 0 {
 			if cl.deficit <= 0 {
-				cl.deficit += quantum * w.weights[w.cursor]
+				cl.deficit += quantum * defaultClassWeights[w.cursor]
 			}
 			for i := 0; i < len(cl.vfs); i++ {
 				vf := cl.vfs[(cl.rr+i)%len(cl.vfs)]
@@ -37,6 +68,14 @@ func (w *wfq) nextPairScan(now int64, quantum float64) *Pair {
 	return nil
 }
 
+func (w *scanWFQ) charge(bytes, class int) {
+	cl := &w.classes[class]
+	cl.deficit -= float64(bytes)
+	if cl.deficit <= 0 {
+		w.cursor = (w.cursor + 1) % NumWeightClasses
+	}
+}
+
 // schedPair returns a pair whose eligibility the test controls: demand
 // through the buffer, the window through inflight, and dataStartAt.
 func schedPair() *Pair {
@@ -49,160 +88,190 @@ func schedPair() *Pair {
 	return p
 }
 
-// mirror drives two schedulers through the same operations: ref picks with
-// nextPairScan, idx with nextPair. VFs and pairs exist once per side (the
-// pick mutates them) and are matched by position in vfs / pairs.
-type mirror struct {
-	ref, idx *wfq
-	vfs      [2][]*vfState
-	pairs    [2][]*Pair
-	pairVF   []int // pairs[i] belongs to vfs[pairVF[i]]
-	nextID   int32
+// bareAgent is an agent with a scheduler and sender state and nothing else:
+// no network, engine or timers, for driving the WFQ and the tenancy alone.
+func bareAgent(ten *Tenancy) *Agent {
+	a := &Agent{ten: ten, vfs: map[int32]*vfState{}, pairs: map[dataplane.VMPair]*Pair{}, sched: newWFQ(&ten.roster)}
+	ten.agents = append(ten.agents, a)
+	return a
 }
 
-func (m *mirror) sides() [2]*wfq { return [2]*wfq{m.ref, m.idx} }
+// source adds a pair of VF id on a bare agent, as AddPair does.
+func (a *Agent) source(id int32, p *Pair) {
+	p.VF, p.vf = id, a.sourceVF(id)
+	a.sched.addPair(p.vf, p)
+}
+
+// mirror drives several edges of one fabric two ways through the same
+// operations: ref are scanWFQs on which every VF is registered, idx are bare
+// agents sharing one Tenancy and holding sender state only for the VFs they
+// source. Pairs exist once per side (the pick mutates them).
+type mirror struct {
+	ten   Tenancy
+	idx   []*Agent
+	ref   []*scanWFQ
+	refVF []map[int32]*vfState // per edge: the reference's state of every VF
+	ids   []int32              // registered VFs, registration order
+	pairs []mirrorPair
+	next  int32
+}
+
+type mirrorPair struct {
+	edge     int
+	vf       int32
+	ref, idx *Pair
+}
+
+func newMirror(edges int) *mirror {
+	m := &mirror{}
+	for e := 0; e < edges; e++ {
+		m.idx = append(m.idx, bareAgent(&m.ten))
+		m.ref = append(m.ref, &scanWFQ{})
+		m.refVF = append(m.refVF, map[int32]*vfState{})
+	}
+	return m
+}
 
 func (m *mirror) addVF(class int) {
-	m.nextID++
-	for s, w := range m.sides() {
-		vf := &vfState{id: m.nextID, class: class}
-		m.vfs[s] = append(m.vfs[s], vf)
+	m.next++
+	m.ten.Add(m.next, 1, class)
+	tn := *m.ten.byID[m.next] // the reference's own copy: its pos is unused
+	for e, w := range m.ref {
+		vf := &vfState{tenant: &tn}
+		m.refVF[e][m.next] = vf
 		w.addVF(vf)
 	}
+	m.ids = append(m.ids, m.next)
 }
 
-func (m *mirror) addPair(v int) {
-	for s, w := range m.sides() {
-		p := schedPair()
-		m.pairs[s] = append(m.pairs[s], p)
-		w.addPair(m.vfs[s][v], p)
-	}
-	m.pairVF = append(m.pairVF, v)
+func (m *mirror) addPair(e int, id int32) {
+	mp := mirrorPair{edge: e, vf: id, ref: schedPair(), idx: schedPair()}
+	vf := m.refVF[e][id]
+	vf.pairs = append(vf.pairs, mp.ref)
+	m.idx[e].source(id, mp.idx)
+	m.pairs = append(m.pairs, mp)
 }
 
 func (m *mirror) removePair(i int) {
-	for s, w := range m.sides() {
-		w.removePair(m.vfs[s][m.pairVF[i]], m.pairs[s][i])
-		m.pairs[s] = append(m.pairs[s][:i], m.pairs[s][i+1:]...)
-	}
-	m.pairVF = append(m.pairVF[:i], m.pairVF[i+1:]...)
+	mp := m.pairs[i]
+	vf := m.refVF[mp.edge][mp.vf]
+	vf.pairs = slices.Delete(vf.pairs, slices.Index(vf.pairs, mp.ref), slices.Index(vf.pairs, mp.ref)+1)
+	m.idx[mp.edge].sched.removePair(mp.idx.vf, mp.idx)
+	m.pairs = slices.Delete(m.pairs, i, i+1)
 }
 
-// removeVF deregisters VF v. With drain its pairs go first, one by one, as
-// Agent.RemoveVF does; without, the VF leaves populated (the index must
-// drop it and renumber) and its pairs simply stop being reachable.
-func (m *mirror) removeVF(v int, drain bool) {
-	for i := len(m.pairVF) - 1; i >= 0; i-- {
-		if m.pairVF[i] != v {
-			continue
-		}
-		if drain {
+// removeVF deregisters VF id: its pairs go first, one by one, on every
+// edge, as Tenancy.Remove has them torn down.
+func (m *mirror) removeVF(id int32) {
+	for i := len(m.pairs) - 1; i >= 0; i-- {
+		if m.pairs[i].vf == id {
 			m.removePair(i)
-			continue
-		}
-		for s := range m.pairs {
-			m.pairs[s] = append(m.pairs[s][:i], m.pairs[s][i+1:]...)
-		}
-		m.pairVF = append(m.pairVF[:i], m.pairVF[i+1:]...)
-	}
-	for s, w := range m.sides() {
-		w.removeVF(m.vfs[s][v])
-		m.vfs[s] = append(m.vfs[s][:v], m.vfs[s][v+1:]...)
-	}
-	for i, pv := range m.pairVF {
-		if pv > v {
-			m.pairVF[i] = pv - 1
 		}
 	}
+	for e, w := range m.ref {
+		w.removeVF(m.refVF[e][id])
+		delete(m.refVF[e], id)
+	}
+	m.ten.Remove(id)
+	m.ids = slices.Delete(m.ids, slices.Index(m.ids, id), slices.Index(m.ids, id)+1)
 }
 
-// check compares every piece of scheduling state of the two sides and the
-// populated-index invariant of the indexed one.
+// check compares every piece of scheduling state of the two sides, and that
+// an edge holds sender state only for VFs it has sourced.
 func (m *mirror) check() error {
-	if m.ref.cursor != m.idx.cursor {
-		return fmt.Errorf("class cursor: scan %d, index %d", m.ref.cursor, m.idx.cursor)
-	}
-	for c := range m.ref.classes {
-		r, x := &m.ref.classes[c], &m.idx.classes[c]
-		if r.rr != x.rr || r.deficit != x.deficit || len(r.vfs) != len(x.vfs) {
-			return fmt.Errorf("class %d: scan rr %d deficit %v vfs %d, index rr %d deficit %v vfs %d",
-				c, r.rr, r.deficit, len(r.vfs), x.rr, x.deficit, len(x.vfs))
+	for e, r := range m.ref {
+		x := m.idx[e].sched
+		if r.cursor != x.cursor {
+			return fmt.Errorf("edge %d class cursor: scan %d, index %d", e, r.cursor, x.cursor)
 		}
-		var want []int
-		for pos, vf := range x.vfs {
-			if vf.id != r.vfs[pos].id {
-				return fmt.Errorf("class %d position %d: scan holds VF %d, index VF %d", c, pos, r.vfs[pos].id, vf.id)
+		for c := range r.classes {
+			rc, xc := &r.classes[c], &x.classes[c]
+			if rc.rr != xc.rr || rc.deficit != xc.deficit || len(rc.vfs) != len(m.ten.roster[c]) {
+				return fmt.Errorf("edge %d class %d: scan rr %d deficit %v vfs %d, index rr %d deficit %v roster %d",
+					e, c, rc.rr, rc.deficit, len(rc.vfs), xc.rr, xc.deficit, len(m.ten.roster[c]))
 			}
-			if len(vf.pairs) > 0 {
-				want = append(want, pos)
+			var want, got []int32
+			for pos, vf := range rc.vfs {
+				if tn := m.ten.roster[c][pos]; tn.id != vf.id || tn.pos != pos {
+					return fmt.Errorf("class %d position %d: scan holds VF %d, roster VF %d at %d", c, pos, vf.id, tn.id, tn.pos)
+				}
+				if len(vf.pairs) > 0 {
+					want = append(want, vf.id)
+				}
+			}
+			for _, vf := range xc.populated {
+				got = append(got, vf.id)
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("edge %d class %d: populated %v, want %v", e, c, got, want)
 			}
 		}
-		if fmt.Sprint(x.populated) != fmt.Sprint(want) {
-			return fmt.Errorf("class %d: populated index %v, want %v", c, x.populated, want)
+		for id, rv := range m.refVF[e] {
+			xv := m.idx[e].vfs[id]
+			if xv == nil {
+				if rv.rr != 0 || len(rv.pairs) != 0 {
+					return fmt.Errorf("edge %d VF %d: no sender state, but the scan has rr %d pairs %d", e, id, rv.rr, len(rv.pairs))
+				}
+				continue
+			}
+			if rv.rr != xv.rr || len(rv.pairs) != len(xv.pairs) {
+				return fmt.Errorf("edge %d VF %d: scan rr %d pairs %d, index rr %d pairs %d", e, id, rv.rr, len(rv.pairs), xv.rr, len(xv.pairs))
+			}
 		}
-	}
-	for v := range m.vfs[0] {
-		if r, x := m.vfs[0][v], m.vfs[1][v]; r.rr != x.rr || len(r.pairs) != len(x.pairs) {
-			return fmt.Errorf("VF %d: scan rr %d pairs %d, index rr %d pairs %d", v, r.rr, len(r.pairs), x.rr, len(x.pairs))
+		for id := range m.idx[e].vfs {
+			if m.refVF[e][id] == nil {
+				return fmt.Errorf("edge %d keeps sender state for departed VF %d", e, id)
+			}
 		}
 	}
 	return nil
 }
 
-func indexOf(ps []*Pair, p *Pair) int {
-	for i, q := range ps {
-		if q == p {
-			return i
-		}
-	}
-	return -1
-}
-
-// The populated index against the scan it replaced: ≥ 10 000 random steps
-// of every operation that touches scheduling state, with the same pair
-// picked and the same cursors left after each.
+// The shared roster against the scan it replaced: ≥ 10 000 random steps of
+// every operation that touches scheduling state on three edges of one
+// fabric, with the same pair picked and the same cursors left after each.
+// Most VFs have no pair on a given edge, and removals aim at the cursor of an
+// edge — including removals of VFs that edge never sourced, which still move
+// what its cursor points at.
 func TestNextPairMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := &mirror{ref: newWFQ(), idx: newWFQ()}
+	const edges = 3
+	m := newMirror(edges)
 	now := int64(0)
 	const quantum = 1500
 	picks, nils := 0, 0
 	for step := 0; step < 30000; step++ {
 		op := rng.Intn(100)
+		e := rng.Intn(edges)
 		switch {
-		case op < 6 && len(m.vfs[0]) < 48 || len(m.vfs[0]) == 0:
+		case op < 6 && len(m.ids) < 48 || len(m.ids) == 0:
 			// Two classes carry most VFs so that lists get long; the
 			// out-of-range ones exercise the clamp.
-			class := []int{0, 0, 0, 3, 3, 7, -2, 11}[rng.Intn(8)]
-			m.addVF(class)
-		case op < 10 && len(m.vfs[0]) > 4:
-			// Three times in four, aim around the cursor of the VF's
-			// class: the position before it, at it, or after it.
-			v := rng.Intn(len(m.vfs[0]))
-			cl := &m.idx.classes[m.vfs[1][v].class]
-			if pos := cl.rr - 1 + rng.Intn(3); pos >= 0 && pos < len(cl.vfs) && rng.Intn(4) > 0 {
-				for i, vf := range m.vfs[1] {
-					if vf == cl.vfs[pos] {
-						v = i
-					}
-				}
+			m.addVF([]int{0, 0, 0, 3, 3, 7, -2, 11}[rng.Intn(8)])
+		case op < 10 && len(m.ids) > 4:
+			// Three times in four, aim around edge e's cursor in the
+			// VF's class: the position before it, at it, or after it.
+			id := m.ids[rng.Intn(len(m.ids))]
+			c := m.ten.byID[id].class
+			roster := m.ten.roster[c]
+			if pos := m.idx[e].sched.classes[c].rr - 1 + rng.Intn(3); pos >= 0 && pos < len(roster) && rng.Intn(4) > 0 {
+				id = roster[pos].id
 			}
-			m.removeVF(v, rng.Intn(3) > 0)
+			m.removeVF(id)
 		case op < 22:
-			// Most VFs stay empty, as on a real edge.
-			v := rng.Intn(len(m.vfs[0]))
-			if len(m.vfs[0][v].pairs) == 0 && rng.Intn(2) > 0 {
+			// Most VFs stay empty on an edge, as in a real fabric.
+			id := m.ids[rng.Intn(len(m.ids))]
+			if len(m.refVF[e][id].pairs) == 0 && rng.Intn(2) > 0 {
 				break
 			}
-			m.addPair(v)
-		case op < 27 && len(m.pairVF) > 0:
-			m.removePair(rng.Intn(len(m.pairVF)))
-		case op < 55 && len(m.pairVF) > 0:
+			m.addPair(e, id)
+		case op < 27 && len(m.pairs) > 0:
+			m.removePair(rng.Intn(len(m.pairs)))
+		case op < 55 && len(m.pairs) > 0:
 			// Flip one eligibility input of one pair.
-			i := rng.Intn(len(m.pairVF))
+			mp := m.pairs[rng.Intn(len(m.pairs))]
 			kind, amount := rng.Intn(6), int64(rng.Intn(4))*1500
-			for s := range m.pairs {
-				p := m.pairs[s][i]
+			for _, p := range []*Pair{mp.ref, mp.idx} {
 				switch kind {
 				case 0, 1, 2: // demand arrives
 					p.Demand.(*Buffer).Add(4*amount + 1)
@@ -217,10 +286,11 @@ func TestNextPairMatchesScan(t *testing.T) {
 		case op < 60:
 			now += int64(rng.Intn(3000))
 		default:
-			pr, px := m.ref.nextPairScan(now, quantum), m.idx.nextPair(now, quantum)
-			ir, ix := indexOf(m.pairs[0], pr), indexOf(m.pairs[1], px)
+			pr, px := m.ref[e].nextPair(now, quantum), m.idx[e].sched.nextPair(now, quantum)
+			ir := slices.IndexFunc(m.pairs, func(mp mirrorPair) bool { return mp.ref == pr })
+			ix := slices.IndexFunc(m.pairs, func(mp mirrorPair) bool { return mp.idx == px })
 			if ir != ix {
-				t.Fatalf("step %d: scan picked pair %d, index picked pair %d", step, ir, ix)
+				t.Fatalf("step %d edge %d: scan picked pair %d, index picked pair %d", step, e, ir, ix)
 			}
 			if pr == nil {
 				nils++
@@ -231,53 +301,52 @@ func TestNextPairMatchesScan(t *testing.T) {
 			if pend := int(pr.Demand.Pending()); pend < bytes {
 				bytes = pend
 			}
-			for s, w := range m.sides() {
-				p := m.pairs[s][ir]
-				p.Demand.Consume(int64(bytes))
-				w.charge(p, bytes, m.vfs[s][m.pairVF[ir]].class)
-			}
+			pr.Demand.Consume(int64(bytes))
+			px.Demand.Consume(int64(bytes))
+			m.ref[e].charge(bytes, m.refVF[e][m.pairs[ir].vf].class)
+			m.idx[e].sched.charge(px, bytes, px.vf.class)
 		}
 		if err := m.check(); err != nil {
-			t.Fatalf("step %d (op %d): %v", step, op, err)
+			t.Fatalf("step %d (op %d, edge %d): %v", step, op, e, err)
 		}
 	}
 	if picks < 5000 || nils < 100 {
 		t.Fatalf("walk too tame to mean anything: %d picks, %d empty picks", picks, nils)
 	}
-	t.Logf("%d picks, %d empty picks; at the end %d VFs, %d pairs", picks, nils, len(m.vfs[0]), len(m.pairVF))
+	t.Logf("%d picks, %d empty picks; at the end %d VFs, %d pairs", picks, nils, len(m.ids), len(m.pairs))
 }
 
-// The cursor is a position in the registered list and removeVF does not
+// The cursor is a position in the fabric's roster and a departure does not
 // move it when a VF below it leaves, so the VF it pointed at slides under it
-// and is skipped once. The goldens' service order includes that skip; this
-// pins it where a well-meant fix would otherwise only show up as drift.
+// and is skipped once — also when the departing VF never had a pair on this
+// edge. The goldens' service order includes that skip; this pins it where a
+// well-meant fix would otherwise only show up as drift.
 func TestRemoveVFKeepsCursor(t *testing.T) {
-	w := newWFQ()
-	var vfs []*vfState
-	var pairs []*Pair
-	for i := 0; i < 4; i++ {
-		vf := &vfState{id: int32(i)}
-		w.addVF(vf)
-		p := schedPair()
-		w.addPair(vf, p)
-		vfs, pairs = append(vfs, vf), append(pairs, p)
+	var ten Tenancy
+	a := bareAgent(&ten)
+	for id := int32(1); id <= 5; id++ {
+		ten.Add(id, 1, 0)
 	}
-	if p := w.nextPair(0, 1500); p != pairs[0] {
-		t.Fatalf("first pick is pair %d, want 0", indexOf(pairs, p))
+	// The edge sources VFs 1, 3, 4 and 5; VF 2 is another edge's tenant.
+	pairs := map[int32]*Pair{}
+	for _, id := range []int32{1, 3, 4, 5} {
+		pairs[id] = schedPair()
+		a.source(id, pairs[id])
 	}
-	if p := w.nextPair(0, 1500); p != pairs[1] {
-		t.Fatalf("second pick is pair %d, want 1", indexOf(pairs, p))
+	for _, want := range []int32{1, 3} {
+		if p := a.sched.nextPair(0, 1500); p != pairs[want] {
+			t.Fatalf("pick is VF %d, want %d", p.VF, want)
+		}
 	}
-	// Cursor at position 2 (VF 2). VF 0 leaves: VF 2 is now at position 1,
-	// the cursor still says 2, and the next pick is VF 3.
-	w.removeVF(vfs[0])
-	if rr := w.classes[0].rr; rr != 2 {
-		t.Fatalf("cursor moved to %d on removeVF", rr)
+	// Cursor at position 3 (VF 4). VF 2 leaves: VF 4 is now at position 2,
+	// the cursor still says 3, and the next pick is VF 5.
+	ten.Remove(2)
+	if rr := a.sched.classes[0].rr; rr != 3 {
+		t.Fatalf("cursor moved to %d on Remove", rr)
 	}
-	if p := w.nextPair(0, 1500); p != pairs[3] {
-		t.Fatalf("pick after removal is pair %d, want 3 (VF 2 skipped once)", indexOf(pairs, p))
-	}
-	if p := w.nextPair(0, 1500); p != pairs[1] {
-		t.Fatalf("wrap-around pick is pair %d, want 1", indexOf(pairs, p))
+	for _, want := range []int32{5, 1, 3, 4} {
+		if p := a.sched.nextPair(0, 1500); p != pairs[want] {
+			t.Fatalf("pick is VF %d, want %d (VF 4 skipped once, then round-robin)", p.VF, want)
+		}
 	}
 }

@@ -18,6 +18,7 @@ type rig struct {
 	eng      *sim.Engine
 	net      *dataplane.Network
 	st       *topo.Star
+	ten      *Tenancy
 	src, dst *Agent
 }
 
@@ -30,16 +31,16 @@ func newRig(t *testing.T, cfg Config) *rig {
 	for _, h := range st.Hosts {
 		net.SetSwitchAgent(h, ufabc.New(ufabc.Config{}))
 	}
-	src := New(eng, net, st.Hosts[0], cfg)
-	dst := New(eng, net, st.Hosts[1], cfg)
-	return &rig{eng: eng, net: net, st: st, src: src, dst: dst}
+	ten := &Tenancy{}
+	src := New(eng, net, st.Hosts[0], cfg, ten)
+	dst := New(eng, net, st.Hosts[1], cfg, ten)
+	return &rig{eng: eng, net: net, st: st, ten: ten, src: src, dst: dst}
 }
 
 func (r *rig) addPair(phi float64) (*Pair, *Buffer) {
 	buf := &Buffer{}
 	routes := r.st.Graph.Paths(r.st.Hosts[0], r.st.Hosts[1], 0)
-	r.src.AddVF(1, phi, 2)
-	r.dst.AddVF(1, phi, 2)
+	r.ten.Add(1, phi, 2)
 	p := r.src.AddPair(PairConfig{
 		ID: 1, VF: 1, Dst: r.st.Hosts[1], Routes: routes, Phi: phi, Demand: buf,
 	})
@@ -73,7 +74,7 @@ func TestNewPanicsOnSwitch(t *testing.T) {
 			t.Fatal("New on switch did not panic")
 		}
 	}()
-	New(eng, net, st.Center, Config{})
+	New(eng, net, st.Center, Config{}, &Tenancy{})
 }
 
 func TestAddPairValidation(t *testing.T) {
@@ -84,6 +85,17 @@ func TestAddPairValidation(t *testing.T) {
 		}
 	}()
 	r.src.AddPair(PairConfig{ID: 9, Demand: &Buffer{}})
+}
+
+func TestAddPairOfUnregisteredVFPanics(t *testing.T) {
+	r := newRig(t, Config{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddPair of an unregistered VF did not panic")
+		}
+	}()
+	r.src.AddPair(PairConfig{ID: 9, VF: 4, Dst: r.st.Hosts[1],
+		Routes: r.st.Graph.Paths(r.st.Hosts[0], r.st.Hosts[1], 0), Demand: &Buffer{}})
 }
 
 func TestPairAccessors(t *testing.T) {
@@ -339,11 +351,12 @@ func TestPeriodicProbingMode(t *testing.T) {
 }
 
 func TestWFQClassWeights(t *testing.T) {
-	w := newWFQ()
-	hi := &vfState{id: 1, class: 7}
-	lo := &vfState{id: 2, class: 0}
-	w.addVF(hi)
-	w.addVF(lo)
+	var ten Tenancy
+	ten.Add(1, 1, 7)
+	ten.Add(2, 1, 0)
+	w := newWFQ(&ten.roster)
+	hi := &vfState{tenant: ten.byID[1]}
+	lo := &vfState{tenant: ten.byID[2]}
 	// Two always-eligible pairs.
 	mkPair := func(vf *vfState) *Pair {
 		b := &Buffer{}
@@ -378,16 +391,17 @@ func TestWFQClassWeights(t *testing.T) {
 }
 
 func TestWFQClassClamping(t *testing.T) {
-	w := newWFQ()
-	v := &vfState{id: 1, class: 99}
-	w.addVF(v)
-	if v.class != NumWeightClasses-1 {
-		t.Errorf("class clamped to %d", v.class)
+	var ten Tenancy
+	ten.Add(1, 1, 99)
+	if c := ten.byID[1].class; c != NumWeightClasses-1 {
+		t.Errorf("class clamped to %d", c)
 	}
-	v2 := &vfState{id: 2, class: -3}
-	w.addVF(v2)
-	if v2.class != 0 {
-		t.Errorf("negative class clamped to %d", v2.class)
+	ten.Add(2, 1, -3)
+	if c := ten.byID[2].class; c != 0 {
+		t.Errorf("negative class clamped to %d", c)
+	}
+	if ten.Add(2, 5, 3) || ten.byID[2].hose != 1 || len(ten.roster[3]) != 0 {
+		t.Errorf("a duplicate Add changed the table: %+v", *ten.byID[2])
 	}
 }
 
@@ -413,10 +427,11 @@ func TestGuaranteePartitioningLoop(t *testing.T) {
 	st := topo.NewStar(3, topo.Gbps(10), 5*sim.Microsecond)
 	net := dataplane.New(eng, st.Graph, dataplane.Config{})
 	net.SetSwitchAgent(st.Center, ufabc.New(ufabc.Config{}))
-	src := New(eng, net, st.Hosts[0], Config{})
-	New(eng, net, st.Hosts[1], Config{})
-	New(eng, net, st.Hosts[2], Config{})
-	src.AddVF(1, 40, 3) // 4G hose
+	ten := &Tenancy{}
+	src := New(eng, net, st.Hosts[0], Config{}, ten)
+	New(eng, net, st.Hosts[1], Config{}, ten)
+	New(eng, net, st.Hosts[2], Config{}, ten)
+	ten.Add(1, 40, 3) // 4G hose
 	busy := &Buffer{}
 	idle := &Buffer{}
 	p1 := src.AddPair(PairConfig{ID: 1, VF: 1, Dst: st.Hosts[1],

@@ -57,3 +57,26 @@ func TestBuildUnpartitionableTopologyIsOneShard(t *testing.T) {
 		t.Fatalf("output differs between Shards 0 and 4:\n%s\nvs\n%s", inline, four)
 	}
 }
+
+// A tenant is one record in the fabric's tenant table, however many edges
+// the fabric has: registering one on a 128-host fat tree allocates no more
+// than on a two-host star. (Every edge used to register every tenant — 128
+// vfStates, map entries and list slots per AddVF here.)
+func TestAddVFCostDoesNotGrowWithHosts(t *testing.T) {
+	allocs := func(g *topo.Graph) float64 {
+		f, err := Build(BuildOptions{Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := int32(0)
+		return testing.AllocsPerRun(300, func() {
+			id++
+			f.AddVF(id, 1e9, int(id%8))
+		})
+	}
+	star := allocs(topo.NewStar(2, topo.Gbps(10), sim.Microsecond).Graph)
+	tree := allocs(topo.FatTree(8, topo.Gbps(10), sim.Microsecond).Graph)
+	if tree > star {
+		t.Errorf("AddVF allocates %v times on a 128-host fat tree, %v on a 2-host star: want no more", tree, star)
+	}
+}

@@ -70,20 +70,16 @@ func (f *Fabric) AddTenant(spec chaos.TenantSpec) bool {
 func (f *Fabric) RemoveTenant(vf int32) bool { return f.RemoveVF(vf) }
 
 // RemoveVF tears a tenant VF down: every VM-pair is finished (the finish
-// probes deallocate its Φ/W contribution in the core) and the VF is
-// deregistered from every edge, freeing the id for a later arrival.
-// Returns false for an unknown id. Edges are walked in graph order —
+// probes deallocate its Φ/W contribution in the core) and the VF leaves the
+// fabric's tenant table, freeing the id for a later arrival. Returns false
+// for an unknown id. The edges that source it tear down in graph order —
 // removal schedules packets, and map order would break run determinism.
 func (f *Fabric) RemoveVF(id int32) bool {
 	vf := f.VFs[id]
 	if vf == nil {
 		return false
 	}
-	for _, host := range f.Graph.Hosts() {
-		if e := f.Edges[host]; e != nil {
-			e.RemoveVF(id)
-		}
-	}
+	f.ten.Remove(id)
 	delete(f.VFs, id)
 	for i, vid := range f.vfOrder {
 		if vid == id {

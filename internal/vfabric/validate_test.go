@@ -81,6 +81,18 @@ func TestValidationUnified(t *testing.T) {
 	}
 }
 
+// A departed VF's flow is refused rather than given a token group outside
+// any hose: the VF is no longer in the fabric's tenant table.
+func TestAddFlowOfDepartedVFPanics(t *testing.T) {
+	f, tb := newValidateFabric(t)
+	vf := f.AddVF(1, 1e9, 0)
+	f.AddFlow(vf, tb.Servers[0], tb.Servers[1], 0)
+	if !f.RemoveVF(1) {
+		t.Fatal("RemoveVF of a registered VF returned false")
+	}
+	mustPanic(t, "unregistered VF 1", func() { f.AddFlow(vf, tb.Servers[0], tb.Servers[1], 0) })
+}
+
 func TestValidateTenantSpecDoesNotMutate(t *testing.T) {
 	f, tb := newValidateFabric(t)
 	spec := chaos.TenantSpec{VF: 9, GuaranteeBps: 2e9, WeightClass: 3,

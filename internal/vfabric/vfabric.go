@@ -116,8 +116,10 @@ type Fabric struct {
 	VFs   map[int32]*VF
 	Flows []*Flow
 
-	nextVM  dataplane.VMPair
-	rng     *rand.Rand
+	nextVM dataplane.VMPair
+	rng    *rand.Rand
+	// ten is the fabric's one tenant table, shared by every edge agent.
+	ten     ufabe.Tenancy
 	vfOrder []int32
 	aud     *auditState
 	// linkRegs[l] is where FlushTelemetry publishes link l's Φ_l and W_l.
@@ -177,7 +179,7 @@ func assemble(drv sim.Driver, net *dataplane.Network, g *topo.Graph, cfg Config)
 		f.Net.SetSwitchAgent(n.ID, ag)
 		f.Cores[n.ID] = ag
 		if n.Kind == topo.Host {
-			e := ufabe.New(f.Net.NodeScheduler(n.ID), f.Net, n.ID, cfg.Edge)
+			e := ufabe.New(f.Net.NodeScheduler(n.ID), f.Net, n.ID, cfg.Edge, &f.ten)
 			e.AttachTelemetry(cfg.Telemetry, telemetry.Token(n.Name))
 			f.Edges[n.ID] = e
 		}
@@ -226,18 +228,16 @@ func (f *Fabric) bounceFailure(pkt *dataplane.Packet, at, failed topo.NodeID) {
 // Edge returns the μFAB-E agent of a host.
 func (f *Fabric) Edge(host topo.NodeID) *ufabe.Agent { return f.Edges[host] }
 
-// AddVF registers a tenant VF with the given hose guarantee on every edge.
-// It panics on a malformed registration (duplicate id, non-positive
+// AddVF registers a tenant VF with the given hose guarantee in the fabric's
+// tenant table, which every edge reads (an edge keeps sender state only for
+// the VFs it sources pairs of). It panics on a malformed registration (duplicate id, non-positive
 // guarantee, weight class outside the WFQ range) — the same rules the
 // mid-run AddTenant path rejects with false.
 func (f *Fabric) AddVF(id int32, guaranteeBps float64, weightClass int) *VF {
 	if err := f.validateVF(id, guaranteeBps, weightClass); err != nil {
 		panic(err.Error())
 	}
-	tokens := guaranteeBps / ufabe.BU
-	for _, e := range f.Edges {
-		e.AddVF(id, tokens, weightClass)
-	}
+	f.ten.Add(id, guaranteeBps/ufabe.BU, weightClass)
 	vf := &VF{ID: id, GuaranteeBps: guaranteeBps, WeightClass: weightClass}
 	f.VFs[id] = vf
 	f.vfOrder = append(f.vfOrder, id)

@@ -15,11 +15,12 @@
 #   -quick -findings … audit all                   verdict lines (the timing
 #                                                  line stripped), findings
 #   -quick trace chaoslab | placechurn | fig12 |   JSONL stdout and the
-#                shardsim                          report + histogram stderr
+#                shardsim | reconcile              report + histogram stderr
 #   -quick trace -format perfetto chaoslab |       Chrome trace-event JSON
 #                                 shardsim
 # (shardsim deploys two logical shards, so its traces are the merge of the
-# per-shard rings; the others record into one ring)
+# per-shard rings; the others record into one ring; placechurn and reconcile
+# are the runs where tenants leave the fabric, through the control plane)
 # then compares every artefact of the two sides with cmp, and the head's
 # 0-worker artefacts with its 4-worker ones. One line per artefact; exit 1 at
 # the first difference (the differing files are kept and named). Plain bash,
@@ -55,7 +56,7 @@ produce() {
 			grep -v -- '-- wall time' >run.stdout
 		"$bin" -quick -jobs 2 -shards "$2" -findings findings.jsonl audit all 2>audit.stderr |
 			grep -v '^audit ok: ' >audit.stdout
-		for id in chaoslab placechurn fig12 shardsim; do
+		for id in chaoslab placechurn fig12 shardsim reconcile; do
 			"$bin" -quick -shards "$2" trace "$id" >"trace_$id.jsonl" 2>"trace_$id.stderr"
 		done
 		for id in chaoslab shardsim; do
