@@ -101,7 +101,7 @@ pairs:
 # The size comparison a simplification reports, in the units ROADMAP aim 2
 # scores by: per package under internal/ and cmd/, non-test code lines,
 # exported identifiers and panic( sites, and with BASE the delta against
-# that ref (scripts/size.sh):
+# that ref, and the package count (scripts/size.sh):
 #   make size BASE=HEAD~1
 size:
 	./scripts/size.sh $(BASE)

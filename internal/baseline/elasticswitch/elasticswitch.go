@@ -1,7 +1,7 @@
 // Package elasticswitch implements the Rate Allocation (RA) half of
 // ElasticSwitch [Popa et al., SIGCOMM'13] as the paper's ES+Clove baseline
 // uses it: every VM-pair sends at least its minimum-bandwidth guarantee
-// (GP, shared with μFAB via internal/token) and probes for spare capacity
+// (its tokens × B_u, fixed by the host) and probes for spare capacity
 // with a TCP-like rate AIMD driven by ECN congestion feedback. Crucially,
 // the rate never drops below the guarantee even when the network is
 // congested — which is why ES+Clove keeps its guarantees in Fig 11 but

@@ -8,7 +8,8 @@
 //
 // The package decides apart from doing. law.go is the control law as
 // functions of values — allocate (Eqns 1 and 3, qualification), the
-// two-stage ramp, the violation streak, selectPath, betterPath — over the
+// two-stage ramp, the violation streak, selectPath, betterPath, and both
+// sides of Guarantee Partitioning (assignTokens, admitTokens) — over the
 // paper's constants (BU, mtu, ackSize, eta, violationRTTs,
 // idleFinishAfter), with no engine, network or recorder in reach; law_test.go
 // iterates it against a synthetic link. Agent (this file) is transport,
@@ -28,7 +29,6 @@ import (
 	"ufab/internal/probe"
 	"ufab/internal/sim"
 	"ufab/internal/telemetry"
-	"ufab/internal/token"
 	"ufab/internal/topo"
 )
 
@@ -92,9 +92,10 @@ func (c *Config) setDefaults() {
 // recvPair is the receiver-side record of an incoming VM-pair, used for
 // Guarantee Partitioning admission.
 type recvPair struct {
-	vf       int32
-	tok      token.Pair
-	lastSeen sim.Time
+	vf        int32
+	requested float64 // the φ its last probe carried
+	admitted  float64 // the last admission (admitTokens)
+	lastSeen  sim.Time
 }
 
 // PairConfig describes a new VM-pair for AddPair.
@@ -172,11 +173,13 @@ type Agent struct {
 	resp probe.Packet
 
 	tokenLoopStop func()
-	// tok is tokenUpdate's working memory, kept across ticks.
-	tok struct {
-		toks []token.Pair
-		tps  []*token.Pair
-		byVF map[int32][]*recvPair
+	// gp is tokenUpdate's working memory, kept across ticks: one VF's pairs
+	// as the sender side sees them, the requests arriving here grouped by
+	// VF, and the law's answer.
+	gp struct {
+		pairs []tokenPair
+		byVF  map[int32][]tokenRequest
+		out   []float64
 	}
 }
 
@@ -274,7 +277,7 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		a.sendPending = false
 		a.trySend()
 	}
-	a.tok.byVF = make(map[int32][]*recvPair)
+	a.gp.byVF = make(map[int32][]tokenRequest)
 	net.SetHandler(host, a)
 	if cfg.TokenPeriod > 0 {
 		a.tokenLoopStop = eng.Every(cfg.TokenPeriod, a.tokenUpdate)
@@ -653,13 +656,13 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 	case probe.KindProbe:
 		rp := a.recvPairs[pkt.VMPair]
 		if rp == nil {
-			rp = &recvPair{vf: pkt.Tenant, tok: token.Pair{Admitted: token.Unbound}}
+			rp = &recvPair{vf: pkt.Tenant, admitted: unbound}
 			a.recvPairs[pkt.VMPair] = rp
 		}
 		rp.lastSeen = now
-		rp.tok.Requested = pp.Phi
-		if rp.tok.Admitted != token.Unbound && rp.tok.Admitted > 0 {
-			admitted = rp.tok.Admitted
+		rp.requested = pp.Phi
+		if rp.admitted != unbound && rp.admitted > 0 {
+			admitted = rp.admitted
 		}
 	case probe.KindFinish:
 		delete(a.recvPairs, pkt.VMPair)
@@ -903,94 +906,57 @@ func (a *Agent) migrate(p *Pair, to int, urgent bool) {
 
 // ---- Guarantee Partitioning loop -------------------------------------------
 
-// tokenUpdate runs every TokenPeriod: sender-side token assignment across
-// each VF's pairs (Algorithm 1 sender) and receiver-side admission
-// (Algorithm 1 receiver).
+// tokenUpdate runs every TokenPeriod: both sides of Algorithm 1 (law.go),
+// each as gather → law → apply. Sender side, per VF with pairs here: their
+// demands and admissions in, each pair's φ out. Receiver side, per VF with
+// pairs arriving here: their requests in, each one's admission out, kept
+// for the response to the pair's next probe. VFs are independent, so the
+// order they are visited in is immaterial.
 func (a *Agent) tokenUpdate() {
 	period := a.cfg.TokenPeriod.Seconds()
-	// Sender side: the VFs with pairs on this host, off the scheduler's
-	// populated index. VFs are independent, so their order is immaterial.
+	gp := &a.gp
 	for c := range a.sched.classes {
 		for _, vf := range a.sched.classes[c].populated {
-			a.assignSenderTokens(vf, period)
+			gp.pairs = gp.pairs[:0]
+			for _, p := range vf.pairs {
+				tp := tokenPair{pinned: p.phiManaged, phi: p.phi, demand: -1, admitted: p.peerPhi}
+				// A pair that drained its demand and is not backlogged
+				// is demand-bounded: its actual rate, in tokens.
+				if p.Demand == nil {
+					tp.demand = 0
+				} else if p.Demand.Pending() == 0 {
+					tp.demand = float64(p.txSinceToken*8) / period / BU
+				}
+				gp.pairs = append(gp.pairs, tp)
+			}
+			if gp.out = assignTokens(gp.out[:0], vf.hose, gp.pairs); len(gp.out) > 0 {
+				for i, p := range vf.pairs {
+					p.phi, p.txSinceToken = gp.out[i], 0
+				}
+			}
 		}
 	}
-	// Receiver side: admit per VF.
 	now := a.eng.Now()
-	byVF := a.tok.byVF
 	for vm, rp := range a.recvPairs {
 		if now-rp.lastSeen > 100*a.cfg.TokenPeriod {
 			delete(a.recvPairs, vm)
 			continue
 		}
-		byVF[rp.vf] = append(byVF[rp.vf], rp)
+		gp.byVF[rp.vf] = append(gp.byVF[rp.vf], tokenRequest{vm, rp.requested})
 	}
-	for vfID, rps := range byVF {
-		if len(rps) == 0 {
+	for vf, reqs := range gp.byVF {
+		if len(reqs) == 0 {
 			// No pair of this VF since the last tick: forget it.
-			delete(byVF, vfID)
+			delete(gp.byVF, vf)
 			continue
 		}
-		if tn := a.ten.byID[vfID]; tn != nil && tn.hose > 0 {
-			tps := a.tok.tps[:0]
-			for _, rp := range rps {
-				tps = append(tps, &rp.tok)
+		if tn := a.ten.byID[vf]; tn != nil && tn.hose > 0 {
+			gp.out = admitTokens(gp.out[:0], tn.hose, reqs)
+			for i, r := range reqs {
+				a.recvPairs[r.id].admitted = gp.out[i]
 			}
-			a.tok.tps = tps
-			token.ReceiverAdmit(tn.hose, tps)
-			clear(tps)
 		}
-		clear(rps)
-		byVF[vfID] = rps[:0]
-	}
-}
-
-// assignSenderTokens is Algorithm 1's sender side for one VF: split the
-// hose over the VF's pairs by measured demand and receiver admission.
-func (a *Agent) assignSenderTokens(vf *vfState, period float64) {
-	if vf.hose <= 0 {
-		return
-	}
-	// Pinned pairs (SetPhi) keep their φ; the rest share the remaining
-	// hose.
-	hose := vf.hose
-	toks := a.tok.toks[:0]
-	for _, p := range vf.pairs {
-		if p.phiManaged {
-			hose -= p.phi
-			continue
-		}
-		demand := -1.0
-		// A pair that drained its demand and is not backlogged is
-		// demand-bounded: measure its actual rate in tokens.
-		if p.Demand == nil {
-			demand = 0
-		} else if p.Demand.Pending() == 0 {
-			demand = float64(p.txSinceToken*8) / period / BU
-		}
-		adm := token.Unbound
-		if p.peerPhi > 0 {
-			adm = p.peerPhi
-		}
-		toks = append(toks, token.Pair{Demand: demand, Admitted: adm})
-	}
-	a.tok.toks = toks
-	if hose <= 0 || len(toks) == 0 {
-		return
-	}
-	tps := a.tok.tps[:0]
-	for i := range toks {
-		tps = append(tps, &toks[i])
-	}
-	a.tok.tps = tps
-	token.SenderAssign(hose, tps)
-	i := 0
-	for _, p := range vf.pairs {
-		if !p.phiManaged {
-			p.phi = toks[i].Requested
-			p.txSinceToken = 0
-			i++
-		}
+		gp.byVF[vf] = reqs[:0]
 	}
 }
 

@@ -86,8 +86,8 @@ func TestProbeRoundTripAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestTokenUpdateAllocations: a token tick works out of the agent's scratch
-// and token.SenderAssign out of its stack, so it allocates nothing for the
+// TestTokenUpdateAllocations: a token tick gathers into the agent's scratch
+// and the law orders on its stack, so it allocates nothing for the
 // pairs the host sources — and not one byte more for 1 024 tenants of the
 // fabric that have no pair here.
 func TestTokenUpdateAllocations(t *testing.T) {

@@ -1,18 +1,23 @@
 package ufabe
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 
+	"ufab/internal/dataplane"
 	"ufab/internal/probe"
 	"ufab/internal/sim"
 )
 
-// The control law of μFAB-E (§3.3–§3.5) as functions of values: each takes
-// pair and path state, the hop records of a decoded response and the time,
-// and returns a small decision value that Agent applies. Nothing here
-// reaches an engine, a network, a graph or a recorder — what the law needs of
-// them (a base RTT, a path's minimum capacity, whether demand is pending)
+// The control law of μFAB-E (§3.3–§3.5, and Appendix E's Guarantee
+// Partitioning) as functions of values: each takes pair and path state, the
+// hop records of a decoded response and the time — or a VF's hose and its
+// pairs' demands and requests — and returns a small decision value, or one
+// per pair, that Agent applies. Nothing here reaches an engine, a network, a
+// graph or a recorder — what the law needs of them (a base RTT, a path's
+// minimum capacity, whether demand is pending, a pair's measured demand)
 // arrives as an argument, and randomness as the caller's *rand.Rand — so
 // law_test.go iterates it against a synthetic link with no fabric at all.
 
@@ -270,4 +275,139 @@ func betterPath(paths []*pathState, active int, now sim.Time, freshAge, hold sim
 		return 0, best
 	}
 	return since, -1
+}
+
+// Guarantee Partitioning (Appendix E, Algorithm 1) splits a VF's hose tokens
+// φ^a over its VM-pairs. The sender apportions its hose by measured demand
+// and conveys each pair's share to the receiver as a request; the receiver
+// arbitrates the requests against its own hose, max-min fair, and answers
+// with an admission; a pair's effective token is the smaller of the two
+// (Pair.EffectivePhi). A pair whose demand is below the equal share is still
+// given the equal share ("boost"), so it can ramp at once when demand
+// returns, while the spare goes to its siblings: at most twice the VF's
+// tokens are in the network for one RTT.
+
+// unbound is an admission that does not constrain the sender: the request
+// fitted under the receiver's fair share.
+const unbound = math.MaxFloat64
+
+// stackPairs is how many of a VF's pairs the two sides of Algorithm 1 order
+// without touching the heap: their index slice starts on the stack and
+// spills for a VF with more pairs on one host. They run every token period
+// on every host, so what they allocate is allocated per simulated event.
+const stackPairs = 16
+
+// tokenPair is one of a VF's pairs on the sending host as the sender side of
+// Algorithm 1 sees it.
+type tokenPair struct {
+	// pinned pairs keep phi (whoever called SetPhi owns it); the others
+	// share what is left of the hose.
+	pinned bool
+	phi    float64
+	// demand is the measured demand in tokens; negative means backlogged.
+	demand float64
+	// admitted is the receiver's last admission; 0 (none yet, or unbound on
+	// the wire) does not constrain.
+	admitted float64
+}
+
+// assignTokens is Algorithm 1's sender side: it appends each pair's φ to phi,
+// in the order of pairs, and returns phi unchanged when there is nothing to
+// assign (no hose left once the pinned pairs are served, or no pair to
+// serve). Three classes emerge among the unpinned pairs: demand-bounded ones
+// (measured demand below the equal share) get the equal share and donate
+// the rest of it; receiver-bounded ones (a previous admission below the
+// current share) are clipped to their admission; the others split what is
+// left, max-min in ascending order of admission.
+func assignTokens(phi []float64, hose float64, pairs []tokenPair) []float64 {
+	if hose <= 0 {
+		return phi
+	}
+	n := 0
+	for _, p := range pairs {
+		if p.pinned {
+			hose -= p.phi
+		} else {
+			n++
+		}
+	}
+	if hose <= 0 || n == 0 {
+		return phi
+	}
+	equal := hose / float64(n)
+	spare := 0.0
+	var buf [stackPairs]int
+	rest := buf[:0]
+	base := len(phi)
+	for i, p := range pairs {
+		switch {
+		case p.pinned:
+			phi = append(phi, p.phi)
+		case p.demand >= 0 && p.demand < equal:
+			spare += equal - p.demand
+			phi = append(phi, equal)
+		default:
+			phi = append(phi, 0)
+			rest = append(rest, i)
+		}
+	}
+	admitted := func(i int) float64 {
+		if a := pairs[i].admitted; a > 0 {
+			return a
+		}
+		return unbound
+	}
+	slices.SortStableFunc(rest, func(i, j int) int { return cmp.Compare(admitted(i), admitted(j)) })
+	left, remaining := equal*float64(len(rest))+spare, len(rest)
+	for _, i := range rest {
+		share := left / float64(remaining)
+		if adm := admitted(i); adm < share {
+			share = adm
+		}
+		phi[base+i] = share
+		left -= share
+		remaining--
+	}
+	return phi
+}
+
+// tokenRequest is a VM-pair's request at the receiving host: the φ its
+// sender's last probe carried.
+type tokenRequest struct {
+	id        dataplane.VMPair
+	requested float64
+}
+
+// admitTokens is Algorithm 1's receiver side: max-min fair arbitration of
+// the requests of one VF's pairs against the VF's hose. It appends each
+// request's admission to adm, in the order of reqs: unbound when the request
+// fits under the fair share, the share otherwise. Requests are served in
+// ascending order of request and then of pair id (ids are distinct), so
+// tied requests get the same admissions whatever order they arrive in.
+func admitTokens(adm []float64, hose float64, reqs []tokenRequest) []float64 {
+	var buf [stackPairs]int
+	order := buf[:0]
+	base := len(adm)
+	for i := range reqs {
+		order = append(order, i)
+		adm = append(adm, unbound)
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(reqs[i].requested, reqs[j].requested); c != 0 {
+			return c
+		}
+		return cmp.Compare(reqs[i].id, reqs[j].id)
+	})
+	left, remaining := hose, len(reqs)
+	for _, i := range order {
+		share := left / float64(remaining)
+		if r := reqs[i].requested; r <= share {
+			left -= r
+		} else {
+			adm[base+i] = share
+			left -= share
+		}
+		remaining--
+	}
+	return adm
 }

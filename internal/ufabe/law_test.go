@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
+	"ufab/internal/dataplane"
 	"ufab/internal/probe"
 	"ufab/internal/sim"
 	"ufab/internal/stats"
@@ -17,9 +19,13 @@ import (
 // up to its line rate and queues the rest, and every pair then reads the hop
 // records a probe of that round would have collected (Φ_l, W_l, tx_l, q_l,
 // C_l in physical units, as probe.Decode delivers them) and asks the law
-// for its next window. What the model leaves out: queueing delay (the RTT
-// stays T), the wire's quantization, probe loss and the token loop (φ is
-// fixed).
+// for its next window. Pairs grouped into a VF then have their tokens split
+// by Guarantee Partitioning's sender side, once per round (the token period
+// is 32 µs, a round 24 µs); every other pair keeps a fixed φ. What the model
+// leaves out: queueing delay (the RTT stays T), the wire's quantization,
+// probe loss and the receiver side of the token loop (each pair ends at a
+// VM of its own, and a lone request never exceeds the hose it is admitted
+// against).
 
 // synRTT is the base RTT of every synthetic path.
 const synRTT = 24 * sim.Microsecond
@@ -32,6 +38,7 @@ type synPair struct {
 	al        allocation
 	responded bool
 	rate      float64 // bits/s offered in the last round
+	drained   bool    // the demand, not the window, bounded the last round
 }
 
 func (p *synPair) window() int64 { return p.ramp.admitted(p.al, p.responded) }
@@ -40,7 +47,15 @@ type synNet struct {
 	capacity []float64 // line rate per link, bits/s
 	queue    []float64 // bytes
 	pairs    []*synPair
+	vfs      []synVF
 	now      sim.Time
+}
+
+// synVF is a VF whose pairs, all from one sender, split its hose by
+// Guarantee Partitioning.
+type synVF struct {
+	hose  float64
+	pairs []*synPair
 }
 
 // add admits a pair in Scenario-1 on the given links.
@@ -58,7 +73,8 @@ func (n *synNet) round() {
 	offL := make([]float64, len(n.capacity))
 	for _, p := range n.pairs {
 		offered := float64(p.window())
-		if d := p.demand * T / 8; p.demand >= 0 && d < offered {
+		d := p.demand * T / 8
+		if p.drained = p.demand >= 0 && d < offered; p.drained {
 			offered = d
 		}
 		p.rate = offered * 8 / T
@@ -83,6 +99,18 @@ func (n *synNet) round() {
 		}
 		p.al, p.responded = allocate(p.phi, p.window(), synRTT, path), true
 		p.ramp = p.ramp.advance(p.al, synRTT, n.now)
+	}
+	for _, vf := range n.vfs {
+		tps := make([]tokenPair, len(vf.pairs))
+		for i, p := range vf.pairs {
+			tps[i].demand = -1
+			if p.drained {
+				tps[i].demand = p.rate / BU
+			}
+		}
+		for i, phi := range assignTokens(nil, vf.hose, tps) {
+			vf.pairs[i].phi = phi
+		}
 	}
 }
 
@@ -201,6 +229,37 @@ func TestLawDemandLimited(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLawDemandLimitedPartitioned is property (b)'s large-token row with the
+// token loop's sender side: the limited pair shares a VF of hose 60 (the
+// two pairs' tokens) with the backlogged φ-20 pair. Guarantee Partitioning
+// boosts it to the equal share, 30, and moves the 20 it leaves unused to its
+// sibling, so it no longer holds more than half of the link's tokens and
+// W_l grows with the busy pairs' windows again. How far the rates then
+// settle from water-filling over the tokens in force is recorded, not gated
+// (DESIGN.md "Algorithm 1 is law").
+func TestLawDemandLimitedPartitioned(t *testing.T) {
+	n := newSynNet(10e9)
+	demand := []float64{-1, 0.5e9, -1, 1e9}
+	for i, phi := range []float64{5, 10, 20, 40} {
+		n.add(phi, demand[i], 0)
+	}
+	n.vfs = []synVF{{hose: 60, pairs: n.pairs[2:]}}
+	for r := 0; r < 30; r++ {
+		n.round()
+	}
+	if n.pairs[2].phi != 50 || n.pairs[3].phi != 30 {
+		t.Errorf("tokens %v and %v, want 50 to the backlogged pair and the equal share 30 to the limited one", n.pairs[2].phi, n.pairs[3].phi)
+	}
+	sum := 0.0
+	for i, p := range n.pairs {
+		sum += p.rate
+		if demand[i] >= 0 && p.rate != demand[i] {
+			t.Errorf("limited pair %d sends %v, demands %v", i, p.rate, demand[i])
+		}
+	}
+	t.Logf("%.3f %% from water-filling over the tokens in force, the link at %.3f %% of η·C", 100*n.worst(n.ideal()), 100*sum/(eta*n.capacity[0]))
 }
 
 // TestLawParkingLot is property (c), and the one the law does not meet. On
@@ -458,5 +517,218 @@ func TestLawBetterPathHold(t *testing.T) {
 	paths[1].share = 1.2e9 // exactly 20 % better is not better
 	if s, to := betterPath(paths, 0, now, freshAge, hold, since); s != 0 || to != -1 {
 		t.Errorf("a candidate at 1.2× the active share: since %d to %d, want the clock reset", s, to)
+	}
+}
+
+// backlogged is a pair of the sender side with unbounded demand and no
+// admission yet.
+var backlogged = tokenPair{demand: -1}
+
+// TestLawSenderTokens is Algorithm 1's sender side on a VF hose of 90 tokens
+// (divisible by 2 and 3), the cases of Appendix E's Fig 21.
+func TestLawSenderTokens(t *testing.T) {
+	const hose = 90.0
+	for _, tc := range []struct {
+		name  string
+		hose  float64
+		pairs []tokenPair
+		want  []float64 // nil: nothing assigned
+	}{
+		// Fig 21a, sender a1: three backlogged pairs, φ^a/3 each.
+		{"equal split", hose, []tokenPair{backlogged, backlogged, backlogged}, []float64{30, 30, 30}},
+		// Fig 21b: a pair with tiny demand ε is still boosted to the
+		// equal share, and its spare (share − ε) goes to the other two.
+		{"insufficient demand", hose, []tokenPair{{demand: 3}, backlogged, backlogged}, []float64{30, 30 + 27.0/2, 30 + 27.0/2}},
+		// A pair its receiver admitted only 10 tokens frees the rest for
+		// its sibling.
+		{"receiver bounded", hose, []tokenPair{{demand: -1, admitted: 10}, backlogged}, []float64{10, 80}},
+		{"no pairs", hose, nil, nil},
+		{"no tokens", 0, []tokenPair{backlogged}, nil},
+		// A pinned pair keeps its φ and the others split what is left.
+		{"pinned", hose, []tokenPair{backlogged, {pinned: true, phi: 30}, backlogged}, []float64{30, 30, 30}},
+		{"pinned take the hose", hose, []tokenPair{{pinned: true, phi: 90}, backlogged}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := assignTokens(nil, tc.hose, tc.pairs)
+			if len(got) != len(tc.want) {
+				t.Fatalf("assigned %v, want %v", got, tc.want)
+			}
+			total := 0.0
+			for i, phi := range got {
+				if total += phi; math.Abs(phi-tc.want[i]) > 1e-9 {
+					t.Errorf("pair %d gets %v, want %v", i, phi, tc.want[i])
+				}
+			}
+			if total > 2*tc.hose+1e-9 {
+				t.Errorf("%v assigned, above 2φ^a", total)
+			}
+		})
+	}
+}
+
+// TestLawReceiverTokens is Algorithm 1's receiver side on a hose of 90.
+func TestLawReceiverTokens(t *testing.T) {
+	const hose = 90.0
+	for _, tc := range []struct {
+		name string
+		reqs []tokenRequest
+		want []float64
+	}{
+		// Fig 21a, receiver a6: requests φ^a/3 (from a1) and φ^a (from a2).
+		// The fair share is φ^a/2: a1's request fits, a2 gets the 2φ^a/3
+		// left.
+		{"max-min", []tokenRequest{{1, hose / 3}, {2, hose}}, []float64{unbound, 2 * hose / 3}},
+		{"all fit", []tokenRequest{{1, 10}, {2, 20}}, []float64{unbound, unbound}},
+		{"none", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := admitTokens(nil, hose, tc.reqs)
+			if len(got) != len(tc.want) {
+				t.Fatalf("admitted %v, want %v", got, tc.want)
+			}
+			for i, adm := range got {
+				if adm != tc.want[i] && math.Abs(adm-tc.want[i]) > 1e-9 {
+					t.Errorf("request %d admitted %v, want %v", i, adm, tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLawReceiverTiesByID: requests that tie are served in pair-id order, so
+// each pair's admission is the same bits whatever order the requests arrive
+// in. On a hose of 7, a request of 0.2 fits and three tied requests of 5 and
+// one of 9 share the 6.8 left: the shares differ in the last place (1.7,
+// 1.7, 1.6999999999999997, 1.6999999999999997), so which tied pair gets
+// which depends on the order they are served in. Every arrival order of the
+// five must give every pair the same admission.
+func TestLawReceiverTiesByID(t *testing.T) {
+	reqs := []tokenRequest{{40, 5}, {7, 5}, {12, 5}, {3, 0.2}, {9, 9}}
+	want := map[dataplane.VMPair]float64{}
+	for i, adm := range admitTokens(nil, 7, reqs) {
+		want[reqs[i].id] = adm
+	}
+	if want[7] == want[12] && want[7] == want[40] {
+		t.Fatalf("tied requests all admitted %v: the case no longer tells orders apart", want[7])
+	}
+	perms := 0
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(reqs) {
+			perms++
+			for i, adm := range admitTokens(nil, 7, reqs) {
+				if adm != want[reqs[i].id] {
+					t.Errorf("order %v: pair %d admitted %v, want %v", reqs, reqs[i].id, adm, want[reqs[i].id])
+				}
+			}
+			return
+		}
+		for i := k; i < len(reqs); i++ {
+			reqs[k], reqs[i] = reqs[i], reqs[k]
+			permute(k + 1)
+			reqs[k], reqs[i] = reqs[i], reqs[k]
+		}
+	}
+	permute(0)
+	if perms != 120 {
+		t.Errorf("%d orders tried, want 5! = 120", perms)
+	}
+}
+
+// TestLawReceiverFeasible, a property: what the receiver admits fits its
+// hose — the fitting requests plus the bounded admissions — and a bounded
+// admission is never above its request.
+func TestLawReceiverFeasible(t *testing.T) {
+	f := func(reqsRaw []uint16, hoseRaw uint16) bool {
+		if len(reqsRaw) == 0 || len(reqsRaw) > 20 {
+			return true
+		}
+		hose := float64(hoseRaw%1000) + 1
+		reqs := make([]tokenRequest, len(reqsRaw))
+		for i, r := range reqsRaw {
+			reqs[i] = tokenRequest{dataplane.VMPair(i), float64(r % 500)}
+		}
+		total := 0.0
+		for i, adm := range admitTokens(nil, hose, reqs) {
+			if adm == unbound {
+				total += reqs[i].requested
+			} else if adm > reqs[i].requested+1e-9 {
+				return false
+			} else {
+				total += adm
+			}
+		}
+		return total <= hose+1e-6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLawSenderBound, a property: the sender assigns no negative token and
+// at most the documented 2φ^a (the boost).
+func TestLawSenderBound(t *testing.T) {
+	f := func(demandsRaw []int16, hoseRaw uint16) bool {
+		if len(demandsRaw) == 0 || len(demandsRaw) > 20 {
+			return true
+		}
+		hose := float64(hoseRaw%1000) + 1
+		pairs := make([]tokenPair, len(demandsRaw))
+		for i, d := range demandsRaw {
+			pairs[i].demand = math.Abs(float64(d))
+			if d%3 == 0 {
+				pairs[i].demand = -1
+			}
+		}
+		total := 0.0
+		for _, phi := range assignTokens(nil, hose, pairs) {
+			if phi < -1e-9 {
+				return false
+			}
+			total += phi
+		}
+		return total <= 2*hose+1e-6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLawTokensAllocateNothing: both sides of Algorithm 1 run every token
+// period on every host, over the few pairs a VF has there; up to stackPairs
+// of them are ordered on the stack, and the answer goes into the caller's
+// slice.
+func TestLawTokensAllocateNothing(t *testing.T) {
+	pairs := make([]tokenPair, stackPairs)
+	reqs := make([]tokenRequest, stackPairs)
+	for i := range pairs {
+		pairs[i] = tokenPair{demand: -1, admitted: float64(stackPairs - i)}
+		reqs[i] = tokenRequest{dataplane.VMPair(i), float64(stackPairs - i)}
+	}
+	pairs[3].pinned, pairs[5].demand = true, 0.5
+	out := make([]float64, 0, stackPairs)
+	if a := testing.AllocsPerRun(100, func() { out = assignTokens(out[:0], 40, pairs) }); a != 0 {
+		t.Errorf("assignTokens over %d pairs allocates %v times", len(pairs), a)
+	}
+	if a := testing.AllocsPerRun(100, func() { out = admitTokens(out[:0], 40, reqs) }); a != 0 {
+		t.Errorf("admitTokens over %d requests allocates %v times", len(reqs), a)
+	}
+}
+
+func BenchmarkTokenAssignment(b *testing.B) {
+	pairs := make([]tokenPair, 64)
+	reqs := make([]tokenRequest, 64)
+	for i := range pairs {
+		pairs[i].demand = float64(i % 7)
+		if i%3 == 0 {
+			pairs[i].demand = -1
+		}
+		reqs[i] = tokenRequest{dataplane.VMPair(i), float64(i % 7)}
+	}
+	out := make([]float64, 0, len(pairs))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out = assignTokens(out[:0], 1000, pairs)
+		out = admitTokens(out[:0], 1000, reqs)
 	}
 }

@@ -14,6 +14,7 @@
 #   panics    `panic(` call sites outside comments;
 #   fields    exported fields of exported …Config / …Options structs — the
 #             option count (TestConfigFieldCensus holds each to a writer).
+# The total row sums the columns and counts the package directories.
 # With a base ref the same counts are taken on `git archive <base-ref>`
 # unpacked into a temp dir (no worktree is registered, nothing is left
 # behind) and every column shows "head (delta)"; packages only one side has
@@ -99,7 +100,7 @@ awk -v withbase="${BASE:+1}" '
 	$1 == "head" { hl[$2] = $3; he[$2] = $4; hp[$2] = $5; hf[$2] = $6 }
 	{ seen[$2] = 1 }
 	END {
-		n = 0; for (k in seen) names[++n] = k
+		n = 0; for (k in seen) { names[++n] = k; hn += (k in hl); bn += (k in bl) }
 		for (i = 2; i <= n; i++) { t = names[i]; for (j = i - 1; j >= 1 && names[j] > t; j--) names[j + 1] = names[j]; names[j + 1] = t }
 		printf "%-32s %16s %14s %12s %12s\n", "package", "lines", "exported", "panics", "fields"
 		for (i = 1; i <= n; i++) {
@@ -107,5 +108,5 @@ awk -v withbase="${BASE:+1}" '
 			printf "%-32s %16s %14s %12s %12s\n", k, cell(hl[k], bl[k]), cell(he[k], be[k]), cell(hp[k], bp[k]), cell(hf[k], bf[k])
 			tl += hl[k]; te += he[k]; tp += hp[k]; tf += hf[k]; tbl += bl[k]; tbe += be[k]; tbp += bp[k]; tbf += bf[k]
 		}
-		printf "%-32s %16s %14s %12s %12s\n", "total", cell(tl, tbl), cell(te, tbe), cell(tp, tbp), cell(tf, tbf)
+		printf "%-32s %16s %14s %12s %12s\n", "total, " cell(hn, bn) " packages", cell(tl, tbl), cell(te, tbe), cell(tp, tbp), cell(tf, tbf)
 	}' "$DIR/counts"
