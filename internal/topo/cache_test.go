@@ -81,8 +81,8 @@ func TestPathsCacheKeyedByMax(t *testing.T) {
 	}
 }
 
-// TestPathsCacheInvalidation: mutating the graph drops the cache, and the
-// next enumeration sees the new topology.
+// TestPathsCacheInvalidation: mutating the graph drops the cache and the
+// hop-count labels, and the next enumeration sees the new topology.
 func TestPathsCacheInvalidation(t *testing.T) {
 	g := &Graph{}
 	a := g.AddNode(Host, TierHost, "a")
@@ -96,13 +96,13 @@ func TestPathsCacheInvalidation(t *testing.T) {
 	// Add a second equal-cost route a→s2→b: the cache must be dropped by
 	// both the AddNode and the AddDuplexLink calls.
 	s2 := g.AddNode(Switch, TierToR, "s2")
-	if g.pathCache != nil {
-		t.Fatal("AddNode did not invalidate the path cache")
+	if g.pathCache != nil || g.labels != nil {
+		t.Fatal("AddNode did not invalidate the path cache and the labels")
 	}
 	g.Paths(a, b, 0) // repopulate
 	g.AddDuplexLink(a, s2, Gbps(10), sim.Microsecond)
-	if g.pathCache != nil {
-		t.Fatal("AddDuplexLink did not invalidate the path cache")
+	if g.pathCache != nil || g.labels != nil {
+		t.Fatal("AddDuplexLink did not invalidate the path cache and the labels")
 	}
 	g.AddDuplexLink(s2, b, Gbps(10), sim.Microsecond)
 	if got := g.Paths(a, b, 0); len(got) != 2 {

@@ -2,6 +2,14 @@
 // nodes (hosts and switches) and directional links, and enumerates the
 // equal-cost underlay paths that μFAB-E selects among.
 //
+// One enumerator serves every graph. A breadth-first search labels every
+// node with its hop count to an anchor node, and a walk descends from the
+// source along links one hop closer, in Out order. A node with a single link
+// is on nobody else's shortest path, so paths to it read its neighbour's
+// labels: on a Clos fabric that is one labelling per ToR, however many hosts
+// and VM-pairs sit below it. Labels and paths are memoised until the graph
+// mutates.
+//
 // Builders are provided for the three topologies the paper evaluates on:
 // the Fig-10 testbed (2 pods, 8 servers, 10 switches), the Fig-5 Case-2
 // two-tier network (2 ToRs, 3 aggregation switches), and a 3-tier Clos with
@@ -79,7 +87,8 @@ type Link struct {
 type Path []LinkID
 
 // Graph holds the nodes and links of a topology. The zero value is an empty
-// graph ready for use.
+// graph ready for use. Its queries memoise into the graph, so one Graph is
+// not for concurrent use.
 type Graph struct {
 	Nodes []Node
 	Links []Link
@@ -89,6 +98,13 @@ type Graph struct {
 	// cached inner Path slices are shared between calls and must be
 	// treated as read-only by callers.
 	pathCache map[pathKey][]Path
+	// labels memoizes, per anchor node, every node's hop count to that
+	// anchor (unreachable where there is no way). Paths reads the labels of
+	// its destination's anchor (see anchor), so they outlive any one pair;
+	// they are dropped together with pathCache.
+	labels map[NodeID][]int32
+	// walk is the scratch the labelling and the descent reuse.
+	walk walker
 }
 
 type pathKey struct {
@@ -96,9 +112,23 @@ type pathKey struct {
 	max      int
 }
 
-// invalidatePaths drops all memoized path enumerations; called on every
-// graph mutation.
-func (g *Graph) invalidatePaths() { g.pathCache = nil }
+// walker holds the buffers of a labelling BFS and of a path descent.
+type walker struct {
+	queue []NodeID
+	// cur and next are the descent's stack: the links taken so far, and
+	// per depth the index of the next Out link to try; found holds every
+	// path found, back to back.
+	cur   Path
+	next  []int
+	found []LinkID
+}
+
+// unreachable labels a node with no way to the anchor.
+const unreachable = int32(1) << 30
+
+// invalidatePaths drops all memoized path enumerations and hop-count
+// labels; called on every graph mutation.
+func (g *Graph) invalidatePaths() { g.pathCache, g.labels = nil, nil }
 
 // AddNode appends a node and returns its ID.
 func (g *Graph) AddNode(kind NodeKind, tier Tier, name string) NodeID {
@@ -209,7 +239,9 @@ func (g *Graph) Validate() error {
 //
 // Results are memoized per (src, dst, maxPaths) until the graph mutates.
 // The outer slice is freshly allocated on every call (callers reorder it),
-// but the Path values themselves are shared and must not be modified.
+// but the Path values themselves are shared and must not be modified. A
+// miss costs one walk over the hop-count labels of dst's anchor, which are
+// labelled once for every pair that ends below it.
 func (g *Graph) Paths(src, dst NodeID, maxPaths int) []Path {
 	if src == dst {
 		return nil
@@ -236,6 +268,20 @@ func (g *Graph) Paths(src, dst NodeID, maxPaths int) []Path {
 	return out
 }
 
+// Hops returns the hop count of the shortest path from src to dst (0 when
+// they are the same node), or -1 when dst is unreachable. It reads the
+// labels Paths walks and enumerates nothing.
+func (g *Graph) Hops(src, dst NodeID) int {
+	if src == dst {
+		return 0
+	}
+	lab, off := g.hopsTo(dst)
+	if lab[src] == unreachable {
+		return -1
+	}
+	return int(lab[src] + off)
+}
+
 // SamplePaths returns up to k candidate paths from src to dst, drawn
 // uniformly with rng from the first 8k equal-cost paths when there are more
 // than k (§3.5: the edge "randomly chooses a few of them"); rng is consumed
@@ -249,64 +295,129 @@ func (g *Graph) SamplePaths(src, dst NodeID, k int, rng *rand.Rand) []Path {
 	return all
 }
 
-// enumeratePaths is the uncached path enumeration behind Paths: a BFS from
-// dst labels every node with its hop distance *to* dst (every link is one
-// half of a duplex pair, so walking Out from dst measures the way back),
-// and a DFS from src descends only links that bring it one hop closer. It
-// never enters a branch that cannot reach dst, which in a Clos fabric is
-// nearly all of them. Children are visited in Out order, so the paths come
-// out in the lexicographic order of their Out indices and truncation at
-// maxPaths keeps the first ones.
-func (g *Graph) enumeratePaths(src, dst NodeID, maxPaths int) []Path {
-	const inf = int32(1) << 30
-	dist := make([]int32, len(g.Nodes))
-	for i := range dist {
-		dist[i] = inf
+// anchor returns the node whose labels measure the way to dst, and the hops
+// from the anchor on to dst. A node with exactly one link (every host of
+// every builder) is never inside anyone else's shortest path, so for every
+// other node its hop count is its neighbour's plus one: such a node's anchor
+// is its neighbour, and every host under a ToR shares the ToR's labels.
+func (g *Graph) anchor(dst NodeID) (NodeID, int32) {
+	if out := g.Nodes[dst].Out; len(out) == 1 {
+		if nb := g.Links[out[0]].Dst; nb != dst {
+			return nb, 1
+		}
 	}
-	dist[dst] = 0
-	queue := append(make([]NodeID, 0, len(g.Nodes)), dst)
+	return dst, 0
+}
+
+// hopsTo returns the labels of dst's anchor and the offset to add: every
+// node x other than dst is lab[x]+off hops from dst, or has no way to it
+// when lab[x] is unreachable. The anchor is labelled by one BFS on its first
+// use: every link is one half of a duplex pair, so walking Out from the
+// anchor measures the way back to it.
+func (g *Graph) hopsTo(dst NodeID) (lab []int32, off int32) {
+	a, off := g.anchor(dst)
+	if lab, ok := g.labels[a]; ok {
+		return lab, off
+	}
+	lab = make([]int32, len(g.Nodes))
+	for i := range lab {
+		lab[i] = unreachable
+	}
+	lab[a] = 0
+	queue := append(g.walk.queue[:0], a)
 	for head := 0; head < len(queue); head++ {
 		n := queue[head]
 		for _, lid := range g.Nodes[n].Out {
-			m := g.Links[lid].Dst
-			if dist[m] == inf {
-				dist[m] = dist[n] + 1
+			if m := g.Links[lid].Dst; lab[m] == unreachable {
+				lab[m] = lab[n] + 1
 				queue = append(queue, m)
 			}
 		}
 	}
-	if dist[src] == inf {
-		return nil
+	g.walk.queue = queue
+	if g.labels == nil {
+		g.labels = make(map[NodeID][]int32)
 	}
-	var paths []Path
-	cur := make(Path, 0, dist[src])
-	var dfs func(n NodeID)
-	dfs = func(n NodeID) {
-		if maxPaths > 0 && len(paths) >= maxPaths {
-			return
+	g.labels[a] = lab
+	return lab, off
+}
+
+// descend walks the shortest paths from src to dst, leaving up to maxPaths
+// of them (≤ 0: all) back to back in g.walk.found, and returns how many it
+// found and their length. It descends only links that bring it one hop
+// closer to dst, so it never enters a branch that cannot reach dst, which in
+// a Clos fabric is nearly all of them. Children are visited in Out order, so
+// the paths come out in the lexicographic order of their Out indices and
+// truncation at maxPaths keeps the first ones. The first path never
+// backtracks: every node one hop closer has a way on.
+func (g *Graph) descend(src, dst NodeID, maxPaths int) (count, length int) {
+	w := &g.walk
+	w.found = w.found[:0]
+	var hops int32 // src's distance to dst
+	lab, off := g.hopsTo(dst)
+	if src != dst {
+		if lab[src] == unreachable {
+			return 0, 0
+		}
+		hops = lab[src] + off
+	}
+	next, cur := append(w.next[:0], 0), w.cur[:0]
+	for len(next) > 0 {
+		top, n := len(next)-1, src
+		if top > 0 {
+			n = g.Links[cur[top-1]].Dst
 		}
 		if n == dst {
-			p := make(Path, len(cur))
-			copy(p, cur)
-			paths = append(paths, p)
-			return
-		}
-		for _, lid := range g.Nodes[n].Out {
-			m := g.Links[lid].Dst
-			if dist[m] == dist[n]-1 {
-				cur = append(cur, lid)
-				dfs(m)
-				cur = cur[:len(cur)-1]
+			w.found = append(w.found, cur...)
+			count++
+			if maxPaths > 0 && count >= maxPaths {
+				break
+			}
+		} else {
+			want := hops - int32(top) - 1 // the distance one hop closer
+			out := g.Nodes[n].Out
+			i := next[top]
+			for ; i < len(out); i++ {
+				m := g.Links[out[i]].Dst
+				if m == dst && want == 0 || m != dst && lab[m]+off == want {
+					break
+				}
+			}
+			if i < len(out) {
+				next[top] = i + 1
+				next, cur = append(next, 0), append(cur, out[i])
+				continue
 			}
 		}
+		next = next[:top]
+		if top > 0 {
+			cur = cur[:top-1]
+		}
 	}
-	dfs(src)
+	w.next, w.cur = next, cur
+	return count, int(hops)
+}
+
+// enumeratePaths is the uncached enumeration behind Paths: one descent, its
+// paths copied out into a single backing array.
+func (g *Graph) enumeratePaths(src, dst NodeID, maxPaths int) []Path {
+	count, length := g.descend(src, dst, maxPaths)
+	if count == 0 {
+		return nil
+	}
+	links := append(make([]LinkID, 0, len(g.walk.found)), g.walk.found...)
+	paths := make([]Path, count)
+	for i := range paths {
+		paths[i] = links[i*length : (i+1)*length : (i+1)*length]
+	}
 	return paths
 }
 
 // Diameter returns the maximum over all host pairs of BaseRTT, i.e. the
-// network's T_max used in the 3·C·T_max inflight bound. It is computed by
-// BFS from every host; intended for setup, not per-packet use.
+// network's T_max used in the 3·C·T_max inflight bound. The RTT of a pair is
+// that of its first shortest path (Paths(…, 1)[0]), found by one greedy
+// descent over the labels, so it adds nothing to the path memo; intended
+// for setup, not per-packet use.
 func (g *Graph) Diameter(mtu int) sim.Duration {
 	var max sim.Duration
 	for _, n := range g.Nodes {
@@ -317,11 +428,10 @@ func (g *Graph) Diameter(mtu int) sim.Duration {
 			if m.Kind != Host || m.ID == n.ID {
 				continue
 			}
-			ps := g.Paths(n.ID, m.ID, 1)
-			if len(ps) == 0 {
+			if count, _ := g.descend(n.ID, m.ID, 1); count == 0 {
 				continue
 			}
-			if rtt := g.BaseRTT(ps[0], mtu); rtt > max {
+			if rtt := g.BaseRTT(g.walk.found, mtu); rtt > max {
 				max = rtt
 			}
 		}

@@ -33,7 +33,8 @@ func (f *Fabric) validateVF(id int32, guaranteeBps float64, weightClass int) err
 }
 
 // validatePair checks one VM-pair's endpoints: both must be hosts with
-// edge agents, distinct, and connected.
+// edge agents, distinct, and connected. Connectivity is a hop-count read, so
+// the only path enumeration a pair costs is the one that samples its routes.
 func (f *Fabric) validatePair(src, dst topo.NodeID) error {
 	if !f.validHost(src) {
 		return fmt.Errorf("vfabric: src %d is not a host with an edge agent", src)
@@ -44,7 +45,7 @@ func (f *Fabric) validatePair(src, dst topo.NodeID) error {
 	if src == dst {
 		return fmt.Errorf("vfabric: pair %d→%d is a self-loop", src, dst)
 	}
-	if len(f.Graph.Paths(src, dst, 1)) == 0 {
+	if f.Graph.Hops(src, dst) < 0 {
 		return fmt.Errorf("vfabric: no path %d→%d", src, dst)
 	}
 	return nil
