@@ -34,36 +34,7 @@ import (
 // constructs is a parameter bundle of that package, not an options struct,
 // and is skipped.
 func TestConfigFieldCensus(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		dir  string // slash-separated, relative to the module root
-		test bool
-		ast  *ast.File
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go"), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := parseTree(t)
 
 	// The census structs, keyed "dir.Type", and for each field name the
 	// structs that have it.
@@ -295,4 +266,77 @@ func TestConfigFieldCensus(t *testing.T) {
 		}
 	}
 	t.Logf("%d census structs, %d fields nothing writes, %d written only by tests", len(keys), orphans, testOnly)
+}
+
+// goFile is one parsed Go file of the tree.
+type goFile struct {
+	dir  string // slash-separated, relative to the module root
+	test bool
+	ast  *ast.File
+}
+
+// parseTree parses every Go file under the module root (bench/ included,
+// hidden directories skipped) for the syntax censuses.
+func parseTree(t *testing.T) (*token.FileSet, []goFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go"), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// TestRandSourceCensus holds "one constructor" for seeded streams: product
+// code under internal/ and cmd/ makes its generators with stats.NewRand,
+// which reproduces math/rand's stream from a few dozen bytes instead of a
+// 4.9 KB source. Any mention of math/rand's NewSource there, outside
+// internal/stats which wraps it, fails, named. bench/ is its own module and
+// is not held to it.
+func TestRandSourceCensus(t *testing.T) {
+	fset, files := parseTree(t)
+	for _, f := range files {
+		if f.test || f.dir == "internal/stats" ||
+			!(strings.HasPrefix(f.dir, "internal/") || strings.HasPrefix(f.dir, "cmd/")) {
+			continue
+		}
+		mathRand := map[string]bool{} // local names of math/rand
+		for _, im := range f.ast.Imports {
+			if strings.Trim(im.Path.Value, `"`) == "math/rand" {
+				name := "rand"
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				mathRand[name] = true
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && mathRand[pkg.Name] {
+					t.Errorf("%s: %s.NewSource outside internal/stats — use stats.NewRand", fset.Position(sel.Pos()), pkg.Name)
+				}
+			}
+			return true
+		})
+	}
 }

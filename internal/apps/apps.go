@@ -105,7 +105,7 @@ func NewMemcached(net Net, cfg MemcachedConfig) *Memcached {
 	m := &Memcached{
 		cfg:  cfg,
 		net:  net,
-		rng:  rand.New(rand.NewSource(cfg.Seed ^ 0x6d656d63)),
+		rng:  stats.NewRand(cfg.Seed ^ 0x6d656d63),
 		rpc:  rpcer{net: net, vf: cfg.VF, tokens: cfg.Tokens, reqSize: 64},
 		dist: workload.KeyValue(),
 	}
@@ -199,7 +199,7 @@ func NewMongo(net Net, cfg MongoConfig) *Mongo {
 	return &Mongo{
 		cfg: cfg,
 		net: net,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x6d6f6e67)),
+		rng: stats.NewRand(cfg.Seed ^ 0x6d6f6e67),
 		rpc: rpcer{net: net, vf: cfg.VF, tokens: cfg.Tokens, reqSize: 64},
 	}
 }
@@ -302,7 +302,7 @@ type EBS struct {
 // NewEBS creates the storage tenant mix.
 func NewEBS(net Net, cfg EBSConfig) *EBS {
 	cfg.setDefaults()
-	return &EBS{cfg: cfg, net: net, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x65627300))}
+	return &EBS{cfg: cfg, net: net, rng: stats.NewRand(cfg.Seed ^ 0x65627300)}
 }
 
 // Start launches the SA write loops and GC cycles.

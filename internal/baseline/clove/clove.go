@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 )
 
 // Config parameterizes a flowlet state.
@@ -48,7 +49,7 @@ func New(nPaths int, cfg Config) *State {
 		cfg:      cfg,
 		utils:    make([]float64, nPaths),
 		haveUtil: make([]bool, nPaths),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      stats.NewRand(cfg.Seed),
 	}
 	s.current = s.rng.Intn(nPaths)
 	return s

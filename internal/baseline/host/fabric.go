@@ -63,7 +63,7 @@ func NewFabric(eng *sim.Engine, g *topo.Graph, cfg Config, dpCfg dataplane.Confi
 		Cfg:           cfg,
 		Agents:        make(map[topo.NodeID]*Agent),
 		MeterInterval: 500 * sim.Microsecond,
-		rng:           rand.New(rand.NewSource(cfg.Seed ^ 0x626c6662)),
+		rng:           stats.NewRand(cfg.Seed ^ 0x626c6662),
 	}
 	for _, n := range g.Nodes {
 		switch n.Kind {

@@ -18,6 +18,7 @@ package host
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ufab/internal/baseline/clove"
 	"ufab/internal/baseline/elasticswitch"
@@ -196,7 +197,7 @@ func New(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config
 		graph:     g,
 		host:      hostID,
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed + int64(hostID)*0x7f4a7c15)),
+		rng:       stats.NewRand(cfg.Seed + int64(hostID)*0x7f4a7c15),
 		flows:     make(map[dataplane.VMPair]*Flow),
 		recv:      make(map[dataplane.VMPair]*recvState),
 		uplinkCap: g.Link(g.Node(hostID).Out[0]).Capacity,
@@ -521,16 +522,25 @@ func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 }
 
 // admissionUpdate runs every admissionWindow at PWC receivers: measure
-// per-pair demand, grant weighted max-min rates when oversubscribed.
+// per-pair demand, grant weighted max-min rates when oversubscribed. The
+// demands go to picnic.Allocate in VMPair order, not map order: the
+// water-fill sums them in input order, and a float sum's last place depends
+// on it.
 func (a *Agent) admissionUpdate() {
 	if len(a.recv) == 0 {
 		return
 	}
-	demands := make([]picnic.Demand, 0, len(a.recv))
-	order := make([]*recvState, 0, len(a.recv))
-	for _, rs := range a.recv {
-		demands = append(demands, picnic.Demand{Weight: rs.weight, Bytes: rs.bytes})
-		order = append(order, rs)
+	ids := make([]dataplane.VMPair, 0, len(a.recv))
+	for id := range a.recv {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	demands := make([]picnic.Demand, len(ids))
+	order := make([]*recvState, len(ids))
+	for i, id := range ids {
+		rs := a.recv[id]
+		demands[i] = picnic.Demand{Weight: rs.weight, Bytes: rs.bytes}
+		order[i] = rs
 		rs.bytes = 0
 	}
 	grants := picnic.Allocate(targetUtilization*a.uplinkCap, admissionWindow, demands)

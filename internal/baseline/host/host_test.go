@@ -209,3 +209,33 @@ func TestDataAndAckAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionUpdateIgnoresMapOrder: PicNIC′'s receiver grants are a
+// function of its pairs' weights and bytes, not of the order Go happens to
+// iterate its map in — the water-fill sums weights in input order, and
+// {0.1, 0.2, 0.3} summed in another order differs in the last place.
+func TestAdmissionUpdateIgnoresMapOrder(t *testing.T) {
+	_, f, st := starBaseline(2, PWC, 1)
+	a := f.Agents[st.Hosts[1]]
+	weights := []float64{0.1, 0.2, 0.3, 0.7, 1.1}
+	var first []float64
+	for run := 0; run < 200; run++ {
+		clear(a.recv)
+		for i, w := range weights {
+			a.recv[dataplane.VMPair(i+1)] = &recvState{weight: w, bytes: 1 << 20}
+		}
+		a.admissionUpdate()
+		grants := make([]float64, len(weights))
+		for i := range weights {
+			grants[i] = a.recv[dataplane.VMPair(i+1)].grant
+		}
+		if grants[0] == 0 {
+			t.Fatalf("grants %v: the receiver is not oversubscribed", grants)
+		}
+		if first == nil {
+			first = grants
+		} else if !slices.Equal(grants, first) {
+			t.Fatalf("run %d grants %v, run 0 %v", run, grants, first)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"ufab/internal/audit"
 	"ufab/internal/placement"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
 	"ufab/internal/vfabric"
@@ -125,7 +126,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		findingsSubs: make(map[chan audit.Finding]struct{}),
-		rng:          rand.New(rand.NewSource(cfg.Seed ^ 0x63746c64)), // "ctld"
+		rng:          stats.NewRand(cfg.Seed ^ 0x63746c64), // "ctld"
 		nextID:       1000,
 	}
 	d.Reg.EnableRecorder(0)

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
 )
@@ -446,7 +447,7 @@ func New(eng sim.Scheduler, g *topo.Graph, cfg Config) *Network {
 	n.shardOf = make([]int32, len(g.Nodes))
 	n.scheds = []sim.Scheduler{eng}
 	n.pools = make([]pktPool, 1)
-	n.faultRngs = []*mrand.Rand{mrand.New(mrand.NewSource(faultSeed(cfg.FaultSeed, 0)))}
+	n.faultRngs = []*mrand.Rand{stats.NewRand(faultSeed(cfg.FaultSeed, 0))}
 	n.rec = cfg.Telemetry.Recorder()
 	n.recs = []*telemetry.Recorder{n.rec}
 	return n
@@ -472,7 +473,7 @@ func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Co
 	n.faultRngs = make([]*mrand.Rand, part.Shards)
 	for i := range n.scheds {
 		n.scheds[i] = eng.Shard(i)
-		n.faultRngs[i] = mrand.New(mrand.NewSource(faultSeed(cfg.FaultSeed, i)))
+		n.faultRngs[i] = stats.NewRand(faultSeed(cfg.FaultSeed, i))
 	}
 	// Declare the shard pairs cross-shard propagation will use.
 	for _, l := range g.Links {

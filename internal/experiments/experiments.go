@@ -22,7 +22,6 @@ package experiments
 
 import (
 	"fmt"
-	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -546,6 +545,3 @@ func convergence(ct, unit sim.Duration) (string, float64) {
 	}
 	return ct.String(), float64(ct) / float64(unit)
 }
-
-// newRand returns a deterministic RNG for experiment-level choices.
-func newRand(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }

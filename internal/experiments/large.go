@@ -102,7 +102,7 @@ func Fig17(o Options) *Report {
 		// to its egress hose, and guarantee = offered load per pair —
 		// the Silo-feasibility the paper enforces ("we make sure the
 		// minimum bandwidth of all VFs can be theoretically satisfied").
-		hostsRng := newRand(o.Seed + 13)
+		hostsRng := stats.NewRand(o.Seed + 13)
 		nHosts := 0
 		{
 			cl := topo.NewClos(cell.clos)
@@ -155,7 +155,7 @@ func Fig17(o Options) *Report {
 						}
 						ps.bins[bin].Add(sd)
 					})
-					stopArrivals := workload.Poisson(eng, newRand(o.Seed+int64(vfID)), dist, perPairLoad,
+					stopArrivals := workload.Poisson(eng, stats.NewRand(o.Seed+int64(vfID)), dist, perPairLoad,
 						func(size int64, now sim.Time) {
 							ps.offered += size
 							msgs.Send(size, now)

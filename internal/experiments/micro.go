@@ -203,7 +203,7 @@ func Fig11(o Options) *Report {
 			}
 		}
 		// Deterministic shuffled insertion order.
-		rng := newRand(o.Seed + 11)
+		rng := stats.NewRand(o.Seed + 11)
 		rng.Shuffle(len(inserts), func(i, j int) { inserts[i], inserts[j] = inserts[j], inserts[i] })
 		for i, ins := range inserts {
 			eng.At(sim.Time(i)*insertEvery, ins)

@@ -149,7 +149,7 @@ func Fig20(o Options) *Report {
 	// Heterogeneous propagation delays (0.5–4 μs per host) make the
 	// probe responses arrive out of sync across senders, as in the
 	// paper's Fig 20a.
-	rng := newRand(o.Seed + 20)
+	rng := stats.NewRand(o.Seed + 20)
 	g := &topo.Graph{}
 	sw := g.AddNode(topo.Switch, topo.TierToR, "SW")
 	var hosts []topo.NodeID

@@ -56,7 +56,7 @@ func ShardSim(o Options) *Report {
 		// The workload driver lives in the host's shard: arrivals are
 		// simulated events of that shard, not coordinator barriers.
 		sched := d.hostScheduler(src)
-		stop := workload.Poisson(sched, newRand(o.Seed+int64(i)*7919), dist, load,
+		stop := workload.Poisson(sched, stats.NewRand(o.Seed+int64(i)*7919), dist, load,
 			func(size int64, now sim.Time) { ps.msgs.Send(size, now) })
 		sched.At(dur*3/4, stop)
 	}

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"strings"
 
@@ -10,6 +9,7 @@ import (
 	"ufab/internal/chaos"
 	"ufab/internal/placement"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/telemetry"
 	"ufab/internal/vfabric"
 	"ufab/internal/workload"
@@ -258,7 +258,7 @@ func materializeTenant(eng *sim.Engine, f *vfabric.Fabric, c *Case, t *Tenant) {
 			if t.Workload.Dist == "websearch" {
 				dist = workload.WebSearch()
 			}
-			rng := rand.New(rand.NewSource(c.Seed ^ int64(t.VF)<<20 ^ int64(pi)<<8 ^ 0x706f69))
+			rng := stats.NewRand(c.Seed ^ int64(t.VF)<<20 ^ int64(pi)<<8 ^ 0x706f69)
 			workload.Poisson(eng, rng, dist, t.Workload.RateBps, func(size int64, now sim.Time) {
 				msgs.Send(size, now)
 			})

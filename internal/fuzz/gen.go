@@ -8,6 +8,7 @@ import (
 	"ufab/internal/dataplane"
 	"ufab/internal/placement"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 )
 
@@ -24,7 +25,7 @@ const (
 // byte-identical case: every choice comes from one private seeded RNG,
 // consumed in a fixed order.
 func Generate(seed int64) *Case {
-	rng := rand.New(rand.NewSource(seed ^ 0x66757a7a)) // "fuzz"
+	rng := stats.NewRand(seed ^ 0x66757a7a) // "fuzz"
 	c := &Case{
 		Name:      fmt.Sprintf("gen-%d", seed),
 		Seed:      seed,

@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"math/rand"
-
 	"ufab/internal/sim"
 	"ufab/internal/stats"
 )
@@ -75,7 +73,7 @@ func Churn(c *Controller, cfg ChurnConfig) *ChurnStats {
 	if cfg.FirstID == 0 {
 		cfg.FirstID = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x706c6163))
+	rng := stats.NewRand(cfg.Seed ^ 0x706c6163)
 	st := &ChurnStats{RejectedBy: make(map[string]int)}
 
 	at := c.eng.Now()

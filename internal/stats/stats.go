@@ -2,7 +2,8 @@
 // sample collections with percentiles and CDFs, time series, windowed rate
 // meters, convergence-time detection, and a weighted max-min water-filling
 // solver that computes the ideal bandwidth allocation used for
-// dissatisfaction metrics and the "Ideal" bars of Fig 13.
+// dissatisfaction metrics and the "Ideal" bars of Fig 13 — and NewRand, the
+// constructor of every seeded random stream the simulation draws from.
 package stats
 
 import (

@@ -28,6 +28,7 @@ import (
 	"ufab/internal/flowsrc"
 	"ufab/internal/probe"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/telemetry"
 	"ufab/internal/topo"
 )
@@ -258,7 +259,7 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		graph:     g,
 		host:      host,
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed + int64(host)*0x9e3779b9)),
+		rng:       stats.NewRand(cfg.Seed + int64(host)*0x9e3779b9),
 		ten:       ten,
 		vfs:       make(map[int32]*vfState),
 		pairs:     make(map[dataplane.VMPair]*Pair),

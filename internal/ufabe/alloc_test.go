@@ -2,6 +2,7 @@ package ufabe
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ufab/internal/dataplane"
@@ -168,5 +169,30 @@ func BenchmarkNextPair(b *testing.B) {
 				w.charge(p, 1500, 2)
 			}
 		})
+	}
+}
+
+// TestNewAgentBytes: an agent is sized to its host, not to its generator —
+// New on a host of the 1 024-host fabric1k Clos allocates under 3 KiB, of
+// which the random stream (stats.NewRand) is a few dozen bytes rather than
+// math/rand's 4.9 KB source.
+func TestNewAgentBytes(t *testing.T) {
+	cl := topo.NewClos(topo.ClosConfig{Pods: 8, ToRsPerPod: 8, AggsPerPod: 4, Cores: 16, HostsPerToR: 16,
+		LinkCapacity: topo.Gbps(10), PropDelay: sim.Microsecond})
+	eng := sim.New()
+	net := dataplane.New(eng, cl.Graph, dataplane.Config{})
+	ten := &Tenancy{agents: make([]*Agent, 0, len(cl.Hosts))}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, h := range cl.Hosts {
+		New(eng, net, h, Config{}, ten)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(cl.Hosts))
+	if per >= 3<<10 {
+		t.Errorf("New allocates %d B per fabric1k host, want < 3 KiB", per)
+	} else {
+		t.Logf("New allocates %d B per fabric1k host", per)
 	}
 }

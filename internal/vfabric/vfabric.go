@@ -170,7 +170,7 @@ func assemble(drv sim.Driver, net *dataplane.Network, g *topo.Graph, cfg Config)
 		Edges: make(map[topo.NodeID]*ufabe.Agent),
 		Cores: make(map[topo.NodeID]*ufabc.Agent),
 		VFs:   make(map[int32]*VF),
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x76666162)),
+		rng:   stats.NewRand(cfg.Seed ^ 0x76666162),
 	}
 	f.Net.OnFailDrop = f.bounceFailure
 	for _, n := range g.Nodes {
