@@ -15,64 +15,57 @@
 // SRAM whether or not a slot is ever written; a simulation holds one table
 // per egress link of the fabric (thousands), each carrying a handful of
 // VM-pairs, so zeroing the paper's full 2 × 16384 slots (768 KiB) per link
-// was 90 % of all bytes a 1024-host run allocated, and a 768-byte page plus a
-// 4 KiB directory for nearly every first (VM-pair, link) contact was still a
-// fifth. Each bank therefore stores only the buckets that hold an entry, in a
-// small open-addressed table keyed by the bucket's index in the modelled
-// array: it starts empty, doubles with occupancy, gives a slot back the
-// moment its bucket empties and keeps its capacity when it is drained, so
-// bytes follow the live entries and a steady churn of VM-pairs allocates
-// nothing. A lookup of an absent bucket reads as empty. Hashes, fingerprints,
-// bucket choice, collisions, counters and every returned delta are those of
-// the dense array — bloom_test.go keeps the dense layout as the reference
-// model and checks the two against each other operation by operation.
+// was 90 % of all bytes a 1024-host run allocated. Each bank therefore
+// stores only the slots that hold an entry, in a small open-addressed table
+// keyed by the slot's index in the modelled array: it starts empty, doubles
+// with occupancy, gives a cell back the moment its slot empties and keeps
+// its capacity when it is drained, so bytes follow the live entries and a
+// steady churn of VM-pairs allocates nothing. A cell is one slot, not one
+// bucket: a link's few VM-pairs almost never share a bucket, so a cell of
+// two slots would be half empty. A lookup of an absent slot reads as empty.
+// Hashes, fingerprints, bucket and slot choice, collisions, counters and
+// every returned delta are those of the dense array — bloom_test.go keeps
+// the dense layout as the reference model and checks the two against each
+// other operation by operation.
 package bloom
 
 import "fmt"
 
-// entry is the per-slot payload.
-type entry struct {
-	fp       uint16 // fingerprint; 0 means empty
-	phi      uint32
-	window   uint32
-	lastSeen int64
-}
-
 // bucketWidth is the number of entry slots per bucket. Two slots per
 // bucket keeps the omission rate below the paper's 5% target at the
-// paper's 20K-VM-pair load.
+// paper's 20K-VM-pair load. Slot s of bucket i has index i·bucketWidth + s.
 const bucketWidth = 2
 
-type bucket [bucketWidth]entry
-
-func (b *bucket) empty() bool { return b[0].fp == 0 && b[1].fp == 0 }
-
-// cell is one position of a bank's store: the bucket with index key−1 of the
-// modelled array, or nothing when key is 0.
+// cell is one position of a bank's store: the occupied slot with index
+// key−1 of the modelled array, or nothing when key is 0. The fields are
+// flat and ordered by size, so a cell is 24 bytes.
 type cell struct {
-	key uint64
-	b   bucket
+	lastSeen    int64
+	phi, window uint32
+	fp          uint16 // fingerprint; never 0
+	key         uint32
 }
 
-// bank is one memory bank's occupied buckets: open addressing with linear
+// bank is one memory bank's occupied slots: open addressing with linear
 // probing over a power-of-two array at most three quarters full, and
-// backward-shift deletion, so there are no tombstones and a bucket that
-// empties frees its cell at once. A bucket index is already the low bits of
-// a mixed hash, so it is its own probe start.
+// backward-shift deletion, so there are no tombstones and a slot that
+// empties frees its cell at once. A slot index is already the low bits of
+// a mixed hash (times the bucket width, plus the slot), so it is its own
+// probe start.
 type bank struct {
 	cells []cell
 	used  int
 }
 
-// find returns the position of bucket i's cell, or -1.
-func (bk *bank) find(i uint64) int {
+// find returns the position of slot j's cell, or -1.
+func (bk *bank) find(j uint32) int {
 	if bk.used == 0 {
 		return -1
 	}
-	mask := uint64(len(bk.cells) - 1)
-	for p := i & mask; ; p = (p + 1) & mask {
+	mask := uint32(len(bk.cells) - 1)
+	for p := j & mask; ; p = (p + 1) & mask {
 		switch bk.cells[p].key {
-		case i + 1:
+		case j + 1:
 			return int(p)
 		case 0:
 			return -1
@@ -80,26 +73,25 @@ func (bk *bank) find(i uint64) int {
 	}
 }
 
-// add makes a cell for bucket i, which must have none, and returns the
-// bucket; it is the one place a table allocates.
-func (bk *bank) add(i uint64) *bucket {
+// add stores c, whose slot must have no cell; it is the one place a table
+// allocates.
+func (bk *bank) add(c cell) {
 	if (bk.used+1)*4 > len(bk.cells)*3 {
 		old := bk.cells
 		bk.cells, bk.used = make([]cell, max(4, 2*len(old))), 0
 		for p := range old {
 			if old[p].key != 0 {
-				*bk.add(old[p].key - 1) = old[p].b
+				bk.add(old[p])
 			}
 		}
 	}
-	mask := uint64(len(bk.cells) - 1)
-	p := i & mask
+	mask := uint32(len(bk.cells) - 1)
+	p := (c.key - 1) & mask
 	for bk.cells[p].key != 0 {
 		p = (p + 1) & mask
 	}
-	bk.cells[p].key = i + 1
+	bk.cells[p] = c
 	bk.used++
-	return &bk.cells[p].b
 }
 
 // del vacates position p and closes the gap: every later cell of the probe
@@ -139,11 +131,12 @@ type Table struct {
 
 // New returns a table with the given number of slots per bank, rounded up
 // to a power of two. Paper configuration: a 20 KB filter ≈ 2 banks × 10K
-// slots supports 20K distinct VM-pairs with <5% collision rate. No bucket
-// memory is allocated here; it follows the inserts.
+// slots supports 20K distinct VM-pairs with <5% collision rate. No slot
+// memory is allocated here; it follows the inserts. A bank holds at most
+// 2³¹ slots, so a slot index plus one fits a cell's key.
 func New(slotsPerBank int) *Table {
-	if slotsPerBank < 1 {
-		panic(fmt.Sprintf("bloom: slotsPerBank %d < 1", slotsPerBank))
+	if slotsPerBank < 1 || uint64(slotsPerBank) > 1<<31 {
+		panic(fmt.Sprintf("bloom: slotsPerBank %d outside [1, 2^31]", slotsPerBank))
 	}
 	n := 1
 	for n*bucketWidth < slotsPerBank {
@@ -172,22 +165,27 @@ func (t *Table) slots(key uint64) (i0, i1 uint64, fp uint16) {
 	return
 }
 
-// find returns the key's entry in either bank and where it lives (bank and
-// cell position), or nil. A bucket without a cell reads as empty.
-func (t *Table) find(i0, i1 uint64, fp uint16) (e *entry, b, pos int) {
-	for b, i := range [2]uint64{i0, i1} {
-		pos := t.banks[b].find(i)
-		if pos < 0 {
-			continue
-		}
-		bk := &t.banks[b].cells[pos].b
-		for s := range bk {
-			if bk[s].fp == fp {
-				return &bk[s], b, pos
+// lookup searches the key's two buckets, bank 0 first and slot 0 first. It
+// returns the bank and cell position of the slot holding the key's
+// fingerprint; or, with pos -1, the bank and index of the first candidate
+// slot without a cell (bank -1 when other keys hold all of them). fp is the
+// key's fingerprint.
+func (t *Table) lookup(key uint64) (b, pos int, slot uint32, fp uint16) {
+	i0, i1, fp := t.slots(key)
+	b = -1
+	for cb, i := range [2]uint64{i0, i1} {
+		bk := &t.banks[cb]
+		for s := range uint32(bucketWidth) {
+			j := uint32(i)*bucketWidth + s
+			switch p := bk.find(j); {
+			case p >= 0 && bk.cells[p].fp == fp:
+				return cb, p, j, fp
+			case p < 0 && b < 0:
+				b, slot = cb, j
 			}
 		}
 	}
-	return nil, 0, 0
+	return b, -1, slot, fp
 }
 
 // Update records that the VM-pair identified by key reported token phi and
@@ -196,29 +194,19 @@ func (t *Table) find(i0, i1 uint64, fp uint16) (e *entry, b, pos int) {
 // candidate slots are occupied by other keys; the entry is then omitted and
 // the deltas are zero.
 func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok bool) {
-	i0, i1, fp := t.slots(key)
-	if e, _, _ := t.find(i0, i1, fp); e != nil {
-		dPhi = int64(phi) - int64(e.phi)
-		dW = int64(w) - int64(e.window)
-		e.phi, e.window, e.lastSeen = phi, w, now
+	b, pos, j, fp := t.lookup(key)
+	switch {
+	case pos >= 0:
+		c := &t.banks[b].cells[pos]
+		dPhi = int64(phi) - int64(c.phi)
+		dW = int64(w) - int64(c.window)
+		c.phi, c.window, c.lastSeen = phi, w, now
 		return dPhi, dW, true
-	}
-	// Empty slot? Bank 0 first; a bucket without a cell is all empty slots,
-	// and an insert into it makes the cell.
-	for b, i := range [2]uint64{i0, i1} {
-		var bk *bucket
-		if pos := t.banks[b].find(i); pos >= 0 {
-			bk = &t.banks[b].cells[pos].b
-		} else {
-			bk = t.banks[b].add(i)
-		}
-		for s := range bk {
-			if bk[s].fp == 0 {
-				bk[s] = entry{fp: fp, phi: phi, window: w, lastSeen: now}
-				t.Occupied++
-				return int64(phi), int64(w), true
-			}
-		}
+	case b >= 0:
+		// The first empty slot, bank 0 first: an insert makes its cell.
+		t.banks[b].add(cell{lastSeen: now, phi: phi, window: w, fp: fp, key: j + 1})
+		t.Occupied++
+		return int64(phi), int64(w), true
 	}
 	t.Collisions++
 	return 0, 0, false
@@ -227,23 +215,21 @@ func (t *Table) Update(key uint64, phi, w uint32, now int64) (dPhi, dW int64, ok
 // Remove deletes the VM-pair's entry (finish probe, §3.6), returning the
 // register deltas (negative) and whether an entry was found.
 func (t *Table) Remove(key uint64) (dPhi, dW int64, ok bool) {
-	e, b, pos := t.find(t.slots(key))
-	if e == nil {
+	b, pos, _, _ := t.lookup(key)
+	if pos < 0 {
 		return 0, 0, false
 	}
-	dPhi, dW = -int64(e.phi), -int64(e.window)
-	*e = entry{}
+	bk := &t.banks[b]
+	dPhi, dW = -int64(bk.cells[pos].phi), -int64(bk.cells[pos].window)
+	bk.del(pos)
 	t.Occupied--
-	if bk := &t.banks[b]; bk.cells[pos].b.empty() {
-		bk.del(pos)
-	}
 	return dPhi, dW, true
 }
 
 // Contains reports whether the key currently has an entry.
 func (t *Table) Contains(key uint64) bool {
-	e, _, _ := t.find(t.slots(key))
-	return e != nil
+	_, pos, _, _ := t.lookup(key)
+	return pos >= 0
 }
 
 // Expire removes every entry whose lastSeen is strictly older than cutoff
@@ -256,16 +242,10 @@ func (t *Table) Expire(cutoff int64) (dPhi, dW int64, n int) {
 	for b := range t.banks {
 		bk := &t.banks[b]
 		for p := 0; p < len(bk.cells); {
-			c := &bk.cells[p]
-			for s := range c.b {
-				if e := &c.b[s]; e.fp != 0 && e.lastSeen < cutoff {
-					dPhi -= int64(e.phi)
-					dW -= int64(e.window)
-					*e = entry{}
-					n++
-				}
-			}
-			if c.key != 0 && c.b.empty() {
+			if c := &bk.cells[p]; c.key != 0 && c.lastSeen < cutoff {
+				dPhi -= int64(c.phi)
+				dW -= int64(c.window)
+				n++
 				// Closing the gap may move a later cell of the run here (and one
 				// already swept, from the array's start to its end, where it is
 				// swept again to no effect): look at p once more.
@@ -287,12 +267,10 @@ func (t *Table) Drain() (dPhi, dW int64, n int) {
 	}
 	for b := range t.banks {
 		bk := &t.banks[b]
-		for p := range bk.cells {
-			for _, e := range bk.cells[p].b {
-				if e.fp != 0 {
-					dPhi -= int64(e.phi)
-					dW -= int64(e.window)
-				}
+		for _, c := range bk.cells {
+			if c.key != 0 {
+				dPhi -= int64(c.phi)
+				dW -= int64(c.window)
 			}
 		}
 		clear(bk.cells)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInsertUpdateRemove(t *testing.T) {
@@ -143,12 +144,17 @@ func TestLoadFactorAndReset(t *testing.T) {
 }
 
 func TestNewPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0)
+	// Zero slots, and more than a cell's uint32 key can index.
+	for _, n := range []int{0, math.MaxInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", n)
+				}
+			}()
+			New(n)
+		}()
+	}
 }
 
 // Property: for any operation sequence, Occupied matches the number of
@@ -202,9 +208,19 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// denseTable is the layout Table had before its banks became page
-// directories: both banks fully allocated by the constructor. It is kept as
-// the reference model the sparse table is property-tested against.
+// entry is one slot of the dense model.
+type entry struct {
+	fp       uint16 // fingerprint; 0 means empty
+	phi      uint32
+	window   uint32
+	lastSeen int64
+}
+
+type bucket [bucketWidth]entry
+
+// denseTable is the layout Table had before its banks became sparse: both
+// banks fully allocated by the constructor. It is kept as the reference
+// model the sparse table is property-tested against.
 type denseTable struct {
 	banks      [2][]bucket
 	mask       uint64
@@ -392,12 +408,15 @@ func TestTableAllocatesForInserts(t *testing.T) {
 
 // TestBytesFollowLiveEntries is the allocation gate on the sparse banks: N
 // VM-pairs inserted into an empty paper-sized table cost a small multiple of
-// N 48-byte buckets — at most seven, the doubling's geometric sum at its
-// worst N — where a 768-byte page per first contact and a 4 KiB directory cost
-// eleven at this N and sixteen at a small one; and a table emptied by removal, expiry, drain or reset keeps its
+// N 24-byte slot cells — at most seven, the doubling's geometric sum at its
+// worst N — where 56-byte cells of a whole bucket cost 58 656 bytes at this
+// N; and a table emptied by removal, expiry, drain or reset keeps its
 // storage, so the same VM-pairs coming back allocate nothing.
 func TestBytesFollowLiveEntries(t *testing.T) {
 	const n = 385 // one more than 512 cells hold at three quarters: the doubling's worst case
+	if s := unsafe.Sizeof(cell{}); s != 24 {
+		t.Fatalf("a slot cell is %d bytes, want 24 (flat fields, ordered by size)", s)
+	}
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -411,8 +430,8 @@ func TestBytesFollowLiveEntries(t *testing.T) {
 			tb.Update(uint64(k), 1, 1, int64(now))
 		}
 	}
-	if got, limit := allocated(func() { insert(0, 0) }), uint64(n*7*48); got > limit {
-		t.Errorf("%d inserts into an empty table allocated %d bytes, want <= %d (7 buckets' worth each)", n, got, limit)
+	if got, limit := allocated(func() { insert(0, 0) }), uint64(n*7*24); got > limit {
+		t.Errorf("%d inserts into an empty table allocated %d bytes, want <= %d (7 cells' worth each)", n, got, limit)
 	}
 	if tb.Occupied+int(tb.Collisions) != n || tb.Collisions > n/100 {
 		t.Fatalf("%d occupied, %d collisions", tb.Occupied, tb.Collisions)

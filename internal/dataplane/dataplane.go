@@ -65,37 +65,37 @@ func (k Kind) String() string {
 // built itself (&Packet{…}) is never recycled: the caller may keep it, read it
 // after delivery and send it again, as tests and the benchmark do.
 type Packet struct {
-	Kind   Kind
-	VMPair VMPair
-	Tenant int32
-	// Size is the on-wire size in bytes.
-	Size int
-	// Seq is a scheme-defined sequence number (bytes or packets).
-	Seq uint64
-	// Route is the source route as a sequence of link IDs; Hop indexes
-	// the next link to take. Empty Route means ECMP forwarding to Dst.
-	Route topo.Path
-	Hop   int
-	// Return, if non-nil, is Route reversed: the route Reply gives the answer.
-	// A sender that reverses each candidate path once fills it in so the far
-	// edge reverses nothing per packet; nil makes Reply compute it.
-	Return topo.Path
-	// Dst is the destination host (required for ECMP, informative
-	// otherwise).
-	Dst topo.NodeID
-	// SentAt is when the source emitted the packet (for RTT/latency).
-	SentAt sim.Time
+	// The fields are ordered by alignment — one- and two-byte fields, then
+	// four-byte ids, then words and slices — so the struct's only padding is
+	// the two bytes after at: a new field goes there, or next to the fields
+	// of its own size, not wherever it reads best.
+	Kind Kind
 	// ECN is set by switches when the egress queue exceeds the marking
 	// threshold; baselines use it as their congestion signal. ECNEcho is an
 	// Ack's copy of the acknowledged data packet's mark, a header field no
 	// switch on the way back touches.
 	ECN, ECNEcho bool
-	// Payload carries an encoded probe (for Probe/Response packets). A
-	// pool-born packet owns the buffer and keeps its capacity across reuse.
-	Payload []byte
+	// state follows a pool-born packet through its journey (see self).
+	state pktState
 	// PathID is the sender-side index of the candidate path the packet
 	// travels (a real stack reads it from the SR header); an ack echoes it.
 	PathID uint16
+	VMPair VMPair
+	Tenant int32
+	// Dst is the destination host (required for ECMP, informative
+	// otherwise).
+	Dst topo.NodeID
+	// at is the node the link the packet is currently on delivers it to
+	// (see arrival).
+	at topo.NodeID
+	// Size is the on-wire size in bytes.
+	Size int
+	// Seq is a scheme-defined sequence number (bytes or packets).
+	Seq uint64
+	// Hop indexes the next link of Route to take.
+	Hop int
+	// SentAt is when the source emitted the packet (for RTT/latency).
+	SentAt sim.Time
 	// AckedBytes and AckedSentAt are an Ack's transport header: the size and
 	// the SentAt of the data packet it acknowledges.
 	AckedBytes  int
@@ -105,18 +105,25 @@ type Packet struct {
 	Rate float64
 
 	// arrival is the one event callback the packet's whole journey
-	// schedules; at is the node the link it is currently on delivers it to.
-	// A pool-born packet is bound once per object, when NewPacket makes it,
-	// and the binding survives reuse. A caller-owned packet is bound by every
-	// Send/SendECMP: a value copy inherits the original's binding, so each
-	// injection must rebind.
+	// schedules. A pool-born packet is bound once per object, when NewPacket
+	// makes it, and the binding survives reuse. A caller-owned packet is
+	// bound by every Send/SendECMP: a value copy inherits the original's
+	// binding, so each injection must rebind.
 	arrival sim.Event
-	at      topo.NodeID
 	// self points at the packet itself iff it is pool-born, so a value copy
-	// of a pool-born packet is a caller-owned one. state follows a pool-born
-	// packet through its journey.
-	self  *Packet
-	state pktState
+	// of a pool-born packet is a caller-owned one.
+	self *Packet
+
+	// Route is the source route as a sequence of link IDs. Empty Route means
+	// ECMP forwarding to Dst.
+	Route topo.Path
+	// Return, if non-nil, is Route reversed: the route Reply gives the answer.
+	// A sender that reverses each candidate path once fills it in so the far
+	// edge reverses nothing per packet; nil makes Reply compute it.
+	Return topo.Path
+	// Payload carries an encoded probe (for Probe/Response packets). A
+	// pool-born packet owns the buffer and keeps its capacity across reuse.
+	Payload []byte
 }
 
 // pktState is where a pool-born packet is in its journey.
@@ -671,13 +678,15 @@ func (n *Network) release(pkt *Packet, at topo.NodeID) {
 	pool.free = append(pool.free, pkt)
 }
 
-// poisonPacket scribbles over a released packet so that anyone still reading
-// it reads nonsense: an impossible kind, no route, garbage in the payload.
+// poisonPacket scribbles over every header field of a released packet so
+// that anyone still reading it reads nonsense: an impossible kind, path and
+// destination, no route, both ECN bits flipped, garbage in the payload.
 func poisonPacket(pkt *Packet) {
 	pkt.Kind, pkt.Size, pkt.VMPair, pkt.Tenant = 0xff, -1, ^VMPair(0), -1
 	pkt.Route, pkt.Return, pkt.Hop = nil, nil, -1
 	pkt.Seq, pkt.SentAt, pkt.AckedBytes, pkt.AckedSentAt = ^uint64(0), -1, -1, -1
-	pkt.Rate, pkt.ECNEcho = -1, true
+	pkt.Rate, pkt.PathID, pkt.Dst = -1, ^uint16(0), -1
+	pkt.ECN, pkt.ECNEcho = !pkt.ECN, !pkt.ECNEcho
 	full := pkt.Payload[:cap(pkt.Payload)]
 	for i := range full {
 		full[i] = 0xa5

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -247,10 +248,57 @@ func TestHopAllocationBudget(t *testing.T) {
 }
 
 // TestPacketBytes: every scheme's header rides in a typed field, none boxed
-// behind an interface, so a packet is 200 bytes and must not grow.
+// behind an interface, and the fields are ordered by alignment, so a packet
+// is 168 bytes (the 176-byte size class; 200 with the fields in reading
+// order) and must not grow. A new field goes where the struct has padding —
+// the two bytes after at — or beside the fields of its own size.
 func TestPacketBytes(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got > 200 {
-		t.Errorf("Packet is %d bytes, want <= 200", got)
+	if got := unsafe.Sizeof(Packet{}); got > 168 {
+		t.Errorf("Packet is %d bytes, want <= 168", got)
+	}
+}
+
+// TestPoisonCoversEveryField: poisoning changes every exported field of a
+// filled-in packet, so a stale read of any header — one added later
+// included — shows in the ownership tests.
+func TestPoisonCoversEveryField(t *testing.T) {
+	var set func(f reflect.Value, name string)
+	set = func(f reflect.Value, name string) {
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(3)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(3)
+		case reflect.Float64:
+			f.SetFloat(3)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+			for j := range f.Len() {
+				set(f.Index(j), name)
+			}
+		default:
+			t.Fatalf("Packet.%s: no filler for a %s", name, f.Kind())
+		}
+	}
+	fill := func() *Packet {
+		pkt := &Packet{}
+		v := reflect.ValueOf(pkt).Elem()
+		for i := range v.NumField() {
+			if field := v.Type().Field(i); field.IsExported() {
+				set(v.Field(i), field.Name)
+			}
+		}
+		return pkt
+	}
+	poisoned, want := fill(), fill()
+	poisonPacket(poisoned)
+	pv, wv := reflect.ValueOf(poisoned).Elem(), reflect.ValueOf(want).Elem()
+	for i := range pv.NumField() {
+		if field := pv.Type().Field(i); field.IsExported() && reflect.DeepEqual(pv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("poisoning leaves Packet.%s as it was: %v", field.Name, pv.Field(i))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ufab/internal/dataplane"
 	"ufab/internal/probe"
@@ -57,9 +58,8 @@ func TestSendAllocationBudget(t *testing.T) {
 // TestProbeRoundTripAllocationBudget: one probe round trip over a five-link
 // path — encoded into the packet's own buffer, stamped in place by μFAB-C on
 // the source's uplink and on four switches, flipped into its response in
-// that buffer at the far edge, decoded into the agent's scratch and copied
-// into the path's own storage at the source — allocates the probe-loss
-// timeout's closure and nothing else.
+// that buffer at the far edge and decoded into the agent's scratch at the
+// source — allocates the probe-loss timeout's closure and nothing else.
 func TestProbeRoundTripAllocationBudget(t *testing.T) {
 	eng := sim.New()
 	ch := topo.NewChain(4, topo.Gbps(10), sim.Microsecond)
@@ -82,8 +82,8 @@ func TestProbeRoundTripAllocationBudget(t *testing.T) {
 	if a := testing.AllocsPerRun(200, roundTrip); a > 1 {
 		t.Errorf("%v allocations per probe round trip, want <= 1 (the timeout closure)", a)
 	}
-	if ps.respSeq != ps.probeSeq || ps.probeSeq < 202 || len(ps.lastResp.Hops) != 5 || ps.lastResp.Kind != probe.KindResponse {
-		t.Errorf("after %d probes: answered up to %d, last response %+v", ps.probeSeq, ps.respSeq, ps.lastResp)
+	if resp := &src.resp; ps.respSeq != ps.probeSeq || ps.probeSeq < 202 || len(resp.Hops) != 5 || resp.Kind != probe.KindResponse {
+		t.Errorf("after %d probes: answered up to %d, last response %+v", ps.probeSeq, ps.respSeq, *resp)
 	}
 }
 
@@ -194,5 +194,14 @@ func TestNewAgentBytes(t *testing.T) {
 		t.Errorf("New allocates %d B per fabric1k host, want < 3 KiB", per)
 	} else {
 		t.Logf("New allocates %d B per fabric1k host", per)
+	}
+}
+
+// TestPathStateBytes: a candidate path keeps what the law reads of its last
+// response — the allocation and when it arrived — and not the response
+// itself, whose copy made a path 208 bytes plus its hop records.
+func TestPathStateBytes(t *testing.T) {
+	if got := unsafe.Sizeof(pathState{}); got > 136 {
+		t.Errorf("pathState is %d bytes, want <= 136", got)
 	}
 }

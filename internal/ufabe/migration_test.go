@@ -221,7 +221,7 @@ func TestLongPathPartialTelemetry(t *testing.T) {
 	if !ps.responded {
 		t.Fatal("no response over the long path")
 	}
-	if len(ps.lastResp.Hops) != 15 {
-		t.Fatalf("stamped hops = %d, want MaxHops=15", len(ps.lastResp.Hops))
+	if len(src.resp.Hops) != 15 {
+		t.Fatalf("stamped hops = %d, want MaxHops=15", len(src.resp.Hops))
 	}
 }

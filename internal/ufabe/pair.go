@@ -19,11 +19,10 @@ type pathState struct {
 	back    topo.Path
 	baseRTT sim.Duration
 
-	// Last probe response and when it arrived. responded is false until the
-	// first one, and again after a failure notice voids the path's telemetry;
-	// lastResp's hop records live in storage the path owns.
+	// Whether the path has a probe response, and when the last one arrived.
+	// responded is false until the first one, and again after a failure
+	// notice voids the path's telemetry.
 	responded  bool
-	lastResp   probe.Packet
 	lastRespAt sim.Time
 	// srtt is the smoothed probe round-trip time on this path,
 	// including queueing; probe-loss timeouts scale with it so heavy
@@ -155,14 +154,12 @@ func (p *Pair) Route(i int) topo.Path { return p.paths[i].route }
 func (p *Pair) Idle() bool { return p.idle }
 
 // applyResponse stores what a response says about its path: the law's
-// allocation for the pair's current token and window, and a copy of the
-// response — resp is the agent's decode scratch and is overwritten by the
-// next one.
+// allocation for the pair's current token and window. The path keeps
+// nothing of resp itself — it is the agent's decode scratch and is
+// overwritten by the next one.
 func (p *Pair) applyResponse(ps *pathState, resp *probe.Packet) {
 	ps.allocation = allocate(p.EffectivePhi(), p.Window(), ps.baseRTT, resp.Hops)
-	hops := append(ps.lastResp.Hops[:0], resp.Hops...)
-	ps.lastResp, ps.responded = *resp, true
-	ps.lastResp.Hops = hops
+	ps.responded = true
 	if a := p.agent; a.rec != nil {
 		a.rec.Record(telemetry.Event{T: int64(a.eng.Now()), Kind: telemetry.EvWindow,
 			Entity: a.entity, A: int64(p.ID), B: ps.window, V: ps.share,

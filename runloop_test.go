@@ -84,19 +84,21 @@ func runLoopBytesPerEvent(t *testing.T, instrumented bool) float64 {
 // and trace chunks instead of making them, so a simulated event costs a few
 // bytes — RTT samples, first contacts, heap growth to the high-water mark —
 // and, instrumented, the 56-byte slot of each trace event it retains and
-// little more. The bare ceiling is twice what the run measures (8.6 bytes per
-// event) and less than half of what it measured (52) before packets were
-// pooled and probes flipped in place. The instrumented one sits between what
-// the run measures (20.7) and what it measured (29.5) while a retained event
-// took 88 string-bearing bytes and the audit feed copied every ring's tail.
+// little more. The bare ceiling is about twice what the run measures (5.6
+// bytes per event; 8.5 while a register cell held a whole bucket, a path
+// copied every probe response and a packet carried 32 bytes of padding; 52
+// before packets were pooled and probes flipped in place). The instrumented
+// one sits above what the run measures (17.7) and below what it measured
+// before those three changes (20.7), let alone while a retained event took
+// 88 string-bearing bytes and the audit feed copied every ring's tail (29.5).
 func TestRunLoopBytesPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		instrumented bool
 		ceiling      float64
 	}{
-		{"bare", false, 18},
-		{"telemetry, audit and sampling on", true, 25},
+		{"bare", false, 12},
+		{"telemetry, audit and sampling on", true, 20},
 	} {
 		if got := runLoopBytesPerEvent(t, tc.instrumented); got > tc.ceiling {
 			t.Errorf("%s: RunUntil allocated %.1f bytes per event, want <= %.0f", tc.name, got, tc.ceiling)
