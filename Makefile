@@ -70,12 +70,14 @@ bench:
 # whole-process table is topped by set-up: AddVF, path enumeration) and the
 # simulated quanta's share on ctl_churn — with the job's bytes per simulated
 # event (the repetition is seed 1; its event count is pinned in
-# bench/pinned.json). Then set-up alone, what setup_s times: CPU and
-# alloc_space under the harness's setupFabric / setupRPC and
-# ctlplane.NewDaemon, with set-up bytes per VM-pair (SETUP_PAIRS: every
-# fabric1k_* host sources one pair, every clos128_* host eight; ctl_churn's
-# pairs arrive through admissions, not set-up). The test binary and the
-# profiles stay in a temp dir outside the tree for -list/-peek/-web:
+# bench/pinned.json), and its top 15 source lines by bytes (-lines: two
+# sites in one function, say a buffer and a closure, are two rows). Then
+# set-up alone, what setup_s times: CPU and alloc_space under the harness's
+# setupFabric / setupRPC and ctlplane.NewDaemon, with set-up bytes per
+# VM-pair (SETUP_PAIRS: every fabric1k_* host sources one pair, every
+# clos128_* host eight; ctl_churn's pairs arrive through admissions, not
+# set-up). The test binary and the profiles stay in a temp dir outside the
+# tree for -list/-peek/-web:
 #   make profile W=fabric1k_backlog
 SETUP_FOCUS = setupFabric$$|setupRPC$$|ctlplane\.NewDaemon$$
 SETUP_PAIRS = $(if $(filter fabric1k_% clos128_%,$(W)),1024,0)
@@ -93,6 +95,8 @@ profile:
 		awk '$$NF ~ /Engine\)\.RunUntil$$/ { sub(/B$$/, "", $$4); print $$4; exit }'); \
 	events=$$(awk -v w='"$(W)":' '$$1 == w { inw = 1 } inw && $$1 == "\"1\":" { in1 = 1 } in1 && $$1 == "\"events\":" { sub(/,/, "", $$2); print $$2; exit }' bench/pinned.json); \
 	awk -v j="$$job" -v e="$$events" 'BEGIN { if (j > 0 && e > 0) printf "job: %.1f MiB under RunUntil over %d simulated events (seed 1) = %.1f bytes per event\n", j / 1048576, e, j / e }'; \
+	echo; echo "== the job by line: alloc_space under Engine.RunUntil, top 15 source lines =="; \
+	$(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -lines -top -nodecount=15 $$dir/bench.test $$dir/mem.prof; \
 	echo; echo "== set-up alone: CPU and alloc_space under setupFabric, setupRPC, ctlplane.NewDaemon =="; \
 	$(GO) tool pprof -focus='$(SETUP_FOCUS)' -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
 	$(GO) tool pprof -sample_index=alloc_space -focus='$(SETUP_FOCUS)' -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \

@@ -44,6 +44,7 @@ func main() {
 			for i := 0; i < *n; i++ {
 				vf := f.AddVF(int32(i+1), 500e6, 2)
 				fl := f.AddFlow(vf, star.Hosts[i], dst, 0)
+				fl.Pair.RTT = &stats.Samples{}
 				fl.Buffer.Add(1 << 40)
 				flows = append(flows, fl)
 			}
@@ -60,6 +61,7 @@ func main() {
 			var flows []*blhost.FlowHandle
 			for i := 0; i < *n; i++ {
 				fh := f.AddFlow(int32(i+1), 5, star.Hosts[i], dst, 0)
+				fh.Flow.RTT = &stats.Samples{}
 				fh.Buffer.Add(1 << 40)
 				flows = append(flows, fh)
 			}

@@ -126,10 +126,11 @@ type Flow struct {
 	lastProgress sim.Time
 	rtoArmed     bool
 
-	// Measurements (mirroring ufabe.Pair).
+	// Measurements (mirroring ufabe.Pair: RTT records only once a reader
+	// attaches one).
 	Delivered int64
 	SentBytes int64
-	RTT       stats.Samples
+	RTT       *stats.Samples
 	Losses    int
 }
 
@@ -469,7 +470,9 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	fl.lastProgress = now
 	fl.Delivered += int64(bytes)
 	rtt := now - pkt.AckedSentAt
-	fl.RTT.Add(rtt.Micros())
+	if fl.RTT != nil {
+		fl.RTT.Add(rtt.Micros())
+	}
 	switch a.cfg.Scheme {
 	case PWC:
 		fl.wf.OnAck(now, rtt, bytes)

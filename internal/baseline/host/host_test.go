@@ -6,6 +6,7 @@ import (
 
 	"ufab/internal/dataplane"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 )
 
@@ -115,6 +116,7 @@ func TestPWCIncastLatencyGrowsWithFanIn(t *testing.T) {
 		eng, f, st := starBaseline(n+1, PWC, 7)
 		for i := 0; i < n; i++ {
 			fh := f.AddFlow(int32(i+1), 5, st.Hosts[i], st.Hosts[n], 0)
+			fh.Flow.RTT = &stats.Samples{}
 			fh.Buffer.Add(1 << 40)
 		}
 		eng.RunUntil(10 * sim.Millisecond)
@@ -206,6 +208,53 @@ func TestDataAndAckAllocateNothing(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(500, acked); a != 0 {
 			t.Errorf("%v: %v allocations per data packet and its ack, want 0", scheme, a)
+		}
+	}
+}
+
+// TestRTTRecordsOnlyWhenAttached is ufabe's test of the same name for both
+// baseline schemes: no samples unless attached, and attached, one per ack —
+// the ack's round trip as the trace sees it — with the count and mean every
+// flow recorded before samples had to be attached.
+func TestRTTRecordsOnlyWhenAttached(t *testing.T) {
+	for _, tc := range []struct {
+		scheme Scheme
+		n      int
+		mean   float64
+	}{
+		{PWC, 700, 22.51344747142837},
+		{ESClove, 124, 22.502399999999987},
+	} {
+		run := func(attach bool) (*Flow, []float64) {
+			eng, f, st := starBaseline(2, tc.scheme, 1)
+			fh := f.AddFlow(1, 10, st.Hosts[0], st.Hosts[1], 0)
+			if attach {
+				fh.Flow.RTT = &stats.Samples{}
+			}
+			var acks []float64
+			f.Net.Trace = func(at topo.NodeID, pkt *dataplane.Packet) {
+				if at == st.Hosts[0] && pkt.Kind == dataplane.Ack {
+					acks = append(acks, (eng.Now() - pkt.AckedSentAt).Micros())
+				}
+			}
+			fh.Buffer.Add(1 << 20)
+			eng.RunUntil(sim.Millisecond)
+			return fh.Flow, acks
+		}
+		bare, bareAcks := run(false)
+		fl, acks := run(true)
+		if bare.RTT != nil {
+			t.Errorf("%v: an unattached flow has RTT samples", tc.scheme)
+		}
+		if bare.Delivered != fl.Delivered || bare.SentBytes != fl.SentBytes || len(bareAcks) != len(acks) {
+			t.Errorf("%v: attaching RTT samples changed the run: delivered %d / %d, sent %d / %d, acks %d / %d",
+				tc.scheme, bare.Delivered, fl.Delivered, bare.SentBytes, fl.SentBytes, len(bareAcks), len(acks))
+		}
+		if n, mean := fl.RTT.Len(), fl.RTT.Mean(); n != tc.n || mean != tc.mean {
+			t.Errorf("%v: attached flow recorded %d samples of mean %v µs, want %d of mean %v", tc.scheme, n, mean, tc.n, tc.mean)
+		}
+		if got := fl.RTT.TakeAll(); !slices.Equal(got, acks) {
+			t.Errorf("%v: attached flow recorded %d samples that are not its %d acks' round trips", tc.scheme, len(got), len(acks))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"ufab/internal/baseline/host"
 	"ufab/internal/dataplane"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 	"ufab/internal/vfabric"
 )
@@ -72,7 +73,9 @@ func runUFAB(t *testing.T, workers int, poison bool) (string, *dataplane.Network
 	senders, sink := incastHosts(ft)
 	vf := f.AddVF(1, 1e9, 0)
 	for _, src := range senders {
-		f.AddFlow(vf, src, sink, 0).Buffer.Add(incastBytes)
+		fl := f.AddFlow(vf, src, sink, 0)
+		fl.Pair.RTT = &stats.Samples{}
+		fl.Buffer.Add(incastBytes)
 	}
 	disturb(f.Eng, f.Net, ft.Graph)
 	f.StartCoreCleanup()
@@ -106,7 +109,9 @@ func runBaseline(t *testing.T, poison bool) (string, *dataplane.Network) {
 	f.Net.PoisonReleased(poison)
 	senders, sink := incastHosts(ft)
 	for _, src := range senders {
-		f.AddFlow(1, 10, src, sink, 0).Buffer.Add(incastBytes)
+		fh := f.AddFlow(1, 10, src, sink, 0)
+		fh.Flow.RTT = &stats.Samples{}
+		fh.Buffer.Add(incastBytes)
 	}
 	disturb(eng, f.Net, ft.Graph)
 	eng.RunUntil(incastHorizon)

@@ -363,7 +363,8 @@ func newDeployment(sc scheme, o Options, r *Report, g *topo.Graph, partitioned b
 			} else {
 				fl = uf.AddFlowRoutes(v, routes, phi, demand)
 			}
-			return &flow{meter: fl.Meter, rtt: &fl.Pair.RTT, delivered: &fl.Pair.Delivered,
+			fl.Pair.RTT = &stats.Samples{}
+			return &flow{meter: fl.Meter, rtt: fl.Pair.RTT, delivered: &fl.Pair.Delivered,
 				switches: func() int { return fl.Pair.Migrations }}
 		}
 		return d
@@ -389,7 +390,8 @@ func newDeployment(sc scheme, o Options, r *Report, g *topo.Graph, partitioned b
 		} else {
 			fh = bl.AddFlowRoutes(vf, phi, routes, demand)
 		}
-		return &flow{meter: fh.Meter, rtt: &fh.Flow.RTT, delivered: &fh.Flow.Delivered, switches: fh.Flow.Repicks}
+		fh.Flow.RTT = &stats.Samples{}
+		return &flow{meter: fh.Meter, rtt: fh.Flow.RTT, delivered: &fh.Flow.Delivered, switches: fh.Flow.Repicks}
 	}
 	return d
 }

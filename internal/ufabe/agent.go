@@ -91,7 +91,8 @@ func (c *Config) setDefaults() {
 }
 
 // recvPair is the receiver-side record of an incoming VM-pair, used for
-// Guarantee Partitioning admission.
+// Guarantee Partitioning admission. The agent's map holds it by value: a
+// pair that finishes and wakes again re-enters the map without a new object.
 type recvPair struct {
 	vf        int32
 	requested float64 // the φ its last probe carried
@@ -144,7 +145,7 @@ type Agent struct {
 	freezeUntil sim.Time
 
 	// Receiver side.
-	recvPairs map[dataplane.VMPair]*recvPair
+	recvPairs map[dataplane.VMPair]recvPair
 
 	// OnReceive, if set, observes data bytes arriving at this host
 	// (used by application models).
@@ -172,14 +173,23 @@ type Agent struct {
 	// resp is handleResponse's decode target, kept across responses so its
 	// hop records are decoded into the same backing array every time.
 	resp probe.Packet
+	// probeBufs holds the payload buffers of answered probes: a probe starts
+	// and ends at this agent, so its buffer comes back here, in this shard,
+	// and the next probe that rides a pooled packet without one takes it.
+	probeBufs [][]byte
+	// timers holds the fired records of the agent's one-shot checks, ready
+	// to be armed again (timer).
+	timers []*timer
 
 	tokenLoopStop func()
 	// gp is tokenUpdate's working memory, kept across ticks: one VF's pairs
 	// as the sender side sees them, the requests arriving here grouped by
-	// VF, and the law's answer.
+	// VF, the emptied request slices of VFs that stopped arriving, and the
+	// law's answer.
 	gp struct {
 		pairs []tokenPair
 		byVF  map[int32][]tokenRequest
+		spare [][]tokenRequest
 		out   []float64
 	}
 }
@@ -264,7 +274,7 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		vfs:       make(map[int32]*vfState),
 		pairs:     make(map[dataplane.VMPair]*Pair),
 		sched:     newWFQ(&ten.roster),
-		recvPairs: make(map[dataplane.VMPair]*recvPair),
+		recvPairs: make(map[dataplane.VMPair]recvPair),
 		uplinkCap: g.Link(g.Node(host).Out[0]).Capacity,
 		cProbes:   &telemetry.Counter{},
 		cProbeB:   &telemetry.Counter{},
@@ -508,13 +518,14 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 		Window: uint32(min(p.Window(), int64(^uint32(0)))),
 		SentAt: int64(a.eng.Now()),
 	}
-	// The probe is encoded into the packet's own buffer, with room for one
-	// INT record per link of the path: the switches stamp it in place
-	// (probe.StampHop), the far edge flips it into the response in place, and
-	// nobody regrows it.
+	// The probe is encoded into the packet's buffer, or into one an earlier
+	// response gave back when the pooled packet has none big enough, with
+	// room for one INT record per link of the path: the switches stamp it in
+	// place (probe.StampHop), the far edge flips it into the response in
+	// place, and nobody regrows it.
 	pkt := a.net.NewPacket(a.host)
 	if need := probe.PayloadSize(len(ps.route)); cap(pkt.Payload) < need {
-		pkt.Payload = make([]byte, 0, need)
+		pkt.Payload = a.probeBuf(need)
 	}
 	buf, err := pp.Encode(pkt.Payload)
 	if err != nil {
@@ -544,7 +555,23 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 	if adaptive := 4 * ps.srtt; adaptive > timeout {
 		timeout = adaptive
 	}
-	a.eng.After(timeout, func() { a.checkProbeTimeout(p, pathIdx, seq) })
+	a.arm(timeout, probeTimeout, p, pathIdx, seq, 0)
+}
+
+// probeBuf returns an empty buffer with room for need bytes: the last one a
+// response gave back, or a new one when there is none. One too small for
+// this probe (its path is longer than the one it last served) is dropped,
+// so the list converges on buffers every route of the agent fits.
+func (a *Agent) probeBuf(need int) []byte {
+	if k := len(a.probeBufs); k > 0 {
+		buf := a.probeBufs[k-1]
+		a.probeBufs[k-1] = nil
+		a.probeBufs = a.probeBufs[:k-1]
+		if cap(buf) >= need {
+			return buf[:0]
+		}
+	}
+	return make([]byte, 0, need)
 }
 
 func (a *Agent) checkProbeTimeout(p *Pair, pathIdx int, seq uint32) {
@@ -619,7 +646,9 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	}
 	p.lastProgress = now
 	p.Delivered += acked
-	p.RTT.Add((now - pkt.AckedSentAt).Micros())
+	if p.RTT != nil {
+		p.RTT.Add((now - pkt.AckedSentAt).Micros())
+	}
 	p.advanceRamp(now)
 	if obs, ok := p.Demand.(DeliveryObserver); ok {
 		obs.Delivered(acked, now)
@@ -627,7 +656,7 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	// Idle detection: demand drained and nothing in flight.
 	if p.Demand.Pending() == 0 && p.inflight == 0 && !p.idle {
 		p.idleSince = now
-		a.eng.After(idleFinishAfter, func() { a.checkIdle(p, now) })
+		a.arm(idleFinishAfter, idleCheck, p, 0, 0, int64(now))
 	}
 	a.scheduleSend()
 }
@@ -655,13 +684,13 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 	var admitted float64 // 0 = unbound
 	switch pp.Kind {
 	case probe.KindProbe:
-		rp := a.recvPairs[pkt.VMPair]
-		if rp == nil {
-			rp = &recvPair{vf: pkt.Tenant, admitted: unbound}
-			a.recvPairs[pkt.VMPair] = rp
+		rp, ok := a.recvPairs[pkt.VMPair]
+		if !ok {
+			rp = recvPair{vf: pkt.Tenant, admitted: unbound}
 		}
 		rp.lastSeen = now
 		rp.requested = pp.Phi
+		a.recvPairs[pkt.VMPair] = rp
 		if rp.admitted != unbound && rp.admitted > 0 {
 			admitted = rp.admitted
 		}
@@ -684,11 +713,18 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 // the path's state, ask the law, apply.
 func (a *Agent) handleResponse(pkt *dataplane.Packet) {
 	p := a.pairs[pkt.VMPair]
-	if p == nil {
-		return
-	}
 	resp := &a.resp
-	if _, err := probe.DecodeInto(resp, pkt.Payload); err != nil || int(resp.PathID) >= len(p.paths) {
+	var err error
+	if p != nil {
+		_, err = probe.DecodeInto(resp, pkt.Payload)
+	}
+	// The decode was the payload's last reader (Network.Trace ran before this
+	// handler; the packet's release after it finds no payload): the buffer
+	// goes back to the agent's probes, and the packet back to the pool
+	// without it.
+	a.probeBufs = append(a.probeBufs, pkt.Payload)
+	pkt.Payload = nil
+	if p == nil || err != nil || int(resp.PathID) >= len(p.paths) {
 		return
 	}
 	now := a.eng.Now()
@@ -943,18 +979,26 @@ func (a *Agent) tokenUpdate() {
 			delete(a.recvPairs, vm)
 			continue
 		}
-		gp.byVF[rp.vf] = append(gp.byVF[rp.vf], tokenRequest{vm, rp.requested})
+		reqs, ok := gp.byVF[rp.vf]
+		if k := len(gp.spare); !ok && k > 0 {
+			reqs, gp.spare = gp.spare[k-1], gp.spare[:k-1]
+		}
+		gp.byVF[rp.vf] = append(reqs, tokenRequest{vm, rp.requested})
 	}
 	for vf, reqs := range gp.byVF {
 		if len(reqs) == 0 {
-			// No pair of this VF since the last tick: forget it.
+			// No pair of this VF since the last tick: forget it, and keep
+			// its slice for the next VF that arrives.
 			delete(gp.byVF, vf)
+			gp.spare = append(gp.spare, reqs)
 			continue
 		}
 		if tn := a.ten.byID[vf]; tn != nil && tn.hose > 0 {
 			gp.out = admitTokens(gp.out[:0], tn.hose, reqs)
 			for i, r := range reqs {
-				a.recvPairs[r.id].admitted = gp.out[i]
+				rp := a.recvPairs[r.id]
+				rp.admitted = gp.out[i]
+				a.recvPairs[r.id] = rp
 			}
 		}
 		gp.byVF[vf] = reqs[:0]
@@ -970,7 +1014,7 @@ func (a *Agent) armRTO(p *Pair) {
 	}
 	p.rtoArmed = true
 	rto := sim.Duration(2*a.cfg.ProbeTimeoutRTTs) * p.paths[p.active].baseRTT
-	a.eng.After(rto, func() { a.checkRTO(p, rto) })
+	a.arm(rto, rtoCheck, p, 0, 0, int64(rto))
 }
 
 func (a *Agent) checkRTO(p *Pair, rto sim.Duration) {
@@ -982,7 +1026,7 @@ func (a *Agent) checkRTO(p *Pair, rto sim.Duration) {
 	if since := now - p.lastProgress; since < rto {
 		// Progress happened; re-check after the remaining time.
 		p.rtoArmed = true
-		a.eng.After(rto-since, func() { a.checkRTO(p, rto) })
+		a.arm(rto-since, rtoCheck, p, 0, 0, int64(rto))
 		return
 	}
 	p.Losses++
@@ -1021,4 +1065,62 @@ func (a *Agent) reclaimOrphans(p *Pair, ps *pathState) {
 		rq.Requeue(lost)
 	}
 	a.scheduleSend()
+}
+
+// ---- Timers -----------------------------------------------------------------
+
+// timerKind names the check a timer runs.
+type timerKind uint8
+
+const (
+	probeTimeout timerKind = iota // checkProbeTimeout(p, path, seq)
+	idleCheck                     // checkIdle(p, since)
+	rtoCheck                      // checkRTO(p, rto)
+)
+
+// timer is one of the agent's one-shot checks as a record instead of a
+// closure: a probe's loss check, a drained pair's idle check, a pair's RTO
+// check. Its fire func is bound once, when the record is made; a fired
+// record goes back on the agent's list and the next arm takes it, so arming
+// allocates only while the number outstanding climbs to its high-water
+// mark. 40 bytes, 56 with the bound func.
+type timer struct {
+	a    *Agent
+	p    *Pair
+	fire sim.Event
+	arg  int64 // checkIdle's since, checkRTO's rto
+	seq  uint32
+	path uint16
+	kind timerKind
+}
+
+// arm schedules one check after d on the agent's scheduler, exactly where
+// the closure it replaces was scheduled, so no event key moves.
+func (a *Agent) arm(d sim.Duration, kind timerKind, p *Pair, path int, seq uint32, arg int64) {
+	var t *timer
+	if k := len(a.timers); k > 0 {
+		t = a.timers[k-1]
+		a.timers = a.timers[:k-1]
+	} else {
+		t = &timer{a: a}
+		t.fire = t.run
+	}
+	t.p, t.kind, t.path, t.seq, t.arg = p, kind, uint16(path), seq, arg
+	a.eng.After(d, t.fire)
+}
+
+// run releases the record before running its check, which may arm the next
+// one with it.
+func (t *timer) run() {
+	a, p, kind, path, seq, arg := t.a, t.p, t.kind, int(t.path), t.seq, t.arg
+	t.p = nil
+	a.timers = append(a.timers, t)
+	switch kind {
+	case probeTimeout:
+		a.checkProbeTimeout(p, path, seq)
+	case idleCheck:
+		a.checkIdle(p, sim.Time(arg))
+	case rtoCheck:
+		a.checkRTO(p, sim.Duration(arg))
+	}
 }

@@ -56,10 +56,13 @@ func TestSendAllocationBudget(t *testing.T) {
 }
 
 // TestProbeRoundTripAllocationBudget: one probe round trip over a five-link
-// path — encoded into the packet's own buffer, stamped in place by μFAB-C on
-// the source's uplink and on four switches, flipped into its response in
-// that buffer at the far edge and decoded into the agent's scratch at the
-// source — allocates the probe-loss timeout's closure and nothing else.
+// path — encoded into a buffer the agent's last response gave back, stamped
+// in place by μFAB-C on the source's uplink and on four switches, flipped
+// into its response in that buffer at the far edge, decoded into the agent's
+// scratch at the source, its loss check a recycled timer record — allocates
+// nothing. Each probe rides the pooled packet that has just carried a data
+// packet and its ack, which has no buffer of its own: the probe used to
+// make one there.
 func TestProbeRoundTripAllocationBudget(t *testing.T) {
 	eng := sim.New()
 	ch := topo.NewChain(4, topo.Gbps(10), sim.Microsecond)
@@ -74,16 +77,63 @@ func TestProbeRoundTripAllocationBudget(t *testing.T) {
 	ten.Add(1, 10, 2)
 	p := src.AddPair(PairConfig{ID: 1, VF: 1, Dst: ch.Dst, Routes: ch.Graph.Paths(ch.Src, ch.Dst, 0), Phi: 10, Demand: &Buffer{}})
 	ps := p.paths[p.active]
+	var acked, probed *dataplane.Packet
+	net.Trace = func(at topo.NodeID, pkt *dataplane.Packet) {
+		switch {
+		case at == ch.Src && pkt.Kind == dataplane.Ack:
+			acked = pkt
+		case at == ch.Dst && pkt.Kind == dataplane.Probe:
+			probed = pkt
+		}
+	}
 	roundTrip := func() {
+		// Data of a pair the source does not have: the far edge acks it, the
+		// source ignores the ack, and the packet is back on the free list.
+		d := net.NewPacket(ch.Src)
+		d.Kind, d.VMPair, d.Tenant, d.Size = dataplane.Data, 2, 1, mtu
+		d.Route, d.Return = ps.route, ps.back
+		net.Send(d)
+		eng.Run()
 		src.sendProbe(p, p.active, probe.KindProbe)
 		eng.Run() // through the response and the timeout check that finds it answered
 	}
-	roundTrip() // past the bootstrap probe; registers, scratch and free list warm
-	if a := testing.AllocsPerRun(200, roundTrip); a > 1 {
-		t.Errorf("%v allocations per probe round trip, want <= 1 (the timeout closure)", a)
+	roundTrip() // past the bootstrap probe; registers, scratch and free lists warm
+	if a := testing.AllocsPerRun(200, roundTrip); a != 0 {
+		t.Errorf("%v allocations per probe round trip, want 0", a)
+	}
+	if acked == nil || probed != acked {
+		t.Errorf("the last probe did not ride the packet that had just carried data")
 	}
 	if resp := &src.resp; ps.respSeq != ps.probeSeq || ps.probeSeq < 202 || len(resp.Hops) != 5 || resp.Kind != probe.KindResponse {
 		t.Errorf("after %d probes: answered up to %d, last response %+v", ps.probeSeq, ps.respSeq, *resp)
+	}
+}
+
+// TestDrainToIdleAllocationBudget: a pair that wakes with a message, sends
+// it, drains and goes idle — its reactivation probe, the data and the acks,
+// the RTO check that finds nothing in flight, the idle check that sends the
+// finish probe, both probes' loss checks, and the token ticks on both edges
+// that see the pair come and go — allocates nothing once warm: each check is
+// a timer record the agent armed before and gets back when it fires, the
+// receiver keeps its pair record by value, and its token tick keeps the
+// request slice of a VF that left for the next one to arrive.
+func TestDrainToIdleAllocationBudget(t *testing.T) {
+	r := newRig(t, Config{CandidateProbeInterval: -1})
+	p, buf := r.addPair(10)
+	const msg = 3 * mtu
+	cycle := func() {
+		buf.Add(msg)
+		r.eng.RunUntil(r.eng.Now() + sim.Millisecond)
+	}
+	r.eng.RunUntil(sim.Millisecond) // the bootstrap probes
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("%v allocations per message that drains to idle, want 0", a)
+	}
+	ps := p.paths[p.active]
+	if !p.Idle() || p.Delivered != 102*msg || ps.respSeq != ps.probeSeq || ps.probeSeq < 204 {
+		t.Errorf("after 102 messages: idle %v, delivered %d, probes answered up to %d of %d",
+			p.Idle(), p.Delivered, ps.respSeq, ps.probeSeq)
 	}
 }
 
@@ -203,5 +253,14 @@ func TestNewAgentBytes(t *testing.T) {
 func TestPathStateBytes(t *testing.T) {
 	if got := unsafe.Sizeof(pathState{}); got > 136 {
 		t.Errorf("pathState is %d bytes, want <= 136", got)
+	}
+}
+
+// TestTimerBytes: a timer record — the agent, the pair, the bound fire func,
+// one argument, the probe's sequence number and path, the kind — stays in
+// the 48-byte size class; its fire func adds 16.
+func TestTimerBytes(t *testing.T) {
+	if got := unsafe.Sizeof(timer{}); got > 48 {
+		t.Errorf("timer is %d bytes, want <= 48", got)
 	}
 }

@@ -95,11 +95,13 @@ type Pair struct {
 	rtoArmed     bool
 
 	// Measurements.
-	Delivered  int64         // bytes acknowledged end-to-end
-	SentBytes  int64         // bytes handed to the wire
-	RTT        stats.Samples // per-ack network RTT in microseconds
-	Migrations int           // migration count
-	Losses     int           // RTO-recovered loss episodes
+	Delivered int64 // bytes acknowledged end-to-end
+	SentBytes int64 // bytes handed to the wire
+	// RTT collects every ack's network RTT in microseconds once a reader
+	// attaches one; nil records nothing.
+	RTT        *stats.Samples
+	Migrations int // migration count
+	Losses     int // RTO-recovered loss episodes
 	// txSinceToken measures demand for Guarantee Partitioning.
 	txSinceToken int64
 }

@@ -2,11 +2,13 @@ package ufabe
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ufab/internal/dataplane"
 	"ufab/internal/probe"
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 	"ufab/internal/ufabc"
 )
@@ -133,6 +135,7 @@ func TestEffectivePhiUsesReceiverAdmission(t *testing.T) {
 func TestProbeLoopDrivesWindow(t *testing.T) {
 	r := newRig(t, Config{})
 	p, buf := r.addPair(10)
+	p.RTT = &stats.Samples{}
 	buf.Add(1 << 30)
 	r.eng.RunUntil(2 * sim.Millisecond)
 	// Alone on a 10G path the pair must reach ≈ a BDP window.
@@ -145,6 +148,45 @@ func TestProbeLoopDrivesWindow(t *testing.T) {
 	}
 	if p.RTT.Len() == 0 {
 		t.Error("no RTT samples")
+	}
+}
+
+// TestRTTRecordsOnlyWhenAttached: a pair keeps no RTT samples until a reader
+// attaches them, and attaching changes nothing else. An attached pair records
+// one sample per ack: the ack's network round trip in µs, as the network's
+// trace sees the ack arrive, and the 824 samples of mean 22.3397 µs that
+// every pair recorded before samples had to be attached.
+func TestRTTRecordsOnlyWhenAttached(t *testing.T) {
+	run := func(attach bool) (*Pair, []float64) {
+		r := newRig(t, Config{})
+		p, buf := r.addPair(10)
+		if attach {
+			p.RTT = &stats.Samples{}
+		}
+		var acks []float64
+		r.net.Trace = func(at topo.NodeID, pkt *dataplane.Packet) {
+			if at == r.src.host && pkt.Kind == dataplane.Ack {
+				acks = append(acks, (r.eng.Now() - pkt.AckedSentAt).Micros())
+			}
+		}
+		buf.Add(1 << 20)
+		r.eng.RunUntil(sim.Millisecond)
+		return p, acks
+	}
+	bare, bareAcks := run(false)
+	p, acks := run(true)
+	if bare.RTT != nil {
+		t.Errorf("an unattached pair has RTT samples")
+	}
+	if bare.Delivered != p.Delivered || bare.SentBytes != p.SentBytes || len(bareAcks) != len(acks) {
+		t.Errorf("attaching RTT samples changed the run: delivered %d / %d, sent %d / %d, acks %d / %d",
+			bare.Delivered, p.Delivered, bare.SentBytes, p.SentBytes, len(bareAcks), len(acks))
+	}
+	if n, mean := p.RTT.Len(), p.RTT.Mean(); n != 824 || mean != 22.339650478155356 {
+		t.Errorf("attached pair recorded %d samples of mean %v µs, want 824 of mean 22.339650478155356", n, mean)
+	}
+	if got := p.RTT.TakeAll(); !slices.Equal(got, acks) {
+		t.Errorf("attached pair recorded %d samples that are not its %d acks' round trips", len(got), len(acks))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ufab/internal/sim"
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 )
 
@@ -290,6 +291,7 @@ func TestRTTBoundedUnderLoad(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		vf := f.AddVF(int32(i+1), 500e6, 2)
 		fl := f.AddFlow(vf, st.Hosts[i], st.Hosts[8], 0)
+		fl.Pair.RTT = &stats.Samples{}
 		backlog(fl)
 	}
 	eng.RunUntil(5 * sim.Millisecond)
