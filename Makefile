@@ -210,7 +210,8 @@ fuzz:
 #   make fuzz-native [FUZZTIME=2m]
 FUZZTIME ?= 2m
 FUZZ_TARGETS := ./internal/fuzz:FuzzParseCase ./internal/ctlplane:FuzzAdmitRequest \
-	./internal/ctlplane:FuzzStoreOpen ./internal/probe:FuzzProbeWire ./internal/chaos:FuzzParseScenario
+	./internal/ctlplane:FuzzStoreOpen ./internal/probe:FuzzProbeWire ./internal/chaos:FuzzParseScenario \
+	./internal/telemetry:FuzzRecorderRoundTrip
 
 fuzz-native:
 	@for pt in $(FUZZ_TARGETS); do \

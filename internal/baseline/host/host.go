@@ -125,6 +125,10 @@ type Flow struct {
 
 	lastProgress sim.Time
 	rtoArmed     bool
+	// rto is the loss-recovery timeout, and checkRTO its check bound to the
+	// flow once: at most one is outstanding, so arming allocates nothing.
+	rto      sim.Duration
+	checkRTO sim.Event
 
 	// Measurements (mirroring ufabe.Pair: RTT records only once a reader
 	// attaches one).
@@ -179,6 +183,16 @@ type Agent struct {
 	recv map[dataplane.VMPair]*recvState
 	// resp is handleUtilResponse's decode target, reused across responses.
 	resp probe.Packet
+	// probeBufs holds the payload buffers of answered utilization probes,
+	// for the next probe that rides a pooled packet without one (probeBuf).
+	probeBufs [][]byte
+	// adm is admissionUpdate's working memory, kept across ticks: the
+	// receiving pairs in VMPair order, their demands and their grants.
+	adm struct {
+		ids     []dataplane.VMPair
+		demands []picnic.Demand
+		grants  []float64
+	}
 
 	// OnReceive observes data arriving at this host (application hook).
 	OnReceive func(vm dataplane.VMPair, bytes int, now sim.Time)
@@ -239,6 +253,8 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 		fl.baseRTT = append(fl.baseRTT, a.graph.BaseRTT(r, mtu))
 		fl.back = append(fl.back, a.graph.ReversePath(r))
 	}
+	fl.rto = rtoRTTs * fl.baseRTT[0]
+	fl.checkRTO = func() { a.checkRTO(fl) }
 	switch a.cfg.Scheme {
 	case PWC:
 		// Greedy initial window: one path BDP — the burst behavior
@@ -275,11 +291,11 @@ func (a *Agent) probeUtil(fl *Flow) {
 			PathID: uint16(i),
 			SentAt: int64(a.eng.Now()),
 		}
-		// Encoded into the packet's own buffer, with room for the path's INT
-		// records, as ufabe.sendProbe.
+		// Encoded into the packet's own buffer, or one a response gave back,
+		// with room for the path's INT records, as ufabe.sendProbe.
 		pkt := a.net.NewPacket(a.host)
 		if need := probe.PayloadSize(len(route)); cap(pkt.Payload) < need {
-			pkt.Payload = make([]byte, 0, need)
+			pkt.Payload = a.probeBuf(need)
 		}
 		pkt.Payload, _ = pp.Encode(pkt.Payload) // a probe of no hops always encodes
 		pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Probe, fl.ID, fl.VF
@@ -287,6 +303,20 @@ func (a *Agent) probeUtil(fl *Flow) {
 		pkt.Route, pkt.Return, pkt.PathID = route, fl.back[i], uint16(i)
 		a.net.Send(pkt)
 	}
+}
+
+// probeBuf returns an empty buffer with room for need bytes: the last one a
+// response gave back, or a new one when there is none (ufabe.Agent.probeBuf).
+func (a *Agent) probeBuf(need int) []byte {
+	if k := len(a.probeBufs); k > 0 {
+		buf := a.probeBufs[k-1]
+		a.probeBufs[k-1] = nil
+		a.probeBufs = a.probeBufs[:k-1]
+		if cap(buf) >= need {
+			return buf[:0]
+		}
+	}
+	return make([]byte, 0, need)
 }
 
 // ---- Sending ---------------------------------------------------------------
@@ -502,11 +532,16 @@ func (a *Agent) handleProbe(pkt *dataplane.Packet) {
 // handleUtilResponse feeds explicit path utilization into Clove.
 func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 	fl := a.flows[pkt.VMPair]
-	if fl == nil {
-		return
-	}
 	resp := &a.resp
-	if _, err := probe.DecodeInto(resp, pkt.Payload); err != nil || int(resp.PathID) >= len(fl.routes) {
+	var err error
+	if fl != nil {
+		_, err = probe.DecodeInto(resp, pkt.Payload)
+	}
+	// The decode was the payload's last reader: the buffer goes back to the
+	// agent's probes, the packet back to the pool without it.
+	a.probeBufs = append(a.probeBufs, pkt.Payload)
+	pkt.Payload = nil
+	if fl == nil || err != nil || int(resp.PathID) >= len(fl.routes) {
 		return
 	}
 	util := 0.0
@@ -528,31 +563,33 @@ func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 // per-pair demand, grant weighted max-min rates when oversubscribed. The
 // demands go to picnic.Allocate in VMPair order, not map order: the
 // water-fill sums them in input order, and a float sum's last place depends
-// on it.
+// on it. The slices are the agent's, so a tick allocates nothing.
 func (a *Agent) admissionUpdate() {
 	if len(a.recv) == 0 {
 		return
 	}
-	ids := make([]dataplane.VMPair, 0, len(a.recv))
+	ids := a.adm.ids[:0]
 	for id := range a.recv {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	demands := make([]picnic.Demand, len(ids))
-	order := make([]*recvState, len(ids))
-	for i, id := range ids {
+	demands := a.adm.demands[:0]
+	for _, id := range ids {
 		rs := a.recv[id]
-		demands[i] = picnic.Demand{Weight: rs.weight, Bytes: rs.bytes}
-		order[i] = rs
+		demands = append(demands, picnic.Demand{Weight: rs.weight, Bytes: rs.bytes})
 		rs.bytes = 0
 	}
-	grants := picnic.Allocate(targetUtilization*a.uplinkCap, admissionWindow, demands)
-	for i, rs := range order {
-		if grants == nil {
-			rs.grant = 0
-		} else {
-			rs.grant = grants[i]
+	grants := picnic.Allocate(a.adm.grants, targetUtilization*a.uplinkCap, admissionWindow, demands)
+	for i, id := range ids {
+		grant := 0.0
+		if grants != nil {
+			grant = grants[i]
 		}
+		a.recv[id].grant = grant
+	}
+	a.adm.ids, a.adm.demands = ids, demands
+	if grants != nil {
+		a.adm.grants = grants
 	}
 }
 
@@ -563,19 +600,18 @@ func (a *Agent) armRTO(fl *Flow) {
 		return
 	}
 	fl.rtoArmed = true
-	rto := rtoRTTs * fl.baseRTT[0]
-	a.eng.After(rto, func() { a.checkRTO(fl, rto) })
+	a.eng.After(fl.rto, fl.checkRTO)
 }
 
-func (a *Agent) checkRTO(fl *Flow, rto sim.Duration) {
+func (a *Agent) checkRTO(fl *Flow) {
 	fl.rtoArmed = false
 	if fl.inflight == 0 {
 		return
 	}
 	now := a.eng.Now()
-	if since := now - fl.lastProgress; since < rto {
+	if since := now - fl.lastProgress; since < fl.rto {
 		fl.rtoArmed = true
-		a.eng.After(rto-since, func() { a.checkRTO(fl, rto) })
+		a.eng.After(fl.rto-since, fl.checkRTO)
 		return
 	}
 	fl.Losses++

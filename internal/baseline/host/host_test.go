@@ -288,3 +288,46 @@ func TestAdmissionUpdateIgnoresMapOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmBaselineAllocatesNothing: a PWC receiver's admission tick — its
+// pairs sorted, their demands water-filled into grants — allocates nothing
+// once its scratch has grown; and once two backlogged flows into one host
+// are warm, two milliseconds of either scheme — data, acks, utilization probes
+// every 100 µs, admission ticks and the RTO checks that re-arm every 16
+// baseRTTs — allocates nothing either: the RTO check is bound to its flow
+// once, and a probe's buffer comes back with its response.
+func TestWarmBaselineAllocatesNothing(t *testing.T) {
+	_, f, st := starBaseline(2, PWC, 1)
+	a := f.Agents[st.Hosts[1]]
+	for i, w := range []float64{0.1, 0.2, 0.3, 0.7, 1.1} {
+		a.recv[dataplane.VMPair(i+1)] = &recvState{weight: w}
+	}
+	tick := func() {
+		for _, rs := range a.recv {
+			rs.bytes = 1 << 20
+		}
+		a.admissionUpdate()
+	}
+	tick()
+	if a.recv[1].grant == 0 {
+		t.Fatal("the receiver is not oversubscribed: no grants to compute")
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("a warm PWC admission tick allocated %v times", n)
+	}
+
+	for _, scheme := range []Scheme{PWC, ESClove} {
+		eng, f, st := starBaseline(3, scheme, 1)
+		fa := f.AddFlow(1, 20, st.Hosts[0], st.Hosts[2], 0)
+		fb := f.AddFlow(2, 60, st.Hosts[1], st.Hosts[2], 0)
+		fa.Buffer.Add(1 << 50)
+		fb.Buffer.Add(1 << 50)
+		eng.RunUntil(3 * sim.Millisecond) // windows open, free lists and scratch stocked
+		if rto := fa.Flow.rto; 4*rto > 2*sim.Millisecond {
+			t.Fatalf("%v: an RTO of %v re-arms fewer than four times in the window", scheme, rto)
+		}
+		if n := testing.AllocsPerRun(5, func() { eng.RunUntil(eng.Now() + 2*sim.Millisecond) }); n != 0 {
+			t.Errorf("%v: two warm milliseconds allocated %v times", scheme, n)
+		}
+	}
+}

@@ -11,8 +11,9 @@
 package picnic
 
 import (
+	"slices"
+
 	"ufab/internal/sim"
-	"ufab/internal/stats"
 )
 
 // Demand is one incoming VM-pair's measured state at the receiver.
@@ -24,33 +25,36 @@ type Demand struct {
 }
 
 // Allocate computes per-pair rate grants in bits/s given the receiver's
-// target capacity and each pair's measured demand over the window. It
-// returns nil when the aggregate fits under the capacity (no admission
-// needed — senders stay uncapped).
-func Allocate(capacityBps float64, window sim.Duration, demands []Demand) []float64 {
+// target capacity and each pair's measured demand over the window, into dst
+// (grown when short; pass the previous grants back and a receiver's tick
+// allocates nothing). It returns nil when the aggregate fits under the
+// capacity (no admission needed — senders stay uncapped).
+//
+// Otherwise the grants are the weighted max-min shares of the capacity
+// among the active pairs; demand does not cap a grant (a pair may ramp up
+// next window). On one link with no demand cap the water-fill ends in its
+// first step: every pair gets capacity/Σweight times its weight — exactly
+// what stats.Waterfill computes, to the bit (TestAllocateIsWaterfill).
+func Allocate(dst []float64, capacityBps float64, window sim.Duration, demands []Demand) []float64 {
 	if len(demands) == 0 {
 		return nil
 	}
-	total := 0.0
-	rates := make([]float64, len(demands))
-	weights := make([]float64, len(demands))
-	flows := make([]int, len(demands))
-	for i, d := range demands {
-		rates[i] = float64(d.Bytes*8) / window.Seconds()
-		weights[i] = d.Weight
-		flows[i] = i
-		total += rates[i]
+	total, weights := 0.0, 0.0
+	for _, d := range demands {
+		total += float64(d.Bytes*8) / window.Seconds()
+		weights += d.Weight
 	}
 	if total <= capacityBps {
 		return nil
 	}
-	// Weighted max-min of the capacity among the active pairs; demand
-	// does not cap the grant (a pair may ramp up next window).
-	unbounded := make([]float64, len(demands))
-	for i := range unbounded {
-		unbounded[i] = -1
+	dst = slices.Grow(dst[:0], len(demands))[:len(demands)]
+	if !(weights > 0) { // no pair has a weight: the water-fill takes no step
+		clear(dst)
+		return dst
 	}
-	return stats.Waterfill(weights, unbounded, []stats.WaterfillLink{
-		{Capacity: capacityBps, Flows: flows},
-	})
+	level := capacityBps / weights
+	for i, d := range demands {
+		dst[i] = level * d.Weight
+	}
+	return dst
 }

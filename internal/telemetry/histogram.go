@@ -6,17 +6,23 @@ import "math"
 // histogram shares one fixed global bucket layout (histSubBuckets linear
 // sub-buckets per power-of-two octave), so two histograms built from the
 // same observations are bit-identical regardless of construction order,
-// and any two histograms can be merged by adding bucket counts. Observe is
-// allocation-free and lock-free; like Counter, a histogram is written by
-// one goroutine (per-entity instruments under the partitioned engine) and read
-// at barriers or after the run. All methods are safe no-ops on a nil
-// receiver — the disabled fast path.
+// and any two histograms can be merged by adding bucket counts. A histogram
+// stores the underflow bucket as a counter and of the positive buckets only
+// the span it has seen, counts[i] for bucket lo+i, which grows when a value
+// lands outside it: Observe allocates only then, and is lock-free. Like
+// Counter, a histogram is written by one goroutine (per-entity instruments
+// under the partitioned engine) and read at barriers or after the run; it is
+// used through its pointer, as a copy would share counts. All methods are
+// safe no-ops on a nil receiver — the disabled fast path — and the zero
+// value is ready to use.
 type Histogram struct {
 	count  uint64
 	sum    float64
 	min    float64
 	max    float64
-	counts [histNumBuckets]uint64
+	under  uint64 // bucket 0
+	lo     int
+	counts []uint64
 }
 
 // The global bucket layout. Bucket 0 holds v <= 0; bucket i >= 1 holds
@@ -38,11 +44,11 @@ func bucketIndex(v float64) int {
 	if v <= 0 || v != v { // non-positive and NaN go to the underflow bucket
 		return 0
 	}
-	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
+	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1); +Inf has exp 0
 	if exp <= histMinExp {
 		return 1
 	}
-	if exp > histMaxExp {
+	if exp > histMaxExp || math.IsInf(v, 1) {
 		return histNumBuckets - 1
 	}
 	sub := int((frac - 0.5) * (2 * histSubBuckets)) // in [0, histSubBuckets)
@@ -69,7 +75,7 @@ func BucketUpperBound(i int) float64 {
 	return math.Ldexp(0.5+float64(sub+1)/(2*histSubBuckets), exp)
 }
 
-// Observe records one value. Allocation-free; a no-op on nil.
+// Observe records one value. A no-op on nil.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -82,7 +88,36 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if i == 0 {
+		h.under++
+		return
+	}
+	if uint(i-h.lo) >= uint(len(h.counts)) {
+		h.cover(i, i+1)
+	}
+	h.counts[i-h.lo]++
+}
+
+// cover grows the span of positive buckets to include buckets [from, to):
+// to the union of both, and at least twice as wide as it was, towards the
+// side it grows on, within the layout's buckets 1 to histNumBuckets-1.
+func (h *Histogram) cover(from, to int) {
+	if len(h.counts) == 0 {
+		h.lo, h.counts = from, make([]uint64, to-from)
+		return
+	}
+	lo, hi := min(h.lo, from), max(h.lo+len(h.counts), to)
+	if grow := 2*len(h.counts) - (hi - lo); grow > 0 {
+		if lo < h.lo {
+			lo = max(1, lo-grow)
+		} else {
+			hi = min(histNumBuckets, hi+grow)
+		}
+	}
+	counts := make([]uint64, hi-lo)
+	copy(counts[h.lo-lo:], h.counts)
+	h.lo, h.counts = lo, counts
 }
 
 // Count returns how many values were observed (0 on nil).
@@ -132,8 +167,28 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
+	h.under += o.under
+	if len(o.counts) == 0 {
+		return
+	}
+	if o.lo < h.lo || o.lo+len(o.counts) > h.lo+len(h.counts) || len(h.counts) == 0 {
+		h.cover(o.lo, o.lo+len(o.counts))
+	}
 	for i, c := range o.counts {
-		h.counts[i] += c
+		h.counts[o.lo-h.lo+i] += c
+	}
+}
+
+// each hands fn every bucket's index and count, ascending, the zero ones
+// among them.
+func (h *Histogram) each(fn func(i int, c uint64) bool) {
+	if !fn(0, h.under) {
+		return
+	}
+	for j, c := range h.counts {
+		if !fn(h.lo+j, c) {
+			return
+		}
 	}
 }
 
@@ -152,33 +207,34 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return h.max
 	}
 	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
+	v, cum := h.max, 0.0
+	h.each(func(i int, c uint64) bool {
 		if c == 0 {
-			continue
+			return true
 		}
 		next := cum + float64(c)
-		if next >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = BucketUpperBound(i - 1)
-			}
-			hi := BucketUpperBound(i)
-			if math.IsInf(hi, 1) {
-				hi = h.max
-			}
-			v := lo + (hi-lo)*(rank-cum)/float64(c)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+		if next < rank {
+			cum = next
+			return true
 		}
-		cum = next
-	}
-	return h.max
+		lo := 0.0
+		if i > 0 {
+			lo = BucketUpperBound(i - 1)
+		}
+		hi := BucketUpperBound(i)
+		if math.IsInf(hi, 1) {
+			hi = h.max
+		}
+		v = lo + (hi-lo)*(rank-cum)/float64(c)
+		if v < h.min {
+			v = h.min
+		}
+		if v > h.max {
+			v = h.max
+		}
+		return false
+	})
+	return v
 }
 
 // Buckets returns the non-zero buckets sparsely, ascending by bound, each
@@ -189,11 +245,12 @@ func (h *Histogram) Buckets() []HistogramBucket {
 		return nil
 	}
 	var out []HistogramBucket
-	for i, c := range h.counts {
+	h.each(func(i int, c uint64) bool {
 		if c != 0 {
 			out = append(out, HistogramBucket{UpperBound: BucketUpperBound(i), Count: c})
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -67,8 +69,10 @@ func TestHistogramBucketLayout(t *testing.T) {
 			t.Fatalf("bucketIndex(%g) = %d, want 0", v, bucketIndex(v))
 		}
 	}
-	if idx := bucketIndex(1e300); idx != histNumBuckets-1 {
-		t.Fatalf("overflow bucketIndex = %d, want %d", idx, histNumBuckets-1)
+	for _, v := range []float64{1e300, math.Inf(1)} {
+		if idx := bucketIndex(v); idx != histNumBuckets-1 {
+			t.Fatalf("overflow bucketIndex(%g) = %d, want %d", v, idx, histNumBuckets-1)
+		}
 	}
 	if !math.IsInf(BucketUpperBound(histNumBuckets-1), 1) {
 		t.Fatalf("last bucket bound must be +Inf")
@@ -101,7 +105,7 @@ func TestHistogramMergeExact(t *testing.T) {
 		t.Fatalf("merged summary differs: %d/%g vs %d/%g",
 			merged.Count(), merged.Sum(), whole.Count(), whole.Sum())
 	}
-	if merged.counts != whole.counts {
+	if !slices.Equal(merged.Buckets(), whole.Buckets()) {
 		t.Fatalf("merged bucket counts differ from whole-stream histogram")
 	}
 }
@@ -157,5 +161,175 @@ func TestHistogramSnapshotJSON(t *testing.T) {
 	if !bytes.Contains([]byte(a), []byte(`"histograms": [`)) ||
 		!bytes.Contains([]byte(a), []byte(`"name": "fct.vf1-a-b.us", "count": 2, "sum": 3.5, "min": 1, "max": 2.5`)) {
 		t.Fatalf("unexpected histogram snapshot JSON:\n%s", a)
+	}
+}
+
+// denseHistogram is the layout Histogram had before it kept only the span of
+// buckets it has seen: every bucket of the global layout in one array, the
+// underflow bucket first. TestHistogramMatchesDense holds Histogram to it.
+type denseHistogram struct {
+	count         uint64
+	sum, min, max float64
+	counts        [histNumBuckets]uint64
+}
+
+func (h *denseHistogram) observe(v float64) {
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	h.counts[bucketIndex(v)]++
+}
+
+func (h *denseHistogram) merge(o *denseHistogram) {
+	if o.count == 0 {
+		return
+	}
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if h.count == 0 || o.max > h.max {
+		h.max = o.max
+	}
+	h.count += o.count
+	h.sum += o.sum
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+}
+
+func (h *denseHistogram) quantile(q float64) float64 {
+	if h.count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	rank := q * float64(h.count)
+	var cum float64
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		next := cum + float64(c)
+		if next >= rank {
+			lo := 0.0
+			if i > 0 {
+				lo = BucketUpperBound(i - 1)
+			}
+			hi := BucketUpperBound(i)
+			if math.IsInf(hi, 1) {
+				hi = h.max
+			}
+			v := lo + (hi-lo)*(rank-cum)/float64(c)
+			if v < h.min {
+				v = h.min
+			}
+			if v > h.max {
+				v = h.max
+			}
+			return v
+		}
+		cum = next
+	}
+	return h.max
+}
+
+func (h *denseHistogram) buckets() []HistogramBucket {
+	if h.count == 0 {
+		return nil
+	}
+	var out []HistogramBucket
+	for i, c := range h.counts {
+		if c != 0 {
+			out = append(out, HistogramBucket{UpperBound: BucketUpperBound(i), Count: c})
+		}
+	}
+	return out
+}
+
+// sameHistogram reports the first way h differs from the dense model d, bit
+// for bit, or "".
+func sameHistogram(h *Histogram, d *denseHistogram) string {
+	bits := math.Float64bits
+	if h.Count() != d.count || bits(h.Sum()) != bits(d.sum) || bits(h.Min()) != bits(d.min) || bits(h.Max()) != bits(d.max) {
+		return fmt.Sprintf("summary %d/%v/%v/%v, dense %d/%v/%v/%v", h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.min, d.max)
+	}
+	got, want := h.Buckets(), d.buckets()
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d buckets, dense %d", len(got), len(want))
+	}
+	for i := range got {
+		if bits(got[i].UpperBound) != bits(want[i].UpperBound) || got[i].Count != want[i].Count {
+			return fmt.Sprintf("bucket %d = %+v, dense %+v", i, got[i], want[i])
+		}
+	}
+	for _, q := range []float64{-1, 0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
+		if g, w := h.Quantile(q), d.quantile(q); bits(g) != bits(w) {
+			return fmt.Sprintf("q%v = %v, dense %v", q, g, w)
+		}
+	}
+	return ""
+}
+
+// TestHistogramMatchesDense: a histogram that keeps the span of buckets it
+// has seen answers Count, Sum, Min, Max, Buckets and Quantile bit for bit as
+// the dense array did, for random streams of values ≤ 0, NaN, ±Inf, tiny,
+// overflowing and ordinary ones drawn from a few octaves somewhere in the
+// layout; merges of histograms whose spans are disjoint, overlapping,
+// nested or empty match the dense merge; and Observe inside the span it has
+// seen allocates nothing.
+func TestHistogramMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	odd := []float64{0, math.Copysign(0, -1), -1, -1e300, math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, 1e-300, math.Ldexp(1, histMinExp), math.Ldexp(1, histMaxExp), 1e300, math.MaxFloat64}
+	value := func(octave int) float64 {
+		if rng.Intn(10) == 0 {
+			return odd[rng.Intn(len(odd))]
+		}
+		return math.Ldexp(0.5+rng.Float64()/2, octave+rng.Intn(3))
+	}
+	stream := func() (*Histogram, *denseHistogram) {
+		h, d := &Histogram{}, &denseHistogram{}
+		octave := histMinExp - 4 + rng.Intn(histMaxExp-histMinExp+8)
+		for n := rng.Intn(200); n > 0; n-- {
+			v := value(octave)
+			h.Observe(v)
+			d.observe(v)
+		}
+		return h, d
+	}
+	for trial := 0; trial < 300; trial++ {
+		h, d := stream()
+		if diff := sameHistogram(h, d); diff != "" {
+			t.Fatalf("trial %d: %s", trial, diff)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			o, od := stream()
+			h.Merge(o)
+			d.merge(od)
+			if diff := sameHistogram(h, d); diff != "" {
+				t.Fatalf("trial %d, after a merge: %s", trial, diff)
+			}
+		}
+		into := &Histogram{}
+		into.Merge(h)
+		if diff := sameHistogram(into, d); diff != "" {
+			t.Fatalf("trial %d, merged into an empty histogram: %s", trial, diff)
+		}
+	}
+	h := &Histogram{}
+	for _, v := range []float64{1, 1e6, -1} {
+		h.Observe(v)
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Observe(1000); h.Observe(0); h.Observe(math.NaN()) }); a != 0 {
+		t.Errorf("Observe inside the seen span allocated %v times", a)
 	}
 }

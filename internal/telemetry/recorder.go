@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -77,9 +78,10 @@ func (k EventKind) String() string {
 
 // Event is one flight-recorder entry. The fields are fixed scalars plus
 // two strings that call sites keep constant or precomputed: a recorder
-// stores each distinct string once and an event as a fixed-width slot, so
-// recording an event allocates only when it opens a chunk of the ring or
-// brings a string the recorder has not seen.
+// stores each distinct string once and an event as a variable-length record
+// of the fields it carries, so recording an event allocates only when it
+// opens or outgrows a chunk of the ring or brings a string the recorder has
+// not seen.
 type Event struct {
 	// T is simulated time in picoseconds.
 	T    int64
@@ -136,35 +138,52 @@ func SpanID(parts ...int64) uint64 {
 	return h
 }
 
-// DefaultRecorderCap bounds a flight-recorder ring: 64k events, 3.5 MiB of
-// slots once full. The cap is per recorder, and vfabric.Build gives the base
-// recorder and each logical shard a ring of its own (nine on a k=8 fat tree).
-// Deep enough to hold the full tail of any quick-scale run; long runs keep the
-// most recent window, which is what post-mortem debugging wants.
+// DefaultRecorderCap bounds a flight-recorder ring: 64k events, about
+// 1.3 MiB of records once full at the ~20 bytes an instrumented fabric's
+// event takes (DESIGN.md "The instruments keep what they saw"). The cap is
+// per recorder, and vfabric.Build gives the base recorder and each logical
+// shard a ring of its own (nine on a k=8 fat tree). Deep enough to hold the
+// full tail of any quick-scale run; long runs keep the most recent window,
+// which is what post-mortem debugging wants.
 const DefaultRecorderCap = 1 << 16
 
-// recorderChunk is how many slots one chunk of a ring holds: 1024 × 56 B is
-// seven 8 KiB pages exactly, so the allocator rounds nothing up.
+// recorderChunk is how many events one chunk of a ring holds at most: a ring
+// of cap events cuts its window into ⌈cap/recorderChunk⌉ chunks as even as
+// they come, so a default ring's chunks hold 1024 and a smaller ring's one
+// chunk its cap.
+const recorderChunk = 1 << 10
+
+// stageBytes is the room, per event, a ring's staging buffer is made with:
+// an instrumented fabric's register/probe mix needs 17 to 24 bytes.
+const stageBytes = 24
+
+// A ring stores an Event as a variable-length record:
+//
+//	kind   1 byte
+//	len    1 byte, the record's length including these two
+//	ΔT     varint, zigzag: T minus the T of the chunk's previous record
+//	       (minus 0 for a chunk's first)
+//	entity uvarint: the entity's string id << 2 | recV | recTrace
+//	note   uvarint: the note's string id, or spilled
+//	A, B   varint, zigzag
+//	Span   uvarint
+//	V      8 bytes, math.Float64bits(V) little-endian, when recV is set
+//	Trace  8 bytes little-endian, when recTrace is set
+//
+// V and Trace are present only when their bits are not 0, so -0.0 and NaN
+// payloads survive. A record is at most maxRecord bytes, which the length
+// byte holds. The kind and the length lead, so a reader passes over a record
+// it does not want by reading them and ΔT.
 const (
-	recorderChunkShift = 10
-	recorderChunk      = 1 << recorderChunkShift
+	recV      = 1 << 0
+	recTrace  = 1 << 1
+	maxRecord = 2 + 10 + 4 + 4 + 10 + 10 + 10 + 8 + 8
 )
 
-// slot is an Event as a ring stores it: the scalars as they are, the entity
-// as an id into the recorder's string table, and the kind in the low 8 bits
-// of kindNote with the note's id above it. A slot holds no pointer, so a chunk
-// is allocated noscan and the garbage collector never reads the ring.
-type slot struct {
-	T, A, B     int64
-	V           float64
-	Trace, Span uint64
-	entity      uint32
-	kindNote    uint32
-}
-
-// spilled is the note id of a slot whose strings are not in the string table
-// but in Recorder.spill, and the table's size limit: every id in it fits the
-// note's 24 bits and differs from spilled.
+// spilled is the note id of an event whose strings are not in the string
+// table but in Recorder.spill, and the table's size limit: every id in it
+// fits 24 bits, shifted left by 2 fits the entity's 4-byte uvarint, and
+// differs from spilled.
 const spilled = 1<<24 - 1
 
 // Recorder is the run-trace flight recorder: a bounded in-memory ring of
@@ -172,15 +191,28 @@ const spilled = 1<<24 - 1
 // the disabled fast path. A Recorder is single-goroutine, like the
 // simulation engine that feeds it.
 //
-// The ring's cap slots are numbered 0..cap-1 and event number k (the k-th
-// ever recorded, from 0) lives in slot k mod cap. Slot i is
-// chunks[i/recorderChunk][i%recorderChunk]; a chunk is allocated when the
-// first event lands in it — the first lap fills slots in order, so that is
-// always the next chunk — and is never copied or freed. Nothing is allocated
-// up front, a recorder that sees k events holds ⌈k/recorderChunk⌉ chunks, and
-// a full ring records without allocating.
+// Events are numbered from 0 in recording order and the ring retains the
+// last cap of them, numbers Dropped() to Total()-1. Chunk q holds events
+// q·per to q·per+per-1 as consecutive records (recorderChunk) in
+// chunks[q mod span], where span = ⌈cap/per⌉ + 1, so the chunk a new one
+// replaces, q − span, holds only evicted events, and the ring keeps about a
+// chunk of them beside its window, which readers pass over. A chunk is a
+// []byte, so the garbage collector never reads the ring.
+//
+// The chunk being filled is the recorder's staging buffer, which grows to
+// the most bytes a chunk has needed. A full chunk is copied out of it into
+// the buffer its slot held a lap before, or when there is none (the first
+// lap) or it is too small, into a new one of its size and a sixteenth more.
+// So a recorder that sees k events holds ⌈k/per⌉ chunks (at most span), and
+// a full ring of a steady mix records without allocating.
 type Recorder struct {
-	chunks [][]slot
+	chunks [][]byte
+	per    int    // events per chunk
+	span   int    // chunks a full ring cycles through
+	cur    int    // chunks index of the chunk being filled, the staging buffer
+	fill   int    // events in it
+	lastT  int64  // T of its last record
+	spare  []byte // the buffer chunks[cur] held a lap before, or nil
 	cap    int
 	total  uint64
 	subs   []func(Event)
@@ -189,44 +221,115 @@ type Recorder struct {
 	// back. Call sites pass constants or names fixed at attach time, so the
 	// table stops growing after a run's first events. It holds at most
 	// maxStrs strings (spilled; tests lower it): an event with a string that
-	// does not fit keeps both its strings in spill, under its slot index, so
-	// spill never holds more than cap entries.
+	// does not fit keeps both its strings in spill, under its event number,
+	// until its chunk is reused.
 	strs    []string
 	ids     map[string]uint32
 	maxStrs int
-	spill   map[int][2]string
+	spill   map[uint64][2]string
 }
 
 func newRecorder(capEvents int) *Recorder {
-	return &Recorder{cap: capEvents, strs: []string{""}, maxStrs: spilled}
+	chunks := (capEvents + recorderChunk - 1) / recorderChunk
+	per := (capEvents + chunks - 1) / chunks
+	// No chunk yet, as if a full one came before: the first Record opens one.
+	return &Recorder{per: per, span: (capEvents+per-1)/per + 1, cur: -1, fill: per,
+		cap: capEvents, strs: []string{""}, maxStrs: spilled}
 }
 
-// Record appends an event, overwriting the oldest once the ring is full.
+// Record appends an event, evicting the oldest once the ring is full.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	i := r.index(r.total)
+	k := r.total
 	r.total++
 	for _, fn := range r.subs {
 		fn(ev)
 	}
-	c := i >> recorderChunkShift
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]slot, min(recorderChunk, r.cap-c*recorderChunk)))
+	if r.fill == r.per {
+		r.openChunk(k)
 	}
 	entity, okEntity := r.intern(ev.Entity)
 	note, okNote := r.intern(ev.Note)
 	if !okEntity || !okNote {
 		if r.spill == nil {
-			r.spill = make(map[int][2]string)
+			r.spill = make(map[uint64][2]string)
 		}
-		r.spill[i] = [2]string{ev.Entity, ev.Note}
+		r.spill[k] = [2]string{ev.Entity, ev.Note}
 		entity, note = 0, spilled
 	}
-	*r.slotAt(i) = slot{T: ev.T, A: ev.A, B: ev.B, V: ev.V, Trace: ev.Trace, Span: ev.Span,
-		entity: entity, kindNote: uint32(ev.Kind) | note<<8}
+	r.chunks[r.cur] = appendRecord(r.chunks[r.cur], &ev, r.lastT, entity, note)
+	r.fill++
+	r.lastT = ev.T
 }
+
+// openChunk seals the chunk being filled and starts the one whose first
+// event is number k in the staging buffer: in a new slot while the first lap
+// lasts, else in the oldest, whose events — and spilled strings — have all
+// been evicted.
+func (r *Recorder) openChunk(k uint64) {
+	var stage []byte
+	if r.cur < 0 {
+		stage = make([]byte, 0, r.per*stageBytes)
+	} else {
+		stage = r.chunks[r.cur]
+		sealed := r.spare
+		if cap(sealed) < len(stage) {
+			sealed = make([]byte, 0, len(stage)+len(stage)/16)
+		}
+		r.chunks[r.cur] = append(sealed[:0], stage...)
+	}
+	r.cur, r.fill, r.lastT = r.cur+1, 0, 0
+	if r.cur == r.span {
+		r.cur = 0
+	}
+	if r.cur == len(r.chunks) {
+		r.chunks, r.spare = append(r.chunks, stage[:0]), nil
+		return
+	}
+	r.chunks[r.cur], r.spare = stage[:0], r.chunks[r.cur]
+	if len(r.spill) > 0 {
+		held := k - uint64((r.span-1)*r.per) // the first event of the oldest chunk kept
+		for n := range r.spill {
+			if n < held {
+				delete(r.spill, n)
+			}
+		}
+	}
+}
+
+// appendRecord appends ev's record to a chunk whose previous record has T
+// prevT (0 when there is none).
+func appendRecord(buf []byte, ev *Event, prevT int64, entity, note uint32) []byte {
+	start := len(buf)
+	buf = append(buf, byte(ev.Kind), 0)
+	buf = binary.AppendUvarint(buf, zigzag(ev.T-prevT))
+	vbits := math.Float64bits(ev.V)
+	flags := uint64(entity) << 2
+	if vbits != 0 {
+		flags |= recV
+	}
+	if ev.Trace != 0 {
+		flags |= recTrace
+	}
+	buf = binary.AppendUvarint(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(note))
+	buf = binary.AppendUvarint(buf, zigzag(ev.A))
+	buf = binary.AppendUvarint(buf, zigzag(ev.B))
+	buf = binary.AppendUvarint(buf, ev.Span)
+	if vbits != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, vbits)
+	}
+	if ev.Trace != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, ev.Trace)
+	}
+	buf[start+1] = byte(len(buf) - start)
+	return buf
+}
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // intern returns str's id in the string table, adding it if there is room.
 func (r *Recorder) intern(str string) (uint32, bool) {
@@ -248,30 +351,91 @@ func (r *Recorder) intern(str string) (uint32, bool) {
 	return id, true
 }
 
-// index is the slot that holds event number k.
-func (r *Recorder) index(k uint64) int { return int(k % uint64(r.cap)) }
-
-func (r *Recorder) slotAt(i int) *slot {
-	return &r.chunks[i>>recorderChunkShift][i&(recorderChunk-1)]
+// cursor is a reader's place in a ring: event number k, the chunk that holds
+// it (chunks index c, and j, how many of its events come before k), the
+// offset of k's record in it and the T of the record before.
+type cursor struct {
+	k     uint64
+	c, j  int
+	off   int
+	prevT int64
 }
 
-// event decodes slot i.
-func (r *Recorder) event(i int) Event {
-	s := r.slotAt(i)
-	ev := Event{T: s.T, Kind: EventKind(s.kindNote), A: s.A, B: s.B, V: s.V, Trace: s.Trace, Span: s.Span}
-	if note := s.kindNote >> 8; note == spilled {
-		strs := r.spill[i]
+// seek returns a cursor at event number k, which the ring retains or records
+// next.
+func (r *Recorder) seek(k uint64) cursor {
+	q := k / uint64(r.per)
+	c := cursor{k: q * uint64(r.per), c: int(q % uint64(r.span))}
+	for c.k < k {
+		r.skip(&c)
+	}
+	return c
+}
+
+// peek returns the kind and T of the record at c.
+func (r *Recorder) peek(c *cursor) (EventKind, int64) {
+	rec := r.chunks[c.c][c.off:]
+	dt, _ := binary.Uvarint(rec[2:])
+	return EventKind(rec[0]), c.prevT + unzigzag(dt)
+}
+
+// step moves c past its record, whose T is t.
+func (r *Recorder) step(c *cursor, t int64) {
+	c.k++
+	if c.j++; c.j < r.per {
+		c.off += int(r.chunks[c.c][c.off+1])
+		c.prevT = t
+		return
+	}
+	c.j, c.off, c.prevT = 0, 0, 0
+	if c.c++; c.c == r.span {
+		c.c = 0
+	}
+}
+
+// skip moves c past its record undecoded.
+func (r *Recorder) skip(c *cursor) {
+	_, t := r.peek(c)
+	r.step(c, t)
+}
+
+// read decodes the record at c and moves c past it.
+func (r *Recorder) read(c *cursor) Event {
+	rec := r.chunks[c.c][c.off:]
+	ev := Event{Kind: EventKind(rec[0])}
+	i := 2
+	next := func() uint64 {
+		u, n := binary.Uvarint(rec[i:])
+		i += n
+		return u
+	}
+	ev.T = c.prevT + unzigzag(next())
+	flags := next()
+	note := next()
+	ev.A = unzigzag(next())
+	ev.B = unzigzag(next())
+	ev.Span = next()
+	if flags&recV != 0 {
+		ev.V = math.Float64frombits(binary.LittleEndian.Uint64(rec[i:]))
+		i += 8
+	}
+	if flags&recTrace != 0 {
+		ev.Trace = binary.LittleEndian.Uint64(rec[i:])
+	}
+	if note == spilled {
+		strs := r.spill[c.k]
 		ev.Entity, ev.Note = strs[0], strs[1]
 	} else {
-		ev.Entity, ev.Note = r.strs[s.entity], r.strs[note]
+		ev.Entity, ev.Note = r.strs[flags>>2], r.strs[note]
 	}
+	r.step(c, ev.T)
 	return ev
 }
 
 // each hands fn the retained events in recording order.
 func (r *Recorder) each(fn func(Event)) {
-	for k := r.Dropped(); k < r.Total(); k++ {
-		fn(r.event(r.index(k)))
+	for c := r.seek(r.Dropped()); c.k < r.total; {
+		fn(r.read(&c))
 	}
 }
 
@@ -328,8 +492,8 @@ func (r *Recorder) EventsSince(n uint64) []Event {
 		return nil
 	}
 	evs := make([]Event, 0, r.total-n)
-	for ; n < r.total; n++ {
-		evs = append(evs, r.event(r.index(n)))
+	for c := r.seek(n); c.k < r.total; {
+		evs = append(evs, r.read(&c))
 	}
 	return evs
 }
@@ -390,7 +554,7 @@ func compareEvents(a, b Event) int {
 // non-decreasing in T, so the reader gathers each timestamp's events from the
 // recorders in turn into scratch it keeps, sorts them and hands them on. (It
 // checks: when some recorder is out of T order, it sorts everything new at
-// once.) Slots of other kinds are skipped undecoded, and a warm reader
+// once.) Records of other kinds are passed over undecoded, and a warm reader
 // allocates nothing. emit must not record into recs; nil recorders are
 // skipped.
 func Merge(recs []*Recorder, keep func(EventKind) bool, emit func(Event)) func() (missed uint64) {
@@ -400,7 +564,7 @@ func Merge(recs []*Recorder, keep func(EventKind) bool, emit func(Event)) func()
 			m.recs = append(m.recs, r)
 		}
 	}
-	m.next = make([]uint64, len(m.recs))
+	m.next = make([]cursor, len(m.recs))
 	m.end = make([]uint64, len(m.recs))
 	for k := range m.keep {
 		m.keep[k] = keep == nil || keep(EventKind(k))
@@ -413,25 +577,31 @@ type ringMerge struct {
 	recs []*Recorder
 	keep [256]bool
 	emit func(Event)
-	// Per recorder, the number of the first event not yet read and, during
-	// a drain, of the first event recorded after it began.
-	next, end []uint64
-	group     []Event // the events gathered for the next sort
+	// Per recorder, the place of the first event not yet read and, during a
+	// drain, the number of the first event recorded after it began.
+	next  []cursor
+	end   []uint64
+	group []Event // the events gathered for the next sort
 }
 
 func (m *ringMerge) drain() (missed uint64) {
 	ordered := true
 	for i, r := range m.recs {
-		from := max(m.next[i], r.Dropped())
-		missed += from - m.next[i]
-		m.next[i], m.end[i] = from, r.total
+		from := max(m.next[i].k, r.Dropped())
+		if from != m.next[i].k {
+			missed += from - m.next[i].k
+			m.next[i] = r.seek(from)
+		}
+		m.end[i] = r.total
 		ordered = ordered && m.ordered(i)
 	}
 	if !ordered {
 		for i, r := range m.recs {
-			for ; m.next[i] < m.end[i]; m.next[i]++ {
-				if j := r.index(m.next[i]); m.keep[uint8(r.slotAt(j).kindNote)] {
-					m.group = append(m.group, r.event(j))
+			for c := &m.next[i]; c.k < m.end[i]; {
+				if kind, _ := r.peek(c); m.keep[kind] {
+					m.group = append(m.group, r.read(c))
+				} else {
+					r.skip(c)
 				}
 			}
 		}
@@ -459,42 +629,46 @@ func (m *ringMerge) drain() (missed uint64) {
 // in T.
 func (m *ringMerge) ordered(i int) bool {
 	r, last := m.recs[i], int64(math.MinInt64)
-	for k := m.next[i]; k < m.end[i]; k++ {
-		if s := r.slotAt(r.index(k)); m.keep[uint8(s.kindNote)] {
-			if s.T < last {
+	for c := m.next[i]; c.k < m.end[i]; {
+		kind, t := r.peek(&c)
+		if m.keep[kind] {
+			if t < last {
 				return false
 			}
-			last = s.T
+			last = t
 		}
+		r.step(&c, t)
 	}
 	return true
 }
 
-// head returns the T of recorder i's next unread kept event, skipping the
-// slots of other kinds before it.
+// head returns the T of recorder i's next unread kept event, passing over
+// the records of other kinds before it.
 func (m *ringMerge) head(i int) (int64, bool) {
-	r := m.recs[i]
-	for ; m.next[i] < m.end[i]; m.next[i]++ {
-		if s := r.slotAt(r.index(m.next[i])); m.keep[uint8(s.kindNote)] {
-			return s.T, true
+	r, c := m.recs[i], &m.next[i]
+	for c.k < m.end[i] {
+		kind, t := r.peek(c)
+		if m.keep[kind] {
+			return t, true
 		}
+		r.step(c, t)
 	}
 	return 0, false
 }
 
 // take gathers recorder i's unread kept events at time t.
 func (m *ringMerge) take(i int, t int64) {
-	r := m.recs[i]
-	for ; m.next[i] < m.end[i]; m.next[i]++ {
-		j := r.index(m.next[i])
-		s := r.slotAt(j)
-		if !m.keep[uint8(s.kindNote)] {
+	r, c := m.recs[i], &m.next[i]
+	for c.k < m.end[i] {
+		kind, ht := r.peek(c)
+		if !m.keep[kind] {
+			r.step(c, ht)
 			continue
 		}
-		if s.T != t {
+		if ht != t {
 			return
 		}
-		m.group = append(m.group, r.event(j))
+		m.group = append(m.group, r.read(c))
 	}
 }
 

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -225,28 +227,49 @@ func TestEventsSinceAllocatesTheTailOnly(t *testing.T) {
 }
 
 // TestRingAllocatesChunksOnDemand: a recorder holds nothing until it records,
-// then one chunk per recorderChunk events it retains — each allocated once and
-// never copied — and a full ring records without allocating at all.
+// then one chunk per recorderChunk events it retains: the staging buffer the
+// newest fills, made once with room for stageBytes per event, and the full
+// ones sealed out of it, each allocated once at its size and a sixteenth
+// more; and a full ring
+// records into the chunks it has without allocating, holding at most one
+// chunk of evicted records beside its window.
 func TestRingAllocatesChunksOnDemand(t *testing.T) {
-	allocated := func(f func()) (bytes, objects uint64) {
+	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	const chunkBytes = recorderChunk * uint64(unsafe.Sizeof(slot{}))
 	rec := newRecorder(DefaultRecorderCap)
+	if len(rec.chunks) != 0 {
+		t.Fatalf("a new recorder holds %d chunks", len(rec.chunks))
+	}
 	for _, k := range []int{1, recorderChunk - 1, 1, 3*recorderChunk + 5} { // cumulative: 1, chunk, chunk+1, 4 chunks + 6
 		before := len(rec.chunks)
-		bytes, _ := allocated(func() { fillRecorder(rec, k) })
+		bytes := allocated(func() { fillRecorder(rec, k) })
 		chunks := (int(rec.Total()) + recorderChunk - 1) / recorderChunk
 		if len(rec.chunks) != chunks {
 			t.Fatalf("%d events recorded: %d chunks, want %d", rec.Total(), len(rec.chunks), chunks)
 		}
-		// The chunks themselves, plus the directory's occasional regrowth.
-		if want := uint64(chunks-before) * chunkBytes; bytes < want || bytes > want+1024 {
-			t.Errorf("%d more events (%d in all) allocated %d bytes, want %d new chunk(s) = %d", k, rec.Total(), bytes, chunks-before, want)
+		if got := cap(rec.chunks[chunks-1]); got != recorderChunk*stageBytes {
+			t.Errorf("the staging buffer has room for %d bytes, want %d", got, recorderChunk*stageBytes)
+		}
+		var room uint64
+		if before == 0 {
+			room = recorderChunk * stageBytes
+		}
+		for c := max(before-1, 0); c < chunks-1; c++ {
+			n := len(rec.chunks[c])
+			if cap(rec.chunks[c]) != n+n/16 {
+				t.Errorf("sealed chunk %d has room for %d bytes, holds %d", c, cap(rec.chunks[c]), n)
+			}
+			room += uint64(n + n/16)
+		}
+		// The new buffers, rounded up to the allocator's size classes (at most
+		// an eighth), plus the directory's occasional regrowth.
+		if bytes < room || bytes > room+room/8+1024 {
+			t.Errorf("%d more events (%d in all) allocated %d bytes, want the %d of %d new chunk(s)", k, rec.Total(), bytes, room, chunks-before)
 		}
 	}
 	fillRecorder(rec, DefaultRecorderCap)
@@ -256,17 +279,25 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 	if objects := testing.AllocsPerRun(10, func() { fillRecorder(rec, DefaultRecorderCap/2) }); objects != 0 {
 		t.Errorf("recording into a full ring allocated %v objects per half-ring", objects)
 	}
-	// A ring smaller than a chunk, and one that is not a whole number of them.
-	for _, ringCap := range []int{16, recorderChunk + 100} {
+	// A ring of one event, one smaller than a chunk, one of exactly a chunk
+	// and one that is not a whole number of them.
+	for _, ringCap := range []int{1, 16, recorderChunk, recorderChunk + 100, 3*recorderChunk - 1} {
 		rec := newRecorder(ringCap)
 		fillRecorder(rec, 3*ringCap+7)
-		slots := 0
+		held := 0
 		for _, c := range rec.chunks {
-			slots += len(c)
+			for off := 0; off < len(c); off += int(c[off+1]) {
+				held++
+			}
 		}
 		evs := rec.Events()
-		if slots != ringCap || len(evs) != ringCap || evs[0].T != int64(2*ringCap+7) || evs[ringCap-1].T != int64(3*ringCap+6) {
-			t.Errorf("cap %d: %d slots, %d events retained, T %d..%d", ringCap, slots, len(evs), evs[0].T, evs[len(evs)-1].T)
+		// At most a chunk of evicted records, and under one more per chunk
+		// where the chunks do not divide the cap.
+		if most := ringCap + rec.per + rec.span - 2; held < ringCap || held > most || len(rec.chunks) > rec.span {
+			t.Errorf("cap %d: %d records held in %d chunks, want %d to %d in at most %d", ringCap, held, len(rec.chunks), ringCap, most, rec.span)
+		}
+		if len(evs) != ringCap || evs[0].T != int64(2*ringCap+7) || evs[ringCap-1].T != int64(3*ringCap+6) {
+			t.Errorf("cap %d: %d events retained, T %d..%d", ringCap, len(evs), evs[0].T, evs[len(evs)-1].T)
 		}
 	}
 }
@@ -274,6 +305,8 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 // TestMergeReusesItsScratch: the auditor's per-tick feed reads the rings in
 // place; once its scratch has grown to the largest timestamp group, a read
 // allocates nothing, wrapped rings or not, and hands on every new event.
+// (What is counted is the recording too: a ring makes its last chunk on its
+// second lap, so the rings have recorded five chunks before the count.)
 func TestMergeReusesItsScratch(t *testing.T) {
 	recs := []*Recorder{newRecorder(4 * recorderChunk), newRecorder(4 * recorderChunk)}
 	n := 0
@@ -287,6 +320,10 @@ func TestMergeReusesItsScratch(t *testing.T) {
 	read()
 	if n != 6*recorderChunk {
 		t.Fatalf("first read: %d events, want %d", n, 6*recorderChunk)
+	}
+	fill(2 * recorderChunk)
+	if read(); n != 10*recorderChunk {
+		t.Fatalf("second read: %d events in all, want %d", n, 10*recorderChunk)
 	}
 	for round := 0; round < 8; round++ { // wraps the rings twice
 		n = 0
@@ -377,20 +414,51 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip: whatever a ring stores in its slots and string table
-// decodes to exactly the events recorded — every kind byte, empty and
-// repeated strings, arbitrary scalars — for a ring smaller than a chunk and
-// one that is not a whole number of them, over more than two laps.
+// sameEvent is ==, except that V compares by its bits: a ring keeps -0.0 and
+// NaN payloads as recorded.
+func sameEvent(a, b Event) bool {
+	va, vb := math.Float64bits(a.V), math.Float64bits(b.V)
+	a.V, b.V = 0, 0
+	return a == b && va == vb
+}
+
+// TestRecordRoundTrip: whatever a ring stores in its records and string
+// table decodes to exactly the events recorded, over more than two laps of a
+// ring smaller than a chunk, of one chunk and of one that is not a whole
+// number of them — every kind byte; empty, repeated and spilled strings;
+// random scalars and adversarial ones: math.MinInt64 and math.MaxInt64 in A,
+// B and T, T running backwards inside a chunk, V as -0.0, as NaN with a
+// payload and as ±Inf, Trace zero and not.
 func TestRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	strs := []string{"", "ufabe.h0", "ufabe.h17", "link.core1-agg2", "probe", "overflow", "placement.ctl", "chaos.injector"}
-	for _, ringCap := range []int{16, recorderChunk + 100} {
+	strs := []string{"", "ufabe.h0", "ufabe.h17", "link.core1-agg2", "probe", "overflow", "placement.ctl", "chaos.injector", "link.s3-s4", "ufabe.h99"}
+	ints := []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1, 0, 1}
+	floats := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0001), math.Inf(1), math.Inf(-1), 0}
+	pick := func(random int64) int64 {
+		if rng.Intn(4) == 0 {
+			return ints[rng.Intn(len(ints))]
+		}
+		return random
+	}
+	for _, ringCap := range []int{16, recorderChunk, recorderChunk + 100} {
 		rec := newRecorder(ringCap)
+		rec.maxStrs = 7 // the last strings spill, and go on spilling lap after lap
 		var all []Event
+		now := int64(0)
 		for i := 0; i < 2*ringCap+1+rng.Intn(ringCap); i++ {
-			ev := Event{T: rng.Int63() - rng.Int63(), Kind: EventKind(rng.Intn(256)), Entity: strs[rng.Intn(len(strs))],
-				A: rng.Int63() - rng.Int63(), B: rng.Int63() - rng.Int63(), V: rng.NormFloat64() * 1e9,
-				Note: strs[rng.Intn(len(strs))], Trace: rng.Uint64(), Span: rng.Uint64()}
+			now += int64(rng.Intn(1000)) - 100 // backwards now and then
+			ev := Event{T: pick(now), Kind: EventKind(rng.Intn(256)), Entity: strs[rng.Intn(len(strs))],
+				A: pick(rng.Int63() - rng.Int63()), B: pick(rng.Int63() - rng.Int63()), V: rng.NormFloat64() * 1e9,
+				Note: strs[rng.Intn(len(strs))], Span: rng.Uint64()}
+			if rng.Intn(3) == 0 {
+				ev.V = floats[rng.Intn(len(floats))]
+			}
+			if rng.Intn(3) != 0 {
+				ev.Trace = rng.Uint64()
+			}
+			if rng.Intn(8) == 0 {
+				ev.Span = uint64(pick(0))
+			}
 			rec.Record(ev)
 			all = append(all, ev)
 		}
@@ -399,16 +467,19 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("cap %d: %d events retained, want %d", ringCap, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if !sameEvent(got[i], want[i]) {
 				t.Fatalf("cap %d: event %d = %+v, recorded %+v", ringCap, i, got[i], want[i])
 			}
+		}
+		if len(rec.spill) == 0 || len(rec.spill) > ringCap+rec.per {
+			t.Errorf("cap %d: %d events spilled, want some and no more than the %d a ring holds", ringCap, len(rec.spill), ringCap+rec.per)
 		}
 	}
 }
 
 // TestStringTableOverflowSpills: a recorder whose string table is full keeps
 // the strings of an event that brings a new one beside the ring, under its
-// slot, instead of panicking or decoding them as another string.
+// event number, instead of panicking or decoding them as another string.
 func TestStringTableOverflowSpills(t *testing.T) {
 	const ringCap = 16
 	rec := newRecorder(ringCap)
@@ -426,31 +497,166 @@ func TestStringTableOverflowSpills(t *testing.T) {
 		}
 	}
 	if len(rec.strs) > rec.maxStrs || len(rec.spill) == 0 {
-		t.Errorf("%d strings interned (limit %d), %d slots spilled", len(rec.strs), rec.maxStrs, len(rec.spill))
+		t.Errorf("%d strings interned (limit %d), %d events spilled", len(rec.strs), rec.maxStrs, len(rec.spill))
 	}
 }
 
-// TestSlotIsPointerFree: a ring slot is 56 bytes and holds no pointer, so a
-// 1024-slot chunk is seven pages the garbage collector never scans. A string,
-// slice or pointer field added to the slot fails here, not in a profile.
-func TestSlotIsPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(slot{}); size != 56 {
-		t.Errorf("slot is %d bytes, want 56", size)
+// fabricMix returns n events shaped like the stream one shard ring of an
+// instrumented clos128_rpc fabric records: μFAB-C register updates from the
+// shard's switches (59 %), and at its edges probes sent and answered and the
+// windows computed from them (12 % each) and stage changes (5 %), ~0.3 µs
+// apart, each with the trace ids and span its call site gives it.
+func fabricMix(n int) []Event {
+	rng := rand.New(rand.NewSource(38))
+	hosts, switches := make([]string, 16), make([]string, 10)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("ufabe.h%d", 16+i)
 	}
-	var check func(path string, typ reflect.Type)
-	check = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
-		case reflect.Array:
-			check(path+"[]", typ.Elem())
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
-			}
+	for i := range switches {
+		switches[i] = fmt.Sprintf("ufabc.s%d", 140+i)
+	}
+	evs := make([]Event, n)
+	now := int64(0)
+	for i := range evs {
+		now += int64(rng.Intn(600_000))
+		pair, path, seq := int64(rng.Intn(1024)), int64(rng.Intn(16)), int64(rng.Intn(1<<16))
+		trace := SpanID(TraceProbe, pair, path, seq)
+		ev := Event{T: now, Entity: hosts[rng.Intn(len(hosts))], A: pair, B: path, Trace: trace}
+		switch x := rng.Intn(100); {
+		case x < 59:
+			ev = Event{T: now, Kind: EvRegister, Entity: switches[rng.Intn(len(switches))],
+				A: int64(rng.Intn(4000) - 2000), B: int64(rng.Intn(16000) - 8000), Note: "update", Trace: trace, Span: 2}
+		case x < 71:
+			ev.Kind, ev.Note, ev.Span = EvProbeTX, "probe", 1
+		case x < 83:
+			ev.Kind, ev.V, ev.Span = EvProbeRX, 8+rng.Float64()*40, 3
+		case x < 95:
+			ev.Kind, ev.B, ev.V, ev.Span = EvWindow, int64(rng.Intn(200_000)), rng.Float64()*1e9, 4
 		default:
-			t.Errorf("%s is a %s: a slot must hold no pointer", path, typ.Kind())
+			ev = Event{T: now, Kind: EvStage, Entity: ev.Entity, A: pair, Note: []string{"ramp", "steady"}[rng.Intn(2)]}
 		}
+		evs[i] = ev
 	}
-	check("slot", reflect.TypeOf(slot{}))
+	return evs
+}
+
+// TestRecorderBytesPerEvent: a full default ring holds an instrumented
+// fabric's event mix in at most 24 bytes per retained event, counting all the
+// room its chunks hold; the chunks are byte slices the garbage collector
+// never scans; and a second full lap reuses them without allocating. (The
+// fixed-width layout before took a 56-byte slot per event.)
+func TestRecorderBytesPerEvent(t *testing.T) {
+	if typ := reflect.TypeOf(Recorder{}.chunks).Elem().Elem(); typ.Kind() != reflect.Uint8 {
+		t.Errorf("a chunk is a []%v, want bytes: a chunk must hold no pointer", typ)
+	}
+	evs := fabricMix(DefaultRecorderCap)
+	rec := newRecorder(DefaultRecorderCap)
+	for _, ev := range evs {
+		rec.Record(ev)
+	}
+	room := 0
+	for _, c := range rec.chunks {
+		room += cap(c)
+	}
+	perEvent := float64(room) / float64(rec.Len())
+	t.Logf("%d events in %d chunks: %d bytes of room, %.1f per event", rec.Len(), len(rec.chunks), room, perEvent)
+	if perEvent > 24 {
+		t.Errorf("%.1f bytes of room per retained event, want <= 24", perEvent)
+	}
+	if a := testing.AllocsPerRun(1, func() {
+		for _, ev := range evs {
+			rec.Record(ev)
+		}
+	}); a != 0 {
+		t.Errorf("a second full lap allocated %v times", a)
+	}
+	if got := rec.Events(); len(got) != len(evs) || got[0] != evs[0] || got[len(got)-1] != evs[len(evs)-1] {
+		t.Errorf("after three laps the ring holds %d events, not the last lap's %d", len(got), len(evs))
+	}
+}
+
+// appendFuzzEvent is the encoding FuzzRecorderRoundTrip reads events from:
+// the kind, a selector byte (entity, note, which of two recorders), then T,
+// A, B, V's bits, Trace and Span as uvarints.
+func appendFuzzEvent(b []byte, ev Event, sel byte) []byte {
+	b = append(b, byte(ev.Kind), sel)
+	for _, u := range []uint64{uint64(ev.T), uint64(ev.A), uint64(ev.B), math.Float64bits(ev.V), ev.Trace, ev.Span} {
+		b = binary.AppendUvarint(b, u)
+	}
+	return b
+}
+
+// FuzzRecorderRoundTrip: for any event sequence, split between two rings of
+// a small cap (and a string table small enough to spill), each ring retains
+// exactly its last cap events, every one decoding to what was recorded, and
+// Merge of the two yields exactly the stable sort of their retained events.
+// The seeds run in `go test`; to fuzz beyond them:
+//
+//	go test ./internal/telemetry -run '^$' -fuzz FuzzRecorderRoundTrip -fuzztime 30s
+func FuzzRecorderRoundTrip(f *testing.F) {
+	var seed []byte
+	for i, ev := range []Event{
+		{T: 5, Kind: EvRegister, A: -3, B: 7, Trace: 11, Span: 2},
+		{T: 4, Kind: EvProbeRX, V: math.Copysign(0, -1), Span: 3},
+		{T: math.MinInt64, Kind: 255, A: math.MaxInt64, B: math.MinInt64, V: math.NaN(), Trace: math.MaxUint64, Span: math.MaxUint64},
+		{T: math.MaxInt64, V: math.Inf(-1)},
+	} {
+		seed = appendFuzzEvent(seed, ev, byte(i*37))
+	}
+	f.Add([]byte(nil), uint8(0), uint8(0))
+	f.Add(seed, uint8(2), uint8(3))
+	f.Add(bytes.Repeat(seed, 9), uint8(5), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 300), uint8(63), uint8(7))
+	strs := []string{"", "ufabe.h0", "ufabe.h1", "link.a-b", "probe", "update", "chaos.injector", "placement.ctl"}
+	f.Fuzz(func(t *testing.T, data []byte, ringCap, maxStrs uint8) {
+		recs := []*Recorder{newRecorder(1 + int(ringCap)%64), newRecorder(1 + int(ringCap)%64)}
+		for _, rec := range recs {
+			rec.maxStrs = 1 + int(maxStrs)%8
+		}
+		field := func() uint64 {
+			u, n := binary.Uvarint(data)
+			if n <= 0 {
+				data = nil
+				return 0
+			}
+			data = data[n:]
+			return u
+		}
+		recorded := make([][]Event, len(recs))
+		for len(data) >= 2 {
+			kind, sel := data[0], data[1]
+			data = data[2:]
+			ev := Event{Kind: EventKind(kind), Entity: strs[sel&7], Note: strs[sel>>3&7]}
+			ev.T, ev.A, ev.B = int64(field()), int64(field()), int64(field())
+			ev.V, ev.Trace, ev.Span = math.Float64frombits(field()), field(), field()
+			s := int(sel >> 7)
+			recs[s].Record(ev)
+			recorded[s] = append(recorded[s], ev)
+		}
+		var want []Event
+		for s, rec := range recs {
+			got := rec.Events()
+			kept := recorded[s][len(recorded[s])-rec.Len():]
+			if len(got) != len(kept) || rec.Total() != uint64(len(recorded[s])) {
+				t.Fatalf("ring %d (cap %d): %d events retained of %d, want %d", s, rec.cap, len(got), len(recorded[s]), len(kept))
+			}
+			for i := range kept {
+				if !sameEvent(got[i], kept[i]) {
+					t.Fatalf("ring %d (cap %d): event %d = %+v, recorded %+v", s, rec.cap, i, got[i], kept[i])
+				}
+			}
+			want = append(want, got...)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+		var merged []Event
+		Merge(recs, nil, func(ev Event) { merged = append(merged, ev) })()
+		if len(merged) != len(want) {
+			t.Fatalf("Merge yields %d events, the stable sort %d", len(merged), len(want))
+		}
+		for i := range want {
+			if !sameEvent(merged[i], want[i]) {
+				t.Fatalf("Merge event %d = %+v, the stable sort gives %+v", i, merged[i], want[i])
+			}
+		}
+	})
 }

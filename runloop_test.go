@@ -90,17 +90,17 @@ const runLoopHorizon = 1500 * sim.Microsecond
 // event costs a few bytes — first contacts (a link's register cells, a
 // path's hop storage), the engine heap and the egress rings growing to their
 // high-water marks, timer records and probe buffers up to the most ever
-// outstanding — and, instrumented, the 56-byte slot of each trace event it
-// retains and little more. The bare ceiling is about twice what the run
+// outstanding — and, instrumented, the variable-length record (~20 bytes)
+// of each trace event it retains and little more. The bare ceiling is about twice what the run
 // measures: 4.9 bytes per event; 5.6 while every ack recorded its RTT, a
 // timer was a closure, a probe regrew a buffer and a receiver re-made its
 // record of a pair that woke again and of its VF's requests; 8.5 while a register cell held a whole
 // bucket, a path copied every probe response and a packet carried 32 bytes
 // of padding; 52 before packets were pooled and probes flipped in place. The
-// instrumented one sits above what the run measures (17.1; 17.7 before the
-// first of those changes) and below what it measured before the second
-// (20.7), let alone while a retained event took 88 string-bearing bytes and
-// the audit feed copied every ring's tail (29.5).
+// instrumented one sits above what the run measures (10.8) and below what it
+// measured while a retained event took a 56-byte slot and a histogram a
+// dense 449-bucket array (17.1), let alone while a retained event took 88
+// string-bearing bytes and the audit feed copied every ring's tail (29.5).
 func TestRunLoopBytesPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -108,7 +108,7 @@ func TestRunLoopBytesPerEvent(t *testing.T) {
 		ceiling      float64
 	}{
 		{"bare", false, 10},
-		{"telemetry, audit and sampling on", true, 20},
+		{"telemetry, audit and sampling on", true, 14},
 	} {
 		if got, _ := runLoopBytesPerEvent(t, tc.instrumented, runLoopHorizon); got > tc.ceiling {
 			t.Errorf("%s: RunUntil allocated %.1f bytes per event, want <= %.0f", tc.name, got, tc.ceiling)
