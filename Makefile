@@ -65,13 +65,18 @@ bench:
 # Where a benchmark workload's CPU time and allocated bytes go: one
 # full-scale repetition of workload W in a fresh process under the CPU and
 # allocation profilers (the recipe of bench/README.md), then `pprof -top` of
-# CPU, of every allocated byte, and of the job alone — the bytes under
-# Engine.RunUntil, which is what job_alloc_mb counts on a sim workload (the
-# whole-process table is topped by set-up: AddVF, path enumeration) and the
-# simulated quanta's share on ctl_churn — with the job's bytes per simulated
-# event (the repetition is seed 1; its event count is pinned in
-# bench/pinned.json), and its top 15 source lines by bytes (-lines: two
-# sites in one function, say a buffer and a closure, are two rows). Then
+# CPU, of every allocated byte, and of the job alone — on a sim workload the
+# bytes under Engine.RunUntil, which is what job_alloc_mb counts there (the
+# whole-process table is topped by set-up: AddVF, path enumeration), with
+# the job's bytes per simulated event (the repetition is seed 1; its event
+# count is pinned in bench/pinned.json), and its top 15 source lines by
+# bytes (-lines: two sites in one function, say a buffer and a closure, are
+# two rows). ctl_churn's job is a closed loop of HTTP decisions, of which
+# the simulated quanta are a small part: it is split by layer instead
+# (CTL_LAYERS: name; pprof -focus; -ignore), each layer with its bytes per
+# decision (bench/workloads.go's full-scale Decisions, the run's
+# ctlplane.decisions), and the top 15 lines are those of the decision path
+# (the handlers and the engine goroutine's operations). Then
 # set-up alone, what setup_s times: CPU and alloc_space under the harness's
 # setupFabric / setupRPC and ctlplane.NewDaemon, with set-up bytes per
 # VM-pair (SETUP_PAIRS: every fabric1k_* host sources one pair, every
@@ -81,6 +86,14 @@ bench:
 #   make profile W=fabric1k_backlog
 SETUP_FOCUS = setupFabric$$|setupRPC$$|ctlplane\.NewDaemon$$
 SETUP_PAIRS = $(if $(filter fabric1k_% clos128_%,$(W)),1024,0)
+CTL_LAYERS = \
+	'the bench client (ctlClient.post, its transport loops);ctlClient\)\.post$$|persistConn\)\.(readLoop|writeLoop)$$;' \
+	'net/http server outside the handlers;net/http\.\(\*conn\)\.serve$$;Daemon\)\.Handler\.func' \
+	'the handlers (body, Do, reply);Daemon\)\.Handler\.func;Daemon\)\.Loop$$' \
+	'Service (engine goroutine, operations);Daemon\)\.Loop$$;RunUntil$$' \
+	'the simulated quanta (Engine.RunUntil);RunUntil$$;' \
+	'whole process;;'
+CTL_PATH = Daemon\)\.Handler\.func|Daemon\)\.Loop$$
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>  (names: BENCHMARK.json)" >&2; exit 2; }
 	@dir=$$(mktemp -d); \
@@ -89,6 +102,19 @@ profile:
 		-o $$dir/bench.test; \
 	$(GO) tool pprof -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
+	if [ "$(W)" = ctl_churn ]; then \
+	decisions=$$(awk '$$1 == "Decisions:" { sub(/,/, "", $$2); print $$2; exit }' bench/workloads.go); \
+	echo; echo "== the job by layer: alloc_space, MiB and bytes per decision ($$decisions decisions, seed 1) =="; \
+	for row in $(CTL_LAYERS); do \
+		IFS=';' read -r name focus ignore <<<"$$row"; \
+		b=$$($(GO) tool pprof -sample_index=alloc_space -top -nodecount=100000 -nodefraction=0 -edgefraction=0 -unit=B \
+			$${focus:+-focus="$$focus"} $${ignore:+-ignore="$$ignore"} $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
+			awk '/Showing nodes accounting for/ { sub(/B,$$/, "", $$5); print $$5; exit }' || true); \
+		awk -v n="$$name" -v b="$${b:-0}" -v d="$$decisions" 'BEGIN { printf "  %-55s %7.1f MiB %7.0f B/decision\n", n, b / 1048576, b / d }'; \
+	done; \
+	echo; echo "== the decision path by line: alloc_space under the handlers and the engine goroutine's operations, top 15 source lines =="; \
+	$(GO) tool pprof -sample_index=alloc_space -focus='$(CTL_PATH)' -ignore='RunUntil$$' -lines -top -nodecount=15 $$dir/bench.test $$dir/mem.prof; \
+	else \
 	echo; echo "== the job alone: alloc_space under Engine.RunUntil =="; \
 	$(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
 	job=$$($(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -top -cum -nodecount=1000 -unit=B $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
@@ -97,6 +123,7 @@ profile:
 	awk -v j="$$job" -v e="$$events" 'BEGIN { if (j > 0 && e > 0) printf "job: %.1f MiB under RunUntil over %d simulated events (seed 1) = %.1f bytes per event\n", j / 1048576, e, j / e }'; \
 	echo; echo "== the job by line: alloc_space under Engine.RunUntil, top 15 source lines =="; \
 	$(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -lines -top -nodecount=15 $$dir/bench.test $$dir/mem.prof; \
+	fi; \
 	echo; echo "== set-up alone: CPU and alloc_space under setupFabric, setupRPC, ctlplane.NewDaemon =="; \
 	$(GO) tool pprof -focus='$(SETUP_FOCUS)' -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
 	$(GO) tool pprof -sample_index=alloc_space -focus='$(SETUP_FOCUS)' -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \

@@ -77,7 +77,7 @@ type Daemon struct {
 	Reg   *telemetry.Registry
 	Audit *audit.Log
 
-	ops chan func()
+	ops chan op
 	// Stop closes draining first (findings streams end, the HTTP server
 	// shuts down while the loop still answers in-flight requests), then
 	// quit (the loop exits); the loop closes done.
@@ -121,7 +121,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Eng:          sim.New(),
 		Reg:          telemetry.New(),
 		Audit:        &audit.Log{},
-		ops:          make(chan func(), 64),
+		ops:          make(chan op, 64),
 		draining:     make(chan struct{}),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
@@ -205,19 +205,46 @@ func (d *Daemon) churnTick() {
 	}
 }
 
+// op is one operation handed to the engine goroutine: f, and the channel
+// that signals it ran.
+type op struct {
+	f    func()
+	done chan struct{}
+}
+
+// doneChans recycles op.done channels (buffer 1, signalled by a send).
+var doneChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+func (o op) run() {
+	o.f()
+	o.done <- struct{}{}
+}
+
 // Do runs f on the engine goroutine and waits for it — the only way HTTP
 // handlers may touch the simulation, the service or the registry. Code
 // already running on the engine goroutine must call f directly instead.
-func (d *Daemon) Do(f func()) {
-	doneCh := make(chan struct{})
+// It reports whether f ran: false means the daemon stopped first.
+func (d *Daemon) Do(f func()) bool {
+	done := doneChans.Get().(chan struct{})
 	select {
-	case d.ops <- func() { f(); close(doneCh) }:
+	case d.ops <- op{f, done}:
 	case <-d.quit:
-		return
+		return false
 	}
 	select {
-	case <-doneCh:
+	case <-done:
+		// Received: the channel is empty again and nobody else holds it.
+		doneChans.Put(done)
+		return true
 	case <-d.done:
+		// The loop signals before it exits, so a run is visible here.
+		// The channel is not recycled: the op may still sit in d.ops.
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
 	}
 }
 
@@ -230,16 +257,16 @@ func (d *Daemon) Loop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case f := <-d.ops:
-			f()
+		case o := <-d.ops:
+			o.run()
 		case <-ticker.C:
 			d.Eng.RunUntil(d.Eng.Now() + quantum)
 		case <-d.quit:
 			// Drain operations that raced the shutdown.
 			for {
 				select {
-				case f := <-d.ops:
-					f()
+				case o := <-d.ops:
+					o.run()
 				default:
 					return
 				}

@@ -3,6 +3,7 @@ package ctlplane
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ufab/internal/placement"
 	"ufab/internal/topo"
 )
 
@@ -34,12 +36,33 @@ var hostileBodies = []string{
 	`[]`,
 	``,
 	`{"id":11,"guarantee_bps":1e9,"vms":2,"pad":"` + strings.Repeat("x", 2<<20) + `"}`,
+	// A body is one JSON value, optionally followed by whitespace.
+	`{"id":12,"guarantee_bps":1e9,"vms":2}{"garbage":1}`,
+	`{"id":13,"guarantee_bps":1e9,"vms":2}{"garbage":1} trailing`,
+	`{"id":14,"guarantee_bps":1e9,"vms":2} trailing`,
+	"{\"id\":15,\"guarantee_bps\":1e9,\"vms\":2} \t\r\n ",
+	"{\"id\":16,\"guarantee_bps\":1e9,\"vms\":2}\n",
+	" \n",
+	`null`,
+	// The 1 MiB limit: exactly at it, and one byte over.
+	paddedBody(17, 1<<20),
+	paddedBody(18, 1<<20+1),
+}
+
+// paddedBody is an admit body of exactly n bytes, padded by a field no
+// request has.
+func paddedBody(id, n int) string {
+	head := fmt.Sprintf(`{"id":%d,"guarantee_bps":1e9,"vms":2,"pad":"`, id)
+	return head + strings.Repeat("x", n-len(head)-2) + `"}`
 }
 
 // FuzzAdmitRequest throws arbitrary bodies at POST /v1/admit and
 // /v1/evaluate of one long-lived daemon. Whatever arrives, the handler
-// answers 200 or 400 without panicking and the ledger still verifies
-// against the admitted set. To fuzz beyond the seeds pass
+// answers without panicking, 400 exactly when json.Unmarshal rejects the
+// body or it exceeds 1 MiB and 200 otherwise, and the ledger still
+// verifies against the admitted set. An evaluate answered 200 carries
+// exactly the indented encoding of Svc.Evaluate of the unmarshalled
+// request. To fuzz beyond the seeds pass
 // -fuzzminimizetime 2s: the corpus holds a 2 MiB body, and minimizing a
 // mutation of it otherwise eats the default 60 s.
 func FuzzAdmitRequest(f *testing.F) {
@@ -61,8 +84,22 @@ func FuzzAdmitRequest(f *testing.F) {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s %q: HTTP %d", path, body, rec.Code)
+		var req placement.Request
+		want := http.StatusOK
+		if len(body) > 1<<20 || json.Unmarshal(body, &req) != nil {
+			want = http.StatusBadRequest
+		}
+		if rec.Code != want {
+			t.Fatalf("%s %.200q: HTTP %d, want %d", path, body, rec.Code, want)
+		}
+		if !admit && rec.Code == http.StatusOK {
+			var dec bytes.Buffer
+			enc := json.NewEncoder(&dec)
+			enc.SetIndent("", "  ")
+			d.Do(func() { _ = enc.Encode(d.Svc.Evaluate(req)) })
+			if !bytes.Equal(rec.Body.Bytes(), dec.Bytes()) {
+				t.Fatalf("evaluate %.200q: reply\n%s\nwant\n%s", body, rec.Body, &dec)
+			}
 		}
 		var verify error
 		d.Do(func() { verify = d.Svc.Verify() })
@@ -152,10 +189,11 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wal, snap []byte, seal bool) {
 		if seal {
 			var sealed []byte
+			var enc walEncoder
 			for _, line := range bytes.SplitAfter(wal, []byte("\n")) {
 				var rec walRecord
 				if json.Unmarshal(line, &rec) == nil {
-					line, _ = encodeWALRecord(rec)
+					line, _ = enc.encode(rec.Seq, rec.Op, rec.Tenant, rec.ID)
 				}
 				sealed = append(sealed, line...)
 			}

@@ -3,7 +3,11 @@ package ctlplane
 // The northbound API: stdlib net/http + JSON, one handler per resource.
 // Every request body/response is a small JSON document; /v1/findings is
 // JSONL (one finding per line), optionally streamed with ?follow=1. All
-// state access funnels through Daemon.Do onto the engine goroutine.
+// state access funnels through Daemon.Do onto the engine goroutine; a
+// request whose operation never ran (the daemon stopped first) is answered
+// 503. A request body is exactly one JSON value, optionally followed by
+// whitespace, of at most 1 MiB; anything else is a 400. Bodies are read
+// into, and replies encoded from, pooled buffers.
 
 import (
 	"bufio"
@@ -12,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"ufab/internal/audit"
 	"ufab/internal/placement"
@@ -49,6 +54,20 @@ type fleetHostInfo struct {
 	Unschedulable bool        `json:"unschedulable,omitempty"`
 }
 
+// The one-field replies, as structs: a map would cost an allocation and
+// encoding/json's key sort per reply for the same bytes.
+type (
+	releasedReply struct {
+		Released bool `json:"released"`
+	}
+	drainingReply struct {
+		Draining bool `json:"draining"`
+	}
+	errorReply struct {
+		Error string `json:"error"`
+	}
+)
+
 type ledgerReply struct {
 	Tenants  int     `json:"tenants"`
 	MaxSub   float64 `json:"max_subscription"`
@@ -63,7 +82,7 @@ func (d *Daemon) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		var rep statusReply
-		d.Do(func() {
+		if !d.doOr503(w, func() {
 			st := d.Svc.Stats()
 			rep = statusReply{
 				NowPS:   int64(d.Eng.Now()),
@@ -78,8 +97,10 @@ func (d *Daemon) Handler() http.Handler {
 			if s := d.Svc.Store(); s != nil {
 				rep.StoreSeq = s.Seq()
 			}
-		})
-		writeJSON(w, http.StatusOK, rep)
+		}) {
+			return
+		}
+		writeJSON(w, http.StatusOK, &rep)
 	})
 
 	mux.HandleFunc("POST /v1/admit", func(w http.ResponseWriter, r *http.Request) {
@@ -88,8 +109,10 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var dec Decision
-		d.Do(func() { dec = d.Svc.Admit(req, int64(d.Eng.Now())) })
-		writeJSON(w, http.StatusOK, dec)
+		if !d.doOr503(w, func() { dec = d.Svc.Admit(req, int64(d.Eng.Now())) }) {
+			return
+		}
+		writeJSON(w, http.StatusOK, &dec)
 	})
 
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
@@ -98,8 +121,10 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var dec Decision
-		d.Do(func() { dec = d.Svc.Evaluate(req) })
-		writeJSON(w, http.StatusOK, dec)
+		if !d.doOr503(w, func() { dec = d.Svc.Evaluate(req) }) {
+			return
+		}
+		writeJSON(w, http.StatusOK, &dec)
 	})
 
 	mux.HandleFunc("POST /v1/release", func(w http.ResponseWriter, r *http.Request) {
@@ -108,17 +133,21 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var ok bool
-		d.Do(func() { ok = d.Svc.Release(body.ID, int64(d.Eng.Now())) })
+		if !d.doOr503(w, func() { ok = d.Svc.Release(body.ID, int64(d.Eng.Now())) }) {
+			return
+		}
 		if !ok {
 			httpError(w, http.StatusNotFound, "unknown tenant %d", body.ID)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"released": true})
+		writeJSON(w, http.StatusOK, &releasedReply{Released: true})
 	})
 
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		var list []Tenant
-		d.Do(func() { list = d.Svc.TenantList() })
+		if !d.doOr503(w, func() { list = d.Svc.TenantList() }) {
+			return
+		}
 		writeJSON(w, http.StatusOK, list)
 	})
 
@@ -132,17 +161,19 @@ func (d *Daemon) Handler() http.Handler {
 			t  Tenant
 			ok bool
 		)
-		d.Do(func() { t, ok = d.Svc.Get(int32(id64)) })
+		if !d.doOr503(w, func() { t, ok = d.Svc.Get(int32(id64)) }) {
+			return
+		}
 		if !ok {
 			httpError(w, http.StatusNotFound, "unknown tenant %d", id64)
 			return
 		}
-		writeJSON(w, http.StatusOK, t)
+		writeJSON(w, http.StatusOK, &t)
 	})
 
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		var rep fleetReply
-		d.Do(func() {
+		if !d.doOr503(w, func() {
 			fl := d.Svc.Fleet()
 			rep.SlotsPerHost = fl.SlotsPerHost
 			for i, h := range fl.Hosts {
@@ -151,13 +182,15 @@ func (d *Daemon) Handler() http.Handler {
 					Unschedulable: fl.Unschedulable[i],
 				})
 			}
-		})
-		writeJSON(w, http.StatusOK, rep)
+		}) {
+			return
+		}
+		writeJSON(w, http.StatusOK, &rep)
 	})
 
 	mux.HandleFunc("GET /v1/ledger", func(w http.ResponseWriter, r *http.Request) {
 		var rep ledgerReply
-		d.Do(func() {
+		if !d.doOr503(w, func() {
 			l := d.Svc.Ledger()
 			rep = ledgerReply{
 				Tenants: l.Tenants(),
@@ -169,8 +202,10 @@ func (d *Daemon) Handler() http.Handler {
 			} else {
 				rep.VerifyOK = true
 			}
-		})
-		writeJSON(w, http.StatusOK, rep)
+		}) {
+			return
+		}
+		writeJSON(w, http.StatusOK, &rep)
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
@@ -179,12 +214,14 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var ok bool
-		d.Do(func() { ok = d.Svc.Drain(body.Host) })
+		if !d.doOr503(w, func() { ok = d.Svc.Drain(body.Host) }) {
+			return
+		}
 		if !ok {
 			httpError(w, http.StatusNotFound, "host %d not in fleet", body.Host)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"draining": true})
+		writeJSON(w, http.StatusOK, &drainingReply{Draining: true})
 	})
 
 	mux.HandleFunc("POST /v1/uncordon", func(w http.ResponseWriter, r *http.Request) {
@@ -193,12 +230,14 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var ok bool
-		d.Do(func() { ok = d.Svc.Uncordon(body.Host) })
+		if !d.doOr503(w, func() { ok = d.Svc.Uncordon(body.Host) }) {
+			return
+		}
 		if !ok {
 			httpError(w, http.StatusNotFound, "host %d not draining", body.Host)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"draining": false})
+		writeJSON(w, http.StatusOK, &drainingReply{Draining: false})
 	})
 
 	mux.HandleFunc("GET /v1/findings", func(w http.ResponseWriter, r *http.Request) {
@@ -207,26 +246,40 @@ func (d *Daemon) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf []byte
-		d.Do(func() {
+		if !d.doOr503(w, func() {
 			snap := d.Reg.Snapshot()
 			buf, _ = json.Marshal(snap)
-		})
+		}) {
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(buf)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
-		d.Do(func() {
+		if !d.doOr503(w, func() {
 			snap := d.Reg.Snapshot()
 			appendHealthGauges(&snap, d.Eng)
 			_ = snap.WriteOpenMetrics(&buf)
-		})
+		}) {
+			return
+		}
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		w.Write(buf.Bytes())
 	})
 
 	return mux
+}
+
+// doOr503 runs f on the engine goroutine through Do; when the daemon stopped
+// before f could run it answers 503 and returns false.
+func (d *Daemon) doOr503(w http.ResponseWriter, f func()) bool {
+	if d.Do(f) {
+		return true
+	}
+	httpError(w, http.StatusServiceUnavailable, "daemon stopping")
+	return false
 }
 
 // appendHealthGauges folds the simulation driver's operational shard-health
@@ -259,8 +312,7 @@ func (d *Daemon) serveFindings(w http.ResponseWriter, r *http.Request) {
 		ch, cancel = d.subscribeFindings()
 		defer cancel()
 	}
-	d.Do(func() { _ = d.Audit.WriteJSONL(w) })
-	if !follow {
+	if !d.doOr503(w, func() { _ = d.Audit.WriteJSONL(w) }) || !follow {
 		return
 	}
 	flusher, _ := w.(http.Flusher)
@@ -295,23 +347,67 @@ func (d *Daemon) serveFindings(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// Request and reply buffers come from pools; one that grew past
+// maxPooledBuf is dropped instead, so a hostile 1 MiB body (or a large
+// tenant list) does not stay resident.
+const (
+	maxBody      = 1 << 20
+	maxPooledBuf = 64 << 10
+)
+
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readJSON reads the whole body (at most maxBody bytes) and unmarshals it
+// into v: exactly one JSON value, optionally followed by whitespace.
+// Anything else is answered 400.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(v); err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if buf.Cap() <= maxPooledBuf {
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
 }
 
+// replyBuf is a pooled reply: a buffer and the indenting encoder that
+// writes into it.
+type replyBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var replyBufs = sync.Pool{New: func() any {
+	rb := new(replyBuf)
+	rb.enc = json.NewEncoder(&rb.buf)
+	rb.enc.SetIndent("", "  ")
+	return rb
+}}
+
+// jsonContentType is every JSON reply's Content-Type value, shared so that
+// setting it allocates nothing; WriteHeader copies it.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON encodes v, indented, and writes it as the reply in one write.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	rb := replyBufs.Get().(*replyBuf)
+	rb.buf.Reset()
+	_ = rb.enc.Encode(v)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Write(rb.buf.Bytes())
+	if rb.buf.Cap() <= maxPooledBuf {
+		replyBufs.Put(rb)
+	}
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, &errorReply{Error: fmt.Sprintf(format, args...)})
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -349,5 +351,149 @@ func TestDaemonStopAnswersInFlight(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/v1/status"); err == nil {
 		t.Fatal("the listener still accepts after Stop")
+	}
+}
+
+// TestHandlersAfterStop: an operation that never ran — the daemon stopped
+// before the engine goroutine took it — is answered 503 "daemon stopping"
+// on every endpoint, not with the zero value of its reply (an admit
+// "rejected" for no reason, a release of an "unknown tenant"). Do itself
+// reports that f did not run.
+func TestHandlersAfterStop(t *testing.T) {
+	d, err := NewDaemon(DaemonConfig{Seed: 1, TickEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Loop()
+	if !d.Do(func() {}) {
+		t.Fatal("Do on a running daemon reports that f did not run")
+	}
+	d.Stop()
+	h := d.Handler()
+	const want = "{\n  \"error\": \"daemon stopping\"\n}\n"
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/admit", `{"id":1,"guarantee_bps":1e9,"vms":2}`},
+		{http.MethodPost, "/v1/evaluate", `{"id":1,"guarantee_bps":1e9,"vms":2}`},
+		{http.MethodPost, "/v1/release", `{"id":1}`},
+		{http.MethodPost, "/v1/drain", `{"host":0}`},
+		{http.MethodPost, "/v1/uncordon", `{"host":0}`},
+		{http.MethodGet, "/v1/status", ""},
+		{http.MethodGet, "/v1/tenants", ""},
+		{http.MethodGet, "/v1/tenants/1", ""},
+		{http.MethodGet, "/v1/fleet", ""},
+		{http.MethodGet, "/v1/ledger", ""},
+		{http.MethodGet, "/v1/findings", ""},
+		{http.MethodGet, "/v1/metrics", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		// Do chooses between a full quit and a free queue slot at random:
+		// repeat so that both ways of not running are taken.
+		for i := 0; i < 16; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != want ||
+				rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("%s %s after Stop: HTTP %d %q (%s), want 503 %q",
+					c.method, c.path, rec.Code, rec.Body, rec.Header().Get("Content-Type"), want)
+			}
+		}
+	}
+	ran := false
+	for i := 0; i < 16; i++ {
+		if d.Do(func() { ran = true }) || ran {
+			t.Fatal("Do after Stop reports or runs f")
+		}
+	}
+}
+
+// replySink is an http.ResponseWriter that keeps its header map and body
+// buffer across replies, so that measuring a handler counts the handler.
+type replySink struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (s *replySink) Header() http.Header         { return s.h }
+func (s *replySink) WriteHeader(code int)        { s.code = code }
+func (s *replySink) Write(b []byte) (int, error) { return s.body.Write(b) }
+
+// sinkBody is a reusable request body.
+type sinkBody struct{ bytes.Reader }
+
+func (*sinkBody) Close() error { return nil }
+
+// decisionPathBytesCeiling bounds the bytes a warm daemon allocates per
+// request of an evaluate/admit/release cycle through its handler: body,
+// Do, service, ledger, materialiser, WAL line and reply, with no simulated
+// time in between. It reads ≈ 3.9 KB (47 objects); before the request
+// path reused its body buffer, reply encoder, Do record and WAL line it
+// read ≈ 5.3 KB (62 objects).
+const decisionPathBytesCeiling = 4300
+
+// TestDecisionPathBytes drives evaluate/admit/release cycles through
+// d.Handler() of a warm daemon with a store, and holds the bytes allocated
+// per request to decisionPathBytesCeiling. Requests and the response
+// writer are reused, so what is counted is the product's. Under the race
+// detector sync.Pool drops a quarter of what it is given, so the count
+// means nothing there.
+func TestDecisionPathBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	d, err := NewDaemon(DaemonConfig{Seed: 1, StoreDir: t.TempDir(), TickEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Loop()
+	t.Cleanup(d.Stop)
+	h := d.Handler()
+	w := &replySink{h: make(http.Header)}
+	var body sinkBody
+	reqs := map[string]*http.Request{}
+	for _, p := range []string{"/v1/evaluate", "/v1/admit", "/v1/release"} {
+		reqs[p] = httptest.NewRequest(http.MethodPost, p, nil)
+		reqs[p].Body = &body
+	}
+	var buf []byte
+	serve := func(path string, id int32) {
+		buf = append(buf[:0], `{"id":`...)
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		if path != "/v1/release" {
+			buf = append(buf, `,"guarantee_bps":1e9,"vms":3,"weight_class":3,"backlog_bytes":4096}`...)
+		} else {
+			buf = append(buf, '}')
+		}
+		buf = append(buf, '\n')
+		body.Reset(buf)
+		w.body.Reset()
+		h.ServeHTTP(w, reqs[path])
+		if w.code != http.StatusOK {
+			t.Fatalf("%s %d: HTTP %d %s", path, id, w.code, &w.body)
+		}
+	}
+	cycle := func(id int32) {
+		serve("/v1/evaluate", id)
+		serve("/v1/admit", id)
+		if !bytes.Contains(w.body.Bytes(), []byte(`"accepted": true`)) {
+			t.Fatalf("admit %d: %s", id, &w.body)
+		}
+		serve("/v1/release", id)
+	}
+	id := int32(1)
+	for ; id <= 300; id++ { // warm: pools, scratch, path memo, maps
+		cycle(id)
+	}
+	const cycles = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := id + cycles; id < end; id++ {
+		cycle(id)
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / (3 * cycles)
+	t.Logf("%.0f bytes, %.1f objects per request", perReq, float64(after.Mallocs-before.Mallocs)/(3*cycles))
+	if perReq > decisionPathBytesCeiling {
+		t.Fatalf("%.0f bytes per request, ceiling %d", perReq, decisionPathBytesCeiling)
 	}
 }

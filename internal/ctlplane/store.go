@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"ufab/internal/placement"
@@ -110,6 +111,7 @@ type Store struct {
 	pending  int    // WAL records since the last snapshot
 	stats    StoreStats
 	snapshot int // SnapshotEvery, resolved
+	line     walEncoder
 }
 
 // DefaultSnapshotEvery is how many WAL records accumulate before an
@@ -212,18 +214,40 @@ func (s *Store) replayWAL() error {
 	return nil
 }
 
-func encodeWALRecord(rec walRecord) ([]byte, error) {
-	rec.CRC = 0
-	b, err := json.Marshal(rec)
-	if err != nil {
+// walEncoder builds WAL lines in a buffer it owns, so an append
+// allocates nothing; it encodes its own copy of the record and tenant.
+type walEncoder struct {
+	buf    bytes.Buffer
+	enc    *json.Encoder
+	rec    walRecord
+	tenant Tenant
+}
+
+// encode returns the WAL line of the record (seq, op, t, id), valid until
+// the next call. The record is encoded once with CRC 0, the checksum is
+// taken over those bytes, and its digits replace the trailing 0: crc is
+// the last field and never omitted, so the line equals json.Marshal of
+// the record with its CRC set, plus '\n'. The fields come apart so that t
+// is only read: a caller's tenant stays on its stack.
+func (e *walEncoder) encode(seq uint64, op string, t *Tenant, id int32) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.rec = walRecord{Seq: seq, Op: op, ID: id}
+	if t != nil {
+		e.tenant = *t
+		e.rec.Tenant = &e.tenant
+	}
+	e.buf.Reset()
+	if err := e.enc.Encode(&e.rec); err != nil {
 		return nil, err
 	}
-	rec.CRC = crc32.ChecksumIEEE(b)
-	b, err = json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	b := e.buf.Bytes() // {…,"crc":0}\n
+	crc := crc32.ChecksumIEEE(b[:len(b)-1])
+	e.buf.Truncate(len(b) - len("0}\n"))
+	e.buf.Write(strconv.AppendUint(e.buf.AvailableBuffer(), uint64(crc), 10))
+	e.buf.WriteString("}\n")
+	return e.buf.Bytes(), nil
 }
 
 func decodeWALRecord(line []byte) (walRecord, bool) {
@@ -245,7 +269,7 @@ func decodeWALRecord(line []byte) (walRecord, bool) {
 func (s *Store) Put(t Tenant) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(walRecord{Op: "put", Tenant: &t}); err != nil {
+	if err := s.appendLocked("put", &t, 0); err != nil {
 		return err
 	}
 	s.tenants[t.ID] = t
@@ -256,16 +280,15 @@ func (s *Store) Put(t Tenant) error {
 func (s *Store) Delete(id int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(walRecord{Op: "del", ID: id}); err != nil {
+	if err := s.appendLocked("del", nil, id); err != nil {
 		return err
 	}
 	delete(s.tenants, id)
 	return s.maybeSnapshotLocked()
 }
 
-func (s *Store) appendLocked(rec walRecord) error {
-	rec.Seq = s.seq + 1
-	b, err := encodeWALRecord(rec)
+func (s *Store) appendLocked(op string, t *Tenant, id int32) error {
+	b, err := s.line.encode(s.seq+1, op, t, id)
 	if err != nil {
 		return fmt.Errorf("ctlplane: store: %w", err)
 	}

@@ -2,11 +2,15 @@ package ctlplane
 
 import (
 	"bytes"
+	"encoding/json"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ufab/internal/stats"
 	"ufab/internal/topo"
 )
 
@@ -218,5 +222,134 @@ func TestStoreAppendAfterRecovery(t *testing.T) {
 	}
 	if st := r2.Stats(); st.DroppedTail != 0 {
 		t.Fatalf("clean log flagged corrupt: %+v", st)
+	}
+}
+
+// referenceWALLine is the WAL line as the store built it before it encoded
+// in place: the record marshalled with CRC 0, checksummed, marshalled again
+// with the CRC, plus '\n'. TestWALLineUnchanged holds the store to it.
+func referenceWALLine(rec walRecord) ([]byte, error) {
+	rec.CRC = 0
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	rec.CRC = crc32.ChecksumIEEE(b)
+	b, err = json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// TestWALLineUnchanged: the store's one-pass line encoder writes exactly
+// the bytes of the two-marshal reference, for random put and del records
+// and the edges — seq 0 and MaxUint64, zero and negative ids, nil, empty
+// and long host lists, strings with <>&, quotes and non-ASCII — and replay
+// accepts every line. A non-finite guarantee is still an encode error.
+func TestWALLineUnchanged(t *testing.T) {
+	edges := []walRecord{
+		{Seq: 0, Op: "del", ID: 0},
+		{Seq: math.MaxUint64, Op: "del", ID: -1},
+		{Seq: math.MaxUint64, Op: "del", ID: math.MinInt32},
+		{Seq: 1, Op: "put", Tenant: &Tenant{}},
+		{Seq: 2, Op: "put", Tenant: &Tenant{ID: -7, Hosts: []topo.NodeID{}}},
+		{Seq: 3, Op: "put", Tenant: &Tenant{ID: 1, Status: `<a href="x">&'</a>`, Hosts: []topo.NodeID{-1, 0, math.MaxInt32}}},
+		{Seq: 4, Op: "put", Tenant: &Tenant{ID: 2, Status: "Placéd   \U0001F600 \x00\x7f\"\\"}},
+		{Seq: 5, Op: `op "quoted" <&>`, ID: 9},
+		{Seq: 6, Op: "put", Tenant: &Tenant{ID: math.MaxInt32, GuaranteeBps: math.MaxFloat64, VMs: math.MinInt,
+			BacklogBytes: math.MinInt64, NotBeforePS: math.MaxInt64, UpdatedPS: -1, Retries: -3}},
+		{Seq: 7, Op: "put", Tenant: &Tenant{ID: 3, GuaranteeBps: math.SmallestNonzeroFloat64}},
+		{Seq: 8, Op: "put", Tenant: &Tenant{ID: 4, GuaranteeBps: math.Copysign(0, -1), Hosts: make([]topo.NodeID, 4096)}},
+	}
+	rng := stats.NewRand(39)
+	statuses := []TenantStatus{StatusPending, StatusPlaced, StatusDegraded, StatusEvicted, "", "<&>"}
+	recs := append([]walRecord(nil), edges...)
+	for i := 0; i < 2000; i++ {
+		rec := walRecord{Seq: rng.Uint64() >> uint(rng.Intn(64)), Op: "del", ID: int32(rng.Uint32())}
+		if rng.Intn(3) > 0 {
+			hosts := make([]topo.NodeID, rng.Intn(40))
+			for j := range hosts {
+				hosts[j] = topo.NodeID(rng.Int31n(1<<20) - 8)
+			}
+			if rng.Intn(5) == 0 {
+				hosts = nil
+			}
+			rec = walRecord{Seq: rec.Seq, Op: "put", Tenant: &Tenant{
+				ID: rec.ID, GuaranteeBps: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-10)),
+				VMs: rng.Intn(9) - 1, WeightClass: rng.Intn(12) - 1, BacklogBytes: rng.Int63() >> uint(rng.Intn(63)),
+				Status: statuses[rng.Intn(len(statuses))], Hosts: hosts, Retries: rng.Intn(4),
+				NotBeforePS: rng.Int63n(1 << 40), UpdatedPS: rng.Int63() - rng.Int63(),
+			}}
+		}
+		recs = append(recs, rec)
+	}
+	var enc walEncoder
+	for i, rec := range recs {
+		want, err := referenceWALLine(rec)
+		if err != nil {
+			t.Fatalf("record %d: reference: %v", i, err)
+		}
+		got, err := enc.encode(rec.Seq, rec.Op, rec.Tenant, rec.ID)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d: line differs\n got %s\nwant %s", i, got, want)
+		}
+		back, ok := decodeWALRecord(got[:len(got)-1])
+		if !ok {
+			t.Fatalf("record %d: replay rejects %s", i, got)
+		}
+		if line, _ := referenceWALLine(back); !bytes.Equal(line, want) {
+			t.Fatalf("record %d: replay decodes %+v from %s", i, back, got)
+		}
+	}
+	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := referenceWALLine(walRecord{Op: "put", Tenant: &Tenant{GuaranteeBps: g}})
+		if _, err := enc.encode(1, "put", &Tenant{GuaranteeBps: g}, 0); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("guarantee %v: encode error %v, want %v", g, err, want)
+		}
+	}
+	// After a failed encode the next line is whole again.
+	want, _ := referenceWALLine(edges[2])
+	if got, _ := enc.encode(edges[2].Seq, edges[2].Op, nil, edges[2].ID); !bytes.Equal(got, want) {
+		t.Fatalf("after an encode error: %s, want %s", got, want)
+	}
+}
+
+// TestWALAppendAllocs: appending a put or a del builds its line in the
+// store's own buffer and writes it from there; neither the record, nor the
+// tenant, nor the line is allocated. (A put allocated 5 objects and a del
+// 4 when the line came from two json.Marshal calls.) encoding/json pools
+// its encoder state, so under the race detector the count means nothing.
+func TestWALAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetSnapshotEvery(1 << 30) // a checkpoint is not an append
+	tn := tenant(7, StatusPlaced, 10, 11, 12)
+	if err := s.Put(tn); err != nil { // the map slot, the buffer, the encoder
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		op  string
+		run func() error
+	}{
+		{"put", func() error { return s.Put(tn) }},
+		{"del", func() error { return s.Delete(8) }},
+	} {
+		if a := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 0 {
+			t.Errorf("a WAL append of a %s allocates %.1f objects, want 0", c.op, a)
+		}
 	}
 }

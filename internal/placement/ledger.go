@@ -26,6 +26,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -153,7 +154,7 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []flo
 			}
 		}
 	}
-	sort.Slice(l.touched, func(i, j int) bool { return l.touched[i] < l.touched[j] })
+	slices.Sort(l.touched)
 	amounts := make([]float64, len(l.touched))
 	links := make([]topo.LinkID, len(l.touched))
 	for i, lid := range l.touched {
