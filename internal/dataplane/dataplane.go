@@ -53,7 +53,8 @@ func (k Kind) String() string {
 
 // Packet is the unit of transmission. Packets are created by edge agents
 // and mutated in place as they traverse the network (hop index, ECN mark,
-// probe payload).
+// probe payload). A packet in flight is named by an id, which is what its
+// arrival event carries (pktTable).
 //
 // Ownership. A packet from Network.NewPacket is pool-born: it belongs to the
 // network from Send until the network hands it to a Handler, and the network
@@ -67,15 +68,16 @@ func (k Kind) String() string {
 type Packet struct {
 	// The fields are ordered by alignment — one- and two-byte fields, then
 	// four-byte ids, then words and slices — so the struct's only padding is
-	// the two bytes after at: a new field goes there, or next to the fields
-	// of its own size, not wherever it reads best.
+	// the two bytes after PathID and the four after id: a new field goes
+	// there, or next to the fields of its own size, not wherever it reads
+	// best.
 	Kind Kind
 	// ECN is set by switches when the egress queue exceeds the marking
 	// threshold; baselines use it as their congestion signal. ECNEcho is an
 	// Ack's copy of the acknowledged data packet's mark, a header field no
 	// switch on the way back touches.
 	ECN, ECNEcho bool
-	// state follows a pool-born packet through its journey (see self).
+	// state follows the packet through its journey.
 	state pktState
 	// PathID is the sender-side index of the candidate path the packet
 	// travels (a real stack reads it from the SR header); an ack echoes it.
@@ -85,9 +87,12 @@ type Packet struct {
 	// Dst is the destination host (required for ECMP, informative
 	// otherwise).
 	Dst topo.NodeID
-	// at is the node the link the packet is currently on delivers it to
-	// (see arrival).
+	// at is the node the link the packet is currently on delivers it to.
 	at topo.NodeID
+	// id names the packet in the network's table: a pool-born packet keeps
+	// the one NewPacket gave it when it made it (> 0); a caller-owned packet
+	// holds ^id of one it borrowed for its current journey (< 0).
+	id int32
 	// Size is the on-wire size in bytes.
 	Size int
 	// Seq is a scheme-defined sequence number (bytes or packets).
@@ -103,16 +108,6 @@ type Packet struct {
 	// Rate is the baselines' rate header: the sender's weight in tokens on a
 	// data packet, the receiver's grant in bits/s on its ack.
 	Rate float64
-
-	// arrival is the one event callback the packet's whole journey
-	// schedules. A pool-born packet is bound once per object, when NewPacket
-	// makes it, and the binding survives reuse. A caller-owned packet is
-	// bound by every Send/SendECMP: a value copy inherits the original's
-	// binding, so each injection must rebind.
-	arrival sim.Event
-	// self points at the packet itself iff it is pool-born, so a value copy
-	// of a pool-born packet is a caller-owned one.
-	self *Packet
 
 	// Route is the source route as a sequence of link IDs. Empty Route means
 	// ECMP forwarding to Dst.
@@ -130,7 +125,7 @@ type Packet struct {
 type pktState uint8
 
 const (
-	pktFree      pktState = iota // on a free list
+	pktFree      pktState = iota // on a free list, or a caller's between journeys
 	pktHeld                      // handed out by NewPacket, not sent yet
 	pktInFlight                  // between Send and its delivery or drop
 	pktDelivered                 // inside the destination's HandlePacket
@@ -145,6 +140,63 @@ type pktPool struct {
 	free []*Packet
 	made int64
 	_    [32]byte
+}
+
+// pktTable names packets by id, so a hop's arrival is the typed event
+// (arrive, id): every pool-born packet under the id NewPacket gave it when
+// it made it, and every caller-owned packet on a journey under an id it
+// borrowed for that journey and gave back (spare) at its end. Id 0 names
+// nothing, so a fresh packet's zero id is nobody's. Ids are handed out under
+// mu by whichever shard makes or sends a packet; the shard its arrival fires
+// on reads the table without a lock through view, all at full capacity,
+// republished whenever appending moves it; a borrowed id is checked under mu
+// (named).
+type pktTable struct {
+	mu    sync.Mutex
+	all   []*Packet
+	spare []int32
+	view  atomic.Pointer[[]*Packet]
+}
+
+// add names pkt with a spare id if there is one, else a new id.
+func (t *pktTable) add(pkt *Packet) int32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if k := len(t.spare); k > 0 {
+		id := t.spare[k-1]
+		t.spare = t.spare[:k-1]
+		t.all[id] = pkt
+		return id
+	}
+	grown := append(t.all, pkt)
+	if cap(grown) != cap(t.all) {
+		full := grown[:cap(grown)]
+		t.view.Store(&full)
+	}
+	t.all = grown
+	return int32(len(grown) - 1)
+}
+
+// giveBack ends a borrowed id's journey.
+func (t *pktTable) giveBack(id int32) {
+	t.mu.Lock()
+	t.all[id] = nil
+	t.spare = append(t.spare, id)
+	t.mu.Unlock()
+}
+
+// named reports whether pkt holds an id naming it: it is pool-born, or
+// caller-owned and on a journey. A value copy of either is not named.
+func (t *pktTable) named(pkt *Packet) bool {
+	if pkt.id < 0 {
+		// A borrowed id may be a stale one another shard is giving back or
+		// lending out right now: read its slot under the lock.
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return int(^pkt.id) < len(t.all) && t.all[^pkt.id] == pkt
+	}
+	v := *t.view.Load() // a pool-born id's slot is written once, before pkt is seen
+	return int(pkt.id) < len(v) && v[pkt.id] == pkt
 }
 
 // Handler receives packets delivered to a host.
@@ -202,15 +254,19 @@ const (
 // Port is the egress side of a link: a FIFO queue plus telemetry.
 type Port struct {
 	Link *topo.Link
+	// id, src, dst and prop copy the link's id, ends and propagation delay,
+	// and shard is src's shard: the hop path reads the port, not the graph.
+	id       topo.LinkID
+	src, dst topo.NodeID
+	shard    int32
+	prop     sim.Duration
 	// queue is a ring of the qlen packets waiting behind the one being
 	// serialized, oldest at qhead; its length is a power of two. wire is the
-	// packet being serialized (nil when the port is idle) and txDone the
-	// port's transmit-complete callback, bound once in newNetwork.
+	// packet being serialized (nil when the port is idle).
 	queue       []*Packet
 	qhead, qlen int
 	queueBytes  int
 	wire        *Packet
-	txDone      sim.Event
 	// Telemetry.
 	rate     rateEstimator
 	capBytes int
@@ -340,6 +396,7 @@ type Network struct {
 	handlers []Handler     // indexed by NodeID (hosts)
 	agents   []SwitchAgent // indexed by NodeID (switches)
 	failed   []bool        // indexed by NodeID
+	host     []bool        // indexed by NodeID
 	faults   []linkFault   // indexed by LinkID
 
 	// shardOf maps every node to its logical shard; scheds, faultRngs and
@@ -355,6 +412,10 @@ type Network struct {
 	// (tests only: export_test.go).
 	pools  []pktPool
 	poison bool
+	// pkts names packets for their arrivals; txKind and arriveKind are the
+	// typed events of a hop, registered on every shard.
+	pkts               pktTable
+	txKind, arriveKind sim.Kind
 
 	// dist[h] is the hop distance from every node to host h, for ECMP;
 	// computed lazily per destination. distMu serializes the lazy fill,
@@ -414,27 +475,45 @@ func faultSeed(seed int64, s int) int64 {
 	return int64(x ^ (x >> 33))
 }
 
-func newNetwork(g *topo.Graph, cfg Config) *Network {
+// newNetwork builds a Network over g whose node shardOf[v] runs on
+// scheds[shardOf[v]], with eng the coordinator-context scheduler.
+func newNetwork(eng sim.Scheduler, scheds []sim.Scheduler, shardOf []int32, g *topo.Graph, cfg Config) *Network {
 	if cfg.QueueCapBytes == 0 {
 		cfg.QueueCapBytes = 10 << 20
 	}
 	n := &Network{
-		G:        g,
-		Cfg:      cfg,
-		Ports:    make([]Port, len(g.Links)),
-		handlers: make([]Handler, len(g.Nodes)),
-		agents:   make([]SwitchAgent, len(g.Nodes)),
-		failed:   make([]bool, len(g.Nodes)),
-		faults:   make([]linkFault, len(g.Links)),
-		dist:     make(map[topo.NodeID][]int32),
+		Eng:       eng,
+		G:         g,
+		Cfg:       cfg,
+		Ports:     make([]Port, len(g.Links)),
+		handlers:  make([]Handler, len(g.Nodes)),
+		agents:    make([]SwitchAgent, len(g.Nodes)),
+		failed:    make([]bool, len(g.Nodes)),
+		host:      make([]bool, len(g.Nodes)),
+		faults:    make([]linkFault, len(g.Links)),
+		dist:      make(map[topo.NodeID][]int32),
+		shardOf:   shardOf,
+		scheds:    scheds,
+		pools:     make([]pktPool, len(scheds)),
+		faultRngs: make([]*mrand.Rand, len(scheds)),
+		rec:       cfg.Telemetry.Recorder(),
+		recs:      make([]*telemetry.Recorder, len(scheds)),
 	}
 	for i := range n.Ports {
-		p := &n.Ports[i]
-		p.Link = g.Link(topo.LinkID(i))
-		p.capBytes = cfg.QueueCapBytes
-		p.ecnBytes = cfg.ECNThresholdBytes
-		p.txDone = func() { n.finishTx(p) }
+		l := g.Link(topo.LinkID(i))
+		n.Ports[i] = Port{Link: l, id: l.ID, src: l.Src, dst: l.Dst, shard: shardOf[l.Src], prop: l.PropDelay,
+			capBytes: cfg.QueueCapBytes, ecnBytes: cfg.ECNThresholdBytes}
 	}
+	for i := range g.Nodes {
+		n.host[i] = g.Nodes[i].Kind == topo.Host
+	}
+	for i, sched := range scheds {
+		n.faultRngs[i] = stats.NewRand(faultSeed(cfg.FaultSeed, i))
+		n.recs[i] = n.rec // unless the registry holds one recorder per shard
+		n.txKind = sched.Register("dataplane.txDone", n.finishTx)
+		n.arriveKind = sched.Register("dataplane.arrive", n.arrive)
+	}
+	n.pkts.add(nil) // id 0
 	if cfg.Telemetry != nil {
 		n.linkEntity = make([]string, len(g.Links))
 		for i := range n.linkEntity {
@@ -449,15 +528,7 @@ func newNetwork(g *topo.Graph, cfg Config) *Network {
 // New builds a Network over g driven by eng, with all nodes in one logical
 // shard — the classic sequential dataplane.
 func New(eng sim.Scheduler, g *topo.Graph, cfg Config) *Network {
-	n := newNetwork(g, cfg)
-	n.Eng = eng
-	n.shardOf = make([]int32, len(g.Nodes))
-	n.scheds = []sim.Scheduler{eng}
-	n.pools = make([]pktPool, 1)
-	n.faultRngs = []*mrand.Rand{stats.NewRand(faultSeed(cfg.FaultSeed, 0))}
-	n.rec = cfg.Telemetry.Recorder()
-	n.recs = []*telemetry.Recorder{n.rec}
-	return n
+	return newNetwork(eng, []sim.Scheduler{eng}, make([]int32, len(g.Nodes)), g, cfg)
 }
 
 // NewPartitioned builds a Network whose scheduling contexts follow a
@@ -471,25 +542,15 @@ func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Co
 	if eng.Shards() != part.Shards {
 		panic(fmt.Sprintf("dataplane: engine has %d shards, partition %d", eng.Shards(), part.Shards))
 	}
-	n := newNetwork(g, cfg)
-	n.Eng = eng
-	n.coord = eng
-	n.shardOf = part.Node
-	n.scheds = make([]sim.Scheduler, part.Shards)
-	n.pools = make([]pktPool, part.Shards)
-	n.faultRngs = make([]*mrand.Rand, part.Shards)
-	for i := range n.scheds {
-		n.scheds[i] = eng.Shard(i)
-		n.faultRngs[i] = stats.NewRand(faultSeed(cfg.FaultSeed, i))
+	scheds := make([]sim.Scheduler, part.Shards)
+	for i := range scheds {
+		scheds[i] = eng.Shard(i)
 	}
+	n := newNetwork(eng, scheds, part.Node, g, cfg)
+	n.coord = eng
 	// Declare the shard pairs cross-shard propagation will use.
 	for _, l := range g.Links {
 		eng.Connect(int(part.Node[l.Src]), int(part.Node[l.Dst]))
-	}
-	n.rec = cfg.Telemetry.Recorder()
-	n.recs = make([]*telemetry.Recorder, part.Shards)
-	for i := range n.recs {
-		n.recs[i] = n.rec // unless the registry holds one recorder per shard
 	}
 	copy(n.recs, cfg.Telemetry.ShardRecorders())
 	return n
@@ -512,11 +573,6 @@ func (n *Network) NodeScheduler(id topo.NodeID) sim.Scheduler {
 // telemetry is off): where everything attached to that node — its ports'
 // drops, its μFAB-C and μFAB-E agents — records.
 func (n *Network) RecorderAt(id topo.NodeID) *telemetry.Recorder { return n.recs[n.shardOf[id]] }
-
-// schedAt / rngAt return the scheduling context and fault-RNG stream of
-// node id's shard.
-func (n *Network) schedAt(id topo.NodeID) sim.Scheduler { return n.scheds[n.shardOf[id]] }
-func (n *Network) rngAt(id topo.NodeID) *mrand.Rand     { return n.faultRngs[n.shardOf[id]] }
 
 // FlightRecorder returns the run-trace recorder drop events go to (nil
 // when telemetry is off); chaos injection records its faults there too.
@@ -652,25 +708,26 @@ func (n *Network) NewPacket(at topo.NodeID) *Packet {
 	if k := len(pool.free); k > 0 {
 		pkt := pool.free[k-1]
 		pool.free = pool.free[:k-1]
-		*pkt = Packet{Payload: pkt.Payload[:0], arrival: pkt.arrival, self: pkt, state: pktHeld}
+		*pkt = Packet{Payload: pkt.Payload[:0], id: pkt.id, state: pktHeld}
 		return pkt
 	}
 	pool.made++
 	pkt := &Packet{state: pktHeld}
-	pkt.self = pkt
-	n.bindArrival(pkt)
+	pkt.id = n.pkts.add(pkt)
 	return pkt
 }
 
-// release takes a pool-born packet back at the node where its journey ended
-// (delivered and not turned around, or dropped), onto that node's shard's
-// list. A caller-owned packet is left alone. It runs after every observer of
-// the packet (Trace, the handler, OnFailDrop, the drop's trace event).
+// release ends a journey at the node where it ended (delivered and not
+// turned around, or dropped): a pool-born packet goes back onto that node's
+// shard's list, a caller-owned one gives its borrowed id back and is left
+// alone. It runs after every observer of the packet (Trace, the handler,
+// OnFailDrop, the drop's trace event).
 func (n *Network) release(pkt *Packet, at topo.NodeID) {
-	if pkt.self != pkt {
+	pkt.state = pktFree
+	if pkt.id < 0 {
+		n.pkts.giveBack(^pkt.id)
 		return
 	}
-	pkt.state = pktFree
 	if n.poison {
 		poisonPacket(pkt)
 	}
@@ -712,7 +769,7 @@ func (n *Network) ReturnRoute(pkt *Packet, hops int) topo.Path {
 func (n *Network) Reply(pkt *Packet, at topo.NodeID) *Packet {
 	back := n.ReturnRoute(pkt, len(pkt.Route))
 	r := pkt
-	if pkt.self != pkt {
+	if pkt.id < 0 {
 		r = n.NewPacket(at)
 		r.VMPair, r.Tenant, r.PathID = pkt.VMPair, pkt.Tenant, pkt.PathID
 		r.Payload = append(r.Payload, pkt.Payload...)
@@ -747,57 +804,47 @@ func (n *Network) SendECMP(pkt *Packet, src topo.NodeID) {
 	n.enqueue(pkt, next)
 }
 
-// inject starts a journey. A pool-born packet was bound when it was made; it
-// must be the sender's to send — held since NewPacket, or delivered and being
-// turned around. A caller-owned packet is bound here, every time, so a value
-// copy of a packet (or a packet sent again) delivers itself and not the
-// packet it was copied from.
+// inject starts a journey. A packet its id names — pool-born, or
+// caller-owned and being turned around by its handler — must be the sender's
+// to send: held since NewPacket, or delivered. Any other packet is a
+// caller-owned one (or a value copy) setting out, and borrows an id.
 func (n *Network) inject(pkt *Packet) {
-	if pkt.self != pkt {
-		n.bindArrival(pkt)
-		return
-	}
-	if pkt.state == pktFree || pkt.state == pktInFlight {
+	if !n.pkts.named(pkt) {
+		pkt.id = ^n.pkts.add(pkt)
+	} else if pkt.state == pktFree || pkt.state == pktInFlight {
 		panic("dataplane: Send of a packet the network owns")
 	}
 	pkt.state = pktInFlight
 }
 
-// bindArrival binds the packet's arrival callback to this Packet value: one
-// allocation per pool-born object or per caller-owned journey, instead of a
-// closure per hop.
-func (n *Network) bindArrival(pkt *Packet) {
-	pkt.arrival = func() { n.arrive(pkt, pkt.at) }
-}
-
 func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 	port := &n.Ports[lid]
-	sched := n.schedAt(port.Link.Src)
-	if n.failed[port.Link.Src] || n.failed[port.Link.Dst] {
+	sched := n.scheds[port.shard]
+	if n.failed[port.src] || n.failed[port.dst] {
 		atomic.AddUint64(&n.TotalDrops, 1)
-		if rec := n.RecorderAt(port.Link.Src); rec != nil {
+		if rec := n.recs[port.shard]; rec != nil {
 			rec.Record(telemetry.Event{T: int64(sched.Now()), Kind: telemetry.EvDrop,
 				Entity: n.linkEntity[lid], A: int64(pkt.Kind), Note: "failed"})
 		}
 		if n.OnFailDrop != nil {
 			// Report the node that actually failed; when the local node
 			// itself is dead that is Src, otherwise the far end.
-			failed := port.Link.Dst
-			if n.failed[port.Link.Src] {
-				failed = port.Link.Src
+			failed := port.dst
+			if n.failed[port.src] {
+				failed = port.src
 			}
-			n.OnFailDrop(pkt, port.Link.Src, failed)
+			n.OnFailDrop(pkt, port.src, failed)
 		}
-		n.release(pkt, port.Link.Src)
+		n.release(pkt, port.src)
 		return
 	}
 	if !n.faultFilter(pkt, port) {
-		n.release(pkt, port.Link.Src)
+		n.release(pkt, port.src)
 		return
 	}
 	// Switch agent hook (INT read/write) fires at enqueue time on
 	// switch egress.
-	if ag := n.agents[port.Link.Src]; ag != nil {
+	if ag := n.agents[port.src]; ag != nil {
 		ag.OnForward(pkt, port, sched.Now())
 	}
 	// ECN marking on queue buildup.
@@ -807,12 +854,12 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 	if port.queueBytes+pkt.Size > port.capBytes {
 		port.Drops++
 		atomic.AddUint64(&n.TotalDrops, 1)
-		if rec := n.RecorderAt(port.Link.Src); rec != nil {
+		if rec := n.recs[port.shard]; rec != nil {
 			rec.Record(telemetry.Event{T: int64(sched.Now()), Kind: telemetry.EvDrop,
 				Entity: n.linkEntity[lid], A: int64(pkt.Kind),
 				B: int64(port.queueBytes), Note: "overflow"})
 		}
-		n.release(pkt, port.Link.Src)
+		n.release(pkt, port.src)
 		return
 	}
 	port.queueBytes += pkt.Size
@@ -828,47 +875,49 @@ func (n *Network) enqueue(pkt *Packet, lid topo.LinkID) {
 
 // startTx puts pkt on the wire of an idle port. A hop schedules the same two
 // events at the same instants as ever — transmit-complete after the
-// serialization delay, arrival after the propagation delay — but allocates
-// neither: both callbacks were bound before the packet got here.
+// serialization delay, arrival after the propagation delay — as typed events
+// (txDone, link) and (arrive, packet), which allocate nothing.
 func (n *Network) startTx(port *Port, pkt *Packet) {
 	port.queueBytes -= pkt.Size
 	port.wire = pkt
 	ser := topo.SerializationDelay(pkt.Size, n.effectiveCapacity(port))
-	n.schedAt(port.Link.Src).After(ser, port.txDone)
+	n.scheds[port.shard].Post(ser, n.txKind, int32(port.id))
 }
 
-// finishTx runs when port's packet has been serialized.
-func (n *Network) finishTx(port *Port) {
+// finishTx runs when link lid's port has serialized its packet.
+func (n *Network) finishTx(lid int32) {
+	port := &n.Ports[lid]
 	pkt := port.wire
 	port.wire = nil
-	src, dst := port.Link.Src, port.Link.Dst
-	sched := n.schedAt(src)
+	sched := n.scheds[port.shard]
 	port.TxPackets++
 	port.TxBytes += uint64(pkt.Size)
 	port.rate.add(sched.Now(), pkt.Size)
 	// Propagate to the far end (a gray fault may add latency). A
 	// cross-shard hop hands the arrival to the destination shard's heap;
 	// the partition guarantees prop is at least the lookahead window.
-	pkt.at = dst
-	prop := port.Link.PropDelay + n.faults[port.Link.ID].deg.ExtraDelay
-	if sd, dd := n.shardOf[src], n.shardOf[dst]; sd != dd {
-		n.coord.Send(int(sd), int(dd), prop, pkt.arrival)
+	pkt.at = port.dst
+	prop := port.prop + n.faults[lid].deg.ExtraDelay
+	if dd := n.shardOf[port.dst]; dd != port.shard {
+		n.coord.Send(int(port.shard), int(dd), prop, n.arriveKind, max(pkt.id, ^pkt.id))
 	} else {
-		sched.After(prop, pkt.arrival)
+		sched.Post(prop, n.arriveKind, max(pkt.id, ^pkt.id))
 	}
 	if port.qlen > 0 {
 		n.startTx(port, port.pop())
 	}
 }
 
-func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
+// arrive runs when packet id reaches the node its link delivers it to.
+func (n *Network) arrive(id int32) {
+	pkt := (*n.pkts.view.Load())[id]
+	at := pkt.at
 	if n.failed[at] {
 		atomic.AddUint64(&n.TotalDrops, 1)
 		n.release(pkt, at)
 		return
 	}
-	node := n.G.Node(at)
-	if node.Kind == topo.Host {
+	if n.host[at] {
 		pkt.state = pktDelivered
 		if n.Trace != nil {
 			n.Trace(at, pkt)
@@ -893,7 +942,7 @@ func (n *Network) arrive(pkt *Packet, at topo.NodeID) {
 			return
 		}
 		next = pkt.Route[pkt.Hop]
-		if n.G.Link(next).Src != at {
+		if n.Ports[next].src != at {
 			panic(fmt.Sprintf("dataplane: route hop %d link %d does not start at node %d", pkt.Hop, next, at))
 		}
 	} else {

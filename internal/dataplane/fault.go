@@ -128,7 +128,7 @@ func (n *Network) EffectiveCapacity(l topo.LinkID) float64 {
 // effectiveCapacity is the link line rate after any degradation.
 func (n *Network) effectiveCapacity(port *Port) float64 {
 	c := port.Link.Capacity
-	if s := n.faults[port.Link.ID].deg.CapacityScale; s > 0 && s < 1 {
+	if s := n.faults[port.id].deg.CapacityScale; s > 0 && s < 1 {
 		c *= s
 	}
 	return c
@@ -141,7 +141,7 @@ func (n *Network) effectiveCapacity(port *Port) float64 {
 // RNG stream, so fault outcomes are a pure function of (topology, seed) no
 // matter how many workers execute the shards.
 func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
-	f := &n.faults[port.Link.ID]
+	f := &n.faults[port.id]
 	if f.clear() {
 		return true
 	}
@@ -153,12 +153,12 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 		if n.OnFailDrop != nil {
 			// The near end detects the dark link; from its viewpoint the
 			// far end is unreachable.
-			n.OnFailDrop(pkt, port.Link.Src, port.Link.Dst)
+			n.OnFailDrop(pkt, port.src, port.dst)
 		}
 		return false
 	}
 	d := &f.deg
-	rng := n.rngAt(port.Link.Src)
+	rng := n.faultRngs[port.shard]
 	if d.LossProb > 0 && rng.Float64() < d.LossProb {
 		port.FaultDrops++
 		atomic.AddUint64(&n.FaultDrops, 1)
@@ -182,9 +182,9 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 			b[i] ^= 1 << uint(rng.Intn(8))
 			pkt.Payload = b
 			atomic.AddUint64(&n.CorruptedProbes, 1)
-			if rec := n.RecorderAt(port.Link.Src); rec != nil {
-				rec.Record(telemetry.Event{T: int64(n.schedAt(port.Link.Src).Now()), Kind: telemetry.EvFault,
-					Entity: n.linkEnt(port.Link.ID), A: int64(pkt.Kind), Note: "probe_corrupt"})
+			if rec := n.recs[port.shard]; rec != nil {
+				rec.Record(telemetry.Event{T: int64(n.scheds[port.shard].Now()), Kind: telemetry.EvFault,
+					Entity: n.linkEnt(port.id), A: int64(pkt.Kind), Note: "probe_corrupt"})
 			}
 		}
 	}
@@ -194,10 +194,10 @@ func (n *Network) faultFilter(pkt *Packet, port *Port) bool {
 // recordFaultDrop traces a fault-induced packet loss (no-op without a
 // recorder), into the link-source shard's recorder.
 func (n *Network) recordFaultDrop(pkt *Packet, port *Port) {
-	rec := n.RecorderAt(port.Link.Src)
+	rec := n.recs[port.shard]
 	if rec == nil {
 		return
 	}
-	rec.Record(telemetry.Event{T: int64(n.schedAt(port.Link.Src).Now()), Kind: telemetry.EvDrop,
-		Entity: n.linkEnt(port.Link.ID), A: int64(pkt.Kind), Note: "fault"})
+	rec.Record(telemetry.Event{T: int64(n.scheds[port.shard].Now()), Kind: telemetry.EvDrop,
+		Entity: n.linkEnt(port.id), A: int64(pkt.Kind), Note: "fault"})
 }

@@ -9,12 +9,12 @@ import (
 	"ufab/internal/topo"
 )
 
-// TestCopiedPacketDeliversItself: the arrival callback is bound to a Packet
-// once per injection, so a value copy of an in-flight packet carries the
-// original's binding until it is sent. Injected on another route, the copy
-// must reach its own destination with its own Hop, and so must the
-// original — on a plain engine and on a partitioned one, where the two
-// packets cross shard boundaries inline or on different workers.
+// TestCopiedPacketDeliversItself: a caller-owned packet's arrivals name it
+// by an id borrowed for its journey, so a value copy of an in-flight packet
+// carries the original's id until it is sent. Injected on another route, the
+// copy must borrow its own, reach its own destination with its own Hop, and
+// so must the original — on a plain engine and on a partitioned one, where
+// the two packets cross shard boundaries inline or on different workers.
 func TestCopiedPacketDeliversItself(t *testing.T) {
 	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
 	part, err := topo.PartitionPods(ft.Graph)
@@ -74,6 +74,44 @@ func TestCopiedPacketDeliversItself(t *testing.T) {
 		if n.TotalDrops != 0 {
 			t.Errorf("%s: %d drops", name, n.TotalDrops)
 		}
+	}
+}
+
+// TestCallerOwnedResendAcrossShards: a caller-owned packet sent again after
+// its delivery still holds the id it gave back, which another shard may be
+// lending out or taking back at that moment. Two such packets ping-pong
+// between hosts of different pods, each re-sent by its host a microsecond
+// after it lands, on two workers: under -race this checks that a stale
+// borrowed id is read only under the table's lock, and every round must
+// still arrive.
+func TestCallerOwnedResendAcrossShards(t *testing.T) {
+	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
+	part, err := topo.PartitionPods(ft.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := ft.Hosts[0], ft.Hosts[len(ft.Hosts)-1]
+	ab, ba := ft.Graph.Paths(a, b, 1)[0], ft.Graph.Paths(b, a, 1)[0]
+	eng := sim.New()
+	eng.Partition(part.Shards, 2, part.MinCutDelay)
+	n := NewPartitioned(eng, part, ft.Graph, Config{})
+	const rounds = 50
+	var atA, atB int // each touched by its own host's shard only
+	bounce := func(at topo.NodeID, got *int, back topo.Path) Handler {
+		sched := n.NodeScheduler(at)
+		return HandlerFunc(func(p *Packet) {
+			if *got++; *got < rounds {
+				sched.After(sim.Microsecond, func() { p.Route = back; n.Send(p) })
+			}
+		})
+	}
+	n.SetHandler(a, bounce(a, &atA, ab))
+	n.SetHandler(b, bounce(b, &atB, ba))
+	n.Send(&Packet{Kind: Data, Size: 1500, Route: ab})
+	n.Send(&Packet{Kind: Data, Size: 1500, Route: ba})
+	eng.Run()
+	if atA != rounds || atB != rounds || n.TotalDrops != 0 {
+		t.Errorf("%d and %d deliveries, %d drops; want %d at each host and none", atA, atB, n.TotalDrops, rounds)
 	}
 }
 
@@ -202,9 +240,10 @@ func TestECMPNextMatchesCandidateList(t *testing.T) {
 
 // TestHopAllocationBudget is the tier-1 gate on per-hop garbage: a 6-hop
 // source-routed packet through the bare dataplane (the setup behind the
-// benchmark's dataplane.hop_allocs) costs the Packet and its one arrival
-// binding — nothing per hop — when the caller made it, and nothing at all
-// when it came from the network's free list.
+// benchmark's dataplane.hop_allocs) costs the Packet alone — nothing per hop,
+// and no binding: its journey borrows an id that the last one gave back —
+// when the caller made it, and nothing at all when it came from the
+// network's free list.
 func TestHopAllocationBudget(t *testing.T) {
 	eng := sim.New()
 	ft := topo.FatTree(4, topo.Gbps(10), sim.Microsecond)
@@ -221,14 +260,17 @@ func TestHopAllocationBudget(t *testing.T) {
 		eng.Run()
 	}
 	one() // warm the engine's slab
-	if a := testing.AllocsPerRun(200, one); a > 2 {
-		t.Errorf("%v allocations per 6-hop packet, want <= 2 (the Packet and its arrival binding)", a)
+	if a := testing.AllocsPerRun(200, one); a > 1 {
+		t.Errorf("%v allocations per 6-hop packet, want <= 1 (the Packet)", a)
 	}
 	if delivered != 202 {
 		t.Errorf("delivered %d packets, want 202", delivered)
 	}
 	if n.LivePackets() != 0 || n.PooledPackets() != 0 {
 		t.Errorf("caller-owned packets reached the pool: %d live, %d free", n.LivePackets(), n.PooledPackets())
+	}
+	if ids, spare := len(n.pkts.all), len(n.pkts.spare); ids != 2 || spare != 1 {
+		t.Errorf("after 202 journeys the packet table holds %d ids, %d spare; want 2 (id 0 and one borrowed by turns), 1", ids, spare)
 	}
 
 	pooled := func() {
@@ -248,13 +290,14 @@ func TestHopAllocationBudget(t *testing.T) {
 }
 
 // TestPacketBytes: every scheme's header rides in a typed field, none boxed
-// behind an interface, and the fields are ordered by alignment, so a packet
-// is 168 bytes (the 176-byte size class; 200 with the fields in reading
-// order) and must not grow. A new field goes where the struct has padding —
-// the two bytes after at — or beside the fields of its own size.
+// behind an interface, the fields are ordered by alignment, and a hop's
+// events carry the packet's id instead of a callback it holds, so a packet
+// is 160 bytes (the 160-byte size class) and must not grow. A new field goes
+// where the struct has padding — the two bytes after PathID, the four after
+// id — or beside the fields of its own size.
 func TestPacketBytes(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got > 168 {
-		t.Errorf("Packet is %d bytes, want <= 168", got)
+	if got := unsafe.Sizeof(Packet{}); got > 160 {
+		t.Errorf("Packet is %d bytes, want <= 160", got)
 	}
 }
 

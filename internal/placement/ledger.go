@@ -120,25 +120,24 @@ func NewLedger(g *topo.Graph, maxPaths int) *Ledger {
 }
 
 // delta computes the per-link commitment of (guaranteeBps, pairs) into
-// the reusable scratch buffers and returns the touched links sorted by
-// id, in freshly allocated slices. Each pair contributes G once per link
-// of its ECMP path union (multiple candidate paths sharing a link count
-// once, matching the μFAB-C register's per-pair dedup); separate pairs
-// sharing a link each contribute. mu must be held.
-func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
+// the reusable scratch buffers: l.touched holds the touched links sorted by
+// id and l.scratch each one's amount, until take or clearDelta resets
+// them (an error has reset them already). Each pair contributes G once per
+// link of its ECMP path union (multiple candidate paths sharing a link
+// count once, matching the μFAB-C register's per-pair dedup); separate
+// pairs sharing a link each contribute. mu must be held.
+func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) error {
 	l.touched = l.touched[:0]
 	for _, pr := range pairs {
 		// Endpoints come from files and sockets (scenario specs, store
 		// records): vet them before the graph indexes by them.
 		var paths []topo.Path
 		if l.isHost(pr.Src) && l.isHost(pr.Dst) {
-			paths = l.g.Paths(pr.Src, pr.Dst, l.maxPaths)
+			paths = l.g.SharedPaths(pr.Src, pr.Dst, l.maxPaths)
 		}
 		if len(paths) == 0 {
-			for _, lid := range l.touched {
-				l.scratch[lid] = 0 // reset for the next call
-			}
-			return nil, nil, fmt.Errorf("placement: no path %d→%d: %w, %w", pr.Src, pr.Dst, ErrInvalid, ErrPlacement)
+			l.clearDelta()
+			return fmt.Errorf("placement: no path %d→%d: %w, %w", pr.Src, pr.Dst, ErrInvalid, ErrPlacement)
 		}
 		l.seq++
 		for _, p := range paths {
@@ -155,14 +154,27 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []flo
 		}
 	}
 	slices.Sort(l.touched)
+	return nil
+}
+
+// take returns delta's result in freshly allocated slices and resets the
+// scratch for the next call.
+func (l *Ledger) take() ([]topo.LinkID, []float64) {
 	amounts := make([]float64, len(l.touched))
 	links := make([]topo.LinkID, len(l.touched))
 	for i, lid := range l.touched {
 		links[i] = lid
 		amounts[i] = l.scratch[lid]
-		l.scratch[lid] = 0 // reset for the next call
 	}
-	return links, amounts, nil
+	l.clearDelta()
+	return links, amounts
+}
+
+// clearDelta resets the scratch delta filled.
+func (l *Ledger) clearDelta() {
+	for _, lid := range l.touched {
+		l.scratch[lid] = 0
+	}
 }
 
 // isHost reports whether n names a host of the graph.
@@ -170,17 +182,17 @@ func (l *Ledger) isHost(n topo.NodeID) bool {
 	return n >= 0 && int(n) < len(l.g.Nodes) && l.g.Nodes[n].Kind == topo.Host
 }
 
-// overBudget is the one headroom comparison: it returns the first link on
-// which committed + delta would exceed Oversubscription × capacity. mu
-// must be held.
-func (l *Ledger) overBudget(links []topo.LinkID, amounts []float64) (topo.LinkID, bool) {
+// overBudget is the one headroom comparison, on the delta in the scratch:
+// it returns the first link, by id, on which committed + delta would exceed
+// Oversubscription × capacity. mu must be held.
+func (l *Ledger) overBudget() (topo.LinkID, bool) {
 	oversub := l.Oversubscription
 	if oversub == 0 {
 		oversub = 1.0
 	}
-	for i, lid := range links {
+	for _, lid := range l.touched {
 		budget := oversub * l.g.Links[lid].Capacity
-		if l.committed[lid]+amounts[i] > budget+1e-9 {
+		if l.committed[lid]+l.scratch[lid] > budget+1e-9 {
 			return lid, true
 		}
 	}
@@ -194,20 +206,26 @@ func (l *Ledger) overBudget(links []topo.LinkID, amounts []float64) (topo.LinkID
 func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.delta(guaranteeBps, pairs)
+	if err := l.delta(guaranteeBps, pairs); err != nil {
+		return nil, nil, err
+	}
+	links, amounts := l.take()
+	return links, amounts, nil
 }
 
 // Fits answers the what-if Admit would decide, committing nothing: nil
 // when the placement is routable and within budget on every link, else an
-// error wrapping ErrInvalid or ErrHeadroom.
+// error wrapping ErrInvalid or ErrHeadroom. A placement that fits
+// allocates nothing.
 func (l *Ledger) Fits(guaranteeBps float64, pairs []Pair) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	links, amounts, err := l.delta(guaranteeBps, pairs)
-	if err != nil {
+	if err := l.delta(guaranteeBps, pairs); err != nil {
 		return err
 	}
-	if hot, over := l.overBudget(links, amounts); over {
+	hot, over := l.overBudget()
+	l.clearDelta()
+	if over {
 		return fmt.Errorf("placement: link %d over budget: %w", hot, ErrHeadroom)
 	}
 	return nil
@@ -237,15 +255,16 @@ func (l *Ledger) admit(id int32, guaranteeBps float64, pairs []Pair, budgeted bo
 	if l.tenants[id] != nil {
 		return fmt.Errorf("placement: tenant %d: %w", id, ErrDuplicate)
 	}
-	links, amounts, err := l.delta(guaranteeBps, pairs)
-	if err != nil {
+	if err := l.delta(guaranteeBps, pairs); err != nil {
 		return err
 	}
 	if budgeted {
-		if hot, over := l.overBudget(links, amounts); over {
+		if hot, over := l.overBudget(); over {
+			l.clearDelta()
 			return fmt.Errorf("placement: tenant %d link %d over budget: %w", id, hot, ErrHeadroom)
 		}
 	}
+	links, amounts := l.take()
 	for i, lid := range links {
 		l.committed[lid] += amounts[i]
 	}
@@ -351,13 +370,13 @@ func (l *Ledger) Verify() error {
 	full := make([]float64, len(l.committed))
 	for _, id := range ids {
 		e := l.tenants[id]
-		links, amounts, err := l.delta(e.guaranteeBps, e.pairs)
-		if err != nil {
+		if err := l.delta(e.guaranteeBps, e.pairs); err != nil {
 			return fmt.Errorf("placement: verify: tenant %d: %v", id, err)
 		}
-		for i, lid := range links {
-			full[lid] += amounts[i]
+		for _, lid := range l.touched {
+			full[lid] += l.scratch[lid]
 		}
+		l.clearDelta()
 	}
 	for i := range full {
 		diff := l.committed[i] - full[i]

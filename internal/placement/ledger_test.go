@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -395,5 +396,45 @@ func TestChainPairs(t *testing.T) {
 	}
 	if ChainPairs(hosts[:1]) != nil {
 		t.Fatal("single host should yield no pairs")
+	}
+}
+
+// TestLedgerWhatIfAllocatesNothing: Fits decides in the ledger's scratch, so
+// on a warm ledger a placement that fits allocates nothing, and a placement
+// refused for headroom — by Fits or by Admit — allocates only its error,
+// with the same hot link named as before (the first over budget by id).
+func TestLedgerWhatIfAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	g, servers := testbedGraph()
+	l := NewLedger(g, 0)
+	pairs := []Pair{{Src: servers[0], Dst: servers[4]}, {Src: servers[1], Dst: servers[5]}}
+	if err := l.Fits(1e9, pairs); err != nil { // warms the path memo
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = l.Fits(1e9, pairs) }); a != 0 {
+		t.Errorf("Fits of a placement that fits allocates %v times, want 0", a)
+	}
+	links, _, err := l.Evaluate(1e12, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("placement: link %d over budget: %v", links[0], ErrHeadroom)
+	if err := l.Fits(1e12, pairs); !errors.Is(err, ErrHeadroom) || err.Error() != want {
+		t.Fatalf("Fits over budget = %v, want %q", err, want)
+	}
+	bare := testing.AllocsPerRun(100, func() { _ = fmt.Errorf("placement: link %d over budget: %w", links[0], ErrHeadroom) })
+	if a := testing.AllocsPerRun(100, func() { _ = l.Fits(1e12, pairs) }); a > bare {
+		t.Errorf("Fits refused for headroom allocates %v times, its error alone %v", a, bare)
+	}
+	bare = testing.AllocsPerRun(100, func() {
+		_ = fmt.Errorf("placement: tenant %d link %d over budget: %w", int32(1), links[0], ErrHeadroom)
+	})
+	if a := testing.AllocsPerRun(100, func() { _ = l.Admit(1, 1e12, pairs) }); a > bare {
+		t.Errorf("Admit refused for headroom allocates %v times, its error alone %v", a, bare)
+	}
+	if err := l.Verify(); err != nil || l.MaxSubscription() != 0 {
+		t.Fatalf("the refusals left a trace: %v, max subscription %v", err, l.MaxSubscription())
 	}
 }

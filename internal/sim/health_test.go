@@ -9,16 +9,15 @@ import "testing"
 func TestShardedHealth(t *testing.T) {
 	s := meshed(2, 2, Microsecond)
 	// Ping-pong: each arrival bounces an event back across the cut.
-	var bounce func(from, to int) func()
 	n := 0
-	bounce = func(from, to int) func() {
-		return func() {
+	for i := range 2 {
+		s.Shard(i).Register("bounce", func(int32) {
 			if n++; n < 200 {
-				s.Send(to, from, Microsecond, bounce(to, from))
+				s.Send(i, 1-i, Microsecond, 0, 0)
 			}
-		}
+		})
 	}
-	s.Send(0, 1, Microsecond, bounce(0, 1))
+	s.Send(0, 1, Microsecond, 0, 0)
 	s.RunUntil(400 * Microsecond)
 
 	h := s.Health()
@@ -43,7 +42,7 @@ func TestShardedHealth(t *testing.T) {
 	}
 
 	// Counters are monotonic: a second epoch can only grow them.
-	s.Send(0, 1, Microsecond, func() {})
+	s.Send(0, 1, Microsecond, 0, 0)
 	s.RunUntil(500 * Microsecond)
 	for i, sh := range s.Health() {
 		if sh.Seals < h[i].Seals || sh.WindowStalls < h[i].WindowStalls {

@@ -60,8 +60,9 @@ func (k eventKey) less(o eventKey) bool {
 	return k.seq < o.seq
 }
 
-// heapEntry is one queued event: its key and the arena slot holding its
-// callback. 32 bytes, pointer-free.
+// heapEntry is one queued event: its key and either the arena slot holding
+// its callback or, negative, its packed typed record (sim.go). 32 bytes,
+// pointer-free.
 type heapEntry struct {
 	at      Time
 	schedAt Time
@@ -79,7 +80,7 @@ func (h *heapEntry) set(k eventKey, idx int32) {
 	h.at, h.schedAt, h.seq, h.src, h.idx = k.at, k.schedAt, k.seq, k.src, idx
 }
 
-// heapPush queues arena slot idx under key k.
+// heapPush queues entry idx (an arena slot or a typed record) under key k.
 func (e *Engine) heapPush(k eventKey, idx int32) {
 	e.queue = append(e.queue, heapEntry{})
 	h := e.queue
@@ -95,7 +96,7 @@ func (e *Engine) heapPush(k eventKey, idx int32) {
 	h[i].set(k, idx)
 }
 
-// heapPop removes the minimum entry and returns its time and arena slot.
+// heapPop removes the minimum entry and returns its time and idx.
 // The queue must be non-empty.
 func (e *Engine) heapPop() (at Time, idx int32) {
 	h := e.queue

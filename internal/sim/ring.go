@@ -2,16 +2,17 @@ package sim
 
 import "sync/atomic"
 
-// remoteEvent is a cross-shard handoff: an event closure plus the full
-// ordering key stamped by the sending shard. The receiving shard injects it
-// into its heap under exactly this key, so the global event order is a pure
-// function of (topology, seed) and never of worker interleaving.
+// remoteEvent is a cross-shard handoff: a typed event's packed (kind, id)
+// plus the full ordering key stamped by the sending shard. The receiving
+// shard injects it into its heap under exactly this key, so the global event
+// order is a pure function of (topology, seed) and never of worker
+// interleaving. It holds no pointer.
 type remoteEvent struct {
 	at      Time
 	schedAt Time
 	seq     uint64
 	src     uint32
-	fn      Event
+	rec     int32
 }
 
 // ring is a bounded single-producer/single-consumer queue used for
@@ -53,7 +54,6 @@ func (r *ring) pop() (remoteEvent, bool) {
 		return remoteEvent{}, false
 	}
 	ev := r.buf[h&r.mask]
-	r.buf[h&r.mask] = remoteEvent{} // release the closure
 	r.head.Store(h + 1)
 	return ev, true
 }

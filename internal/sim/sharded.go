@@ -66,7 +66,26 @@ func (e *Engine) inject(ev remoteEvent) {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: shard %d received event at %v before now %v (window protocol violated)", e.src, ev.at, e.now))
 	}
-	e.push(ev.at, ev.schedAt, ev.src, ev.seq, ev.fn)
+	e.enqueue(eventKey{at: ev.at, schedAt: ev.schedAt, src: ev.src, seq: ev.seq}, ev.rec)
+}
+
+// checkKinds seals the typed-event kinds of e's shards, panicking if two of
+// them registered one number under different names: a Send would run the
+// wrong handler. Run and RunUntil call it; only the first call checks.
+func (e *Engine) checkKinds() {
+	if len(e.shards) == 0 || e.shards[0].eng.sealed {
+		return
+	}
+	var ref []string // the longest list so far, of which every other is a prefix
+	for i, sh := range e.shards {
+		sh.eng.sealed = true
+		if n := min(len(ref), len(sh.eng.names)); !slices.Equal(ref[:n], sh.eng.names[:n]) {
+			panic(fmt.Sprintf("sim: shard %d numbers its kinds %q, another shard %q", i, sh.eng.names, ref))
+		}
+		if len(sh.eng.names) > len(ref) {
+			ref = sh.eng.names
+		}
+	}
 }
 
 // shard is one logical partition: its engine plus synchronization state.
@@ -186,18 +205,19 @@ func (e *Engine) Window() Duration { return e.window }
 // on it; calls are legal during setup and from shard i's own events.
 func (e *Engine) Shard(i int) Scheduler { return e.shards[i].eng }
 
-// Send schedules fn on shard dst at d after shard src's current time,
-// stamping the event with src's key so the destination orders it
-// deterministically. It must be called from shard src's execution context
-// (or during setup / at a coordinator barrier, when all workers are parked).
+// Send schedules the typed event (k, id) on shard dst at d after shard src's
+// current time, stamping it with src's key so the destination orders it
+// deterministically; dst runs the handler it registered as k. It must be
+// called from shard src's execution context (or during setup / at a
+// coordinator barrier, when all workers are parked).
 // Cross-shard sends below the window width would break the lookahead
 // invariant and panic, as do sends between shards never connected.
-func (e *Engine) Send(src, dst int, d Duration, fn Event) {
+func (e *Engine) Send(src, dst int, d Duration, k Kind, id int32) {
 	from, to := e.shards[src], e.shards[dst]
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	ev := remoteEvent{at: from.eng.now + d, schedAt: from.eng.now, seq: from.eng.seq, src: from.eng.src, fn: fn}
+	ev := remoteEvent{at: from.eng.now + d, schedAt: from.eng.now, seq: from.eng.seq, src: from.eng.src, rec: to.eng.typed(k, id)}
 	from.eng.seq++
 	if src != dst {
 		if d < e.window {

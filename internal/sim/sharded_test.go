@@ -29,6 +29,11 @@ func (v *seqView) At(t Time, fn Event) Handle {
 func (v *seqView) After(d Duration, fn Event) Handle             { return v.At(v.e.now+d, fn) }
 func (v *seqView) Cancel(h Handle) bool                          { return v.e.Cancel(h) }
 func (v *seqView) Every(period Duration, fn Event) (stop func()) { return every(v, period, fn) }
+func (v *seqView) Register(name string, fn func(int32)) Kind     { return v.e.Register(name, fn) }
+func (v *seqView) Post(d Duration, k Kind, id int32) {
+	v.seq++
+	v.e.enqueue(eventKey{at: v.e.now + d, schedAt: v.e.now, src: v.src, seq: v.seq - 1}, v.e.typed(k, id))
+}
 
 // shardedHarness builds a little message-passing simulation over ns shards:
 // each shard runs a deterministic RNG-driven loop that does local work and
@@ -40,7 +45,7 @@ func (v *seqView) Every(period Duration, fn Event) (stop func()) { return every(
 type shardedHarness struct {
 	drv    *Engine
 	shard  func(i int) Scheduler
-	send   func(src, dst int, d Duration, fn Event)
+	send   func(src, dst int, d Duration, steps int)
 	window Duration
 	logs   [][]string
 	rngs   []*rand.Rand
@@ -69,7 +74,12 @@ func meshed(ns, workers int, window Duration) *Engine {
 func newShardedHarness(ns, workers int, window Duration, seed int64) *shardedHarness {
 	h := newHarness(ns, seed)
 	h.drv = meshed(ns, workers, window)
-	h.shard, h.send, h.window = h.drv.Shard, h.drv.Send, h.drv.Window()
+	h.shard, h.window = h.drv.Shard, h.drv.Window()
+	// A cross-shard hop is the typed event (hop, steps) on every shard.
+	for i := 0; i < ns; i++ {
+		h.drv.Shard(i).Register("hop", func(steps int32) { h.hop(i, int(steps)) })
+	}
+	h.send = func(src, dst int, d Duration, steps int) { h.drv.Send(src, dst, d, 0, int32(steps)) }
 	return h
 }
 
@@ -84,7 +94,7 @@ func newOracleHarness(ns int, window Duration, seed int64) *shardedHarness {
 		views[i] = &seqView{e: h.drv, src: uint32(i)}
 	}
 	h.shard = func(i int) Scheduler { return views[i] }
-	h.send = func(src, _ int, d Duration, fn Event) { views[src].After(d, fn) }
+	h.send = func(src, dst int, d Duration, steps int) { views[src].After(d, func() { h.hop(dst, steps) }) }
 	h.window = window
 	return h
 }
@@ -104,7 +114,7 @@ func (h *shardedHarness) hop(id, steps int) {
 			peer++
 		}
 		d := h.window + Duration(r.Intn(5000))*Nanosecond
-		h.send(id, peer, d, func() { h.hop(peer, steps-1) })
+		h.send(id, peer, d, steps-1)
 		return
 	}
 	sch.After(Duration(1+r.Intn(900))*Nanosecond, func() { h.hop(id, steps-1) })
@@ -244,6 +254,9 @@ func wantSendPanic(t *testing.T, what string, send func(s *Engine)) {
 		s := New()
 		s.Partition(2, workers, Microsecond)
 		s.Connect(0, 1)
+		for i := range 2 {
+			s.Shard(i).Register("noop", func(int32) {})
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -257,12 +270,12 @@ func wantSendPanic(t *testing.T, what string, send func(s *Engine)) {
 
 // TestShardedCrossShardBelowWindowPanics pins the lookahead guard.
 func TestShardedCrossShardBelowWindowPanics(t *testing.T) {
-	wantSendPanic(t, "sub-window", func(s *Engine) { s.Send(0, 1, 500*Nanosecond, func() {}) })
+	wantSendPanic(t, "sub-window", func(s *Engine) { s.Send(0, 1, 500*Nanosecond, 0, 0) })
 }
 
 // TestShardedUnconnectedSendPanics pins the declared-connection guard.
 func TestShardedUnconnectedSendPanics(t *testing.T) {
-	wantSendPanic(t, "undeclared", func(s *Engine) { s.Send(1, 0, Microsecond, func() {}) })
+	wantSendPanic(t, "undeclared", func(s *Engine) { s.Send(1, 0, Microsecond, 0, 0) })
 }
 
 // TestShardedSingleShardDegenerates checks the no-cut configuration: one
@@ -340,11 +353,14 @@ func TestStopKeepsClocks(t *testing.T) {
 func TestInlineEpochAllocatesNothing(t *testing.T) {
 	e := meshed(3, 0, Microsecond)
 	for i := 0; i < 3; i++ {
+		e.Shard(i).Register("noop", func(int32) {})
+	}
+	for i := 0; i < 3; i++ {
 		id := i
 		var step func()
 		step = func() {
 			e.Shard(id).After(300*Nanosecond, step)
-			e.Send(id, (id+1)%3, Microsecond, func() {})
+			e.Send(id, (id+1)%3, Microsecond, 0, 0)
 		}
 		e.Shard(id).After(300*Nanosecond, step)
 	}

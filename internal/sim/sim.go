@@ -17,13 +17,17 @@
 // many goroutines execute the shards (none: inline on the caller) is an
 // execution detail that never reaches an event key.
 //
-// A pending event is two records. Its heap entry (heap.go) carries the whole
-// ordering key (at, schedAt, src, seq) inline, so ordering the queue never
-// leaves the heap's backing array; its callback lives in a slab-allocated
-// arena slot the entry points at. Fired and cancelled slots go on a free
-// list and are reused, so steady-state scheduling performs no heap
-// allocation at all. Handles are generation-checked, which makes stale
-// cancels (after the event fired, or after its slot was reused) safe no-ops.
+// A pending event is one of two records. Its heap entry (heap.go) carries
+// the whole ordering key (at, schedAt, src, seq) inline, so ordering the
+// queue never leaves the heap's backing array. A closure event (At, After)
+// points the entry at a slab-allocated arena slot holding its callback;
+// fired and cancelled slots go on a free list and are reused, and Handles
+// are generation-checked, which makes stale cancels (after the event fired,
+// or after its slot was reused) safe no-ops. A typed event (Post, Send) is
+// the pair (kind, id) itself, packed into the entry where a slot index would
+// be: it takes no slot and cannot be cancelled, and firing it calls the
+// handler its kind was registered with (Register) on id. Steady-state
+// scheduling of either performs no heap allocation at all.
 package sim
 
 import (
@@ -92,7 +96,18 @@ type Scheduler interface {
 	Cancel(h Handle) bool
 	// Every runs fn periodically until the returned stop is called.
 	Every(period Duration, fn Event) (stop func())
+	// Register adds a kind of typed event whose handler is fn (set-up only).
+	Register(name string, fn func(id int32)) Kind
+	// Post schedules the typed event (k, id) at Now+d; negative d panics.
+	Post(d Duration, k Kind, id int32)
 }
+
+// Kind numbers a kind of typed event on one engine, in registration order.
+type Kind uint8
+
+// A typed event's heap entry holds ^(id<<kindBits | kind), which is
+// negative: an arena slot index never is.
+const kindBits = 3
 
 // Driver is the run-loop surface owned by whoever drives the simulation
 // forward (experiments, the fuzz executor, the control-plane daemon): an
@@ -171,6 +186,12 @@ type Engine struct {
 	// (Stats adds the shards'); useful for runaway detection in tests.
 	Processed   uint64
 	peakPending int
+	// kinds are the typed-event handlers by Kind and names their names
+	// (which Run compares across the shards of a partition); sealed is set
+	// on a shard once its coordinator has checked them and forbids more.
+	kinds  []func(id int32)
+	names  []string
+	sealed bool
 
 	// Partition state (sharded.go): the shards this engine coordinates,
 	// their lookahead window, and the share of each worker goroutine that
@@ -190,7 +211,7 @@ type EngineStats struct {
 	Processed   uint64 // events executed
 	Pending     int    // events still queued (incl. not-yet-popped cancels)
 	PeakPending int    // high-water mark of the event queue
-	ArenaSlots  int    // arena size: peak live+free event slots
+	ArenaSlots  int    // arena size: peak live+free closure-event slots
 }
 
 // Stats returns the current scheduling statistics, summed over the engine's
@@ -260,22 +281,59 @@ func (e *Engine) At(t Time, fn Event) Handle {
 	return h
 }
 
-// push allocates a slot with an explicit ordering key and heaps it. Local
-// scheduling goes through At (key components derived from the engine);
-// cross-shard injection supplies the sender's key so the receiving heap
-// orders the event exactly as the sender stamped it.
+// push allocates a slot for fn and heaps it under an explicit key.
 func (e *Engine) push(at, schedAt Time, src uint32, seq uint64, fn Event) Handle {
 	idx := e.alloc()
 	s := &e.slots[idx]
 	s.fn = fn
-	if at > e.maxSched {
-		e.maxSched = at
+	e.enqueue(eventKey{at: at, schedAt: schedAt, src: src, seq: seq}, idx)
+	return Handle{e: e, idx: idx, gen: s.gen}
+}
+
+// enqueue heaps an entry — an arena slot or a typed record — under key k.
+// Local scheduling derives k from the engine; cross-shard injection supplies
+// the sender's key, so the receiving heap orders the event exactly as the
+// sender stamped it.
+func (e *Engine) enqueue(k eventKey, idx int32) {
+	if k.at > e.maxSched {
+		e.maxSched = k.at
 	}
-	e.heapPush(eventKey{at: at, schedAt: schedAt, src: src, seq: seq}, idx)
+	e.heapPush(k, idx)
 	if len(e.queue) > e.peakPending {
 		e.peakPending = len(e.queue)
 	}
-	return Handle{e: e, idx: idx, gen: s.gen}
+}
+
+// Register adds a kind of typed event to e and returns its number: Post and
+// Send of (k, id) on e run fn(id). It is set-up work. The shards of one
+// partitioned engine must register their kinds in the same order, because
+// Send carries only the number across: Run panics before the first event if
+// two shards give one number different names.
+func (e *Engine) Register(name string, fn func(id int32)) Kind {
+	if e.sealed || len(e.kinds) == 1<<kindBits {
+		panic(fmt.Sprintf("sim: Register(%q) after the run started or beyond %d kinds", name, 1<<kindBits))
+	}
+	e.kinds, e.names = append(e.kinds, fn), append(e.names, name)
+	return Kind(len(e.kinds) - 1)
+}
+
+// Post schedules the typed event (k, id) at Now+d, under exactly the key
+// After would give a closure scheduled in its place.
+func (e *Engine) Post(d Duration, k Kind, id int32) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	e.enqueue(eventKey{at: e.now + d, schedAt: e.now, src: e.src, seq: e.seq}, e.typed(k, id))
+	e.seq++
+}
+
+// typed packs (k, id) into a heap entry's idx. A kind e never registered, or
+// an id outside [0, 2^28), panics where it is posted, not where it would fire.
+func (e *Engine) typed(k Kind, id int32) int32 {
+	if int(k) >= len(e.kinds) || uint32(id) >= 1<<(31-kindBits) {
+		panic("sim: typed event of an unregistered kind, or with an id outside [0, 2^28)")
+	}
+	return ^(id<<kindBits | int32(k))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -312,6 +370,12 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		at, idx := e.heapPop()
+		if idx < 0 {
+			e.now = at
+			e.Processed++
+			e.kinds[^idx&(1<<kindBits-1)](^idx >> kindBits)
+			return true
+		}
 		s := &e.slots[idx]
 		if s.cancelled {
 			e.release(idx)
@@ -333,7 +397,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) nextKey() (eventKey, bool) {
 	for len(e.queue) > 0 {
 		next := &e.queue[0]
-		if e.slots[next.idx].cancelled {
+		if next.idx >= 0 && e.slots[next.idx].cancelled {
 			_, idx := e.heapPop()
 			e.release(idx)
 			continue
@@ -346,6 +410,7 @@ func (e *Engine) nextKey() (eventKey, bool) {
 // Run executes events until every queue drains or Stop is called, and
 // returns the time of the last event executed.
 func (e *Engine) Run() Time {
+	e.checkKinds()
 	e.stopped = false
 	for !e.stopped {
 		if k, ok := e.nextKey(); ok {
@@ -380,6 +445,7 @@ func (e *Engine) Run() Time {
 // the clocks at the event that called it: the events it did not reach are
 // still queued in their future.
 func (e *Engine) RunUntil(deadline Time) Time {
+	e.checkKinds()
 	e.stopped = false
 	for !e.stopped {
 		k, ok := e.nextKey()
@@ -447,7 +513,7 @@ func (e *Engine) PendingTimes(n int) []Time {
 	}
 	out := make([]Time, 0, n)
 	for i := range e.queue[:n] {
-		if ent := &e.queue[i]; !e.slots[ent.idx].cancelled {
+		if ent := &e.queue[i]; ent.idx < 0 || !e.slots[ent.idx].cancelled {
 			out = append(out, ent.at)
 		}
 	}

@@ -243,29 +243,28 @@ func (g *Graph) Validate() error {
 // miss costs one walk over the hop-count labels of dst's anchor, which are
 // labelled once for every pair that ends below it.
 func (g *Graph) Paths(src, dst NodeID, maxPaths int) []Path {
+	if paths := g.SharedPaths(src, dst, maxPaths); paths != nil {
+		return append([]Path(nil), paths...)
+	}
+	return nil
+}
+
+// SharedPaths is Paths without the copy: the memoized slice itself, for a
+// caller that only reads it and neither reorders nor keeps it.
+func (g *Graph) SharedPaths(src, dst NodeID, maxPaths int) []Path {
 	if src == dst {
 		return nil
 	}
 	key := pathKey{src: src, dst: dst, max: maxPaths}
 	if cached, ok := g.pathCache[key]; ok {
-		if cached == nil {
-			return nil
-		}
-		out := make([]Path, len(cached))
-		copy(out, cached)
-		return out
+		return cached
 	}
 	paths := g.enumeratePaths(src, dst, maxPaths)
 	if g.pathCache == nil {
 		g.pathCache = make(map[pathKey][]Path)
 	}
 	g.pathCache[key] = paths
-	if paths == nil {
-		return nil
-	}
-	out := make([]Path, len(paths))
-	copy(out, paths)
-	return out
+	return paths
 }
 
 // Hops returns the hop count of the shortest path from src to dst (0 when

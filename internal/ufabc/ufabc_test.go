@@ -23,18 +23,23 @@ func testNet(t *testing.T, cfg Config) (*sim.Engine, *dataplane.Network, *topo.S
 	return eng, net, st, ag, route
 }
 
+// sendProbe sends p along route in a pool-born packet of the route's source,
+// encoded into the packet's own buffer, as an edge does.
 func sendProbe(net *dataplane.Network, route topo.Path, p *probe.Packet) {
-	buf, err := p.Encode(nil)
-	if err != nil {
+	pkt := net.NewPacket(net.G.PathSrc(route))
+	var err error
+	if pkt.Payload, err = p.Encode(pkt.Payload); err != nil {
 		panic(err)
 	}
-	net.Send(&dataplane.Packet{
-		Kind:    dataplane.Probe,
-		VMPair:  dataplane.VMPair(p.VMPair),
-		Size:    probe.WireSize(len(p.Hops)),
-		Route:   route,
-		Payload: buf,
-	})
+	pkt.Kind, pkt.VMPair, pkt.Size, pkt.Route = dataplane.Probe, dataplane.VMPair(p.VMPair), probe.WireSize(len(p.Hops)), route
+	net.Send(pkt)
+}
+
+// sendData sends a 1500-byte data packet along route in a pool-born packet.
+func sendData(net *dataplane.Network, route topo.Path) {
+	pkt := net.NewPacket(net.G.PathSrc(route))
+	pkt.Kind, pkt.Size, pkt.Route = dataplane.Data, 1500, route
+	net.Send(pkt)
 }
 
 func TestProbeAccumulatesRegisters(t *testing.T) {
@@ -153,7 +158,7 @@ func TestTelemetryReflectsLoadAndQueue(t *testing.T) {
 		if eng.Now() > 100*sim.Microsecond {
 			return
 		}
-		net.Send(&dataplane.Packet{Kind: dataplane.Data, Size: 1500, Route: route})
+		sendData(net, route)
 		eng.After(1200*sim.Nanosecond, feed) // 10 Gbps line rate
 	}
 	eng.At(0, feed)
@@ -172,9 +177,10 @@ func TestTelemetryReflectsLoadAndQueue(t *testing.T) {
 
 func TestDataPacketsUntouched(t *testing.T) {
 	eng, net, st, ag, route := testNet(t, Config{})
+	// The network takes the packet back when the handler returns: copy it.
 	var got *dataplane.Packet
-	net.SetHandler(st.Hosts[1], dataplane.HandlerFunc(func(pkt *dataplane.Packet) { got = pkt }))
-	net.Send(&dataplane.Packet{Kind: dataplane.Data, Size: 1500, Route: route})
+	net.SetHandler(st.Hosts[1], dataplane.HandlerFunc(func(pkt *dataplane.Packet) { cp := *pkt; got = &cp }))
+	sendData(net, route)
 	eng.Run()
 	if got == nil || got.Size != 1500 || got.Payload != nil {
 		t.Fatalf("data packet modified: %+v", got)
@@ -190,7 +196,9 @@ func TestDataPacketsUntouched(t *testing.T) {
 func TestMalformedProbeIgnored(t *testing.T) {
 	eng, net, st, ag, route := testNet(t, Config{})
 	net.SetHandler(st.Hosts[1], dataplane.HandlerFunc(func(pkt *dataplane.Packet) {}))
-	net.Send(&dataplane.Packet{Kind: dataplane.Probe, Size: 10, Route: route, Payload: []byte{0xff, 0x01}})
+	pkt := net.NewPacket(st.Hosts[0])
+	pkt.Kind, pkt.Size, pkt.Route, pkt.Payload = dataplane.Probe, 10, route, append(pkt.Payload, 0xff, 0x01)
+	net.Send(pkt)
 	eng.Run()
 	if phi, _ := ag.Subscription(route[1]); phi != 0 {
 		t.Error("malformed probe affected registers")
@@ -305,7 +313,8 @@ func TestOnForwardSteadyStateAllocatesNothing(t *testing.T) {
 		p := &probe.Packet{Kind: probe.KindProbe, VMPair: uint32(i + 1), PathID: 1, Seq: 1, Phi: 10, Window: 32 << 10}
 		wires[i], _ = p.Encode(nil)
 	}
-	pkt := &dataplane.Packet{Kind: dataplane.Probe, Payload: make([]byte, 0, probe.PayloadSize(2))}
+	pkt := net.NewPacket(st.Center) // held, never sent: OnForward alone stamps it
+	pkt.Kind, pkt.Payload = dataplane.Probe, make([]byte, 0, probe.PayloadSize(2))
 	i := 0
 	fwd := func() {
 		pkt.Payload = append(pkt.Payload[:0], wires[i%pairs]...)

@@ -135,11 +135,9 @@ type Agent struct {
 
 	nicNextFree sim.Time
 	sendPending bool
-	// sendTick is the one callback scheduleSend ever schedules, bound once
-	// (as dataplane's Port.txDone is) so arming the send loop allocates
-	// nothing.
-	sendTick  sim.Event
-	uplinkCap float64
+	uplinkCap   float64
+	// timers is the table this scheduler's agents keep their armed timers in.
+	timers *timerTable
 
 	// Per-host migration freeze window (§3.5 "avoiding oscillations").
 	freezeUntil sim.Time
@@ -177,9 +175,6 @@ type Agent struct {
 	// and ends at this agent, so its buffer comes back here, in this shard,
 	// and the next probe that rides a pooled packet without one takes it.
 	probeBufs [][]byte
-	// timers holds the fired records of the agent's one-shot checks, ready
-	// to be armed again (timer).
-	timers []*timer
 
 	tokenLoopStop func()
 	// gp is tokenUpdate's working memory, kept across ticks: one VF's pairs
@@ -284,10 +279,7 @@ func New(eng sim.Scheduler, net *dataplane.Network, host topo.NodeID, cfg Config
 		cFrSupp:   &telemetry.Counter{},
 	}
 	ten.agents = append(ten.agents, a)
-	a.sendTick = func() {
-		a.sendPending = false
-		a.trySend()
-	}
+	a.timers = ten.timerTable(eng)
 	a.gp.byVF = make(map[int32][]tokenRequest)
 	net.SetHandler(host, a)
 	if cfg.TokenPeriod > 0 {
@@ -449,11 +441,8 @@ func (a *Agent) scheduleSend() {
 		return
 	}
 	a.sendPending = true
-	at := a.nicNextFree
-	if now := a.eng.Now(); at < now {
-		at = now
-	}
-	a.eng.At(at, a.sendTick)
+	now := a.eng.Now()
+	a.arm(max(a.nicNextFree, now)-now, sendTick, nil, 0, 0, 0)
 }
 
 // trySend emits at most one data packet (the WFQ engine schedules one
@@ -1076,51 +1065,78 @@ const (
 	probeTimeout timerKind = iota // checkProbeTimeout(p, path, seq)
 	idleCheck                     // checkIdle(p, since)
 	rtoCheck                      // checkRTO(p, rto)
+	sendTick                      // trySend: the send loop's next turn
 )
 
 // timer is one of the agent's one-shot checks as a record instead of a
 // closure: a probe's loss check, a drained pair's idle check, a pair's RTO
-// check. Its fire func is bound once, when the record is made; a fired
-// record goes back on the agent's list and the next arm takes it, so arming
-// allocates only while the number outstanding climbs to its high-water
-// mark. 40 bytes, 56 with the bound func.
+// check, the send loop's tick. It is armed as the typed event (timer, its
+// index in the agent's timerTable); a fired record's index goes on the
+// table's free list and the next arm takes it, so arming allocates only
+// while the number outstanding climbs to its high-water mark. 40 bytes.
 type timer struct {
 	a    *Agent
 	p    *Pair
-	fire sim.Event
 	arg  int64 // checkIdle's since, checkRTO's rto
 	seq  uint32
 	path uint16
 	kind timerKind
 }
 
+// timerTable holds the armed timers of the agents on one scheduler, which
+// fires them as typed events of kind; free lists the indices of fired ones.
+// The fabric's Tenancy keeps one per scheduler, touched only by its events.
+type timerTable struct {
+	eng  sim.Scheduler
+	recs []timer
+	free []int32
+	kind sim.Kind
+}
+
+// timerTable returns eng's table, registering its kind on eng when it makes
+// it. The network registered its kinds on every shard before any agent was
+// built, so every shard numbers this one alike.
+func (t *Tenancy) timerTable(eng sim.Scheduler) *timerTable {
+	for _, tt := range t.timers {
+		if tt.eng == eng {
+			return tt
+		}
+	}
+	tt := &timerTable{eng: eng}
+	tt.kind = eng.Register("ufabe.timer", tt.fire)
+	t.timers = append(t.timers, tt)
+	return tt
+}
+
 // arm schedules one check after d on the agent's scheduler, exactly where
 // the closure it replaces was scheduled, so no event key moves.
 func (a *Agent) arm(d sim.Duration, kind timerKind, p *Pair, path int, seq uint32, arg int64) {
-	var t *timer
-	if k := len(a.timers); k > 0 {
-		t = a.timers[k-1]
-		a.timers = a.timers[:k-1]
+	tt, t := a.timers, timer{a: a, p: p, arg: arg, seq: seq, path: uint16(path), kind: kind}
+	id := int32(len(tt.recs))
+	if k := len(tt.free); k > 0 {
+		id, tt.free = tt.free[k-1], tt.free[:k-1]
+		tt.recs[id] = t
 	} else {
-		t = &timer{a: a}
-		t.fire = t.run
+		tt.recs = append(tt.recs, t)
 	}
-	t.p, t.kind, t.path, t.seq, t.arg = p, kind, uint16(path), seq, arg
-	a.eng.After(d, t.fire)
+	a.eng.Post(d, tt.kind, id)
 }
 
-// run releases the record before running its check, which may arm the next
-// one with it.
-func (t *timer) run() {
-	a, p, kind, path, seq, arg := t.a, t.p, t.kind, int(t.path), t.seq, t.arg
-	t.p = nil
-	a.timers = append(a.timers, t)
-	switch kind {
+// fire frees timer id's record before running its check, which may arm the
+// next one in it.
+func (tt *timerTable) fire(id int32) {
+	t := tt.recs[id]
+	tt.recs[id] = timer{}
+	tt.free = append(tt.free, id)
+	switch t.kind {
 	case probeTimeout:
-		a.checkProbeTimeout(p, path, seq)
+		t.a.checkProbeTimeout(t.p, int(t.path), t.seq)
 	case idleCheck:
-		a.checkIdle(p, sim.Time(arg))
+		t.a.checkIdle(t.p, sim.Time(t.arg))
 	case rtoCheck:
-		a.checkRTO(p, sim.Duration(arg))
+		t.a.checkRTO(t.p, sim.Duration(t.arg))
+	case sendTick:
+		t.a.sendPending = false
+		t.a.trySend()
 	}
 }

@@ -44,9 +44,9 @@ func (r *rig) nextPacket(p *Pair) {
 }
 
 // TestSendAllocationBudget is the edge's share of the per-packet budget the
-// dataplane hop gate holds: arming the send loop binds no closure, the packet
-// comes off the network's free list with its arrival already bound, and the
-// path index rides in a typed field — a data packet allocates nothing.
+// dataplane hop gate holds: the send loop is armed as a typed event, the
+// packet comes off the network's free list with its id already given, and
+// the path index rides in a typed field — a data packet allocates nothing.
 func TestSendAllocationBudget(t *testing.T) {
 	r, p := sendRig(t, 0)
 	r.eng.RunUntil(r.eng.Now() + sim.Millisecond) // deliveries have stocked the free list
@@ -256,11 +256,11 @@ func TestPathStateBytes(t *testing.T) {
 	}
 }
 
-// TestTimerBytes: a timer record — the agent, the pair, the bound fire func,
-// one argument, the probe's sequence number and path, the kind — stays in
-// the 48-byte size class; its fire func adds 16.
+// TestTimerBytes: a timer record — the agent, the pair, one argument, the
+// probe's sequence number and path, the kind — is 40 bytes in its shard's
+// table, with no fire func beside it: it is armed as a typed event.
 func TestTimerBytes(t *testing.T) {
-	if got := unsafe.Sizeof(timer{}); got > 48 {
-		t.Errorf("timer is %d bytes, want <= 48", got)
+	if got := unsafe.Sizeof(timer{}); got > 40 {
+		t.Errorf("timer is %d bytes, want <= 40", got)
 	}
 }

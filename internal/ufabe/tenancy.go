@@ -19,8 +19,10 @@ type Tenancy struct {
 	// cursor is a position here (wfqClass.rr).
 	roster [NumWeightClasses][]*tenant
 	// agents are the edges sharing the table, in construction order: the
-	// order Remove tears their pairs down in.
+	// order Remove tears their pairs down in. timers holds their armed
+	// timers, one table per scheduler.
 	agents []*Agent
+	timers []*timerTable
 }
 
 // tenant is one VF's fabric-wide record.

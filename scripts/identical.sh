@@ -22,9 +22,12 @@
 # per-shard rings; the others record into one ring; placechurn and reconcile
 # are the runs where tenants leave the fabric, through the control plane)
 # then compares every artefact of the two sides with cmp, and the head's
-# 0-worker artefacts with its 4-worker ones. One line per artefact; exit 1 at
-# the first difference (the differing files are kept and named). Plain bash,
-# git, go and cmp, about 40 s; nothing is downloaded and bench/ is not read.
+# 0-worker artefacts with its 4-worker ones. One line per artefact; where a
+# metrics.json differs, one more line per differing metric (experiment,
+# name, base value, head value). Every artefact is compared; the exit status
+# is 1 if any differed (the artefacts are then kept and named). Plain bash,
+# git, go, cmp and awk, about 90 s; nothing is downloaded and bench/ is not
+# read.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -65,29 +68,60 @@ produce() {
 	)
 }
 
-# same <dir-a> <dir-b> <label>: cmp every file of a against b, both ways.
+# metricdiff <a> <b>: every metric whose record differs between two
+# metrics.json files (one record per line, under a line opening its
+# experiment), as experiment, name, a's value and b's value.
+metricdiff() {
+	awk '
+		function note(k) { if (!(k in seen)) { seen[k]; keys[++n] = k } }
+		/^"[^"]+": \{/ { split($0, q, "\""); ex = q[2]; next }
+		/"name": "/ {
+			split($0, q, "\""); k = ex " " q[4]; note(k)
+			v = $0; sub(/^[^,]*, /, "", v); sub(/\},?[ \t]*$/, "", v); sub(/^"value": /, "", v)
+			if (FNR == NR) a[k] = v; else b[k] = v
+		}
+		END {
+			for (i = 1; i <= n; i++) {
+				k = keys[i]
+				va = (k in a) ? a[k] : "(absent)"; vb = (k in b) ? b[k] : "(absent)"
+				if (va != vb) printf "           metric %s: base %s, head %s\n", k, va, vb
+			}
+		}' "$1" "$2" >&2
+}
+
+# same <dir-a> <dir-b> <label>: cmp every file of a against b, both ways;
+# returns 1 if any differed, after comparing them all.
 same() {
-	local f rel
+	local f rel rc=0
 	if ! diff <(cd "$1" && find . -type f | sort) <(cd "$2" && find . -type f | sort) >/dev/null; then
 		echo "DIFFERENT  $3: the two sides produced different sets of files" >&2
-		return 1
+		rc=1
 	fi
 	while read -r rel; do
 		f=${rel#./}
-		if cmp -s "$1/$f" "$2/$f"; then
+		if [ -f "$2/$f" ] && cmp -s "$1/$f" "$2/$f"; then
 			printf 'identical  %-22s %-32s %9d bytes\n' "$3" "$f" "$(wc -c <"$1/$f")"
 		else
-			trap - EXIT
 			echo "DIFFERENT  $3  $f: cmp $1/$f $2/$f" >&2
-			return 1
+			if [ "${f##*/}" = metrics.json ] && [ -f "$2/$f" ]; then
+				metricdiff "$1/$f" "$2/$f"
+			fi
+			rc=1
 		fi
 	done < <(cd "$1" && find . -type f | sort)
+	return $rc
 }
 
+status=0
 for workers in 0 4; do
 	produce base $workers
 	produce head $workers
-	same "$DIR/base.$workers" "$DIR/head.$workers" "base=head shards=$workers"
+	same "$DIR/base.$workers" "$DIR/head.$workers" "base=head shards=$workers" || status=1
 done
-same "$DIR/head.0" "$DIR/head.4" "head shards 0=4"
+same "$DIR/head.0" "$DIR/head.4" "head shards 0=4" || status=1
+if [ $status -ne 0 ]; then
+	trap - EXIT
+	echo "DIFFERENT: see the lines above; the artefacts are kept under $DIR" >&2
+	exit 1
+fi
 echo "identical: every artefact, base against head at 0 and 4 workers, and head at 0 against 4"
