@@ -81,9 +81,18 @@ bench:
 # setupFabric / setupRPC and ctlplane.NewDaemon, with set-up bytes per
 # VM-pair (SETUP_PAIRS: every fabric1k_* host sources one pair, every
 # clos128_* host eight; ctl_churn's pairs arrive through admissions, not
-# set-up). The test binary and the profiles stay in a temp dir outside the
-# tree for -list/-peek/-web:
-#   make profile W=fabric1k_backlog
+# set-up). After the CPU table, one line gives the event queue's share of
+# CPU: the samples under internal/sim's queue (its tiers and their heaps,
+# QUEUE_FOCUS), nested calls counted once; N repetitions (-benchtime Nx,
+# default 1) give that share more samples (the pprof tables sum the
+# repetitions; the MiB, per-event, per-decision and per-pair lines are per
+# repetition). The test binary and the profiles stay in a temp dir outside
+# the tree for -list/-peek/-web:
+#   make profile W=fabric1k_backlog [N=5]
+# go test runs a benchmark once with b.N = 1 before it runs -benchtime Nx,
+# so N > 1 repetitions profile N + 1.
+REPS = $(if $(filter-out 1,$(or $(N),1)),$(shell echo $$(($(N) + 1))),1)
+QUEUE_FOCUS = sim\.\(\*(queue|eventHeap)\)\.
 SETUP_FOCUS = setupFabric$$|setupRPC$$|ctlplane\.NewDaemon$$
 SETUP_PAIRS = $(if $(filter fabric1k_% clos128_%,$(W)),1024,0)
 CTL_LAYERS = \
@@ -97,10 +106,12 @@ CTL_PATH = Daemon\)\.Handler\.func|Daemon\)\.Loop$$
 profile:
 	@test -n "$(W)" || { echo "usage: make profile W=<workload>  (names: BENCHMARK.json)" >&2; exit 2; }
 	@dir=$$(mktemp -d); \
-	$(GO) test -C bench -run '^$$' -bench 'Workload/$(W)$$' -benchtime 1x \
+	$(GO) test -C bench -run '^$$' -bench 'Workload/$(W)$$' -benchtime $(or $(N),1)x \
 		-cpuprofile $$dir/cpu.prof -memprofile $$dir/mem.prof -memprofilerate 4096 \
 		-o $$dir/bench.test; \
 	$(GO) tool pprof -top -nodecount=25 $$dir/bench.test $$dir/cpu.prof; \
+	$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 -edgefraction=0 -focus='$(QUEUE_FOCUS)' $$dir/bench.test $$dir/cpu.prof 2>/dev/null | \
+		awk '/Showing nodes accounting for/ { sub(/,$$/, "", $$5); sub(/%$$/, "", $$6); printf "event queue: %s %% of CPU (%s of %s)\n", $$6, $$5, $$8; exit }'; \
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
 	if [ "$(W)" = ctl_churn ]; then \
 	decisions=$$(awk '$$1 == "Decisions:" { sub(/,/, "", $$2); print $$2; exit }' bench/workloads.go); \
@@ -110,7 +121,7 @@ profile:
 		b=$$($(GO) tool pprof -sample_index=alloc_space -top -nodecount=100000 -nodefraction=0 -edgefraction=0 -unit=B \
 			$${focus:+-focus="$$focus"} $${ignore:+-ignore="$$ignore"} $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
 			awk '/Showing nodes accounting for/ { sub(/B,$$/, "", $$5); print $$5; exit }' || true); \
-		awk -v n="$$name" -v b="$${b:-0}" -v d="$$decisions" 'BEGIN { printf "  %-55s %7.1f MiB %7.0f B/decision\n", n, b / 1048576, b / d }'; \
+		awk -v n="$$name" -v b="$${b:-0}" -v d="$$decisions" -v r=$(REPS) 'BEGIN { printf "  %-55s %7.1f MiB %7.0f B/decision\n", n, b / r / 1048576, b / r / d }'; \
 	done; \
 	echo; echo "== the decision path by line: alloc_space under the handlers and the engine goroutine's operations, top 15 source lines =="; \
 	$(GO) tool pprof -sample_index=alloc_space -focus='$(CTL_PATH)' -ignore='RunUntil$$' -lines -top -nodecount=15 $$dir/bench.test $$dir/mem.prof; \
@@ -120,7 +131,7 @@ profile:
 	job=$$($(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -top -cum -nodecount=1000 -unit=B $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
 		awk '$$NF ~ /Engine\)\.RunUntil$$/ { sub(/B$$/, "", $$4); print $$4; exit }'); \
 	events=$$(awk -v w='"$(W)":' '$$1 == w { inw = 1 } inw && $$1 == "\"1\":" { in1 = 1 } in1 && $$1 == "\"events\":" { sub(/,/, "", $$2); print $$2; exit }' bench/pinned.json); \
-	awk -v j="$$job" -v e="$$events" 'BEGIN { if (j > 0 && e > 0) printf "job: %.1f MiB under RunUntil over %d simulated events (seed 1) = %.1f bytes per event\n", j / 1048576, e, j / e }'; \
+	awk -v j="$$job" -v e="$$events" -v r=$(REPS) 'BEGIN { if (j > 0 && e > 0) printf "job: %.1f MiB under RunUntil over %d simulated events (seed 1) = %.1f bytes per event\n", j / r / 1048576, e, j / r / e }'; \
 	echo; echo "== the job by line: alloc_space under Engine.RunUntil, top 15 source lines =="; \
 	$(GO) tool pprof -sample_index=alloc_space -focus=RunUntil -lines -top -nodecount=15 $$dir/bench.test $$dir/mem.prof; \
 	fi; \
@@ -129,7 +140,7 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_space -focus='$(SETUP_FOCUS)' -top -nodecount=25 $$dir/bench.test $$dir/mem.prof; \
 	setup=$$($(GO) tool pprof -sample_index=alloc_space -focus='$(SETUP_FOCUS)' -top -cum -nodecount=1000 -unit=B $$dir/bench.test $$dir/mem.prof 2>/dev/null | \
 		awk '$$NF ~ /$(SETUP_FOCUS)/ { sub(/B$$/, "", $$4); s += $$4 } END { print s + 0 }'); \
-	awk -v s="$$setup" -v p="$(SETUP_PAIRS)" 'BEGIN { printf "set-up: %.1f MiB", s / 1048576; if (p > 0) printf " over %d VM-pairs = %.0f bytes per VM-pair", p, s / p; print "" }'; \
+	awk -v s="$$setup" -v p="$(SETUP_PAIRS)" -v r=$(REPS) 'BEGIN { s /= r; printf "set-up: %.1f MiB", s / 1048576; if (p > 0) printf " over %d VM-pairs = %.0f bytes per VM-pair", p, s / p; print "" }'; \
 	echo "binary and profiles: $$dir"
 
 # The paired comparison a performance change reports: N alternating runs of

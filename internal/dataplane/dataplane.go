@@ -559,9 +559,6 @@ func NewPartitioned(eng *sim.Engine, part *topo.Partition, g *topo.Graph, cfg Co
 // Shards returns the number of logical shards (1 for the plain constructor).
 func (n *Network) Shards() int { return len(n.scheds) }
 
-// ShardOf returns the logical shard owning node id.
-func (n *Network) ShardOf(id topo.NodeID) int { return int(n.shardOf[id]) }
-
 // NodeScheduler returns the scheduler for node id's shard context — the
 // clock all work attached to that node (agents, workloads, host timers) must
 // schedule on.

@@ -1,6 +1,12 @@
 package sim
 
-// The event queue: one monomorphic 4-ary min-heap whose entries carry the
+import (
+	"math/bits"
+	"slices"
+)
+
+// The event queue: three tiers that share one order (queue, below), two of
+// them the monomorphic 4-ary min-heap here, whose entries carry the
 // ordering key inline, so a comparison reads the heap's own backing array
 // and never the event arena.
 //
@@ -80,10 +86,13 @@ func (h *heapEntry) set(k eventKey, idx int32) {
 	h.at, h.schedAt, h.seq, h.src, h.idx = k.at, k.schedAt, k.seq, k.src, idx
 }
 
-// heapPush queues entry idx (an arena slot or a typed record) under key k.
-func (e *Engine) heapPush(k eventKey, idx int32) {
-	e.queue = append(e.queue, heapEntry{})
-	h := e.queue
+// eventHeap is the 4-ary min-heap both heap tiers of a queue run on.
+type eventHeap []heapEntry
+
+// push queues entry idx (an arena slot or a typed record) under key k.
+func (q *eventHeap) push(k eventKey, idx int32) {
+	*q = append(*q, heapEntry{})
+	h := *q
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -96,19 +105,19 @@ func (e *Engine) heapPush(k eventKey, idx int32) {
 	h[i].set(k, idx)
 }
 
-// heapPop removes the minimum entry and returns its time and idx.
-// The queue must be non-empty.
-func (e *Engine) heapPop() (at Time, idx int32) {
-	h := e.queue
+// pop removes the minimum entry and returns its time and idx.
+// The heap must be non-empty.
+func (q *eventHeap) pop() (at Time, idx int32) {
+	h := *q
 	at, idx = h[0].at, h[0].idx
 	n := len(h) - 1
-	e.queue = h[:n]
+	*q = h[:n]
 	if n == 0 {
 		return at, idx
 	}
 	// Sift the hole at the root down until the former last entry fits. It
-	// is read and written back field by field, like the entry heapPush
-	// writes: at depth 2 it *is* that entry, stored a moment ago.
+	// is read and written back field by field, like the entry push writes:
+	// at depth 2 it *is* that entry, stored a moment ago.
 	k, lastIdx := h[n].key(), h[n].idx
 	h = h[:n]
 	i := 0
@@ -146,4 +155,195 @@ func (e *Engine) heapPop() (at Time, idx int32) {
 	}
 	h[i].set(k, lastIdx)
 	return at, idx
+}
+
+// The queue's tiers. A ring bucket spans 2^bucketShift ps (8.192 ns) and
+// the ring ringBuckets of them (8.4 µs); ring nodes live in chunks of
+// 2^chunkShift that are allocated once and never copied.
+const (
+	bucketShift = 13
+	ringBuckets = 1024
+	ringMask    = ringBuckets - 1
+	chunkShift  = 8
+)
+
+// ringNode is a ring entry: a heap entry and the next node of its bucket
+// (or of the free list), 1-based; 0 ends the list.
+type ringNode struct {
+	ent  heapEntry
+	next int32
+}
+
+// queue is an engine's pending events in three tiers that share one order.
+// With cb the bucket number curEnd / 2^bucketShift:
+//
+//	cur  < curEnd ≤ ring < curEnd + horizon ≤ far
+//
+// so cur's minimum is the queue's whenever cur holds anything. An insert
+// goes to the tier its time falls in: cur and far are heaps, a ring insert
+// is an O(1) push onto its bucket's list. When cur runs dry, refill drains
+// the next non-empty bucket into it and moves the far entries the ring now
+// reaches into the ring: no entry moves more than twice, and cb only grows,
+// so an insert below a curEnd that a peek moved ahead still lands in cur.
+// The zero value is an empty queue. DESIGN.md "The queue holds what is
+// due" has the bucket sweep and the designs measured and dropped.
+type queue struct {
+	cur    eventHeap
+	n      int  // entries in all three tiers
+	cb     Time // curEnd in buckets: cur holds every entry below cb<<bucketShift
+	far    eventHeap
+	chunks []*[1 << chunkShift]ringNode
+	free   int32 // free-list head, 1-based; 0 = empty
+	used   int32 // nodes ever handed out
+	// setup is set on a shard's queue until its first run. Meanwhile a
+	// far push keeps room in far for at least twice the pending count: a
+	// job's shard queue peaks at about twice what set-up leaves it, nearly
+	// all of that far (1 152 → 2 405 entries on fabric1k_backlog, 1 090 →
+	// 2 359 on clos128_rpc), so the run does not regrow far. Short of
+	// that, far grows to four times the count, so a set-up (or an engine
+	// whose shards run late) regrows it only at doublings.
+	setup bool
+	bits  [ringBuckets / 64]uint64 // the non-empty buckets
+	head  [ringBuckets]int32       // each bucket's list
+}
+
+// push queues entry idx under key k.
+func (q *queue) push(k eventKey, idx int32) {
+	q.n++
+	if k.at>>bucketShift < q.cb {
+		q.cur.push(k, idx)
+		return
+	}
+	q.pushAhead(k, idx)
+}
+
+// pushAhead queues an entry due at or after curEnd.
+func (q *queue) pushAhead(k eventKey, idx int32) {
+	switch b := k.at >> bucketShift; {
+	case q.n == 1 && b-k.schedAt>>bucketShift <= 1:
+		// The queue was empty and k is due within a bucket of when it was
+		// scheduled: its bucket becomes the current one. (One due later
+		// would take into cur everything posted before it.)
+		q.cb = b + 1
+		q.cur.push(k, idx)
+	case b-q.cb < ringBuckets:
+		q.ringAdd(k, idx)
+	default:
+		if q.setup && cap(q.far) < 2*q.n {
+			q.far = slices.Grow(q.far, 4*q.n-len(q.far))
+		}
+		q.far.push(k, idx)
+	}
+}
+
+// peek returns the queue's minimum entry. The queue must be non-empty.
+func (q *queue) peek() *heapEntry {
+	q.ready()
+	return &q.cur[0]
+}
+
+// ready makes cur hold the queue's minimum. The queue must be non-empty.
+func (q *queue) ready() {
+	if len(q.cur) == 0 {
+		q.refill()
+	}
+}
+
+// pop removes the minimum entry. The queue must be ready.
+func (q *queue) pop() (at Time, idx int32) {
+	q.n--
+	return q.cur.pop()
+}
+
+// refill drains the next non-empty bucket into the empty current heap; if
+// the ring is empty too, it jumps to the far heap's earliest bucket.
+func (q *queue) refill() {
+	if q.n == len(q.far) { // cur is empty, so the ring holds n − len(far)
+		q.cb = q.far[0].at>>bucketShift + 1
+		q.pullFar()
+		return
+	}
+	s := int(q.cb & ringMask)
+	for w, i := s>>6, 0; ; w, i = (w+1)%len(q.bits), i+1 {
+		m := q.bits[w]
+		if i == 0 {
+			m &= ^uint64(0) << (s & 63)
+		}
+		if m == 0 {
+			continue
+		}
+		s = w<<6 | bits.TrailingZeros64(m)
+		break
+	}
+	for i := q.head[s]; i != 0; {
+		nd := q.node(i)
+		q.cur.push(nd.ent.key(), nd.ent.idx)
+		next := nd.next
+		nd.next, q.free = q.free, i
+		i = next
+	}
+	q.head[s] = 0
+	q.bits[s>>6] &^= 1 << (s & 63)
+	q.cb += Time((s-int(q.cb&ringMask))&ringMask) + 1
+	q.pullFar()
+}
+
+// pullFar moves the far entries below curEnd into cur and those the ring
+// reaches into the ring.
+func (q *queue) pullFar() {
+	for len(q.far) > 0 {
+		top := q.far[0]
+		b := top.at >> bucketShift
+		if b-q.cb >= ringBuckets {
+			return
+		}
+		q.far.pop()
+		if b < q.cb {
+			q.cur.push(top.key(), top.idx)
+		} else {
+			q.ringAdd(top.key(), top.idx)
+		}
+	}
+}
+
+// ringAdd pushes entry idx onto the list of k's bucket.
+func (q *queue) ringAdd(k eventKey, idx int32) {
+	i := q.free
+	if i != 0 {
+		q.free = q.node(i).next
+	} else {
+		if int(q.used) == len(q.chunks)<<chunkShift {
+			q.chunks = append(q.chunks, new([1 << chunkShift]ringNode))
+		}
+		q.used++
+		i = q.used
+	}
+	nd := q.node(i)
+	s := k.at >> bucketShift & ringMask
+	nd.ent.set(k, idx)
+	nd.next, q.head[s] = q.head[s], i
+	q.bits[s>>6] |= 1 << (s & 63)
+}
+
+// node returns ring node i (1-based).
+func (q *queue) node(i int32) *ringNode {
+	i--
+	return &q.chunks[i>>chunkShift][i&(1<<chunkShift-1)]
+}
+
+// each calls fn on up to n queued entries: the current heap's, the ring's,
+// then the far heap's.
+func (q *queue) each(n int, fn func(*heapEntry)) {
+	heap := func(h eventHeap) {
+		for i := 0; i < len(h) && n > 0; i, n = i+1, n-1 {
+			fn(&h[i])
+		}
+	}
+	heap(q.cur)
+	for s := 0; s < ringBuckets && n > 0; s++ {
+		for i := q.head[s]; i != 0 && n > 0; i, n = q.node(i).next, n-1 {
+			fn(&q.node(i).ent)
+		}
+	}
+	heap(q.far)
 }

@@ -27,23 +27,23 @@ func sortKeys(ks []eventKey) {
 func TestQuadHeapSortsProperty(t *testing.T) {
 	f := func(ats []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := New()
+		var h eventHeap
 		want := make([]eventKey, len(ats))
 		for i, a := range ats {
 			want[i] = tieKey(rng, Time(a%8), uint64(i))
-			e.heapPush(want[i], int32(i))
+			h.push(want[i], int32(i))
 		}
 		sortKeys(want)
 		for _, w := range want {
-			if len(e.queue) == 0 || e.queue[0].key() != w {
+			if len(h) == 0 || h[0].key() != w {
 				return false
 			}
-			at, idx := e.heapPop()
+			at, idx := h.pop()
 			if at != w.at || uint64(idx) != w.seq {
 				return false
 			}
 		}
-		return len(e.queue) == 0
+		return len(h) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -53,23 +53,23 @@ func TestQuadHeapSortsProperty(t *testing.T) {
 // Interleaved pushes and pops must always pop the current minimum.
 func TestQuadHeapInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	e := New()
+	var h eventHeap
 	var mirror []eventKey
 	for op := 0; op < 5000; op++ {
 		if len(mirror) == 0 || rng.Intn(3) > 0 {
 			k := tieKey(rng, Time(rng.Intn(50)), uint64(op))
-			e.heapPush(k, int32(op))
+			h.push(k, int32(op))
 			mirror = append(mirror, k)
 		} else {
-			at, idx := e.heapPop()
+			at, idx := h.pop()
 			sortKeys(mirror)
 			if w := mirror[0]; at != w.at || uint64(idx) != w.seq {
 				t.Fatalf("op %d: popped (at %v, idx %d), want min %+v", op, at, idx, w)
 			}
 			mirror = mirror[1:]
 		}
-		if len(e.queue) != len(mirror) {
-			t.Fatalf("op %d: heap holds %d entries, mirror %d", op, len(e.queue), len(mirror))
+		if len(h) != len(mirror) {
+			t.Fatalf("op %d: heap holds %d entries, mirror %d", op, len(h), len(mirror))
 		}
 	}
 }

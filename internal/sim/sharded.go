@@ -78,7 +78,7 @@ func (e *Engine) checkKinds() {
 	}
 	var ref []string // the longest list so far, of which every other is a prefix
 	for i, sh := range e.shards {
-		sh.eng.sealed = true
+		sh.eng.sealed, sh.eng.q.setup = true, false
 		if n := min(len(ref), len(sh.eng.names)); !slices.Equal(ref[:n], sh.eng.names[:n]) {
 			panic(fmt.Sprintf("sim: shard %d numbers its kinds %q, another shard %q", i, sh.eng.names, ref))
 		}
@@ -155,7 +155,7 @@ func (e *Engine) Partition(n, workers int, window Duration) {
 	e.window = window
 	e.shards = make([]*shard, n)
 	for i := range e.shards {
-		sh := &shard{eng: &Engine{src: uint32(i)}, in: make([]*ring, n), out: make([]*ring, n)}
+		sh := &shard{eng: &Engine{src: uint32(i), q: queue{setup: true}}, in: make([]*ring, n), out: make([]*ring, n)}
 		sh.sealed.Store(-1)
 		e.shards[i] = sh
 	}

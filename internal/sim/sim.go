@@ -4,10 +4,12 @@
 // exactly representable; the int64 horizon (~106 days) far exceeds any
 // experiment length.
 //
-// The engine is deliberately minimal: one 4-ary min-heap of pending events
-// with deterministic FIFO tie-breaking for events scheduled at the same
-// instant, plus cancellable timers. Determinism matters because the
-// evaluation compares schemes on identical traffic traces.
+// The engine is deliberately minimal: one queue of pending events with
+// deterministic FIFO tie-breaking for events scheduled at the same instant,
+// plus cancellable timers. Determinism matters because the evaluation
+// compares schemes on identical traffic traces. The queue (heap.go) keeps
+// what is due in a small 4-ary heap, what is due within 8.4 µs in a ring of
+// 8 ns buckets and the rest in a second heap; all three share one order.
 //
 // There is one driver type and one run loop. An Engine may be partitioned at
 // set-up into logical shards — child engines with their own arena, heap and
@@ -17,7 +19,7 @@
 // many goroutines execute the shards (none: inline on the caller) is an
 // execution detail that never reaches an event key.
 //
-// A pending event is one of two records. Its heap entry (heap.go) carries
+// A pending event is one of two records. Its queue entry (heap.go) carries
 // the whole ordering key (at, schedAt, src, seq) inline, so ordering the
 // queue never leaves the heap's backing array. A closure event (At, After)
 // points the entry at a slab-allocated arena slot holding its callback;
@@ -177,7 +179,6 @@ type Engine struct {
 	src     uint32      // shard ID stamped on locally scheduled events
 	slots   []eventSlot // event arena
 	free    int32       // free-list head, 1-based; 0 = empty
-	queue   []heapEntry // 4-ary heap ordered by eventKey.less; see heap.go
 	stopped bool
 	// maxSched is the latest time any event was ever scheduled for;
 	// monotone. Run uses it to bound the epochs that drain a shard.
@@ -201,6 +202,8 @@ type Engine struct {
 	window  Duration
 	crew    [][]*shard
 	started bool // a worker epoch has run: set-up is over, rings carry the sends
+
+	q queue // pending events in key order (heap.go); its bucket index last
 }
 
 // EngineStats is a snapshot of the engine's scheduling activity, pulled by
@@ -221,7 +224,7 @@ func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Now:         e.now,
 		Processed:   e.Processed,
-		Pending:     len(e.queue),
+		Pending:     e.q.n,
 		PeakPending: e.peakPending,
 		ArenaSlots:  len(e.slots),
 	}
@@ -295,13 +298,9 @@ func (e *Engine) push(at, schedAt Time, src uint32, seq uint64, fn Event) Handle
 // the sender's key, so the receiving heap orders the event exactly as the
 // sender stamped it.
 func (e *Engine) enqueue(k eventKey, idx int32) {
-	if k.at > e.maxSched {
-		e.maxSched = k.at
-	}
-	e.heapPush(k, idx)
-	if len(e.queue) > e.peakPending {
-		e.peakPending = len(e.queue)
-	}
+	e.maxSched = max(e.maxSched, k.at)
+	e.q.push(k, idx)
+	e.peakPending = max(e.peakPending, e.q.n)
 }
 
 // Register adds a kind of typed event to e and returns its number: Post and
@@ -368,8 +367,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the next event of the engine's own queue, if any, and
 // reports whether one ran.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		at, idx := e.heapPop()
+	for e.q.n > 0 {
+		e.q.ready()
+		at, idx := e.q.pop()
 		if idx < 0 {
 			e.now = at
 			e.Processed++
@@ -395,10 +395,10 @@ func (e *Engine) Step() bool {
 // nextKey returns the key of the engine's next pending event, popping and
 // releasing any cancelled entries it passes over.
 func (e *Engine) nextKey() (eventKey, bool) {
-	for len(e.queue) > 0 {
-		next := &e.queue[0]
+	for e.q.n > 0 {
+		next := e.q.peek()
 		if next.idx >= 0 && e.slots[next.idx].cancelled {
-			_, idx := e.heapPop()
+			_, idx := e.q.pop()
 			e.release(idx)
 			continue
 		}
@@ -505,17 +505,12 @@ func every(s Scheduler, period Duration, fn Event) (stop func()) {
 // inspected slots but are not reported, so the result can be shorter than
 // min(n, Pending()).
 func (e *Engine) PendingTimes(n int) []Time {
-	if n > len(e.queue) {
-		n = len(e.queue)
-	}
-	if n < 0 {
-		n = 0
-	}
+	n = max(0, min(n, e.q.n))
 	out := make([]Time, 0, n)
-	for i := range e.queue[:n] {
-		if ent := &e.queue[i]; ent.idx < 0 || !e.slots[ent.idx].cancelled {
+	e.q.each(n, func(ent *heapEntry) {
+		if ent.idx < 0 || !e.slots[ent.idx].cancelled {
 			out = append(out, ent.at)
 		}
-	}
+	})
 	return out
 }
