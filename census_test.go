@@ -16,9 +16,11 @@ import (
 // itself: every exported field of an exported …Config / …Options struct
 // declared under internal/ must be written by something other than its own
 // package's defaulting — a keyed composite literal, an assignment, an
-// increment or an address-of (a flag binding) in cmd/, examples/, bench/,
-// another package of internal/ or any _test.go. A field with no such writer
-// fails, named; a field only tests write is logged.
+// increment or an address-of (a flag binding) in cmd/, bench/, another
+// package of internal/ or any _test.go. A field with no such writer fails,
+// named, and so does a field only tests write, unless testOnlyFieldAllow
+// gives its reason: a knob only a package's own tests turn is an unexported
+// field, a test seam, not part of the package's surface.
 //
 // The census reads syntax, not types. A composite literal counts against the
 // struct its written type names (elided element types of slice, array and
@@ -33,6 +35,13 @@ import (
 // a default, not a user). A struct no composite literal outside its package
 // constructs is a parameter bundle of that package, not an options struct,
 // and is skipped.
+// testOnlyFieldAllow names the exported config fields that only tests write
+// and that stay exported, each with its reason. An entry whose field gains a
+// writer outside tests, or is gone, fails the census.
+var testOnlyFieldAllow = map[string]string{
+	"internal/ufabe.Config.CandidateProbeInterval": "vfabric's chaos test reads it through Agent.Config() to wait out one scan",
+}
+
 func TestConfigFieldCensus(t *testing.T) {
 	fset, files := parseTree(t)
 
@@ -241,6 +250,7 @@ func TestConfigFieldCensus(t *testing.T) {
 	}
 	sort.Strings(keys)
 	orphans, testOnly := 0, 0
+	testOnlyFields := map[string]bool{}
 	for _, key := range keys {
 		c := structs[key]
 		if !c.constructed {
@@ -258,11 +268,21 @@ func TestConfigFieldCensus(t *testing.T) {
 			}
 			if site := c.testWriters[name]; site != "" {
 				testOnly++
-				t.Logf("%s.%s: written only by tests (%s)", key, name, site)
+				testOnlyFields[key+"."+name] = true
+				if reason, ok := testOnlyFieldAllow[key+"."+name]; ok {
+					t.Logf("%s.%s: written only by tests (%s), kept exported: %s", key, name, site, reason)
+				} else {
+					t.Errorf("%s.%s: written only by tests (%s) — make it an unexported field", key, name, site)
+				}
 				continue
 			}
 			orphans++
 			t.Errorf("%s.%s: no writer outside its package's defaulting — make it a constant", key, name)
+		}
+	}
+	for field := range testOnlyFieldAllow {
+		if !testOnlyFields[field] {
+			t.Errorf("testOnlyFieldAllow: %s is gone or has a writer outside tests now", field)
 		}
 	}
 	t.Logf("%d census structs, %d fields nothing writes, %d written only by tests", len(keys), orphans, testOnly)
@@ -339,4 +359,188 @@ func TestRandSourceCensus(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// exportAllow names the exported package-level names under internal/ that
+// stay exported with no caller outside their package, each with its reason.
+// An entry whose name gains an outside caller, or is gone, fails the census:
+// the list holds only what it must.
+var exportAllow = map[string]string{}
+
+// TestExportCensus holds "every exported name earns an outside caller": a
+// package-level exported func, type, var or const declared in a non-test
+// file of internal/P must be named by something outside P — product code,
+// cmd/, bench/, the root package, another package's tests — or by P's own
+// external _test package. A type also counts when a counted name mentions
+// it: in a func's signature, a var's or const's declared type, a type's
+// definition (its exported fields and interface methods) or the signature of
+// the type's exported methods — sim.EngineStats is named by Engine.Stats.
+// Every other exported name fails, named: unexport it, delete it, or give it
+// an entry in exportAllow with its reason.
+//
+// The census reads syntax, not types: a use is a selector `p.Name` whose `p`
+// is an import of internal/P in that file. A local variable that shadows an
+// import can only make a name look used, never unused.
+func TestExportCensus(t *testing.T) {
+	fset, files := parseTree(t)
+
+	// Every candidate, keyed "dir.Name", with the expressions that mention
+	// the types it exposes; for a type, its exported methods' signatures too.
+	type decl struct {
+		pos   token.Pos
+		exprs []ast.Expr
+	}
+	decls := map[string]*decl{}
+	methods := map[string][]ast.Expr{} // "dir.Type" → its exported methods' signatures
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					decls[f.dir+"."+d.Name.Name] = &decl{d.Name.Pos(), []ast.Expr{d.Type}}
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					methods[f.dir+"."+id.Name] = append(methods[f.dir+"."+id.Name], d.Type)
+				}
+			case *ast.GenDecl:
+				var carried ast.Expr // a const group's implicit type
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls[f.dir+"."+s.Name.Name] = &decl{s.Name.Pos(), []ast.Expr{s.Type}}
+						}
+					case *ast.ValueSpec:
+						if s.Type != nil || len(s.Values) > 0 {
+							carried = s.Type
+						}
+						for _, name := range s.Names {
+							if name.IsExported() {
+								d := &decl{pos: name.Pos()}
+								if carried != nil {
+									d.exprs = []ast.Expr{carried}
+								}
+								decls[f.dir+"."+name.Name] = d
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The names something outside their package names.
+	used := map[string]bool{}
+	var work []string
+	use := func(key string) {
+		if _, ok := decls[key]; ok && !used[key] {
+			used[key] = true
+			work = append(work, key)
+		}
+	}
+	for _, f := range files {
+		pkgs := map[string]string{} // local name of every import of the module → its dir
+		for _, im := range f.ast.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			if !strings.HasPrefix(p, "ufab/") {
+				continue
+			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			pkgs[name] = strings.TrimPrefix(p, "ufab/")
+		}
+		external := strings.HasSuffix(f.ast.Name.Name, "_test")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok {
+					if dir, ok := pkgs[pkg.Name]; ok && (dir != f.dir || external) {
+						use(dir + "." + sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// mentions calls visit with every package-local name e mentions, skipping
+	// unexported struct fields and interface methods.
+	var mentions func(e ast.Node, visit func(string))
+	mentions = func(e ast.Node, visit func(string)) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			var list *ast.FieldList
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false // another package's name: counted where it is declared
+			case *ast.Ident:
+				visit(n.Name)
+				return true
+			case *ast.StructType:
+				list = n.Fields
+			case *ast.InterfaceType:
+				list = n.Methods
+			default:
+				return true
+			}
+			for _, fl := range list.List {
+				exported := len(fl.Names) == 0 // embedded
+				for _, name := range fl.Names {
+					exported = exported || name.IsExported()
+				}
+				if exported {
+					mentions(fl.Type, visit)
+				}
+			}
+			return false
+		})
+	}
+	for len(work) > 0 {
+		key := work[len(work)-1]
+		work = work[:len(work)-1]
+		dir := key[:strings.LastIndex(key, ".")]
+		visit := func(name string) { use(dir + "." + name) }
+		for _, e := range decls[key].exprs {
+			mentions(e, visit)
+		}
+		for _, e := range methods[key] {
+			mentions(e, visit)
+		}
+	}
+
+	var keys []string
+	for key := range decls {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	unused := 0
+	for _, key := range keys {
+		if _, allowed := exportAllow[key]; allowed || used[key] {
+			continue
+		}
+		unused++
+		t.Errorf("%s: %s: nothing outside its package names it — unexport it, delete it or allowlist it",
+			fset.Position(decls[key].pos), key)
+	}
+	for key, reason := range exportAllow {
+		switch _, declared := decls[key]; {
+		case !declared:
+			t.Errorf("exportAllow: %s is gone (%s)", key, reason)
+		case used[key]:
+			t.Errorf("exportAllow: %s has an outside caller now (%s)", key, reason)
+		}
+	}
+	t.Logf("%d exported package-level names under internal/, %d named from outside, %d allowlisted, %d unused",
+		len(decls), len(used), len(exportAllow), unused)
 }

@@ -169,12 +169,12 @@ func (m *Memcached) QPS(now sim.Time) float64 {
 }
 
 // MongoConfig parameterizes the bandwidth-hungry tenant: each client
-// continuously fetches FetchSize from a random server (500 KB, §5.3).
+// continuously fetches fetchSize from a random server (500 KB, §5.3).
 type MongoConfig struct {
 	VF               int32
 	Tokens           float64
 	Clients, Servers []VM
-	FetchSize        int64
+	fetchSize        int64
 	// Concurrency is the number of outstanding fetches per client VM
 	// (default 1).
 	Concurrency int
@@ -193,8 +193,8 @@ type Mongo struct {
 
 // NewMongo creates the tenant.
 func NewMongo(net Net, cfg MongoConfig) *Mongo {
-	if cfg.FetchSize == 0 {
-		cfg.FetchSize = 500_000
+	if cfg.fetchSize == 0 {
+		cfg.fetchSize = 500_000
 	}
 	return &Mongo{
 		cfg: cfg,
@@ -230,7 +230,7 @@ func (m *Mongo) startLoop(eng sim.Scheduler, client VM) {
 				eng.After(10*sim.Microsecond, func() { m.Fetches++; loop() })
 				return
 			}
-			m.rpc.call(client.Host, server.Host, m.cfg.FetchSize, func(sim.Duration) {
+			m.rpc.call(client.Host, server.Host, m.cfg.fetchSize, func(sim.Duration) {
 				m.Fetches++
 				loop()
 			})

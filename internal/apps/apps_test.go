@@ -125,7 +125,7 @@ func TestMongoContinuousFetch(t *testing.T) {
 		VF: 2, Tokens: 8,
 		Clients:   testVMs(4, 0),
 		Servers:   testVMs(4, 100),
-		FetchSize: 500_000,
+		fetchSize: 500_000,
 		Seed:      3,
 	})
 	md.Start()

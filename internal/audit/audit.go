@@ -42,10 +42,10 @@ type Config struct {
 	// fabrics (DisableTwoStage removes the burst bound by design). The
 	// ledger bound only runs on links whose samples carry a committed
 	// subscription (HasLedger), i.e. when an admission ledger is wired in.
-	DisableMinBW            bool
-	DisableWorkConservation bool
+	disableMinBW            bool
+	disableWorkConservation bool
 	DisableQueueBound       bool
-	DisableAccounting       bool
+	disableAccounting       bool
 }
 
 // The auditor's tolerances; time quantities are simulated picoseconds (the
@@ -453,7 +453,7 @@ func (a *Auditor) Tick(s *Sample) {
 		v := &s.VFs[i]
 		vst := a.vfFor(v.ID, t)
 		acc := a.accum[v.ID]
-		eligible := !cfg.DisableMinBW && v.GuaranteeBps > 0 &&
+		eligible := !cfg.disableMinBW && v.GuaranteeBps > 0 &&
 			acc != nil && acc.n > 0 && acc.covered &&
 			t-vst.firstSeen >= warmupPS
 		bound := (1 - minBWTolerance) * v.GuaranteeBps
@@ -472,7 +472,7 @@ func (a *Auditor) Tick(s *Sample) {
 		// A pair that just migrated re-enters the Scenario-2 ramp, so
 		// its rate legitimately dips below spare capacity; grant it the
 		// warmup again before holding it to work conservation.
-		if !cfg.DisableWorkConservation && st.covered &&
+		if !cfg.disableWorkConservation && st.covered &&
 			(st.migrAt == 0 || t-st.migrAt >= warmupPS) {
 			spare, minTarget, usable := maxFloat, maxFloat, len(p.Links) > 0
 			for _, li := range p.Links {
@@ -516,7 +516,7 @@ func (a *Auditor) Tick(s *Sample) {
 		if qBound := queueFloorBytes + queueFactorW*float64(l.WindowBytes); !cfg.DisableQueueBound && float64(l.QueueBytes) > qBound {
 			ls.queue.hit(t, float64(l.QueueBytes), qBound, false)
 		} else {
-			a.closeLinkStreak(ls, &ls.queue, QueueBoundViolation, "bytes", cfg.HoldTicks, 0)
+			a.closeLinkStreak(ls, &ls.queue, queueBoundViolation, "bytes", cfg.HoldTicks, 0)
 		}
 		// (5) Ledger bound: realized Φ_l never exceeds the admission
 		// ledger's committed subscription. Departed tenants' registers
@@ -526,9 +526,9 @@ func (a *Auditor) Tick(s *Sample) {
 		if lBound := l.CommittedTokens*(1+acctTolerance) + acctAbsTokens; l.HasLedger && l.PhiTokens > lBound {
 			ls.ledger.hit(t, l.PhiTokens, lBound, false)
 		} else {
-			a.closeLinkStreak(ls, &ls.ledger, LedgerBoundViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+			a.closeLinkStreak(ls, &ls.ledger, ledgerBoundViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
 		}
-		if cfg.DisableAccounting {
+		if cfg.disableAccounting {
 			continue
 		}
 		if l.PhiTokens < -1e-3 || l.WindowBytes < 0 {
@@ -538,17 +538,17 @@ func (a *Auditor) Tick(s *Sample) {
 			}
 			ls.acctNeg.hit(t, obs, 0, true)
 		} else {
-			a.closeLinkStreak(ls, &ls.acctNeg, AccountingViolation, "tokens", 1, 0)
+			a.closeLinkStreak(ls, &ls.acctNeg, accountingViolation, "tokens", 1, 0)
 		}
 		if over := l.LivePhiCand*(1+acctTolerance) + acctAbsTokens; l.PhiTokens > over {
 			ls.acctOver.hit(t, l.PhiTokens, over, false)
 		} else {
-			a.closeLinkStreak(ls, &ls.acctOver, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+			a.closeLinkStreak(ls, &ls.acctOver, accountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
 		}
 		if under := l.LivePhiActive*(1-acctTolerance) - acctAbsTokens; l.PhiTokens < under {
 			ls.acctUnder.hit(t, l.PhiTokens, under, true)
 		} else {
-			a.closeLinkStreak(ls, &ls.acctUnder, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+			a.closeLinkStreak(ls, &ls.acctUnder, accountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
 		}
 	}
 }
@@ -564,18 +564,18 @@ func (a *Auditor) closeVF(vst *vfState) {
 
 // closePair ends a pair's work-conservation streak.
 func (a *Auditor) closePair(st *pairState) {
-	a.emit(&st.wc, WorkConservationViolation, st.vf,
+	a.emit(&st.wc, workConservationViolation, st.vf,
 		fmt.Sprintf("vf.%d.pair.%d", st.vf, st.id), "bps", wcHoldTicks, 0)
 }
 
 // closeLink ends every streak of a link.
 func (a *Auditor) closeLink(ls *linkState) {
 	cfg := &a.cfg
-	a.closeLinkStreak(ls, &ls.queue, QueueBoundViolation, "bytes", cfg.HoldTicks, 0)
-	a.closeLinkStreak(ls, &ls.acctNeg, AccountingViolation, "tokens", 1, 0)
-	a.closeLinkStreak(ls, &ls.acctOver, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
-	a.closeLinkStreak(ls, &ls.acctUnder, AccountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
-	a.closeLinkStreak(ls, &ls.ledger, LedgerBoundViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+	a.closeLinkStreak(ls, &ls.queue, queueBoundViolation, "bytes", cfg.HoldTicks, 0)
+	a.closeLinkStreak(ls, &ls.acctNeg, accountingViolation, "tokens", 1, 0)
+	a.closeLinkStreak(ls, &ls.acctOver, accountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+	a.closeLinkStreak(ls, &ls.acctUnder, accountingViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
+	a.closeLinkStreak(ls, &ls.ledger, ledgerBoundViolation, "tokens", cfg.HoldTicks, cfg.AcctHoldPS)
 }
 
 func (a *Auditor) closeLinkStreak(ls *linkState, st *streak, kind Kind, unit string, minTicks int, minDur int64) {

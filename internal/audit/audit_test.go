@@ -147,7 +147,7 @@ func TestWorkConservationViolation(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly one work-conservation finding", fs)
 	}
 	fd := fs[0]
-	if fd.Kind != WorkConservationViolation || fd.VF != 1 || fd.Entity != "vf.1.pair.100" {
+	if fd.Kind != workConservationViolation || fd.VF != 1 || fd.Entity != "vf.1.pair.100" {
 		t.Fatalf("finding = %+v, want work_conservation on vf.1.pair.100", fd)
 	}
 	if fd.Observed < 1.5e9 || fd.Observed > fd.Bound {
@@ -165,7 +165,7 @@ func TestQueueBoundViolation(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly one queue-bound finding", fs)
 	}
 	fd := fs[0]
-	if fd.Kind != QueueBoundViolation || fd.VF != -1 || fd.Entity != "link.a-b" || fd.Unit != "bytes" {
+	if fd.Kind != queueBoundViolation || fd.VF != -1 || fd.Entity != "link.a-b" || fd.Unit != "bytes" {
 		t.Fatalf("finding = %+v, want queue_bound on link.a-b", fd)
 	}
 	if fd.Observed != float64(1<<20) {
@@ -189,7 +189,7 @@ func TestAccountingNegativeRegister(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly one negative-register finding", fs)
 	}
 	fd := fs[0]
-	if fd.Kind != AccountingViolation || fd.VF != -1 || fd.Entity != "link.a-b" || fd.Unit != "tokens" {
+	if fd.Kind != accountingViolation || fd.VF != -1 || fd.Entity != "link.a-b" || fd.Unit != "tokens" {
 		t.Fatalf("finding = %+v, want accounting on link.a-b", fd)
 	}
 	if fd.Observed != -5 || fd.Bound != 0 {
@@ -206,7 +206,7 @@ func TestAccountingOverCount(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly one over-count finding", fs)
 	}
 	fd := fs[0]
-	if fd.Kind != AccountingViolation || fd.Observed != 100 {
+	if fd.Kind != accountingViolation || fd.Observed != 100 {
 		t.Fatalf("finding = %+v, want accounting with observed 100", fd)
 	}
 	if want := 40*1.1 + 4; fd.Bound != want {
@@ -325,7 +325,7 @@ func TestNonFiniteValuesStayValidJSON(t *testing.T) {
 		evs = append(evs, ev)
 	}
 	log := &Log{}
-	log.add(Finding{Kind: QueueBoundViolation, VF: -1, Entity: "link.a-b", Observed: math.Inf(1), Bound: math.NaN(), Unit: "bytes", Context: evs})
+	log.add(Finding{Kind: queueBoundViolation, VF: -1, Entity: "link.a-b", Observed: math.Inf(1), Bound: math.NaN(), Unit: "bytes", Context: evs})
 	log.add(Finding{Kind: MinBWViolation, VF: 1, Entity: "vf.1", Observed: 1.5e9, Bound: math.Inf(-1), Unit: "bps"})
 	var trace, findings bytes.Buffer
 	if err := reg.WriteTraceJSONL(&trace); err != nil {
@@ -363,7 +363,7 @@ func TestSharedLogAcrossAuditors(t *testing.T) {
 	if len(fs) != 2 {
 		t.Fatalf("findings = %+v, want one per fabric", fs)
 	}
-	if fs[0].Kind != MinBWViolation || fs[1].Kind != QueueBoundViolation {
+	if fs[0].Kind != MinBWViolation || fs[1].Kind != queueBoundViolation {
 		t.Fatalf("kinds = %v/%v, want min_bw then queue_bound", fs[0].Kind, fs[1].Kind)
 	}
 }
@@ -389,8 +389,8 @@ func TestMaxFindingsCap(t *testing.T) {
 
 func TestDisableFlags(t *testing.T) {
 	f := newFeed(Config{
-		DisableMinBW: true, DisableWorkConservation: true,
-		DisableQueueBound: true, DisableAccounting: true,
+		disableMinBW: true, disableWorkConservation: true,
+		DisableQueueBound: true, disableAccounting: true,
 	})
 	f.pairRateBps = 1e9
 	f.queueBytes = 1 << 20

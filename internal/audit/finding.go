@@ -17,27 +17,27 @@ const (
 	// MinBWViolation: a fully backlogged VF's achieved rate stayed below
 	// its hose guarantee minus the tolerance (Eqn 1).
 	MinBWViolation Kind = iota
-	// WorkConservationViolation: a backlogged pair left persistent spare
+	// workConservationViolation: a backlogged pair left persistent spare
 	// capacity on every link of its active path unclaimed.
-	WorkConservationViolation
-	// QueueBoundViolation: a link's queue exceeded the admission-derived
+	workConservationViolation
+	// queueBoundViolation: a link's queue exceeded the admission-derived
 	// bound outside any declared fault window.
-	QueueBoundViolation
-	// AccountingViolation: a μFAB-C register (Φ_l/W_l) went negative or
+	queueBoundViolation
+	// accountingViolation: a μFAB-C register (Φ_l/W_l) went negative or
 	// persistently disagreed with the live VM-pair set.
-	AccountingViolation
-	// LedgerBoundViolation: a link's realized Φ_l subscription persistently
+	accountingViolation
+	// ledgerBoundViolation: a link's realized Φ_l subscription persistently
 	// exceeded the admission ledger's committed subscription — tenants the
 	// control plane never admitted are consuming guarantee on the link.
-	LedgerBoundViolation
+	ledgerBoundViolation
 )
 
 var kindNames = [...]string{
 	MinBWViolation:            "min_bw",
-	WorkConservationViolation: "work_conservation",
-	QueueBoundViolation:       "queue_bound",
-	AccountingViolation:       "accounting",
-	LedgerBoundViolation:      "ledger_bound",
+	workConservationViolation: "work_conservation",
+	queueBoundViolation:       "queue_bound",
+	accountingViolation:       "accounting",
+	ledgerBoundViolation:      "ledger_bound",
 }
 
 func (k Kind) String() string {
@@ -80,7 +80,7 @@ type Log struct {
 	dropped  int
 	auditors []*Auditor
 
-	// MaxFindings bounds the log (0 = DefaultMaxFindings); merged streaks
+	// MaxFindings bounds the log (0 = defaultMaxFindings); merged streaks
 	// keep real runs far below it, the cap only contains pathological
 	// misconfiguration.
 	MaxFindings int
@@ -93,15 +93,15 @@ type Log struct {
 	subs []func(Finding)
 }
 
-// DefaultMaxFindings bounds a Log when MaxFindings is zero.
-const DefaultMaxFindings = 1024
+// defaultMaxFindings bounds a Log when MaxFindings is zero.
+const defaultMaxFindings = 1024
 
 func (l *Log) attach(a *Auditor) { l.auditors = append(l.auditors, a) }
 
 func (l *Log) add(f Finding) {
 	max := l.MaxFindings
 	if max == 0 {
-		max = DefaultMaxFindings
+		max = defaultMaxFindings
 	}
 	if len(l.findings) >= max {
 		l.dropped++

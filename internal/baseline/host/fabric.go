@@ -70,7 +70,7 @@ func NewFabric(eng *sim.Engine, g *topo.Graph, cfg Config, dpCfg dataplane.Confi
 		case topo.Switch:
 			f.Net.SetSwitchAgent(n.ID, ufabc.New(ufabc.Config{}))
 		case topo.Host:
-			f.Agents[n.ID] = New(eng, f.Net, n.ID, cfg)
+			f.Agents[n.ID] = newAgent(eng, f.Net, n.ID, cfg)
 		}
 	}
 	return f

@@ -141,18 +141,6 @@ type Flow struct {
 // Guarantee returns the flow's minimum-bandwidth guarantee in bits/s.
 func (fl *Flow) Guarantee() float64 { return fl.Weight * bu }
 
-// CurrentPath returns the index of the flowlet's current path.
-func (fl *Flow) CurrentPath() int { return fl.lb.Current() }
-
-// Rate returns the transport's current rate view in bits/s: the RA rate
-// for ES, cwnd/baseRTT for PWC.
-func (fl *Flow) Rate() float64 {
-	if fl.agent.cfg.Scheme == ESClove {
-		return fl.ra.Rate
-	}
-	return fl.wf.Cwnd * 8 / fl.baseRTT[fl.lb.Current()].Seconds()
-}
-
 type recvState struct {
 	weight float64
 	bytes  int64
@@ -198,9 +186,9 @@ type Agent struct {
 	OnReceive func(vm dataplane.VMPair, bytes int, now sim.Time)
 }
 
-// New creates a baseline agent on a host and installs it as the host's
+// newAgent creates a baseline agent on a host and installs it as the host's
 // handler. Receiver-side admission (PWC) starts immediately.
-func New(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config) *Agent {
+func newAgent(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config) *Agent {
 	cfg.setDefaults()
 	g := net.G
 	if g.Node(hostID).Kind != topo.Host {
@@ -227,9 +215,6 @@ func New(eng *sim.Engine, net *dataplane.Network, hostID topo.NodeID, cfg Config
 	}
 	return a
 }
-
-// Flow returns a sender-side flow by id, or nil.
-func (a *Agent) Flow(id dataplane.VMPair) *Flow { return a.flows[id] }
 
 // AddFlow registers a VM-pair and starts its utilization probing.
 func (a *Agent) AddFlow(fc FlowConfig) *Flow {

@@ -36,13 +36,13 @@ const (
 	// LinkDown takes a single directional link (or the duplex pair) down
 	// while its endpoints stay alive — the BFD-visible black-hole case.
 	LinkDown
-	// LinkUp brings a downed link back.
-	LinkUp
+	// linkUp brings a downed link back.
+	linkUp
 	// LinkDegrade applies a gray fault: capacity scaling, added latency,
 	// random loss, and/or probe drop/corruption filters.
 	LinkDegrade
-	// LinkRestore clears a link's gray degradation (not its down state).
-	LinkRestore
+	// linkRestore clears a link's gray degradation (not its down state).
+	linkRestore
 	// AgentRestart reboots the μFAB-C agent on a node: its Bloom/Φ/W
 	// register state is lost and rebuilds from re-registration.
 	AgentRestart
@@ -56,9 +56,9 @@ var kindNames = map[Kind]string{
 	NodeCrash:    "node-crash",
 	NodeRecover:  "node-recover",
 	LinkDown:     "link-down",
-	LinkUp:       "link-up",
+	linkUp:       "link-up",
 	LinkDegrade:  "link-degrade",
-	LinkRestore:  "link-restore",
+	linkRestore:  "link-restore",
 	AgentRestart: "agent-restart",
 	TenantArrive: "tenant-arrive",
 	TenantDepart: "tenant-depart",
@@ -137,7 +137,7 @@ func (ev *Event) detail() string {
 	switch ev.Kind {
 	case NodeCrash, NodeRecover, AgentRestart:
 		return fmt.Sprintf("node=%d", ev.Node)
-	case LinkDown, LinkUp, LinkRestore:
+	case LinkDown, linkUp, linkRestore:
 		return fmt.Sprintf("link=%d duplex=%v", ev.Link, ev.Duplex)
 	case LinkDegrade:
 		d := ev.Degradation
@@ -202,7 +202,7 @@ func (s *Scenario) LinkDown(at sim.Duration, link topo.LinkID, duplex bool) *Sce
 
 // LinkUp schedules a downed link's return.
 func (s *Scenario) LinkUp(at sim.Duration, link topo.LinkID, duplex bool) *Scenario {
-	return s.add(Event{At: at, Kind: LinkUp, Link: link, Duplex: duplex})
+	return s.add(Event{At: at, Kind: linkUp, Link: link, Duplex: duplex})
 }
 
 // Flap schedules n down/up cycles starting at `at`: down for downFor,
@@ -224,7 +224,7 @@ func (s *Scenario) Degrade(at sim.Duration, link topo.LinkID, duplex bool, d dat
 
 // Restore schedules the removal of a link's gray fault.
 func (s *Scenario) Restore(at sim.Duration, link topo.LinkID, duplex bool) *Scenario {
-	return s.add(Event{At: at, Kind: LinkRestore, Link: link, Duplex: duplex})
+	return s.add(Event{At: at, Kind: linkRestore, Link: link, Duplex: duplex})
 }
 
 // RestartAgent schedules a μFAB-C agent restart (register state loss).

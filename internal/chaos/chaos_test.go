@@ -91,9 +91,9 @@ func TestFlapBuilder(t *testing.T) {
 		kind Kind
 	}{
 		{10 * sim.Millisecond, LinkDown},
-		{11 * sim.Millisecond, LinkUp},
+		{11 * sim.Millisecond, linkUp},
 		{14 * sim.Millisecond, LinkDown},
-		{15 * sim.Millisecond, LinkUp},
+		{15 * sim.Millisecond, linkUp},
 	}
 	if len(s.Events) != len(want) {
 		t.Fatalf("%d events, want %d", len(s.Events), len(want))
@@ -187,8 +187,8 @@ func TestInjectorAppliesInOrder(t *testing.T) {
 			t.Errorf("record %d = %s, want kind %v at %v", i, rec, ev.Kind, ev.At)
 		}
 	}
-	for _, k := range []Kind{NodeCrash, NodeRecover, LinkDown, LinkUp, LinkDegrade,
-		LinkRestore, AgentRestart, TenantArrive, TenantDepart} {
+	for _, k := range []Kind{NodeCrash, NodeRecover, LinkDown, linkUp, LinkDegrade,
+		linkRestore, AgentRestart, TenantArrive, TenantDepart} {
 		if inj.Applied(k) != 1 {
 			t.Errorf("Applied(%v) = %d, want 1", k, inj.Applied(k))
 		}

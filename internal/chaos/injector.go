@@ -111,14 +111,14 @@ func (inj *Injector) apply(ev Event) {
 		ok = net.RecoverNode(ev.Node)
 	case LinkDown:
 		ok = inj.eachLink(net, ev, net.FailLink)
-	case LinkUp:
+	case linkUp:
 		ok = inj.eachLink(net, ev, net.RecoverLink)
 	case LinkDegrade:
 		if ev.Degradation != nil {
 			d := *ev.Degradation
 			ok = inj.eachLink(net, ev, func(l topo.LinkID) bool { return net.DegradeLink(l, d) })
 		}
-	case LinkRestore:
+	case linkRestore:
 		ok = inj.eachLink(net, ev, net.RestoreLink)
 	case AgentRestart:
 		ok = inj.target.RestartCoreAgent(ev.Node)

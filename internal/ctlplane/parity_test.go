@@ -37,7 +37,7 @@ func TestControllerServiceParity(t *testing.T) {
 				Policy: placement.PolicyByName(name), SlotsPerHost: 3, MaxPaths: 4,
 			})
 			svc := NewService(cl.Graph, nil, pickyMat{}, Config{
-				Policy: placement.PolicyByName(name), SlotsPerHost: 3, MaxPaths: 4,
+				Policy: placement.PolicyByName(name), SlotsPerHost: 3, maxPaths: 4,
 			})
 			rng := rand.New(rand.NewSource(15))
 			var live []int32

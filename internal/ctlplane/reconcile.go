@@ -49,7 +49,7 @@ func (s *Service) Reconcile(nowPS int64) int {
 	// Converge: re-place what should be running but isn't.
 	for _, id := range ids {
 		t := s.tenants[id]
-		if t.Status != StatusPending && t.Status != StatusDegraded {
+		if t.Status != statusPending && t.Status != statusDegraded {
 			continue
 		}
 		if nowPS < t.NotBeforePS {
@@ -63,13 +63,13 @@ func (s *Service) Reconcile(nowPS int64) int {
 		}
 		t.Retries++
 		s.retries++
-		if t.Retries > s.cfg.MaxRetries {
-			t.Status = StatusEvicted
+		if t.Retries > s.cfg.maxRetries {
+			t.Status = statusEvicted
 			t.UpdatedPS = nowPS
 			s.evictions++
 		} else {
 			// Exponential backoff: base·2^(retries-1).
-			t.NotBeforePS = nowPS + int64(s.cfg.RetryBackoff)<<uint(t.Retries-1)
+			t.NotBeforePS = nowPS + int64(s.cfg.retryBackoff)<<uint(t.Retries-1)
 			t.UpdatedPS = nowPS
 		}
 		_ = s.persistPutLocked(t) // best effort: see persistPutLocked

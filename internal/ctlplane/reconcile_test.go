@@ -136,9 +136,9 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 	tb := topo.NewTestbed(topo.TestbedConfig{})
 	s := NewService(tb.Graph, nil, mat, Config{
 		SlotsPerHost: 4,
-		MaxPaths:     4,
-		MaxRetries:   3,
-		RetryBackoff: 100, // 100 ps base, doubling
+		maxPaths:     4,
+		maxRetries:   3,
+		retryBackoff: 100, // 100 ps base, doubling
 	})
 	fail, _ := watchedRecorder(s)
 
@@ -153,7 +153,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 	now := int64(1000)
 	s.Reconcile(now) // demote + retry 1 fails
 	tn, _ := s.Get(1)
-	if tn.Status != StatusDegraded || tn.Retries != 1 {
+	if tn.Status != statusDegraded || tn.Retries != 1 {
 		t.Fatalf("after first pass: %+v", tn)
 	}
 	if tn.NotBeforePS != now+100 {
@@ -171,7 +171,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 		s.Reconcile(now)
 	}
 	tn, _ = s.Get(1)
-	if tn.Status != StatusEvicted {
+	if tn.Status != statusEvicted {
 		t.Fatalf("not evicted after budget: %+v", tn)
 	}
 	st := s.Stats()

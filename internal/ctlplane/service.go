@@ -36,16 +36,16 @@ type Config struct {
 	Oversubscription float64
 	// SlotsPerHost caps VMs per host (default 8).
 	SlotsPerHost int
-	// MaxPaths bounds the ledger's per-pair ECMP enumeration (0 = all).
-	MaxPaths int
+	// maxPaths bounds the ledger's per-pair ECMP enumeration (0 = all).
+	maxPaths int
 	// Policy picks VM hosts (default Spread — the service exists to
 	// survive failure domains).
 	Policy placement.Policy
-	// MaxRetries bounds re-placement attempts before eviction (default 5).
-	MaxRetries int
-	// RetryBackoff is the base re-placement backoff, doubled per retry
+	// maxRetries bounds re-placement attempts before eviction (default 5).
+	maxRetries int
+	// retryBackoff is the base re-placement backoff, doubled per retry
 	// (default 250 µs).
-	RetryBackoff sim.Duration
+	retryBackoff sim.Duration
 	// Telemetry, if non-nil, publishes placement.ctl.* counters.
 	Telemetry *telemetry.Registry
 }
@@ -97,18 +97,18 @@ func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Con
 	if cfg.Policy == nil {
 		cfg.Policy = placement.Spread{}
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 5
+	if cfg.maxRetries == 0 {
+		cfg.maxRetries = 5
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 250 * sim.Microsecond
+	if cfg.retryBackoff == 0 {
+		cfg.retryBackoff = 250 * sim.Microsecond
 	}
 	return &Service{
 		cfg: cfg,
 		alloc: placement.NewAllocator(g, mat, placement.Config{
 			Oversubscription: cfg.Oversubscription,
 			SlotsPerHost:     cfg.SlotsPerHost,
-			MaxPaths:         cfg.MaxPaths,
+			MaxPaths:         cfg.maxPaths,
 			Policy:           cfg.Policy,
 		}),
 		store:    store,
@@ -168,7 +168,7 @@ func (s *Service) Admit(req placement.Request, nowPS int64) Decision {
 		VMs:          req.VMs,
 		WeightClass:  req.WeightClass,
 		BacklogBytes: req.BacklogBytes,
-		Status:       StatusPending,
+		Status:       statusPending,
 		UpdatedPS:    nowPS,
 	}
 	d := s.placeLocked(t, nowPS)
@@ -271,7 +271,7 @@ func (s *Service) placeLocked(t *Tenant, nowPS int64) Decision {
 // due for re-placement at nowPS. mu must be held.
 func (s *Service) degradeLocked(t *Tenant, nowPS int64) {
 	t.Hosts = nil
-	t.Status = StatusDegraded
+	t.Status = statusDegraded
 	t.Retries = 0
 	t.NotBeforePS = nowPS
 	t.UpdatedPS = nowPS

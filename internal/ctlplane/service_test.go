@@ -43,7 +43,7 @@ func testService(t *testing.T, store *Store, mat placement.Materializer) *Servic
 	tb := topo.NewTestbed(topo.TestbedConfig{})
 	return NewService(tb.Graph, store, mat, Config{
 		SlotsPerHost: 4,
-		MaxPaths:     4,
+		maxPaths:     4,
 	})
 }
 
@@ -249,7 +249,7 @@ func TestServiceRecoverHostileRecords(t *testing.T) {
 	}
 	for id := range bad {
 		tn, _ := s.Get(id)
-		if tn.Status != StatusDegraded || tn.Hosts != nil || tn.NotBeforePS != 50 {
+		if tn.Status != statusDegraded || tn.Hosts != nil || tn.NotBeforePS != 50 {
 			t.Fatalf("tenant %d after recovery: %+v, want Degraded with no hosts", id, tn)
 		}
 	}

@@ -19,18 +19,18 @@ import (
 type TenantStatus string
 
 const (
-	// StatusPending: desired but never realized (admission accepted the
+	// statusPending: desired but never realized (admission accepted the
 	// intent, placement has not happened yet).
-	StatusPending TenantStatus = "Pending"
+	statusPending TenantStatus = "Pending"
 	// StatusPlaced: realized — hosts assigned, ledger committed, fabric
 	// materialized.
 	StatusPlaced TenantStatus = "Placed"
-	// StatusDegraded: was Placed, lost a host (failure or drain); realized
+	// statusDegraded: was Placed, lost a host (failure or drain); realized
 	// state has been torn down and the reconciler is re-placing it.
-	StatusDegraded TenantStatus = "Degraded"
-	// StatusEvicted: the retry budget ran out; the tenant keeps its record
+	statusDegraded TenantStatus = "Degraded"
+	// statusEvicted: the retry budget ran out; the tenant keeps its record
 	// (operators can see why it's gone) but holds no resources.
-	StatusEvicted TenantStatus = "Evicted"
+	statusEvicted TenantStatus = "Evicted"
 )
 
 // Tenant is one desired-state record: what the tenant asked for, plus the
@@ -114,9 +114,9 @@ type Store struct {
 	line     walEncoder
 }
 
-// DefaultSnapshotEvery is how many WAL records accumulate before an
+// defaultSnapshotEvery is how many WAL records accumulate before an
 // automatic checkpoint.
-const DefaultSnapshotEvery = 256
+const defaultSnapshotEvery = 256
 
 func (s *Store) walPath() string  { return filepath.Join(s.dir, "wal.jsonl") }
 func (s *Store) snapPath() string { return filepath.Join(s.dir, "snapshot.json") }
@@ -129,7 +129,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ctlplane: store: %w", err)
 	}
-	s := &Store{dir: dir, tenants: make(map[int32]Tenant), snapshot: DefaultSnapshotEvery}
+	s := &Store{dir: dir, tenants: make(map[int32]Tenant), snapshot: defaultSnapshotEvery}
 
 	if b, err := os.ReadFile(s.snapPath()); err == nil {
 		var snap storeSnapshot
@@ -349,7 +349,7 @@ func (s *Store) SetSnapshotEvery(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n <= 0 {
-		n = DefaultSnapshotEvery
+		n = defaultSnapshotEvery
 	}
 	s.snapshot = n
 }

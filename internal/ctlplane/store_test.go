@@ -31,7 +31,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	want := []Tenant{
 		tenant(1, StatusPlaced, 10, 11),
-		tenant(3, StatusDegraded),
+		tenant(3, statusDegraded),
 		tenant(5, StatusPlaced, 12, 13, 14),
 	}
 	for _, tn := range want {
@@ -207,7 +207,7 @@ func TestStoreAppendAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Put(tenant(9, StatusPending)); err != nil {
+	if err := r.Put(tenant(9, statusPending)); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -263,7 +263,7 @@ func TestWALLineUnchanged(t *testing.T) {
 		{Seq: 8, Op: "put", Tenant: &Tenant{ID: 4, GuaranteeBps: math.Copysign(0, -1), Hosts: make([]topo.NodeID, 4096)}},
 	}
 	rng := stats.NewRand(39)
-	statuses := []TenantStatus{StatusPending, StatusPlaced, StatusDegraded, StatusEvicted, "", "<&>"}
+	statuses := []TenantStatus{statusPending, StatusPlaced, statusDegraded, statusEvicted, "", "<&>"}
 	recs := append([]walRecord(nil), edges...)
 	for i := 0; i < 2000; i++ {
 		rec := walRecord{Seq: rng.Uint64() >> uint(rng.Intn(64)), Op: "del", ID: int32(rng.Uint32())}

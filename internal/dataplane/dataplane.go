@@ -228,11 +228,11 @@ type Config struct {
 	ECMP ECMPMode
 	// HashSeed perturbs the ECMP hash.
 	HashSeed uint64
-	// FaultSeed seeds the RNG behind probabilistic link faults (random
+	// faultSeed seeds the RNG behind probabilistic link faults (random
 	// loss, probe drop/corruption). Runs are deterministic per seed; the
 	// RNG is only consulted while a probabilistic degradation is active,
 	// so fault-free runs are bit-identical to pre-fault builds.
-	FaultSeed int64
+	faultSeed int64
 	// Telemetry, if non-nil, receives per-link instruments (published by
 	// FlushTelemetry) and drop events into its flight recorder. Enable
 	// the recorder on the registry before calling New. Nil keeps every
@@ -508,7 +508,7 @@ func newNetwork(eng sim.Scheduler, scheds []sim.Scheduler, shardOf []int32, g *t
 		n.host[i] = g.Nodes[i].Kind == topo.Host
 	}
 	for i, sched := range scheds {
-		n.faultRngs[i] = stats.NewRand(faultSeed(cfg.FaultSeed, i))
+		n.faultRngs[i] = stats.NewRand(faultSeed(cfg.faultSeed, i))
 		n.recs[i] = n.rec // unless the registry holds one recorder per shard
 		n.txKind = sched.Register("dataplane.txDone", n.finishTx)
 		n.arriveKind = sched.Register("dataplane.arrive", n.arrive)

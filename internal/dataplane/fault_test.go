@@ -185,7 +185,7 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []bool {
 		eng := sim.New()
 		st := topo.NewStar(2, topo.Gbps(10), sim.Microsecond)
-		n := New(eng, st.Graph, Config{FaultSeed: seed})
+		n := New(eng, st.Graph, Config{faultSeed: seed})
 		route := st.Graph.Paths(st.Hosts[0], st.Hosts[1], 1)[0]
 		n.DegradeLink(route[0], Degradation{LossProb: 0.3})
 		got := make([]bool, 200)
@@ -247,7 +247,7 @@ func TestProbeDropStarvesControlOnly(t *testing.T) {
 func TestProbeCorruptionFlipsCopy(t *testing.T) {
 	eng := sim.New()
 	st := topo.NewStar(2, topo.Gbps(10), sim.Microsecond)
-	n := New(eng, st.Graph, Config{FaultSeed: 3})
+	n := New(eng, st.Graph, Config{faultSeed: 3})
 	route := st.Graph.Paths(st.Hosts[0], st.Hosts[1], 1)[0]
 	n.DegradeLink(route[0], Degradation{ProbeCorruptProb: 1})
 	orig := []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}

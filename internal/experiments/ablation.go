@@ -14,9 +14,9 @@ import (
 	"ufab/internal/vfabric"
 )
 
-// Ablations runs the four ablations and reports what breaks.
-func Ablations(o Options) *Report {
-	r := NewReport("abl", "design ablations")
+// ablations runs the four ablations and reports what breaks.
+func ablations(o Options) *Report {
+	r := newReport("abl", "design ablations")
 	dur := 10 * sim.Millisecond
 	n := 12
 	if o.Quick {

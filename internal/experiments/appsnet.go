@@ -9,11 +9,11 @@ import (
 	"ufab/internal/topo"
 )
 
-// Fig13 runs Memcached against MongoDB background traffic on the testbed
+// fig13 runs Memcached against MongoDB background traffic on the testbed
 // under each scheme plus the Ideal case (no MongoDB): μFAB keeps QPS and
 // tail QCT close to Ideal; the baselines lose ~2.5× QPS and ~20× tail QCT.
-func Fig13(o Options) *Report {
-	r := NewReport("fig13", "Memcached under MongoDB background")
+func fig13(o Options) *Report {
+	r := newReport("fig13", "Memcached under MongoDB background")
 	dur := 60 * sim.Millisecond
 	mcClients, mcServers := 12, 24
 	mdClients, mdServers := 24, 24
@@ -81,11 +81,11 @@ func Fig13(o Options) *Report {
 	return r
 }
 
-// Fig14 runs the EBS task mix under the three schemes with guarantees
+// fig14 runs the EBS task mix under the three schemes with guarantees
 // SA 2G / BA 6G / GC 1G and reports average and tail task completion
 // times against the converted latency bounds (2 ms average, 10 ms tail).
-func Fig14(o Options) *Report {
-	r := NewReport("fig14", "EBS task completion times")
+func fig14(o Options) *Report {
+	r := newReport("fig14", "EBS task completion times")
 	dur := 80 * sim.Millisecond
 	if o.Quick {
 		dur = 20 * sim.Millisecond

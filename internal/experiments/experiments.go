@@ -126,8 +126,8 @@ type Report struct {
 	seriesNames []string // attached series names, insertion order
 }
 
-// NewReport creates an empty report with a fresh registry.
-func NewReport(id, title string) *Report {
+// newReport creates an empty report with a fresh registry.
+func newReport(id, title string) *Report {
 	return &Report{ID: id, Title: title, Reg: telemetry.New()}
 }
 

@@ -38,7 +38,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := NewReport("x", "test")
+	r := newReport("x", "test")
 	r.Printf("line %d", 1)
 	r.Metric("x.m", 3.5)
 	s := r.String()
@@ -54,12 +54,12 @@ func TestChaosLabScenarioOption(t *testing.T) {
 	// A user scenario replaces the built-in one (whose nine event kinds are
 	// the claim chaoslab.every-kind-applied).
 	custom := `{"name":"custom","events":[{"at_ps":1000000,"kind":"node-crash","node":0}]}`
-	rep2 := ChaosLab(Options{Quick: true, Seed: 1, Scenario: custom})
+	rep2 := chaosLab(Options{Quick: true, Seed: 1, Scenario: custom})
 	if rep2.Metrics()["chaos.events_applied"] != 1 {
 		t.Errorf("custom scenario applied %v events, want 1", rep2.Metrics()["chaos.events_applied"])
 	}
 	// A malformed scenario is reported, not fatal.
-	rep3 := ChaosLab(Options{Quick: true, Seed: 1, Scenario: "{nope"})
+	rep3 := chaosLab(Options{Quick: true, Seed: 1, Scenario: "{nope"})
 	if rep3.Metrics()["chaos.events_applied"] != 0 {
 		t.Error("malformed scenario was executed")
 	}

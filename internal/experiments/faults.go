@@ -110,12 +110,12 @@ func (rig *faultRig) auditSummary(sc *chaos.Scenario) {
 		r.Findings.Excused(), r.Findings.Unexcused(), r.Findings.ExpectExcusedMin)
 }
 
-// FaultFlap flaps one agg→core link (both directions) under the incast:
+// faultFlap flaps one agg→core link (both directions) under the incast:
 // every affected pair must detect the dark path — via bounced type-4
 // failure responses — migrate off it within RTTs, and keep its guarantee;
 // the intra-ToR control tenant must not notice.
-func FaultFlap(o Options) *Report {
-	r := NewReport("flap", "link-flap incast")
+func faultFlap(o Options) *Report {
+	r := newReport("flap", "link-flap incast")
 	dur := 80 * sim.Millisecond
 	start := 20 * sim.Millisecond
 	period := 16 * sim.Millisecond
@@ -140,13 +140,13 @@ func FaultFlap(o Options) *Report {
 	return r
 }
 
-// FaultGray degrades one agg→core link without taking it down: quarter
+// faultGray degrades one agg→core link without taking it down: quarter
 // capacity, added latency, random loss, and probe drop/corruption. BFD
 // sees nothing, so recovery must come from μFAB's own telemetry — probe
 // timeouts and violation-triggered migration. After Restore the fabric
 // settles back.
-func FaultGray(o Options) *Report {
-	r := NewReport("gray", "gray core link")
+func faultGray(o Options) *Report {
+	r := newReport("gray", "gray core link")
 	dur := 80 * sim.Millisecond
 	grayAt := 20 * sim.Millisecond
 	healAt := 60 * sim.Millisecond
@@ -188,13 +188,13 @@ func FaultGray(o Options) *Report {
 	return r
 }
 
-// FaultRestart reboots every μFAB-C agent on the switch tier mid-run,
+// faultRestart reboots every μFAB-C agent on the switch tier mid-run,
 // wiping the Bloom tables and the Φ_l/W_l registers, with the silent-quit
 // cleanup loop running at an aggressive period. The registers must
 // rebuild from in-flight re-registration within RTTs — without
 // double-counting — and no guarantee may be lost.
-func FaultRestart(o Options) *Report {
-	r := NewReport("restart", "uFAB-C restart and register rebuild")
+func faultRestart(o Options) *Report {
+	r := newReport("restart", "uFAB-C restart and register rebuild")
 	dur := 80 * sim.Millisecond
 	restartAt := 40 * sim.Millisecond
 	cleanup := 4 * sim.Millisecond
@@ -238,15 +238,15 @@ func FaultRestart(o Options) *Report {
 	return r
 }
 
-// FaultChurn fires a storm of short-lived tenants — arriving, sending
+// faultChurn fires a storm of short-lived tenants — arriving, sending
 // hard, departing, with VF ids reused across waves — against the standing
 // incast. Guarantees of the stable tenants must hold throughout, and
 // after the storm the core registers must return to baseline (finish
 // probes plus silent-quit cleanup, no residue or double-counting). Two
 // deliberately invalid events check that rejections are logged, not
 // crashed on.
-func FaultChurn(o Options) *Report {
-	r := NewReport("churn", "tenant churn storm")
+func faultChurn(o Options) *Report {
+	r := newReport("churn", "tenant churn storm")
 	dur := 80 * sim.Millisecond
 	start := 10 * sim.Millisecond
 	step := 4 * sim.Millisecond
@@ -303,13 +303,13 @@ func FaultChurn(o Options) *Report {
 	return r
 }
 
-// ChaosLab runs the standard rig under a user-scripted scenario: pass
+// chaosLab runs the standard rig under a user-scripted scenario: pass
 // `ufabsim -scenario file.json run chaoslab` to replay any fault schedule
 // against the incast workload. With no scenario it runs a built-in
 // sampler touching every event kind, which is what the golden baseline
 // pins.
-func ChaosLab(o Options) *Report {
-	r := NewReport("chaoslab", "scripted chaos scenario")
+func chaosLab(o Options) *Report {
+	r := newReport("chaoslab", "scripted chaos scenario")
 	dur := 80 * sim.Millisecond
 	if o.Quick {
 		dur = 24 * sim.Millisecond

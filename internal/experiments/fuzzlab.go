@@ -4,14 +4,14 @@ import (
 	"ufab/internal/fuzz"
 )
 
-// FuzzLab runs a short deterministic slice of the scenario fuzzer as an
+// fuzzLab runs a short deterministic slice of the scenario fuzzer as an
 // experiment: generated cases starting at the run's seed, executed under
 // the full oracle (auditor + double-run determinism check). It pins the
 // generator/executor/oracle pipeline into the golden baseline — any drift
 // in case generation, admission outcomes or verdicts shows up as a golden
 // diff long before the nightly fuzz sweep would catch it.
-func FuzzLab(o Options) *Report {
-	r := NewReport("fuzzlab", "scenario fuzzer slice under the auditor oracle")
+func fuzzLab(o Options) *Report {
+	r := newReport("fuzzlab", "scenario fuzzer slice under the auditor oracle")
 	n := int64(6)
 	if o.Quick {
 		n = 3

@@ -7,10 +7,10 @@ import (
 )
 
 func twoReports() []*Report {
-	a := NewReport("figA", "a")
+	a := newReport("figA", "a")
 	a.Metric("a.x", 10)
 	a.Metric("a.y", 0.5)
-	b := NewReport("figB", "b")
+	b := newReport("figB", "b")
 	b.Metric("b.z", -3)
 	return []*Report{a, b}
 }
@@ -66,7 +66,7 @@ func TestGoldenStructuralDrift(t *testing.T) {
 
 	// Missing metric: a figA report that never recorded a.y.
 	reports := twoReports()
-	short := NewReport("figA", "a")
+	short := newReport("figA", "a")
 	short.Metric("a.x", 10)
 	reports[0] = short
 	if drifts := g.Compare(reports); len(drifts) != 1 || drifts[0].Structural == "" {
@@ -87,7 +87,7 @@ func TestGoldenStructuralDrift(t *testing.T) {
 	}
 
 	// Extra experiment not in the baseline.
-	extra := NewReport("figC", "new")
+	extra := newReport("figC", "new")
 	if drifts := g.Compare(append(twoReports(), extra)); len(drifts) != 1 ||
 		drifts[0].Experiment != "figC" {
 		t.Fatalf("extra experiment not flagged: %v", drifts)
@@ -95,7 +95,7 @@ func TestGoldenStructuralDrift(t *testing.T) {
 }
 
 func TestGoldenSkipsNonFinite(t *testing.T) {
-	r := NewReport("figN", "nan")
+	r := newReport("figN", "nan")
 	r.Metric("n.good", 1)
 	r.Metric("n.bad", math.NaN())
 	r.Metric("n.worse", math.Inf(1))

@@ -15,13 +15,13 @@ import (
 	"ufab/internal/vfabric"
 )
 
-// Fig15 runs (a) seven VFs with staggered entry on the 100GE testbed,
+// fig15 runs (a) seven VFs with staggered entry on the 100GE testbed,
 // failing Core1 mid-run — μFAB keeps guarantees, migrates the victims and
 // holds a near-zero queue; and (b) the probing-overhead scaling: with
 // self-clocked probes every L_w = 4 KB, overhead is bounded by
 // L_p/(L_p+L_w) regardless of the number of VM-pairs.
-func Fig15(o Options) *Report {
-	r := NewReport("fig15", "100GE predictability and probing overhead")
+func fig15(o Options) *Report {
+	r := newReport("fig15", "100GE predictability and probing overhead")
 	enterEvery := 10 * sim.Millisecond
 	failAt := 90 * sim.Millisecond
 	dur := 120 * sim.Millisecond
@@ -108,10 +108,10 @@ func Fig15(o Options) *Report {
 	return r
 }
 
-// Table3 prints the μFAB-E FPGA resource model at the paper's prototype
+// table3 prints the μFAB-E FPGA resource model at the paper's prototype
 // scale (8K VM-pairs, 1K tenants).
-func Table3(o Options) *Report {
-	r := NewReport("tab3", "uFAB-E FPGA resource consumption (model)")
+func table3(o Options) *Report {
+	r := newReport("tab3", "uFAB-E FPGA resource consumption (model)")
 	rows := resmodel.EdgeTable(resmodel.EdgeConfig{VMPairs: 8192, Tenants: 1024})
 	r.Lines = append(r.Lines, tableLines(resmodel.FormatEdgeTable(rows))...)
 	total := rows[len(rows)-1]
@@ -122,9 +122,9 @@ func Table3(o Options) *Report {
 	return r
 }
 
-// Table4 prints the μFAB-C switch resource model for 20K/40K/80K VM-pairs.
-func Table4(o Options) *Report {
-	r := NewReport("tab4", "uFAB-C switch resource consumption (model)")
+// table4 prints the μFAB-C switch resource model for 20K/40K/80K VM-pairs.
+func table4(o Options) *Report {
+	r := newReport("tab4", "uFAB-C switch resource consumption (model)")
 	cols := resmodel.CoreTable(nil)
 	r.Lines = append(r.Lines, tableLines(resmodel.FormatCoreTable(cols))...)
 	for _, c := range cols {

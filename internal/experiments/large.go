@@ -16,12 +16,12 @@ import (
 	"ufab/internal/workload"
 )
 
-// Fig16 runs the 90-to-1 on/off workload: every sender alternates between
+// fig16 runs the 90-to-1 on/off workload: every sender alternates between
 // a 500 Mbps trickle and unlimited demand every 4 ms. μFAB converges to
 // the new allocation within the phase; PWC overshoots then under-utilizes;
 // ES recovers bandwidth fast but at high latency.
-func Fig16(o Options) *Report {
-	r := NewReport("fig16", "90-to-1 dynamic on/off workload")
+func fig16(o Options) *Report {
+	r := newReport("fig16", "90-to-1 dynamic on/off workload")
 	n := 90
 	dur := 32 * sim.Millisecond
 	if o.Quick {
@@ -71,12 +71,12 @@ type fig17Config struct {
 	hostsG float64 // per-host line rate
 }
 
-// Fig17 sweeps oversubscription (1:2 vs 1:1) and average load (0.5, 0.7)
+// fig17 sweeps oversubscription (1:2 vs 1:1) and average load (0.5, 0.7)
 // with the empirical heavy-tailed flow size distribution: bandwidth
 // dissatisfaction, tail RTT, and FCT slowdown (with a size breakdown at
 // 1:1 / load 0.7).
-func Fig17(o Options) *Report {
-	r := NewReport("fig17", "real workload sweep")
+func fig17(o Options) *Report {
+	r := newReport("fig17", "real workload sweep")
 	pods := 4
 	dur := 30 * sim.Millisecond
 	if o.Quick {

@@ -165,7 +165,7 @@ func TestClaimSabotage(t *testing.T) {
 		t.Errorf("flipped claim %s: got %v, want an error naming it", flipped.Name, err)
 	}
 
-	lacking := NewReport("fig4", "a report without pwc.tail_us.10")
+	lacking := newReport("fig4", "a report without pwc.tail_us.10")
 	lacking.Metric("ufab.tail_us.10", 140)
 	if held, failed := CheckClaims([]*Report{lacking}); held != 0 || len(failed) != 1 ||
 		!strings.Contains(failed[0].Error(), "fig4: claim fig4.ufab-tail-below-pwc: no metric") {
@@ -179,7 +179,7 @@ func TestClaimSabotage(t *testing.T) {
 	if err := typo.check(nil); err == nil {
 		t.Error("unknown operator passed")
 	}
-	if _, failed := CheckClaims([]*Report{NewReport("nope", "unregistered")}); len(failed) != 1 {
+	if _, failed := CheckClaims([]*Report{newReport("nope", "unregistered")}); len(failed) != 1 {
 		t.Errorf("unregistered report: failed %v", failed)
 	}
 }

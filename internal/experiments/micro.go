@@ -15,11 +15,11 @@ import (
 	"ufab/internal/workload"
 )
 
-// Fig4 reproduces Case-1: N flows of different VFs (500 Mbps guarantees)
+// fig4 reproduces Case-1: N flows of different VFs (500 Mbps guarantees)
 // incast on one host; PWC's tail RTT grows with N while μFAB's stays
 // bounded.
-func Fig4(o Options) *Report {
-	r := NewReport("fig4", "Case-1 incast RTT vs degree")
+func fig4(o Options) *Report {
+	r := newReport("fig4", "Case-1 incast RTT vs degree")
 	degrees := []int{2, 6, 10, 14}
 	dur := 30 * sim.Millisecond
 	if o.Quick {
@@ -83,13 +83,13 @@ type fig5Result struct {
 	series   [4]*stats.Series
 }
 
-// Fig5 reproduces Case-2: F1/F2/F3 pinned on paths P1/P2/P3 with
+// fig5 reproduces Case-2: F1/F2/F3 pinned on paths P1/P2/P3 with
 // subscriptions 90/80/40% and utilizations 80/90/100%; F4 (3G) joins at
 // t=100 ms. Utilization-oriented load balancing sends F4 to P1 and breaks
 // F1's guarantee (or oscillates at small flowlet gaps); μFAB reads the
 // subscription and picks P3.
-func Fig5(o Options) *Report {
-	r := NewReport("fig5", "Case-2 path selection vs guarantees")
+func fig5(o Options) *Report {
+	r := newReport("fig5", "Case-2 path selection vs guarantees")
 	joinAt := 100 * sim.Millisecond
 	dur := 400 * sim.Millisecond
 	if o.Quick {
@@ -163,12 +163,12 @@ func Fig5(o Options) *Report {
 	return r
 }
 
-// Fig11 reproduces the permutation churn experiment: three VF classes
+// fig11 reproduces the permutation churn experiment: three VF classes
 // (1/2/5 Gbps) per sending host, one VF inserted every 20 ms; μFAB
 // converges fast with near-zero dissatisfaction and low queues, PWC
 // under-delivers guarantees, ES keeps guarantees but builds queues.
-func Fig11(o Options) *Report {
-	r := NewReport("fig11", "bandwidth evolution under high load")
+func fig11(o Options) *Report {
+	r := newReport("fig11", "bandwidth evolution under high load")
 	insertEvery := 20 * sim.Millisecond
 	tail := 60 * sim.Millisecond
 	if o.Quick {
@@ -242,11 +242,11 @@ func Fig11(o Options) *Report {
 	return r
 }
 
-// Fig12 reproduces the 14-to-1 incast with all four schemes: μFAB and
+// fig12 reproduces the 14-to-1 incast with all four schemes: μFAB and
 // μFAB′ converge in well under a millisecond; μFAB additionally bounds the
 // tail RTT; the baselines converge slowly with high tails.
-func Fig12(o Options) *Report {
-	r := NewReport("fig12", "14-to-1 incast: convergence and bounded latency")
+func fig12(o Options) *Report {
+	r := newReport("fig12", "14-to-1 incast: convergence and bounded latency")
 	n := 14
 	dur := 40 * sim.Millisecond
 	if o.Quick {

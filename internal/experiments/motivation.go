@@ -19,12 +19,12 @@ import (
 	"ufab/internal/workload"
 )
 
-// Fig1 runs a latency-sensitive victim next to a periodically bursting
+// fig1 runs a latency-sensitive victim next to a periodically bursting
 // analytics tenant over the best-effort baseline: average utilization
 // stays low while the victim's p99.9 RTT inflates by an order of
 // magnitude during burst epochs.
-func Fig1(o Options) *Report {
-	r := NewReport("fig1", "ECS motivation (synthetic)")
+func fig1(o Options) *Report {
+	r := newReport("fig1", "ECS motivation (synthetic)")
 	epochs := 8
 	epoch := 10 * sim.Millisecond
 	if o.Quick {
@@ -94,11 +94,11 @@ func Fig1(o Options) *Report {
 	return r
 }
 
-// Fig2 runs the EBS task mix over the best-effort baseline: overall
+// fig2 runs the EBS task mix over the best-effort baseline: overall
 // utilization is steady and moderate, yet tail task completion time is an
 // order of magnitude above the mean because millisecond bursts collide.
-func Fig2(o Options) *Report {
-	r := NewReport("fig2", "EBS motivation (synthetic)")
+func fig2(o Options) *Report {
+	r := newReport("fig2", "EBS motivation (synthetic)")
 	dur := 80 * sim.Millisecond
 	if o.Quick {
 		dur = 25 * sim.Millisecond
@@ -135,12 +135,12 @@ func Fig2(o Options) *Report {
 	return r
 }
 
-// Fig3 reproduces the hash-polarization imbalance: with the same hash
+// fig3 reproduces the hash-polarization imbalance: with the same hash
 // function at consecutive tiers, an aggregation switch's equivalent
 // uplinks settle at a few discrete load levels with some links nearly
 // idle; independent per-switch hashing spreads evenly.
-func Fig3(o Options) *Report {
-	r := NewReport("fig3", "ECMP hash polarization")
+func fig3(o Options) *Report {
+	r := newReport("fig3", "ECMP hash polarization")
 	nCores := 24
 	flows := 960
 	pkts := 60

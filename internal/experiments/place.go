@@ -27,14 +27,14 @@ func placeClos() *topo.Clos {
 	})
 }
 
-// PlaceCompare drives the identical open-loop request sequence through
+// placeCompare drives the identical open-loop request sequence through
 // each placement policy (ledger-only: admission decisions without
 // materialized traffic) and compares accept ratio, bottleneck
 // subscription and time-to-admit. The fleet is sized so the arrival
 // process contends for both host slots and link headroom — the regime
 // where policy choice matters.
-func PlaceCompare(o Options) *Report {
-	r := NewReport("placecmp", "placement-policy comparison")
+func placeCompare(o Options) *Report {
+	r := newReport("placecmp", "placement-policy comparison")
 	arrivals := 2000
 	if o.Quick {
 		arrivals = 400
@@ -72,7 +72,7 @@ func PlaceCompare(o Options) *Report {
 	return r
 }
 
-// PlaceChurn runs admission-checked churn against a real fabric: every
+// placeChurn runs admission-checked churn against a real fabric: every
 // tenant — two standing 2G tenants, an open-loop churn population, and a
 // chaos scenario's arrivals — is admitted through the controller, which
 // materializes accepted specs as VFs and VM-pairs on the testbed. The
@@ -80,8 +80,8 @@ func PlaceCompare(o Options) *Report {
 // ledger_bound invariant: realized Φ_l never exceeds the committed
 // subscription), and one deliberately oversubscribed chaos arrival must
 // bounce off the admission gate instead of reaching the data plane.
-func PlaceChurn(o Options) *Report {
-	r := NewReport("placechurn", "admission-checked churn on the testbed")
+func placeChurn(o Options) *Report {
+	r := newReport("placechurn", "admission-checked churn on the testbed")
 	dur := 80 * sim.Millisecond
 	arrivals := 60
 	cleanup := 5 * sim.Millisecond
@@ -189,13 +189,13 @@ func PlaceChurn(o Options) *Report {
 	return r
 }
 
-// PlaceSweep sweeps the admission controller's oversubscription factor
+// placeSweep sweeps the admission controller's oversubscription factor
 // under heavy load (holds ≫ interarrival, ledger-only): factor 1.0 is
 // the paper's predictability precondition — committed subscription never
 // exceeds line rate — and each step above it trades admission yield for
 // committed risk. The sweep pins the shape of that trade-off.
-func PlaceSweep(o Options) *Report {
-	r := NewReport("placesweep", "oversubscription sweep")
+func placeSweep(o Options) *Report {
+	r := newReport("placesweep", "oversubscription sweep")
 	arrivals := 1500
 	if o.Quick {
 		arrivals = 300

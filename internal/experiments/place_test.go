@@ -42,7 +42,7 @@ func TestPlaceChurnAuditClean(t *testing.T) {
 func oversubRun(t *testing.T, checked bool) (*audit.Log, int) {
 	t.Helper()
 	o := Options{Quick: true, Seed: 1, Audit: true}
-	r := NewReport("test", "oversubscription probe")
+	r := newReport("test", "oversubscription probe")
 	eng := sim.New()
 	tb := topo.NewTestbed(topo.TestbedConfig{})
 	cfg := vfabric.Config{Seed: o.Seed, Telemetry: o.fabricTelemetry(r), Audit: o.fabricAudit(r)}

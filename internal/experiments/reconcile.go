@@ -21,13 +21,13 @@ import (
 	"ufab/internal/vfabric"
 )
 
-// Reconcile runs four standing tenants under the reconciling control
+// reconcile runs four standing tenants under the reconciling control
 // plane, crashes one tenant's host a quarter of the way in (recovering
 // it later), and drains another tenant's host at the midpoint. Both
 // displacements must converge back to Placed — no evictions — and every
 // tenant's guarantee must be realized again by the final stretch.
-func Reconcile(o Options) *Report {
-	r := NewReport("reconcile", "reconciler convergence under crash and drain")
+func reconcile(o Options) *Report {
+	r := newReport("reconcile", "reconciler convergence under crash and drain")
 	dur := 80 * sim.Millisecond
 	cleanup := 5 * sim.Millisecond
 	if o.Quick {

@@ -110,7 +110,7 @@ func TestRunnerResultsInJobOrder(t *testing.T) {
 	mk := func(id string, d time.Duration) *Entry {
 		return &Entry{ID: id, Title: id, Run: func(o Options) *Report {
 			time.Sleep(d)
-			return NewReport(id, id)
+			return newReport(id, id)
 		}}
 	}
 	jobs := []Job{
@@ -131,10 +131,10 @@ func TestRunnerTimeout(t *testing.T) {
 	defer close(block)
 	stuck := &Entry{ID: "stuck", Title: "never finishes", Run: func(o Options) *Report {
 		<-block
-		return NewReport("stuck", "late")
+		return newReport("stuck", "late")
 	}}
 	ok := &Entry{ID: "ok", Title: "fine", Run: func(o Options) *Report {
-		return NewReport("ok", "fine")
+		return newReport("ok", "fine")
 	}}
 	r := &Runner{Jobs: 2, Timeout: 20 * time.Millisecond}
 	results := r.Run([]Job{{Entry: stuck}, {Entry: ok}})
@@ -154,7 +154,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		panic("synthetic failure")
 	}}
 	ok := &Entry{ID: "ok", Title: "fine", Run: func(o Options) *Report {
-		return NewReport("ok", "fine")
+		return newReport("ok", "fine")
 	}}
 	results := (&Runner{Jobs: 1}).Run([]Job{{Entry: boom}, {Entry: ok}, {Entry: boom}})
 	for _, i := range []int{0, 2} {

@@ -14,11 +14,11 @@ import (
 	"ufab/internal/vfabric"
 )
 
-// Fig18 sweeps (a/b) the migration freeze window [1,N] under 50% and 70%
+// fig18 sweeps (a/b) the migration freeze window [1,N] under 50% and 70%
 // load, reporting convergence time and migration counts, and (c) the
 // probing frequency (self-clocking vs every 2/3 RTTs) in a 16-to-1 incast.
-func Fig18(o Options) *Report {
-	r := NewReport("fig18", "freeze window and probing frequency sensitivity")
+func fig18(o Options) *Report {
+	r := newReport("fig18", "freeze window and probing frequency sensitivity")
 	// ---- (a)/(b) freeze window under churn ----
 	nFlows := 9
 	settle := 30 * sim.Millisecond
@@ -86,11 +86,11 @@ func Fig18(o Options) *Report {
 	return r
 }
 
-// Fig19 measures the primal control's reaction delay (Appendix C /
+// fig19 measures the primal control's reaction delay (Appendix C /
 // Fig 19a): a steady flow occupies the link; a second flow bursts; the
 // incumbent's window/rate must start dropping within a few RTTs.
-func Fig19(o Options) *Report {
-	r := NewReport("fig19", "primal control reaction delay")
+func fig19(o Options) *Report {
+	r := newReport("fig19", "primal control reaction delay")
 	st := topo.NewStar(3, topo.Gbps(10), 5*sim.Microsecond)
 	d := deployPlain(schemeUFAB, o, r, st.Graph, func(c *vfabric.Config) { c.MeterInterval = 25 * sim.Microsecond })
 	eng, uf := d.eng, d.uf
@@ -135,11 +135,11 @@ func Fig19(o Options) *Report {
 	return r
 }
 
-// Fig20 reproduces the Appendix-D asynchronous-response experiment: a
+// fig20 reproduces the Appendix-D asynchronous-response experiment: a
 // large incast where senders' probe responses arrive out of sync by more
 // than an RTT, yet the allocation still converges quickly.
-func Fig20(o Options) *Report {
-	r := NewReport("fig20", "asynchronous responses: large incast convergence")
+func fig20(o Options) *Report {
+	r := newReport("fig20", "asynchronous responses: large incast convergence")
 	n := 128
 	dur := 10 * sim.Millisecond
 	if o.Quick {

@@ -15,10 +15,10 @@ import (
 	"ufab/internal/workload"
 )
 
-// ShardSim runs a cross-pod permutation message workload on μFAB over a
+// shardSim runs a cross-pod permutation message workload on μFAB over a
 // pod-sharded Clos and reports throughput, slowdown and overhead.
-func ShardSim(o Options) *Report {
-	r := NewReport("shardsim", "sharded parallel-in-time core: cross-pod workload identity")
+func shardSim(o Options) *Report {
+	r := newReport("shardsim", "sharded parallel-in-time core: cross-pod workload identity")
 	pods := 4
 	dur := 8 * sim.Millisecond
 	if o.Quick {

@@ -121,17 +121,17 @@ func (t *Topology) Build() (*topo.Graph, error) {
 
 // Workload kinds a tenant's pairs can run.
 const (
-	// WorkloadBacklog keeps every pair fully backlogged (the hose
+	// workloadBacklog keeps every pair fully backlogged (the hose
 	// guarantee's covered regime).
-	WorkloadBacklog = "backlog"
-	// WorkloadFixedRate drips RateBps into each pair's buffer.
-	WorkloadFixedRate = "fixedrate"
-	// WorkloadOnOff alternates RateBps underload with a backlogged phase
+	workloadBacklog = "backlog"
+	// workloadFixedRate drips RateBps into each pair's buffer.
+	workloadFixedRate = "fixedrate"
+	// workloadOnOff alternates RateBps underload with a backlogged phase
 	// every PeriodPS (the Fig-16 dynamic-demand shape).
-	WorkloadOnOff = "onoff"
-	// WorkloadPoisson sends Poisson message arrivals at RateBps offered
+	workloadOnOff = "onoff"
+	// workloadPoisson sends Poisson message arrivals at RateBps offered
 	// load with sizes drawn from Dist ("websearch" or "keyvalue").
-	WorkloadPoisson = "poisson"
+	workloadPoisson = "poisson"
 )
 
 // Workload describes the traffic a tenant's pairs generate.
@@ -206,9 +206,9 @@ func (c *Case) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Parse decodes a case and validates its shape (topology buildable,
+// parse decodes a case and validates its shape (topology buildable,
 // tenants well-formed, event times non-negative).
-func Parse(b []byte) (*Case, error) {
+func parse(b []byte) (*Case, error) {
 	c := &Case{}
 	if err := json.Unmarshal(b, c); err != nil {
 		return nil, fmt.Errorf("fuzz: parse case: %w", err)
@@ -225,7 +225,7 @@ func LoadFile(path string) (*Case, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := Parse(b)
+	c, err := parse(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -276,7 +276,7 @@ func (c *Case) Validate() error {
 			}
 		}
 		switch t.Workload.Kind {
-		case "", WorkloadBacklog, WorkloadFixedRate, WorkloadOnOff, WorkloadPoisson:
+		case "", workloadBacklog, workloadFixedRate, workloadOnOff, workloadPoisson:
 		default:
 			return fmt.Errorf("fuzz: case %q: vf %d has unknown workload kind %q", c.Name, t.VF, t.Workload.Kind)
 		}
@@ -312,9 +312,9 @@ func (c *Case) clone() *Case {
 	return &cp
 }
 
-// WeightClassFor maps a hose guarantee to the WFQ weight class the
+// weightClassFor maps a hose guarantee to the WFQ weight class the
 // evaluation uses: class 0 at 1G and below, +1 per doubling, capped at 7.
-func WeightClassFor(guaranteeBps float64) int {
+func weightClassFor(guaranteeBps float64) int {
 	c := 0
 	for g := 1e9; g < guaranteeBps && c < 7; g *= 2 {
 		c++

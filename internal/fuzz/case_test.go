@@ -36,7 +36,7 @@ func TestHostileTopologies(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			c, err := Parse(hostileCase(row.topology))
+			c, err := parse(hostileCase(row.topology))
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("parsed into %+v, want an error", c.Topology)
@@ -52,8 +52,8 @@ func TestHostileTopologies(t *testing.T) {
 	}
 }
 
-// FuzzParseCase: Parse returns a case or an error for any bytes — it never
-// panics — and a case it returns survives Encode → Parse → Encode unchanged.
+// FuzzParseCase: parse returns a case or an error for any bytes — it never
+// panics — and a case it returns survives Encode → parse → Encode unchanged.
 // `go test` runs the seeds: the committed regressions and the hostile rows.
 func FuzzParseCase(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("testdata", "regressions", "*.json"))
@@ -71,7 +71,7 @@ func FuzzParseCase(f *testing.F) {
 		f.Add(hostileCase(row.topology))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Parse(data)
+		c, err := parse(data)
 		if err != nil {
 			return
 		}
@@ -79,7 +79,7 @@ func FuzzParseCase(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode a parsed case: %v", err)
 		}
-		again, err := Parse(enc)
+		again, err := parse(enc)
 		if err != nil {
 			t.Fatalf("re-parse an encoded case: %v\n%s", err, enc)
 		}

@@ -230,17 +230,17 @@ func materializeTenant(eng *sim.Engine, f *vfabric.Fabric, c *Case, t *Tenant) {
 	vf := f.AddVF(t.VF, t.GuaranteeBps, t.WeightClass)
 	for pi, pr := range t.Pairs {
 		switch t.Workload.Kind {
-		case "", WorkloadBacklog:
+		case "", workloadBacklog:
 			fl := f.AddFlow(vf, pr.Src, pr.Dst, 0)
 			backlog := pr.BacklogBytes
 			if backlog <= 0 {
 				backlog = 1 << 42
 			}
 			fl.Buffer.Add(backlog)
-		case WorkloadFixedRate:
+		case workloadFixedRate:
 			fl := f.AddFlow(vf, pr.Src, pr.Dst, 0)
 			workload.FixedRate(eng, fl.Buffer, t.Workload.RateBps, 0)
-		case WorkloadOnOff:
+		case workloadOnOff:
 			fl := f.AddFlow(vf, pr.Src, pr.Dst, 0)
 			period := t.Workload.PeriodPS
 			if period <= 0 {
@@ -251,7 +251,7 @@ func materializeTenant(eng *sim.Engine, f *vfabric.Fabric, c *Case, t *Tenant) {
 				chunk = 1 << 16
 			}
 			workload.OnOff(eng, fl.Buffer, t.Workload.RateBps, period, chunk)
-		case WorkloadPoisson:
+		case workloadPoisson:
 			msgs := &workload.Messages{}
 			f.AddFlowDemand(vf, pr.Src, pr.Dst, 0, msgs)
 			dist := workload.KeyValue()

@@ -24,7 +24,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestGenerateRoundTrip: every generated case must survive
-// Encode → Parse → Encode byte-identically, so written failing cases are
+// Encode → parse → Encode byte-identically, so written failing cases are
 // faithful reproducers.
 func TestGenerateRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -33,7 +33,7 @@ func TestGenerateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: encode: %v", seed, err)
 		}
-		parsed, err := Parse(a)
+		parsed, err := parse(a)
 		if err != nil {
 			t.Fatalf("seed %d: parse: %v", seed, err)
 		}

@@ -88,7 +88,7 @@ func genTenants(rng *rand.Rand, c *Case, hosts []topo.NodeID) {
 		t := Tenant{
 			VF:           int32(id),
 			GuaranteeBps: gbps,
-			WeightClass:  WeightClassFor(gbps),
+			WeightClass:  weightClassFor(gbps),
 			Workload:     genWorkload(rng, gbps),
 		}
 		pairs := 1 + rng.Intn(2)
@@ -110,12 +110,12 @@ func genTenants(rng *rand.Rand, c *Case, hosts []topo.NodeID) {
 func genWorkload(rng *rand.Rand, guaranteeBps float64) Workload {
 	switch p := rng.Float64(); {
 	case p < 0.45:
-		return Workload{Kind: WorkloadBacklog}
+		return Workload{Kind: workloadBacklog}
 	case p < 0.65:
-		return Workload{Kind: WorkloadFixedRate, RateBps: guaranteeBps * (0.3 + 0.5*rng.Float64())}
+		return Workload{Kind: workloadFixedRate, RateBps: guaranteeBps * (0.3 + 0.5*rng.Float64())}
 	case p < 0.8:
 		return Workload{
-			Kind:     WorkloadOnOff,
+			Kind:     workloadOnOff,
 			RateBps:  guaranteeBps * 0.4,
 			PeriodPS: sim.Duration(2+rng.Intn(3)) * sim.Millisecond,
 		}
@@ -125,7 +125,7 @@ func genWorkload(rng *rand.Rand, guaranteeBps float64) Workload {
 			dist = "websearch"
 		}
 		return Workload{
-			Kind:    WorkloadPoisson,
+			Kind:    workloadPoisson,
 			RateBps: guaranteeBps * (0.5 + rng.Float64()),
 			Dist:    dist,
 		}
@@ -204,7 +204,7 @@ func genChaos(rng *rand.Rand, c *Case, hosts []topo.NodeID, switches []topo.Node
 				dst = hosts[rng.Intn(len(hosts))]
 			}
 			sc.ArriveTenant(t, chaos.TenantSpec{
-				VF: id, GuaranteeBps: 5e8, WeightClass: WeightClassFor(5e8),
+				VF: id, GuaranteeBps: 5e8, WeightClass: weightClassFor(5e8),
 				Pairs: []chaos.PairSpec{{Src: src, Dst: dst, BacklogBytes: 1 << 20}},
 			})
 			sc.DepartTenant(t+hold(), id)

@@ -51,7 +51,7 @@ func TestRegressionCorpusCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Parse(raw)
+		c, err := parse(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

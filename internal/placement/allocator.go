@@ -33,20 +33,20 @@ type Materializer interface {
 
 // Reason is the one mapping from a transaction error to the rejection
 // reason the front-ends report ("" for nil). A pair the ledger cannot route
-// wraps both ErrInvalid and ErrPlacement and reads "placement": the request
+// wraps both errInvalid and errPlacement and reads "placement": the request
 // itself is vetted before the ledger sees its hosts, so only the hosts can
 // be at fault.
 func Reason(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, ErrHeadroom):
+	case errors.Is(err, errHeadroom):
 		return "headroom"
-	case errors.Is(err, ErrDuplicate):
+	case errors.Is(err, errDuplicate):
 		return "duplicate"
-	case errors.Is(err, ErrPlacement):
+	case errors.Is(err, errPlacement):
 		return "placement"
-	case errors.Is(err, ErrMaterialize):
+	case errors.Is(err, errMaterialize):
 		return "materialize"
 	default:
 		return "invalid"
@@ -82,7 +82,7 @@ type Allocator struct {
 
 // NewAllocator builds the transaction over the graph from the shared part
 // of cfg (Oversubscription, default 1.0; SlotsPerHost, default 8; MaxPaths;
-// Policy, default FirstFit). mat may be nil: ledger-only operation.
+// Policy, default firstFit). mat may be nil: ledger-only operation.
 func NewAllocator(g *topo.Graph, mat Materializer, cfg Config) *Allocator {
 	if cfg.Oversubscription == 0 {
 		cfg.Oversubscription = 1.0
@@ -91,7 +91,7 @@ func NewAllocator(g *topo.Graph, mat Materializer, cfg Config) *Allocator {
 		cfg.SlotsPerHost = 8
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = FirstFit{}
+		cfg.Policy = firstFit{}
 	}
 	a := &Allocator{
 		ledger:  NewLedger(g, cfg.MaxPaths),
@@ -123,7 +123,7 @@ func (a *Allocator) place(req Request) ([]topo.NodeID, error) {
 	}
 	hosts := a.policy.Place(req, a.fleet, a.ledger)
 	if len(hosts) != req.VMs {
-		return nil, ErrPlacement
+		return nil, errPlacement
 	}
 	return hosts, nil
 }
@@ -131,11 +131,11 @@ func (a *Allocator) place(req Request) ([]topo.NodeID, error) {
 func (a *Allocator) check(req Request) error {
 	switch {
 	case req.GuaranteeBps <= 0 || req.VMs < 1:
-		return ErrInvalid
+		return errInvalid
 	case a.ledger.Has(req.ID):
-		return ErrDuplicate
+		return errDuplicate
 	case req.VMs > len(a.fleet.Hosts):
-		return ErrPlacement
+		return errPlacement
 	}
 	return nil
 }
@@ -147,7 +147,7 @@ func (a *Allocator) Propose(req Request) ([]topo.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := a.ledger.Fits(req.GuaranteeBps, ChainPairs(hosts)); err != nil {
+	if err := a.ledger.Fits(req.GuaranteeBps, chainPairs(hosts)); err != nil {
 		return nil, err
 	}
 	return hosts, nil
@@ -176,13 +176,13 @@ func (a *Allocator) Restore(req Request, hosts []topo.NodeID) ([]Pair, error) {
 		return nil, err
 	}
 	if len(hosts) != req.VMs {
-		return nil, ErrPlacement
+		return nil, errPlacement
 	}
 	seen := make([]bool, len(a.fleet.Hosts))
 	for _, h := range hosts {
 		i := a.fleet.HostIndex(h)
 		if i < 0 || seen[i] {
-			return nil, ErrPlacement
+			return nil, errPlacement
 		}
 		seen[i] = true
 	}
@@ -193,7 +193,7 @@ func (a *Allocator) Restore(req Request, hosts []topo.NodeID) ([]Pair, error) {
 // materialization with ledger rollback, then the host slots.
 func (a *Allocator) commit(req Request, hosts []topo.NodeID) ([]Pair, error) {
 	a.stage(req.ID, "place", 2)
-	pairs := ChainPairs(hosts)
+	pairs := chainPairs(hosts)
 	if err := a.ledger.Admit(req.ID, req.GuaranteeBps, pairs); err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func (a *Allocator) commit(req Request, hosts []topo.NodeID) ([]Pair, error) {
 	if a.mat != nil {
 		if !a.mat.AddTenant(tenantSpec(req, pairs)) {
 			a.ledger.Release(req.ID)
-			return nil, ErrMaterialize
+			return nil, errMaterialize
 		}
 		a.stage(req.ID, "materialize", 4)
 	}

@@ -63,7 +63,7 @@ func TestAllocatorTransaction(t *testing.T) {
 			name:  "materializer refusal rolls back ledger and slots",
 			setup: func(_ *testing.T, _ *Allocator, mat *fakeMat) { mat.failNext = true },
 			op:    realize(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}),
-			want:  ErrMaterialize, reason: "materialize",
+			want:  errMaterialize, reason: "materialize",
 		},
 		{
 			name: "duplicate id",
@@ -71,22 +71,22 @@ func TestAllocatorTransaction(t *testing.T) {
 				mustRealize(t, a, Request{ID: 3, GuaranteeBps: 1e9, VMs: 2})
 			},
 			op:   realize(Request{ID: 3, GuaranteeBps: 1e9, VMs: 2}),
-			want: ErrDuplicate, reason: "duplicate",
+			want: errDuplicate, reason: "duplicate",
 		},
 		{
 			name: "zero guarantee",
 			op:   realize(Request{ID: 1, GuaranteeBps: 0, VMs: 2}),
-			want: ErrInvalid, reason: "invalid",
+			want: errInvalid, reason: "invalid",
 		},
 		{
 			name: "negative guarantee, what-if",
 			op:   propose(Request{ID: 1, GuaranteeBps: -1e9, VMs: 2}),
-			want: ErrInvalid, reason: "invalid",
+			want: errInvalid, reason: "invalid",
 		},
 		{
 			name: "zero VMs",
 			op:   realize(Request{ID: 1, GuaranteeBps: 1e9, VMs: 0}),
-			want: ErrInvalid, reason: "invalid",
+			want: errInvalid, reason: "invalid",
 		},
 		{
 			// The testbed's hosts have 10G uplinks: two 4G chains on the
@@ -98,7 +98,7 @@ func TestAllocatorTransaction(t *testing.T) {
 				mustRealize(t, a, Request{ID: 2, GuaranteeBps: 4e9, VMs: 2})
 			},
 			op:   realize(Request{ID: 3, GuaranteeBps: 4e9, VMs: 2}),
-			want: ErrHeadroom, reason: "headroom",
+			want: errHeadroom, reason: "headroom",
 		},
 		{
 			name: "headroom, what-if",
@@ -108,7 +108,7 @@ func TestAllocatorTransaction(t *testing.T) {
 				mustRealize(t, a, Request{ID: 2, GuaranteeBps: 4e9, VMs: 2})
 			},
 			op:   propose(Request{ID: 3, GuaranteeBps: 4e9, VMs: 2}),
-			want: ErrHeadroom, reason: "headroom",
+			want: errHeadroom, reason: "headroom",
 		},
 		{
 			// 8 hosts × 1 slot: two 4-VM tenants fill the fleet.
@@ -119,44 +119,44 @@ func TestAllocatorTransaction(t *testing.T) {
 				mustRealize(t, a, Request{ID: 2, GuaranteeBps: 1e8, VMs: 4})
 			},
 			op:   realize(Request{ID: 3, GuaranteeBps: 1e8, VMs: 4}),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "more VMs than hosts never reaches the policy",
 			cfg:  Config{Policy: noPolicy{t}},
 			op:   realize(Request{ID: 1, GuaranteeBps: 1e9, VMs: 9}),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "huge VM count, what-if, never reaches the policy",
 			cfg:  Config{Policy: noPolicy{t}},
 			op:   propose(Request{ID: 1, GuaranteeBps: 1e9, VMs: 1 << 30}),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: host outside the graph",
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, host[0], 9999),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: negative host id",
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, -1, host[0]),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: a switch is not a fleet host",
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, host[0], tb.ToRs[0]),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: repeated host",
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 3}, host[0], host[1], host[0]),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: record shorter than its VM count",
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 3}, host[0], host[1]),
-			want: ErrPlacement, reason: "placement",
+			want: errPlacement, reason: "placement",
 		},
 		{
 			name: "restore: materializer refusal rolls back",
@@ -164,7 +164,7 @@ func TestAllocatorTransaction(t *testing.T) {
 				mat.failNext = true
 			},
 			op:   restore(Request{ID: 1, GuaranteeBps: 1e9, VMs: 2}, host[0], host[1]),
-			want: ErrMaterialize, reason: "materialize",
+			want: errMaterialize, reason: "materialize",
 		},
 		{
 			name: "withdraw of an unknown id",

@@ -19,7 +19,7 @@ func churnController(policy Policy, oversub float64) (*Controller, *sim.Engine) 
 }
 
 func TestChurnDrainsClean(t *testing.T) {
-	c, eng := churnController(FirstFit{}, 1.0)
+	c, eng := churnController(firstFit{}, 1.0)
 	st := Churn(c, ChurnConfig{
 		Arrivals:         500,
 		MeanInterarrival: 20 * sim.Microsecond,
@@ -55,14 +55,14 @@ func TestChurnDrainsClean(t *testing.T) {
 	if st.TimeToAdmit.Len() != st.Accepted {
 		t.Fatalf("time-to-admit samples %d != accepted %d", st.TimeToAdmit.Len(), st.Accepted)
 	}
-	if st.TimeToAdmit.Min() < 10 { // DecisionLatency default 10 µs
+	if st.TimeToAdmit.Min() < 10 { // decisionLatency default 10 µs
 		t.Fatalf("min time-to-admit %.1f µs < service time", st.TimeToAdmit.Min())
 	}
 }
 
 func TestChurnDeterministic(t *testing.T) {
 	run := func() (int, float64, float64) {
-		c, eng := churnController(SubscriptionAware{}, 1.0)
+		c, eng := churnController(subscriptionAware{}, 1.0)
 		st := Churn(c, ChurnConfig{
 			Arrivals:         300,
 			MeanInterarrival: 15 * sim.Microsecond,
@@ -85,7 +85,7 @@ func TestChurnDeterministic(t *testing.T) {
 // Higher oversubscription factors admit strictly more load at load.
 func TestChurnOversubscriptionMonotonic(t *testing.T) {
 	accept := func(factor float64) float64 {
-		c, eng := churnController(FirstFit{}, factor)
+		c, eng := churnController(firstFit{}, factor)
 		st := Churn(c, ChurnConfig{
 			Arrivals:         400,
 			MeanInterarrival: 5 * sim.Microsecond,

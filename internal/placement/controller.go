@@ -36,11 +36,11 @@ type Config struct {
 	SlotsPerHost int
 	// MaxPaths bounds the ledger's per-pair ECMP enumeration (0 = all).
 	MaxPaths int
-	// DecisionLatency is the service time per admission decision;
+	// decisionLatency is the service time per admission decision;
 	// requests queue FIFO behind it (default 10 µs). Time-to-admit =
 	// queue wait + service.
-	DecisionLatency sim.Duration
-	// Policy picks VM hosts (default FirstFit).
+	decisionLatency sim.Duration
+	// Policy picks VM hosts (default firstFit).
 	Policy Policy
 	// Telemetry, if non-nil, publishes placement.ctl.* counters and
 	// records EvPlacement flight-recorder events.
@@ -48,7 +48,7 @@ type Config struct {
 }
 
 // Controller is the in-simulation admission front-end: requests flow
-// through a FIFO decision queue, one per DecisionLatency, and each decision
+// through a FIFO decision queue, one per decisionLatency, and each decision
 // is one Allocator transaction (policy → ledger headroom → materialize →
 // slots). The Controller adds only the queue, the lifetime counters and the
 // flight-recorder events. It must run on the simulation engine's goroutine.
@@ -76,8 +76,8 @@ type queued struct {
 // NewController builds the control plane over the graph. mat may be nil
 // (ledger-only operation — admitted tenants exist on paper only).
 func NewController(eng sim.Scheduler, g *topo.Graph, mat Materializer, cfg Config) *Controller {
-	if cfg.DecisionLatency == 0 {
-		cfg.DecisionLatency = 10 * sim.Microsecond
+	if cfg.decisionLatency == 0 {
+		cfg.decisionLatency = 10 * sim.Microsecond
 	}
 	c := &Controller{eng: eng, cfg: cfg, alloc: NewAllocator(g, mat, cfg)}
 	if cfg.Telemetry != nil {
@@ -97,7 +97,7 @@ func (c *Controller) Fleet() *Fleet { return c.alloc.fleet }
 
 // Submit enqueues a request; done (optional) fires with the decision
 // when the controller reaches it. Decisions are served FIFO, one per
-// DecisionLatency, so time-to-admit reflects control-plane load.
+// decisionLatency, so time-to-admit reflects control-plane load.
 func (c *Controller) Submit(req Request, done func(Decision)) {
 	c.submitted++
 	c.queue = append(c.queue, queued{req: req, at: c.eng.Now(), done: done})
@@ -111,7 +111,7 @@ func (c *Controller) serve() {
 		return
 	}
 	c.busy = true
-	c.eng.At(c.eng.Now()+sim.Time(c.cfg.DecisionLatency), func() {
+	c.eng.At(c.eng.Now()+sim.Time(c.cfg.decisionLatency), func() {
 		q := c.queue[0]
 		c.queue = c.queue[1:]
 		d := c.decide(q.req)
@@ -131,8 +131,8 @@ func (c *Controller) decide(req Request) Decision {
 	hosts, pairs, err := c.alloc.Realize(req)
 	if err != nil {
 		c.count(&c.rejected, req, "reject")
-		if errors.Is(err, ErrDuplicate) {
-			err = ErrInvalid // Decision.Reason has never had a "duplicate"
+		if errors.Is(err, errDuplicate) {
+			err = errInvalid // Decision.Reason has never had a "duplicate"
 		}
 		return Decision{Reason: Reason(err)}
 	}

@@ -105,7 +105,7 @@ func TestControllerHeadroomReject(t *testing.T) {
 }
 
 func TestControllerFIFOLatency(t *testing.T) {
-	c, eng, _ := newTestController(t, Config{DecisionLatency: 5 * sim.Microsecond})
+	c, eng, _ := newTestController(t, Config{decisionLatency: 5 * sim.Microsecond})
 	var waits []sim.Duration
 	for i := int32(1); i <= 3; i++ {
 		c.Submit(Request{ID: i, GuaranteeBps: 1e8, VMs: 2}, func(d Decision) {

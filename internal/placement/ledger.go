@@ -42,20 +42,20 @@ type Pair struct {
 // Sentinel errors the ledger and the Allocator return or wrap, so callers
 // map a failure to a rejection reason (Reason) without string matching.
 var (
-	// ErrHeadroom: a link would exceed the oversubscribed admission budget.
-	ErrHeadroom = errors.New("headroom")
-	// ErrDuplicate: the tenant id already holds a commitment.
-	ErrDuplicate = errors.New("duplicate tenant")
-	// ErrInvalid: malformed request (non-positive guarantee, a pair that is
+	// errHeadroom: a link would exceed the oversubscribed admission budget.
+	errHeadroom = errors.New("headroom")
+	// errDuplicate: the tenant id already holds a commitment.
+	errDuplicate = errors.New("duplicate tenant")
+	// errInvalid: malformed request (non-positive guarantee, a pair that is
 	// unroutable or whose endpoint is not a host of the graph).
-	ErrInvalid = errors.New("invalid request")
-	// ErrPlacement: no feasible hosts — the fleet cannot hold the VMs, or
+	errInvalid = errors.New("invalid request")
+	// errPlacement: no feasible hosts — the fleet cannot hold the VMs, or
 	// the given hosts are not distinct, routable fleet hosts. A pair the
-	// ledger cannot route wraps it together with ErrInvalid.
-	ErrPlacement = errors.New("no feasible placement")
-	// ErrMaterialize: the fabric refused the spec; the transaction rolled
+	// ledger cannot route wraps it together with errInvalid.
+	errPlacement = errors.New("no feasible placement")
+	// errMaterialize: the fabric refused the spec; the transaction rolled
 	// the ledger commitment back.
-	ErrMaterialize = errors.New("fabric refused the tenant")
+	errMaterialize = errors.New("fabric refused the tenant")
 )
 
 // Ledger is the per-link Σ-guarantee subscription account — the only one
@@ -137,7 +137,7 @@ func (l *Ledger) delta(guaranteeBps float64, pairs []Pair) error {
 		}
 		if len(paths) == 0 {
 			l.clearDelta()
-			return fmt.Errorf("placement: no path %d→%d: %w, %w", pr.Src, pr.Dst, ErrInvalid, ErrPlacement)
+			return fmt.Errorf("placement: no path %d→%d: %w, %w", pr.Src, pr.Dst, errInvalid, errPlacement)
 		}
 		l.seq++
 		for _, p := range paths {
@@ -201,7 +201,7 @@ func (l *Ledger) overBudget() (topo.LinkID, bool) {
 
 // Evaluate returns, without committing anything, the links a placement
 // would touch and the bps it would add to each. The returned slices are
-// freshly allocated; an error (wrapping ErrInvalid) means a pair has no
+// freshly allocated; an error (wrapping errInvalid) means a pair has no
 // path or an endpoint that is not a host of the graph.
 func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []float64, error) {
 	l.mu.Lock()
@@ -215,7 +215,7 @@ func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []
 
 // Fits answers the what-if Admit would decide, committing nothing: nil
 // when the placement is routable and within budget on every link, else an
-// error wrapping ErrInvalid or ErrHeadroom. A placement that fits
+// error wrapping errInvalid or errHeadroom. A placement that fits
 // allocates nothing.
 func (l *Ledger) Fits(guaranteeBps float64, pairs []Pair) error {
 	l.mu.Lock()
@@ -226,14 +226,14 @@ func (l *Ledger) Fits(guaranteeBps float64, pairs []Pair) error {
 	hot, over := l.overBudget()
 	l.clearDelta()
 	if over {
-		return fmt.Errorf("placement: link %d over budget: %w", hot, ErrHeadroom)
+		return fmt.Errorf("placement: link %d over budget: %w", hot, errHeadroom)
 	}
 	return nil
 }
 
 // Commit admits a tenant unconditionally — no budget check: its guarantee
-// is added to every link of each pair's ECMP union. Errors (ErrDuplicate,
-// ErrInvalid) leave the ledger untouched.
+// is added to every link of each pair's ECMP union. Errors (errDuplicate,
+// errInvalid) leave the ledger untouched.
 func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
 	return l.admit(id, guaranteeBps, pairs, false)
 }
@@ -241,7 +241,7 @@ func (l *Ledger) Commit(id int32, guaranteeBps float64, pairs []Pair) error {
 // Admit is Commit behind the headroom check: the tenant is committed only
 // while committed + delta ≤ Oversubscription × capacity on every affected
 // link, decided and applied under one lock. On any failure the ledger is
-// untouched; the error wraps ErrDuplicate, ErrInvalid or ErrHeadroom.
+// untouched; the error wraps errDuplicate, errInvalid or errHeadroom.
 func (l *Ledger) Admit(id int32, guaranteeBps float64, pairs []Pair) error {
 	return l.admit(id, guaranteeBps, pairs, true)
 }
@@ -250,10 +250,10 @@ func (l *Ledger) admit(id int32, guaranteeBps float64, pairs []Pair, budgeted bo
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if guaranteeBps <= 0 {
-		return fmt.Errorf("placement: tenant %d guarantee %v: %w", id, guaranteeBps, ErrInvalid)
+		return fmt.Errorf("placement: tenant %d guarantee %v: %w", id, guaranteeBps, errInvalid)
 	}
 	if l.tenants[id] != nil {
-		return fmt.Errorf("placement: tenant %d: %w", id, ErrDuplicate)
+		return fmt.Errorf("placement: tenant %d: %w", id, errDuplicate)
 	}
 	if err := l.delta(guaranteeBps, pairs); err != nil {
 		return err
@@ -261,7 +261,7 @@ func (l *Ledger) admit(id int32, guaranteeBps float64, pairs []Pair, budgeted bo
 	if budgeted {
 		if hot, over := l.overBudget(); over {
 			l.clearDelta()
-			return fmt.Errorf("placement: tenant %d link %d over budget: %w", id, hot, ErrHeadroom)
+			return fmt.Errorf("placement: tenant %d link %d over budget: %w", id, hot, errHeadroom)
 		}
 	}
 	links, amounts := l.take()
@@ -317,12 +317,6 @@ func (l *Ledger) CommittedBps(lid topo.LinkID) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.committed[lid]
-}
-
-// Subscription returns the link's committed subscription as a fraction of
-// its physical capacity.
-func (l *Ledger) Subscription(lid topo.LinkID) float64 {
-	return l.CommittedBps(lid) / l.g.Link(lid).Capacity
 }
 
 // MaxSubscription returns the highest committed/capacity ratio across all
@@ -392,11 +386,11 @@ func (l *Ledger) Verify() error {
 	return nil
 }
 
-// ChainPairs materializes the hose model over an ordered host list: VM i
+// chainPairs materializes the hose model over an ordered host list: VM i
 // sends to VM i+1, giving every host at most one outgoing pair — so the
 // per-host hose constraint (a VM sends at most G) maps exactly onto one
 // committed pair per source.
-func ChainPairs(hosts []topo.NodeID) []Pair {
+func chainPairs(hosts []topo.NodeID) []Pair {
 	if len(hosts) < 2 {
 		return nil
 	}

@@ -70,22 +70,22 @@ func TestLedgerRejects(t *testing.T) {
 		t.Fatal("failed commit left tenant registered")
 	}
 	// An endpoint outside the graph, negative, or naming a switch is
-	// ErrInvalid on every entry point — after a good first pair, so the
+	// errInvalid on every entry point — after a good first pair, so the
 	// scratch that pair filled must be reset, not leak into tenant 3.
 	tor := g.Link(g.Node(servers[0]).Out[0]).Dst
 	for _, bad := range []topo.NodeID{9999, -1, tor} {
 		for _, pr := range []Pair{{Src: servers[2], Dst: bad}, {Src: bad, Dst: servers[2]}} {
 			ps := []Pair{{Src: servers[2], Dst: servers[3]}, pr}
-			if _, _, err := l.Evaluate(1e9, ps); !errors.Is(err, ErrInvalid) {
+			if _, _, err := l.Evaluate(1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Evaluate %v: %v, want ErrInvalid", pr, err)
 			}
-			if err := l.Fits(1e9, ps); !errors.Is(err, ErrInvalid) {
+			if err := l.Fits(1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Fits %v: %v, want ErrInvalid", pr, err)
 			}
-			if err := l.Commit(2, 1e9, ps); !errors.Is(err, ErrInvalid) {
+			if err := l.Commit(2, 1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Commit %v: %v, want ErrInvalid", pr, err)
 			}
-			if err := l.Admit(2, 1e9, ps); !errors.Is(err, ErrInvalid) {
+			if err := l.Admit(2, 1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Admit %v: %v, want ErrInvalid", pr, err)
 			}
 		}
@@ -167,7 +167,7 @@ func testClos() *topo.Clos {
 // Verify()'s from-scratch recompute, with zero residue once every tenant
 // has departed. Each seed runs twice: unbudgeted (Commit — every arrival
 // lands) and budgeted (Admit at the given oversubscription — arrivals
-// that would overshoot bounce with ErrHeadroom, and after every op no
+// that would overshoot bounce with errHeadroom, and after every op no
 // link may exceed Oversubscription × capacity). This test is in the -race
 // CI row.
 func TestLedgerPropertyRandomChurn(t *testing.T) {
@@ -204,12 +204,12 @@ func TestLedgerPropertyRandomChurn(t *testing.T) {
 					switch {
 					case err == nil:
 						live = append(live, next)
-					case oversub != 0 && errors.Is(err, ErrHeadroom):
+					case oversub != 0 && errors.Is(err, errHeadroom):
 						bounced++
 						if l.Has(next) {
 							t.Fatalf("oversub %v seed %d op %d: bounced tenant registered", oversub, seed, op)
 						}
-						if fits := l.Fits(gbps, pairs); !errors.Is(fits, ErrHeadroom) {
+						if fits := l.Fits(gbps, pairs); !errors.Is(fits, errHeadroom) {
 							t.Fatalf("oversub %v seed %d op %d: Admit bounced but Fits = %v", oversub, seed, op, fits)
 						}
 					default:
@@ -287,7 +287,7 @@ func TestLedgerConcurrentChurn(t *testing.T) {
 				if err == nil {
 					atomic.AddInt64(&admitted, 1)
 					held = append(held, id)
-				} else if errors.Is(err, ErrHeadroom) {
+				} else if errors.Is(err, errHeadroom) {
 					atomic.AddInt64(&rejected, 1)
 				} else {
 					t.Errorf("unexpected admit error: %v", err)
@@ -339,7 +339,7 @@ func TestLedgerHeadroomAtomic(t *testing.T) {
 		go func(id int32) {
 			defer wg.Done()
 			err := l.Admit(id, 3e9, []Pair{{Src: a, Dst: b}})
-			if err != nil && !errors.Is(err, ErrHeadroom) {
+			if err != nil && !errors.Is(err, errHeadroom) {
 				t.Errorf("tenant %d: %v", id, err)
 			}
 		}(id)
@@ -359,7 +359,7 @@ func TestLedgerHeadroomAtomic(t *testing.T) {
 	}
 }
 
-// TestLedgerRejectsDuplicates: a held id bounces with ErrDuplicate and is
+// TestLedgerRejectsDuplicates: a held id bounces with errDuplicate and is
 // reusable after release.
 func TestLedgerRejectsDuplicates(t *testing.T) {
 	cl := testClos()
@@ -368,7 +368,7 @@ func TestLedgerRejectsDuplicates(t *testing.T) {
 	if err := l.Admit(7, 1e9, pairs); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Admit(7, 1e9, pairs); !errors.Is(err, ErrDuplicate) {
+	if err := l.Admit(7, 1e9, pairs); !errors.Is(err, errDuplicate) {
 		t.Fatalf("want ErrDuplicate, got %v", err)
 	}
 	if !l.Release(7) {
@@ -384,7 +384,7 @@ func TestLedgerRejectsDuplicates(t *testing.T) {
 
 func TestChainPairs(t *testing.T) {
 	hosts := []topo.NodeID{3, 7, 9}
-	pairs := ChainPairs(hosts)
+	pairs := chainPairs(hosts)
 	want := []Pair{{Src: 3, Dst: 7}, {Src: 7, Dst: 9}}
 	if len(pairs) != len(want) {
 		t.Fatalf("pairs = %v", pairs)
@@ -394,7 +394,7 @@ func TestChainPairs(t *testing.T) {
 			t.Fatalf("pairs[%d] = %v, want %v", i, pairs[i], want[i])
 		}
 	}
-	if ChainPairs(hosts[:1]) != nil {
+	if chainPairs(hosts[:1]) != nil {
 		t.Fatal("single host should yield no pairs")
 	}
 }
@@ -420,16 +420,16 @@ func TestLedgerWhatIfAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("placement: link %d over budget: %v", links[0], ErrHeadroom)
-	if err := l.Fits(1e12, pairs); !errors.Is(err, ErrHeadroom) || err.Error() != want {
+	want := fmt.Sprintf("placement: link %d over budget: %v", links[0], errHeadroom)
+	if err := l.Fits(1e12, pairs); !errors.Is(err, errHeadroom) || err.Error() != want {
 		t.Fatalf("Fits over budget = %v, want %q", err, want)
 	}
-	bare := testing.AllocsPerRun(100, func() { _ = fmt.Errorf("placement: link %d over budget: %w", links[0], ErrHeadroom) })
+	bare := testing.AllocsPerRun(100, func() { _ = fmt.Errorf("placement: link %d over budget: %w", links[0], errHeadroom) })
 	if a := testing.AllocsPerRun(100, func() { _ = l.Fits(1e12, pairs) }); a > bare {
 		t.Errorf("Fits refused for headroom allocates %v times, its error alone %v", a, bare)
 	}
 	bare = testing.AllocsPerRun(100, func() {
-		_ = fmt.Errorf("placement: tenant %d link %d over budget: %w", int32(1), links[0], ErrHeadroom)
+		_ = fmt.Errorf("placement: tenant %d link %d over budget: %w", int32(1), links[0], errHeadroom)
 	})
 	if a := testing.AllocsPerRun(100, func() { _ = l.Admit(1, 1e12, pairs) }); a > bare {
 		t.Errorf("Admit refused for headroom allocates %v times, its error alone %v", a, bare)

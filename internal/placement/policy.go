@@ -121,13 +121,13 @@ type Policy interface {
 
 // ---- first-fit -------------------------------------------------------------
 
-// FirstFit packs VMs onto the lowest-numbered hosts with free slots —
+// firstFit packs VMs onto the lowest-numbered hosts with free slots —
 // the densest (and most contention-prone) baseline.
-type FirstFit struct{}
+type firstFit struct{}
 
-func (FirstFit) Name() string { return "first-fit" }
+func (firstFit) Name() string { return "first-fit" }
 
-func (FirstFit) Place(req Request, fleet *Fleet, _ *Ledger) []topo.NodeID {
+func (firstFit) Place(req Request, fleet *Fleet, _ *Ledger) []topo.NodeID {
 	var hosts []topo.NodeID
 	for i := range fleet.Hosts {
 		if fleet.free(i) {
@@ -188,17 +188,17 @@ func (Spread) Place(req Request, fleet *Fleet, _ *Ledger) []topo.NodeID {
 
 // ---- subscription-aware ----------------------------------------------------
 
-// SubscriptionAware mirrors μFAB-E's subscription-aware path migration at
+// subscriptionAware mirrors μFAB-E's subscription-aware path migration at
 // placement time: VMs are placed one at a time, and each candidate host
 // is scored by the maximum post-admission link subscription the new
 // chain pair (previous VM's host → candidate) would cause. The candidate
 // minimizing that bottleneck wins (least-used host on tie, then lowest
 // id). The first VM anchors on the least-used free host.
-type SubscriptionAware struct{}
+type subscriptionAware struct{}
 
-func (SubscriptionAware) Name() string { return "subscription-aware" }
+func (subscriptionAware) Name() string { return "subscription-aware" }
 
-func (SubscriptionAware) Place(req Request, fleet *Fleet, ledger *Ledger) []topo.NodeID {
+func (subscriptionAware) Place(req Request, fleet *Fleet, ledger *Ledger) []topo.NodeID {
 	taken := make(map[topo.NodeID]bool, req.VMs)
 	// Pending contributions of the pairs this placement has already
 	// decided, per link.
@@ -268,11 +268,11 @@ func (SubscriptionAware) Place(req Request, fleet *Fleet, ledger *Ledger) []topo
 func PolicyByName(name string) Policy {
 	switch name {
 	case "first-fit":
-		return FirstFit{}
+		return firstFit{}
 	case "spread":
 		return Spread{}
 	case "subscription-aware":
-		return SubscriptionAware{}
+		return subscriptionAware{}
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ func TestFleetGrouping(t *testing.T) {
 
 func TestFirstFitPacks(t *testing.T) {
 	_, fleet, ledger := closFleet()
-	hosts := FirstFit{}.Place(Request{ID: 1, GuaranteeBps: 1e9, VMs: 3}, fleet, ledger)
+	hosts := firstFit{}.Place(Request{ID: 1, GuaranteeBps: 1e9, VMs: 3}, fleet, ledger)
 	want := fleet.Hosts[:3]
 	for i := range want {
 		if hosts[i] != want[i] {
@@ -56,7 +56,7 @@ func TestFirstFitPacks(t *testing.T) {
 	}
 	// Fill host 0 and the policy moves on.
 	fleet.Used[0] = fleet.SlotsPerHost
-	hosts = FirstFit{}.Place(Request{ID: 2, GuaranteeBps: 1e9, VMs: 2}, fleet, ledger)
+	hosts = firstFit{}.Place(Request{ID: 2, GuaranteeBps: 1e9, VMs: 2}, fleet, ledger)
 	if hosts[0] != fleet.Hosts[1] {
 		t.Fatalf("first-fit ignored full host: %v", hosts)
 	}
@@ -105,7 +105,7 @@ func TestSubscriptionAwareBeatsFirstFit(t *testing.T) {
 			if hosts == nil {
 				continue
 			}
-			if err := ledger.Commit(req.ID, req.GuaranteeBps, ChainPairs(hosts)); err != nil {
+			if err := ledger.Commit(req.ID, req.GuaranteeBps, chainPairs(hosts)); err != nil {
 				continue
 			}
 			fleet.Place(hosts)
@@ -113,8 +113,8 @@ func TestSubscriptionAwareBeatsFirstFit(t *testing.T) {
 		}
 		return ledger.MaxSubscription(), admitted
 	}
-	ffMax, ffN := run(FirstFit{})
-	saMax, saN := run(SubscriptionAware{})
+	ffMax, ffN := run(firstFit{})
+	saMax, saN := run(subscriptionAware{})
 	if saN < ffN {
 		t.Fatalf("aware admitted %d < first-fit %d", saN, ffN)
 	}

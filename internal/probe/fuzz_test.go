@@ -19,7 +19,7 @@ import (
 //	go test ./internal/probe -run '^$' -fuzz FuzzProbeWire -fuzztime 30s
 func FuzzProbeWire(f *testing.F) {
 	full := &Packet{Kind: KindResponse, VMPair: 7, PathID: 3, Seq: 99, Phi: 12.5, Window: 65536, PeerPhi: 3.25, SentAt: 1 << 40}
-	for i := 0; i < MaxHops; i++ {
+	for i := 0; i < maxHops; i++ {
 		full.AppendHop(Hop{TotalWindow: 1 << 20, TotalTokens: 80, TxRate: 9.4e9, Queue: 4096, Capacity: 10e9, LinkID: int32(i)})
 	}
 	fullWire, _ := full.Encode(nil)
@@ -70,7 +70,7 @@ func FuzzProbeWire(f *testing.F) {
 		}
 
 		if stampErr != nil {
-			if stampErr != ErrTooLong || len(p.Hops) != MaxHops || !bytes.Equal(stamped, wire) {
+			if stampErr != errTooLong || len(p.Hops) != maxHops || !bytes.Equal(stamped, wire) {
 				t.Fatalf("StampHop refused a %d-hop probe with %v, or changed it: % x → % x", len(p.Hops), stampErr, wire, stamped)
 			}
 			return

@@ -54,29 +54,29 @@ func (k Kind) String() string {
 // absorbs transient bursts and table-collision under-counts (§3.3).
 const TargetUtilization = 0.95
 
-// MaxHops is the largest number of INT hop records a probe can carry,
+// maxHops is the largest number of INT hop records a probe can carry,
 // bounded by the 4-bit nHop field.
-const MaxHops = 15
+const maxHops = 15
 
 // Quantization units for the INT fields.
 const (
-	// WindowUnit quantizes sending windows (w, W_l) in bytes: 16 bits ×
+	// windowUnit quantizes sending windows (w, W_l) in bytes: 16 bits ×
 	// 256 B covers 16 MiB, far above 3·BDP of any DCN path, while a
 	// single-MTU window still encodes without vanishing.
-	WindowUnit = 256
-	// QueueUnit quantizes queue sizes in bytes: 12 bits × 64 B covers
+	windowUnit = 256
+	// queueUnit quantizes queue sizes in bytes: 12 bits × 64 B covers
 	// 256 KiB, beyond the shallow-buffer regime μFAB keeps switches in.
-	QueueUnit = 64
-	// TxUnit quantizes TX rates in bits/s: 16 bits × 2 Mbps covers
+	queueUnit = 64
+	// txUnit quantizes TX rates in bits/s: 16 bits × 2 Mbps covers
 	// 131 Gbps.
-	TxUnit = 2e6
-	// PhiUnit quantizes per-VM-pair tokens φ (24-bit field) in
+	txUnit = 2e6
+	// phiUnit quantizes per-VM-pair tokens φ (24-bit field) in
 	// millitokens: Guarantee Partitioning yields fractional tokens.
-	PhiUnit = 1e-3
-	// TotalPhiUnit quantizes the per-link total Φ_l (16-bit field) in
+	phiUnit = 1e-3
+	// totalPhiUnit quantizes the per-link total Φ_l (16-bit field) in
 	// decitokens: 6553 tokens cover a 655 Gbps subscription at
 	// B_u = 100 Mbps.
-	TotalPhiUnit = 1e-1
+	totalPhiUnit = 1e-1
 )
 
 // speedClasses maps the 4-bit C_l field to port speeds in bits/s.
@@ -84,9 +84,9 @@ var speedClasses = [...]float64{
 	0, 1e9, 2.5e9, 5e9, 10e9, 25e9, 40e9, 50e9, 100e9, 200e9, 400e9, 800e9,
 }
 
-// EncodeSpeedClass returns the 4-bit class whose speed is closest to the
+// encodeSpeedClass returns the 4-bit class whose speed is closest to the
 // given capacity in bits/s.
-func EncodeSpeedClass(bps float64) uint8 {
+func encodeSpeedClass(bps float64) uint8 {
 	best, bestDiff := 0, -1.0
 	for i, s := range speedClasses {
 		d := bps - s
@@ -100,8 +100,8 @@ func EncodeSpeedClass(bps float64) uint8 {
 	return uint8(best)
 }
 
-// DecodeSpeedClass returns the port speed in bits/s for a 4-bit class.
-func DecodeSpeedClass(class uint8) float64 {
+// decodeSpeedClass returns the port speed in bits/s for a 4-bit class.
+func decodeSpeedClass(class uint8) float64 {
 	if int(class) >= len(speedClasses) {
 		return 0
 	}
@@ -160,9 +160,9 @@ type Packet struct {
 const (
 	preambleLen = 1 + 4 + 2 + 4 + 3 + 2 + 4 + 8 // kind/nhop .. sentAt
 	hopLen      = 8 + 4                         // 64-bit record + link id
-	// HeaderOverhead models the outer Ethernet+IP+SR headers a real
+	// headerOverhead models the outer Ethernet+IP+SR headers a real
 	// probe carries (Fig 22); it contributes to probe size accounting.
-	HeaderOverhead = 14 + 20 + 16
+	headerOverhead = 14 + 20 + 16
 )
 
 // PayloadSize returns the encoded size of a probe carrying n hop records:
@@ -172,16 +172,16 @@ func PayloadSize(nHops int) int { return preambleLen + nHops*hopLen }
 
 // WireSize returns the on-wire byte size of a probe carrying n hop
 // records, including the modeled outer headers.
-func WireSize(nHops int) int { return HeaderOverhead + PayloadSize(nHops) }
+func WireSize(nHops int) int { return headerOverhead + PayloadSize(nHops) }
 
 // Size returns the packet's current on-wire size.
 func (p *Packet) Size() int { return WireSize(len(p.Hops)) }
 
 // Errors returned by Decode and AppendHop.
 var (
-	ErrTruncated = errors.New("probe: buffer truncated")
-	ErrTooLong   = errors.New("probe: more than MaxHops hop records")
-	ErrBadKind   = errors.New("probe: unknown packet kind")
+	errTruncated = errors.New("probe: buffer truncated")
+	errTooLong   = errors.New("probe: more than MaxHops hop records")
+	errBadKind   = errors.New("probe: unknown packet kind")
 )
 
 func clamp(v uint64, max uint64) uint64 {
@@ -202,23 +202,23 @@ func quantize(v float64, unit float64, max uint64) uint64 {
 // Encode appends the packet's wire representation (without the modeled
 // outer headers) to dst and returns the extended slice.
 func (p *Packet) Encode(dst []byte) ([]byte, error) {
-	if len(p.Hops) > MaxHops {
-		return dst, ErrTooLong
+	if len(p.Hops) > maxHops {
+		return dst, errTooLong
 	}
 	switch p.Kind {
 	case KindProbe, KindResponse, KindFailure, KindFinish:
 	default:
-		return dst, ErrBadKind
+		return dst, errBadKind
 	}
 	// A Kind's value is its 4-bit wire encoding.
 	dst = append(dst, uint8(p.Kind)<<4|uint8(len(p.Hops)))
 	dst = binary.BigEndian.AppendUint32(dst, p.VMPair)
 	dst = binary.BigEndian.AppendUint16(dst, p.PathID)
 	dst = binary.BigEndian.AppendUint32(dst, p.Seq)
-	phi := uint32(quantize(p.Phi, PhiUnit, 1<<24-1))
+	phi := uint32(quantize(p.Phi, phiUnit, 1<<24-1))
 	dst = append(dst, byte(phi>>16), byte(phi>>8), byte(phi))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(quantize(float64(p.Window), WindowUnit, 1<<16-1)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(quantize(p.PeerPhi, PhiUnit, 1<<32-1)))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(quantize(float64(p.Window), windowUnit, 1<<16-1)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(quantize(p.PeerPhi, phiUnit, 1<<32-1)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(p.SentAt))
 	for _, h := range p.Hops {
 		dst = appendHopRecord(dst, h)
@@ -228,11 +228,11 @@ func (p *Packet) Encode(dst []byte) ([]byte, error) {
 
 // appendHopRecord appends one hop's 12-byte wire record to dst.
 func appendHopRecord(dst []byte, h Hop) []byte {
-	rec := uint64(quantize(float64(h.TotalWindow), WindowUnit, 1<<16-1)) << 48
-	rec |= quantize(h.TotalTokens, TotalPhiUnit, 1<<16-1) << 32
-	rec |= quantize(h.TxRate, TxUnit, 1<<16-1) << 16
-	rec |= quantize(float64(h.Queue), QueueUnit, 1<<12-1) << 4
-	rec |= uint64(EncodeSpeedClass(h.Capacity))
+	rec := uint64(quantize(float64(h.TotalWindow), windowUnit, 1<<16-1)) << 48
+	rec |= quantize(h.TotalTokens, totalPhiUnit, 1<<16-1) << 32
+	rec |= quantize(h.TxRate, txUnit, 1<<16-1) << 16
+	rec |= quantize(float64(h.Queue), queueUnit, 1<<12-1) << 4
+	rec |= uint64(encodeSpeedClass(h.Capacity))
 	dst = binary.BigEndian.AppendUint64(dst, rec)
 	return binary.BigEndian.AppendUint32(dst, uint32(h.LinkID))
 }
@@ -242,16 +242,16 @@ func appendHopRecord(dst []byte, h Hop) []byte {
 // field declares — and returns the kind and that count.
 func wireHops(buf []byte) (kind Kind, nHops int, err error) {
 	if len(buf) < preambleLen {
-		return 0, 0, ErrTruncated
+		return 0, 0, errTruncated
 	}
 	switch kind = Kind(buf[0] >> 4); kind {
 	case KindProbe, KindResponse, KindFailure, KindFinish:
 	default:
-		return 0, 0, ErrBadKind
+		return 0, 0, errBadKind
 	}
 	nHops = int(buf[0] & 0xf)
 	if len(buf) < PayloadSize(nHops) {
-		return 0, 0, ErrTruncated
+		return 0, 0, errTruncated
 	}
 	return kind, nHops, nil
 }
@@ -268,9 +268,9 @@ func DecodeHeader(buf []byte) (hdr Packet, nHops int, err error) {
 	hdr.VMPair = binary.BigEndian.Uint32(buf[1:])
 	hdr.PathID = binary.BigEndian.Uint16(buf[5:])
 	hdr.Seq = binary.BigEndian.Uint32(buf[7:])
-	hdr.Phi = float64(uint32(buf[11])<<16|uint32(buf[12])<<8|uint32(buf[13])) * PhiUnit
-	hdr.Window = uint32(binary.BigEndian.Uint16(buf[14:])) * WindowUnit
-	hdr.PeerPhi = float64(binary.BigEndian.Uint32(buf[16:])) * PhiUnit
+	hdr.Phi = float64(uint32(buf[11])<<16|uint32(buf[12])<<8|uint32(buf[13])) * phiUnit
+	hdr.Window = uint32(binary.BigEndian.Uint16(buf[14:])) * windowUnit
+	hdr.PeerPhi = float64(binary.BigEndian.Uint32(buf[16:])) * phiUnit
 	hdr.SentAt = int64(binary.BigEndian.Uint64(buf[20:]))
 	return hdr, nHops, nil
 }
@@ -305,11 +305,11 @@ func DecodeInto(dst *Packet, buf []byte) (int, error) {
 	for i := 0; i < nHops; i++ {
 		rec := binary.BigEndian.Uint64(buf[n:])
 		hops = append(hops, Hop{
-			TotalWindow: uint32(rec>>48) * WindowUnit,
-			TotalTokens: float64(rec>>32&0xffff) * TotalPhiUnit,
-			TxRate:      float64(rec>>16&0xffff) * TxUnit,
-			Queue:       uint32(rec>>4&0xfff) * QueueUnit,
-			Capacity:    DecodeSpeedClass(uint8(rec & 0xf)),
+			TotalWindow: uint32(rec>>48) * windowUnit,
+			TotalTokens: float64(rec>>32&0xffff) * totalPhiUnit,
+			TxRate:      float64(rec>>16&0xffff) * txUnit,
+			Queue:       uint32(rec>>4&0xfff) * queueUnit,
+			Capacity:    decodeSpeedClass(uint8(rec & 0xf)),
 			LinkID:      int32(binary.BigEndian.Uint32(buf[n+8:])),
 		})
 		n += hopLen
@@ -335,7 +335,7 @@ func FlipToResponse(buf []byte, peerPhi float64) ([]byte, error) {
 	}
 	buf = buf[:PayloadSize(nHops)]
 	buf[0] = uint8(KindResponse)<<4 | uint8(nHops)
-	binary.BigEndian.PutUint32(buf[16:], uint32(quantize(peerPhi, PhiUnit, 1<<32-1)))
+	binary.BigEndian.PutUint32(buf[16:], uint32(quantize(peerPhi, phiUnit, 1<<32-1)))
 	for n := preambleLen; n < len(buf); n += hopLen {
 		if class := &buf[n+7]; int(*class&0xf) >= len(speedClasses) {
 			*class &= 0xf0
@@ -349,25 +349,25 @@ func FlipToResponse(buf []byte, peerPhi float64) ([]byte, error) {
 // after the last one the buffer declares (bytes beyond that are dropped, as
 // a Decode/Encode round trip would). The result decodes to the same Packet
 // as decoding buf, AppendHop(h) and re-encoding, without the intermediate
-// Packet; it reuses buf's spare capacity. It fails once MaxHops is reached,
+// Packet; it reuses buf's spare capacity. It fails once maxHops is reached,
 // leaving buf as is.
 func StampHop(buf []byte, h Hop) ([]byte, error) {
 	_, nHops, err := wireHops(buf)
 	if err != nil {
 		return buf, err
 	}
-	if nHops >= MaxHops {
-		return buf, ErrTooLong
+	if nHops >= maxHops {
+		return buf, errTooLong
 	}
-	buf[0]++ // nHop is the low nibble, and nHops+1 <= MaxHops fits it
+	buf[0]++ // nHop is the low nibble, and nHops+1 <= maxHops fits it
 	return appendHopRecord(buf[:PayloadSize(nHops)], h), nil
 }
 
-// AppendHop adds a switch's INT record; it fails once MaxHops is reached,
+// AppendHop adds a switch's INT record; it fails once maxHops is reached,
 // mirroring the fixed-width nHop field.
 func (p *Packet) AppendHop(h Hop) error {
-	if len(p.Hops) >= MaxHops {
-		return ErrTooLong
+	if len(p.Hops) >= maxHops {
+		return errTooLong
 	}
 	p.Hops = append(p.Hops, h)
 	return nil
@@ -393,7 +393,7 @@ func (p *Packet) BottleneckIndex() int {
 	for i, h := range p.Hops {
 		phiTotal := h.TotalTokens
 		if phiTotal == 0 {
-			phiTotal = TotalPhiUnit
+			phiTotal = totalPhiUnit
 		}
 		share := p.Phi / phiTotal * h.Capacity
 		if best == -1 || share < bestShare {

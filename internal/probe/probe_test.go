@@ -31,8 +31,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != p.Size()-HeaderOverhead {
-		t.Fatalf("encoded %d bytes, Size()-overhead = %d", len(buf), p.Size()-HeaderOverhead)
+	if len(buf) != p.Size()-headerOverhead {
+		t.Fatalf("encoded %d bytes, Size()-overhead = %d", len(buf), p.Size()-headerOverhead)
 	}
 	q, n, err := Decode(buf)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		q.Seq != p.Seq || q.SentAt != p.SentAt {
 		t.Fatalf("preamble mismatch: %+v vs %+v", q, p)
 	}
-	if math.Abs(q.Phi-p.Phi) > PhiUnit/2+1e-9 || math.Abs(q.PeerPhi-p.PeerPhi) > PhiUnit/2+1e-9 {
+	if math.Abs(q.Phi-p.Phi) > phiUnit/2+1e-9 || math.Abs(q.PeerPhi-p.PeerPhi) > phiUnit/2+1e-9 {
 		t.Fatalf("token mismatch: %v/%v vs %v/%v", q.Phi, q.PeerPhi, p.Phi, p.PeerPhi)
 	}
 	if len(q.Hops) != len(p.Hops) {
@@ -56,16 +56,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if out.LinkID != in.LinkID {
 			t.Errorf("hop %d link id mismatch: %+v vs %+v", i, out, in)
 		}
-		if math.Abs(out.TotalTokens-in.TotalTokens) > TotalPhiUnit/2+1e-9 {
+		if math.Abs(out.TotalTokens-in.TotalTokens) > totalPhiUnit/2+1e-9 {
 			t.Errorf("hop %d tokens %v vs %v", i, out.TotalTokens, in.TotalTokens)
 		}
-		if math.Abs(float64(out.TotalWindow)-float64(in.TotalWindow)) > WindowUnit/2+1 {
+		if math.Abs(float64(out.TotalWindow)-float64(in.TotalWindow)) > windowUnit/2+1 {
 			t.Errorf("hop %d window %d vs %d", i, out.TotalWindow, in.TotalWindow)
 		}
-		if math.Abs(out.TxRate-in.TxRate) > TxUnit/2+1 {
+		if math.Abs(out.TxRate-in.TxRate) > txUnit/2+1 {
 			t.Errorf("hop %d tx %v vs %v", i, out.TxRate, in.TxRate)
 		}
-		if math.Abs(float64(out.Queue)-float64(in.Queue)) > QueueUnit/2+1 {
+		if math.Abs(float64(out.Queue)-float64(in.Queue)) > queueUnit/2+1 {
 			t.Errorf("hop %d queue %d vs %d", i, out.Queue, in.Queue)
 		}
 		if out.Capacity != in.Capacity {
@@ -87,33 +87,33 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeBadKind(t *testing.T) {
 	buf := make([]byte, preambleLen)
 	buf[0] = 0x30 // kind bits 3: invalid
-	if _, _, err := Decode(buf); err != ErrBadKind {
+	if _, _, err := Decode(buf); err != errBadKind {
 		t.Fatalf("err = %v, want ErrBadKind", err)
 	}
 }
 
 func TestEncodeBadKind(t *testing.T) {
 	p := &Packet{Kind: 3}
-	if _, err := p.Encode(nil); err != ErrBadKind {
+	if _, err := p.Encode(nil); err != errBadKind {
 		t.Fatalf("err = %v, want ErrBadKind", err)
 	}
 }
 
 func TestMaxHops(t *testing.T) {
 	p := &Packet{Kind: KindProbe}
-	for i := 0; i < MaxHops; i++ {
+	for i := 0; i < maxHops; i++ {
 		if err := p.AppendHop(Hop{}); err != nil {
 			t.Fatalf("AppendHop %d: %v", i, err)
 		}
 	}
-	if err := p.AppendHop(Hop{}); err != ErrTooLong {
+	if err := p.AppendHop(Hop{}); err != errTooLong {
 		t.Fatalf("AppendHop beyond max: %v, want ErrTooLong", err)
 	}
 	if _, err := p.Encode(nil); err != nil {
 		t.Fatalf("Encode at MaxHops: %v", err)
 	}
 	p.Hops = append(p.Hops, Hop{})
-	if _, err := p.Encode(nil); err != ErrTooLong {
+	if _, err := p.Encode(nil); err != errTooLong {
 		t.Fatalf("Encode beyond MaxHops: %v, want ErrTooLong", err)
 	}
 }
@@ -143,11 +143,11 @@ func TestKindString(t *testing.T) {
 
 func TestSpeedClassRoundTrip(t *testing.T) {
 	for _, bps := range []float64{1e9, 10e9, 25e9, 40e9, 100e9, 400e9} {
-		if got := DecodeSpeedClass(EncodeSpeedClass(bps)); got != bps {
+		if got := decodeSpeedClass(encodeSpeedClass(bps)); got != bps {
 			t.Errorf("speed %v → %v", bps, got)
 		}
 	}
-	if DecodeSpeedClass(15) != 0 {
+	if decodeSpeedClass(15) != 0 {
 		t.Error("out-of-range class must decode to 0")
 	}
 }
@@ -159,18 +159,18 @@ func TestPhiClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _, _ := Decode(buf)
-	if q.Phi != float64(1<<24-1)*PhiUnit {
+	if q.Phi != float64(1<<24-1)*phiUnit {
 		t.Errorf("Phi = %v, want clamped 24-bit max", q.Phi)
 	}
 }
 
 func TestWireSize(t *testing.T) {
 	// Paper: with a 5-hop diameter total telemetry < 100 bytes.
-	intBytes := WireSize(5) - HeaderOverhead
+	intBytes := WireSize(5) - headerOverhead
 	if intBytes >= 100 {
 		t.Errorf("5-hop INT payload = %d bytes, paper says <100", intBytes)
 	}
-	if WireSize(0) != HeaderOverhead+preambleLen {
+	if WireSize(0) != headerOverhead+preambleLen {
 		t.Error("WireSize(0) inconsistent")
 	}
 }
@@ -221,13 +221,13 @@ func TestRoundTripProperty(t *testing.T) {
 		tw uint32, tk uint16, tx uint32, qlen uint16) bool {
 		p := &Packet{
 			Kind: KindProbe, VMPair: vm, PathID: path, Seq: seq,
-			Phi: float64(phi%(1<<24)) * PhiUnit, Window: win % (60 << 20),
+			Phi: float64(phi%(1<<24)) * phiUnit, Window: win % (60 << 20),
 		}
-		nh := int(nhRaw % (MaxHops + 1))
+		nh := int(nhRaw % (maxHops + 1))
 		for i := 0; i < nh; i++ {
 			p.Hops = append(p.Hops, Hop{
 				TotalWindow: tw % (60 << 20),
-				TotalTokens: float64(tk) * TotalPhiUnit,
+				TotalTokens: float64(tk) * totalPhiUnit,
 				TxRate:      float64(uint64(tx) * 29 % 100_000_000_000),
 				Queue:       uint32(qlen) % (250 << 10),
 				Capacity:    10e9,
@@ -245,17 +245,17 @@ func TestRoundTripProperty(t *testing.T) {
 		if q.VMPair != p.VMPair || len(q.Hops) != nh {
 			return false
 		}
-		if math.Abs(q.Phi-p.Phi) > PhiUnit/2+1e-9 {
+		if math.Abs(q.Phi-p.Phi) > phiUnit/2+1e-9 {
 			return false
 		}
 		for i := range q.Hops {
-			if math.Abs(q.Hops[i].TotalTokens-p.Hops[i].TotalTokens) > TotalPhiUnit/2+1e-9 {
+			if math.Abs(q.Hops[i].TotalTokens-p.Hops[i].TotalTokens) > totalPhiUnit/2+1e-9 {
 				return false
 			}
-			if math.Abs(q.Hops[i].TxRate-p.Hops[i].TxRate) > TxUnit/2+1 {
+			if math.Abs(q.Hops[i].TxRate-p.Hops[i].TxRate) > txUnit/2+1 {
 				return false
 			}
-			if math.Abs(float64(q.Hops[i].Queue)-float64(p.Hops[i].Queue)) > QueueUnit/2+1 {
+			if math.Abs(float64(q.Hops[i].Queue)-float64(p.Hops[i].Queue)) > queueUnit/2+1 {
 				return false
 			}
 		}
@@ -292,11 +292,11 @@ func BenchmarkDecode(b *testing.B) {
 // TestStampHopMatchesDecodeAppendEncode: stamping a record onto the wire in
 // place must produce the bytes the switch's old decode → AppendHop →
 // re-encode produced, for every hop count, with trailing garbage dropped,
-// reusing spare capacity; at MaxHops and on a malformed buffer it must leave
+// reusing spare capacity; at maxHops and on a malformed buffer it must leave
 // the buffer alone.
 func TestStampHopMatchesDecodeAppendEncode(t *testing.T) {
 	stamp := Hop{TotalWindow: 3 << 20, TotalTokens: 123.4, TxRate: 7.7e9, Queue: 9000, Capacity: 9.5e9, LinkID: 42}
-	for nh := 0; nh <= MaxHops; nh++ {
+	for nh := 0; nh <= maxHops; nh++ {
 		p := samplePacket()
 		p.Hops = nil
 		for i := 0; i < nh; i++ {
@@ -321,8 +321,8 @@ func TestStampHopMatchesDecodeAppendEncode(t *testing.T) {
 			want, _ = full.Encode(nil)
 		}
 		got, err := StampHop(append(wire, 0xde, 0xad), stamp) // trailing bytes past the declared records
-		if nh == MaxHops {
-			if err != ErrTooLong || len(got) != len(wire)+2 {
+		if nh == maxHops {
+			if err != errTooLong || len(got) != len(wire)+2 {
 				t.Fatalf("StampHop at MaxHops: err %v, %d bytes", err, len(got))
 			}
 			continue
@@ -342,7 +342,7 @@ func TestStampHopMatchesDecodeAppendEncode(t *testing.T) {
 	// A buffer whose nHop nibble claims more records than it holds.
 	p := samplePacket()
 	wire, _ := p.Encode(nil)
-	if _, err := StampHop(wire[:len(wire)-1], stamp); err != ErrTruncated {
+	if _, err := StampHop(wire[:len(wire)-1], stamp); err != errTruncated {
 		t.Errorf("StampHop on a short buffer: %v, want ErrTruncated", err)
 	}
 }

@@ -136,9 +136,6 @@ func (s *Samples) Snapshot() Snapshot {
 	return Snapshot{xs: s.xs}
 }
 
-// Len returns the number of observations.
-func (v Snapshot) Len() int { return len(v.xs) }
-
 // P returns the q-quantile with the same interpolation as Samples.P, and
 // NaN when empty.
 func (v Snapshot) P(q float64) float64 {
@@ -160,32 +157,12 @@ func (v Snapshot) P(q float64) float64 {
 	return v.xs[i]*(1-frac) + v.xs[i+1]*frac
 }
 
-// Min returns the smallest observation, or NaN when empty.
-func (v Snapshot) Min() float64 {
-	if len(v.xs) == 0 {
-		return math.NaN()
-	}
-	return v.xs[0]
-}
-
 // Max returns the largest observation, or NaN when empty.
 func (v Snapshot) Max() float64 {
 	if len(v.xs) == 0 {
 		return math.NaN()
 	}
 	return v.xs[len(v.xs)-1]
-}
-
-// Mean returns the arithmetic mean, or NaN when empty.
-func (v Snapshot) Mean() float64 {
-	if len(v.xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range v.xs {
-		sum += x
-	}
-	return sum / float64(len(v.xs))
 }
 
 // CDFPoint is one point of an empirical CDF.

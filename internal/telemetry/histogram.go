@@ -26,7 +26,7 @@ type Histogram struct {
 }
 
 // The global bucket layout. Bucket 0 holds v <= 0; bucket i >= 1 holds
-// positive values with bucket upper bound BucketUpperBound(i), growing
+// positive values with bucket upper bound bucketUpperBound(i), growing
 // log-linearly: histSubBuckets equal-width buckets per binary octave over
 // exponents [histMinExp, histMaxExp). With 8 sub-buckets the relative
 // resolution is ~6%, and the range 2^-16..2^40 (~1.5e-5 .. ~1.1e12) covers
@@ -58,11 +58,11 @@ func bucketIndex(v float64) int {
 	return 1 + (exp-1-histMinExp)*histSubBuckets + sub
 }
 
-// BucketUpperBound returns the inclusive upper bound of bucket i: values v
-// with bucketIndex(v) == i satisfy v <= BucketUpperBound(i). Bucket 0 (the
+// bucketUpperBound returns the inclusive upper bound of bucket i: values v
+// with bucketIndex(v) == i satisfy v <= bucketUpperBound(i). Bucket 0 (the
 // underflow bucket, v <= 0) has bound 0; the last bucket absorbs overflow
 // and reports +Inf.
-func BucketUpperBound(i int) float64 {
+func bucketUpperBound(i int) float64 {
 	if i <= 0 {
 		return 0
 	}
@@ -219,9 +219,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = BucketUpperBound(i - 1)
+			lo = bucketUpperBound(i - 1)
 		}
-		hi := BucketUpperBound(i)
+		hi := bucketUpperBound(i)
 		if math.IsInf(hi, 1) {
 			hi = h.max
 		}
@@ -247,7 +247,7 @@ func (h *Histogram) Buckets() []HistogramBucket {
 	var out []HistogramBucket
 	h.each(func(i int, c uint64) bool {
 		if c != 0 {
-			out = append(out, HistogramBucket{UpperBound: BucketUpperBound(i), Count: c})
+			out = append(out, HistogramBucket{UpperBound: bucketUpperBound(i), Count: c})
 		}
 		return true
 	})

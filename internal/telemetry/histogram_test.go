@@ -50,14 +50,14 @@ func TestHistogramBucketLayout(t *testing.T) {
 		if idx <= 0 || idx >= histNumBuckets {
 			t.Fatalf("bucketIndex(%g) = %d out of positive range", v, idx)
 		}
-		lo, hi := BucketUpperBound(idx-1), BucketUpperBound(idx)
+		lo, hi := bucketUpperBound(idx-1), bucketUpperBound(idx)
 		if !(v > lo || idx == 1) || v > hi {
 			t.Fatalf("v=%g not in bucket %d bounds (%g, %g]", v, idx, lo, hi)
 		}
 	}
 	// Relative bucket width stays under ~1/histSubBuckets.
 	for i := 2; i < histNumBuckets-1; i++ {
-		lo, hi := BucketUpperBound(i-1), BucketUpperBound(i)
+		lo, hi := bucketUpperBound(i-1), bucketUpperBound(i)
 		if rel := (hi - lo) / lo; rel > 1.0/histSubBuckets*1.01 {
 			t.Fatalf("bucket %d relative width %g too coarse", i, rel)
 		}
@@ -74,10 +74,10 @@ func TestHistogramBucketLayout(t *testing.T) {
 			t.Fatalf("overflow bucketIndex(%g) = %d, want %d", v, idx, histNumBuckets-1)
 		}
 	}
-	if !math.IsInf(BucketUpperBound(histNumBuckets-1), 1) {
+	if !math.IsInf(bucketUpperBound(histNumBuckets-1), 1) {
 		t.Fatalf("last bucket bound must be +Inf")
 	}
-	if BucketUpperBound(0) != 0 {
+	if bucketUpperBound(0) != 0 {
 		t.Fatalf("underflow bucket bound must be 0")
 	}
 }
@@ -222,9 +222,9 @@ func (h *denseHistogram) quantile(q float64) float64 {
 		if next >= rank {
 			lo := 0.0
 			if i > 0 {
-				lo = BucketUpperBound(i - 1)
+				lo = bucketUpperBound(i - 1)
 			}
-			hi := BucketUpperBound(i)
+			hi := bucketUpperBound(i)
 			if math.IsInf(hi, 1) {
 				hi = h.max
 			}
@@ -249,7 +249,7 @@ func (h *denseHistogram) buckets() []HistogramBucket {
 	var out []HistogramBucket
 	for i, c := range h.counts {
 		if c != 0 {
-			out = append(out, HistogramBucket{UpperBound: BucketUpperBound(i), Count: c})
+			out = append(out, HistogramBucket{UpperBound: bucketUpperBound(i), Count: c})
 		}
 	}
 	return out

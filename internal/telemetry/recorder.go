@@ -138,14 +138,14 @@ func SpanID(parts ...int64) uint64 {
 	return h
 }
 
-// DefaultRecorderCap bounds a flight-recorder ring: 64k events, about
+// defaultRecorderCap bounds a flight-recorder ring: 64k events, about
 // 1.3 MiB of records once full at the ~20 bytes an instrumented fabric's
 // event takes (DESIGN.md "The instruments keep what they saw"). The cap is
 // per recorder, and vfabric.Build gives the base recorder and each logical
 // shard a ring of its own (nine on a k=8 fat tree). Deep enough to hold the
 // full tail of any quick-scale run; long runs keep the most recent window,
 // which is what post-mortem debugging wants.
-const DefaultRecorderCap = 1 << 16
+const defaultRecorderCap = 1 << 16
 
 // recorderChunk is how many events one chunk of a ring holds at most: a ring
 // of cap events cuts its window into ⌈cap/recorderChunk⌉ chunks as even as
@@ -498,12 +498,12 @@ func (r *Recorder) EventsSince(n uint64) []Event {
 	return evs
 }
 
-// EventBefore is the canonical content order used to merge per-shard
+// eventBefore is the canonical content order used to merge per-shard
 // flight-recorder streams into one trace: time first, then the event's
 // fields in declaration order. It is a pure function of event content, so a
 // merged trace is independent of how the simulation was sharded onto
 // workers.
-func EventBefore(a, b Event) bool {
+func eventBefore(a, b Event) bool {
 	if a.T != b.T {
 		return a.T < b.T
 	}
@@ -531,25 +531,25 @@ func EventBefore(a, b Event) bool {
 	return a.Span < b.Span
 }
 
-// compareEvents is EventBefore as a three-way comparison.
+// compareEvents is eventBefore as a three-way comparison.
 func compareEvents(a, b Event) int {
 	switch {
-	case EventBefore(a, b):
+	case eventBefore(a, b):
 		return -1
-	case EventBefore(b, a):
+	case eventBefore(b, a):
 		return 1
 	}
 	return 0
 }
 
 // Merge returns a reader that merges recs' rings where they lie. Each call
-// hands emit, in EventBefore order, the events of the kinds keep accepts
+// hands emit, in eventBefore order, the events of the kinds keep accepts
 // (every kind when keep is nil) that the recorders recorded since the
 // previous call — since they began, on the first — and still retain, and
 // returns how many events of any kind the rings evicted unread in between.
 //
 // The order is exactly that of a stable sort of the recorders' streams,
-// concatenated in recs order, filtered afterwards. EventBefore orders by T
+// concatenated in recs order, filtered afterwards. eventBefore orders by T
 // first, so that is one stable sort per timestamp, and a recorder's stream is
 // non-decreasing in T, so the reader gathers each timestamp's events from the
 // recorders in turn into scratch it keeps, sorts them and hands them on. (It
@@ -672,7 +672,7 @@ func (m *ringMerge) take(i int, t int64) {
 	}
 }
 
-// flush hands emit the gathered events in stable EventBefore order.
+// flush hands emit the gathered events in stable eventBefore order.
 func (m *ringMerge) flush() {
 	slices.SortStableFunc(m.group, compareEvents)
 	for i := range m.group {

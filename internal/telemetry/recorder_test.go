@@ -26,31 +26,31 @@ func fillRecorder(rec *Recorder, n int) {
 
 func TestRecorderExactlyAtDefaultCap(t *testing.T) {
 	r := New()
-	rec := r.EnableRecorder(0) // DefaultRecorderCap
-	fillRecorder(rec, DefaultRecorderCap)
-	if got := rec.Len(); got != DefaultRecorderCap {
-		t.Fatalf("Len = %d, want %d", got, DefaultRecorderCap)
+	rec := r.EnableRecorder(0) // defaultRecorderCap
+	fillRecorder(rec, defaultRecorderCap)
+	if got := rec.Len(); got != defaultRecorderCap {
+		t.Fatalf("Len = %d, want %d", got, defaultRecorderCap)
 	}
-	if got := rec.Total(); got != DefaultRecorderCap {
-		t.Fatalf("Total = %d, want %d", got, DefaultRecorderCap)
+	if got := rec.Total(); got != defaultRecorderCap {
+		t.Fatalf("Total = %d, want %d", got, defaultRecorderCap)
 	}
 	if got := rec.Dropped(); got != 0 {
 		t.Fatalf("Dropped = %d, want 0: the ring is exactly full, nothing evicted", got)
 	}
 	evs := rec.Events()
-	if len(evs) != DefaultRecorderCap {
-		t.Fatalf("Events len = %d, want %d", len(evs), DefaultRecorderCap)
+	if len(evs) != defaultRecorderCap {
+		t.Fatalf("Events len = %d, want %d", len(evs), defaultRecorderCap)
 	}
-	if evs[0].T != 0 || evs[len(evs)-1].T != DefaultRecorderCap-1 {
-		t.Fatalf("Events range [%d, %d], want [0, %d]", evs[0].T, evs[len(evs)-1].T, DefaultRecorderCap-1)
+	if evs[0].T != 0 || evs[len(evs)-1].T != defaultRecorderCap-1 {
+		t.Fatalf("Events range [%d, %d], want [0, %d]", evs[0].T, evs[len(evs)-1].T, defaultRecorderCap-1)
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != DefaultRecorderCap {
-		t.Fatalf("JSONL lines = %d, want %d", len(lines), DefaultRecorderCap)
+	if len(lines) != defaultRecorderCap {
+		t.Fatalf("JSONL lines = %d, want %d", len(lines), defaultRecorderCap)
 	}
 	if !strings.HasPrefix(lines[0], `{"t_ps":0,`) {
 		t.Fatalf("first line = %q, want t_ps 0", lines[0])
@@ -61,19 +61,19 @@ func TestRecorderPastDefaultCap(t *testing.T) {
 	const extra = 1000
 	r := New()
 	rec := r.EnableRecorder(0)
-	fillRecorder(rec, DefaultRecorderCap+extra)
-	if got := rec.Len(); got != DefaultRecorderCap {
-		t.Fatalf("Len = %d, want cap %d", got, DefaultRecorderCap)
+	fillRecorder(rec, defaultRecorderCap+extra)
+	if got := rec.Len(); got != defaultRecorderCap {
+		t.Fatalf("Len = %d, want cap %d", got, defaultRecorderCap)
 	}
-	if got := rec.Total(); got != DefaultRecorderCap+extra {
-		t.Fatalf("Total = %d, want %d", got, DefaultRecorderCap+extra)
+	if got := rec.Total(); got != defaultRecorderCap+extra {
+		t.Fatalf("Total = %d, want %d", got, defaultRecorderCap+extra)
 	}
 	if got := rec.Dropped(); got != extra {
 		t.Fatalf("Dropped = %d, want %d", got, extra)
 	}
 	evs := rec.Events()
-	if len(evs) != DefaultRecorderCap {
-		t.Fatalf("Events len = %d, want %d", len(evs), DefaultRecorderCap)
+	if len(evs) != defaultRecorderCap {
+		t.Fatalf("Events len = %d, want %d", len(evs), defaultRecorderCap)
 	}
 	// Oldest retained is the first not evicted; ordering must be strict.
 	if evs[0].T != extra {
@@ -89,14 +89,14 @@ func TestRecorderPastDefaultCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != DefaultRecorderCap {
-		t.Fatalf("JSONL lines = %d, want %d", len(lines), DefaultRecorderCap)
+	if len(lines) != defaultRecorderCap {
+		t.Fatalf("JSONL lines = %d, want %d", len(lines), defaultRecorderCap)
 	}
 	wantFirst := `{"t_ps":` + strconv.Itoa(extra) + `,`
 	if !strings.HasPrefix(lines[0], wantFirst) {
 		t.Fatalf("first JSONL line = %q, want prefix %q", lines[0], wantFirst)
 	}
-	wantLast := `{"t_ps":` + strconv.Itoa(DefaultRecorderCap+extra-1) + `,`
+	wantLast := `{"t_ps":` + strconv.Itoa(defaultRecorderCap+extra-1) + `,`
 	if !strings.HasPrefix(lines[len(lines)-1], wantLast) {
 		t.Fatalf("last JSONL line = %q, want prefix %q", lines[len(lines)-1], wantLast)
 	}
@@ -206,8 +206,8 @@ func TestEventsSince(t *testing.T) {
 // default-size ring — what the auditor does every sampling tick — must not
 // copy the ring.
 func TestEventsSinceAllocatesTheTailOnly(t *testing.T) {
-	rec := newRecorder(DefaultRecorderCap)
-	fillRecorder(rec, DefaultRecorderCap+100)
+	rec := newRecorder(defaultRecorderCap)
+	fillRecorder(rec, defaultRecorderCap+100)
 	cursor := rec.Total()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -241,7 +241,7 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	rec := newRecorder(DefaultRecorderCap)
+	rec := newRecorder(defaultRecorderCap)
 	if len(rec.chunks) != 0 {
 		t.Fatalf("a new recorder holds %d chunks", len(rec.chunks))
 	}
@@ -272,11 +272,11 @@ func TestRingAllocatesChunksOnDemand(t *testing.T) {
 			t.Errorf("%d more events (%d in all) allocated %d bytes, want the %d of %d new chunk(s)", k, rec.Total(), bytes, room, chunks-before)
 		}
 	}
-	fillRecorder(rec, DefaultRecorderCap)
+	fillRecorder(rec, defaultRecorderCap)
 	// AllocsPerRun, not one MemStats window: it counts with GOMAXPROCS 1 and
 	// averages over runs, so a runtime allocation that lands in the window
 	// does not read as the ring's.
-	if objects := testing.AllocsPerRun(10, func() { fillRecorder(rec, DefaultRecorderCap/2) }); objects != 0 {
+	if objects := testing.AllocsPerRun(10, func() { fillRecorder(rec, defaultRecorderCap/2) }); objects != 0 {
 		t.Errorf("recording into a full ring allocated %v objects per half-ring", objects)
 	}
 	// A ring of one event, one smaller than a chunk, one of exactly a chunk
@@ -393,7 +393,7 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 				evicted += max(seen[s], rec.Dropped()) - seen[s]
 				seen[s] = rec.Total()
 			}
-			sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+			sort.SliceStable(want, func(i, j int) bool { return eventBefore(want[i], want[j]) })
 			want = slices.DeleteFunc(want, func(ev Event) bool { return keep != nil && !keep(ev.Kind) })
 			got = got[:0]
 			if missed := read(); missed != evicted {
@@ -549,8 +549,8 @@ func TestRecorderBytesPerEvent(t *testing.T) {
 	if typ := reflect.TypeOf(Recorder{}.chunks).Elem().Elem(); typ.Kind() != reflect.Uint8 {
 		t.Errorf("a chunk is a []%v, want bytes: a chunk must hold no pointer", typ)
 	}
-	evs := fabricMix(DefaultRecorderCap)
-	rec := newRecorder(DefaultRecorderCap)
+	evs := fabricMix(defaultRecorderCap)
+	rec := newRecorder(defaultRecorderCap)
 	for _, ev := range evs {
 		rec.Record(ev)
 	}
@@ -647,7 +647,7 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 			}
 			want = append(want, got...)
 		}
-		sort.SliceStable(want, func(i, j int) bool { return EventBefore(want[i], want[j]) })
+		sort.SliceStable(want, func(i, j int) bool { return eventBefore(want[i], want[j]) })
 		var merged []Event
 		Merge(recs, nil, func(ev Event) { merged = append(merged, ev) })()
 		if len(merged) != len(want) {

@@ -71,7 +71,7 @@ func TestSubscribePerShardRings(t *testing.T) {
 		t.Fatalf("merged trace holds %d events, want the 3 × 4 the shard rings retain", len(merged))
 	}
 	for i := 1; i < len(merged); i++ {
-		if EventBefore(merged[i], merged[i-1]) {
+		if eventBefore(merged[i], merged[i-1]) {
 			t.Fatalf("merged trace not canonically sorted at %d", i)
 		}
 	}

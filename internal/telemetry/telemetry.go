@@ -105,9 +105,9 @@ type Series struct {
 	wrapped bool
 }
 
-// DefaultSeriesCap bounds a time series when no explicit capacity is given
+// defaultSeriesCap bounds a time series when no explicit capacity is given
 // (64k points ≈ 1 MB — deep enough for every experiment's sampling loop).
-const DefaultSeriesCap = 1 << 16
+const defaultSeriesCap = 1 << 16
 
 // Add appends a sample.
 func (s *Series) Add(tPS int64, v float64) {
@@ -243,14 +243,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Series returns (creating on first use) the ring-buffer time series with
 // the given dotted name. capHint bounds the ring on creation; <=0 uses
-// DefaultSeriesCap. Returns nil on a nil registry.
+// defaultSeriesCap. Returns nil on a nil registry.
 func (r *Registry) Series(name string, capHint int) *Series {
 	if r == nil {
 		return nil
 	}
 	checkName(name)
 	if capHint <= 0 {
-		capHint = DefaultSeriesCap
+		capHint = defaultSeriesCap
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -263,7 +263,7 @@ func (r *Registry) Series(name string, capHint int) *Series {
 }
 
 // EnableRecorder attaches a flight recorder with the given event capacity
-// (<=0 uses DefaultRecorderCap) and returns it. Idempotent: a second call
+// (<=0 uses defaultRecorderCap) and returns it. Idempotent: a second call
 // returns the existing recorder unchanged.
 func (r *Registry) EnableRecorder(capEvents int) *Recorder {
 	if r == nil {
@@ -273,7 +273,7 @@ func (r *Registry) EnableRecorder(capEvents int) *Recorder {
 	defer r.mu.Unlock()
 	if r.rec == nil {
 		if capEvents <= 0 {
-			capEvents = DefaultRecorderCap
+			capEvents = defaultRecorderCap
 		}
 		r.rec = newRecorder(capEvents)
 	}
@@ -295,7 +295,7 @@ func (r *Registry) Recorder() *Recorder {
 // EnableShardRecorders attaches n per-shard recorders (in addition to the
 // base recorder, which a sharded run reserves for coordinator-context
 // events such as chaos injections). Each has a ring of its own of
-// capEvents events (<= 0: DefaultRecorderCap), so a run retains up to
+// capEvents events (<= 0: defaultRecorderCap), so a run retains up to
 // 1 + n rings' worth: vfabric.Build asks for one per logical shard, which
 // is nine rings on a k=8 fat tree. Idempotent for the same n; growing or
 // shrinking an existing set panics, since agents already hold pointers.
@@ -304,7 +304,7 @@ func (r *Registry) EnableShardRecorders(n, capEvents int) []*Recorder {
 		return nil
 	}
 	if capEvents <= 0 {
-		capEvents = DefaultRecorderCap
+		capEvents = defaultRecorderCap
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

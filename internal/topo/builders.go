@@ -26,17 +26,15 @@ type TestbedConfig struct {
 	// LinkCapacity is the uniform line rate in bits/s (default 10 Gbps,
 	// the SoC prototype; Fig 15 uses 100 Gbps).
 	LinkCapacity float64
-	// PropDelay is the per-hop one-way propagation delay. The default
-	// (2 μs) gives the paper's maximum baseRTT of ~24 μs across pods.
-	PropDelay sim.Duration
 }
+
+// testbedPropDelay is the testbed's per-hop one-way propagation delay: it
+// gives the paper's maximum baseRTT of ~24 μs across pods.
+const testbedPropDelay = 2 * sim.Microsecond
 
 func (c *TestbedConfig) setDefaults() {
 	if c.LinkCapacity == 0 {
 		c.LinkCapacity = Gbps(10)
-	}
-	if c.PropDelay == 0 {
-		c.PropDelay = 2 * sim.Microsecond
 	}
 }
 
@@ -56,20 +54,20 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 			aggs = append(aggs, a)
 			tb.Aggs = append(tb.Aggs, a)
 			for _, c := range tb.Cores {
-				g.AddDuplexLink(a, c, cfg.LinkCapacity, cfg.PropDelay)
+				g.AddDuplexLink(a, c, cfg.LinkCapacity, testbedPropDelay)
 			}
 		}
 		for i := 0; i < 2; i++ {
 			t := g.AddNode(Switch, TierToR, fmt.Sprintf("Pod%d-ToR%d", pod+1, i+1))
 			tb.ToRs = append(tb.ToRs, t)
 			for _, a := range aggs {
-				g.AddDuplexLink(t, a, cfg.LinkCapacity, cfg.PropDelay)
+				g.AddDuplexLink(t, a, cfg.LinkCapacity, testbedPropDelay)
 			}
 			for j := 0; j < 2; j++ {
 				server++
 				s := g.AddNode(Host, TierHost, fmt.Sprintf("S%d", server))
 				tb.Servers = append(tb.Servers, s)
-				g.AddDuplexLink(s, t, cfg.LinkCapacity, cfg.PropDelay)
+				g.AddDuplexLink(s, t, cfg.LinkCapacity, testbedPropDelay)
 			}
 		}
 	}
@@ -242,7 +240,7 @@ func FatTree(k int, capacity float64, prop sim.Duration) *Clos {
 }
 
 // Chain builds a linear topology: host — n switches — host. It exists for
-// protocol tests that need paths longer than the probe format's MaxHops.
+// protocol tests that need paths longer than the probe format's 15 hop records.
 type Chain struct {
 	Graph    *Graph
 	Src, Dst NodeID

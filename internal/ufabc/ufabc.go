@@ -229,7 +229,7 @@ func (a *Agent) OnForward(pkt *dataplane.Packet, out *dataplane.Port, now sim.Ti
 		LinkID:      int32(out.Link.ID),
 	})
 	if err != nil {
-		return // path longer than MaxHops: leave remaining hops unstamped
+		return // path longer than the probe format's 15 hop records: leave the rest unstamped
 	}
 	pkt.Payload = buf
 	pkt.Size = probe.WireSize(nHops + 1)

@@ -49,22 +49,22 @@ type Config struct {
 	// FreezeMaxRTTs is N: after a migration, migrations freeze for a
 	// uniform-random [1,N] RTTs (default 10, Fig 18a/b).
 	FreezeMaxRTTs int
-	// BetterPathHold is how long a persistently better path must be
+	// betterPathHold is how long a persistently better path must be
 	// observed before a work-conservation migration (default 30 s).
-	BetterPathHold sim.Duration
+	betterPathHold sim.Duration
 	// CandidateProbeInterval is how often idle candidate paths are
 	// re-probed for the better-path trigger (default 1 s; negative
 	// disables).
 	CandidateProbeInterval sim.Duration
-	// ReorderFree delays data one baseRTT after each migration so the
+	// reorderFree delays data one baseRTT after each migration so the
 	// old path drains (§3.5 "avoiding reordering").
-	ReorderFree bool
+	reorderFree bool
 	// TokenPeriod is the Guarantee Partitioning update period (default
 	// 32 μs per §5.1; negative disables GP so pairs keep static tokens).
 	TokenPeriod sim.Duration
-	// ProbeTimeoutRTTs detects probe loss after n·baseRTT (default 8,
+	// probeTimeoutRTTs detects probe loss after n·baseRTT (default 8,
 	// §4.1: latency is bounded by 4 baseRTTs, so 8 is safe).
-	ProbeTimeoutRTTs int
+	probeTimeoutRTTs int
 	// Seed drives all randomized choices (initial path, freeze window).
 	Seed int64
 }
@@ -76,8 +76,8 @@ func (c *Config) setDefaults() {
 	if c.FreezeMaxRTTs == 0 {
 		c.FreezeMaxRTTs = 10
 	}
-	if c.BetterPathHold == 0 {
-		c.BetterPathHold = 30 * sim.Second
+	if c.betterPathHold == 0 {
+		c.betterPathHold = 30 * sim.Second
 	}
 	if c.CandidateProbeInterval == 0 {
 		c.CandidateProbeInterval = sim.Second
@@ -85,8 +85,8 @@ func (c *Config) setDefaults() {
 	if c.TokenPeriod == 0 {
 		c.TokenPeriod = 32 * sim.Microsecond
 	}
-	if c.ProbeTimeoutRTTs == 0 {
-		c.ProbeTimeoutRTTs = 8
+	if c.probeTimeoutRTTs == 0 {
+		c.probeTimeoutRTTs = 8
 	}
 }
 
@@ -540,7 +540,7 @@ func (a *Agent) sendProbe(p *Pair, pathIdx int, kind probe.Kind) {
 	}
 	// Probe-loss detection (§4.1): timeout at n·baseRTT, stretched by
 	// the smoothed measured RTT when standing queues dominate.
-	timeout := sim.Duration(a.cfg.ProbeTimeoutRTTs) * ps.baseRTT
+	timeout := sim.Duration(a.cfg.probeTimeoutRTTs) * ps.baseRTT
 	if adaptive := 4 * ps.srtt; adaptive > timeout {
 		timeout = adaptive
 	}
@@ -639,7 +639,7 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 		p.RTT.Add((now - pkt.AckedSentAt).Micros())
 	}
 	p.advanceRamp(now)
-	if obs, ok := p.Demand.(DeliveryObserver); ok {
+	if obs, ok := p.Demand.(deliveryObserver); ok {
 		obs.Delivered(acked, now)
 	}
 	// Idle detection: demand drained and nothing in flight.
@@ -832,7 +832,7 @@ func (a *Agent) beginMigration(p *Pair) {
 // scanForBetterPath drives §3.5 trigger (ii): every
 // CandidateProbeInterval an active pair re-probes its candidates; a
 // qualified path persistently offering a substantially larger share for
-// BetterPathHold wins a (non-urgent) migration.
+// betterPathHold wins a (non-urgent) migration.
 func (a *Agent) scanForBetterPath(p *Pair) {
 	if a.pairs[p.ID] != p || p.idle || p.migrating || len(p.paths) < 2 {
 		return
@@ -857,7 +857,7 @@ func (a *Agent) finishEvaluation(p *Pair, mode evalMode) {
 	freshAge := 4 * p.maxBaseRTT()
 	var best int
 	if mode == evalWorkConservation {
-		p.betterSince, best = betterPath(p.paths, p.active, now, freshAge, a.cfg.BetterPathHold, p.betterSince)
+		p.betterSince, best = betterPath(p.paths, p.active, now, freshAge, a.cfg.betterPathHold, p.betterSince)
 	} else {
 		best = selectPath(p.paths, now, freshAge, true, a.rng)
 		if best == -1 && mode == evalViolation {
@@ -893,7 +893,7 @@ func (a *Agent) migrate(p *Pair, to int, urgent bool) {
 	// acked normally; whatever remains after a drain timeout (e.g. the
 	// old path failed) is declared lost and requeued.
 	oldPS := p.paths[old]
-	a.eng.After(sim.Duration(a.cfg.ProbeTimeoutRTTs)*oldPS.baseRTT, func() {
+	a.eng.After(sim.Duration(a.cfg.probeTimeoutRTTs)*oldPS.baseRTT, func() {
 		a.reclaimOrphans(p, oldPS)
 	})
 	p.active = to
@@ -911,7 +911,7 @@ func (a *Agent) migrate(p *Pair, to int, urgent bool) {
 	}
 	p.viol = violation{at: now, delivered: p.Delivered}
 	p.enterRamp(now, false) // Scenario-1 on the fresh path
-	if a.cfg.ReorderFree {
+	if a.cfg.reorderFree {
 		p.dataStartAt = now + p.paths[to].baseRTT
 	}
 	// Register on the new path immediately.
@@ -995,14 +995,14 @@ func (a *Agent) tokenUpdate() {
 }
 
 // armRTO schedules a retransmission-timeout check: if no send or ack
-// progress happens for ProbeTimeoutRTTs·baseRTT while bytes are in flight,
+// progress happens for probeTimeoutRTTs·baseRTT while bytes are in flight,
 // the inflight bytes are assumed dropped and are requeued.
 func (a *Agent) armRTO(p *Pair) {
 	if p.rtoArmed {
 		return
 	}
 	p.rtoArmed = true
-	rto := sim.Duration(2*a.cfg.ProbeTimeoutRTTs) * p.paths[p.active].baseRTT
+	rto := sim.Duration(2*a.cfg.probeTimeoutRTTs) * p.paths[p.active].baseRTT
 	a.arm(rto, rtoCheck, p, 0, 0, int64(rto))
 }
 
@@ -1028,7 +1028,7 @@ func (a *Agent) recoverInflight(p *Pair) {
 	if p.inflight == 0 {
 		return
 	}
-	if rq, ok := p.Demand.(Requeuer); ok {
+	if rq, ok := p.Demand.(requeuer); ok {
 		rq.Requeue(p.inflight)
 	}
 	p.inflight = 0
@@ -1050,7 +1050,7 @@ func (a *Agent) reclaimOrphans(p *Pair, ps *pathState) {
 		p.inflight = 0
 	}
 	p.Losses++
-	if rq, ok := p.Demand.(Requeuer); ok {
+	if rq, ok := p.Demand.(requeuer); ok {
 		rq.Requeue(lost)
 	}
 	a.scheduleSend()

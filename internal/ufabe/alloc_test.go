@@ -20,7 +20,7 @@ import (
 // packet's trip.
 func sendRig(t *testing.T, idleVFs int) (*rig, *Pair) {
 	t.Helper()
-	r := newRig(t, Config{TokenPeriod: -1, CandidateProbeInterval: -1, ProbeTimeoutRTTs: 1 << 20})
+	r := newRig(t, Config{TokenPeriod: -1, CandidateProbeInterval: -1, probeTimeoutRTTs: 1 << 20})
 	r.net.SetHandler(r.st.Hosts[1], dataplane.HandlerFunc(func(*dataplane.Packet) {}))
 	for i := 0; i < idleVFs; i++ {
 		r.ten.Add(int32(1000+i), 1, 2)

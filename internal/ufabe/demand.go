@@ -9,8 +9,8 @@ type (
 	Demand = flowsrc.Source
 	// Buffer is the basic demand buffer.
 	Buffer = flowsrc.Buffer
-	// DeliveryObserver observes end-to-end acknowledged bytes.
-	DeliveryObserver = flowsrc.DeliveryObserver
-	// Requeuer takes lost bytes back for retransmission.
-	Requeuer = flowsrc.Requeuer
+	// deliveryObserver observes end-to-end acknowledged bytes.
+	deliveryObserver = flowsrc.DeliveryObserver
+	// requeuer takes lost bytes back for retransmission.
+	requeuer = flowsrc.Requeuer
 )

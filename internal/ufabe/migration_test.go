@@ -117,11 +117,11 @@ func TestProbeTimeoutDetectsDeadPath(t *testing.T) {
 
 func TestWorkConservationMigration(t *testing.T) {
 	// Trigger (ii): a pair parked on a path shared with a heavy
-	// competitor should, after BetterPathHold, move to the idle path
+	// competitor should, after betterPathHold, move to the idle path
 	// even though its guarantee is technically satisfied.
 	cfg := Config{
 		Seed:                   5,
-		BetterPathHold:         2 * sim.Millisecond,
+		betterPathHold:         2 * sim.Millisecond,
 		CandidateProbeInterval: 500 * sim.Microsecond,
 	}
 	r := newTwoPathRig(t, cfg, dataplane.Config{})
@@ -170,7 +170,7 @@ func TestAgentAccessors(t *testing.T) {
 	if a.Host() != r.tt.HostsLeft[0] {
 		t.Error("Host() wrong")
 	}
-	if c := a.Config(); c.ProbeTimeoutRTTs != 8 || c.Seed != 6 {
+	if c := a.Config(); c.probeTimeoutRTTs != 8 || c.Seed != 6 {
 		t.Errorf("Config() = %+v, want the defaults filled around Seed 6", c)
 	}
 	a.Stop() // idempotent-ish: just must not panic

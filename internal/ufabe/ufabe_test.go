@@ -58,7 +58,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	var c Config
 	c.setDefaults()
-	if c.ProbePayloadBytes != 4096 || c.FreezeMaxRTTs != 10 || c.ProbeTimeoutRTTs != 8 {
+	if c.ProbePayloadBytes != 4096 || c.FreezeMaxRTTs != 10 || c.probeTimeoutRTTs != 8 {
 		t.Errorf("probe/migration defaults wrong: %+v", c)
 	}
 	if c.TokenPeriod != 32*sim.Microsecond {
@@ -447,9 +447,9 @@ func TestWFQClassClamping(t *testing.T) {
 }
 
 func TestReorderFreeDelaysData(t *testing.T) {
-	// With ReorderFree, dataStartAt is pushed one baseRTT after a
+	// With reorderFree, dataStartAt is pushed one baseRTT after a
 	// migration; verify via the eligibility gate.
-	r := newRig(t, Config{ReorderFree: true})
+	r := newRig(t, Config{reorderFree: true})
 	p, buf := r.addPair(10)
 	buf.Add(1 << 20)
 	p.dataStartAt = r.eng.Now() + 100*sim.Microsecond
