@@ -361,11 +361,24 @@ func TestRandSourceCensus(t *testing.T) {
 	}
 }
 
-// exportAllow names the exported package-level names under internal/ that
-// stay exported with no caller outside their package, each with its reason.
-// An entry whose name gains an outside caller, or is gone, fails the census:
-// the list holds only what it must.
+// exportAllow names the exported package-level names ("dir.Name") and
+// methods ("dir.Type.Method") under internal/ that stay exported with no
+// caller outside their package, each with its reason. An entry whose name
+// gains an outside caller, or is gone, fails the census: the list holds only
+// what it must.
 var exportAllow = map[string]string{}
+
+// stdlibMethods are the method names the standard library calls through its
+// own interfaces (fmt.Stringer, error, encoding's and json's marshalers,
+// http.Handler, sort.Interface, io's readers, writers and closers): a
+// method of one of these names is used even when no code of the module
+// selects it.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true,
+	"MarshalText": true, "UnmarshalText": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true,
+	"Read": true, "Write": true, "Close": true,
+}
 
 // TestExportCensus holds "every exported name earns an outside caller": a
 // package-level exported func, type, var or const declared in a non-test
@@ -378,9 +391,19 @@ var exportAllow = map[string]string{}
 // Every other exported name fails, named: unexport it, delete it, or give it
 // an entry in exportAllow with its reason.
 //
-// The census reads syntax, not types: a use is a selector `p.Name` whose `p`
-// is an import of internal/P in that file. A local variable that shadows an
-// import can only make a name look used, never unused.
+// An exported method of an exported type declared in a non-test file of
+// internal/P is held to the same rule by name: it is used when a file
+// outside P, or P's external _test package, has a selector `x.Method` of
+// its name, or when any interface type of the module, or one of the
+// standard library's in stdlibMethods, declares a method of its name.
+//
+// The census reads syntax, not types: a use of a package-level name is a
+// selector `p.Name` whose `p` is an import of internal/P in that file. A
+// local variable that shadows an import can only make a name look used,
+// never unused. A method's receiver is not resolved, so any selector of its
+// name counts — another type's method or field of that name included — and
+// the census can miss an unused method that shares its name with a used one,
+// but cannot blame a method that is used.
 func TestExportCensus(t *testing.T) {
 	fset, files := parseTree(t)
 
@@ -392,6 +415,11 @@ func TestExportCensus(t *testing.T) {
 	}
 	decls := map[string]*decl{}
 	methods := map[string][]ast.Expr{} // "dir.Type" → its exported methods' signatures
+	type method struct {
+		pos       token.Pos
+		dir, name string
+	}
+	methodDecls := map[string]method{} // "dir.Type.Method" of an exported type
 	for _, f := range files {
 		if f.test || !strings.HasPrefix(f.dir, "internal/") {
 			continue
@@ -412,6 +440,9 @@ func TestExportCensus(t *testing.T) {
 				}
 				if id, ok := recv.(*ast.Ident); ok {
 					methods[f.dir+"."+id.Name] = append(methods[f.dir+"."+id.Name], d.Type)
+					if id.IsExported() {
+						methodDecls[f.dir+"."+id.Name+"."+d.Name.Name] = method{d.Name.Pos(), f.dir, d.Name.Name}
+					}
 				}
 			case *ast.GenDecl:
 				var carried ast.Expr // a const group's implicit type
@@ -440,8 +471,12 @@ func TestExportCensus(t *testing.T) {
 		}
 	}
 
-	// The names something outside their package names.
+	// The names something outside their package names; for a method name,
+	// the dirs whose files select it (an external _test package's as
+	// "dir_test") and whether an interface declares it.
 	used := map[string]bool{}
+	selectedFrom := map[string]map[string]bool{}
+	declaredByInterface := map[string]bool{}
 	var work []string
 	use := func(key string) {
 		if _, ok := decls[key]; ok && !used[key] {
@@ -463,11 +498,26 @@ func TestExportCensus(t *testing.T) {
 			pkgs[name] = strings.TrimPrefix(p, "ufab/")
 		}
 		external := strings.HasSuffix(f.ast.Name.Name, "_test")
+		from := f.dir
+		if external {
+			from += "_test"
+		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if pkg, ok := sel.X.(*ast.Ident); ok {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if selectedFrom[n.Sel.Name] == nil {
+					selectedFrom[n.Sel.Name] = map[string]bool{}
+				}
+				selectedFrom[n.Sel.Name][from] = true
+				if pkg, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := pkgs[pkg.Name]; ok && (dir != f.dir || external) {
-						use(dir + "." + sel.Sel.Name)
+						use(dir + "." + n.Sel.Name)
+					}
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						declaredByInterface[name.Name] = true
 					}
 				}
 			}
@@ -533,14 +583,112 @@ func TestExportCensus(t *testing.T) {
 		t.Errorf("%s: %s: nothing outside its package names it — unexport it, delete it or allowlist it",
 			fset.Position(decls[key].pos), key)
 	}
+	var methodKeys []string
+	for key := range methodDecls {
+		methodKeys = append(methodKeys, key)
+	}
+	sort.Strings(methodKeys)
+	methodUsed := map[string]bool{}
+	unusedMethods := 0
+	for _, key := range methodKeys {
+		m := methodDecls[key]
+		ok := declaredByInterface[m.name] || stdlibMethods[m.name]
+		for from := range selectedFrom[m.name] {
+			ok = ok || from != m.dir
+		}
+		if ok {
+			methodUsed[key] = true
+			continue
+		}
+		if _, allowed := exportAllow[key]; allowed {
+			continue
+		}
+		unusedMethods++
+		t.Errorf("%s: %s: nothing outside its package selects it and no interface declares it — unexport it, delete it or allowlist it",
+			fset.Position(methodDecls[key].pos), key)
+	}
 	for key, reason := range exportAllow {
-		switch _, declared := decls[key]; {
-		case !declared:
+		_, declared := decls[key]
+		_, method := methodDecls[key]
+		switch {
+		case !declared && !method:
 			t.Errorf("exportAllow: %s is gone (%s)", key, reason)
-		case used[key]:
+		case used[key] || methodUsed[key]:
 			t.Errorf("exportAllow: %s has an outside caller now (%s)", key, reason)
 		}
 	}
-	t.Logf("%d exported package-level names under internal/, %d named from outside, %d allowlisted, %d unused",
-		len(decls), len(used), len(exportAllow), unused)
+	t.Logf("%d exported package-level names under internal/, %d named from outside, %d unused; %d exported methods of exported types, %d used, %d unused; %d allowlisted",
+		len(decls), len(used), unused, len(methodDecls), len(methodUsed), unusedMethods, len(exportAllow))
+}
+
+// packageAllow names the packages under internal/ that keep a package of
+// their own with a single importer, each with its reason, which begins with
+// one of the rule's two: "a mechanism of the paper" or "a seam more than
+// one package needs". An entry whose package gains a second importer, or is
+// gone, fails the census.
+var packageAllow = map[string]string{
+	"internal/apps":          "a mechanism of the paper: the application workloads of §5.3 (the key-value and bulk-fetch tenants of Fig 13, the block-storage task mix of Fig 14), written against apps.Net so they run over any fabric",
+	"internal/baseline/host": "a mechanism of the paper: the two alternatives of §5.1, PicNIC′+WCC+Clove and ES+Clove, a deployment of their own beside vfabric",
+	"internal/resmodel":      "a mechanism of the paper: the analytic hardware-cost model behind Tables 3 and 4",
+}
+
+// TestPackageCensus holds "a package earns its line": a package under
+// internal/ that exactly one other package imports from non-test code
+// (bench/ and cmd/ count; tests do not) is part of its importer and belongs
+// in it, as unexported types, unless packageAllow gives a reason. A package
+// no other package imports fails too. It reads the import lines of the
+// files parseTree parses.
+func TestPackageCensus(t *testing.T) {
+	_, files := parseTree(t)
+	importers := map[string]map[string]bool{} // dir under internal/ → the dirs importing it
+	for _, f := range files {
+		if strings.HasPrefix(f.dir, "internal/") && importers[f.dir] == nil {
+			importers[f.dir] = map[string]bool{}
+		}
+	}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		for _, im := range f.ast.Imports {
+			dir := strings.TrimPrefix(strings.Trim(im.Path.Value, `"`), "ufab/")
+			if imps := importers[dir]; imps != nil && dir != f.dir {
+				imps[f.dir] = true
+			}
+		}
+	}
+	var dirs []string
+	for dir := range importers {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		var from []string
+		for imp := range importers[dir] {
+			from = append(from, imp)
+		}
+		sort.Strings(from)
+		reason, allowed := packageAllow[dir]
+		switch {
+		case len(from) > 1:
+			if allowed {
+				t.Errorf("packageAllow: %s has %d importers now (%s)", dir, len(from), reason)
+			}
+		case allowed:
+			t.Logf("%s: imported by %v only, kept: %s", dir, from, reason)
+		case len(from) == 0:
+			t.Errorf("%s: no other package imports it — delete it or allowlist it", dir)
+		default:
+			t.Errorf("%s: only %s imports it — fold it into its importer as unexported types or allowlist it", dir, from[0])
+		}
+	}
+	for dir, reason := range packageAllow {
+		if importers[dir] == nil {
+			t.Errorf("packageAllow: %s is gone (%s)", dir, reason)
+		}
+		if !strings.HasPrefix(reason, "a mechanism of the paper") && !strings.HasPrefix(reason, "a seam more than one package needs") {
+			t.Errorf("packageAllow: %s: a reason begins \"a mechanism of the paper\" or \"a seam more than one package needs\", not %q", dir, reason)
+		}
+	}
+	t.Logf("%d packages under internal/, %d allowlisted with one importer", len(dirs), len(packageAllow))
 }

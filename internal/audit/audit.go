@@ -139,7 +139,7 @@ type LinkSample struct {
 type PairSample struct {
 	VM int64
 	VF int32
-	// PhiBps is the pair's current guarantee (EffectivePhi·BU).
+	// PhiBps is the pair's current guarantee (ufabe.Pair.effectivePhi·BU).
 	PhiBps float64
 	// Backlogged reports unmet demand beyond the bytes in flight.
 	Backlogged bool

@@ -5,12 +5,14 @@
 // balancing fed by explicit path-utilization probes; PWC adds sender WFQ,
 // receiver-driven admission grants and the Swift-based weighted window;
 // ES+Clove paces each VM-pair at the ElasticSwitch RA rate (never below
-// its guarantee) with ECN feedback.
+// its guarantee) with ECN feedback. Each scheme's own state machine is an
+// unexported type in a file of its name: clove (clove.go), esRA
+// (elasticswitch.go), picnicAllocate (picnic.go) and wccFlow (wcc.go).
 //
 // Config selects the scheme, the seed and Clove's flowlet gap — what the
 // evaluation varies. Packet sizes, the bandwidth unit, the probing and
-// admission periods and the transports' AIMD constants (packages wcc and
-// elasticswitch) are constants: one value was ever in use. Fabric measures
+// admission periods and the transports' AIMD constants (wcc.go and
+// elasticswitch.go) are constants: one value was ever in use. Fabric measures
 // flows with the routines vfabric.Fabric uses (stats.RateMeter.AddTotal,
 // topo.Graph.SamplePaths, dataplane.Network.SwitchQueueHighWaters).
 package host
@@ -20,10 +22,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"ufab/internal/baseline/clove"
-	"ufab/internal/baseline/elasticswitch"
-	"ufab/internal/baseline/picnic"
-	"ufab/internal/baseline/wcc"
 	"ufab/internal/dataplane"
 	"ufab/internal/flowsrc"
 	"ufab/internal/probe"
@@ -106,16 +104,16 @@ type Flow struct {
 	// back[i] is routes[i] reversed: what acks and probe responses of path i
 	// return on (dataplane.Packet.Return).
 	back []topo.Path
-	lb   *clove.State
+	lb   *clove
 
 	demand flowsrc.Source
 
 	// PWC state.
-	wf    *wcc.Flow
+	wf    *wccFlow
 	grant float64 // receiver-driven rate cap, bits/s; 0 = uncapped
 
 	// ES state.
-	ra *elasticswitch.RA
+	ra *esRA
 
 	inflight int64
 	paceNext sim.Time
@@ -178,7 +176,7 @@ type Agent struct {
 	// receiving pairs in VMPair order, their demands and their grants.
 	adm struct {
 		ids     []dataplane.VMPair
-		demands []picnic.Demand
+		demands []picnicDemand
 		grants  []float64
 	}
 
@@ -229,10 +227,7 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 		agent:  a,
 		routes: fc.Routes,
 		demand: fc.Demand,
-		lb: clove.New(len(fc.Routes), clove.Config{
-			FlowletGap: a.cfg.CloveGap,
-			Seed:       a.cfg.Seed + int64(fc.ID),
-		}),
+		lb:     newClove(len(fc.Routes), a.cfg.CloveGap, a.cfg.Seed+int64(fc.ID)),
 	}
 	for _, r := range fc.Routes {
 		fl.baseRTT = append(fl.baseRTT, a.graph.BaseRTT(r, mtu))
@@ -246,10 +241,10 @@ func (a *Agent) AddFlow(fc FlowConfig) *Flow {
 		// Case-1 (Fig 4) attributes to guarantee-agnostic transports. The
 		// delay target is 1.5× the first path's baseRTT.
 		bdp := a.graph.MinCapacity(fc.Routes[0]) * fl.baseRTT[0].Seconds() / 8
-		fl.wf = wcc.NewFlow(fl.baseRTT[0]*3/2, fc.Weight, bdp)
+		fl.wf = newWCCFlow(fl.baseRTT[0]*3/2, fc.Weight, bdp)
 	case ESClove:
 		// The rate is capped at the uplink capacity.
-		fl.ra = elasticswitch.New(a.uplinkCap, fl.Guarantee())
+		fl.ra = newESRA(a.uplinkCap, fl.Guarantee())
 	}
 	a.flows[fc.ID] = fl
 	a.order = append(a.order, fl)
@@ -332,7 +327,7 @@ func (fl *Flow) eligible(now sim.Time) bool {
 	}
 	switch fl.agent.cfg.Scheme {
 	case PWC:
-		if fl.inflight >= int64(fl.wf.Cwnd) {
+		if fl.inflight >= int64(fl.wf.cwnd) {
 			return false
 		}
 		return now >= fl.paceNext // receiver grant pacing
@@ -384,7 +379,7 @@ func (a *Agent) trySend() {
 		size = pend
 	}
 	if a.cfg.Scheme == PWC {
-		if room := int64(fl.wf.Cwnd) - fl.inflight; room < size {
+		if room := int64(fl.wf.cwnd) - fl.inflight; room < size {
 			size = room
 		}
 	}
@@ -397,7 +392,7 @@ func (a *Agent) trySend() {
 	fl.seq++
 	fl.lastProgress = now
 	a.armRTO(fl)
-	path := fl.lb.Pick(now)
+	path := fl.lb.pick(now)
 	pkt := a.net.NewPacket(a.host)
 	pkt.Kind, pkt.VMPair, pkt.Tenant = dataplane.Data, fl.ID, fl.VF
 	pkt.Size, pkt.Seq, pkt.SentAt = int(size), fl.seq, now
@@ -419,7 +414,7 @@ func (a *Agent) trySend() {
 			}
 		}
 	case ESClove:
-		gap := sim.Duration(float64(size*8) / fl.ra.Rate * float64(sim.Second))
+		gap := sim.Duration(float64(size*8) / fl.ra.rate * float64(sim.Second))
 		if fl.paceNext < now {
 			fl.paceNext = now + gap
 		} else {
@@ -490,10 +485,10 @@ func (a *Agent) handleAck(pkt *dataplane.Packet) {
 	}
 	switch a.cfg.Scheme {
 	case PWC:
-		fl.wf.OnAck(now, rtt, bytes)
+		fl.wf.onAck(now, rtt, bytes)
 		fl.grant = pkt.Rate
 	case ESClove:
-		fl.ra.OnAck(now, rtt, bytes, pkt.ECNEcho)
+		fl.ra.onAck(now, rtt, bytes, pkt.ECNEcho)
 	}
 	if obs, ok := fl.demand.(flowsrc.DeliveryObserver); ok {
 		obs.Delivered(int64(bytes), now)
@@ -541,12 +536,12 @@ func (a *Agent) handleUtilResponse(pkt *dataplane.Packet) {
 			util = u
 		}
 	}
-	fl.lb.SetUtil(int(resp.PathID), util)
+	fl.lb.setUtil(int(resp.PathID), util)
 }
 
 // admissionUpdate runs every admissionWindow at PWC receivers: measure
 // per-pair demand, grant weighted max-min rates when oversubscribed. The
-// demands go to picnic.Allocate in VMPair order, not map order: the
+// demands go to picnicAllocate in VMPair order, not map order: the
 // water-fill sums them in input order, and a float sum's last place depends
 // on it. The slices are the agent's, so a tick allocates nothing.
 func (a *Agent) admissionUpdate() {
@@ -561,10 +556,10 @@ func (a *Agent) admissionUpdate() {
 	demands := a.adm.demands[:0]
 	for _, id := range ids {
 		rs := a.recv[id]
-		demands = append(demands, picnic.Demand{Weight: rs.weight, Bytes: rs.bytes})
+		demands = append(demands, picnicDemand{weight: rs.weight, bytes: rs.bytes})
 		rs.bytes = 0
 	}
-	grants := picnic.Allocate(a.adm.grants, targetUtilization*a.uplinkCap, admissionWindow, demands)
+	grants := picnicAllocate(a.adm.grants, targetUtilization*a.uplinkCap, admissionWindow, demands)
 	for i, id := range ids {
 		grant := 0.0
 		if grants != nil {
@@ -606,13 +601,13 @@ func (a *Agent) checkRTO(fl *Flow) {
 	fl.inflight = 0
 	switch a.cfg.Scheme {
 	case PWC:
-		fl.wf.OnLoss()
+		fl.wf.onLoss()
 	case ESClove:
-		fl.ra.OnLoss(now)
+		fl.ra.onLoss(now)
 	}
 	a.scheduleSend()
 }
 
 // Repicks returns how many flowlet-boundary path changes Clove made for
 // this flow (the oscillation diagnostic of Fig 5c).
-func (fl *Flow) Repicks() int { return fl.lb.Repicks }
+func (fl *Flow) Repicks() int { return fl.lb.repicks }

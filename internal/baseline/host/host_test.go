@@ -23,6 +23,19 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+// TestAddFlowPanicsWithoutRoutes pins the one zero-paths guard: Clove's
+// flowlet state indexes its candidate paths and relies on it.
+func TestAddFlowPanicsWithoutRoutes(t *testing.T) {
+	_, f, st := starBaseline(2, PWC, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddFlow without routes did not panic")
+		}
+	}()
+	var noRoutes FlowConfig
+	f.Agents[st.Hosts[0]].AddFlow(noRoutes)
+}
+
 func TestPWCSingleFlowThroughput(t *testing.T) {
 	eng, f, st := starBaseline(2, PWC, 1)
 	fh := f.AddFlow(1, 10, st.Hosts[0], st.Hosts[1], 0)
@@ -157,7 +170,7 @@ func TestCloveSpreadsFlowlets(t *testing.T) {
 	}
 	eng.At(0, tick)
 	eng.RunUntil(6 * sim.Millisecond)
-	if fh.Flow.lb.Repicks == 0 {
+	if fh.Flow.lb.repicks == 0 {
 		t.Error("Clove never repicked a path across flowlet gaps")
 	}
 }

@@ -1,4 +1,4 @@
-package picnic
+package host
 
 import (
 	"math"
@@ -15,9 +15,9 @@ const win = 100 * sim.Microsecond
 func bytesFor(bps float64) int64 { return int64(bps * win.Seconds() / 8) }
 
 func TestNoAdmissionUnderCapacity(t *testing.T) {
-	grants := Allocate(nil, 10e9, win, []Demand{
-		{Weight: 1, Bytes: bytesFor(2e9)},
-		{Weight: 1, Bytes: bytesFor(3e9)},
+	grants := picnicAllocate(nil, 10e9, win, []picnicDemand{
+		{weight: 1, bytes: bytesFor(2e9)},
+		{weight: 1, bytes: bytesFor(3e9)},
 	})
 	if grants != nil {
 		t.Fatalf("grants = %v, want nil under capacity", grants)
@@ -25,9 +25,9 @@ func TestNoAdmissionUnderCapacity(t *testing.T) {
 }
 
 func TestWeightedGrantsWhenOversubscribed(t *testing.T) {
-	grants := Allocate(nil, 9.5e9, win, []Demand{
-		{Weight: 1, Bytes: bytesFor(8e9)},
-		{Weight: 4, Bytes: bytesFor(8e9)},
+	grants := picnicAllocate(nil, 9.5e9, win, []picnicDemand{
+		{weight: 1, bytes: bytesFor(8e9)},
+		{weight: 4, bytes: bytesFor(8e9)},
 	})
 	if grants == nil {
 		t.Fatal("no grants despite oversubscription")
@@ -41,18 +41,18 @@ func TestWeightedGrantsWhenOversubscribed(t *testing.T) {
 }
 
 func TestEmptyDemands(t *testing.T) {
-	if Allocate(nil, 10e9, win, nil) != nil {
+	if picnicAllocate(nil, 10e9, win, nil) != nil {
 		t.Fatal("empty demands must return nil")
 	}
 }
 
 func TestGrantsSumToCapacity(t *testing.T) {
-	demands := []Demand{
-		{Weight: 1, Bytes: bytesFor(5e9)},
-		{Weight: 2, Bytes: bytesFor(5e9)},
-		{Weight: 3, Bytes: bytesFor(5e9)},
+	demands := []picnicDemand{
+		{weight: 1, bytes: bytesFor(5e9)},
+		{weight: 2, bytes: bytesFor(5e9)},
+		{weight: 3, bytes: bytesFor(5e9)},
 	}
-	grants := Allocate(nil, 9e9, win, demands)
+	grants := picnicAllocate(nil, 9e9, win, demands)
 	sum := 0.0
 	for _, g := range grants {
 		sum += g
@@ -62,26 +62,26 @@ func TestGrantsSumToCapacity(t *testing.T) {
 	}
 }
 
-// TestAllocateIsWaterfill: the one-step share Allocate computes is the
+// TestAllocateIsWaterfill: the one-step share picnicAllocate computes is the
 // weighted max-min water-fill of the capacity over one link with every
 // demand unbounded, bit for bit — random weights (some zero), pair counts
 // and capacities, the pairs' order as given — and with a buffer it has
-// filled before, Allocate allocates nothing.
+// filled before, picnicAllocate allocates nothing.
 func TestAllocateIsWaterfill(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	var dst []float64
 	for trial := 0; trial < 2000; trial++ {
-		demands := make([]Demand, 1+rng.Intn(40))
+		demands := make([]picnicDemand, 1+rng.Intn(40))
 		weights, unbounded, flows := make([]float64, len(demands)), make([]float64, len(demands)), make([]int, len(demands))
 		for i := range demands {
-			demands[i] = Demand{Weight: rng.Float64() * 10, Bytes: bytesFor(rng.Float64() * 10e9)}
+			demands[i] = picnicDemand{weight: rng.Float64() * 10, bytes: bytesFor(rng.Float64() * 10e9)}
 			if rng.Intn(8) == 0 {
-				demands[i].Weight = 0
+				demands[i].weight = 0
 			}
-			weights[i], unbounded[i], flows[i] = demands[i].Weight, -1, i
+			weights[i], unbounded[i], flows[i] = demands[i].weight, -1, i
 		}
 		capacity := 1e9 + rng.Float64()*99e9
-		dst = Allocate(dst, capacity, win, demands)
+		dst = picnicAllocate(dst, capacity, win, demands)
 		if dst == nil {
 			continue
 		}
@@ -91,8 +91,8 @@ func TestAllocateIsWaterfill(t *testing.T) {
 				t.Fatalf("trial %d: grant %d = %v, the water-fill gives %v", trial, i, dst[i], want[i])
 			}
 		}
-		if a := testing.AllocsPerRun(10, func() { dst = Allocate(dst, capacity, win, demands) }); a != 0 {
-			t.Fatalf("trial %d: Allocate into its last grants allocated %v times", trial, a)
+		if a := testing.AllocsPerRun(10, func() { dst = picnicAllocate(dst, capacity, win, demands) }); a != 0 {
+			t.Fatalf("trial %d: picnicAllocate into its last grants allocated %v times", trial, a)
 		}
 	}
 }

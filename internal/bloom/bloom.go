@@ -145,8 +145,8 @@ func New(slotsPerBank int) *Table {
 	return &Table{mask: uint64(n - 1)}
 }
 
-// SlotsPerBank returns the (rounded) per-bank slot capacity.
-func (t *Table) SlotsPerBank() int { return int(t.mask+1) * bucketWidth }
+// slotsPerBank returns the (rounded) per-bank slot capacity.
+func (t *Table) slotsPerBank() int { return int(t.mask+1) * bucketWidth }
 
 func mix(x, c uint64) uint64 {
 	x += c
@@ -280,8 +280,8 @@ func (t *Table) Drain() (dPhi, dW int64, n int) {
 	return dPhi, dW, n
 }
 
-// LoadFactor returns occupied slots over total slots.
-func (t *Table) LoadFactor() float64 {
+// loadFactor returns occupied slots over total slots.
+func (t *Table) loadFactor() float64 {
 	return float64(t.Occupied) / float64(2*(t.mask+1)*bucketWidth)
 }
 

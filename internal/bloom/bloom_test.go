@@ -128,17 +128,17 @@ func TestCollisionRate(t *testing.T) {
 
 func TestLoadFactorAndReset(t *testing.T) {
 	tb := New(100) // rounds to 128
-	if tb.SlotsPerBank() != 128 {
-		t.Fatalf("SlotsPerBank = %d, want 128", tb.SlotsPerBank())
+	if tb.slotsPerBank() != 128 {
+		t.Fatalf("SlotsPerBank = %d, want 128", tb.slotsPerBank())
 	}
 	for k := uint64(0); k < 64; k++ {
 		tb.Update(k, 1, 1, 0)
 	}
-	if lf := tb.LoadFactor(); lf <= 0 || lf > 0.5 {
+	if lf := tb.loadFactor(); lf <= 0 || lf > 0.5 {
 		t.Fatalf("LoadFactor = %v", lf)
 	}
 	tb.Reset()
-	if tb.Occupied != 0 || tb.Collisions != 0 || tb.LoadFactor() != 0 {
+	if tb.Occupied != 0 || tb.Collisions != 0 || tb.loadFactor() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -333,8 +333,8 @@ func TestSparseMatchesDense(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			sp, de := New(tc.slots), newDense(tc.slots)
-			if sp.SlotsPerBank() != int(de.mask+1)*bucketWidth {
-				t.Fatalf("slots %d: SlotsPerBank = %d", tc.slots, sp.SlotsPerBank())
+			if sp.slotsPerBank() != int(de.mask+1)*bucketWidth {
+				t.Fatalf("slots %d: SlotsPerBank = %d", tc.slots, sp.slotsPerBank())
 			}
 			collided := false
 			for i := 0; i < tc.ops; i++ {
@@ -375,9 +375,9 @@ func TestSparseMatchesDense(t *testing.T) {
 				if got != want {
 					t.Fatalf("slots %d seed %d op %d (%d): table %v want %v", tc.slots, seed, i, op, got, want)
 				}
-				if sp.Occupied != de.occupied || sp.Collisions != de.collisions || sp.LoadFactor() != de.loadFactor() {
+				if sp.Occupied != de.occupied || sp.Collisions != de.collisions || sp.loadFactor() != de.loadFactor() {
 					t.Fatalf("slots %d seed %d op %d (%d): occupied %d/%d collisions %d/%d load %v/%v", tc.slots, seed, i, op,
-						sp.Occupied, de.occupied, sp.Collisions, de.collisions, sp.LoadFactor(), de.loadFactor())
+						sp.Occupied, de.occupied, sp.Collisions, de.collisions, sp.loadFactor(), de.loadFactor())
 				}
 			}
 			if !collided {

@@ -1,6 +1,6 @@
 package ctlplane
 
-// The watcher/reconciler: each Reconcile pass folds the event-driven
+// The watcher/reconciler: each reconcile pass folds the event-driven
 // liveness view (fed by the flight recorder's dataplane fault events, see
 // Service.WatchRecorder) into schedulability, demotes Placed tenants whose
 // hosts died or are draining (tearing down their realized state), and
@@ -13,9 +13,9 @@ package ctlplane
 
 import "ufab/internal/sim"
 
-// Reconcile runs one convergence pass at simulated time nowPS and
+// reconcile runs one convergence pass at simulated time nowPS and
 // returns how many tenants changed state.
-func (s *Service) Reconcile(nowPS int64) int {
+func (s *Service) reconcile(nowPS int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reconcileLoops++
@@ -90,7 +90,7 @@ func (s *Service) displacedLocked(t *Tenant) bool {
 	return false
 }
 
-// StartReconciler schedules Reconcile every period on the engine and
+// StartReconciler schedules reconcile every period on the engine and
 // returns the stop function. period ≤ 0 defaults to 500 µs — well inside
 // the auditor's 5 ms fault-excuse window, so a crash-displaced tenant is
 // re-placed before its findings can outlive the excuse.
@@ -99,7 +99,7 @@ func (s *Service) StartReconciler(eng sim.Scheduler, period sim.Duration) (stop 
 		period = 500 * sim.Microsecond
 	}
 	return eng.Every(period, func() {
-		s.Reconcile(int64(eng.Now()))
+		s.reconcile(int64(eng.Now()))
 	})
 }
 

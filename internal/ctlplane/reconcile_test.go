@@ -47,14 +47,14 @@ func TestReconcileReplacesAfterNodeFailure(t *testing.T) {
 	dead := victims[0]
 	fail(500, dead)
 
-	if n := s.Reconcile(1000); n == 0 {
+	if n := s.reconcile(1000); n == 0 {
 		t.Fatal("reconcile saw nothing to do")
 	}
 	st := s.Stats()
 	if st.Displaced == 0 || st.Replacements == 0 || st.Evictions != 0 {
 		t.Fatalf("stats %+v: want displacements and replacements, no evictions", st)
 	}
-	for _, tn := range s.TenantList() {
+	for _, tn := range s.tenantList() {
 		if tn.Status != StatusPlaced {
 			t.Fatalf("tenant %d not converged: %+v", tn.ID, tn)
 		}
@@ -69,14 +69,14 @@ func TestReconcileReplacesAfterNodeFailure(t *testing.T) {
 	}
 
 	// A second pass with nothing changed must be a no-op.
-	if n := s.Reconcile(2000); n != 0 {
+	if n := s.reconcile(2000); n != 0 {
 		t.Fatalf("steady-state reconcile changed %d tenants", n)
 	}
 
 	// A recovery event restores schedulability: an admission spanning
 	// every host (including the recovered one) must land.
 	heal(3000, dead)
-	s.Reconcile(3000)
+	s.reconcile(3000)
 	if d := s.Admit(placement.Request{ID: 9, GuaranteeBps: 1e9, VMs: 8}, 4000); !d.Accepted {
 		t.Fatalf("admit spanning the recovered host: %+v", d)
 	}
@@ -96,7 +96,7 @@ func TestReconcileDrainEvacuation(t *testing.T) {
 	if !s.Drain(drained) {
 		t.Fatal("drain refused")
 	}
-	s.Reconcile(1000)
+	s.reconcile(1000)
 	tn, _ := s.Get(1)
 	if tn.Status != StatusPlaced {
 		t.Fatalf("tenant not re-placed after drain: %+v", tn)
@@ -151,7 +151,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 		fail(500, h)
 	}
 	now := int64(1000)
-	s.Reconcile(now) // demote + retry 1 fails
+	s.reconcile(now) // demote + retry 1 fails
 	tn, _ := s.Get(1)
 	if tn.Status != statusDegraded || tn.Retries != 1 {
 		t.Fatalf("after first pass: %+v", tn)
@@ -160,7 +160,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 		t.Fatalf("backoff gate %d, want %d", tn.NotBeforePS, now+100)
 	}
 	// Before the gate: no attempt is burned.
-	s.Reconcile(now + 50)
+	s.reconcile(now + 50)
 	if tn, _ = s.Get(1); tn.Retries != 1 {
 		t.Fatalf("retry burned before backoff expired: %+v", tn)
 	}
@@ -168,7 +168,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tn, _ = s.Get(1)
 		now = tn.NotBeforePS
-		s.Reconcile(now)
+		s.reconcile(now)
 	}
 	tn, _ = s.Get(1)
 	if tn.Status != statusEvicted {
@@ -183,7 +183,7 @@ func TestReconcileBackoffAndEviction(t *testing.T) {
 		t.Fatal("evicted tenant still holds resources")
 	}
 	// And stay evicted: reconcile is a no-op now.
-	if n := s.Reconcile(now + 1_000_000); n != 0 {
+	if n := s.reconcile(now + 1_000_000); n != 0 {
 		t.Fatalf("evicted tenant still being reconciled (%d changes)", n)
 	}
 }

@@ -145,7 +145,7 @@ func (d *Daemon) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		var list []Tenant
-		if !d.doOr503(w, func() { list = d.Svc.TenantList() }) {
+		if !d.doOr503(w, func() { list = d.Svc.tenantList() }) {
 			return
 		}
 		writeJSON(w, http.StatusOK, list)

@@ -14,7 +14,7 @@
 // reconciler. The ledger under the transaction is a single mutex, not a
 // striped or two-phase structure, because nothing reaches it concurrently:
 // Service holds its own lock across every
-// Admit/Evaluate/Release/Reconcile/Recover, and the daemon in daemon.go
+// Admit/Evaluate/Release/reconcile/Recover, and the daemon in daemon.go
 // (`ufabsim serve`) funnels every HTTP operation onto the one engine
 // goroutine. The whole thing is served northbound over HTTP/JSON.
 package ctlplane
@@ -120,7 +120,7 @@ func NewService(g *topo.Graph, store *Store, mat placement.Materializer, cfg Con
 
 // WatchRecorder subscribes the watcher to a flight recorder: dataplane
 // node-fault events (EvFault on entity "dataplane.node", A = node id,
-// B = 1 down / 0 recovered) drive the failed set that Reconcile folds into
+// B = 1 down / 0 recovered) drive the failed set that reconcile folds into
 // schedulability. Wire it before faults can occur — a subscriber only sees
 // events recorded after it registers. With no recorder (nil) the service
 // has no failure detection; drains still work.
@@ -295,8 +295,8 @@ func (s *Service) Get(id int32) (Tenant, bool) {
 	return *t, true
 }
 
-// TenantList returns copies of every record, sorted by id.
-func (s *Service) TenantList() []Tenant {
+// tenantList returns copies of every record, sorted by id.
+func (s *Service) tenantList() []Tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Tenant, 0, len(s.tenants))

@@ -168,7 +168,7 @@ func TestServiceRecover(t *testing.T) {
 		}
 	}
 	s.Release(2, 100)
-	before := s.TenantList()
+	before := s.tenantList()
 	links := map[topo.LinkID]float64{}
 	for lid := range s.Ledger().Graph().Links {
 		links[topo.LinkID(lid)] = s.Ledger().CommittedBps(topo.LinkID(lid))
@@ -186,7 +186,7 @@ func TestServiceRecover(t *testing.T) {
 	if err := s2.Recover(200); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if got := s2.TenantList(); !reflect.DeepEqual(got, before) {
+	if got := s2.tenantList(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("desired set diverged:\n got %+v\nwant %+v", got, before)
 	}
 	for lid, want := range links {
@@ -265,7 +265,7 @@ func TestServiceRecoverHostileRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The reconciler then re-places them like any other Degraded tenant.
-	s.Reconcile(100)
+	s.reconcile(100)
 	if got := s.StatusCounts()[StatusPlaced]; got != len(bad) {
 		t.Fatalf("%d of %d demoted tenants re-placed: %v", got, len(bad), s.StatusCounts())
 	}

@@ -36,14 +36,14 @@ func ablations(o Options) *Report {
 	noStageRTT, noStageQ, _ := incast(func(c *vfabric.Config) { c.Edge.DisableTwoStage = true })
 	r.Printf("two-stage admission: max RTT %6.1fus / queue %3dKB with, %6.1fus / %3dKB without",
 		fullRTT, fullQ/1024, noStageRTT, noStageQ/1024)
-	r.Metric("full.rtt_max_us", fullRTT)
-	r.Metric("nostage.rtt_max_us", noStageRTT)
+	r.metric("full.rtt_max_us", fullRTT)
+	r.metric("nostage.rtt_max_us", noStageRTT)
 
 	// ---- (b) probing payload L_w: overhead vs burst containment ----
 	for _, lw := range []int64{1024, 4096, 16384} {
 		rtt, _, ovh := incast(func(c *vfabric.Config) { c.Edge.ProbePayloadBytes = lw })
 		r.Printf("L_w = %5d B: probing overhead %5.2f%%, max RTT %6.1fus", lw, ovh, rtt)
-		r.Metric("lw"+strconv.FormatInt(lw, 10)+".overhead_pct", ovh)
+		r.metric("lw"+strconv.FormatInt(lw, 10)+".overhead_pct", ovh)
 	}
 
 	// ---- (c) Guarantee Partitioning: bursty pair reclaiming its hose ----
@@ -83,8 +83,8 @@ func ablations(o Options) *Report {
 	withoutGP := gp(true)
 	r.Printf("guarantee partitioning: busy pair %5.2f G with GP vs %5.2f G with static tokens (4G hose)",
 		withGP/1e9, withoutGP/1e9)
-	r.Metric("gp.rate_gbps", withGP/1e9)
-	r.Metric("static.rate_gbps", withoutGP/1e9)
+	r.metric("gp.rate_gbps", withGP/1e9)
+	r.metric("static.rate_gbps", withoutGP/1e9)
 
 	// ---- (d) migration: colliding placement with and without candidates ----
 	migr := func(pinned bool) float64 {
@@ -130,8 +130,8 @@ func ablations(o Options) *Report {
 	without := migr(true)   // everyone pinned to one path
 	r.Printf("path migration: worst flow %5.2f G with candidates vs %5.2f G pinned (3x4G on 2x10G paths)",
 		withMigr/1e9, without/1e9)
-	r.Metric("migration.worst_gbps", withMigr/1e9)
-	r.Metric("pinned.worst_gbps", without/1e9)
+	r.metric("migration.worst_gbps", withMigr/1e9)
+	r.metric("pinned.worst_gbps", without/1e9)
 	r.Printf("expected: two-stage bounds the incast tail; GP roughly doubles the busy pair; migration rescues the worst flow when initial placement collides")
 	return r
 }

@@ -73,8 +73,8 @@ func fig13(o Options) *Report {
 			r.Printf("%-4s load %-18s QPS %8.0f  QCT avg %8.1fus p90 %8.1fus p99 %9.1fus",
 				load.name, v.name, qps, avg, p90, p99)
 			tag := map[string]string{"PicNIC'+WCC+Clove": "pwc", "ES+Clove": "es", "uFAB": "ufab", "Ideal": "ideal"}[v.name]
-			r.Metric(load.name+"."+tag+".qps", qps)
-			r.Metric(load.name+"."+tag+".qct_p99_us", p99)
+			r.metric(load.name+"."+tag+".qps", qps)
+			r.metric(load.name+"."+tag+".qct_p99_us", p99)
 		}
 	}
 	r.Printf("paper shape: uFAB ≈ Ideal; alternatives ~2.5x lower QPS and ~20x higher tail QCT under high load")
@@ -124,9 +124,9 @@ func fig14(o Options) *Report {
 				ebs.SATCT.Mean(), ebs.SATCT.P(0.99),
 				ebs.BATCT.Mean(), ebs.BATCT.P(0.99),
 				ebs.TotalTCT.Mean(), ebs.TotalTCT.P(0.99), ebs.TotalTCT.Len())
-			r.Metric(pressure.name+"."+metricKey(sc, "total_avg_ms", -1), ebs.TotalTCT.Mean())
-			r.Metric(pressure.name+"."+metricKey(sc, "total_p99_ms", -1), ebs.TotalTCT.P(0.99))
-			r.Metric(pressure.name+"."+metricKey(sc, "ba_p99_ms", -1), ebs.BATCT.P(0.99))
+			r.metric(pressure.name+"."+metricKey(sc, "total_avg_ms", -1), ebs.TotalTCT.Mean())
+			r.metric(pressure.name+"."+metricKey(sc, "total_p99_ms", -1), ebs.TotalTCT.P(0.99))
+			r.metric(pressure.name+"."+metricKey(sc, "ba_p99_ms", -1), ebs.BATCT.P(0.99))
 		}
 	}
 	r.Printf("latency bound (converted to 10G): avg ≤ 2 ms, tail ≤ 10 ms; paper: uFAB meets it, 21x/33x shorter tails than PWC/ES")

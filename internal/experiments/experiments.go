@@ -109,7 +109,7 @@ func (o Options) fabricAudit(r *Report) *audit.Config {
 // scheme. When the run's fabric is instrumented (Options.Telemetry), its
 // per-link/per-agent instruments live in the same registry and come out
 // of the same Snapshot; golden comparison still only sees the headline
-// metrics recorded through Metric.
+// metrics recorded through metric.
 type Report struct {
 	ID    string
 	Title string
@@ -139,9 +139,9 @@ func (r *Report) Printf(format string, args ...any) {
 // seriesKey maps an attached curve's display name to its registry name.
 func seriesKey(name string) string { return "series." + telemetry.Token(name) }
 
-// AddSeries attaches a named curve to the report, copying its points into
+// addSeries attaches a named curve to the report, copying its points into
 // a registry series.
-func (r *Report) AddSeries(name string, s *stats.Series) {
+func (r *Report) addSeries(name string, s *stats.Series) {
 	ts := r.Reg.Series(seriesKey(name), len(s.Pts))
 	for _, pt := range s.Pts {
 		ts.Add(int64(pt.T), pt.V)
@@ -174,10 +174,10 @@ func (r *Report) WriteCSV(dir string) error {
 	return nil
 }
 
-// Metric records a headline number under a dotted name (the registry
+// metric records a headline number under a dotted name (the registry
 // panics on undotted names). Re-recording a name overwrites its value but
 // keeps its original position.
-func (r *Report) Metric(name string, v float64) {
+func (r *Report) metric(name string, v float64) {
 	g := r.Reg.Gauge(name) // validates the name even for duplicates
 	for _, k := range r.order {
 		if k == name {
@@ -191,7 +191,7 @@ func (r *Report) Metric(name string, v float64) {
 
 // Metrics returns the headline metrics as a name → value map. Fabric
 // instruments sharing the registry are excluded: only names recorded
-// through Metric appear, which keeps golden comparison identical whether
+// through metric appear, which keeps golden comparison identical whether
 // telemetry is on or off.
 func (r *Report) Metrics() map[string]float64 {
 	out := make(map[string]float64, len(r.order))

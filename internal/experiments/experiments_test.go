@@ -40,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestReportString(t *testing.T) {
 	r := newReport("x", "test")
 	r.Printf("line %d", 1)
-	r.Metric("x.m", 3.5)
+	r.metric("x.m", 3.5)
 	s := r.String()
 	if !strings.Contains(s, "line 1") || !strings.Contains(s, "x.m = 3.5") {
 		t.Fatalf("String() = %q", s)

@@ -79,12 +79,12 @@ func (rig *faultRig) run(dur sim.Duration) {
 	ctrlRate := rig.ctrl.Rate(dur-dur/10, dur)
 	r.Printf("control VF-9 (intra-ToR): final rate %5.2f G", ctrlRate/1e9)
 	fs := rig.uf.FaultStats()
-	r.Metric("guarantee.satisfied", float64(satisfied))
-	r.Metric("ctrl.gbps", ctrlRate/1e9)
-	r.Metric("faults.migrations", float64(fs.Migrations))
-	r.Metric("faults.freezes_armed", float64(fs.FreezesArmed))
-	r.Metric("faults.freeze_suppressed", float64(fs.FreezeSuppressed))
-	r.Metric("faults.drops", float64(fs.FaultDrops))
+	r.metric("guarantee.satisfied", float64(satisfied))
+	r.metric("ctrl.gbps", ctrlRate/1e9)
+	r.metric("faults.migrations", float64(fs.Migrations))
+	r.metric("faults.freezes_armed", float64(fs.FreezesArmed))
+	r.metric("faults.freeze_suppressed", float64(fs.FreezeSuppressed))
+	r.metric("faults.drops", float64(fs.FaultDrops))
 }
 
 // logInjections appends the injection log to the report.
@@ -135,7 +135,7 @@ func faultFlap(o Options) *Report {
 	rig.run(dur)
 	rig.logInjections(inj)
 	rig.auditSummary(sc)
-	r.Metric("chaos.flaps_applied", float64(inj.Applied(chaos.LinkDown)))
+	r.metric("chaos.flaps_applied", float64(inj.Applied(chaos.LinkDown)))
 	r.Printf("flapped Agg1→Core1 duplex ×%d (down %v every %v)", cycles, down, period)
 	return r
 }
@@ -180,8 +180,8 @@ func faultGray(o Options) *Report {
 	rig.logInjections(inj)
 	rig.auditSummary(sc)
 	fs := rig.uf.FaultStats()
-	r.Metric("faults.corrupted_probes", float64(fs.CorruptedProbes))
-	r.Metric("chaos.degrades_applied", float64(inj.Applied(chaos.LinkDegrade)))
+	r.metric("faults.corrupted_probes", float64(fs.CorruptedProbes))
+	r.metric("chaos.degrades_applied", float64(inj.Applied(chaos.LinkDegrade)))
 	r.Printf("gray window [%v, %v): cap×%.2f, +%v, loss %.1f%%, probe drop/corrupt %.0f%%/%.0f%%",
 		grayAt, healAt, deg.CapacityScale, deg.ExtraDelay, deg.LossProb*100,
 		deg.ProbeDropProb*100, deg.ProbeCorruptProb*100)
@@ -231,10 +231,10 @@ func faultRestart(o Options) *Report {
 	fs := rig.uf.FaultStats()
 	r.Printf("ToR4→S8 Φ register: %.2f tokens before restart, %.2f after wipe, %.2f rebuilt at end",
 		phiBefore, phiAfter, phiRebuilt)
-	r.Metric("faults.core_restarts", float64(fs.CoreRestarts))
-	r.Metric("phi.before", phiBefore)
-	r.Metric("phi.after_wipe", phiAfter)
-	r.Metric("phi.rebuilt", phiRebuilt)
+	r.metric("faults.core_restarts", float64(fs.CoreRestarts))
+	r.metric("phi.before", phiBefore)
+	r.metric("phi.after_wipe", phiAfter)
+	r.metric("phi.rebuilt", phiRebuilt)
 	return r
 }
 
@@ -296,10 +296,10 @@ func faultChurn(o Options) *Report {
 	downlink := linkBetween(rig.tb.Graph, tor, rig.tb.Servers[7])
 	phiResidue, _ := rig.uf.Cores[tor].Subscription(downlink)
 	r.Printf("S8 downlink Φ after storm: %.2f tokens (stable incast only)", phiResidue)
-	r.Metric("chaos.arrivals", float64(inj.Applied(chaos.TenantArrive)))
-	r.Metric("chaos.departures", float64(inj.Applied(chaos.TenantDepart)))
-	r.Metric("chaos.rejected", float64(inj.Rejected()))
-	r.Metric("phi.residue", phiResidue)
+	r.metric("chaos.arrivals", float64(inj.Applied(chaos.TenantArrive)))
+	r.metric("chaos.departures", float64(inj.Applied(chaos.TenantDepart)))
+	r.metric("chaos.rejected", float64(inj.Rejected()))
+	r.metric("phi.residue", phiResidue)
 	return r
 }
 
@@ -324,8 +324,8 @@ func chaosLab(o Options) *Report {
 		sc, err = chaos.Parse([]byte(o.Scenario))
 		if err != nil {
 			r.Printf("scenario rejected: %v", err)
-			r.Metric("chaos.events_applied", 0)
-			r.Metric("chaos.events_rejected", 0)
+			r.metric("chaos.events_applied", 0)
+			r.metric("chaos.events_rejected", 0)
 			return r
 		}
 		r.Printf("replaying scenario %q (%d events)", sc.Name, len(sc.Events))
@@ -356,7 +356,7 @@ func chaosLab(o Options) *Report {
 			applied++
 		}
 	}
-	r.Metric("chaos.events_applied", float64(applied))
-	r.Metric("chaos.events_rejected", float64(inj.Rejected()))
+	r.metric("chaos.events_applied", float64(applied))
+	r.metric("chaos.events_rejected", float64(inj.Rejected()))
 	return r
 }

@@ -45,13 +45,13 @@ func fuzzLab(o Options) *Report {
 		admitted += res.Admitted
 		rejected += res.Rejected
 	}
-	r.Metric("fuzz.cases", float64(n))
-	r.Metric("fuzz.clean", float64(clean))
-	r.Metric("fuzz.excused", float64(excused))
-	r.Metric("fuzz.findings", float64(findings))
-	r.Metric("fuzz.panics", float64(panics))
-	r.Metric("fuzz.mismatches", float64(mismatches))
-	r.Metric("fuzz.admitted", float64(admitted))
-	r.Metric("fuzz.rejected", float64(rejected))
+	r.metric("fuzz.cases", float64(n))
+	r.metric("fuzz.clean", float64(clean))
+	r.metric("fuzz.excused", float64(excused))
+	r.metric("fuzz.findings", float64(findings))
+	r.metric("fuzz.panics", float64(panics))
+	r.metric("fuzz.mismatches", float64(mismatches))
+	r.metric("fuzz.admitted", float64(admitted))
+	r.metric("fuzz.rejected", float64(rejected))
 	return r
 }

@@ -8,10 +8,10 @@ import (
 
 func twoReports() []*Report {
 	a := newReport("figA", "a")
-	a.Metric("a.x", 10)
-	a.Metric("a.y", 0.5)
+	a.metric("a.x", 10)
+	a.metric("a.y", 0.5)
 	b := newReport("figB", "b")
-	b.Metric("b.z", -3)
+	b.metric("b.z", -3)
 	return []*Report{a, b}
 }
 
@@ -37,13 +37,13 @@ func TestGoldenRoundTripAndCompare(t *testing.T) {
 func TestGoldenDetectsDrift(t *testing.T) {
 	g := BuildGolden(Options{}, twoReports(), 1e-6)
 	reports := twoReports()
-	reports[0].Metric("a.x", 10.01) // 0.1% off, far beyond 1e-6
+	reports[0].metric("a.x", 10.01) // 0.1% off, far beyond 1e-6
 	drifts := g.Compare(reports)
 	if len(drifts) != 1 || drifts[0].Experiment != "figA" || drifts[0].Metric != "a.x" {
 		t.Fatalf("drifts = %v, want exactly figA/a.x", drifts)
 	}
 	// Within tolerance passes: the max(|want|,1) floor scales it.
-	reports[0].Metric("a.x", 10+5e-6)
+	reports[0].metric("a.x", 10+5e-6)
 	if drifts := g.Compare(reports); len(drifts) != 0 {
 		t.Fatalf("in-tolerance change flagged: %v", drifts)
 	}
@@ -53,8 +53,8 @@ func TestGoldenPerMetricTolerance(t *testing.T) {
 	g := BuildGolden(Options{}, twoReports(), 1e-6)
 	g.Tolerances = map[string]float64{"figA/a.x": 0.05}
 	reports := twoReports()
-	reports[0].Metric("a.x", 10.2) // 2% off: inside the 5% override
-	reports[1].Metric("b.z", -3.1) // off with no override: must drift
+	reports[0].metric("a.x", 10.2) // 2% off: inside the 5% override
+	reports[1].metric("b.z", -3.1) // off with no override: must drift
 	drifts := g.Compare(reports)
 	if len(drifts) != 1 || drifts[0].Experiment != "figB" {
 		t.Fatalf("drifts = %v, want exactly figB/b.z", drifts)
@@ -67,7 +67,7 @@ func TestGoldenStructuralDrift(t *testing.T) {
 	// Missing metric: a figA report that never recorded a.y.
 	reports := twoReports()
 	short := newReport("figA", "a")
-	short.Metric("a.x", 10)
+	short.metric("a.x", 10)
 	reports[0] = short
 	if drifts := g.Compare(reports); len(drifts) != 1 || drifts[0].Structural == "" {
 		t.Fatalf("missing metric not structural drift: %v", drifts)
@@ -75,7 +75,7 @@ func TestGoldenStructuralDrift(t *testing.T) {
 
 	// New metric not in the baseline.
 	reports = twoReports()
-	reports[1].Metric("b.w", 7)
+	reports[1].metric("b.w", 7)
 	if drifts := g.Compare(reports); len(drifts) != 1 || drifts[0].Structural == "" {
 		t.Fatalf("new metric not flagged: %v", drifts)
 	}
@@ -96,9 +96,9 @@ func TestGoldenStructuralDrift(t *testing.T) {
 
 func TestGoldenSkipsNonFinite(t *testing.T) {
 	r := newReport("figN", "nan")
-	r.Metric("n.good", 1)
-	r.Metric("n.bad", math.NaN())
-	r.Metric("n.worse", math.Inf(1))
+	r.metric("n.good", 1)
+	r.metric("n.bad", math.NaN())
+	r.metric("n.worse", math.Inf(1))
 	g := BuildGolden(Options{}, []*Report{r}, 1e-6)
 	if _, ok := g.Experiments["figN"]["n.bad"]; ok {
 		t.Fatal("NaN metric recorded")
@@ -118,7 +118,7 @@ func TestGoldenFlagsNonFiniteDrift(t *testing.T) {
 	g := BuildGolden(Options{}, twoReports(), 1e-6)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		reports := twoReports()
-		reports[0].Metric("a.x", bad)
+		reports[0].metric("a.x", bad)
 		if drifts := g.Compare(reports); len(drifts) != 1 || drifts[0].Metric != "a.x" || drifts[0].Structural != "" {
 			t.Errorf("a.x = %v: drifts = %v, want exactly figA/a.x", bad, drifts)
 		}

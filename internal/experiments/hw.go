@@ -55,7 +55,7 @@ func fig15(o Options) *Report {
 	satisfied := 0
 	migrations := 0
 	for i, fl := range flows {
-		r.AddSeries("vf"+strconv.Itoa(i+1)+"_bps", &fl.Meter.Series)
+		r.addSeries("vf"+strconv.Itoa(i+1)+"_bps", &fl.Meter.Series)
 		rate := fl.Rate(dur-dur/10, dur)
 		ok := rate >= 0.9*guarantees[i]
 		if ok {
@@ -69,13 +69,13 @@ func fig15(o Options) *Report {
 	maxQ := float64(uf.MaxQueueBytes())
 	r.Printf("after Core1 failure at %v: %d/%d guarantees kept, %d total migrations, max queue %.0f KB (3BDP = %.0f KB)",
 		failAt, satisfied, len(flows), migrations, maxQ/1e3, 3*bdp/1e3)
-	r.Metric("guarantee.satisfied", float64(satisfied))
-	r.Metric("faults.migrations", float64(migrations))
-	r.Metric("queue.maxq_over_3bdp", maxQ/(3*bdp))
+	r.metric("guarantee.satisfied", float64(satisfied))
+	r.metric("faults.migrations", float64(migrations))
+	r.metric("queue.maxq_over_3bdp", maxQ/(3*bdp))
 	for _, rec := range inj.Log {
 		r.Printf("chaos: %s", rec)
 	}
-	r.Metric("chaos.node_crashes", float64(inj.Applied(chaos.NodeCrash)))
+	r.metric("chaos.node_crashes", float64(inj.Applied(chaos.NodeCrash)))
 
 	// ---- (b) probing overhead vs number of VM-pairs ----
 	lw := int64(4096)
@@ -99,12 +99,12 @@ func fig15(o Options) *Report {
 		eng2.RunUntil(horizon)
 		ovh := uf2.ProbeOverhead() * 100
 		r.Printf("probing overhead with %4d VM-pairs: %.3f%%", n, ovh)
-		r.Metric("probe.overhead_pct."+strconv.Itoa(n), ovh)
+		r.metric("probe.overhead_pct."+strconv.Itoa(n), ovh)
 	}
 	lp := float64(probe.WireSize(3))
 	bound := lp / (lp + float64(lw)) * 100
 	r.Printf("analytic bound L_p/(L_p+L_w) = %.2f%% (paper: 1.28%% with their L_p); overhead flattens with VM-pair count", bound)
-	r.Metric("probe.overhead_bound_pct", bound)
+	r.metric("probe.overhead_bound_pct", bound)
 	return r
 }
 
@@ -115,9 +115,9 @@ func table3(o Options) *Report {
 	rows := resmodel.EdgeTable(resmodel.EdgeConfig{VMPairs: 8192, Tenants: 1024})
 	r.Lines = append(r.Lines, tableLines(resmodel.FormatEdgeTable(rows))...)
 	total := rows[len(rows)-1]
-	r.Metric("fpga.total_lut_pct", total.LUT)
-	r.Metric("fpga.total_bram_pct", total.BRAM)
-	r.Metric("fpga.total_uram_pct", total.URAM)
+	r.metric("fpga.total_lut_pct", total.LUT)
+	r.metric("fpga.total_bram_pct", total.BRAM)
+	r.metric("fpga.total_uram_pct", total.URAM)
 	r.Printf("paper Table 3 totals: LUT 7.6%%, Registers 5.8%%, BRAM 16.4%%, URAM 9.5%%")
 	return r
 }
@@ -128,7 +128,7 @@ func table4(o Options) *Report {
 	cols := resmodel.CoreTable(nil)
 	r.Lines = append(r.Lines, tableLines(resmodel.FormatCoreTable(cols))...)
 	for _, c := range cols {
-		r.Metric("switch.sram_pct."+strconv.Itoa(c.VMPairs/1000)+"k", c.SRAM)
+		r.metric("switch.sram_pct."+strconv.Itoa(c.VMPairs/1000)+"k", c.SRAM)
 	}
 	r.Printf("paper Table 4 SRAM: 17.29%% / 17.71%% / 18.75%% — only the active-pair table scales")
 	return r

@@ -42,7 +42,7 @@ func fig16(o Options) *Report {
 		agg := aggMeter(eng, flows, 100*sim.Microsecond)
 		eng.RunUntil(dur)
 		agg.Flush(dur)
-		r.AddSeries(metricKey(sc, "agg_bps", -1), &agg.Series)
+		r.addSeries(metricKey(sc, "agg_bps", -1), &agg.Series)
 		// Utilization during the unlimited phases (odd periods).
 		var unlimited, under stats.Samples
 		for _, p := range agg.Series.Pts {
@@ -56,8 +56,8 @@ func fig16(o Options) *Report {
 		rtt := poolRTT(flows, 0.5, 0.99, 1)
 		r.Printf("%-18s unlimited-phase rate %6.1f G (target 95) | underload %5.1f G | RTT p99≈%8.1fus max %9.1fus",
 			sc, unlimited.Mean()/1e9, under.Mean()/1e9, rtt.P(0.9), rtt.Max())
-		r.Metric(metricKey(sc, "unlimited_gbps", -1), unlimited.Mean()/1e9)
-		r.Metric(metricKey(sc, "rtt_max_us", -1), rtt.Max())
+		r.metric(metricKey(sc, "unlimited_gbps", -1), unlimited.Mean()/1e9)
+		r.metric(metricKey(sc, "rtt_max_us", -1), rtt.Max())
 	}
 	r.Printf("paper shape: PWC overshoots then under-utilizes; ES recovers but with high latency; uFAB converges with max RTT ~27x below PWC")
 	return r
@@ -193,8 +193,8 @@ func fig17(o Options) *Report {
 			r.Printf("%-12s %-18s dissat %5.1f%%  p99RTT %8.1fus  slowdown avg %6.2f p99 %8.2f (n=%d)",
 				cell.name, sc, dissat, rttAgg.P(0.99), slow.Mean(), slow.P(0.99), slow.Len())
 			tag := fmt.Sprintf("%s.%s", metricKey(sc, "dissat_pct", -1), sanitize(cell.name))
-			r.Metric(tag, dissat)
-			r.Metric(fmt.Sprintf("%s.%s", metricKey(sc, "slow_p99", -1), sanitize(cell.name)), slow.P(0.99))
+			r.metric(tag, dissat)
+			r.metric(fmt.Sprintf("%s.%s", metricKey(sc, "slow_p99", -1), sanitize(cell.name)), slow.P(0.99))
 			if cell.name == "1:1 load 0.7" || (o.Quick && cell.name == "1:1 load 0.5") {
 				for _, bin := range []string{"<10K", "10-100K", "100K-1M", ">1M"} {
 					if s := binsAvg[bin]; s != nil {

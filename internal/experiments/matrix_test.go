@@ -166,12 +166,12 @@ func TestClaimSabotage(t *testing.T) {
 	}
 
 	lacking := newReport("fig4", "a report without pwc.tail_us.10")
-	lacking.Metric("ufab.tail_us.10", 140)
+	lacking.metric("ufab.tail_us.10", 140)
 	if held, failed := CheckClaims([]*Report{lacking}); held != 0 || len(failed) != 1 ||
 		!strings.Contains(failed[0].Error(), "fig4: claim fig4.ufab-tail-below-pwc: no metric") {
 		t.Errorf("missing operand: %d held, failed %v", held, failed)
 	}
-	lacking.Metric("pwc.tail_us.10", math.NaN())
+	lacking.metric("pwc.tail_us.10", math.NaN())
 	if held, failed := CheckClaims([]*Report{lacking}); held != 0 || len(failed) != 1 {
 		t.Errorf("NaN operand: %d held, failed %v", held, failed)
 	}

@@ -47,7 +47,7 @@ func fig4(o Options) *Report {
 			}
 			r.Printf("%-18s %2d-to-1: RTT p50 ≈ %7.1f us, tail ≈ %8.1f us | CDF:%s",
 				sc, n, p50, p999, cdfStr)
-			r.Metric(metricKey(sc, "tail_us", n), p999)
+			r.metric(metricKey(sc, "tail_us", n), p999)
 		}
 	}
 	r.Printf("baseRTT %.1f us; latency bound ≈ %.0f us (3·BDP/C + baseRTT)", base, 5*base)
@@ -58,8 +58,8 @@ func fig4(o Options) *Report {
 		m[metricKey(schemeUFAB, "tail_us", degrees[0])]
 	r.Printf("tail growth with incast degree: PWC %.1fx vs uFAB %.1fx (paper: PWC unbounded, uFAB bounded)",
 		pwcGrowth, ufabGrowth)
-	r.Metric("pwc.tail_growth", pwcGrowth)
-	r.Metric("ufab.tail_growth", ufabGrowth)
+	r.metric("pwc.tail_growth", pwcGrowth)
+	r.metric("ufab.tail_growth", ufabGrowth)
 	return r
 }
 
@@ -153,10 +153,10 @@ func fig5(o Options) *Report {
 		}
 		r.Printf("%-18s F1=%.2fG(owes 8) F2=%.2fG(8) F3=%.2fG(4) F4=%.2fG(3); satisfied %d/4; F4 path switches %d",
 			v.name, res.rates[0], res.rates[1], res.rates[2], res.rates[3], ok, res.switches)
-		r.Metric(v.key+".satisfied", float64(ok))
-		r.Metric(v.key+".switches", float64(res.switches))
+		r.metric(v.key+".satisfied", float64(ok))
+		r.metric(v.key+".switches", float64(res.switches))
 		for i, ser := range res.series {
-			r.AddSeries(v.key+"_F"+strconv.Itoa(i+1)+"_bps", ser)
+			r.addSeries(v.key+"_F"+strconv.Itoa(i+1)+"_bps", ser)
 		}
 	}
 	r.Printf("paper shape: PWC leaves guarantees unsatisfied (200us pins F4 on P1; 36us oscillates); uFAB close to ideal")
@@ -218,7 +218,7 @@ func fig11(o Options) *Report {
 		for i, f := range flows {
 			achieved = append(achieved, f.fh.rate(end-tail/2, end))
 			owed = append(owed, f.guarantee)
-			r.AddSeries(metricKey(sc, "vf"+strconv.Itoa(i)+"_bps", -1), &f.fh.meter.Series)
+			r.addSeries(metricKey(sc, "vf"+strconv.Itoa(i)+"_bps", -1), &f.fh.meter.Series)
 		}
 		dissat := stats.Dissatisfaction(achieved, owed, nil)
 		qhw := d.queueHighWaters()
@@ -235,8 +235,8 @@ func fig11(o Options) *Report {
 			}
 			r.Printf("    class %dG: avg rate %.2f G (n=%d)", int(g/1e9), sum/float64(n)/1e9, n)
 		}
-		r.Metric(metricKey(sc, "dissat_pct", -1), dissat*100)
-		r.Metric(metricKey(sc, "maxq_kb", -1), maxQ/1e3)
+		r.metric(metricKey(sc, "dissat_pct", -1), dissat*100)
+		r.metric(metricKey(sc, "maxq_kb", -1), maxQ/1e3)
 	}
 	r.Printf("paper shape: uFAB ~0%% dissatisfaction with low queue; PWC >40%% dissatisfaction; ES low dissatisfaction but deep queues")
 	return r
@@ -263,7 +263,7 @@ func fig12(o Options) *Report {
 		stop()
 		d.sampleRates()
 		agg.Flush(dur)
-		r.AddSeries(metricKey(sc, "agg_bps", -1), &agg.Series)
+		r.addSeries(metricKey(sc, "agg_bps", -1), &agg.Series)
 		// Convergence: aggregate goodput within 10% of the 95% target
 		// for 1 ms, and per-flow fairness within 25% at the end.
 		worst := stats.ConvergenceTime(&agg.Series, 0, 0.95*10e9, 0.1, sim.Millisecond)
@@ -281,8 +281,8 @@ func fig12(o Options) *Report {
 		conv, convUs := convergence(worst, sim.Microsecond)
 		r.Printf("%-18s convergence=%9s fair %2d/%2d  RTT p50≈%7.1fus max≈%8.1fus  (bound %.0fus)",
 			sc, conv, fairOK, n, rttAll.P(0.25), rttAll.Max(), bound)
-		r.Metric(metricKey(sc, "conv_us", -1), convUs)
-		r.Metric(metricKey(sc, "rtt_max_us", -1), rttAll.Max())
+		r.metric(metricKey(sc, "conv_us", -1), convUs)
+		r.metric(metricKey(sc, "rtt_max_us", -1), rttAll.Max())
 	}
 	r.Printf("paper shape: uFAB/uFAB' react fast; baselines 99p RTT ~ms; uFAB bounds the tail, uFAB' cuts it ~11x vs baselines")
 	return r

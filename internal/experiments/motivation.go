@@ -89,8 +89,8 @@ func fig1(o Options) *Report {
 		}
 	}
 	r.Printf("average load %.1f%% yet worst-epoch p99.9/median inflation x%.1f (paper: <10%% load, up to 50x)", avgLoad, maxInfl)
-	r.Metric("load.avg_pct", avgLoad)
-	r.Metric("rtt.max_tail_inflation", maxInfl)
+	r.metric("load.avg_pct", avgLoad)
+	r.metric("rtt.max_tail_inflation", maxInfl)
 	return r
 }
 
@@ -130,8 +130,8 @@ func fig2(o Options) *Report {
 	mean, p999 := ebs.TotalTCT.Mean(), ebs.TotalTCT.P(0.999)
 	r.Printf("network load %.1f%%; total TCT mean %.2f ms, p99.9 %.2f ms (x%.1f)", load, mean, p999, p999/mean)
 	r.Printf("paper shape: steady ~27%% load, tail TCT ~10x average")
-	r.Metric("load.pct", load)
-	r.Metric("tct.tail_over_mean", p999/mean)
+	r.metric("load.pct", load)
+	r.metric("tct.tail_over_mean", p999/mean)
 	return r
 }
 
@@ -220,8 +220,8 @@ func fig3(o Options) *Report {
 	r.Printf("polarized hash:   %2d/%d uplinks carry traffic, max/min load ratio %.1f", usedP, nCores, ratioP)
 	r.Printf("independent hash: %2d/%d uplinks carry traffic, max/min load ratio %.1f", usedI, nCores, ratioI)
 	r.Printf("paper shape: production Agg's 24 equivalent uplinks converge to ~6 load levels with 10x spread")
-	r.Metric("ecmp.polarized_used", float64(usedP))
-	r.Metric("ecmp.independent_used", float64(usedI))
-	r.Metric("ecmp.polarized_maxmin", ratioP)
+	r.metric("ecmp.polarized_used", float64(usedP))
+	r.metric("ecmp.independent_used", float64(usedI))
+	r.metric("ecmp.polarized_maxmin", ratioP)
 	return r
 }

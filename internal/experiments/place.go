@@ -64,10 +64,10 @@ func placeCompare(o Options) *Report {
 		r.Printf("%-18s accept %5.1f%%  peak-sub %.3f  peak-tenants %3d  admit %6.1f µs  (headroom %d, placement %d)",
 			name, 100*st.AcceptRatio(), st.PeakMaxSubscription, st.PeakTenants,
 			st.TimeToAdmit.Mean(), st.RejectedBy["headroom"], st.RejectedBy["placement"])
-		r.Metric(name+".accept_ratio", st.AcceptRatio())
-		r.Metric(name+".peak_subscription", st.PeakMaxSubscription)
-		r.Metric(name+".admit_us", st.TimeToAdmit.Mean())
-		r.Metric(name+".ledger_ok", ok)
+		r.metric(name+".accept_ratio", st.AcceptRatio())
+		r.metric(name+".peak_subscription", st.PeakMaxSubscription)
+		r.metric(name+".admit_us", st.TimeToAdmit.Mean())
+		r.metric(name+".ledger_ok", ok)
 	}
 	return r
 }
@@ -161,7 +161,7 @@ func placeChurn(o Options) *Report {
 			}
 		}
 		r.Printf("standing VF-%d (2G hose): final rate %5.2f G", id, rate/1e9)
-		r.Metric(fmt.Sprintf("standing.vf%d_gbps", id), rate/1e9)
+		r.metric(fmt.Sprintf("standing.vf%d_gbps", id), rate/1e9)
 	}
 	cs := ctl.Stats()
 	ok := 1.0
@@ -178,14 +178,14 @@ func placeChurn(o Options) *Report {
 	}
 	r.Printf("controller: %d submitted, %d admitted, %d rejected, %d released, %d active at end",
 		cs.Submitted, cs.Admitted, cs.Rejected, cs.Released, cs.Active)
-	r.Metric("churn.accept_ratio", st.AcceptRatio())
-	r.Metric("churn.peak_subscription", st.PeakMaxSubscription)
-	r.Metric("ctl.admitted", float64(cs.Admitted))
-	r.Metric("ctl.rejected", float64(cs.Rejected))
-	r.Metric("ctl.active", float64(cs.Active))
-	r.Metric("chaos.arrivals", float64(inj.Applied(chaos.TenantArrive)))
-	r.Metric("chaos.admission_rejects", float64(inj.Rejected()))
-	r.Metric("ledger.ok", ok)
+	r.metric("churn.accept_ratio", st.AcceptRatio())
+	r.metric("churn.peak_subscription", st.PeakMaxSubscription)
+	r.metric("ctl.admitted", float64(cs.Admitted))
+	r.metric("ctl.rejected", float64(cs.Rejected))
+	r.metric("ctl.active", float64(cs.Active))
+	r.metric("chaos.arrivals", float64(inj.Applied(chaos.TenantArrive)))
+	r.metric("chaos.admission_rejects", float64(inj.Rejected()))
+	r.metric("ledger.ok", ok)
 	return r
 }
 
@@ -222,8 +222,8 @@ func placeSweep(o Options) *Report {
 		r.Printf("factor %.2f: accept %5.1f%%  peak-sub %.3f  (headroom %d, placement %d)",
 			factor, 100*st.AcceptRatio(), st.PeakMaxSubscription,
 			st.RejectedBy["headroom"], st.RejectedBy["placement"])
-		r.Metric(key+".accept_ratio", st.AcceptRatio())
-		r.Metric(key+".peak_subscription", st.PeakMaxSubscription)
+		r.metric(key+".accept_ratio", st.AcceptRatio())
+		r.metric(key+".peak_subscription", st.PeakMaxSubscription)
 	}
 	return r
 }

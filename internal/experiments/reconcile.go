@@ -110,7 +110,7 @@ func reconcile(o Options) *Report {
 			}
 		}
 		r.Printf("tenant %d (1G hose): final rate %5.2f G", id, rate/1e9)
-		r.Metric(fmt.Sprintf("tenant%d.final_gbps", id), rate/1e9)
+		r.metric(fmt.Sprintf("tenant%d.final_gbps", id), rate/1e9)
 	}
 	st := svc.Stats()
 	byStatus := svc.StatusCounts()
@@ -129,12 +129,12 @@ func reconcile(o Options) *Report {
 	r.Printf("reconciler: %d loops, %d displaced, %d re-placed, %d retries, %d evicted; %d/%d placed at end",
 		st.ReconcileLoops, st.Displaced, st.Replacements, st.Retries, st.Evictions,
 		byStatus[ctlplane.StatusPlaced], st.Desired)
-	r.Metric("ctl.displaced", float64(st.Displaced))
-	r.Metric("ctl.replacements", float64(st.Replacements))
-	r.Metric("ctl.retries", float64(st.Retries))
-	r.Metric("ctl.evictions", float64(st.Evictions))
-	r.Metric("ctl.placed_at_end", float64(byStatus[ctlplane.StatusPlaced]))
-	r.Metric("chaos.applied", float64(inj.Applied(chaos.NodeCrash)+inj.Applied(chaos.NodeRecover)))
-	r.Metric("ledger.ok", ok)
+	r.metric("ctl.displaced", float64(st.Displaced))
+	r.metric("ctl.replacements", float64(st.Replacements))
+	r.metric("ctl.retries", float64(st.Retries))
+	r.metric("ctl.evictions", float64(st.Evictions))
+	r.metric("ctl.placed_at_end", float64(byStatus[ctlplane.StatusPlaced]))
+	r.metric("chaos.applied", float64(inj.Applied(chaos.NodeCrash)+inj.Applied(chaos.NodeRecover)))
+	r.metric("ledger.ok", ok)
 	return r
 }

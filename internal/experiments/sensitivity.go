@@ -57,8 +57,8 @@ func fig18(o Options) *Report {
 			}
 			ctStr, ctMs := convergence(ct, sim.Millisecond)
 			r.Printf("load %s freeze [1,%2d]: convergence %8s, migrations %3d", load.name, n, ctStr, migrations)
-			r.Metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".migrations", float64(migrations))
-			r.Metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".conv_ms", ctMs)
+			r.metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".migrations", float64(migrations))
+			r.metric("freeze"+strconv.Itoa(n)+"."+sanitize(load.name)+".conv_ms", ctMs)
 		}
 	}
 	// ---- (c) probing frequency ----
@@ -79,7 +79,7 @@ func fig18(o Options) *Report {
 		ctStr, ctUs := convergence(stats.ConvergenceTime(&agg.Series, 0, 0.95*10e9, 0.1, sim.Millisecond), sim.Microsecond)
 		r.Printf("probing %-14s: 16-to-1 aggregate convergence %s", pf.name, ctStr)
 		if ctUs >= 0 {
-			r.Metric("probe."+sanitize(pf.name)+".conv_us", ctUs)
+			r.metric("probe."+sanitize(pf.name)+".conv_us", ctUs)
 		}
 	}
 	r.Printf("paper shape: [1,10] freeze cuts migrations sharply at 70%% load with similar convergence; probing frequency barely affects convergence")
@@ -121,17 +121,17 @@ func fig19(o Options) *Report {
 			break
 		}
 	}
-	r.AddSeries("incumbent_bps", &a.Meter.Series)
+	r.addSeries("incumbent_bps", &a.Meter.Series)
 	baseRTT := st.Graph.Diameter(1500)
 	if reactAt < 0 {
 		r.Printf("incumbent never reacted (pre-burst %.2f G)", pre/1e9)
-		r.Metric("reaction.rtts", -1)
+		r.metric("reaction.rtts", -1)
 		return r
 	}
 	rtts := float64(reactAt-burstAt) / float64(baseRTT)
 	r.Printf("incumbent at %.2f G reacted %.1f us after the burst = %.1f baseRTTs (theory: ~2 RTT for the primal/window control, ~4 for dual)",
 		pre/1e9, (reactAt - burstAt).Micros(), rtts)
-	r.Metric("reaction.rtts", rtts)
+	r.metric("reaction.rtts", rtts)
 	return r
 }
 
@@ -180,8 +180,8 @@ func fig20(o Options) *Report {
 	ctStr, ctUs := convergence(ct, sim.Microsecond)
 	r.Printf("%d-to-1: per-sender median RTT spread %.1f us (baseRTT %.1f us) — responses are asynchronous", n, spread, baseRTT)
 	r.Printf("aggregate convergence to 95%% of line rate: %s", ctStr)
-	r.Metric("conv.us", ctUs)
-	r.Metric("rtt.spread_us", spread)
+	r.metric("conv.us", ctUs)
+	r.metric("rtt.spread_us", spread)
 	r.Printf("paper shape: senders receive responses out of sync by >1 RTT yet rates converge quickly (Fig 20b)")
 	return r
 }

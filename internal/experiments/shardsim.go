@@ -78,12 +78,12 @@ func shardSim(o Options) *Report {
 	r.Printf("messages completed %d | delivered %.1f MB | slowdown mean %.2f p99 %.2f | probe overhead %.3f%% | drops %d",
 		completed, float64(delivered)/1e6, slow.Mean(), slow.P(0.99),
 		d.uf.ProbeOverhead()*100, net.TotalDrops)
-	r.Metric("shardsim.logical_shards", float64(shards))
-	r.Metric("shardsim.completed", float64(completed))
-	r.Metric("shardsim.delivered_mb", float64(delivered)/1e6)
-	r.Metric("shardsim.slowdown_mean", slow.Mean())
-	r.Metric("shardsim.slowdown_p99", slow.P(0.99))
-	r.Metric("shardsim.probe_overhead_pct", d.uf.ProbeOverhead()*100)
-	r.Metric("shardsim.drops", float64(net.TotalDrops))
+	r.metric("shardsim.logical_shards", float64(shards))
+	r.metric("shardsim.completed", float64(completed))
+	r.metric("shardsim.delivered_mb", float64(delivered)/1e6)
+	r.metric("shardsim.slowdown_mean", slow.Mean())
+	r.metric("shardsim.slowdown_p99", slow.P(0.99))
+	r.metric("shardsim.probe_overhead_pct", d.uf.ProbeOverhead()*100)
+	r.metric("shardsim.drops", float64(net.TotalDrops))
 	return r
 }

@@ -132,7 +132,7 @@ func (a *Allocator) check(req Request) error {
 	switch {
 	case req.GuaranteeBps <= 0 || req.VMs < 1:
 		return errInvalid
-	case a.ledger.Has(req.ID):
+	case a.ledger.has(req.ID):
 		return errDuplicate
 	case req.VMs > len(a.fleet.Hosts):
 		return errPlacement
@@ -147,7 +147,7 @@ func (a *Allocator) Propose(req Request) ([]topo.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := a.ledger.Fits(req.GuaranteeBps, chainPairs(hosts)); err != nil {
+	if err := a.ledger.fits(req.GuaranteeBps, chainPairs(hosts)); err != nil {
 		return nil, err
 	}
 	return hosts, nil
@@ -214,7 +214,7 @@ func (a *Allocator) commit(req Request, hosts []topo.NodeID) ([]Pair, error) {
 // probes drain its registers), then the ledger commitment and host slots.
 // Returns false for a tenant the ledger does not hold.
 func (a *Allocator) Withdraw(id int32) bool {
-	if !a.ledger.Has(id) {
+	if !a.ledger.has(id) {
 		return false
 	}
 	if a.mat != nil {

@@ -261,8 +261,8 @@ func TestAllocatorLifecycle(t *testing.T) {
 		sp.Pairs[0].Src != hosts[0] || sp.Pairs[1].Dst != hosts[2] || sp.Pairs[1].BacklogBytes != 4096 {
 		t.Fatalf("materialized spec %+v for hosts %v", sp, hosts)
 	}
-	if !a.ledger.Has(7) || a.fleet.FreeSlots() != 8*4-3 {
-		t.Fatalf("realize took ledger=%v, %d free slots", a.ledger.Has(7), a.fleet.FreeSlots())
+	if !a.ledger.has(7) || a.fleet.FreeSlots() != 8*4-3 {
+		t.Fatalf("realize took ledger=%v, %d free slots", a.ledger.has(7), a.fleet.FreeSlots())
 	}
 	placed := snapshot(a, mat)
 

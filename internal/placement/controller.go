@@ -162,7 +162,7 @@ func (c *Controller) Release(id int32) bool {
 // duplicate id, endpoint outside the graph) is rejected.
 func (c *Controller) AdmitSpec(spec chaos.TenantSpec) bool {
 	req := Request{ID: spec.VF, GuaranteeBps: spec.GuaranteeBps}
-	ok := spec.GuaranteeBps > 0 && !c.alloc.ledger.Has(spec.VF)
+	ok := spec.GuaranteeBps > 0 && !c.alloc.ledger.has(spec.VF)
 	if ok {
 		pairs := make([]Pair, 0, len(spec.Pairs))
 		for _, p := range spec.Pairs {

@@ -75,7 +75,7 @@ var (
 // ctlplane.Service's own mutex), so nothing contends on it.
 type Ledger struct {
 	// Oversubscription scales every link's admission budget in Admit and
-	// Fits (0 = 1.0, the paper's predictability precondition; >1
+	// fits (0 = 1.0, the paper's predictability precondition; >1
 	// deliberately oversubscribes). Set it before the first admission.
 	Oversubscription float64
 
@@ -213,11 +213,11 @@ func (l *Ledger) Evaluate(guaranteeBps float64, pairs []Pair) ([]topo.LinkID, []
 	return links, amounts, nil
 }
 
-// Fits answers the what-if Admit would decide, committing nothing: nil
+// fits answers the what-if Admit would decide, committing nothing: nil
 // when the placement is routable and within budget on every link, else an
 // error wrapping errInvalid or errHeadroom. A placement that fits
 // allocates nothing.
-func (l *Ledger) Fits(guaranteeBps float64, pairs []Pair) error {
+func (l *Ledger) fits(guaranteeBps float64, pairs []Pair) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.delta(guaranteeBps, pairs); err != nil {
@@ -297,8 +297,8 @@ func (l *Ledger) Release(id int32) bool {
 // Graph returns the topology the ledger accounts over.
 func (l *Ledger) Graph() *topo.Graph { return l.g }
 
-// Has reports whether the tenant currently holds a commitment.
-func (l *Ledger) Has(id int32) bool {
+// has reports whether the tenant currently holds a commitment.
+func (l *Ledger) has(id int32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.tenants[id] != nil

@@ -66,7 +66,7 @@ func TestLedgerRejects(t *testing.T) {
 	if err := l.Commit(2, 1e9, []Pair{{Src: servers[0], Dst: servers[0]}}); err == nil {
 		t.Fatal("self-loop pair accepted")
 	}
-	if l.Has(2) {
+	if l.has(2) {
 		t.Fatal("failed commit left tenant registered")
 	}
 	// An endpoint outside the graph, negative, or naming a switch is
@@ -79,7 +79,7 @@ func TestLedgerRejects(t *testing.T) {
 			if _, _, err := l.Evaluate(1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Evaluate %v: %v, want ErrInvalid", pr, err)
 			}
-			if err := l.Fits(1e9, ps); !errors.Is(err, errInvalid) {
+			if err := l.fits(1e9, ps); !errors.Is(err, errInvalid) {
 				t.Fatalf("Fits %v: %v, want ErrInvalid", pr, err)
 			}
 			if err := l.Commit(2, 1e9, ps); !errors.Is(err, errInvalid) {
@@ -96,7 +96,7 @@ func TestLedgerRejects(t *testing.T) {
 	if got := l.CommittedBps(g.Node(servers[2]).Out[0]); got != 1e9 {
 		t.Fatalf("uplink of S3 carries %v after the rejected pairs, want 1e9", got)
 	}
-	if l.Has(2) || l.Tenants() != 2 {
+	if l.has(2) || l.Tenants() != 2 {
 		t.Fatalf("rejected pairs left tenant state: %d tenants", l.Tenants())
 	}
 	if err := l.Verify(); err != nil {
@@ -206,10 +206,10 @@ func TestLedgerPropertyRandomChurn(t *testing.T) {
 						live = append(live, next)
 					case oversub != 0 && errors.Is(err, errHeadroom):
 						bounced++
-						if l.Has(next) {
+						if l.has(next) {
 							t.Fatalf("oversub %v seed %d op %d: bounced tenant registered", oversub, seed, op)
 						}
-						if fits := l.Fits(gbps, pairs); !errors.Is(fits, errHeadroom) {
+						if fits := l.fits(gbps, pairs); !errors.Is(fits, errHeadroom) {
 							t.Fatalf("oversub %v seed %d op %d: Admit bounced but Fits = %v", oversub, seed, op, fits)
 						}
 					default:
@@ -399,9 +399,9 @@ func TestChainPairs(t *testing.T) {
 	}
 }
 
-// TestLedgerWhatIfAllocatesNothing: Fits decides in the ledger's scratch, so
+// TestLedgerWhatIfAllocatesNothing: fits decides in the ledger's scratch, so
 // on a warm ledger a placement that fits allocates nothing, and a placement
-// refused for headroom — by Fits or by Admit — allocates only its error,
+// refused for headroom — by fits or by Admit — allocates only its error,
 // with the same hot link named as before (the first over budget by id).
 func TestLedgerWhatIfAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -410,10 +410,10 @@ func TestLedgerWhatIfAllocatesNothing(t *testing.T) {
 	g, servers := testbedGraph()
 	l := NewLedger(g, 0)
 	pairs := []Pair{{Src: servers[0], Dst: servers[4]}, {Src: servers[1], Dst: servers[5]}}
-	if err := l.Fits(1e9, pairs); err != nil { // warms the path memo
+	if err := l.fits(1e9, pairs); err != nil { // warms the path memo
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(100, func() { _ = l.Fits(1e9, pairs) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { _ = l.fits(1e9, pairs) }); a != 0 {
 		t.Errorf("Fits of a placement that fits allocates %v times, want 0", a)
 	}
 	links, _, err := l.Evaluate(1e12, pairs)
@@ -421,11 +421,11 @@ func TestLedgerWhatIfAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("placement: link %d over budget: %v", links[0], errHeadroom)
-	if err := l.Fits(1e12, pairs); !errors.Is(err, errHeadroom) || err.Error() != want {
+	if err := l.fits(1e12, pairs); !errors.Is(err, errHeadroom) || err.Error() != want {
 		t.Fatalf("Fits over budget = %v, want %q", err, want)
 	}
 	bare := testing.AllocsPerRun(100, func() { _ = fmt.Errorf("placement: link %d over budget: %w", links[0], errHeadroom) })
-	if a := testing.AllocsPerRun(100, func() { _ = l.Fits(1e12, pairs) }); a > bare {
+	if a := testing.AllocsPerRun(100, func() { _ = l.fits(1e12, pairs) }); a > bare {
 		t.Errorf("Fits refused for headroom allocates %v times, its error alone %v", a, bare)
 	}
 	bare = testing.AllocsPerRun(100, func() {

@@ -13,7 +13,7 @@ import (
 // byte as it was, or yields what decoding, AppendHop and re-encoding yields.
 // The receive path's two in-place variants answer to the allocating ones the
 // same way: DecodeInto a dirty scratch Packet is Decode, and FlipToResponse
-// is Decode, ToResponse, Encode to the byte.
+// is Decode, toResponse, Encode to the byte.
 // The seeds run in `go test`; to fuzz beyond them:
 //
 //	go test ./internal/probe -run '^$' -fuzz FuzzProbeWire -fuzztime 30s
@@ -55,7 +55,7 @@ func FuzzProbeWire(f *testing.F) {
 		if m, err := DecodeInto(&scratch, wire); err != nil || m != n || !reflect.DeepEqual(&scratch, p) {
 			t.Fatalf("DecodeInto (%d bytes, %v) yields\n %+v\nDecode (%d bytes) yields\n %+v", m, err, scratch, n, p)
 		}
-		if want, _ := p.ToResponse(tokens).Encode(nil); flipErr != nil || !bytes.Equal(flipped, want) {
+		if want, _ := p.toResponse(tokens).Encode(nil); flipErr != nil || !bytes.Equal(flipped, want) {
 			t.Fatalf("FlipToResponse (%v) yields\n % x\nDecode + ToResponse + Encode yields\n % x", flipErr, flipped, want)
 		}
 		if n != PayloadSize(len(p.Hops)) || n > len(wire) {

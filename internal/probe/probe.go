@@ -323,7 +323,7 @@ func DecodeInto(dst *Packet, buf []byte) (int, error) {
 // place, the way the destination edge's hardware does (§3.2 steps 4–5): the
 // kind nibble becomes KindResponse, the receiver-admitted token goes into the
 // peer-φ field, and the hop records the switches stamped stay where they are.
-// The result is byte for byte what Decode, ToResponse(peerPhi) and Encode
+// The result is byte for byte what Decode, toResponse(peerPhi) and Encode
 // produce — bytes beyond the declared hop records are cut off and a speed
 // class no port has reads back as class 0, as that round trip would leave
 // them — without the two Packets and the second buffer. It fails, leaving buf
@@ -373,10 +373,10 @@ func (p *Packet) AppendHop(h Hop) error {
 	return nil
 }
 
-// ToResponse converts a probe arriving at the destination edge into the
+// toResponse converts a probe arriving at the destination edge into the
 // response the destination sends back: same telemetry, kind flipped, and
 // the receiver-admitted token attached.
-func (p *Packet) ToResponse(peerPhi float64) *Packet {
+func (p *Packet) toResponse(peerPhi float64) *Packet {
 	r := *p
 	r.Kind = KindResponse
 	r.PeerPhi = peerPhi
@@ -385,10 +385,10 @@ func (p *Packet) ToResponse(peerPhi float64) *Packet {
 	return &r
 }
 
-// BottleneckIndex returns the index of the hop that minimizes the
+// bottleneckIndex returns the index of the hop that minimizes the
 // proportional share φ/Φ_l·C_l, i.e. the link that bounds r_{a→b} in
 // Eqn (1). It returns -1 for an empty hop list.
-func (p *Packet) BottleneckIndex() int {
+func (p *Packet) bottleneckIndex() int {
 	best, bestShare := -1, 0.0
 	for i, h := range p.Hops {
 		phiTotal := h.TotalTokens

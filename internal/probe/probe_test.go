@@ -177,7 +177,7 @@ func TestWireSize(t *testing.T) {
 
 func TestToResponse(t *testing.T) {
 	p := samplePacket()
-	r := p.ToResponse(777)
+	r := p.toResponse(777)
 	if r.Kind != KindResponse || r.PeerPhi != 777 {
 		t.Fatalf("response = %+v", r)
 	}
@@ -200,16 +200,16 @@ func TestBottleneckIndex(t *testing.T) {
 			{TotalTokens: 10, Capacity: 10e9},  // share 10e9
 		},
 	}
-	if got := p.BottleneckIndex(); got != 1 {
+	if got := p.bottleneckIndex(); got != 1 {
 		t.Fatalf("BottleneckIndex = %d, want 1", got)
 	}
 	empty := &Packet{}
-	if empty.BottleneckIndex() != -1 {
+	if empty.bottleneckIndex() != -1 {
 		t.Error("empty packet bottleneck != -1")
 	}
 	// Zero total tokens must not divide by zero.
 	z := &Packet{Phi: 1, Hops: []Hop{{TotalTokens: 0, Capacity: 1e9}}}
-	if z.BottleneckIndex() != 0 {
+	if z.bottleneckIndex() != 0 {
 		t.Error("zero-token hop not handled")
 	}
 }

@@ -77,7 +77,7 @@ func TestQuadHeapInterleaved(t *testing.T) {
 // The engine against a reference model: random push / cancel / pop, the
 // model being "the live keys, sorted by eventKey.less". Every fired event
 // must be the model's minimum, cancelled events must never fire, and the
-// peeks (nextKey, PendingTimes) must agree with the model too.
+// peeks (nextKey, pendingTimes) must agree with the model too.
 func TestEngineMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := New()
@@ -123,7 +123,7 @@ func TestEngineMatchesSortedModel(t *testing.T) {
 			model = model[1:]
 		}
 		if op%512 == 0 {
-			got := e.PendingTimes(e.Pending())
+			got := e.pendingTimes(e.Pending())
 			want := make([]Time, len(model))
 			for i, l := range model {
 				want[i] = l.key.at

@@ -89,7 +89,7 @@ func queueDelay(rng *rand.Rand) Duration {
 // keys (ties on at, schedAt and src), cancels, steps, peeks followed by an
 // injection below the curEnd the peek moved ahead, RunUntil deadlines
 // inside a bucket and idle stretches longer than the ring's horizon. After
-// every operation the firing order, the clock, Pending, PendingTimes,
+// every operation the firing order, the clock, Pending, pendingTimes,
 // PeakPending and Processed must agree.
 func TestQueueMatchesFlatHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -151,7 +151,7 @@ func TestQueueMatchesFlatHeap(t *testing.T) {
 			}
 			ring := e.q.n - len(e.q.cur) - len(e.q.far)
 			tiers[0], tiers[1], tiers[2] = max(tiers[0], len(e.q.cur)), max(tiers[1], ring), max(tiers[2], len(e.q.far))
-			got := e.PendingTimes(e.Pending())
+			got := e.pendingTimes(e.Pending())
 			slices.Sort(got)
 			st := e.Stats()
 			switch {
@@ -182,7 +182,7 @@ func tail(ids []int32) []int32 { return ids[max(0, len(ids)-5):] }
 // coordinator events that post into the parked shards. At every RunUntil
 // deadline (inside a bucket) each engine must have fired exactly the prefix
 // a single heap of every key scheduled on it pops, up to the deadline, and
-// hold the rest (PendingTimes); Pending and Processed must not depend on
+// hold the rest (pendingTimes); Pending and Processed must not depend on
 // the worker count. (PeakPending may: with workers a Send reaches its
 // receiver's queue when the receiver drains its ring, not when it is sent,
 // in the single heap as in the tiers.)
@@ -308,7 +308,7 @@ func shardsAgainstFlat(t *testing.T, workers int) (out []queueStats) {
 				t.Fatalf("%d workers, engine %d: %v still pending at deadline %v", workers, d, rest[0], deadline)
 			}
 			if d < ns {
-				got := engs[d].PendingTimes(engs[d].Pending())
+				got := engs[d].pendingTimes(engs[d].Pending())
 				slices.Sort(got)
 				if !slices.Equal(got, rest) {
 					t.Fatalf("%d workers, shard %d by %v: PendingTimes %d entries, flat heap %d", workers, d, deadline, len(got), len(rest))

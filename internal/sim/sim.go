@@ -496,7 +496,7 @@ func every(s Scheduler, period Duration, fn Event) (stop func()) {
 	}
 }
 
-// PendingTimes returns the scheduled times of up to n pending events, in
+// pendingTimes returns the scheduled times of up to n pending events, in
 // no particular order. It is a diagnostic aid for finding event leaks.
 //
 // Contract: n is clamped to the number of queued entries (n ≤ Pending()), so
@@ -504,7 +504,7 @@ func every(s Scheduler, period Duration, fn Event) (stop func()) {
 // treated as zero. Cancelled-but-unpopped entries count against the n
 // inspected slots but are not reported, so the result can be shorter than
 // min(n, Pending()).
-func (e *Engine) PendingTimes(n int) []Time {
+func (e *Engine) pendingTimes(n int) []Time {
 	n = max(0, min(n, e.q.n))
 	out := make([]Time, 0, n)
 	e.q.each(n, func(ent *heapEntry) {

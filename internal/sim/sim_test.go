@@ -398,11 +398,11 @@ func TestPendingTimes(t *testing.T) {
 	e.At(10*Nanosecond, func() {})
 	h := e.At(20*Nanosecond, func() {})
 	e.Cancel(h)
-	ts := e.PendingTimes(10)
+	ts := e.pendingTimes(10)
 	if len(ts) != 1 || ts[0] != 10*Nanosecond {
 		t.Fatalf("PendingTimes = %v", ts)
 	}
-	if got := e.PendingTimes(0); len(got) != 0 {
+	if got := e.pendingTimes(0); len(got) != 0 {
 		t.Fatalf("PendingTimes(0) = %v", got)
 	}
 }
@@ -415,10 +415,10 @@ func TestPendingTimesContract(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		e.At(Time(i)*Nanosecond, func() {})
 	}
-	if got := e.PendingTimes(1 << 20); len(got) != 3 {
+	if got := e.pendingTimes(1 << 20); len(got) != 3 {
 		t.Fatalf("PendingTimes(huge) = %v, want all 3", got)
 	}
-	if got := e.PendingTimes(-5); len(got) != 0 {
+	if got := e.pendingTimes(-5); len(got) != 0 {
 		t.Fatalf("PendingTimes(-5) = %v, want empty", got)
 	}
 }
@@ -436,7 +436,7 @@ func TestEveryStopIdempotent(t *testing.T) {
 		t.Fatalf("ticks before stop = %d, want 2", n)
 	}
 	stop()
-	if got := len(e.PendingTimes(10)); got != 0 {
+	if got := len(e.pendingTimes(10)); got != 0 {
 		t.Fatalf("stop left %d live events queued", got)
 	}
 	// Reuse the freed slot, then double-stop: the new event must survive.

@@ -100,7 +100,7 @@ func TestTypedMatchesClosures(t *testing.T) {
 }
 
 // TestTypedEntriesCounted: typed events are pending events like any other —
-// Pending, PendingTimes, PeakPending and Processed count them — but hold no
+// Pending, pendingTimes, PeakPending and Processed count them — but hold no
 // arena slot, so ArenaSlots counts closure events only.
 func TestTypedEntriesCounted(t *testing.T) {
 	e := New()
@@ -113,7 +113,7 @@ func TestTypedEntriesCounted(t *testing.T) {
 	if e.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4 (three typed, one cancelled closure)", e.Pending())
 	}
-	times := e.PendingTimes(e.Pending())
+	times := e.pendingTimes(e.Pending())
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	if want := []Time{3 * Nanosecond, 3 * Nanosecond, 5 * Nanosecond}; !reflect.DeepEqual(times, want) {
 		t.Fatalf("PendingTimes = %v, want %v", times, want)

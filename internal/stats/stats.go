@@ -79,8 +79,8 @@ func (s *Samples) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// StdDev returns the population standard deviation, or NaN when empty.
-func (s *Samples) StdDev() float64 {
+// stdDev returns the population standard deviation, or NaN when empty.
+func (s *Samples) stdDev() float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
@@ -295,8 +295,8 @@ func (m *RateMeter) flushTo(t sim.Time) {
 	}
 }
 
-// TotalBytes returns all bytes recorded so far.
-func (m *RateMeter) TotalBytes() int64 { return m.total }
+// totalBytes returns all bytes recorded so far.
+func (m *RateMeter) totalBytes() int64 { return m.total }
 
 // ConvergenceTime returns how long after event time t0 the series stays
 // within tol (relative) of target for at least hold, or -1 if it never

@@ -38,7 +38,7 @@ func TestSamplesQuantiles(t *testing.T) {
 
 func TestSamplesEmpty(t *testing.T) {
 	var s Samples
-	for _, v := range []float64{s.P(0.5), s.Mean(), s.Max(), s.Min(), s.StdDev()} {
+	for _, v := range []float64{s.P(0.5), s.Mean(), s.Max(), s.Min(), s.stdDev()} {
 		if !math.IsNaN(v) {
 			t.Errorf("empty stat = %v, want NaN", v)
 		}
@@ -53,7 +53,7 @@ func TestStdDev(t *testing.T) {
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-9 {
+	if got := s.stdDev(); math.Abs(got-2) > 1e-9 {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
@@ -134,8 +134,8 @@ func TestRateMeter(t *testing.T) {
 			t.Errorf("rate = %v, want 10e9", p.V)
 		}
 	}
-	if m.TotalBytes() != 25000 {
-		t.Errorf("TotalBytes = %d", m.TotalBytes())
+	if m.totalBytes() != 25000 {
+		t.Errorf("TotalBytes = %d", m.totalBytes())
 	}
 }
 
@@ -154,8 +154,8 @@ func TestRateMeterAddTotal(t *testing.T) {
 		}
 		want.Flush(now)
 	}
-	if got.TotalBytes() != 52500 || len(got.Series.Pts) != len(want.Series.Pts) {
-		t.Fatalf("total %d, %d points; want 52500, %d", got.TotalBytes(), len(got.Series.Pts), len(want.Series.Pts))
+	if got.totalBytes() != 52500 || len(got.Series.Pts) != len(want.Series.Pts) {
+		t.Fatalf("total %d, %d points; want 52500, %d", got.totalBytes(), len(got.Series.Pts), len(want.Series.Pts))
 	}
 	for i, p := range got.Series.Pts {
 		if p != want.Series.Pts[i] {

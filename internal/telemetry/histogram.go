@@ -128,8 +128,8 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
+// valueSum returns the sum of all observed values (0 on nil).
+func (h *Histogram) valueSum() float64 {
 	if h == nil {
 		return 0
 	}

@@ -21,8 +21,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	if h.Sum() != 115 {
-		t.Fatalf("sum = %g, want 115", h.Sum())
+	if h.valueSum() != 115 {
+		t.Fatalf("sum = %g, want 115", h.valueSum())
 	}
 	if h.Min() != 1 || h.Max() != 100 {
 		t.Fatalf("min/max = %g/%g, want 1/100", h.Min(), h.Max())
@@ -100,10 +100,10 @@ func TestHistogramMergeExact(t *testing.T) {
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() ||
+	if merged.Count() != whole.Count() || merged.valueSum() != whole.valueSum() ||
 		merged.Min() != whole.Min() || merged.Max() != whole.Max() {
 		t.Fatalf("merged summary differs: %d/%g vs %d/%g",
-			merged.Count(), merged.Sum(), whole.Count(), whole.Sum())
+			merged.Count(), merged.valueSum(), whole.Count(), whole.valueSum())
 	}
 	if !slices.Equal(merged.Buckets(), whole.Buckets()) {
 		t.Fatalf("merged bucket counts differ from whole-stream histogram")
@@ -259,8 +259,8 @@ func (h *denseHistogram) buckets() []HistogramBucket {
 // for bit, or "".
 func sameHistogram(h *Histogram, d *denseHistogram) string {
 	bits := math.Float64bits
-	if h.Count() != d.count || bits(h.Sum()) != bits(d.sum) || bits(h.Min()) != bits(d.min) || bits(h.Max()) != bits(d.max) {
-		return fmt.Sprintf("summary %d/%v/%v/%v, dense %d/%v/%v/%v", h.Count(), h.Sum(), h.Min(), h.Max(), d.count, d.sum, d.min, d.max)
+	if h.Count() != d.count || bits(h.valueSum()) != bits(d.sum) || bits(h.Min()) != bits(d.min) || bits(h.Max()) != bits(d.max) {
+		return fmt.Sprintf("summary %d/%v/%v/%v, dense %d/%v/%v/%v", h.Count(), h.valueSum(), h.Min(), h.Max(), d.count, d.sum, d.min, d.max)
 	}
 	got, want := h.Buckets(), d.buckets()
 	if len(got) != len(want) {
@@ -280,7 +280,7 @@ func sameHistogram(h *Histogram, d *denseHistogram) string {
 }
 
 // TestHistogramMatchesDense: a histogram that keeps the span of buckets it
-// has seen answers Count, Sum, Min, Max, Buckets and Quantile bit for bit as
+// has seen answers Count, valueSum, Min, Max, Buckets and Quantile bit for bit as
 // the dense array did, for random streams of values ≤ 0, NaN, ±Inf, tiny,
 // overflowing and ordinary ones drawn from a few octaves somewhere in the
 // layout; merges of histograms whose spans are disjoint, overlapping,

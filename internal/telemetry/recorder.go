@@ -478,15 +478,15 @@ func (r *Recorder) Dropped() uint64 {
 // Events returns the retained events oldest-first. The slice is freshly
 // allocated.
 func (r *Recorder) Events() []Event {
-	return r.EventsSince(0)
+	return r.eventsSince(0)
 }
 
-// EventsSince returns the events recorded after the first n, oldest first.
+// eventsSince returns the events recorded after the first n, oldest first.
 // Events the ring has already evicted are silently absent (callers that
 // need a complete view size the ring accordingly, or compare n with
 // Dropped()). The slice is freshly allocated and holds only the returned
 // events.
-func (r *Recorder) EventsSince(n uint64) []Event {
+func (r *Recorder) eventsSince(n uint64) []Event {
 	n = max(n, r.Dropped())
 	if n >= r.Total() {
 		return nil

@@ -143,7 +143,7 @@ func TestSnapshotDiff(t *testing.T) {
 	g.Set(4)
 	r.Counter("agent.h2.probes").Add(7) // born after prev: diffs against 0
 	r.Gauge("link.c-d.qlen_bytes")      // zero-valued: no delta
-	d := r.Snapshot().Diff(prev)
+	d := r.Snapshot().diff(prev)
 	if len(d.Counters) != 3 {
 		t.Fatalf("counter deltas = %+v, want 3 entries", d.Counters)
 	}
@@ -158,7 +158,7 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 	// No changes → empty diff.
 	snap := r.Snapshot()
-	if d := snap.Diff(snap); len(d.Counters) != 0 || len(d.Gauges) != 0 {
+	if d := snap.diff(snap); len(d.Counters) != 0 || len(d.Gauges) != 0 {
 		t.Fatalf("self-diff not empty: %+v", d)
 	}
 }
@@ -183,7 +183,7 @@ func TestEventsSince(t *testing.T) {
 					want = all[n-evicted:]
 				}
 			}
-			got := rec.EventsSince(n)
+			got := rec.eventsSince(n)
 			if len(got) != len(want) {
 				t.Fatalf("recorded %d, EventsSince(%d): %d events, want %d", recorded, n, len(got), len(want))
 			}
@@ -197,7 +197,7 @@ func TestEventsSince(t *testing.T) {
 			}
 		}
 	}
-	if got := (*Recorder)(nil).EventsSince(0); got != nil {
+	if got := (*Recorder)(nil).eventsSince(0); got != nil {
 		t.Errorf("nil recorder: %v", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestEventsSinceAllocatesTheTailOnly(t *testing.T) {
 	const rounds, fresh = 50, 16
 	for i := 0; i < rounds; i++ {
 		fillRecorder(rec, fresh)
-		if got := rec.EventsSince(cursor); len(got) != fresh {
+		if got := rec.eventsSince(cursor); len(got) != fresh {
 			t.Fatalf("round %d: %d events, want %d", i, len(got), fresh)
 		}
 		cursor = rec.Total()
@@ -389,7 +389,7 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 			var want []Event
 			var evicted uint64
 			for s, rec := range recs {
-				want = append(want, rec.EventsSince(seen[s])...)
+				want = append(want, rec.eventsSince(seen[s])...)
 				evicted += max(seen[s], rec.Dropped()) - seen[s]
 				seen[s] = rec.Total()
 			}

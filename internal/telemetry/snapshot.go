@@ -64,7 +64,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range sortedKeys(r.histograms) {
 		h := r.histograms[name]
 		snap.Histograms = append(snap.Histograms, HistogramValue{
-			Name: name, Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
+			Name: name, Count: h.Count(), Sum: h.valueSum(), Min: h.Min(), Max: h.Max(),
 			Buckets: h.Buckets(),
 		})
 	}
@@ -75,9 +75,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// CounterValue returns the named counter's current value (0 if absent or
+// counterValue returns the named counter's current value (0 if absent or
 // nil registry) without creating the instrument.
-func (r *Registry) CounterValue(name string) int64 {
+func (r *Registry) counterValue(name string) int64 {
 	if r == nil {
 		return 0
 	}
@@ -97,12 +97,12 @@ func (r *Registry) GaugeValue(name string) float64 {
 	return r.gauges[name].Value()
 }
 
-// Diff returns the instrument deltas between prev and s: every counter or
+// diff returns the instrument deltas between prev and s: every counter or
 // gauge whose value changed, carrying value − previous (instruments absent
 // from prev diff against zero). Series are omitted — their rings already
 // retain history. Both snapshots must come from Registry.Snapshot (sorted
 // by name); the result is sorted the same way.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
+func (s Snapshot) diff(prev Snapshot) Snapshot {
 	var out Snapshot
 	i := 0
 	for _, c := range s.Counters {

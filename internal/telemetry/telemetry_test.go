@@ -29,10 +29,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %g, want 7", got)
 	}
-	if got := r.CounterValue("ufabe.h3.migrations"); got != 5 {
+	if got := r.counterValue("ufabe.h3.migrations"); got != 5 {
 		t.Fatalf("CounterValue = %d, want 5", got)
 	}
-	if got := r.CounterValue("no.such.counter"); got != 0 {
+	if got := r.counterValue("no.such.counter"); got != 0 {
 		t.Fatalf("missing CounterValue = %d, want 0", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || s.Len() != 0 || rec.Len() != 0 {
 		t.Fatalf("nil instruments must stay empty")
 	}
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Buckets() != nil || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.valueSum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Buckets() != nil || h.Quantile(0.5) != 0 {
 		t.Fatalf("nil histogram must stay empty")
 	}
 	if got := r.Snapshot(); len(got.Counters)+len(got.Gauges)+len(got.Histograms)+len(got.Series) != 0 {

@@ -352,7 +352,7 @@ func (a *Agent) AddPair(pc PairConfig) *Pair {
 	a.pairs[pc.ID] = p
 	a.sched.addPair(vf, p)
 	if k, ok := pc.Demand.(flowsrc.Kicker); ok && pc.Demand != nil {
-		k.SetKick(func() { a.Kick(p) })
+		k.SetKick(func() { a.kick(p) })
 	}
 	p.enterRamp(a.eng.Now(), false)
 	a.evaluate(p, evalBootstrap)
@@ -379,9 +379,9 @@ func (a *Agent) sourceVF(id int32) *vfState {
 	return vf
 }
 
-// RemovePair tears a pair down: finish probes on its active path, its
+// removePair tears a pair down: finish probes on its active path, its
 // candidate-scan timer stopped, and removal from the scheduler.
-func (a *Agent) RemovePair(id dataplane.VMPair) {
+func (a *Agent) removePair(id dataplane.VMPair) {
 	p := a.pairs[id]
 	if p == nil {
 		return
@@ -401,7 +401,7 @@ func (a *Agent) RemovePair(id dataplane.VMPair) {
 func (a *Agent) dropVF(tn *tenant) {
 	if vf := a.vfs[tn.id]; vf != nil {
 		for len(vf.pairs) > 0 {
-			a.RemovePair(vf.pairs[0].ID)
+			a.removePair(vf.pairs[0].ID)
 		}
 		delete(a.vfs, tn.id)
 	}
@@ -418,9 +418,9 @@ func (p *Pair) maxBaseRTT() sim.Duration {
 	return m
 }
 
-// Kick wakes the pair after new demand arrives, reactivating it from idle
+// kick wakes the pair after new demand arrives, reactivating it from idle
 // (Scenario-2 admission) when necessary.
-func (a *Agent) Kick(p *Pair) {
+func (a *Agent) kick(p *Pair) {
 	if p.idle {
 		p.idle = false
 		// Refresh the token split right away so the reactivated pair

@@ -282,7 +282,7 @@ func betterPath(paths []*pathState, active int, now sim.Time, freshAge, hold sim
 // and conveys each pair's share to the receiver as a request; the receiver
 // arbitrates the requests against its own hose, max-min fair, and answers
 // with an admission; a pair's effective token is the smaller of the two
-// (Pair.EffectivePhi). A pair whose demand is below the equal share is still
+// (Pair.effectivePhi). A pair whose demand is below the equal share is still
 // given the equal share ("boost"), so it can ramp at once when demand
 // returns, while the spare goes to its siblings: at most twice the VF's
 // tokens are in the network for one RTT.

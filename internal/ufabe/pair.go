@@ -81,7 +81,7 @@ type Pair struct {
 	betterSince sim.Time // when a persistently better path was first seen
 	migrating   bool
 	// stopScan stops the pair's periodic candidate scan (nil for a
-	// single-path pair, which has none); RemovePair calls it.
+	// single-path pair, which has none); removePair calls it.
 	stopScan func()
 
 	// Idle/finish state.
@@ -117,9 +117,9 @@ func (p *Pair) SetPhi(phi float64) {
 	p.phiManaged = true
 }
 
-// EffectivePhi returns min(sender token, receiver admission) — the token
+// effectivePhi returns min(sender token, receiver admission) — the token
 // used in probes and guarantees.
-func (p *Pair) EffectivePhi() float64 {
+func (p *Pair) effectivePhi() float64 {
 	if p.peerPhi > 0 && p.peerPhi < p.phi {
 		return p.peerPhi
 	}
@@ -128,7 +128,7 @@ func (p *Pair) EffectivePhi() float64 {
 
 // Guarantee returns the pair's current minimum-bandwidth guarantee in
 // bits/s.
-func (p *Pair) Guarantee() float64 { return p.EffectivePhi() * BU }
+func (p *Pair) Guarantee() float64 { return p.effectivePhi() * BU }
 
 // ActivePath returns the route currently carrying data.
 func (p *Pair) ActivePath() topo.Path { return p.paths[p.active].route }
@@ -160,7 +160,7 @@ func (p *Pair) Idle() bool { return p.idle }
 // nothing of resp itself — it is the agent's decode scratch and is
 // overwritten by the next one.
 func (p *Pair) applyResponse(ps *pathState, resp *probe.Packet) {
-	ps.allocation = allocate(p.EffectivePhi(), p.Window(), ps.baseRTT, resp.Hops)
+	ps.allocation = allocate(p.effectivePhi(), p.Window(), ps.baseRTT, resp.Hops)
 	ps.responded = true
 	if a := p.agent; a.rec != nil {
 		a.rec.Record(telemetry.Event{T: int64(a.eng.Now()), Kind: telemetry.EvWindow,
@@ -184,7 +184,7 @@ func (p *Pair) enterRamp(now sim.Time, scenario2 bool) {
 	if scenario2 {
 		share = ps.share
 	}
-	p.ramp = startRamp(p.EffectivePhi(), share, ps.baseRTT, now)
+	p.ramp = startRamp(p.effectivePhi(), share, ps.baseRTT, now)
 	p.recordStage(now, "ramp")
 }
 

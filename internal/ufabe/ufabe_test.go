@@ -123,12 +123,12 @@ func TestEffectivePhiUsesReceiverAdmission(t *testing.T) {
 	r := newRig(t, Config{})
 	p, _ := r.addPair(10)
 	p.peerPhi = 4
-	if p.EffectivePhi() != 4 {
-		t.Errorf("EffectivePhi = %v, want receiver-capped 4", p.EffectivePhi())
+	if p.effectivePhi() != 4 {
+		t.Errorf("EffectivePhi = %v, want receiver-capped 4", p.effectivePhi())
 	}
 	p.peerPhi = 0 // unbound
-	if p.EffectivePhi() != 10 {
-		t.Errorf("EffectivePhi = %v, want sender 10", p.EffectivePhi())
+	if p.effectivePhi() != 10 {
+		t.Errorf("EffectivePhi = %v, want sender 10", p.effectivePhi())
 	}
 }
 
@@ -224,7 +224,7 @@ func TestIdleFinishAndReactivation(t *testing.T) {
 	downlink := p.ActivePath()[len(p.ActivePath())-1]
 	swAgent := r.net.G.Link(downlink).Src
 	_ = swAgent
-	// Reactivate: Scenario-2. Kick must clear the idle flag at once.
+	// Reactivate: Scenario-2. kick must clear the idle flag at once.
 	buf.Add(500_000)
 	if p.idle {
 		t.Fatal("Kick did not reactivate the pair")
@@ -241,11 +241,11 @@ func TestIdleFinishAndReactivation(t *testing.T) {
 func TestRemovePair(t *testing.T) {
 	r := newRig(t, Config{})
 	p, _ := r.addPair(10)
-	r.src.RemovePair(p.ID)
+	r.src.removePair(p.ID)
 	if r.src.Pair(p.ID) != nil {
 		t.Fatal("pair still present")
 	}
-	r.src.RemovePair(p.ID) // idempotent
+	r.src.removePair(p.ID) // idempotent
 	r.eng.RunUntil(sim.Millisecond)
 }
 

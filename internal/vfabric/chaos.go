@@ -67,14 +67,14 @@ func (f *Fabric) AddTenant(spec chaos.TenantSpec) bool {
 }
 
 // RemoveTenant implements chaos.Target.
-func (f *Fabric) RemoveTenant(vf int32) bool { return f.RemoveVF(vf) }
+func (f *Fabric) RemoveTenant(vf int32) bool { return f.removeVF(vf) }
 
-// RemoveVF tears a tenant VF down: every VM-pair is finished (the finish
+// removeVF tears a tenant VF down: every VM-pair is finished (the finish
 // probes deallocate its Φ/W contribution in the core) and the VF leaves the
 // fabric's tenant table, freeing the id for a later arrival. Returns false
 // for an unknown id. The edges that source it tear down in graph order —
 // removal schedules packets, and map order would break run determinism.
-func (f *Fabric) RemoveVF(id int32) bool {
+func (f *Fabric) removeVF(id int32) bool {
 	vf := f.VFs[id]
 	if vf == nil {
 		return false

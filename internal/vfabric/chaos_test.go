@@ -132,7 +132,7 @@ func TestScenarioRestartAndChurn(t *testing.T) {
 }
 
 // A departed tenant must leave nothing scheduled behind. Every multi-path
-// pair runs a periodic candidate scan; RemovePair used to leave it ticking
+// pair runs a periodic candidate scan; removePair used to leave it ticking
 // forever, one heap entry, closure and Pair per tenant that ever lived — a
 // churning daemon's event queue and memory grew without bound.
 func TestTenantChurnLeavesNoTimers(t *testing.T) {

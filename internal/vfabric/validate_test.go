@@ -87,7 +87,7 @@ func TestAddFlowOfDepartedVFPanics(t *testing.T) {
 	f, tb := newValidateFabric(t)
 	vf := f.AddVF(1, 1e9, 0)
 	f.AddFlow(vf, tb.Servers[0], tb.Servers[1], 0)
-	if !f.RemoveVF(1) {
+	if !f.removeVF(1) {
 		t.Fatal("RemoveVF of a registered VF returned false")
 	}
 	mustPanic(t, "unregistered VF 1", func() { f.AddFlow(vf, tb.Servers[0], tb.Servers[1], 0) })

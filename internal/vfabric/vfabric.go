@@ -122,7 +122,7 @@ type Fabric struct {
 	ten     ufabe.Tenancy
 	vfOrder []int32
 	aud     *auditState
-	// linkRegs[l] is where FlushTelemetry publishes link l's Φ_l and W_l.
+	// linkRegs[l] is where flushTelemetry publishes link l's Φ_l and W_l.
 	linkRegs []linkRegisters
 	// partitioned marks fabrics assembled by Build over a pod partition;
 	// they suppress per-heap gauges whose values depend on when cross-shard
@@ -303,16 +303,16 @@ func (f *Fabric) SampleRates() {
 	for _, fl := range f.Flows {
 		fl.Meter.AddTotal(now, fl.Pair.Delivered)
 	}
-	f.FlushTelemetry()
+	f.flushTelemetry()
 	f.auditTick()
 }
 
-// FlushTelemetry publishes fabric-level instruments to the attached
+// flushTelemetry publishes fabric-level instruments to the attached
 // registry: per-link dataplane gauges/series, per-link Φ_l/W_l registers
 // from the link's source μFAB-C agent, engine scheduling stats, and the
 // fabric-wide fault aggregates. It runs from SampleRates (the meter
 // interval) and is a no-op when telemetry is disabled.
-func (f *Fabric) FlushTelemetry() {
+func (f *Fabric) flushTelemetry() {
 	reg := f.Cfg.Telemetry
 	if reg == nil {
 		return
